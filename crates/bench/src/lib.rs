@@ -7,4 +7,3 @@
 //! performance.
 
 pub mod harness;
-pub mod trajectory;

@@ -137,8 +137,8 @@ impl<T: Scalar> Compressed<T> {
 ///
 /// * `Borrowed` — the caller keeps the [`Compressed`] and the engine
 ///   references it (the classic construction path).
-/// * `Owned` — the engine consumed the compression
-///   ([`Compressed::into_evaluator`]), e.g. to steal its cached blocks.
+/// * `Owned` — the engine consumed the compression (`CompRef::from` a
+///   [`Compressed`] by value).
 /// * `Shared` — several engines serve the *same* compression behind an
 ///   [`Arc`](std::sync::Arc): the `GofmmOperator` front door builds its evaluator and its
 ///   factorization over one shared compression this way, which is what makes

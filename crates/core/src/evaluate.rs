@@ -1,59 +1,57 @@
 //! The evaluation phase (paper Algorithm 2.7): approximate `u = K w` using the
 //! compressed representation via the four task families N2S, S2S, S2N and L2L.
 //!
-//! Two entry points share one implementation:
+//! One engine, [`Evaluator`], built four ways that differ only in where the
+//! interaction panels come from:
 //!
-//! * [`Evaluator`] — the persistent path. Built once from a [`Compressed`]
-//!   matrix, it packs every near/far interaction block into contiguous
-//!   per-node storage, builds the evaluation task DAG once
-//!   (a [`ReusablePlan`]), and then serves unlimited [`Evaluator::apply`]
-//!   calls that touch the kernel zero times. `apply` takes `&self`: every
-//!   call leases its per-node value buffers from an internal
-//!   [`WorkspacePool`], so one evaluator can serve many request threads
-//!   concurrently (and sequential callers still recycle one workspace, as
-//!   the old `&mut self` path did). This is the right tool for solvers and
-//!   services that issue many matvecs against one compression.
-//! * [`evaluate`] / [`evaluate_with`] — one-shot convenience wrappers that
-//!   build a transient *zero-copy* evaluator ([`Evaluator::borrowing`]) whose
-//!   S2S/L2L tasks read the blocks cached inside the [`Compressed`] directly,
-//!   and apply it once. A third construction, [`Compressed::into_evaluator`],
-//!   moves the compression in and steals its cached blocks, halving the peak
-//!   memory of persistent-evaluator setup; a fourth,
-//!   [`Evaluator::from_shared`], serves an `Arc`-shared compression (the
-//!   construction behind the `GofmmOperator` front door).
+//! * [`Evaluator::new`] / [`Evaluator::with_options`] — the persistent path.
+//!   Built once from a borrowed [`Compressed`] matrix, it packs every
+//!   near/far interaction block into contiguous per-node storage, builds the
+//!   evaluation task DAG once (a [`ReusablePlan`]), and then serves unlimited
+//!   [`Evaluator::apply`] calls that touch the kernel zero times. `apply`
+//!   takes `&self`: every call leases its per-node value buffers from an
+//!   internal [`WorkspacePool`], so one evaluator can serve many request
+//!   threads concurrently. This is the right tool for solvers and services
+//!   that issue many matvecs against one compression.
+//! * [`Evaluator::from_shared`] — the same packing over an `Arc`-shared
+//!   compression (the construction behind the `GofmmOperator` front door).
+//! * [`Compressed::into_evaluator`] / [`Compressed::into_shared_evaluator`] —
+//!   move the compression in and *steal* its cached blocks, halving the peak
+//!   memory of persistent-evaluator setup.
+//! * [`Evaluator::borrowing`] — a transient *zero-copy* evaluator whose
+//!   S2S/L2L tasks read the blocks cached inside the [`Compressed`] directly.
+//!   The one-shot wrappers [`evaluate`] / [`evaluate_with`] build one and
+//!   apply it once.
 //!
-//! Each path produces bit-identical outputs for every traversal policy: all
-//! cross-task accumulation orders are fixed by dependency edges (or by the
-//! equivalent level-by-level barriers), so the schedule cannot change a bit.
-//! The packed (persistent) and borrowed (one-shot) storage modes agree with
-//! each other to accumulation roundoff, not bit-for-bit: a packed panel sums
-//! one long GEMM inner dimension where the borrowed path adds one block's
-//! product at a time.
+//! How a panel is stored and multiplied lives in `panel.rs`; the persisted
+//! operator format ([`Evaluator::write_to`] / [`Evaluator::open_from`]) in
+//! `persist.rs`. This file owns the engine: constructors, the apply sweep and
+//! its task bodies, and the plan.
+//!
+//! Each construction produces bit-identical outputs for every traversal
+//! policy: all cross-task accumulation orders are fixed by dependency edges
+//! (or by the equivalent level-by-level barriers), so the schedule cannot
+//! change a bit. The packed and borrowed storage modes agree with each other
+//! to accumulation roundoff, not bit-for-bit: a packed panel sums one long
+//! GEMM inner dimension where the borrowed path adds one block's product at a
+//! time.
 
-use crate::compress::{CompRef, Compressed, CompressionStats};
-use crate::config::{ApplyOptions, GofmmConfig, PanelPrecision, TraversalPolicy};
-use crate::distance::DistanceMetric;
+use crate::compress::{CompRef, Compressed};
+use crate::config::{ApplyOptions, PanelPrecision, TraversalPolicy};
 use crate::error::Error;
-use crate::lists::InteractionLists;
-use crate::skel::NodeBasis;
+use crate::panel::{Panel, Values};
 use crate::tune::TuneStats;
-use gofmm_linalg::{
-    check_scalar_width, decode_scalar_vec, encode_scalar_slice, gemm, gemm_mixed, DenseMatrix,
-    Scalar, Transpose,
-};
+use gofmm_linalg::blas::gemm_flops;
+use gofmm_linalg::{gemm, DenseMatrix, Scalar, Transpose};
 use gofmm_matrices::SpdMatrix;
 use gofmm_runtime::{
     parallel_for, CancelToken, DisjointCells, ExecStats, Family, ReusablePlan, RunDefaults,
     WorkspacePool,
 };
-use gofmm_store::{classes, ByteReader, ByteWriter, FilePanelStore, StoreError, StoreWriter};
 use gofmm_telemetry::{
     traced_barrier, traced_task, PhaseTimes, SpanKind, Stopwatch, SweepProgress,
 };
-use gofmm_tree::PartitionTree;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Statistics of one evaluation.
 #[derive(Clone, Debug, Default)]
@@ -171,8 +169,9 @@ pub struct Evaluator<'a, T: Scalar> {
     /// [`ApplyOptions`].
     defaults: RunDefaults<TraversalPolicy>,
     /// Per-node far blocks `K_{skel(beta), skel(alpha)}`: packed into one
-    /// panel (persistent mode) or borrowed from the compression's block cache
-    /// (zero-copy one-shot mode); [`Panel::Empty`] when the node has none.
+    /// panel (persistent mode, in memory or file-backed) or borrowed from the
+    /// compression's block cache (zero-copy one-shot mode); [`Panel::Empty`]
+    /// when the node has none.
     pub(crate) far: Vec<Panel<'a, T>>,
     /// Per-leaf near blocks `K_{beta, alpha}`: packed or borrowed like `far`
     /// ([`Panel::Empty`] for interior nodes).
@@ -194,9 +193,9 @@ pub struct Evaluator<'a, T: Scalar> {
     plan: ReusablePlan,
     setup_time: f64,
     pub(crate) cached_bytes: usize,
-    /// Storage precision of the owned packed panels ([`Panel::Packed`] vs
-    /// [`Panel::Mixed`]); borrowing evaluators always report `Native`.
-    panel_precision: PanelPrecision,
+    /// Storage precision of the owned packed panels; borrowing evaluators
+    /// always report `Native`.
+    pub(crate) panel_precision: PanelPrecision,
     /// Per-apply value buffers, leased per call and recycled across calls.
     pool: WorkspacePool<ApplyWorkspace<T>>,
 }
@@ -221,27 +220,8 @@ pub(crate) struct ApplyWorkspace<T: Scalar> {
 impl<T: Scalar> ApplyWorkspace<T> {
     /// Allocate buffers shaped for `r` right-hand sides.
     fn allocate(comp: &Compressed<T>, r: usize) -> Self {
-        let node_count = comp.tree.node_count();
-        let rank_of = |heap: usize| comp.bases[heap].as_ref().map(|b| b.rank()).unwrap_or(0);
-        let leaf_dims = |heap: usize| {
-            if comp.tree.is_leaf(heap) {
-                (comp.tree.node(heap).len, r)
-            } else {
-                (0, 0)
-            }
-        };
-        Self {
-            wtilde: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), r)),
-            utilde: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), r)),
-            u_far: DisjointCells::from_fn(node_count, |h| {
-                let (rows, cols) = leaf_dims(h);
-                DenseMatrix::zeros(rows, cols)
-            }),
-            u_near: DisjointCells::from_fn(node_count, |h| {
-                let (rows, cols) = leaf_dims(h);
-                DenseMatrix::zeros(rows, cols)
-            }),
-        }
+        let all = vec![true; comp.tree.node_count()];
+        Self::allocate_masked(comp, r, &all, &all)
     }
 
     /// Allocate only the cells a subtree shard (or the hub) touches:
@@ -256,30 +236,19 @@ impl<T: Scalar> ApplyWorkspace<T> {
     ) -> Self {
         let node_count = comp.tree.node_count();
         let rank_of = |heap: usize| comp.bases[heap].as_ref().map(|b| b.rank()).unwrap_or(0);
-        let leaf_dims = |heap: usize| {
-            if comp.tree.is_leaf(heap) {
-                (comp.tree.node(heap).len, r)
+        let cell = |keep: bool, rows: usize| {
+            if keep {
+                DenseMatrix::zeros(rows, r)
             } else {
-                (0, 0)
+                DenseMatrix::zeros(0, 0)
             }
         };
+        let leaf = |h: usize| cell(value_mask[h] && comp.tree.is_leaf(h), comp.tree.node(h).len);
         Self {
-            wtilde: DisjointCells::from_fn(node_count, |h| {
-                let rows = if wtilde_mask[h] { rank_of(h) } else { 0 };
-                DenseMatrix::zeros(rows, if rows > 0 { r } else { 0 })
-            }),
-            utilde: DisjointCells::from_fn(node_count, |h| {
-                let rows = if value_mask[h] { rank_of(h) } else { 0 };
-                DenseMatrix::zeros(rows, if rows > 0 { r } else { 0 })
-            }),
-            u_far: DisjointCells::from_fn(node_count, |h| {
-                let (rows, cols) = if value_mask[h] { leaf_dims(h) } else { (0, 0) };
-                DenseMatrix::zeros(rows, cols)
-            }),
-            u_near: DisjointCells::from_fn(node_count, |h| {
-                let (rows, cols) = if value_mask[h] { leaf_dims(h) } else { (0, 0) };
-                DenseMatrix::zeros(rows, cols)
-            }),
+            wtilde: DisjointCells::from_fn(node_count, |h| cell(wtilde_mask[h], rank_of(h))),
+            utilde: DisjointCells::from_fn(node_count, |h| cell(value_mask[h], rank_of(h))),
+            u_far: DisjointCells::from_fn(node_count, leaf),
+            u_near: DisjointCells::from_fn(node_count, leaf),
         }
     }
 
@@ -291,191 +260,6 @@ impl<T: Scalar> ApplyWorkspace<T> {
         self.u_far.for_each_mut(|_, m| m.fill(T::zero()));
         self.u_near.for_each_mut(|_, m| m.fill(T::zero()));
     }
-}
-
-/// One node's interaction blocks, in one of two storage modes.
-///
-/// `Packed` is the persistent fast path: all blocks concatenated side by side
-/// so S2S / L2L are one GEMM each. `Blocks` is the zero-copy one-shot path:
-/// the cached per-interaction blocks are borrowed straight from the
-/// [`Compressed`] and multiplied one GEMM per block (the pre-`Evaluator`
-/// behavior). Both modes are bit-identical across traversal policies; they
-/// differ from *each other* in the last bits, because a packed panel
-/// accumulates over one long inner dimension while the borrowed path adds
-/// one block's product at a time.
-pub(crate) enum Panel<'a, T: Scalar> {
-    /// No interaction blocks for this node.
-    Empty,
-    /// All blocks packed into one contiguous column-major matrix.
-    Packed(DenseMatrix<T>),
-    /// All blocks packed like `Packed`, but *stored* in the reduced panel
-    /// precision ([`PanelPrecision::MixedF32`]); applies upconvert during
-    /// GEMM packing and accumulate in `T` ([`gemm_mixed`]).
-    Mixed(DenseMatrix<<T as Scalar>::PanelScalar>),
-    /// Rank-truncated replacement of a packed panel, produced by
-    /// [`Evaluator::tune`]: `left * right` applied as two GEMMs. The `right`
-    /// factor keeps the packed panel's column structure (one block of
-    /// columns per interaction-list entry).
-    LowRank(LowRankPanel<T>),
-    /// Rank-truncated like `LowRank`, with both factors stored in the
-    /// reduced panel precision and accumulated in `T` ([`gemm_mixed`]).
-    MixedLowRank(LowRankPanel<<T as Scalar>::PanelScalar>),
-    /// Blocks borrowed from the compression's cache, in interaction-list
-    /// order.
-    Blocks(&'a [DenseMatrix<T>]),
-    /// The panel lives in a [`FilePanelStore`] and is faulted in per apply
-    /// behind the store's LRU resident set (the out-of-core path). Holds
-    /// exactly the bytes `Packed`/`Mixed` (or a tuned low-rank pair) would,
-    /// spilled to disk.
-    Stored(StoredPanel),
-}
-
-/// The two factors of a rank-truncated panel: `left` is `m × k`, `right` is
-/// `k × n`; the apply computes `left * (right * wstack)`.
-pub(crate) struct LowRankPanel<S: Scalar> {
-    pub(crate) left: DenseMatrix<S>,
-    pub(crate) right: DenseMatrix<S>,
-}
-
-impl<S: Scalar> LowRankPanel<S> {
-    fn values(&self) -> usize {
-        self.left.rows() * self.left.cols() + self.right.rows() * self.right.cols()
-    }
-}
-
-/// Locator of a panel spilled to a [`FilePanelStore`].
-pub(crate) struct StoredPanel {
-    store: Arc<FilePanelStore>,
-    class: u16,
-    node: u32,
-    /// True when the spilled panel holds [`Scalar::PanelScalar`] values
-    /// (mixed precision); decides the decoded matrix type at fault time.
-    mixed: bool,
-    /// True when the spilled panel is a tuned low-rank pair: the values live
-    /// under the companion left/right classes instead of `class` itself.
-    lowrank: bool,
-    /// Decoded panel bytes (for store-side accounting; the panel itself is
-    /// on disk and does not count toward the evaluator's resident bytes).
-    bytes: usize,
-}
-
-/// The store class holding the left factor of a tuned low-rank panel spilled
-/// from the dense panel class `class` (far or near).
-fn left_class(class: u16) -> u16 {
-    match class {
-        classes::S2S => classes::S2S_LEFT,
-        classes::L2L => classes::L2L_LEFT,
-        other => unreachable!("no low-rank companion for panel class {other}"),
-    }
-}
-
-/// The right-factor companion of [`left_class`].
-fn right_class(class: u16) -> u16 {
-    match class {
-        classes::S2S => classes::S2S_RIGHT,
-        classes::L2L => classes::L2L_RIGHT,
-        other => unreachable!("no low-rank companion for panel class {other}"),
-    }
-}
-
-impl StoredPanel {
-    /// Fault the panel in (or hit the store's resident set).
-    ///
-    /// # Panics
-    /// On a storage failure. Apply tasks run on DAG worker threads with no
-    /// error channel; a read error on a store file that was validated at
-    /// open time is an environment failure (file deleted / device gone),
-    /// reported like any other internal invariant violation.
-    fn fetch<S: Scalar>(&self) -> Arc<DenseMatrix<S>> {
-        self.fetch_class::<S>(self.class)
-    }
-
-    /// Fault a tuned low-rank panel's `(left, right)` factors in.
-    fn fetch_pair<S: Scalar>(&self) -> (Arc<DenseMatrix<S>>, Arc<DenseMatrix<S>>) {
-        (
-            self.fetch_class::<S>(left_class(self.class)),
-            self.fetch_class::<S>(right_class(self.class)),
-        )
-    }
-
-    fn fetch_class<S: Scalar>(&self, class: u16) -> Arc<DenseMatrix<S>> {
-        match self.store.get::<DenseMatrix<S>>(class, self.node) {
-            Ok(panel) => panel,
-            Err(e) => panic!(
-                "out-of-core panel fault failed mid-apply (class {class}, node {}): {e}",
-                self.node
-            ),
-        }
-    }
-}
-
-impl<T: Scalar> Panel<'_, T> {
-    fn is_empty(&self) -> bool {
-        match self {
-            Panel::Empty => true,
-            Panel::Packed(m) => m.is_empty(),
-            Panel::Mixed(m) => m.is_empty(),
-            Panel::LowRank(lr) => lr.left.is_empty(),
-            Panel::MixedLowRank(lr) => lr.left.is_empty(),
-            Panel::Blocks(b) => b.is_empty(),
-            // Only non-empty panels are ever spilled.
-            Panel::Stored(_) => false,
-        }
-    }
-
-    /// Bytes of block values read through this panel on every apply,
-    /// wherever they live (resident or on disk).
-    fn bytes(&self) -> usize {
-        let scalar = std::mem::size_of::<T>();
-        let panel_scalar = std::mem::size_of::<<T as Scalar>::PanelScalar>();
-        match self {
-            Panel::Empty => 0,
-            Panel::Packed(m) => m.rows() * m.cols() * scalar,
-            Panel::Mixed(m) => m.rows() * m.cols() * panel_scalar,
-            Panel::LowRank(lr) => lr.values() * scalar,
-            Panel::MixedLowRank(lr) => lr.values() * panel_scalar,
-            Panel::Blocks(b) => b.iter().map(|m| m.rows() * m.cols() * scalar).sum(),
-            Panel::Stored(sp) => sp.bytes,
-        }
-    }
-
-    /// Bytes this panel holds *resident in memory* — what
-    /// [`Evaluator::cached_bytes`] accounts. Identical to [`Panel::bytes`]
-    /// except for [`Panel::Stored`], whose values live on disk.
-    fn resident_bytes(&self) -> usize {
-        match self {
-            Panel::Stored(_) => 0,
-            other => other.bytes(),
-        }
-    }
-}
-
-/// Wrap a freshly packed owned panel in the configured storage precision:
-/// native keeps the operator precision, mixed downcasts the stored values to
-/// [`Scalar::PanelScalar`] (applies re-accumulate in the operator precision).
-fn make_owned_panel<'a, T: Scalar>(mat: DenseMatrix<T>, precision: PanelPrecision) -> Panel<'a, T> {
-    match precision {
-        PanelPrecision::Native => Panel::Packed(mat),
-        PanelPrecision::MixedF32 => Panel::Mixed(mat.cast::<T::PanelScalar>()),
-    }
-}
-
-/// In-memory bytes of a panel set plus its gather indices — the
-/// [`Evaluator::cached_bytes`] accounting, recomputed whenever panels move
-/// (construction, [`Evaluator::tune`], [`Evaluator::attach_store`]).
-fn resident_panel_bytes<T: Scalar>(
-    far: &[Panel<'_, T>],
-    near: &[Panel<'_, T>],
-    near_gather: &[Vec<usize>],
-) -> usize {
-    far.iter()
-        .chain(near.iter())
-        .map(Panel::resident_bytes)
-        .sum::<usize>()
-        + near_gather
-            .iter()
-            .map(|g| g.len() * std::mem::size_of::<usize>())
-            .sum::<usize>()
 }
 
 impl<'a, T: Scalar> Evaluator<'a, T> {
@@ -521,8 +305,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         num_threads: usize,
     ) -> Evaluator<'c, T> {
         let t0 = Stopwatch::start();
-        let tree = &comp.tree;
-        let node_count = tree.node_count();
+        let node_count = comp.tree.node_count();
 
         // --- Pack interaction blocks into contiguous per-node storage ------
         // Every parallel iteration writes only its own node's cells
@@ -538,26 +321,11 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         {
             let comp = &*comp;
             parallel_for(node_count, num_threads.max(1), |heap| {
-                if tree.is_leaf(heap) && !comp.lists.near[heap].is_empty() {
-                    let gather = near_gather_indices(comp, heap);
-                    let mat = if !comp.near_blocks[heap].is_empty() {
-                        hstack_blocks(tree.indices(heap).len(), &comp.near_blocks[heap])
-                    } else {
-                        matrix.submatrix(tree.indices(heap), &gather)
-                    };
-                    near_cells.set(heap, make_owned_panel(mat, precision));
-                    gather_cells.set(heap, gather);
-                }
-                if let Some(basis) = comp.bases[heap].as_ref() {
-                    if !comp.lists.far[heap].is_empty() {
-                        let mat = if !comp.far_blocks[heap].is_empty() {
-                            hstack_blocks(basis.rank(), &comp.far_blocks[heap])
-                        } else {
-                            extract_far_panel(matrix, comp, heap)
-                        };
-                        far_cells.set(heap, make_owned_panel(mat, precision));
-                    }
-                }
+                let (near, far) = (&comp.near_blocks[heap], &comp.far_blocks[heap]);
+                let (near, far, gather) = pack_node(matrix, comp, heap, near, far);
+                near_cells.set(heap, near);
+                far_cells.set(heap, far);
+                gather_cells.set(heap, gather);
             });
         }
 
@@ -602,7 +370,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
                     near.push(Panel::Blocks(&comp.near_blocks[heap]));
                 } else {
                     let gather = near_gather_indices(comp, heap);
-                    near.push(Panel::Packed(matrix.submatrix(tree.indices(heap), &gather)));
+                    near.push(packed_native(matrix.submatrix(tree.indices(heap), &gather)));
                     near_gather[heap] = gather;
                 }
             } else {
@@ -613,7 +381,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
                 if !comp.far_blocks[heap].is_empty() {
                     far.push(Panel::Blocks(&comp.far_blocks[heap]));
                 } else {
-                    far.push(Panel::Packed(extract_far_panel(matrix, comp, heap)));
+                    far.push(packed_native(extract_far_panel(matrix, comp, heap)));
                 }
             } else {
                 far.push(Panel::Empty);
@@ -634,7 +402,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     /// Shared tail of every constructor: DAG construction, cache accounting
     /// and pool setup.
     #[allow(clippy::too_many_arguments)]
-    fn assemble_evaluator<'c>(
+    pub(crate) fn assemble_evaluator<'c>(
         comp: CompRef<'c, T>,
         policy: TraversalPolicy,
         num_threads: usize,
@@ -644,12 +412,10 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         near_gather: Vec<Vec<usize>>,
         t0: Stopwatch,
     ) -> Evaluator<'c, T> {
-        let cached_bytes = resident_panel_bytes(&far, &near, &near_gather);
-
         // --- Build the evaluation DAG once ---------------------------------
         let plan = evaluation_plan(&comp);
 
-        Evaluator {
+        let mut evaluator = Evaluator {
             comp,
             defaults: RunDefaults::new(policy, num_threads),
             far,
@@ -659,87 +425,12 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             tune_stats: None,
             plan,
             setup_time: t0.seconds(),
-            cached_bytes,
+            cached_bytes: 0,
             panel_precision,
             pool: WorkspacePool::new(),
-        }
-    }
-
-    /// Build an evaluator that owns its compression, stealing the cached
-    /// interaction blocks. Used by [`Compressed::into_evaluator`].
-    fn from_owned<M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        mut comp: Compressed<T>,
-    ) -> Evaluator<'static, T> {
-        let t0 = Stopwatch::start();
-        let (far, near, near_gather) = Evaluator::steal_packed(matrix, &mut comp);
-        let (policy, threads) = (comp.config.policy, comp.config.num_threads);
-        let precision = comp.config.panel_precision;
-        Evaluator::assemble_evaluator(
-            CompRef::Owned(Box::new(comp)),
-            policy,
-            threads,
-            precision,
-            far,
-            near,
-            near_gather,
-            t0,
-        )
-    }
-
-    /// Move the block caches out of `comp` and pack them into per-node
-    /// panels, leaving the caches empty. The stealing half of
-    /// [`Compressed::into_evaluator`] and
-    /// [`Compressed::into_shared_evaluator`].
-    #[allow(clippy::type_complexity)]
-    fn steal_packed<M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: &mut Compressed<T>,
-    ) -> (
-        Vec<Panel<'static, T>>,
-        Vec<Panel<'static, T>>,
-        Vec<Vec<usize>>,
-    ) {
-        let node_count = comp.tree.node_count();
-        let precision = comp.config.panel_precision;
-        let stolen_near = std::mem::take(&mut comp.near_blocks);
-        let stolen_far = std::mem::take(&mut comp.far_blocks);
-        let mut far: Vec<Panel<'static, T>> = Vec::with_capacity(node_count);
-        let mut near: Vec<Panel<'static, T>> = Vec::with_capacity(node_count);
-        let mut near_gather: Vec<Vec<usize>> = vec![Vec::new(); node_count];
-        // Each node's stolen blocks are dropped right after they are packed,
-        // so peak memory is the block cache plus a single node's panel —
-        // instead of the cache plus a full packed copy.
-        for (heap, (nb, fb)) in stolen_near.into_iter().zip(stolen_far).enumerate() {
-            let tree = &comp.tree;
-            if tree.is_leaf(heap) && !comp.lists.near[heap].is_empty() {
-                let gather = near_gather_indices(comp, heap);
-                let mat = if !nb.is_empty() {
-                    hstack_blocks(tree.indices(heap).len(), &nb)
-                } else {
-                    matrix.submatrix(tree.indices(heap), &gather)
-                };
-                near.push(make_owned_panel(mat, precision));
-                near_gather[heap] = gather;
-            } else {
-                near.push(Panel::Empty);
-            }
-            if comp.bases[heap].is_some() && !comp.lists.far[heap].is_empty() {
-                let rank = comp.bases[heap].as_ref().unwrap().rank();
-                let mat = if !fb.is_empty() {
-                    hstack_blocks(rank, &fb)
-                } else {
-                    extract_far_panel(matrix, comp, heap)
-                };
-                far.push(make_owned_panel(mat, precision));
-            } else {
-                far.push(Panel::Empty);
-            }
-        }
-        // Keep the per-node cache vectors aligned with the tree (now empty).
-        comp.near_blocks = vec![Vec::new(); node_count];
-        comp.far_blocks = vec![Vec::new(); node_count];
-        (far, near, near_gather)
+        };
+        evaluator.recompute_cached_bytes();
+        evaluator
     }
 
     /// Matrix dimension `N`.
@@ -791,10 +482,14 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         }
     }
 
-    /// Re-derive `cached_bytes` from the current panel set. Called after any
-    /// operation that moves panel storage (tune, store attach).
+    /// Re-derive `cached_bytes` — in-memory panel bytes plus the gather
+    /// indices — from the current panel set. Called whenever panels move
+    /// (construction, [`Evaluator::tune`], [`Evaluator::attach_store`]).
     pub(crate) fn recompute_cached_bytes(&mut self) {
-        self.cached_bytes = resident_panel_bytes(&self.far, &self.near, &self.near_gather);
+        let panels = self.far.iter().chain(&self.near);
+        let gathers = self.near_gather.iter().map(Vec::len).sum::<usize>();
+        self.cached_bytes = panels.map(Panel::resident_bytes).sum::<usize>()
+            + gathers * std::mem::size_of::<usize>();
     }
 
     /// Lifetime lease traffic of the internal apply-workspace pool, as
@@ -823,26 +518,6 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     /// call with [`Evaluator::apply_with`]).
     pub fn threads(&self) -> usize {
         self.defaults.threads()
-    }
-
-    /// Change the default traversal policy for subsequent applies.
-    #[deprecated(
-        since = "0.1.0",
-        note = "apply is now `&self`; pass a per-call policy via \
-                `apply_with(w, &ApplyOptions::new().with_policy(..))` instead"
-    )]
-    pub fn set_policy(&mut self, policy: TraversalPolicy) {
-        self.defaults.set_policy(policy);
-    }
-
-    /// Change the default worker-thread count for subsequent applies.
-    #[deprecated(
-        since = "0.1.0",
-        note = "apply is now `&self`; pass a per-call thread count via \
-                `apply_with(w, &ApplyOptions::new().with_threads(..))` instead"
-    )]
-    pub fn set_threads(&mut self, num_threads: usize) {
-        self.defaults.set_threads(num_threads);
     }
 
     /// Evaluate `u ≈ K w` from cached state, using the evaluator's default
@@ -918,66 +593,48 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
                 // result — is identical to the DAG policies. Cancellation is
                 // polled at each barrier (the level-by-level analogue of the
                 // DAG runners' per-task checkpoint).
-                let check = || -> Result<(), Error> {
+                // One barrier: `family`'s tasks over `nodes`, traced under
+                // `barrier_level`, reported as progress stage `stage_level`.
+                let stage = |family: Family,
+                             barrier_level: usize,
+                             stage_level: usize,
+                             nodes: std::ops::Range<usize>|
+                 -> Result<(), Error> {
                     if cancel.is_some_and(CancelToken::is_cancelled) {
-                        Err(Error::Cancelled)
-                    } else {
-                        Ok(())
+                        return Err(Error::Cancelled);
                     }
+                    traced_barrier(sink, family, barrier_level, || {
+                        parallel_for(nodes.len(), num_threads, |i| {
+                            let node = nodes.start + i;
+                            traced_task(sink, family, node, gofmm_runtime::heap_level(node), || {
+                                pass.dispatch(family, node)
+                            })
+                        })
+                    });
+                    if let Some(sp) = sweep.as_ref() {
+                        sp.stage_done(family, stage_level);
+                    }
+                    Ok(())
                 };
-                for level in (1..=tree.depth()).rev() {
-                    check()?;
-                    let nodes: Vec<usize> = tree.level_range(level).collect();
-                    traced_barrier(sink, "N2S", level as usize, || {
-                        parallel_for(nodes.len(), num_threads, |i| {
-                            traced_task(sink, "N2S", nodes[i], level as usize, || {
-                                pass.task_n2s(nodes[i])
-                            })
-                        })
-                    });
-                    if let Some(sp) = sweep.as_ref() {
-                        sp.stage_done("N2S", level as usize);
-                    }
+                let depth = tree.depth();
+                for level in (1..=depth).rev() {
+                    stage(
+                        "N2S",
+                        level as usize,
+                        level as usize,
+                        tree.level_range(level),
+                    )?;
                 }
-                check()?;
-                let all: Vec<usize> = (1..tree.node_count()).collect();
-                traced_barrier(sink, "S2S", 0, || {
-                    parallel_for(all.len(), num_threads, |i| {
-                        let node = all[i];
-                        traced_task(sink, "S2S", node, gofmm_runtime::heap_level(node), || {
-                            pass.task_s2s(node)
-                        })
-                    })
-                });
-                if let Some(sp) = sweep.as_ref() {
-                    sp.stage_done("S2S", 0);
+                stage("S2S", 0, 0, 1..tree.node_count())?;
+                for level in 1..=depth {
+                    stage(
+                        "S2N",
+                        level as usize,
+                        level as usize,
+                        tree.level_range(level),
+                    )?;
                 }
-                for level in 1..=tree.depth() {
-                    check()?;
-                    let nodes: Vec<usize> = tree.level_range(level).collect();
-                    traced_barrier(sink, "S2N", level as usize, || {
-                        parallel_for(nodes.len(), num_threads, |i| {
-                            traced_task(sink, "S2N", nodes[i], level as usize, || {
-                                pass.task_s2n(nodes[i])
-                            })
-                        })
-                    });
-                    if let Some(sp) = sweep.as_ref() {
-                        sp.stage_done("S2N", level as usize);
-                    }
-                }
-                check()?;
-                let leaves: Vec<usize> = tree.leaf_range().collect();
-                traced_barrier(sink, "L2L", tree.depth() as usize, || {
-                    parallel_for(leaves.len(), num_threads, |i| {
-                        traced_task(sink, "L2L", leaves[i], tree.depth() as usize, || {
-                            pass.task_l2l(leaves[i])
-                        })
-                    })
-                });
-                if let Some(sp) = sweep.as_ref() {
-                    sp.stage_done("L2L", 0);
-                }
+                stage("L2L", depth as usize, 0, tree.leaf_range())?;
                 None
             }
             (Some(sched), cancel) => Some(
@@ -1041,606 +698,59 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     pub(crate) fn run_defaults(&self) -> &RunDefaults<TraversalPolicy> {
         &self.defaults
     }
-
-    /// Spill this evaluator's owned packed panels into `writer`: far panels
-    /// under [`classes::S2S`], near panels under [`classes::L2L`], keyed by
-    /// heap index, for every node `filter` accepts (pass `|_| true` for
-    /// all). After the writer is finished and the file reopened as a
-    /// [`FilePanelStore`], swap the in-memory panels out with
-    /// [`Evaluator::attach_store`].
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] when a selected panel is borrowed
-    /// ([`Evaluator::borrowing`]) or already file-backed — only owned packed
-    /// panels can be spilled; [`Error::Storage`] on a write failure.
-    pub fn spill_panels(
-        &self,
-        writer: &mut StoreWriter,
-        mut filter: impl FnMut(usize) -> bool,
-    ) -> Result<(), Error> {
-        for (heap, panel) in self.far.iter().enumerate() {
-            if filter(heap) {
-                spill_one(writer, classes::S2S, heap, panel)?;
-            }
-        }
-        for (heap, panel) in self.near.iter().enumerate() {
-            if filter(heap) {
-                spill_one(writer, classes::L2L, heap, panel)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Swap every owned packed panel whose `(class, heap)` key exists in
-    /// `store` for an out-of-core `Panel::Stored` locator, freeing the
-    /// in-memory copy. Subsequent applies fault those panels per task
-    /// through the store's LRU resident set; because the spilled bytes are
-    /// exact (IEEE bit patterns), file-backed applies are bit-identical to
-    /// the in-memory evaluator under every traversal policy. Panels absent
-    /// from the store (or borrowed) are left untouched, so one evaluator can
-    /// mix resident and spilled nodes — or spread its nodes across several
-    /// stores by calling this once per store.
-    pub fn attach_store(&mut self, store: &Arc<FilePanelStore>) {
-        for (heap, panel) in self.far.iter_mut().enumerate() {
-            attach_one(panel, store, classes::S2S, heap);
-        }
-        for (heap, panel) in self.near.iter_mut().enumerate() {
-            attach_one(panel, store, classes::L2L, heap);
-        }
-        // Swapped-out panels no longer occupy memory; keep the resident-bytes
-        // accounting honest.
-        self.recompute_cached_bytes();
-    }
-
-    /// Persist the operator state this evaluator serves into `writer`: the
-    /// configuration, the partition tree, the interaction lists, the
-    /// skeleton bases, and every packed interaction panel (via
-    /// [`Evaluator::spill_panels`]). A finished file reopens with
-    /// [`Evaluator::open_from`] into an evaluator whose applies are
-    /// bit-identical to this one's.
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] for borrowing or already-file-backed
-    /// evaluators; [`Error::Storage`] on a write failure.
-    pub fn write_to(&self, writer: &mut StoreWriter) -> Result<(), Error> {
-        let comp = self.compressed();
-        let mut buf = Vec::new();
-        encode_header::<T>(&mut buf, &comp.config, self.panel_precision);
-        writer
-            .put_raw(classes::CONFIG, 0, &buf)
-            .map_err(Error::from)?;
-        buf.clear();
-        encode_tree(&mut buf, &comp.tree);
-        writer
-            .put_raw(classes::TREE, 0, &buf)
-            .map_err(Error::from)?;
-        buf.clear();
-        encode_lists(&mut buf, &comp.lists);
-        writer
-            .put_raw(classes::LISTS, 0, &buf)
-            .map_err(Error::from)?;
-        buf.clear();
-        encode_bases::<T>(&mut buf, &comp.bases);
-        writer
-            .put_raw(classes::BASES, 0, &buf)
-            .map_err(Error::from)?;
-        if let Some(lists) = &self.tuned_far {
-            buf.clear();
-            encode_tuned_far(&mut buf, lists);
-            writer
-                .put_raw(classes::TUNED_FAR, 0, &buf)
-                .map_err(Error::from)?;
-        }
-        if let Some(ts) = &self.tune_stats {
-            buf.clear();
-            encode_tune_meta(&mut buf, ts);
-            writer
-                .put_raw(classes::TUNE_META, 0, &buf)
-                .map_err(Error::from)?;
-        }
-        self.spill_panels(writer, |_| true)
-    }
-}
-
-impl<T: Scalar> Evaluator<'static, T> {
-    /// Reopen an operator persisted with [`Evaluator::write_to`]: rebuild
-    /// the compressed representation from the store's headers (the partition
-    /// tree is replayed deterministically from its permutation) and serve
-    /// every interaction panel *out of core* through the store's LRU
-    /// resident set, bounded by `resident_budget` decoded bytes.
-    ///
-    /// Returns the reconstructed compression (shared, as the front door's
-    /// `into_shared_evaluator` does) and the file-backed evaluator. The
-    /// reconstructed compression carries empty block caches, no neighbor
-    /// lists and zeroed compression statistics — everything the evaluation
-    /// and factorization phases read (tree, lists, bases, config) is exact.
-    ///
-    /// # Errors
-    /// [`Error::Storage`] when the file is missing, incomplete, corrupt, or
-    /// was written by an operator of a different scalar precision.
-    pub fn open_from(
-        path: &Path,
-        resident_budget: usize,
-    ) -> Result<(Arc<Compressed<T>>, Self), Error> {
-        let t0 = Stopwatch::start();
-        let store = Arc::new(FilePanelStore::open(path, resident_budget)?);
-        let (config, panel_precision) = decode_header::<T>(&store.read_raw(classes::CONFIG, 0)?)?;
-        let tree = decode_tree(&store.read_raw(classes::TREE, 0)?)?;
-        let lists = decode_lists(&store.read_raw(classes::LISTS, 0)?)?;
-        let bases = decode_bases::<T>(&store.read_raw(classes::BASES, 0)?)?;
-        let node_count = tree.node_count();
-        if lists.near.len() != node_count
-            || lists.far.len() != node_count
-            || bases.len() != node_count
-        {
-            return Err(Error::Storage {
-                message: format!(
-                    "store headers disagree: tree has {node_count} nodes, lists {}/{}, bases {}",
-                    lists.near.len(),
-                    lists.far.len(),
-                    bases.len()
-                ),
-            });
-        }
-        let comp = Compressed {
-            tree,
-            lists,
-            bases,
-            near_blocks: vec![Vec::new(); node_count],
-            far_blocks: vec![Vec::new(); node_count],
-            neighbors: None,
-            config,
-            stats: CompressionStats::default(),
-        };
-        let mixed = panel_precision == PanelPrecision::MixedF32;
-        let mut far = Vec::with_capacity(node_count);
-        let mut near = Vec::with_capacity(node_count);
-        let mut near_gather = vec![Vec::new(); node_count];
-        for heap in 0..node_count {
-            far.push(stored_panel(&store, classes::S2S, heap, mixed));
-            near.push(stored_panel(&store, classes::L2L, heap, mixed));
-            if comp.tree.is_leaf(heap) && !comp.lists.near[heap].is_empty() {
-                near_gather[heap] = near_gather_indices(&comp, heap);
-            }
-        }
-        let (policy, threads) = (comp.config.policy, comp.config.num_threads);
-        let comp = Arc::new(comp);
-        let mut evaluator = Evaluator::assemble_evaluator(
-            CompRef::Shared(Arc::clone(&comp)),
-            policy,
-            threads,
-            panel_precision,
-            far,
-            near,
-            near_gather,
-            t0,
-        );
-        // A tuned operator persisted its effective far lists and tune stats;
-        // restore them so applies stack weights against the tuned panels'
-        // column order and keep reporting the tuning outcome.
-        if store.contains(classes::TUNED_FAR, 0) {
-            let lists = decode_tuned_far(&store.read_raw(classes::TUNED_FAR, 0)?)?;
-            if lists.len() != node_count {
-                return Err(Error::Storage {
-                    message: format!(
-                        "tuned far lists cover {} nodes, tree has {node_count}",
-                        lists.len()
-                    ),
-                });
-            }
-            evaluator.tuned_far = Some(lists);
-        }
-        if store.contains(classes::TUNE_META, 0) {
-            evaluator.tune_stats = Some(decode_tune_meta(&store.read_raw(classes::TUNE_META, 0)?)?);
-        }
-        Ok((comp, evaluator))
-    }
-}
-
-/// Spill one owned packed panel (see [`Evaluator::spill_panels`]).
-fn spill_one<T: Scalar>(
-    writer: &mut StoreWriter,
-    class: u16,
-    heap: usize,
-    panel: &Panel<'_, T>,
-) -> Result<(), Error> {
-    match panel {
-        Panel::Empty => Ok(()),
-        Panel::Packed(m) => writer.put(class, heap as u32, m).map_err(Error::from),
-        Panel::Mixed(m) => writer.put(class, heap as u32, m).map_err(Error::from),
-        // Tuned low-rank panels spill both factors under companion classes,
-        // so a reopened store can tell them apart from dense panels.
-        Panel::LowRank(lr) => {
-            writer
-                .put(left_class(class), heap as u32, &lr.left)
-                .map_err(Error::from)?;
-            writer
-                .put(right_class(class), heap as u32, &lr.right)
-                .map_err(Error::from)
-        }
-        Panel::MixedLowRank(lr) => {
-            writer
-                .put(left_class(class), heap as u32, &lr.left)
-                .map_err(Error::from)?;
-            writer
-                .put(right_class(class), heap as u32, &lr.right)
-                .map_err(Error::from)
-        }
-        Panel::Blocks(_) | Panel::Stored(_) => Err(Error::InvalidConfig {
-            what: "storage",
-            constraint: "requires an evaluator with owned packed panels \
-                         (not a borrowing or already file-backed one)",
-        }),
-    }
-}
-
-/// Swap one panel for its file-backed locator if `store` holds its key.
-fn attach_one<T: Scalar>(
-    panel: &mut Panel<'_, T>,
-    store: &Arc<FilePanelStore>,
-    class: u16,
-    heap: usize,
-) {
-    let node = heap as u32;
-    let (mixed, lowrank) = match panel {
-        Panel::Packed(_) => (false, false),
-        Panel::Mixed(_) => (true, false),
-        Panel::LowRank(_) => (false, true),
-        Panel::MixedLowRank(_) => (true, true),
-        _ => return,
-    };
-    let present = if lowrank {
-        store.contains(left_class(class), node) && store.contains(right_class(class), node)
-    } else {
-        store.contains(class, node)
-    };
-    if !present {
-        return;
-    }
-    let bytes = panel.bytes();
-    *panel = Panel::Stored(StoredPanel {
-        store: Arc::clone(store),
-        class,
-        node,
-        mixed,
-        lowrank,
-        bytes,
-    });
-}
-
-/// Build a [`Panel::Stored`] locator for `(class, heap)` if the store holds
-/// it, [`Panel::Empty`] otherwise (nodes without interactions spill nothing).
-fn stored_panel<'p, T: Scalar>(
-    store: &Arc<FilePanelStore>,
-    class: u16,
-    heap: usize,
-    mixed: bool,
-) -> Panel<'p, T> {
-    let node = heap as u32;
-    // A DenseMatrix blob is a 17-byte header (1-byte scalar width, two
-    // u64 dimensions) followed by the raw values, so the decoded panel
-    // footprint is the blob length minus the header.
-    if let Some(len) = store.blob_len(class, node) {
-        return Panel::Stored(StoredPanel {
-            store: Arc::clone(store),
-            class,
-            node,
-            mixed,
-            lowrank: false,
-            bytes: (len as usize).saturating_sub(17),
-        });
-    }
-    // No dense panel — a tuned operator may have spilled a low-rank pair
-    // under the companion classes instead.
-    if let (Some(l), Some(r)) = (
-        store.blob_len(left_class(class), node),
-        store.blob_len(right_class(class), node),
-    ) {
-        return Panel::Stored(StoredPanel {
-            store: Arc::clone(store),
-            class,
-            node,
-            mixed,
-            lowrank: true,
-            bytes: (l as usize).saturating_sub(17) + (r as usize).saturating_sub(17),
-        });
-    }
-    Panel::Empty
 }
 
 /// The concatenation of a leaf's near nodes' original row indices, in
 /// Near-list order: the gather applied to `w` before a packed L2L GEMM.
-fn near_gather_indices<T: Scalar>(comp: &Compressed<T>, heap: usize) -> Vec<usize> {
+pub(crate) fn near_gather_indices<T: Scalar>(comp: &Compressed<T>, heap: usize) -> Vec<usize> {
     comp.lists.near[heap]
         .iter()
         .flat_map(|&alpha| comp.tree.indices(alpha).iter().copied())
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Persistence codecs (storage tier): the CONFIG / TREE / LISTS / BASES header
-// blobs behind `Evaluator::write_to` / `Evaluator::open_from`. All little-
-// endian, scalars by IEEE bit pattern, enums as u8 tags — deterministic and
-// exact, because the serving stack asserts bit-identity between in-memory
-// and reopened operators.
-// ---------------------------------------------------------------------------
+/// An owned packed panel in the operator precision (what a borrowing
+/// evaluator extracts from the kernel when a node's blocks were not cached).
+fn packed_native<'p, T: Scalar>(mat: DenseMatrix<T>) -> Panel<'p, T> {
+    Panel::Owned(Values::dense(mat, PanelPrecision::Native))
+}
 
-fn metric_tag(metric: DistanceMetric) -> u8 {
-    match metric {
-        DistanceMetric::Kernel => 0,
-        DistanceMetric::Angle => 1,
-        DistanceMetric::Geometric => 2,
-        DistanceMetric::Lexicographic => 3,
-        DistanceMetric::Random => 4,
+/// Pack one node's `(near panel, far panel, near gather list)` in the
+/// compression's configured panel precision: each panel from the node's
+/// cached blocks when there are any, from the kernel otherwise. The one
+/// per-node routine behind every owning constructor — the copying ones pass
+/// the compression's own block cache, the stealing ones the blocks they just
+/// moved out of it.
+fn pack_node<'p, T: Scalar, M: SpdMatrix<T> + ?Sized>(
+    matrix: &M,
+    comp: &Compressed<T>,
+    heap: usize,
+    near_blocks: &[DenseMatrix<T>],
+    far_blocks: &[DenseMatrix<T>],
+) -> (Panel<'p, T>, Panel<'p, T>, Vec<usize>) {
+    let tree = &comp.tree;
+    let owned = |mat| Panel::Owned(Values::dense(mat, comp.config.panel_precision));
+    let mut near = Panel::Empty;
+    let mut gather = Vec::new();
+    if tree.is_leaf(heap) && !comp.lists.near[heap].is_empty() {
+        gather = near_gather_indices(comp, heap);
+        near = owned(if !near_blocks.is_empty() {
+            hstack_blocks(tree.indices(heap).len(), near_blocks)
+        } else {
+            matrix.submatrix(tree.indices(heap), &gather)
+        });
     }
-}
-
-fn metric_from_tag(tag: u8) -> Result<DistanceMetric, StoreError> {
-    Ok(match tag {
-        0 => DistanceMetric::Kernel,
-        1 => DistanceMetric::Angle,
-        2 => DistanceMetric::Geometric,
-        3 => DistanceMetric::Lexicographic,
-        4 => DistanceMetric::Random,
-        other => return Err(StoreError::Corrupt(format!("unknown metric tag {other}"))),
-    })
-}
-
-fn policy_tag(policy: TraversalPolicy) -> u8 {
-    match policy {
-        TraversalPolicy::Sequential => 0,
-        TraversalPolicy::LevelByLevel => 1,
-        TraversalPolicy::DagHeft => 2,
-        TraversalPolicy::DagFifo => 3,
-    }
-}
-
-fn policy_from_tag(tag: u8) -> Result<TraversalPolicy, StoreError> {
-    Ok(match tag {
-        0 => TraversalPolicy::Sequential,
-        1 => TraversalPolicy::LevelByLevel,
-        2 => TraversalPolicy::DagHeft,
-        3 => TraversalPolicy::DagFifo,
-        other => return Err(StoreError::Corrupt(format!("unknown policy tag {other}"))),
-    })
-}
-
-fn precision_tag(precision: PanelPrecision) -> u8 {
-    match precision {
-        PanelPrecision::Native => 0,
-        PanelPrecision::MixedF32 => 1,
-    }
-}
-
-fn precision_from_tag(tag: u8) -> Result<PanelPrecision, StoreError> {
-    Ok(match tag {
-        0 => PanelPrecision::Native,
-        1 => PanelPrecision::MixedF32,
-        other => {
-            return Err(StoreError::Corrupt(format!(
-                "unknown panel-precision tag {other}"
-            )))
-        }
-    })
-}
-
-/// CONFIG blob: operator scalar width, every [`GofmmConfig`] field, and the
-/// evaluator's *actual* panel precision (which can differ from the config's —
-/// e.g. a borrowing evaluator always packs native).
-fn encode_header<T: Scalar>(
-    out: &mut Vec<u8>,
-    config: &GofmmConfig,
-    panel_precision: PanelPrecision,
-) {
-    let mut w = ByteWriter::new(out);
-    w.u8(std::mem::size_of::<T>() as u8);
-    w.usize(config.leaf_size);
-    w.usize(config.max_rank);
-    w.f64(config.tolerance);
-    w.usize(config.neighbors);
-    w.f64(config.budget);
-    w.u8(metric_tag(config.metric));
-    w.usize(config.num_threads);
-    w.u8(policy_tag(config.policy));
-    w.usize(config.sample_size);
-    w.u8(config.cache_blocks as u8);
-    w.usize(config.ann_iters);
-    w.u64(config.seed);
-    w.u8(config.strict_rank_budget as u8);
-    w.u8(precision_tag(config.panel_precision));
-    w.u8(precision_tag(panel_precision));
-}
-
-fn decode_header<T: Scalar>(bytes: &[u8]) -> Result<(GofmmConfig, PanelPrecision), StoreError> {
-    let mut r = ByteReader::new(bytes);
-    check_scalar_width::<T>(r.u8()?)?;
-    let config = GofmmConfig {
-        leaf_size: r.usize()?,
-        max_rank: r.usize()?,
-        tolerance: r.f64()?,
-        neighbors: r.usize()?,
-        budget: r.f64()?,
-        metric: metric_from_tag(r.u8()?)?,
-        num_threads: r.usize()?,
-        policy: policy_from_tag(r.u8()?)?,
-        sample_size: r.usize()?,
-        cache_blocks: r.u8()? != 0,
-        ann_iters: r.usize()?,
-        seed: r.u64()?,
-        strict_rank_budget: r.u8()? != 0,
-        panel_precision: precision_from_tag(r.u8()?)?,
-    };
-    let panel_precision = precision_from_tag(r.u8()?)?;
-    r.finish()?;
-    Ok((config, panel_precision))
-}
-
-/// TREE blob: `(n, depth, perm)` — everything [`PartitionTree::from_parts`]
-/// needs to replay the deterministic build.
-fn encode_tree(out: &mut Vec<u8>, tree: &PartitionTree) {
-    let mut w = ByteWriter::new(out);
-    w.usize(tree.n());
-    w.u32(tree.depth());
-    w.usize_slice(tree.perm());
-}
-
-fn decode_tree(bytes: &[u8]) -> Result<PartitionTree, StoreError> {
-    let mut r = ByteReader::new(bytes);
-    let n = r.usize()?;
-    let depth = r.u32()?;
-    let perm = r.usize_slice()?;
-    r.finish()?;
-    // Validate before from_parts, which asserts on malformed input.
-    if perm.len() != n {
-        return Err(StoreError::Corrupt(format!(
-            "tree permutation has {} entries for n = {n}",
-            perm.len()
-        )));
-    }
-    let mut seen = vec![false; n];
-    for &p in &perm {
-        if p >= n || seen[p] {
-            return Err(StoreError::Corrupt(format!(
-                "tree permutation entry {p} out of range or duplicated"
-            )));
-        }
-        seen[p] = true;
-    }
-    Ok(PartitionTree::from_parts(n, depth, perm))
-}
-
-/// LISTS blob: the per-node Near and Far interaction lists.
-fn encode_lists(out: &mut Vec<u8>, lists: &InteractionLists) {
-    let mut w = ByteWriter::new(out);
-    w.usize(lists.near.len());
-    for l in &lists.near {
-        w.usize_slice(l);
-    }
-    w.usize(lists.far.len());
-    for l in &lists.far {
-        w.usize_slice(l);
-    }
-}
-
-fn decode_lists(bytes: &[u8]) -> Result<InteractionLists, StoreError> {
-    let mut r = ByteReader::new(bytes);
-    let near_count = r.usize()?;
-    let mut near = Vec::with_capacity(near_count);
-    for _ in 0..near_count {
-        near.push(r.usize_slice()?);
-    }
-    let far_count = r.usize()?;
-    let mut far = Vec::with_capacity(far_count);
-    for _ in 0..far_count {
-        far.push(r.usize_slice()?);
-    }
-    r.finish()?;
-    Ok(InteractionLists { near, far })
-}
-
-/// BASES blob: every node's skeleton basis (`None` encoded as a 0 tag).
-fn encode_bases<T: Scalar>(out: &mut Vec<u8>, bases: &[Option<NodeBasis<T>>]) {
-    {
-        let mut w = ByteWriter::new(out);
-        w.u8(std::mem::size_of::<T>() as u8);
-        w.usize(bases.len());
-    }
-    for basis in bases {
-        match basis {
-            None => ByteWriter::new(out).u8(0),
-            Some(b) => {
-                {
-                    let mut w = ByteWriter::new(out);
-                    w.u8(1);
-                    w.usize_slice(&b.skeleton);
-                    w.usize(b.interp.rows());
-                    w.usize(b.interp.cols());
-                }
-                encode_scalar_slice(out, b.interp.data());
-                let mut w = ByteWriter::new(out);
-                w.f64(b.residual);
-                w.u8(b.budget_limited as u8);
-            }
+    let mut far = Panel::Empty;
+    if let Some(basis) = comp.bases[heap].as_ref() {
+        if !comp.lists.far[heap].is_empty() {
+            far = owned(if !far_blocks.is_empty() {
+                hstack_blocks(basis.rank(), far_blocks)
+            } else {
+                extract_far_panel(matrix, comp, heap)
+            });
         }
     }
-}
-
-fn decode_bases<T: Scalar>(bytes: &[u8]) -> Result<Vec<Option<NodeBasis<T>>>, StoreError> {
-    let mut r = ByteReader::new(bytes);
-    check_scalar_width::<T>(r.u8()?)?;
-    let count = r.usize()?;
-    let mut bases = Vec::with_capacity(count);
-    for _ in 0..count {
-        if r.u8()? == 0 {
-            bases.push(None);
-            continue;
-        }
-        let skeleton = r.usize_slice()?;
-        let rows = r.usize()?;
-        let cols = r.usize()?;
-        let data = decode_scalar_vec::<T>(&mut r, rows * cols)?;
-        let residual = r.f64()?;
-        let budget_limited = r.u8()? != 0;
-        bases.push(Some(NodeBasis {
-            skeleton,
-            interp: DenseMatrix::from_vec(rows, cols, data),
-            residual,
-            budget_limited,
-        }));
-    }
-    r.finish()?;
-    Ok(bases)
-}
-
-/// TUNED_FAR blob: the per-node effective far lists left by a committed
-/// [`Evaluator::tune`] (same shape as the LISTS blob's far half).
-fn encode_tuned_far(out: &mut Vec<u8>, lists: &[Vec<usize>]) {
-    let mut w = ByteWriter::new(out);
-    w.usize(lists.len());
-    for l in lists {
-        w.usize_slice(l);
-    }
-}
-
-fn decode_tuned_far(bytes: &[u8]) -> Result<Vec<Vec<usize>>, StoreError> {
-    let mut r = ByteReader::new(bytes);
-    let count = r.usize()?;
-    let mut lists = Vec::with_capacity(count);
-    for _ in 0..count {
-        lists.push(r.usize_slice()?);
-    }
-    r.finish()?;
-    Ok(lists)
-}
-
-/// TUNE_META blob: the [`TuneStats`] snapshot of the tune that produced the
-/// persisted panels.
-fn encode_tune_meta(out: &mut Vec<u8>, ts: &TuneStats) {
-    let mut w = ByteWriter::new(out);
-    w.usize(ts.bytes_before);
-    w.usize(ts.bytes_after);
-    w.usize(ts.blocks_dropped);
-    w.usize(ts.panels_truncated);
-    w.f64(ts.measured_eps2);
-    w.usize(ts.accepted);
-    w.usize(ts.rejected);
-    w.f64(ts.time);
-}
-
-fn decode_tune_meta(bytes: &[u8]) -> Result<TuneStats, StoreError> {
-    let mut r = ByteReader::new(bytes);
-    let ts = TuneStats {
-        bytes_before: r.usize()?,
-        bytes_after: r.usize()?,
-        blocks_dropped: r.usize()?,
-        panels_truncated: r.usize()?,
-        measured_eps2: r.f64()?,
-        accepted: r.usize()?,
-        rejected: r.usize()?,
-        time: r.f64()?,
-    };
-    r.finish()?;
-    Ok(ts)
+    (near, far, gather)
 }
 
 /// Evaluate the packed far panel `K_{skel(heap), skel(Far(heap))}` from the
@@ -1702,9 +812,8 @@ pub(crate) struct ApplyPass<'p, 'a, T: Scalar> {
 }
 
 impl<T: Scalar> ApplyPass<'_, '_, T> {
-    fn count_gemm(&self, m: usize, n: usize, k: usize) {
-        self.flops
-            .fetch_add(2 * m as u64 * n as u64 * k as u64, Ordering::Relaxed);
+    fn count_flops(&self, flops: u64) {
+        self.flops.fetch_add(flops, Ordering::Relaxed);
     }
 
     /// Stack the far nodes' skeleton weights in *effective* Far-list order
@@ -1720,58 +829,6 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
         }
         debug_assert_eq!(off, panel_cols, "far panel/weight stack mismatch");
         wstack
-    }
-
-    /// The two GEMMs of a tuned low-rank panel: `out += left * (right * v)`,
-    /// accumulated in `T`. The fixed inner product order keeps tuned applies
-    /// bit-identical across traversal policies and thread counts, like the
-    /// dense single-GEMM arms.
-    fn apply_low_rank(
-        &self,
-        left: &DenseMatrix<T>,
-        right: &DenseMatrix<T>,
-        v: &DenseMatrix<T>,
-        out: &mut DenseMatrix<T>,
-    ) {
-        let r = v.cols();
-        let mut tmp = DenseMatrix::zeros(right.rows(), r);
-        gemm(
-            T::one(),
-            right,
-            Transpose::No,
-            v,
-            Transpose::No,
-            T::zero(),
-            &mut tmp,
-        );
-        gemm(
-            T::one(),
-            left,
-            Transpose::No,
-            &tmp,
-            Transpose::No,
-            T::one(),
-            out,
-        );
-        self.count_gemm(right.rows(), r, right.cols());
-        self.count_gemm(left.rows(), r, left.cols());
-    }
-
-    /// [`ApplyPass::apply_low_rank`] with both factors stored in the reduced
-    /// panel precision; the intermediate and the accumulation stay in `T`.
-    fn apply_low_rank_mixed(
-        &self,
-        left: &DenseMatrix<<T as Scalar>::PanelScalar>,
-        right: &DenseMatrix<<T as Scalar>::PanelScalar>,
-        v: &DenseMatrix<T>,
-        out: &mut DenseMatrix<T>,
-    ) {
-        let r = v.cols();
-        let mut tmp = DenseMatrix::zeros(right.rows(), r);
-        gemm_mixed(T::one(), right, v, T::zero(), &mut tmp);
-        gemm_mixed(T::one(), left, &tmp, T::one(), out);
-        self.count_gemm(right.rows(), r, right.cols());
-        self.count_gemm(left.rows(), r, left.cols());
     }
 
     /// Route a `(family, node)` key from the cached plan to its task.
@@ -1810,111 +867,24 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
             T::zero(),
             &mut wt,
         );
-        self.count_gemm(basis.rank(), self.w.cols(), local.rows());
+        self.count_flops(gemm_flops(basis.rank(), self.w.cols(), local.rows()));
     }
 
     /// S2S: skeleton potentials `u~_beta += K_{skel(beta), Far-skels} w~_Far`
-    /// — one GEMM against the packed far panel, or one GEMM per borrowed
-    /// block in zero-copy mode.
+    /// — the far panel times the far nodes' stacked skeleton weights (one
+    /// list entry's weights at a time for borrowed blocks).
     pub(crate) fn task_s2s(&self, heap: usize) {
-        let comp = self.ev.compressed();
-        if self.ev.far[heap].is_empty() {
+        let panel = &self.ev.far[heap];
+        if panel.is_empty() {
             return;
         }
-        let r = self.w.cols();
-        match &self.ev.far[heap] {
-            Panel::Empty => {}
-            Panel::Packed(far) => {
-                // Stack the far nodes' skeleton weights in effective
-                // Far-list order, matching the packed panel's column order.
-                let wstack = self.far_weight_stack(heap, far.cols(), r);
-                let mut ut = self.ws.utilde.write(heap);
-                gemm(
-                    T::one(),
-                    far,
-                    Transpose::No,
-                    &wstack,
-                    Transpose::No,
-                    T::one(),
-                    &mut ut,
-                );
-                self.count_gemm(far.rows(), r, far.cols());
-            }
-            Panel::Mixed(far) => {
-                let wstack = self.far_weight_stack(heap, far.cols(), r);
-                let mut ut = self.ws.utilde.write(heap);
-                gemm_mixed(T::one(), far, &wstack, T::one(), &mut ut);
-                self.count_gemm(far.rows(), r, far.cols());
-            }
-            Panel::LowRank(lr) => {
-                let wstack = self.far_weight_stack(heap, lr.right.cols(), r);
-                let mut ut = self.ws.utilde.write(heap);
-                self.apply_low_rank(&lr.left, &lr.right, &wstack, &mut ut);
-            }
-            Panel::MixedLowRank(lr) => {
-                let wstack = self.far_weight_stack(heap, lr.right.cols(), r);
-                let mut ut = self.ws.utilde.write(heap);
-                self.apply_low_rank_mixed(&lr.left, &lr.right, &wstack, &mut ut);
-            }
-            Panel::Blocks(blocks) => {
-                let mut ut = self.ws.utilde.write(heap);
-                for (&alpha, block) in comp.lists.far[heap].iter().zip(*blocks) {
-                    let wa = self.ws.wtilde.read(alpha);
-                    gemm(
-                        T::one(),
-                        block,
-                        Transpose::No,
-                        &wa,
-                        Transpose::No,
-                        T::one(),
-                        &mut ut,
-                    );
-                    self.count_gemm(block.rows(), r, block.cols());
-                }
-            }
-            Panel::Stored(sp) => {
-                // Out-of-core: fault the packed panel (or tuned low-rank
-                // pair) in — the same values the in-memory arms hold
-                // resident — then run the identical GEMM sequence, so
-                // file-backed applies stay bit-identical.
-                match (sp.lowrank, sp.mixed) {
-                    (true, true) => {
-                        let (left, right) = sp.fetch_pair::<T::PanelScalar>();
-                        let wstack = self.far_weight_stack(heap, right.cols(), r);
-                        let mut ut = self.ws.utilde.write(heap);
-                        self.apply_low_rank_mixed(&left, &right, &wstack, &mut ut);
-                    }
-                    (true, false) => {
-                        let (left, right) = sp.fetch_pair::<T>();
-                        let wstack = self.far_weight_stack(heap, right.cols(), r);
-                        let mut ut = self.ws.utilde.write(heap);
-                        self.apply_low_rank(&left, &right, &wstack, &mut ut);
-                    }
-                    (false, true) => {
-                        let far = sp.fetch::<T::PanelScalar>();
-                        let wstack = self.far_weight_stack(heap, far.cols(), r);
-                        let mut ut = self.ws.utilde.write(heap);
-                        gemm_mixed(T::one(), &far, &wstack, T::one(), &mut ut);
-                        self.count_gemm(far.rows(), r, far.cols());
-                    }
-                    (false, false) => {
-                        let far = sp.fetch::<T>();
-                        let wstack = self.far_weight_stack(heap, far.cols(), r);
-                        let mut ut = self.ws.utilde.write(heap);
-                        gemm(
-                            T::one(),
-                            &far,
-                            Transpose::No,
-                            &wstack,
-                            Transpose::No,
-                            T::one(),
-                            &mut ut,
-                        );
-                        self.count_gemm(far.rows(), r, far.cols());
-                    }
-                }
-            }
-        }
+        let far = self.ev.far_list(heap);
+        let mut ut = self.ws.utilde.write(heap);
+        self.count_flops(panel.apply(
+            |cols| self.far_weight_stack(heap, cols, self.w.cols()),
+            |i, mul| mul(&self.ws.wtilde.read(far[i])),
+            &mut ut,
+        ));
     }
 
     /// S2N: interpolate skeleton potentials back down the tree.
@@ -1937,7 +907,7 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
                 T::one(),
                 &mut out,
             );
-            self.count_gemm(len, r, basis.rank());
+            self.count_flops(gemm_flops(len, r, basis.rank()));
         } else {
             let (l, rgt) = comp.tree.children(heap);
             let sl = comp.bases[l].as_ref().map(|b| b.rank()).unwrap_or(0);
@@ -1953,7 +923,7 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
                 &mut contrib,
             );
             drop(ut);
-            self.count_gemm(sl + sr, r, basis.rank());
+            self.count_flops(gemm_flops(sl + sr, r, basis.rank()));
             let top = contrib.block(0, sl, 0, r);
             let bottom = contrib.block(sl, sl + sr, 0, r);
             self.ws.utilde.write(l).axpy(T::one(), &top);
@@ -1961,96 +931,21 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
         }
     }
 
-    /// L2L: direct (near) interactions — one GEMM of the packed near panel
-    /// against the gathered input rows, or one gather + GEMM per borrowed
-    /// block in zero-copy mode.
+    /// L2L: direct (near) interactions — the near panel times the gathered
+    /// input rows (one near node's rows at a time for borrowed blocks).
     pub(crate) fn task_l2l(&self, heap: usize) {
-        if self.ev.near[heap].is_empty() {
+        let panel = &self.ev.near[heap];
+        if panel.is_empty() {
             return;
         }
-        let r = self.w.cols();
-        match &self.ev.near[heap] {
-            Panel::Empty => {}
-            Panel::Packed(near) => {
-                let w_near = self.w.select_rows(&self.ev.near_gather[heap]);
-                let mut out = self.ws.u_near.write(heap);
-                gemm(
-                    T::one(),
-                    near,
-                    Transpose::No,
-                    &w_near,
-                    Transpose::No,
-                    T::one(),
-                    &mut out,
-                );
-                self.count_gemm(near.rows(), r, near.cols());
-            }
-            Panel::Mixed(near) => {
-                let w_near = self.w.select_rows(&self.ev.near_gather[heap]);
-                let mut out = self.ws.u_near.write(heap);
-                gemm_mixed(T::one(), near, &w_near, T::one(), &mut out);
-                self.count_gemm(near.rows(), r, near.cols());
-            }
-            Panel::LowRank(lr) => {
-                let w_near = self.w.select_rows(&self.ev.near_gather[heap]);
-                let mut out = self.ws.u_near.write(heap);
-                self.apply_low_rank(&lr.left, &lr.right, &w_near, &mut out);
-            }
-            Panel::MixedLowRank(lr) => {
-                let w_near = self.w.select_rows(&self.ev.near_gather[heap]);
-                let mut out = self.ws.u_near.write(heap);
-                self.apply_low_rank_mixed(&lr.left, &lr.right, &w_near, &mut out);
-            }
-            Panel::Blocks(blocks) => {
-                let comp = self.ev.compressed();
-                let mut out = self.ws.u_near.write(heap);
-                for (&alpha, block) in comp.lists.near[heap].iter().zip(*blocks) {
-                    let w_alpha = self.w.select_rows(comp.tree.indices(alpha));
-                    gemm(
-                        T::one(),
-                        block,
-                        Transpose::No,
-                        &w_alpha,
-                        Transpose::No,
-                        T::one(),
-                        &mut out,
-                    );
-                    self.count_gemm(block.rows(), r, block.cols());
-                }
-            }
-            Panel::Stored(sp) => {
-                let w_near = self.w.select_rows(&self.ev.near_gather[heap]);
-                let mut out = self.ws.u_near.write(heap);
-                match (sp.lowrank, sp.mixed) {
-                    (true, true) => {
-                        let (left, right) = sp.fetch_pair::<T::PanelScalar>();
-                        self.apply_low_rank_mixed(&left, &right, &w_near, &mut out);
-                    }
-                    (true, false) => {
-                        let (left, right) = sp.fetch_pair::<T>();
-                        self.apply_low_rank(&left, &right, &w_near, &mut out);
-                    }
-                    (false, true) => {
-                        let near = sp.fetch::<T::PanelScalar>();
-                        gemm_mixed(T::one(), &near, &w_near, T::one(), &mut out);
-                        self.count_gemm(near.rows(), r, near.cols());
-                    }
-                    (false, false) => {
-                        let near = sp.fetch::<T>();
-                        gemm(
-                            T::one(),
-                            &near,
-                            Transpose::No,
-                            &w_near,
-                            Transpose::No,
-                            T::one(),
-                            &mut out,
-                        );
-                        self.count_gemm(near.rows(), r, near.cols());
-                    }
-                }
-            }
-        }
+        let comp = self.ev.compressed();
+        let near = &comp.lists.near[heap];
+        let mut out = self.ws.u_near.write(heap);
+        self.count_flops(panel.apply(
+            |_| self.w.select_rows(&self.ev.near_gather[heap]),
+            |i, mul| mul(&self.w.select_rows(comp.tree.indices(near[i]))),
+            &mut out,
+        ));
     }
 
     /// Gather the per-leaf far and near contributions into the output vector
@@ -2102,7 +997,7 @@ impl<T: Scalar> Compressed<T> {
     /// has **empty block caches** (see that method's documentation); stealing
     /// is the right trade only when nothing else needs the cached blocks.
     pub fn into_evaluator<M: SpdMatrix<T> + ?Sized>(self, matrix: &M) -> Evaluator<'static, T> {
-        Evaluator::from_owned(matrix, self)
+        self.into_shared_evaluator(matrix).1
     }
 
     /// Like [`Compressed::into_evaluator`], but the (cache-stripped)
@@ -2122,7 +1017,24 @@ impl<T: Scalar> Compressed<T> {
         matrix: &M,
     ) -> (std::sync::Arc<Compressed<T>>, Evaluator<'static, T>) {
         let t0 = Stopwatch::start();
-        let (far, near, near_gather) = Evaluator::steal_packed(matrix, &mut self);
+        let node_count = self.tree.node_count();
+        let stolen_near = std::mem::take(&mut self.near_blocks);
+        let stolen_far = std::mem::take(&mut self.far_blocks);
+        let mut far = Vec::with_capacity(node_count);
+        let mut near = Vec::with_capacity(node_count);
+        let mut near_gather = Vec::with_capacity(node_count);
+        // Each node's stolen blocks are dropped right after they are packed,
+        // so peak memory is the block cache plus a single node's panel —
+        // instead of the cache plus a full packed copy.
+        for (heap, (nb, fb)) in stolen_near.into_iter().zip(stolen_far).enumerate() {
+            let (near_panel, far_panel, gather) = pack_node(matrix, &self, heap, &nb, &fb);
+            near.push(near_panel);
+            far.push(far_panel);
+            near_gather.push(gather);
+        }
+        // Keep the per-node cache vectors aligned with the tree (now empty).
+        self.near_blocks = vec![Vec::new(); node_count];
+        self.far_blocks = vec![Vec::new(); node_count];
         let (policy, threads) = (self.config.policy, self.config.num_threads);
         let precision = self.config.panel_precision;
         let comp = std::sync::Arc::new(self);
@@ -2708,27 +1620,6 @@ mod tests {
         }
         // The per-call override did not mutate the shared defaults.
         assert_eq!(evaluator.policy(), TraversalPolicy::Sequential);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setter_shims_still_change_defaults() {
-        let n = 256;
-        let k = test_matrix(n);
-        let comp = compress::<f64, _>(&k, &config());
-        let mut rng = StdRng::seed_from_u64(39);
-        let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
-        let mut evaluator = Evaluator::new(&k, &comp);
-        let (u_seq, _) = evaluator.apply(&w).unwrap();
-        evaluator.set_policy(TraversalPolicy::DagHeft);
-        evaluator.set_threads(4);
-        assert_eq!(evaluator.policy(), TraversalPolicy::DagHeft);
-        assert_eq!(evaluator.threads(), 4);
-        let (u_heft, stats) = evaluator.apply(&w).unwrap();
-        assert!(stats.exec.is_some());
-        for (a, b) in u_seq.data().iter().zip(u_heft.data()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]

@@ -57,6 +57,8 @@ pub mod distance;
 pub mod error;
 pub mod evaluate;
 pub mod lists;
+mod panel;
+mod persist;
 pub mod shard;
 pub mod skel;
 pub mod tune;
@@ -70,6 +72,8 @@ pub use evaluate::{
     evaluate, evaluate_with, try_evaluate, try_evaluate_with, EvaluationStats, Evaluator,
 };
 pub use lists::{build_interaction_lists, check_coverage, InteractionLists};
+#[doc(hidden)]
+pub use persist::{policy_from_tag, policy_tag};
 pub use shard::ShardedApply;
 pub use skel::{skeletonize_node, NodeBasis, SkelParams};
 pub use tune::{AccuracyBudget, TuneStats};

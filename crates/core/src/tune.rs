@@ -23,8 +23,9 @@
 
 use crate::config::ApplyOptions;
 use crate::error::Error;
-use crate::evaluate::{Evaluator, LowRankPanel, Panel};
-use gofmm_linalg::{truncate_low_rank, DenseMatrix, QrOptions, Scalar};
+use crate::evaluate::Evaluator;
+use crate::panel::{MatRef, Panel, Shape, Values};
+use gofmm_linalg::{truncate_low_rank, DenseMatrix, LowRankFactors, QrOptions, Scalar};
 use gofmm_telemetry::Stopwatch;
 
 /// The contract [`Evaluator::tune`] must finish under: a sampled-ε₂ ceiling
@@ -299,10 +300,10 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     fn far_panel_scale(&self) -> (f64, usize) {
         let mut sum2 = 0.0f64;
         for panel in &self.far {
-            match panel {
-                Panel::Packed(m) => sum2 += fro2(m),
-                Panel::Mixed(m) => sum2 += fro2(m),
-                _ => {}
+            match panel.dense() {
+                Some(MatRef::Native(m)) => sum2 += fro2(m),
+                Some(MatRef::Reduced(m)) => sum2 += fro2(m),
+                None => {}
             }
         }
         let blocks = (0..self.far.len()).map(|h| self.far_list(h).len()).sum();
@@ -332,48 +333,30 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         for heap in 0..self.far.len() {
             let list = self.far_list(heap);
             let widths: Vec<usize> = list.iter().map(|&a| rank_of(a)).collect();
-            match &self.far[heap] {
-                Panel::Packed(m) => {
-                    if let Some(edit) = far_edit_native(heap, m, list, &widths, thr, tau) {
-                        edits.push(edit);
-                    }
+            edits.extend(match self.far[heap].dense() {
+                Some(MatRef::Native(m)) => {
+                    far_edit(heap, m, list, &widths, thr, tau, Values::Native)
                 }
-                Panel::Mixed(m) => {
-                    if let Some(edit) = far_edit_mixed::<T>(heap, m, list, &widths, thr, tau) {
-                        edits.push(edit);
-                    }
+                Some(MatRef::Reduced(m)) => {
+                    far_edit(heap, m, list, &widths, thr, tau, Values::Reduced)
                 }
-                _ => {}
-            }
+                None => None,
+            });
         }
         for heap in 0..self.near.len() {
-            match &self.near[heap] {
-                Panel::Packed(m) => {
-                    if let Some(panel) = near_edit_native(m, tau) {
-                        edits.push(PanelEdit {
-                            far: false,
-                            heap,
-                            panel,
-                            list: None,
-                            dropped: 0,
-                            truncated: true,
-                        });
-                    }
-                }
-                Panel::Mixed(m) => {
-                    if let Some(panel) = near_edit_mixed::<T>(m, tau) {
-                        edits.push(PanelEdit {
-                            far: false,
-                            heap,
-                            panel,
-                            list: None,
-                            dropped: 0,
-                            truncated: true,
-                        });
-                    }
-                }
-                _ => {}
-            }
+            let panel = match self.near[heap].dense() {
+                Some(MatRef::Native(m)) => near_edit(m, tau, Values::Native),
+                Some(MatRef::Reduced(m)) => near_edit(m, tau, Values::Reduced),
+                None => None,
+            };
+            edits.extend(panel.map(|panel| PanelEdit {
+                far: false,
+                heap,
+                panel,
+                list: None,
+                dropped: 0,
+                truncated: true,
+            }));
         }
         edits
     }
@@ -449,167 +432,90 @@ fn col_fro2<S: Scalar>(m: &DenseMatrix<S>, j: usize) -> f64 {
 }
 
 /// What the rank truncation decided for one dense panel.
-enum Trunc<T: Scalar> {
+enum Trunc<S: Scalar> {
     /// Numerically zero at this tolerance: replace with nothing.
     Zero,
     /// A low-rank pair strictly smaller than the dense panel.
-    Shrunk(gofmm_linalg::LowRankFactors<T>),
+    Shrunk(Shape<DenseMatrix<S>>),
     /// Truncation would not shrink storage; keep the dense panel.
     Keep,
 }
 
-fn try_truncate<T: Scalar>(m: &DenseMatrix<T>, tau: f64) -> Trunc<T> {
+/// Rank-truncate a dense panel stored as `S`. The truncation runs in the
+/// operator precision `T` and casts its factors back to the storage scalar
+/// (the identity for native panels), so the measured ε₂ sees the exact panels
+/// an accepted state would serve.
+fn try_truncate<T: Scalar, S: Scalar>(m: &DenseMatrix<S>, tau: f64) -> Trunc<S> {
     let (rows, cols) = (m.rows(), m.cols());
     if rows == 0 || cols == 0 {
         return Trunc::Zero;
     }
-    let lr = truncate_low_rank(m, QrOptions::adaptive(rows.min(cols), tau));
+    let lr: LowRankFactors<T> =
+        truncate_low_rank(&m.cast(), QrOptions::adaptive(rows.min(cols), tau));
     if lr.rank() == 0 {
         Trunc::Zero
     } else if lr.stored_values() < rows * cols {
-        Trunc::Shrunk(lr)
+        Trunc::Shrunk(Shape::LowRank {
+            left: lr.left.cast(),
+            right: lr.right.cast(),
+        })
     } else {
         Trunc::Keep
     }
 }
 
-/// Candidate edit for a native-precision far panel: drops then truncation.
-fn far_edit_native<'a, T: Scalar>(
+/// Candidate edit for a far panel stored as `S` (`wrap` names the scalar
+/// axis): block drops, selected on the stored values so kept values stay
+/// bit-exact, then a rank truncation of what survives.
+fn far_edit<'a, T: Scalar, S: Scalar>(
     heap: usize,
-    m: &DenseMatrix<T>,
+    m: &DenseMatrix<S>,
     list: &[usize],
     widths: &[usize],
     thr: f64,
     tau: f64,
+    wrap: impl Fn(Shape<DenseMatrix<S>>) -> Values<T>,
 ) -> Option<PanelEdit<'a, T>> {
     let (sel, new_list, dropped) = match drop_blocks(m, list, widths, thr) {
         Some(d) => d,
         None => (m.clone(), list.to_vec(), 0),
     };
-    let all_dropped = PanelEdit {
+    let edit = |panel, list, dropped, truncated| PanelEdit {
         far: true,
         heap,
-        panel: Panel::Empty,
-        list: Some(Vec::new()),
-        dropped: list.len(),
-        truncated: false,
+        panel,
+        list: Some(list),
+        dropped,
+        truncated,
     };
+    let all_dropped = || edit(Panel::Empty, Vec::new(), list.len(), false);
     if sel.cols() == 0 {
-        return Some(all_dropped);
+        return Some(all_dropped());
     }
-    match try_truncate(&sel, tau) {
-        Trunc::Zero => Some(all_dropped),
-        Trunc::Shrunk(lr) => Some(PanelEdit {
-            far: true,
-            heap,
-            panel: Panel::LowRank(LowRankPanel {
-                left: lr.left,
-                right: lr.right,
-            }),
-            list: Some(new_list),
+    match try_truncate::<T, S>(&sel, tau) {
+        Trunc::Zero => Some(all_dropped()),
+        Trunc::Shrunk(pair) => Some(edit(Panel::Owned(wrap(pair)), new_list, dropped, true)),
+        Trunc::Keep if dropped == 0 => None,
+        Trunc::Keep => Some(edit(
+            Panel::Owned(wrap(Shape::Dense(sel))),
+            new_list,
             dropped,
-            truncated: true,
-        }),
-        Trunc::Keep => {
-            if dropped == 0 {
-                None
-            } else {
-                Some(PanelEdit {
-                    far: true,
-                    heap,
-                    panel: Panel::Packed(sel),
-                    list: Some(new_list),
-                    dropped,
-                    truncated: false,
-                })
-            }
-        }
+            false,
+        )),
     }
 }
 
-/// Candidate edit for a mixed-precision far panel. Block selection happens
-/// on the stored `f32` values (kept values stay bit-exact); the truncation
-/// runs in the operator precision and downcasts its factors back to the
-/// panel scalar, so the measured ε₂ sees the exact panels an accepted
-/// state would serve.
-fn far_edit_mixed<'a, T: Scalar>(
-    heap: usize,
-    m: &DenseMatrix<<T as Scalar>::PanelScalar>,
-    list: &[usize],
-    widths: &[usize],
-    thr: f64,
+/// Candidate panel for a near (L2L) panel stored as `S`: rank truncation
+/// only — near blocks are never dropped, so the leaf gather stays aligned
+/// with the compression's near lists.
+fn near_edit<'a, T: Scalar, S: Scalar>(
+    m: &DenseMatrix<S>,
     tau: f64,
-) -> Option<PanelEdit<'a, T>> {
-    let (sel, new_list, dropped) = match drop_blocks(m, list, widths, thr) {
-        Some(d) => d,
-        None => (m.clone(), list.to_vec(), 0),
-    };
-    let all_dropped = PanelEdit {
-        far: true,
-        heap,
-        panel: Panel::Empty,
-        list: Some(Vec::new()),
-        dropped: list.len(),
-        truncated: false,
-    };
-    if sel.cols() == 0 {
-        return Some(all_dropped);
-    }
-    match try_truncate(&sel.cast::<T>(), tau) {
-        Trunc::Zero => Some(all_dropped),
-        Trunc::Shrunk(lr) => Some(PanelEdit {
-            far: true,
-            heap,
-            panel: Panel::MixedLowRank(LowRankPanel {
-                left: lr.left.cast::<T::PanelScalar>(),
-                right: lr.right.cast::<T::PanelScalar>(),
-            }),
-            list: Some(new_list),
-            dropped,
-            truncated: true,
-        }),
-        Trunc::Keep => {
-            if dropped == 0 {
-                None
-            } else {
-                Some(PanelEdit {
-                    far: true,
-                    heap,
-                    panel: Panel::Mixed(sel),
-                    list: Some(new_list),
-                    dropped,
-                    truncated: false,
-                })
-            }
-        }
-    }
-}
-
-/// Candidate panel for a native near (L2L) panel: rank truncation only —
-/// near blocks are never dropped, so the leaf gather stays aligned with
-/// the compression's near lists.
-fn near_edit_native<'a, T: Scalar>(m: &DenseMatrix<T>, tau: f64) -> Option<Panel<'a, T>> {
-    match try_truncate(m, tau) {
-        Trunc::Zero => Some(Panel::Empty),
-        Trunc::Shrunk(lr) => Some(Panel::LowRank(LowRankPanel {
-            left: lr.left,
-            right: lr.right,
-        })),
-        Trunc::Keep => None,
-    }
-}
-
-/// Mixed-precision variant of [`near_edit_native`].
-fn near_edit_mixed<'a, T: Scalar>(
-    m: &DenseMatrix<<T as Scalar>::PanelScalar>,
-    tau: f64,
+    wrap: impl Fn(Shape<DenseMatrix<S>>) -> Values<T>,
 ) -> Option<Panel<'a, T>> {
-    match try_truncate(&m.cast::<T>(), tau) {
+    match try_truncate::<T, S>(m, tau) {
         Trunc::Zero => Some(Panel::Empty),
-        Trunc::Shrunk(lr) => Some(Panel::MixedLowRank(LowRankPanel {
-            left: lr.left.cast::<T::PanelScalar>(),
-            right: lr.right.cast::<T::PanelScalar>(),
-        })),
+        Trunc::Shrunk(pair) => Some(Panel::Owned(wrap(pair))),
         Trunc::Keep => None,
     }
 }

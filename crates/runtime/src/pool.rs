@@ -14,9 +14,8 @@
 //!   it on drop. Concurrent callers never share a workspace; sequential
 //!   callers reuse one, preserving the old recycling behavior.
 //! * [`RunDefaults`] — the engine-level default traversal policy and worker
-//!   count, with per-call override resolution. Both engines used to
-//!   copy-paste `set_policy` / `set_threads` / thread-count clamping; this
-//!   is the single shared implementation.
+//!   count, with per-call override resolution: the single shared
+//!   implementation of thread-count clamping for both engines.
 //!
 //! Checkout and return traffic runs on one `crossbeam` injector per width;
 //! the shelf map's mutex is taken only briefly at the start of each lease to
@@ -258,16 +257,6 @@ impl<P: Copy> RunDefaults<P> {
         self.threads
     }
 
-    /// Replace the default policy.
-    pub fn set_policy(&mut self, policy: P) {
-        self.policy = policy;
-    }
-
-    /// Replace the default worker count (clamped to at least one).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
     /// Resolve per-call overrides against the defaults.
     pub fn resolve(&self, policy: Option<P>, threads: Option<usize>) -> (P, usize) {
         (
@@ -372,10 +361,12 @@ mod tests {
 
     #[test]
     fn run_defaults_resolution() {
-        let mut d = RunDefaults::new('h', 0);
-        assert_eq!(d.threads(), 1, "thread count clamps to 1");
-        d.set_threads(4);
-        d.set_policy('s');
+        assert_eq!(
+            RunDefaults::new('h', 0).threads(),
+            1,
+            "thread count clamps to 1"
+        );
+        let d = RunDefaults::new('s', 4);
         assert_eq!((d.policy(), d.threads()), ('s', 4));
         assert_eq!(d.resolve(None, None), ('s', 4));
         assert_eq!(d.resolve(Some('f'), Some(0)), ('f', 1));

@@ -89,14 +89,6 @@ use gofmm_telemetry::{traced_barrier, traced_task, SpanKind};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Former error type of the factorization; the variants now live on the
-/// workspace-wide [`gofmm_core::Error`].
-#[deprecated(
-    since = "0.1.0",
-    note = "match on `gofmm_core::Error::{NotPositiveDefinite, SingularCore}` instead"
-)]
-pub type FactorError = Error;
-
 /// Options of [`HierarchicalFactor::with_options`].
 #[derive(Clone, Debug)]
 pub struct FactorOptions {
@@ -484,26 +476,6 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
     /// (override per call with [`HierarchicalFactor::solve_with`]).
     pub fn threads(&self) -> usize {
         self.defaults.threads()
-    }
-
-    /// Change the default traversal policy for subsequent solves.
-    #[deprecated(
-        since = "0.1.0",
-        note = "solve is now `&self`; pass a per-call policy via \
-                `solve_with(b, &ApplyOptions::new().with_policy(..))` instead"
-    )]
-    pub fn set_policy(&mut self, policy: TraversalPolicy) {
-        self.defaults.set_policy(policy);
-    }
-
-    /// Change the default worker-thread count for subsequent solves.
-    #[deprecated(
-        since = "0.1.0",
-        note = "solve is now `&self`; pass a per-call thread count via \
-                `solve_with(b, &ApplyOptions::new().with_threads(..))` instead"
-    )]
-    pub fn set_threads(&mut self, num_threads: usize) {
-        self.defaults.set_threads(num_threads);
     }
 
     /// Solve `(K_hss + lambda I) x = b` from the factored state: one upward

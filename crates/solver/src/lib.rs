@@ -84,8 +84,6 @@ pub mod serve;
 pub mod shard;
 pub mod ulv;
 
-#[allow(deprecated)]
-pub use factor::FactorError;
 pub use factor::{FactorOptions, FactorStats, HierarchicalFactor};
 pub use gofmm_core::Error;
 pub use gofmm_telemetry::{
@@ -422,23 +420,5 @@ mod tests {
         assert_eq!(x5.cols(), 5);
         // Same input after interleaved widths must give the same bits.
         assert_eq!(x2a.data(), x2b.data());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_factor_setters_still_change_defaults() {
-        let n = 200;
-        let k = test_matrix(n);
-        let comp = compress::<f64, _>(&k, &hss_config());
-        let mut factor = HierarchicalFactor::new(&k, &comp, 1e-2).unwrap();
-        let mut rng = StdRng::seed_from_u64(12);
-        let b = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
-        let x_seq = factor.solve(&b).unwrap();
-        factor.set_policy(TraversalPolicy::DagHeft);
-        factor.set_threads(4);
-        assert_eq!(factor.policy(), TraversalPolicy::DagHeft);
-        assert_eq!(factor.threads(), 4);
-        let x_heft = factor.solve(&b).unwrap();
-        assert_eq!(x_seq.data(), x_heft.data());
     }
 }

@@ -36,7 +36,9 @@
 //! [`UlvFactor::solve`] takes `&self` with per-call workspaces leased from a
 //! [`WorkspacePool`], so one factorization serves parallel request streams.
 
-use gofmm_core::{ApplyOptions, CompRef, Compressed, Error, TraversalPolicy};
+use gofmm_core::{
+    policy_from_tag, policy_tag, ApplyOptions, CompRef, Compressed, Error, TraversalPolicy,
+};
 use gofmm_linalg::{
     check_scalar_width, decode_scalar_vec, eliminate_trailing, encode_scalar_slice, gemm,
     householder_qr, matmul, matmul_nt, rotate_symmetric, Cholesky, DenseMatrix,
@@ -889,31 +891,6 @@ impl<T: Scalar> UlvFactor<'static, T> {
             pool: WorkspacePool::new(),
         })
     }
-}
-
-/// Solver-file codec tag for a [`TraversalPolicy`] (the default-policy byte
-/// of the `ULV_META` header).
-fn policy_tag(policy: TraversalPolicy) -> u8 {
-    match policy {
-        TraversalPolicy::Sequential => 0,
-        TraversalPolicy::LevelByLevel => 1,
-        TraversalPolicy::DagHeft => 2,
-        TraversalPolicy::DagFifo => 3,
-    }
-}
-
-fn policy_from_tag(tag: u8) -> Result<TraversalPolicy, StoreError> {
-    Ok(match tag {
-        0 => TraversalPolicy::Sequential,
-        1 => TraversalPolicy::LevelByLevel,
-        2 => TraversalPolicy::DagHeft,
-        3 => TraversalPolicy::DagFifo,
-        other => {
-            return Err(StoreError::Corrupt(format!(
-                "unknown traversal-policy tag {other}"
-            )))
-        }
-    })
 }
 
 /// Classify a failed trailing Cholesky: a pivot at roundoff scale relative
