@@ -1,19 +1,48 @@
 //! BLAS-like dense kernels: GEMM, GEMV, dot products and norm estimates.
 //!
 //! These are the work-horses behind skeletonization (`GEQP3`/`TRSM` call into
-//! them) and behind the N2S/S2S/S2N/L2L evaluation tasks. The GEMM is a
-//! BLIS-style packed, cache-blocked kernel: operands are copied into
-//! contiguous `MR`/`NR` strips with row/column **slice** copies (no
-//! per-element bounds checks), then multiplied by the register micro-kernel
-//! dispatched through [`Scalar::gemm_microkernel`] — AVX2/FMA on x86-64,
-//! a portable scalar loop elsewhere (see [`crate::simd`]). Both paths
-//! accumulate each output element over `k` in the same order, so GEMM
-//! results are bit-identical across dispatch paths.
+//! them) and behind the N2S/S2S/S2N/L2L evaluation tasks. [`gemm`] has two
+//! paths that produce the same bits:
+//!
+//! * **Packed** (every transpose combination, any width): BLIS-style cache
+//!   blocking. Operands are copied into contiguous `MR`/`NR` strips with
+//!   row/column **slice** copies (no per-element bounds checks), then
+//!   multiplied by the register micro-kernel dispatched through
+//!   [`Scalar::gemm_microkernel`] — AVX2/FMA on x86-64, a portable scalar
+//!   loop elsewhere (see [`crate::simd`]). The pack buffers are the calling
+//!   thread's grow-only scratch ([`Scalar::with_pack_scratch`]), so a GEMM
+//!   allocates nothing once its thread has seen the largest shape. The
+//!   scratch lives as long as the thread: a caller's own thread keeps it
+//!   across calls, while the scoped workers a multi-threaded sweep spawns
+//!   each grow one per run (at most 1.25 MiB of f64) and drop it at the join.
+//! * **Stream** (`A * B` untransposed with at most `NR` right-hand-side
+//!   columns and at least `MR` rows — the narrow applies, solves and PCG
+//!   iterations): no packing at all. Each element of `A` is used once per column of `B`, so copying it
+//!   into a strip first only doubles the memory traffic; instead `A` is read
+//!   in place, one contiguous column run at a time, into an L1-resident
+//!   accumulator (a few KiB of the same thread scratch) with the dispatched
+//!   [`Scalar::axpy_kernel`].
+//!
+//! **Why the two agree bit for bit.** Per output element and per `KC`-deep
+//! block of the inner dimension, the micro-kernel starts from zero, does one
+//! fused multiply-add per `p` in increasing order, and the block's sum is
+//! folded into `C` with one `alpha.mul_add(sum, c)`. The stream path does
+//! exactly that sequence — zeroed accumulator, `fma(B[p,c], A[r,p], acc)` for
+//! increasing `p` inside the same `KC` blocks (fma is commutative in its two
+//! factors), one `alpha.mul_add` per block — only in a different loop nest.
+//! The axpy is a per-element fma on every dispatch path, so the SIMD and
+//! scalar builds, the two paths, and [`reference::gemm`] all agree.
+//!
+//! **Scratch-overwrite invariant.** The pack scratch is never cleared. The
+//! pack step writes every element of every strip the micro-kernel then reads
+//! — `kb` rows of each strip, zero padding of ragged strips included — so
+//! whatever an earlier GEMM left in the buffer cannot reach a result.
 //!
 //! [`gemm_mixed`] is the mixed-precision variant the serving layer uses for
-//! `f32`-stored interaction panels: the pack step upconverts the panel to the
-//! accumulator precision `T`, so all arithmetic runs in `T` (f64 accumulation
-//! over f32 storage) through the very same micro-kernel.
+//! `f32`-stored interaction panels: `A` is upconverted losslessly to the
+//! accumulator precision `T` (while packing, or one column run at a time on
+//! the stream path), so all arithmetic runs in `T` (f64 accumulation over f32
+//! storage) through the very same kernels.
 //!
 //! The pre-SIMD scalar kernels are retained verbatim under [`mod@reference`] as
 //! the comparison baseline for the kernel-equivalence suite and the bench
@@ -22,6 +51,7 @@
 use crate::matrix::DenseMatrix;
 use crate::scalar::Scalar;
 use crate::simd;
+use std::any::Any;
 
 /// Whether an operand of [`gemm`] is used as-is or transposed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,19 +69,40 @@ const MC: usize = 128;
 const KC: usize = 256;
 const NC: usize = 512;
 
-/// Lossless storage-to-accumulator upconversion used by the packing step
-/// (`f32 -> f64` for mixed panels, identity otherwise).
+/// Row block of the stream path: its `STREAM_ROWS x NR` block sums are 24 KiB
+/// of f64 and stay in L1 while `A` streams past.
+const STREAM_ROWS: usize = 512;
+
+/// Lossless storage-to-accumulator upconversion (`f32 -> f64` for mixed
+/// panels, identity otherwise).
 #[inline(always)]
 fn up<P: Scalar, T: Scalar>(x: P) -> T {
     T::from_f64(x.to_f64())
 }
 
+/// `y = beta * y` as BLAS defines it: `beta == 0` **overwrites** `y` with
+/// zeros rather than multiplying, so NaN or Inf left in a recycled output
+/// buffer cannot survive as `0 * NaN`.
+fn scale_or_clear<T: Scalar>(beta: T, y: &mut [T]) {
+    if beta == T::zero() {
+        y.fill(T::zero());
+    } else if beta != T::one() {
+        for v in y {
+            *v *= beta;
+        }
+    }
+}
+
 /// General matrix-matrix multiply: `C = alpha * op_a(A) * op_b(B) + beta * C`.
 ///
-/// Dimensions are checked at runtime; the operands are packed into
-/// cache-friendly panels and multiplied with the runtime-dispatched
-/// `MR x NR` micro-kernel. Results are bit-identical between the SIMD and
-/// scalar dispatch paths (see [`crate::simd`] for why).
+/// Dimensions are checked at runtime. `beta == 0` overwrites `C` (a recycled
+/// buffer holding NaN or Inf does not leak into the result). Untransposed
+/// products with at most `NR` columns and at least `MR` rows stream `A` in
+/// place; everything else is packed into cache-friendly panels and
+/// multiplied with the runtime-dispatched `MR x NR` micro-kernel. Neither
+/// path allocates once the calling thread's scratch has grown, and results
+/// are bit-identical between the two paths and between the SIMD and scalar
+/// dispatch (see the [module docs](self)).
 pub fn gemm<T: Scalar>(
     alpha: T,
     a: &DenseMatrix<T>,
@@ -68,11 +119,14 @@ pub fn gemm<T: Scalar>(
 /// stored in the reduced panel precision [`Scalar::PanelScalar`] and all
 /// arithmetic accumulates in `T`.
 ///
-/// This is the serving-layer kernel for `f32`-stored far-field panels: the
-/// pack step upconverts `A` losslessly to `T`, after which the standard
-/// `T` micro-kernel runs — i.e. f32 storage, f64 accumulation when
-/// `T = f64`. Only the no-transpose form is provided because the evaluator
-/// multiplies its panels untransposed.
+/// This is the serving-layer kernel for `f32`-stored far-field panels: `A`
+/// is upconverted losslessly to `T` — while packing, or one column run at a
+/// time into L1-resident scratch on the narrow stream path, which therefore
+/// reads half the bytes of the native product — after which the standard `T`
+/// kernels run, i.e. f32 storage, f64 accumulation when `T = f64`. The
+/// result is bit-identical to [`gemm`] over the upconverted panel. Only the
+/// no-transpose form is provided because the evaluator multiplies its panels
+/// untransposed.
 pub fn gemm_mixed<T: Scalar>(
     alpha: T,
     a: &DenseMatrix<T::PanelScalar>,
@@ -83,10 +137,10 @@ pub fn gemm_mixed<T: Scalar>(
     gemm_core(alpha, a, Transpose::No, b, Transpose::No, beta, c, false);
 }
 
-/// The shared packed GEMM behind [`gemm`], [`gemm_mixed`] and
-/// [`reference::gemm`]. `P` is the storage precision of `A` (equal to `T`
-/// except for mixed panels); `force_scalar` pins the scalar micro-kernel for
-/// the retained reference path.
+/// The shared GEMM behind [`gemm`], [`gemm_mixed`] and [`reference::gemm`].
+/// `P` is the storage precision of `A` (equal to `T` except for mixed
+/// panels); `force_scalar` pins the packed path and the scalar micro-kernel
+/// for the retained reference.
 #[allow(clippy::too_many_arguments)]
 fn gemm_core<P: Scalar, T: Scalar>(
     alpha: T,
@@ -112,18 +166,16 @@ fn gemm_core<P: Scalar, T: Scalar>(
     let k = ka;
 
     // Scale C by beta once up front.
-    if beta != T::one() {
-        if beta == T::zero() {
-            for v in c.data_mut() {
-                *v = T::zero();
-            }
-        } else {
-            for v in c.data_mut() {
-                *v *= beta;
-            }
-        }
-    }
+    scale_or_clear(beta, c.data_mut());
     if m == 0 || n == 0 || k == 0 || alpha == T::zero() {
+        return;
+    }
+
+    // Below `MR` rows a column run is shorter than one strip and the `k * n`
+    // axpy calls cost more than packing it (2.3 against 5.0 us at 4 x 256 x 4).
+    let narrow = n <= T::NR && m >= T::MR;
+    if !force_scalar && op_a == Transpose::No && op_b == Transpose::No && narrow {
+        gemm_stream(alpha, a, b, c);
         return;
     }
 
@@ -135,123 +187,186 @@ fn gemm_core<P: Scalar, T: Scalar>(
     // Packed panels reused across blocks. A is packed in `mr`-row strips
     // (`a_pack[strip][p*mr + r]`), B in `nr`-column strips
     // (`b_pack[strip][p*nr + c]`), both zero-padded to full strip width so
-    // the micro-kernel always runs complete tiles.
-    // 256 KiB: far too large for the stack, so not the array clippy suggests.
-    #[allow(clippy::useless_vec)]
-    let mut a_pack = vec![T::zero(); MC * KC];
-    let mut b_pack = vec![T::zero(); NC.div_ceil(nr) * nr * KC];
-    let mut acc = [T::zero(); simd::ACC_TILE];
-    let acc = &mut acc[..mr * nr];
+    // the micro-kernel always runs complete tiles. Sized to this call's
+    // largest block, not to the `MC x KC` / `KC x NC` maximum.
+    let kc = KC.min(k);
+    let a_len = MC.min(m).div_ceil(mr) * mr * kc;
+    let b_len = NC.min(n).div_ceil(nr) * nr * kc;
+    T::with_pack_scratch(a_len + b_len, |scratch| {
+        let (a_pack, b_pack) = scratch.split_at_mut(a_len);
+        let mut acc = [T::zero(); simd::ACC_TILE];
+        let acc = &mut acc[..mr * nr];
 
-    let mut jc = 0;
-    while jc < n {
-        let nb = NC.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kb_ = KC.min(k - pc);
-            // Pack B panel with contiguous column-slice reads.
-            for jstrip in 0..nb.div_ceil(nr) {
-                let j0 = jstrip * nr;
-                let cmax = nr.min(nb - j0);
-                let dst = &mut b_pack[jstrip * (KC * nr)..jstrip * (KC * nr) + kb_ * nr];
-                match op_b {
-                    Transpose::No => {
-                        for cc in 0..nr {
-                            if cc < cmax {
-                                let src = &b.col(jc + j0 + cc)[pc..pc + kb_];
-                                for (p, v) in src.iter().enumerate() {
-                                    dst[p * nr + cc] = *v;
-                                }
-                            } else {
-                                for p in 0..kb_ {
-                                    dst[p * nr + cc] = T::zero();
-                                }
-                            }
-                        }
-                    }
-                    Transpose::Yes => {
-                        // bt(p, j) = B(j, p): row `p` of the packed strip is a
-                        // contiguous run of column `pc + p`.
-                        for p in 0..kb_ {
-                            let src = &b.col(pc + p)[jc + j0..jc + j0 + cmax];
-                            let row = &mut dst[p * nr..(p + 1) * nr];
-                            row[..cmax].copy_from_slice(src);
-                            for v in &mut row[cmax..] {
-                                *v = T::zero();
-                            }
-                        }
-                    }
-                }
-            }
-            let mut ic = 0;
-            while ic < m {
-                let mb = MC.min(m - ic);
-                // Pack A panel in `mr`-row strips with slice reads, upconverting
-                // storage precision to the accumulator precision.
-                for istrip in 0..mb.div_ceil(mr) {
-                    let i0 = istrip * mr;
-                    let rmax = mr.min(mb - i0);
-                    let dst = &mut a_pack[istrip * (KC * mr)..istrip * (KC * mr) + kb_ * mr];
-                    match op_a {
+        let mut jc = 0;
+        while jc < n {
+            let nb = NC.min(n - jc);
+            let mut pc = 0;
+            while pc < k {
+                let kb_ = KC.min(k - pc);
+                // Pack B panel with contiguous column-slice reads.
+                for jstrip in 0..nb.div_ceil(nr) {
+                    let j0 = jstrip * nr;
+                    let cmax = nr.min(nb - j0);
+                    let dst = &mut b_pack[jstrip * (kc * nr)..jstrip * (kc * nr) + kb_ * nr];
+                    match op_b {
                         Transpose::No => {
-                            for p in 0..kb_ {
-                                let src = &a.col(pc + p)[ic + i0..ic + i0 + rmax];
-                                let row = &mut dst[p * mr..(p + 1) * mr];
-                                for (rv, sv) in row.iter_mut().zip(src.iter()) {
-                                    *rv = up(*sv);
-                                }
-                                for rv in &mut row[rmax..] {
-                                    *rv = T::zero();
+                            for cc in 0..nr {
+                                if cc < cmax {
+                                    let src = &b.col(jc + j0 + cc)[pc..pc + kb_];
+                                    for (p, v) in src.iter().enumerate() {
+                                        dst[p * nr + cc] = *v;
+                                    }
+                                } else {
+                                    for p in 0..kb_ {
+                                        dst[p * nr + cc] = T::zero();
+                                    }
                                 }
                             }
                         }
                         Transpose::Yes => {
-                            // at(i, p) = A(p, i): lane `r` of the strip reads a
-                            // contiguous run of column `ic + i0 + r`.
-                            for r in 0..mr {
-                                if r < rmax {
-                                    let src = &a.col(ic + i0 + r)[pc..pc + kb_];
-                                    for (p, v) in src.iter().enumerate() {
-                                        dst[p * mr + r] = up(*v);
-                                    }
-                                } else {
-                                    for p in 0..kb_ {
-                                        dst[p * mr + r] = T::zero();
-                                    }
+                            // bt(p, j) = B(j, p): row `p` of the packed strip is a
+                            // contiguous run of column `pc + p`.
+                            for p in 0..kb_ {
+                                let src = &b.col(pc + p)[jc + j0..jc + j0 + cmax];
+                                let row = &mut dst[p * nr..(p + 1) * nr];
+                                row[..cmax].copy_from_slice(src);
+                                for v in &mut row[cmax..] {
+                                    *v = T::zero();
                                 }
                             }
                         }
                     }
                 }
-                // Macro kernel over micro tiles.
-                for jstrip in 0..nb.div_ceil(nr) {
-                    let j0 = jstrip * nr;
-                    let cmax = nr.min(nb - j0);
-                    let b_strip = &b_pack[jstrip * (KC * nr)..jstrip * (KC * nr) + kb_ * nr];
+                let mut ic = 0;
+                while ic < m {
+                    let mb = MC.min(m - ic);
+                    // Pack A panel in `mr`-row strips with slice reads, upconverting
+                    // storage precision to the accumulator precision.
                     for istrip in 0..mb.div_ceil(mr) {
                         let i0 = istrip * mr;
                         let rmax = mr.min(mb - i0);
-                        let a_strip = &a_pack[istrip * (KC * mr)..istrip * (KC * mr) + kb_ * mr];
-                        if force_scalar {
-                            simd::microkernel_scalar(mr, nr, kb_, a_strip, b_strip, acc);
-                        } else {
-                            T::gemm_microkernel(kb_, a_strip, b_strip, acc);
-                        }
-                        for cc in 0..cmax {
-                            let tile = &acc[cc * mr..cc * mr + rmax];
-                            let col = &mut c.col_mut(jc + j0 + cc)[ic + i0..ic + i0 + rmax];
-                            for (cv, tv) in col.iter_mut().zip(tile.iter()) {
-                                *cv = alpha.mul_add(*tv, *cv);
+                        let dst = &mut a_pack[istrip * (kc * mr)..istrip * (kc * mr) + kb_ * mr];
+                        match op_a {
+                            Transpose::No => {
+                                for p in 0..kb_ {
+                                    let src = &a.col(pc + p)[ic + i0..ic + i0 + rmax];
+                                    let row = &mut dst[p * mr..(p + 1) * mr];
+                                    for (rv, sv) in row.iter_mut().zip(src.iter()) {
+                                        *rv = up(*sv);
+                                    }
+                                    for rv in &mut row[rmax..] {
+                                        *rv = T::zero();
+                                    }
+                                }
+                            }
+                            Transpose::Yes => {
+                                // at(i, p) = A(p, i): lane `r` of the strip reads a
+                                // contiguous run of column `ic + i0 + r`.
+                                for r in 0..mr {
+                                    if r < rmax {
+                                        let src = &a.col(ic + i0 + r)[pc..pc + kb_];
+                                        for (p, v) in src.iter().enumerate() {
+                                            dst[p * mr + r] = up(*v);
+                                        }
+                                    } else {
+                                        for p in 0..kb_ {
+                                            dst[p * mr + r] = T::zero();
+                                        }
+                                    }
+                                }
                             }
                         }
                     }
+                    // Macro kernel over micro tiles.
+                    for jstrip in 0..nb.div_ceil(nr) {
+                        let j0 = jstrip * nr;
+                        let cmax = nr.min(nb - j0);
+                        let b_strip = &b_pack[jstrip * (kc * nr)..jstrip * (kc * nr) + kb_ * nr];
+                        for istrip in 0..mb.div_ceil(mr) {
+                            let i0 = istrip * mr;
+                            let rmax = mr.min(mb - i0);
+                            let a_strip =
+                                &a_pack[istrip * (kc * mr)..istrip * (kc * mr) + kb_ * mr];
+                            if force_scalar {
+                                simd::microkernel_scalar(mr, nr, kb_, a_strip, b_strip, acc);
+                            } else {
+                                T::gemm_microkernel(kb_, a_strip, b_strip, acc);
+                            }
+                            for cc in 0..cmax {
+                                let tile = &acc[cc * mr..cc * mr + rmax];
+                                let col = &mut c.col_mut(jc + j0 + cc)[ic + i0..ic + i0 + rmax];
+                                for (cv, tv) in col.iter_mut().zip(tile.iter()) {
+                                    *cv = alpha.mul_add(*tv, *cv);
+                                }
+                            }
+                        }
+                    }
+                    ic += mb;
                 }
-                ic += mb;
+                pc += kb_;
             }
-            pc += kb_;
+            jc += nb;
         }
-        jc += nb;
-    }
+    });
+}
+
+/// Narrow-RHS path of [`gemm_core`]: `C += alpha * A * B` for untransposed
+/// operands and a `B` of a few columns, reading `A` once, in place. `beta`
+/// has already been applied and the empty cases returned. Bit-identical to
+/// the packed path: same zero-initialised per-`KC`-block sums, same fma per
+/// `p` in increasing order, same single `alpha.mul_add` per block.
+fn gemm_stream<P: Scalar, T: Scalar>(
+    alpha: T,
+    a: &DenseMatrix<P>,
+    b: &DenseMatrix<T>,
+    c: &mut DenseMatrix<T>,
+) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    // A native panel (`P == T`) is read where it lies; a reduced-precision
+    // one is widened one column run at a time. Widening the native one too
+    // (an identity copy) would drop this check and costs 40-60 % on panels
+    // beyond L2 (683 -> 1 115 us at 1024 x 1024 x 4).
+    let native = (a as &dyn Any).downcast_ref::<DenseMatrix<T>>();
+    let rows = STREAM_ROWS.min(m);
+    let wide_len = if native.is_some() { 0 } else { rows };
+    // The block sums (and the widened run) live in the thread's scratch: the
+    // same few KiB every call, so they stay in L1, and `fill` below clears
+    // exactly what a block uses.
+    T::with_pack_scratch(rows * n + wide_len, |scratch| {
+        let (acc, wide) = scratch.split_at_mut(rows * n);
+        let mut i0 = 0;
+        while i0 < m {
+            let rb = STREAM_ROWS.min(m - i0);
+            let acc = &mut acc[..rb * n];
+            let mut pc = 0;
+            while pc < k {
+                let kb = KC.min(k - pc);
+                acc.fill(T::zero());
+                for p in pc..pc + kb {
+                    let run: &[T] = match native {
+                        Some(a) => &a.col(p)[i0..i0 + rb],
+                        None => {
+                            for (w, s) in wide.iter_mut().zip(&a.col(p)[i0..i0 + rb]) {
+                                *w = up(*s);
+                            }
+                            &wide[..rb]
+                        }
+                    };
+                    for (cc, sums) in acc.chunks_exact_mut(rb).enumerate() {
+                        T::axpy_kernel(b.col(cc)[p], run, sums);
+                    }
+                }
+                for (cc, sums) in acc.chunks_exact(rb).enumerate() {
+                    let col = &mut c.col_mut(cc)[i0..i0 + rb];
+                    for (cv, sv) in col.iter_mut().zip(sums) {
+                        *cv = alpha.mul_add(*sv, *cv);
+                    }
+                }
+                pc += kb;
+            }
+            i0 += rb;
+        }
+    });
 }
 
 /// Convenience: `C = A * B` (allocating).
@@ -299,7 +414,8 @@ pub fn matmul_nt<T: Scalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>) -> DenseMatr
     c
 }
 
-/// Matrix-vector multiply `y = alpha * op(A) x + beta * y`.
+/// Matrix-vector multiply `y = alpha * op(A) x + beta * y` (`beta == 0`
+/// overwrites `y`, as in [`gemm`]).
 ///
 /// The no-transpose form sweeps columns with the dispatched axpy (bit-
 /// identical across dispatch paths); the transposed form reduces each column
@@ -318,9 +434,7 @@ pub fn gemv<T: Scalar>(
     };
     assert_eq!(x.len(), n, "gemv x length mismatch");
     assert_eq!(y.len(), m, "gemv y length mismatch");
-    for v in y.iter_mut() {
-        *v *= beta;
-    }
+    scale_or_clear(beta, y);
     match op_a {
         Transpose::No => {
             // y += alpha * A x, column sweep keeps A accesses contiguous.
@@ -433,9 +547,7 @@ pub mod reference {
         };
         assert_eq!(x.len(), n, "gemv x length mismatch");
         assert_eq!(y.len(), m, "gemv y length mismatch");
-        for v in y.iter_mut() {
-            *v *= beta;
-        }
+        super::scale_or_clear(beta, y);
         match op_a {
             Transpose::No => {
                 for j in 0..n {
@@ -614,6 +726,25 @@ mod tests {
         for v in 0..8 {
             expect_z[(v, 0)] += 1.0;
             assert!((z[v] - expect_z[(v, 0)]).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn gemv_beta_zero_overwrites_non_finite_output() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let a = DenseMatrix::<f64>::random_uniform(5, 3, &mut rng);
+        let stale = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for op in [Transpose::No, Transpose::Yes] {
+            let (m, n) = if op == Transpose::No { (5, 3) } else { (3, 5) };
+            let x = vec![0.5; n];
+            let mut clean = vec![0.0; m];
+            gemv(1.5, &a, op, &x, 0.0, &mut clean);
+            let mut y: Vec<f64> = (0..m).map(|i| stale[i % 3]).collect();
+            let mut y_ref = y.clone();
+            gemv(1.5, &a, op, &x, 0.0, &mut y);
+            reference::gemv(1.5, &a, op, &x, 0.0, &mut y_ref);
+            assert_eq!(y, clean, "{op:?}");
+            assert!(y_ref.iter().all(|v| v.is_finite()), "{op:?}: {y_ref:?}");
         }
     }
 

@@ -6,6 +6,7 @@
 //! path, mirroring the `float`/`double` template parameter of the reference
 //! C++ implementation.
 
+use std::cell::RefCell;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -90,6 +91,12 @@ pub trait Scalar:
     /// Runtime-dispatched axpy `y[i] = fma(alpha, x[i], y[i])` (bit-identical
     /// to the scalar loop on every dispatch path).
     fn axpy_kernel(alpha: Self, x: &[Self], y: &mut [Self]);
+
+    /// Run `f` on `len` elements of the calling thread's grow-only GEMM pack
+    /// scratch. The contents are whatever the previous call on this thread
+    /// left there: the caller must write every element before reading it
+    /// (the pack step of [`crate::blas::gemm`] does). Not re-entrant.
+    fn with_pack_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
 }
 
 macro_rules! impl_scalar {
@@ -175,6 +182,18 @@ macro_rules! impl_scalar {
             #[inline(always)]
             fn axpy_kernel(alpha: Self, x: &[Self], y: &mut [Self]) {
                 $axpy(alpha, x, y)
+            }
+            fn with_pack_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R {
+                thread_local! {
+                    static PACK: RefCell<Vec<$t>> = const { RefCell::new(Vec::new()) };
+                }
+                PACK.with(|cell| {
+                    let mut buf = cell.borrow_mut();
+                    if buf.len() < len {
+                        buf.resize(len, 0.0);
+                    }
+                    f(&mut buf[..len])
+                })
             }
         }
     };

@@ -1,9 +1,10 @@
 //! Runtime-dispatched SIMD micro-kernels behind the dense BLAS layer.
 //!
-//! The packed GEMM in [`crate::blas`], the triangular solves and the
-//! Householder reflection applies all bottom out in three primitives: an
-//! `MR x NR` register micro-kernel over packed panels, a dot product and an
-//! axpy. This module provides two implementations of each:
+//! The GEMM in [`crate::blas`], the triangular solves and the Householder
+//! reflection applies all bottom out in three primitives: an `MR x NR`
+//! register micro-kernel over packed panels, a dot product and an axpy (which
+//! is also the inner loop of GEMM's narrow-RHS stream path). This module
+//! provides two implementations of each:
 //!
 //! * an x86-64 AVX2/FMA path written against `core::arch` intrinsics
 //!   (`8 x 6` tiles of f64, `16 x 6` tiles of f32 — twelve ymm accumulators,

@@ -7,6 +7,7 @@
 use crate::blas::{gemm, Transpose};
 use crate::matrix::DenseMatrix;
 use crate::scalar::Scalar;
+use std::ops::Range;
 
 /// Which triangle of the coefficient matrix is referenced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,19 +38,34 @@ pub fn trsm_left<T: Scalar>(
     let n = t.rows();
     assert_eq!(t.cols(), n, "triangular matrix must be square");
     assert_eq!(b.rows(), n, "rhs row mismatch");
+    trsm_diagonal_block(tri, transpose, t, 0..n, b);
+}
+
+/// [`trsm_left`] against the diagonal block `t[rows, rows]`, in place on rows
+/// `rows` of `b` — the panel solve of [`trsm_left_blocked`], which therefore
+/// copies no block of the factor.
+fn trsm_diagonal_block<T: Scalar>(
+    tri: Triangle,
+    transpose: bool,
+    t: &DenseMatrix<T>,
+    rows: Range<usize>,
+    b: &mut DenseMatrix<T>,
+) {
+    let n = rows.len();
     // Effective triangle after an optional transpose.
     let lower_effective = match (tri, transpose) {
         (Triangle::Lower, false) | (Triangle::Upper, true) => true,
         (Triangle::Upper, false) | (Triangle::Lower, true) => false,
     };
+    let t_col = |i: usize| &t.col(rows.start + i)[rows.clone()];
     for col in 0..b.cols() {
-        let x = b.col_mut(col);
+        let x = &mut b.col_mut(col)[rows.clone()];
         match (lower_effective, transpose) {
             // Forward substitution, op(T) = T^T with T upper: row i of op(T)
             // left of the diagonal is the top of T's column i.
             (true, true) => {
                 for i in 0..n {
-                    let ti = t.col(i);
+                    let ti = t_col(i);
                     let acc = x[i] - T::dot_kernel(&ti[..i], &x[..i]);
                     let d = ti[i];
                     assert!(d != T::zero(), "zero diagonal in triangular solve");
@@ -59,7 +75,7 @@ pub fn trsm_left<T: Scalar>(
             // Forward substitution, T lower: right-looking column sweep.
             (true, false) => {
                 for k in 0..n {
-                    let tk = t.col(k);
+                    let tk = t_col(k);
                     let d = tk[k];
                     assert!(d != T::zero(), "zero diagonal in triangular solve");
                     let xk = x[k] / d;
@@ -71,7 +87,7 @@ pub fn trsm_left<T: Scalar>(
             // right of the diagonal is the bottom of T's column i.
             (false, true) => {
                 for i in (0..n).rev() {
-                    let ti = t.col(i);
+                    let ti = t_col(i);
                     let acc = x[i] - T::dot_kernel(&ti[i + 1..], &x[i + 1..]);
                     let d = ti[i];
                     assert!(d != T::zero(), "zero diagonal in triangular solve");
@@ -81,7 +97,7 @@ pub fn trsm_left<T: Scalar>(
             // Backward substitution, T upper: right-looking column sweep.
             (false, false) => {
                 for k in (0..n).rev() {
-                    let tk = t.col(k);
+                    let tk = t_col(k);
                     let d = tk[k];
                     assert!(d != T::zero(), "zero diagonal in triangular solve");
                     let xk = x[k] / d;
@@ -149,10 +165,8 @@ pub fn trsm_left_blocked<T: Scalar>(
     };
     for &(k0, k1) in order {
         // Solve the diagonal panel with the scalar kernel.
-        let diag = t.block(k0, k1, k0, k1);
-        let mut panel = b.block(k0, k1, 0, r);
-        trsm_left(tri, transpose, &diag, &mut panel);
-        b.set_block(k0, 0, &panel);
+        trsm_diagonal_block(tri, transpose, t, k0..k1, b);
+        let panel = b.block(k0, k1, 0, r);
         // Fold the solved panel out of the not-yet-solved rows with one GEMM.
         let (u0, u1) = if lower_effective { (k1, n) } else { (0, k0) };
         if u0 == u1 {
@@ -288,6 +302,34 @@ mod tests {
                 blocked_sol.sub(&scalar_sol).norm_max() < 1e-10,
                 "blocked vs scalar drift for lower={lower} transpose={transpose}"
             );
+            // The panel solve runs in place on `t[k0..k1, k0..k1]` and rows
+            // `k0..k1` of `b`: the same bits as solving copies of the two.
+            let forward = lower != transpose;
+            let mut by_copy = b.clone();
+            let mut panels: Vec<usize> = (0..n).step_by(TRSM_NB).collect();
+            if !forward {
+                panels.reverse();
+            }
+            for k0 in panels {
+                let k1 = (k0 + TRSM_NB).min(n);
+                let mut panel = by_copy.block(k0, k1, 0, 5);
+                trsm_left(tri, transpose, &t.block(k0, k1, k0, k1), &mut panel);
+                by_copy.set_block(k0, 0, &panel);
+                let (u0, u1) = if forward { (k1, n) } else { (0, k0) };
+                let coef = opt.block(u0, u1, k0, k1);
+                let mut trailing = by_copy.block(u0, u1, 0, 5);
+                gemm(
+                    -1.0,
+                    &coef,
+                    Transpose::No,
+                    &panel,
+                    Transpose::No,
+                    1.0,
+                    &mut trailing,
+                );
+                by_copy.set_block(u0, 0, &trailing);
+            }
+            assert_eq!(blocked_sol.data(), by_copy.data());
         }
     }
 

@@ -312,6 +312,11 @@ impl ReusablePlan {
         trace: Option<&TraceSink>,
         task: impl Fn(Family, usize) + Sync,
     ) -> Result<ExecStats, Cancelled> {
+        if let (Some(sink), SchedulePolicy::Sequential) = (trace, policy) {
+            // The tasks run on this thread: set its lane up before the first
+            // span opens, not between the first span and the second.
+            sink.register_thread();
+        }
         let stats = self.run_indexed_with_cancel(policy, workers, cancel, |idx| {
             let (family, node) = self.keys[idx];
             match trace {

@@ -70,9 +70,11 @@ proptest! {
                         lease.stamp = stamp;
                         std::thread::yield_now();
                         assert_eq!(lease.stamp, stamp, "workspace data raced");
-                        let id = lease.id;
-                        drop(lease); // returns to the shelf
-                        assert!(in_flight.lock().unwrap().remove(&id));
+                        // Retire the id before the workspace goes back on the
+                        // shelf: once dropped, another thread may lease it
+                        // and insert the same id at once.
+                        assert!(in_flight.lock().unwrap().remove(&lease.id));
+                        drop(lease);
                     }
                 });
             }
