@@ -2,7 +2,7 @@
 //!
 //! These are the work-horses behind skeletonization (`GEQP3`/`TRSM` call into
 //! them) and behind the N2S/S2S/S2N/L2L evaluation tasks. [`gemm`] has two
-//! paths that produce the same bits:
+//! paths, chosen from the shape, that produce the same bits:
 //!
 //! * **Packed** (every transpose combination, any width): BLIS-style cache
 //!   blocking. Operands are copied into contiguous `MR`/`NR` strips with
@@ -15,43 +15,58 @@
 //!   scratch lives as long as the thread: a caller's own thread keeps it
 //!   across calls, while the scoped workers a multi-threaded sweep spawns
 //!   each grow one per run (at most 1.25 MiB of f64) and drop it at the join.
-//! * **Stream** (`A * B` untransposed with at most `NR` right-hand-side
-//!   columns and at least `MR` rows — the narrow applies, solves and PCG
-//!   iterations): no packing at all. Each element of `A` is used once per column of `B`, so copying it
-//!   into a strip first only doubles the memory traffic; instead `A` is read
-//!   in place, one contiguous column run at a time, into an L1-resident
-//!   accumulator (a few KiB of the same thread scratch) with the dispatched
-//!   [`Scalar::axpy_kernel`].
+//! * **Stream** (`B` untransposed with at most `NR` columns — the narrow
+//!   applies, solves and PCG iterations): no packing at all. Each element of
+//!   `A` is used once per column of `B`, so copying it into a strip first
+//!   only doubles the memory traffic; instead `A` is read once, in place, by
+//!   one of two dispatched kernels ([`StreamInto`], AVX2/FMA or portable):
+//!   - `A * B`: the **fused** kernel takes four consecutive columns of `A`
+//!     per pass over an L1-resident block of sums (a few KiB of the same
+//!     thread scratch) and updates all `n` sum columns in that pass, so a sum
+//!     is loaded and stored once per four fmas and `A` once in all. A
+//!     reduced-precision `A` is widened in register on the load.
+//!   - `A^T * B`: the **transposed** kernel re-lays the `KC`-deep block of
+//!     `B` row-major, walks eight columns of `A` at once and keeps one
+//!     register of sums per output row: `sums_j = fma(broadcast A[i,j],
+//!     B[i,:], sums_j)`.
 //!
-//! **Why the two agree bit for bit.** Per output element and per `KC`-deep
+//!   Both prefetch `A` a few columns ahead: they do enough L1-resident work
+//!   per byte of `A` that the hardware prefetcher alone leaves a cold panel
+//!   at a third of the memory rate.
+//!
+//! **Why the paths agree bit for bit.** Per output element and per `KC`-deep
 //! block of the inner dimension, the micro-kernel starts from zero, does one
 //! fused multiply-add per `p` in increasing order, and the block's sum is
-//! folded into `C` with one `alpha.mul_add(sum, c)`. The stream path does
-//! exactly that sequence — zeroed accumulator, `fma(B[p,c], A[r,p], acc)` for
-//! increasing `p` inside the same `KC` blocks (fma is commutative in its two
-//! factors), one `alpha.mul_add` per block — only in a different loop nest.
-//! The axpy is a per-element fma on every dispatch path, so the SIMD and
-//! scalar builds, the two paths, and [`reference::gemm`] all agree.
+//! folded into `C` with one `alpha.mul_add(sum, c)`. The stream kernels do
+//! exactly that sequence — zeroed sums, `fma(A[r,p], B[p,c], sum)` for
+//! increasing `p` inside the same `KC` blocks (the fused kernel chains its
+//! four fmas per element in increasing `p`; every lane of the transposed one
+//! is a sequential chain over `i`), one `alpha.mul_add` per block — only in a
+//! different loop nest. Every fma is per element on every dispatch path, so
+//! the SIMD and scalar builds, the three kernels, and [`reference::gemm`]
+//! all agree.
 //!
 //! **Scratch-overwrite invariant.** The pack scratch is never cleared. The
 //! pack step writes every element of every strip the micro-kernel then reads
 //! — `kb` rows of each strip, zero padding of ragged strips included — so
-//! whatever an earlier GEMM left in the buffer cannot reach a result.
+//! whatever an earlier GEMM left in the buffer cannot reach a result. The
+//! stream paths keep their block sums and the row-major `B` there under the
+//! same rule: sums are zeroed (fused) or overwritten (transposed) per block,
+//! and `B`'s padding lanes are written as zeros.
 //!
 //! [`gemm_mixed`] is the mixed-precision variant the serving layer uses for
 //! `f32`-stored interaction panels: `A` is upconverted losslessly to the
-//! accumulator precision `T` (while packing, or one column run at a time on
-//! the stream path), so all arithmetic runs in `T` (f64 accumulation over f32
-//! storage) through the very same kernels.
+//! accumulator precision `T` (while packing, or in register on the stream
+//! path, which therefore moves half the bytes), so all arithmetic runs in `T`
+//! (f64 accumulation over f32 storage) with the very same fma sequence.
 //!
 //! The pre-SIMD scalar kernels are retained verbatim under [`mod@reference`] as
 //! the comparison baseline for the kernel-equivalence suite and the bench
 //! grid.
 
 use crate::matrix::DenseMatrix;
-use crate::scalar::Scalar;
-use crate::simd;
-use std::any::Any;
+use crate::scalar::{Scalar, StreamInto};
+use crate::simd::{self, widen, STREAM_T_WIDTH};
 
 /// Whether an operand of [`gemm`] is used as-is or transposed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,16 +84,12 @@ const MC: usize = 128;
 const KC: usize = 256;
 const NC: usize = 512;
 
-/// Row block of the stream path: its `STREAM_ROWS x NR` block sums are 24 KiB
-/// of f64 and stay in L1 while `A` streams past.
+/// Row block of the fused stream path: `STREAM_ROWS x n` block sums (16 KiB of
+/// f64 at `n = 4`, 24 KiB at `NR`) stay in L1 while four 4 KiB column runs of
+/// `A` stream past. Measured with the fused kernel (f64, `n = 4`, hot,
+/// 128 / 512 / 2048 rows per block): 463-521 / 397-403 / 429-533 us at
+/// 4096 x 256, 584-664 / 525-537 / 440 us at 1024 x 1024; cold reads alike.
 const STREAM_ROWS: usize = 512;
-
-/// Lossless storage-to-accumulator upconversion (`f32 -> f64` for mixed
-/// panels, identity otherwise).
-#[inline(always)]
-fn up<P: Scalar, T: Scalar>(x: P) -> T {
-    T::from_f64(x.to_f64())
-}
 
 /// `y = beta * y` as BLAS defines it: `beta == 0` **overwrites** `y` with
 /// zeros rather than multiplying, so NaN or Inf left in a recycled output
@@ -96,13 +107,14 @@ fn scale_or_clear<T: Scalar>(beta: T, y: &mut [T]) {
 /// General matrix-matrix multiply: `C = alpha * op_a(A) * op_b(B) + beta * C`.
 ///
 /// Dimensions are checked at runtime. `beta == 0` overwrites `C` (a recycled
-/// buffer holding NaN or Inf does not leak into the result). Untransposed
-/// products with at most `NR` columns and at least `MR` rows stream `A` in
-/// place; everything else is packed into cache-friendly panels and
-/// multiplied with the runtime-dispatched `MR x NR` micro-kernel. Neither
-/// path allocates once the calling thread's scratch has grown, and results
-/// are bit-identical between the two paths and between the SIMD and scalar
-/// dispatch (see the [module docs](self)).
+/// buffer holding NaN or Inf does not leak into the result). Products with
+/// an untransposed `B` of at most `NR` columns stream `A` (or `A^T`) in
+/// place through the fused / transposed stream kernel; everything else is
+/// packed into cache-friendly panels and multiplied with the
+/// runtime-dispatched `MR x NR` micro-kernel. Neither path allocates once
+/// the calling thread's scratch has grown, and results are bit-identical
+/// between the two paths and between the SIMD and scalar dispatch (see the
+/// [module docs](self)).
 pub fn gemm<T: Scalar>(
     alpha: T,
     a: &DenseMatrix<T>,
@@ -120,13 +132,12 @@ pub fn gemm<T: Scalar>(
 /// arithmetic accumulates in `T`.
 ///
 /// This is the serving-layer kernel for `f32`-stored far-field panels: `A`
-/// is upconverted losslessly to `T` — while packing, or one column run at a
-/// time into L1-resident scratch on the narrow stream path, which therefore
-/// reads half the bytes of the native product — after which the standard `T`
-/// kernels run, i.e. f32 storage, f64 accumulation when `T = f64`. The
-/// result is bit-identical to [`gemm`] over the upconverted panel. Only the
-/// no-transpose form is provided because the evaluator multiplies its panels
-/// untransposed.
+/// is upconverted losslessly to `T` — while packing, or in register as the
+/// fused stream kernel loads it, which therefore reads half the bytes of the
+/// native product — and every fma runs in `T`, i.e. f32 storage, f64
+/// accumulation when `T = f64`. The result is bit-identical to [`gemm`] over
+/// the upconverted panel. Only the no-transpose form is provided because
+/// the evaluator multiplies its panels untransposed.
 pub fn gemm_mixed<T: Scalar>(
     alpha: T,
     a: &DenseMatrix<T::PanelScalar>,
@@ -142,7 +153,7 @@ pub fn gemm_mixed<T: Scalar>(
 /// panels); `force_scalar` pins the packed path and the scalar micro-kernel
 /// for the retained reference.
 #[allow(clippy::too_many_arguments)]
-fn gemm_core<P: Scalar, T: Scalar>(
+fn gemm_core<P: Scalar + StreamInto<T>, T: Scalar>(
     alpha: T,
     a: &DenseMatrix<P>,
     op_a: Transpose,
@@ -171,11 +182,15 @@ fn gemm_core<P: Scalar, T: Scalar>(
         return;
     }
 
-    // Below `MR` rows a column run is shorter than one strip and the `k * n`
-    // axpy calls cost more than packing it (2.3 against 5.0 us at 4 x 256 x 4).
-    let narrow = n <= T::NR && m >= T::MR;
-    if !force_scalar && op_a == Transpose::No && op_b == Transpose::No && narrow {
-        gemm_stream(alpha, a, b, c);
+    // No floor on the rows: below `MR` rows the fused kernel beats packing
+    // too (f64, hot, k = 256, n = 4, packed / fused: m = 1 2.1 / 0.45 us,
+    // m = 4 2.2 / 0.48, m = 7 2.3 / 1.25), and so does its transposed twin
+    // (m = 1 1.6 / 0.8 us, m = 4 1.9 / 0.8, k = 4 x m = 256 3.6 / 3.2).
+    if !force_scalar && op_b == Transpose::No && n <= T::NR {
+        match op_a {
+            Transpose::No => gemm_stream(alpha, a, b, c),
+            Transpose::Yes => gemm_stream_t(alpha, a, b, c),
+        }
         return;
     }
 
@@ -252,7 +267,7 @@ fn gemm_core<P: Scalar, T: Scalar>(
                                     let src = &a.col(pc + p)[ic + i0..ic + i0 + rmax];
                                     let row = &mut dst[p * mr..(p + 1) * mr];
                                     for (rv, sv) in row.iter_mut().zip(src.iter()) {
-                                        *rv = up(*sv);
+                                        *rv = widen(*sv);
                                     }
                                     for rv in &mut row[rmax..] {
                                         *rv = T::zero();
@@ -266,7 +281,7 @@ fn gemm_core<P: Scalar, T: Scalar>(
                                     if r < rmax {
                                         let src = &a.col(ic + i0 + r)[pc..pc + kb_];
                                         for (p, v) in src.iter().enumerate() {
-                                            dst[p * mr + r] = up(*v);
+                                            dst[p * mr + r] = widen(*v);
                                         }
                                     } else {
                                         for p in 0..kb_ {
@@ -315,56 +330,66 @@ fn gemm_core<P: Scalar, T: Scalar>(
 /// has already been applied and the empty cases returned. Bit-identical to
 /// the packed path: same zero-initialised per-`KC`-block sums, same fma per
 /// `p` in increasing order, same single `alpha.mul_add` per block.
-fn gemm_stream<P: Scalar, T: Scalar>(
+fn gemm_stream<P: Scalar + StreamInto<T>, T: Scalar>(
     alpha: T,
     a: &DenseMatrix<P>,
     b: &DenseMatrix<T>,
     c: &mut DenseMatrix<T>,
 ) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    // A native panel (`P == T`) is read where it lies; a reduced-precision
-    // one is widened one column run at a time. Widening the native one too
-    // (an identity copy) would drop this check and costs 40-60 % on panels
-    // beyond L2 (683 -> 1 115 us at 1024 x 1024 x 4).
-    let native = (a as &dyn Any).downcast_ref::<DenseMatrix<T>>();
-    let rows = STREAM_ROWS.min(m);
-    let wide_len = if native.is_some() { 0 } else { rows };
-    // The block sums (and the widened run) live in the thread's scratch: the
-    // same few KiB every call, so they stay in L1, and `fill` below clears
-    // exactly what a block uses.
-    T::with_pack_scratch(rows * n + wide_len, |scratch| {
-        let (acc, wide) = scratch.split_at_mut(rows * n);
-        let mut i0 = 0;
-        while i0 < m {
+    // The block sums live in the thread's scratch: the same few KiB every
+    // call, so they stay in L1, and `fill` below clears exactly what a block
+    // uses.
+    T::with_pack_scratch(STREAM_ROWS.min(m) * n, |acc| {
+        for i0 in (0..m).step_by(STREAM_ROWS) {
             let rb = STREAM_ROWS.min(m - i0);
             let acc = &mut acc[..rb * n];
-            let mut pc = 0;
-            while pc < k {
+            for pc in (0..k).step_by(KC) {
                 let kb = KC.min(k - pc);
                 acc.fill(T::zero());
-                for p in pc..pc + kb {
-                    let run: &[T] = match native {
-                        Some(a) => &a.col(p)[i0..i0 + rb],
-                        None => {
-                            for (w, s) in wide.iter_mut().zip(&a.col(p)[i0..i0 + rb]) {
-                                *w = up(*s);
-                            }
-                            &wide[..rb]
-                        }
-                    };
-                    for (cc, sums) in acc.chunks_exact_mut(rb).enumerate() {
-                        T::axpy_kernel(b.col(cc)[p], run, sums);
-                    }
-                }
+                P::stream_kernel(rb, kb, &a.data()[pc * m + i0..], m, &b.data()[pc..], k, acc);
                 for (cc, sums) in acc.chunks_exact(rb).enumerate() {
                     let col = &mut c.col_mut(cc)[i0..i0 + rb];
                     for (cv, sv) in col.iter_mut().zip(sums) {
                         *cv = alpha.mul_add(*sv, *cv);
                     }
                 }
-                pc += kb;
             }
-            i0 += rb;
+        }
+    });
+}
+
+/// Narrow-RHS path of [`gemm_core`] for a transposed `A`: `C += alpha * A^T
+/// * B`, reading `A` once, in place. Each `KC`-deep block of `B` is re-laid
+/// row-major (zero-padded to [`STREAM_T_WIDTH`] lanes) so that one column of
+/// `A` against it yields a whole row of `C`'s block sums; those are folded
+/// into `C` with one `alpha.mul_add` per element and block, as the packed
+/// path does. `beta` has already been applied and the empty cases returned.
+fn gemm_stream_t<P: Scalar + StreamInto<T>, T: Scalar>(
+    alpha: T,
+    a: &DenseMatrix<P>,
+    b: &DenseMatrix<T>,
+    c: &mut DenseMatrix<T>,
+) {
+    let (k, m, n) = (a.rows(), a.cols(), b.cols());
+    let brow_len = KC.min(k) * STREAM_T_WIDTH;
+    T::with_pack_scratch(brow_len + m * STREAM_T_WIDTH, |scratch| {
+        let (brow, sums) = scratch.split_at_mut(brow_len);
+        for pc in (0..k).step_by(KC) {
+            let kb = KC.min(k - pc);
+            let brow = &mut brow[..kb * STREAM_T_WIDTH];
+            brow.fill(T::zero());
+            for cc in 0..n {
+                for (i, v) in b.col(cc)[pc..pc + kb].iter().enumerate() {
+                    brow[i * STREAM_T_WIDTH + cc] = *v;
+                }
+            }
+            P::stream_t_kernel(kb, m, n, &a.data()[pc..], k, brow, sums);
+            for cc in 0..n {
+                for (j, cv) in c.col_mut(cc).iter_mut().enumerate() {
+                    *cv = alpha.mul_add(sums[j * STREAM_T_WIDTH + cc], *cv);
+                }
+            }
         }
     });
 }

@@ -11,6 +11,42 @@ use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
+/// A storage precision (`Self`) whose elements the narrow-RHS stream kernels
+/// of [`crate::blas::gemm`] read in place and accumulate in precision `T`,
+/// widening in register. Implemented for every scalar into itself and for
+/// each [`Scalar::PanelScalar`] into its accumulator precision, which is how
+/// `gemm` and `gemm_mixed` pick their kernel from the operand types. The
+/// implementations sit next to the kernels in [`crate::simd`].
+pub trait StreamInto<T>: Sized {
+    /// Runtime-dispatched fused stream kernel, bit-identical on every
+    /// dispatch path: `acc[c*rows + r] = fma(a[p*lda + r], b[c*ldb + p],
+    /// acc[c*rows + r])` for `p = 0..kb` in increasing order, over the
+    /// `acc.len() / rows` columns of `acc` (see
+    /// [`crate::simd::stream_scalar`]).
+    fn stream_kernel(
+        rows: usize,
+        kb: usize,
+        a: &[Self],
+        lda: usize,
+        b: &[T],
+        ldb: usize,
+        acc: &mut [T],
+    );
+    /// Runtime-dispatched transposed stream kernel, bit-identical on every
+    /// dispatch path: `out[j*W + l] = sum_i a[j*lda + i] * brow[i*W + l]`
+    /// from zero in increasing `i < kb`, `W` =
+    /// [`crate::simd::STREAM_T_WIDTH`] (see [`crate::simd::stream_t_scalar`]).
+    fn stream_t_kernel(
+        kb: usize,
+        m: usize,
+        n: usize,
+        a: &[Self],
+        lda: usize,
+        brow: &[T],
+        out: &mut [T],
+    );
+}
+
 /// Floating-point scalar usable by the dense linear-algebra kernels.
 ///
 /// Implemented for `f32` and `f64`. The trait is intentionally small: it only
@@ -35,6 +71,7 @@ pub trait Scalar:
     + MulAssign
     + DivAssign
     + Sum<Self>
+    + StreamInto<Self>
 {
     /// Additive identity.
     fn zero() -> Self;
@@ -76,7 +113,7 @@ pub trait Scalar:
     /// `Self` — i.e. `Self` is the accumulator precision, `PanelScalar` the
     /// storage precision (paper §3 runs storage-bound problems in single
     /// precision for exactly this trade).
-    type PanelScalar: Scalar;
+    type PanelScalar: Scalar + StreamInto<Self>;
 
     /// Register micro-kernel rows (`MR`) of this precision's GEMM tile.
     const MR: usize;

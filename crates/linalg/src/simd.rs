@@ -1,15 +1,18 @@
 //! Runtime-dispatched SIMD micro-kernels behind the dense BLAS layer.
 //!
 //! The GEMM in [`crate::blas`], the triangular solves and the Householder
-//! reflection applies all bottom out in three primitives: an `MR x NR`
-//! register micro-kernel over packed panels, a dot product and an axpy (which
-//! is also the inner loop of GEMM's narrow-RHS stream path). This module
-//! provides two implementations of each:
+//! reflection applies all bottom out in five primitives: an `MR x NR`
+//! register micro-kernel over packed panels, the fused and the transposed
+//! stream kernel of GEMM's narrow-RHS path (which read `A` in place, see
+//! [`stream_scalar`] and [`stream_t_scalar`] for their contracts), a dot
+//! product and an axpy. This module provides two implementations of each:
 //!
 //! * an x86-64 AVX2/FMA path written against `core::arch` intrinsics
 //!   (`8 x 6` tiles of f64, `16 x 6` tiles of f32 — twelve ymm accumulators,
 //!   two panel loads and one broadcast per update, fitting the sixteen
-//!   architectural vector registers), and
+//!   architectural vector registers; the stream kernels are written once
+//!   over a register-lane trait, for f64, f32 and f32 widened to f64 on the
+//!   load), and
 //! * a portable scalar fallback with the exact same per-element accumulation
 //!   order.
 //!
@@ -24,14 +27,18 @@
 //! increasing order with one fused multiply-add per step; AVX2 lanes map
 //! one-to-one onto output elements (`vfmaddxxxpd` is a per-lane IEEE fma), so
 //! the SIMD and scalar micro-kernels — and therefore [`crate::blas::gemm`] on
-//! either dispatch path — produce **bit-identical** results. The same holds
+//! either dispatch path — produce **bit-identical** results. The stream
+//! kernels keep that order too: the fused one chains its four fmas per
+//! element in increasing `p`, and every lane of the transposed one is a
+//! zero-initialised sequential chain, so they agree with the micro-kernel and
+//! with their scalar twins bit for bit. The same holds
 //! for [`crate::blas::axpy`], which is element-wise. [`crate::blas::dot`]
 //! splits its accumulation
 //! across vector lanes and recombines, so its SIMD result may differ from
 //! the scalar one in the last bits (the kernel-equivalence suite bounds the
 //! drift in ULPs).
 
-use crate::scalar::Scalar;
+use crate::scalar::{Scalar, StreamInto};
 use std::sync::OnceLock;
 
 /// Maximum `MR * NR` accumulator-tile footprint across supported precisions
@@ -125,12 +132,416 @@ pub fn axpy_scalar<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     }
 }
 
+/// Columns of `A` one pass of the fused stream kernel takes: each accumulator
+/// element is loaded and stored once per this many fmas.
+const STREAM_GROUP: usize = 4;
+
+/// Row stride of the transposed stream kernel's row-major `B` and of its
+/// sums: the `n <= NR` lanes of one row, zero-padded to two AVX2 registers of
+/// f64 (one of f32).
+pub const STREAM_T_WIDTH: usize = 8;
+
+/// Lossless storage-to-accumulator widening (`f32 -> f64` for reduced
+/// panels, identity otherwise).
+#[inline(always)]
+pub(crate) fn widen<P: Scalar, T: Scalar>(x: P) -> T {
+    T::from_f64(x.to_f64())
+}
+
+/// Portable fused stream kernel: for every row `r < rows` and every column
+/// `c` of the `rows`-long columns of `acc`,
+/// `acc[c*rows + r] = fma(a[p*lda + r], b[c*ldb + p], acc[c*rows + r])` for
+/// `p = 0..kb` in increasing order, `a` widened to `T` on the load. This is
+/// the per-element sequence of [`microkernel_scalar`] continued from whatever
+/// `acc` holds, taken four columns of `a` per pass over `acc`.
+pub fn stream_scalar<P: Scalar, T: Scalar>(
+    rows: usize,
+    kb: usize,
+    a: &[P],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    acc: &mut [T],
+) {
+    for p0 in (0..kb).step_by(STREAM_GROUP) {
+        let group = STREAM_GROUP.min(kb - p0);
+        for (c, sums) in acc.chunks_exact_mut(rows).enumerate() {
+            let bs = &b[c * ldb + p0..c * ldb + p0 + group];
+            for (r, sum) in sums.iter_mut().enumerate() {
+                let mut s = *sum;
+                for (g, bv) in bs.iter().enumerate() {
+                    s = widen::<P, T>(a[(p0 + g) * lda + r]).mul_add(*bv, s);
+                }
+                *sum = s;
+            }
+        }
+    }
+}
+
+/// Portable transposed stream kernel: for every column `j < m` of `a` and
+/// lane `l < n`, overwrite `out[j*W + l]` (`W` = [`STREAM_T_WIDTH`]) with
+/// `sum_i a[j*lda + i] * brow[i*W + l]`, accumulated from zero in increasing
+/// `i < kb` with one fma per step — [`microkernel_scalar`]'s sequence for the
+/// element `(j, l)` of `A^T B`.
+pub fn stream_t_scalar<P: Scalar, T: Scalar>(
+    kb: usize,
+    m: usize,
+    n: usize,
+    a: &[P],
+    lda: usize,
+    brow: &[T],
+    out: &mut [T],
+) {
+    for j in 0..m {
+        let sums = &mut out[j * STREAM_T_WIDTH..j * STREAM_T_WIDTH + n];
+        sums.fill(T::zero());
+        for (i, av) in a[j * lda..j * lda + kb].iter().enumerate() {
+            let av: T = widen(*av);
+            let row = &brow[i * STREAM_T_WIDTH..i * STREAM_T_WIDTH + n];
+            for (s, bv) in sums.iter_mut().zip(row) {
+                *s = av.mul_add(*bv, *s);
+            }
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! AVX2/FMA kernels. All functions here are `unsafe` because of
     //! `#[target_feature]`; callers must have checked [`super::simd_level`].
+    use super::{widen, STREAM_GROUP, STREAM_T_WIDTH};
+    use crate::scalar::Scalar;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
+
+    /// How many columns ahead of the one being read the stream kernels
+    /// prefetch `A`. Between two bursts of `A` loads a kernel does tens of
+    /// cycles of L1-resident work, which leaves the hardware prefetcher too few
+    /// demand misses to run ahead on: without the hint the fused kernel reads a
+    /// cold 128-row panel at 5.5 GB/s, with it at 15 (4 to 32 columns ahead
+    /// read alike). Past the end of `A` the hint touches nothing.
+    const PREFETCH_COLS: usize = 2 * STREAM_GROUP;
+
+    /// One AVX2 register of accumulator precision `Self`: what lets the
+    /// stream kernels be written once for f64 and f32.
+    ///
+    /// # Safety
+    /// Every method requires AVX2 + FMA; `load` reads and `store` writes `N`
+    /// elements at `p`, at any alignment.
+    pub trait Lanes: Scalar {
+        /// The register type.
+        type V: Copy;
+        /// Elements per register.
+        const N: usize;
+        /// Unaligned load of `N` elements.
+        unsafe fn load(p: *const Self) -> Self::V;
+        /// Unaligned store of `N` elements.
+        unsafe fn store(p: *mut Self, v: Self::V);
+        /// `x` in every lane.
+        unsafe fn splat(x: Self) -> Self::V;
+        /// Per-lane IEEE `a * b + c`.
+        unsafe fn fma(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    }
+
+    /// A storage precision whose elements load, widened in register, into
+    /// the lanes of accumulator precision `T`.
+    ///
+    /// # Safety
+    /// `load_as` requires AVX2 + FMA and reads `T::N` elements at `p`, at any
+    /// alignment.
+    pub trait LoadAs<T: Lanes>: Scalar {
+        /// Unaligned load of `T::N` elements, each converted exactly as
+        /// [`widen`] converts one.
+        unsafe fn load_as(p: *const Self) -> T::V;
+    }
+
+    impl Lanes for f64 {
+        type V = __m256d;
+        const N: usize = 4;
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load(p: *const f64) -> __m256d {
+            _mm256_loadu_pd(p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn store(p: *mut f64, v: __m256d) {
+            _mm256_storeu_pd(p, v)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn splat(x: f64) -> __m256d {
+            _mm256_set1_pd(x)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn fma(a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+            _mm256_fmadd_pd(a, b, c)
+        }
+    }
+
+    impl Lanes for f32 {
+        type V = __m256;
+        const N: usize = 8;
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load(p: *const f32) -> __m256 {
+            _mm256_loadu_ps(p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn store(p: *mut f32, v: __m256) {
+            _mm256_storeu_ps(p, v)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn splat(x: f32) -> __m256 {
+            _mm256_set1_ps(x)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn fma(a: __m256, b: __m256, c: __m256) -> __m256 {
+            _mm256_fmadd_ps(a, b, c)
+        }
+    }
+
+    impl LoadAs<f64> for f64 {
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load_as(p: *const f64) -> __m256d {
+            _mm256_loadu_pd(p)
+        }
+    }
+
+    impl LoadAs<f64> for f32 {
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load_as(p: *const f32) -> __m256d {
+            _mm256_cvtps_pd(_mm_loadu_ps(p))
+        }
+    }
+
+    impl LoadAs<f32> for f32 {
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load_as(p: *const f32) -> __m256 {
+            _mm256_loadu_ps(p)
+        }
+    }
+
+    /// One pass of the fused stream kernel over `G` columns of `a`: per two
+    /// registers of rows, the `2 * G` vectors of `a` are loaded once and every
+    /// accumulator column takes its `G` chained fmas between one load and one
+    /// store. A single-register step and a scalar loop finish `rows mod
+    /// (2 * T::N)`.
+    ///
+    /// # Safety
+    /// Requires AVX2 + FMA; `a` readable for `(G-1)*lda + rows` elements, `b`
+    /// for `(n-1)*ldb + G`, `acc` readable and writable for `n * rows`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn stream_group<const G: usize, P: LoadAs<T>, T: Lanes>(
+        rows: usize,
+        n: usize,
+        a: *const P,
+        lda: usize,
+        b: *const T,
+        ldb: usize,
+        acc: *mut T,
+    ) {
+        let mut r = 0;
+        while r + 2 * T::N <= rows {
+            let mut av = [[T::splat(T::zero()); 2]; G];
+            for (g, v) in av.iter_mut().enumerate() {
+                v[0] = P::load_as(a.add(g * lda + r));
+                v[1] = P::load_as(a.add(g * lda + r + T::N));
+                _mm_prefetch::<_MM_HINT_T0>(a.wrapping_add((g + PREFETCH_COLS) * lda + r).cast());
+            }
+            for c in 0..n {
+                let sums = acc.add(c * rows + r);
+                let mut s0 = T::load(sums);
+                let mut s1 = T::load(sums.add(T::N));
+                for (g, v) in av.iter().enumerate() {
+                    let bv = T::splat(*b.add(c * ldb + g));
+                    s0 = T::fma(v[0], bv, s0);
+                    s1 = T::fma(v[1], bv, s1);
+                }
+                T::store(sums, s0);
+                T::store(sums.add(T::N), s1);
+            }
+            r += 2 * T::N;
+        }
+        if r + T::N <= rows {
+            let mut av = [T::splat(T::zero()); G];
+            for (g, v) in av.iter_mut().enumerate() {
+                *v = P::load_as(a.add(g * lda + r));
+            }
+            for c in 0..n {
+                let sums = acc.add(c * rows + r);
+                let mut s = T::load(sums);
+                for (g, v) in av.iter().enumerate() {
+                    s = T::fma(*v, T::splat(*b.add(c * ldb + g)), s);
+                }
+                T::store(sums, s);
+            }
+            r += T::N;
+        }
+        while r < rows {
+            for c in 0..n {
+                let sum = acc.add(c * rows + r);
+                let mut s = *sum;
+                for g in 0..G {
+                    s = widen::<P, T>(*a.add(g * lda + r)).mul_add(*b.add(c * ldb + g), s);
+                }
+                *sum = s;
+            }
+            r += 1;
+        }
+    }
+
+    /// AVX2 fused stream kernel; see [`super::stream_scalar`] for the
+    /// contract. Groups of [`STREAM_GROUP`], then 2, then 1 columns of `a`.
+    ///
+    /// # Safety
+    /// Requires AVX2 + FMA; `rows` and `kb` non-zero, `acc.len() == n*rows`
+    /// with `n >= 1`, `a.len() >= (kb-1)*lda + rows`,
+    /// `b.len() >= (n-1)*ldb + kb`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn stream<P: LoadAs<T>, T: Lanes>(
+        rows: usize,
+        kb: usize,
+        a: &[P],
+        lda: usize,
+        b: &[T],
+        ldb: usize,
+        acc: &mut [T],
+    ) {
+        let n = acc.len() / rows;
+        let (a, b, acc) = (a.as_ptr(), b.as_ptr(), acc.as_mut_ptr());
+        let mut p = 0;
+        while p + STREAM_GROUP <= kb {
+            stream_group::<STREAM_GROUP, P, T>(rows, n, a.add(p * lda), lda, b.add(p), ldb, acc);
+            p += STREAM_GROUP;
+        }
+        if p + 2 <= kb {
+            stream_group::<2, P, T>(rows, n, a.add(p * lda), lda, b.add(p), ldb, acc);
+            p += 2;
+        }
+        if p < kb {
+            stream_group::<1, P, T>(rows, n, a.add(p * lda), lda, b.add(p), ldb, acc);
+        }
+    }
+
+    /// `J` columns of `a` against the row-major `brow`: one accumulator of
+    /// `W` registers per column, zero-initialised, one broadcast-fma per
+    /// element of the column in increasing `i`, so every lane is the
+    /// sequential chain of [`super::stream_t_scalar`].
+    ///
+    /// # Safety
+    /// Requires AVX2 + FMA; `a` readable for `(J-1)*lda + kb` elements,
+    /// `brow` for `kb * STREAM_T_WIDTH`, `out` writable for
+    /// `J * STREAM_T_WIDTH`; `W * T::N <= STREAM_T_WIDTH`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn stream_t_cols<const J: usize, const W: usize, P: Scalar, T: Lanes>(
+        kb: usize,
+        a: *const P,
+        lda: usize,
+        brow: *const T,
+        out: *mut T,
+    ) {
+        let mut sums = [[T::splat(T::zero()); W]; J];
+        // One cache line of every column per outer step, so that the next
+        // `J` columns can be prefetched a line at a time.
+        let line = 64 / std::mem::size_of::<P>();
+        for i0 in (0..kb).step_by(line) {
+            for j in J..2 * J {
+                _mm_prefetch::<_MM_HINT_T0>(a.wrapping_add(j * lda + i0).cast());
+            }
+            for i in i0..kb.min(i0 + line) {
+                let mut bv = [T::splat(T::zero()); W];
+                for (w, v) in bv.iter_mut().enumerate() {
+                    *v = T::load(brow.add(i * STREAM_T_WIDTH + w * T::N));
+                }
+                for (j, s) in sums.iter_mut().enumerate() {
+                    let av = T::splat(widen(*a.add(j * lda + i)));
+                    for (sv, v) in s.iter_mut().zip(&bv) {
+                        *sv = T::fma(av, *v, *sv);
+                    }
+                }
+            }
+        }
+        for (j, s) in sums.iter().enumerate() {
+            for (w, sv) in s.iter().enumerate() {
+                T::store(out.add(j * STREAM_T_WIDTH + w * T::N), *sv);
+            }
+        }
+    }
+
+    /// All `m` columns of `a` with `W` registers per row of `brow`: eight
+    /// columns at a time when one register holds the `n` lanes (eight
+    /// accumulators), four when it takes two, then 2 and 1.
+    ///
+    /// # Safety
+    /// As [`stream_t`], with `n <= W * T::N <= STREAM_T_WIDTH`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn stream_t_lanes<const W: usize, P: Scalar, T: Lanes>(
+        kb: usize,
+        m: usize,
+        a: *const P,
+        lda: usize,
+        brow: *const T,
+        out: *mut T,
+    ) {
+        let mut j = 0;
+        if W == 1 {
+            while j + 8 <= m {
+                let dst = out.add(j * STREAM_T_WIDTH);
+                stream_t_cols::<8, W, P, T>(kb, a.add(j * lda), lda, brow, dst);
+                j += 8;
+            }
+        }
+        while j + 4 <= m {
+            let dst = out.add(j * STREAM_T_WIDTH);
+            stream_t_cols::<4, W, P, T>(kb, a.add(j * lda), lda, brow, dst);
+            j += 4;
+        }
+        if j + 2 <= m {
+            let dst = out.add(j * STREAM_T_WIDTH);
+            stream_t_cols::<2, W, P, T>(kb, a.add(j * lda), lda, brow, dst);
+            j += 2;
+        }
+        if j < m {
+            let dst = out.add(j * STREAM_T_WIDTH);
+            stream_t_cols::<1, W, P, T>(kb, a.add(j * lda), lda, brow, dst);
+        }
+    }
+
+    /// AVX2 transposed stream kernel; see [`super::stream_t_scalar`] for the
+    /// contract (lanes `n..` of each `out` row are unspecified).
+    ///
+    /// # Safety
+    /// Requires AVX2 + FMA; `a.len() >= (m-1)*lda + kb`,
+    /// `brow.len() >= kb * STREAM_T_WIDTH`, `out.len() >= m * STREAM_T_WIDTH`,
+    /// `1 <= n <= STREAM_T_WIDTH`, `m` non-zero.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn stream_t<P: Scalar, T: Lanes>(
+        kb: usize,
+        m: usize,
+        n: usize,
+        a: &[P],
+        lda: usize,
+        brow: &[T],
+        out: &mut [T],
+    ) {
+        let (a, brow, out) = (a.as_ptr(), brow.as_ptr(), out.as_mut_ptr());
+        if n <= T::N {
+            stream_t_lanes::<1, P, T>(kb, m, a, lda, brow, out);
+        } else {
+            stream_t_lanes::<2, P, T>(kb, m, a, lda, brow, out);
+        }
+    }
 
     /// 8 x 6 f64 micro-kernel: twelve 4-lane accumulators, overwriting
     /// `acc[c*8 + r]` with the packed-panel product.
@@ -474,6 +885,71 @@ pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
     axpy_scalar(alpha, x, y);
 }
+
+/// Implements [`StreamInto`] for storage precision `$p` accumulated in `$t`:
+/// the dispatched fused and transposed stream kernels. The length checks are
+/// `assert!`s because the AVX2 kernels index raw pointers on their strength.
+macro_rules! impl_stream_into {
+    ($p:ty, $t:ty) => {
+        impl StreamInto<$t> for $p {
+            fn stream_kernel(
+                rows: usize,
+                kb: usize,
+                a: &[$p],
+                lda: usize,
+                b: &[$t],
+                ldb: usize,
+                acc: &mut [$t],
+            ) {
+                if rows == 0 || kb == 0 || acc.is_empty() {
+                    return;
+                }
+                let n = acc.len() / rows;
+                assert!(acc.len() == n * rows, "sums are not whole columns");
+                assert!(a.len() >= (kb - 1) * lda + rows, "A too short");
+                assert!(b.len() >= (n - 1) * ldb + kb, "B too short");
+                #[cfg(target_arch = "x86_64")]
+                if simd_level() == SimdLevel::Avx2 {
+                    // SAFETY: AVX2+FMA presence established by `simd_level`;
+                    // the slice lengths were asserted above.
+                    unsafe { avx2::stream::<$p, $t>(rows, kb, a, lda, b, ldb, acc) };
+                    return;
+                }
+                stream_scalar::<$p, $t>(rows, kb, a, lda, b, ldb, acc);
+            }
+
+            fn stream_t_kernel(
+                kb: usize,
+                m: usize,
+                n: usize,
+                a: &[$p],
+                lda: usize,
+                brow: &[$t],
+                out: &mut [$t],
+            ) {
+                if m == 0 || n == 0 {
+                    return;
+                }
+                assert!(n <= STREAM_T_WIDTH, "too many lanes");
+                assert!(a.len() >= (m - 1) * lda + kb, "A too short");
+                assert!(brow.len() >= kb * STREAM_T_WIDTH, "B rows too short");
+                assert!(out.len() >= m * STREAM_T_WIDTH, "sums too short");
+                #[cfg(target_arch = "x86_64")]
+                if simd_level() == SimdLevel::Avx2 {
+                    // SAFETY: AVX2+FMA presence established by `simd_level`;
+                    // the slice lengths were asserted above.
+                    unsafe { avx2::stream_t::<$p, $t>(kb, m, n, a, lda, brow, out) };
+                    return;
+                }
+                stream_t_scalar::<$p, $t>(kb, m, n, a, lda, brow, out);
+            }
+        }
+    };
+}
+
+impl_stream_into!(f64, f64);
+impl_stream_into!(f32, f64);
+impl_stream_into!(f32, f32);
 
 #[cfg(test)]
 mod tests {

@@ -2,17 +2,20 @@
 //! choosing between the packed path and the narrow-RHS stream path, and
 //! packing into thread-owned scratch that is never cleared.
 //!
-//! The contract: for untransposed operands with at most `NR` right-hand-side
-//! columns (the stream path; fewer than `MR` rows stay packed), `gemm` and
-//! `gemm_mixed` produce the bits of the scalar-pinned packed reference; the same columns computed as part of
-//! a wider product (which takes the packed path) are bit-equal; whatever an
-//! earlier GEMM left in the thread's scratch never reaches a result; and the
-//! other dispatch level (`GOFMM_FORCE_SCALAR`) produces the same bits.
+//! The contract: with at most `NR` right-hand-side columns and an
+//! untransposed `B` (the stream path: the fused kernel for `A`, its in-place
+//! twin for `A^T`), `gemm` and `gemm_mixed` produce the bits of the
+//! scalar-pinned packed reference; the same columns computed as part of a
+//! wider product (which takes the packed path) are bit-equal; `A^T B` read in
+//! place equals `A B` over the transposed copy; whatever an earlier GEMM left
+//! in the thread's scratch never reaches a result; and the other dispatch
+//! level (`GOFMM_FORCE_SCALAR`) produces the same bits.
 //!
 //! Entries use the full mantissa, so a changed accumulation order or block
 //! boundary shows up in the last bit (the grid-valued entries of
-//! `proptest_simd.rs` sum exactly in f64 and could not see it). Shapes cross
-//! `KC = 256` and the stream path's 512-row block.
+//! `proptest_simd.rs` sum exactly in f64 and could not see it). Random shapes
+//! cross `KC = 256` and the stream path's 512-row block; [`edge_shapes`]
+//! walks every tail of the kernels on both sides of those edges.
 
 use gofmm_linalg::blas::reference;
 use gofmm_linalg::{gemm, gemm_mixed, simd_level, DenseMatrix, Scalar, SimdLevel, Transpose};
@@ -61,23 +64,46 @@ fn first_cols<T: Scalar>(src: &DenseMatrix<T>, n: usize) -> DenseMatrix<T> {
 type Gemm<T> =
     fn(T, &DenseMatrix<T>, Transpose, &DenseMatrix<T>, Transpose, T, &mut DenseMatrix<T>);
 
-/// The untransposed product `alpha * a * b + beta * c0`.
+/// The product `alpha * op_a(a) * b + beta * c0`.
 fn product<T: Scalar>(
     f: Gemm<T>,
     alpha: T,
-    a: &DenseMatrix<T>,
+    (a, op_a): (&DenseMatrix<T>, Transpose),
     b: &DenseMatrix<T>,
     beta: T,
     c0: &DenseMatrix<T>,
 ) -> DenseMatrix<T> {
     let mut c = c0.clone();
-    f(alpha, a, Transpose::No, b, Transpose::No, beta, &mut c);
+    f(alpha, a, op_a, b, Transpose::No, beta, &mut c);
     c
 }
 
-/// One stream-shaped product in accumulator precision `T`, native and mixed,
-/// against (a) the scalar-pinned packed reference and (b) the same columns
-/// of a product widened past `NR` so that it is packed.
+/// Shapes `(m, k, n)` on both sides of every edge of the stream kernels, for
+/// every `n` in `1..=NR`: `k mod 4` in `{0, 1, 2, 3}` (the fused kernel's
+/// groups of 4, 2 and 1 columns) and partial cache lines of a column (the
+/// transposed kernel's prefetch step) below `KC`, across it and across
+/// `2 * KC`; and row counts around one and two registers of either precision
+/// (`rows mod lanes != 0`, the transposed kernel's 8/4/2/1 columns, fewer
+/// rows than `MR`) and around the 512-row block.
+fn edge_shapes() -> Vec<(usize, usize, usize)> {
+    let ks = (1..=9).chain(252..=260).chain(510..=515);
+    let ms = (1..=18).chain([31, 32, 33, 510, 511, 512, 513, 519, 1030]);
+    let mut shapes = Vec::new();
+    for n in 1..=NR {
+        for (i, k) in ks.clone().enumerate() {
+            shapes.push(([7, 13, 520][i % 3], k, n));
+        }
+        for (i, m) in ms.clone().enumerate() {
+            shapes.push((m, [5, 258][i % 2], n));
+        }
+    }
+    shapes
+}
+
+/// One stream-shaped product in accumulator precision `T` — native, mixed
+/// and with `A` stored transposed — against (a) the scalar-pinned packed
+/// reference and (b) the same columns of a product widened past `NR` so that
+/// it is packed.
 fn check_stream_shape<T: Scalar>(m: usize, k: usize, n: usize, alpha: T, beta: T, seed: u64) {
     let a = fill::<T>(m, k, seed);
     let b = fill::<T>(k, n, seed ^ 0x5bd1);
@@ -90,21 +116,43 @@ fn check_stream_shape<T: Scalar>(m: usize, k: usize, n: usize, alpha: T, beta: T
         T::precision_name()
     );
 
-    let c = bits(&product(gemm, alpha, &a, &b, beta, &c0));
-    let c_ref = bits(&product(reference::gemm, alpha, &a, &b, beta, &c0));
+    let no = Transpose::No;
+    let c = bits(&product(gemm, alpha, (&a, no), &b, beta, &c0));
+    let c_ref = bits(&product(reference::gemm, alpha, (&a, no), &b, beta, &c0));
     assert_eq!(c, c_ref, "{label}: stream vs reference");
-    let c_wide = product(gemm, alpha, &a, &b_wide, beta, &c0_wide);
+    let c_wide = product(gemm, alpha, (&a, no), &b_wide, beta, &c0_wide);
     assert_eq!(
         bits(&first_cols(&c_wide, n)),
         c,
         "{label}: stream vs packed"
     );
 
+    // Per element the transposed kernel runs the same fma chain, so the
+    // product does not depend on which way `A` is stored.
+    let at = (&a.transpose(), Transpose::Yes);
+    let c_t = bits(&product(gemm, alpha, at, &b, beta, &c0));
+    assert_eq!(c_t, c, "{label}: transposed in place vs stream");
+    let c_ref = bits(&product(reference::gemm, alpha, at, &b, beta, &c0));
+    assert_eq!(c_t, c_ref, "{label}: transposed in place vs reference");
+    let c_wide = product(gemm, alpha, at, &b_wide, beta, &c0_wide);
+    assert_eq!(
+        bits(&first_cols(&c_wide, n)),
+        c_t,
+        "{label}: transposed in place vs packed"
+    );
+
     let a_stored = a.cast::<T::PanelScalar>();
     let mut c_mixed = c0.clone();
     gemm_mixed(alpha, &a_stored, &b, beta, &mut c_mixed);
     let c_mixed = bits(&c_mixed);
-    let c_ref = product(reference::gemm, alpha, &a_stored.cast(), &b, beta, &c0);
+    let c_ref = product(
+        reference::gemm,
+        alpha,
+        (&a_stored.cast(), no),
+        &b,
+        beta,
+        &c0,
+    );
     assert_eq!(c_mixed, bits(&c_ref), "{label}: mixed stream vs reference");
     let mut c_wide = c0_wide;
     gemm_mixed(alpha, &a_stored, &b_wide, beta, &mut c_wide);
@@ -132,6 +180,17 @@ proptest! {
         alpha_sel in 0usize..4, beta_sel in 0usize..4, seed in 0u64..1_000_000,
     ) {
         check_stream_shape::<f32>(m, k, n, SCALES[alpha_sel] as f32, SCALES[beta_sel] as f32, seed);
+    }
+}
+
+/// Every tail of the fused kernel and of its transposed twin, in both
+/// precisions, native and mixed.
+#[test]
+fn kernel_edges_are_bit_identical_to_the_packed_reference() {
+    for (i, (m, k, n)) in edge_shapes().into_iter().enumerate() {
+        let (alpha, beta) = (SCALES[1 + i % 3], SCALES[(i / 3) % 4]);
+        check_stream_shape::<f64>(m, k, n, alpha, beta, i as u64);
+        check_stream_shape::<f32>(m, k, n, alpha as f32, beta as f32, i as u64);
     }
 }
 
@@ -172,9 +231,8 @@ fn stream_shapes_keep_the_beta_and_empty_product_contract() {
 }
 
 /// Products small enough to leave most of a dirtied scratch stale: a wide
-/// packed one, a narrow transposed one (transposes never stream), and a
-/// narrow mixed one, whose block sums and widened column run live in the
-/// scratch too.
+/// packed one, a narrow transposed one (whose row-major `B` and block sums
+/// live in the scratch, padding lanes included), and a narrow mixed one.
 fn small_products<T: Scalar>() -> Vec<u64> {
     let no = Transpose::No;
     let mut out = Vec::new();
@@ -225,16 +283,18 @@ fn stale_pack_scratch_never_reaches_a_result() {
 }
 
 /// FNV-1a over the result bits of a fixed list of stream- and packed-path
-/// products in both precisions, native and mixed.
+/// products plus every [`edge_shapes`] entry, in both precisions, native,
+/// mixed and transposed.
 fn dispatch_digest() -> u64 {
     fn products<T: Scalar>(out: &mut Vec<u64>) {
-        for (m, k, n) in [
+        let fixed = [
             (1, 1, 1),
             (19, 300, 4),
             (530, 70, NR),
             (64, 257, 3),
             (40, 40, NR + 3),
-        ] {
+        ];
+        for (m, k, n) in fixed.into_iter().chain(edge_shapes()) {
             let (a, b) = (fill::<T>(m, k, 7), fill::<T>(k, n, 8));
             let mut c = fill::<T>(m, n, 9);
             gemm(
@@ -252,6 +312,16 @@ fn dispatch_digest() -> u64 {
                 &a.cast::<T::PanelScalar>(),
                 &b,
                 T::from_f64(-0.5),
+                &mut c,
+            );
+            out.extend(bits(&c));
+            gemm(
+                T::from_f64(-0.75),
+                &a.transpose(),
+                Transpose::Yes,
+                &b,
+                Transpose::No,
+                T::one(),
                 &mut c,
             );
             out.extend(bits(&c));

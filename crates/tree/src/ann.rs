@@ -65,15 +65,13 @@ fn insert_into(list: &mut Vec<(f64, usize)>, k: usize, j: usize, d: f64, me: usi
     if j == me || !d.is_finite() {
         return;
     }
-    if list.iter().any(|&(_, idx)| idx == j) {
+    // The k-th distance rejects nearly every candidate of a full list, so it
+    // goes before the duplicate scan.
+    if list.len() == k && list.last().is_some_and(|last| last.0 <= d) {
         return;
     }
-    if list.len() == k {
-        if let Some(last) = list.last() {
-            if last.0 <= d {
-                return;
-            }
-        }
+    if list.iter().any(|&(_, idx)| idx == j) {
+        return;
     }
     let pos = list.partition_point(|&(dist, _)| dist <= d);
     list.insert(pos, (d, j));
@@ -135,6 +133,7 @@ pub fn ann_search<O: DistanceOracle>(oracle: &O, cfg: &AnnConfig) -> AnnResult {
         .map(|_| Mutex::new(Vec::with_capacity(k + 1)))
         .collect();
 
+    let exact = recall_samples(oracle, k, cfg);
     let mut iterations = 0;
     let mut recall = 0.0;
     for iter in 0..cfg.max_iters.max(1) {
@@ -155,18 +154,28 @@ pub fn ann_search<O: DistanceOracle>(oracle: &O, cfg: &AnnConfig) -> AnnResult {
         // the per-index mutexes never contend across leaves.
         let leaves: Vec<usize> = tree.leaf_range().collect();
         parallel_for(leaves.len(), cfg.num_threads, |li| {
-            let leaf = leaves[li];
-            let idx = tree.indices(leaf);
-            for (a, &i) in idx.iter().enumerate() {
-                for &j in idx.iter().skip(a + 1) {
-                    let d = oracle.distance(i, j);
-                    insert_into(&mut shared[i].lock().unwrap(), k, j, d, i);
-                    insert_into(&mut shared[j].lock().unwrap(), k, i, d, j);
+            let idx = tree.indices(leaves[li]);
+            let len = idx.len();
+            // The leaf's symmetric distance block, every pair evaluated once.
+            let mut dist = vec![0.0; len * len];
+            for a in 0..len {
+                for b in a + 1..len {
+                    let d = oracle.distance(idx[a], idx[b]);
+                    dist[a * len + b] = d;
+                    dist[b * len + a] = d;
+                }
+            }
+            // One lock per index; its candidates arrive in leaf order, which
+            // is what breaks distance ties. `insert_into` drops the self pair.
+            for (&i, row) in idx.iter().zip(dist.chunks_exact(len)) {
+                let mut list = shared[i].lock().expect(LOCK_POISONED);
+                for (&j, &d) in idx.iter().zip(row) {
+                    insert_into(&mut list, k, j, d, i);
                 }
             }
         });
 
-        recall = estimate_recall(oracle, &shared, k, cfg);
+        recall = estimate_recall(&exact, &shared);
         if recall >= cfg.target_recall {
             break;
         }
@@ -174,7 +183,7 @@ pub fn ann_search<O: DistanceOracle>(oracle: &O, cfg: &AnnConfig) -> AnnResult {
 
     let lists: Vec<Vec<(f64, usize)>> = shared
         .into_iter()
-        .map(|m| m.into_inner().unwrap())
+        .map(|m| m.into_inner().expect(LOCK_POISONED))
         .collect();
     AnnResult {
         neighbors: NeighborList { k, lists },
@@ -196,33 +205,45 @@ pub fn exact_knn<O: DistanceOracle>(oracle: &O, i: usize, k: usize) -> Vec<(f64,
     list
 }
 
-fn estimate_recall<O: DistanceOracle>(
+/// Why a neighbor-list lock can only be poisoned by a bug in this module.
+const LOCK_POISONED: &str = "a leaf search panicked while holding a neighbor list";
+
+/// The sampled indices of the recall estimate with their exact neighbors:
+/// fixed for the whole search, so computed once, not once per iteration.
+fn recall_samples<O: DistanceOracle>(
     oracle: &O,
-    shared: &[Mutex<Vec<(f64, usize)>>],
     k: usize,
     cfg: &AnnConfig,
-) -> f64 {
+) -> Vec<(usize, Vec<usize>)> {
     let n = oracle.len();
     if n <= 1 {
-        return 1.0;
+        return Vec::new();
     }
     let samples = cfg.recall_samples.clamp(1, n);
     let stride = (n / samples).max(1);
-    let mut hit = 0usize;
+    let mut exact = Vec::with_capacity(samples);
     let mut total = 0usize;
     let mut i = 0usize;
     while i < n && total < samples * k {
-        let exact = exact_knn(oracle, i, k);
-        let current = shared[i].lock().unwrap();
-        let current_set: std::collections::HashSet<usize> =
-            current.iter().map(|&(_, j)| j).collect();
-        for (_, j) in exact {
-            total += 1;
-            if current_set.contains(&j) {
-                hit += 1;
-            }
-        }
+        let ids: Vec<usize> = exact_knn(oracle, i, k).iter().map(|&(_, j)| j).collect();
+        total += ids.len();
+        exact.push((i, ids));
         i += stride;
+    }
+    exact
+}
+
+/// Share of the samples' exact neighbors present in the current lists.
+fn estimate_recall(exact: &[(usize, Vec<usize>)], shared: &[Mutex<Vec<(f64, usize)>>]) -> f64 {
+    let mut hit = 0usize;
+    let mut total = 0usize;
+    for (i, ids) in exact {
+        let current = shared[*i].lock().expect(LOCK_POISONED);
+        total += ids.len();
+        hit += ids
+            .iter()
+            .filter(|&&j| current.iter().any(|&(_, c)| c == j))
+            .count();
     }
     if total == 0 {
         1.0
