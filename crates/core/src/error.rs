@@ -34,6 +34,13 @@ pub enum Error {
         /// The dimension the caller supplied.
         got: usize,
     },
+    /// An input holds a NaN or infinite entry where the engine would
+    /// otherwise report a meaningless result (e.g. a Krylov right-hand side,
+    /// whose NaN residual would compare as converged).
+    NonFiniteInput {
+        /// What was non-finite (e.g. `"right-hand side"`).
+        what: &'static str,
+    },
     /// A configuration parameter is outside its valid range.
     InvalidConfig {
         /// Which parameter (e.g. `"leaf_size"`).
@@ -117,6 +124,9 @@ impl std::fmt::Display for Error {
                 expected,
                 got,
             } => write!(f, "{what}: expected {expected}, got {got}"),
+            Error::NonFiniteInput { what } => {
+                write!(f, "{what} contains a NaN or infinite entry")
+            }
             Error::InvalidConfig { what, constraint } => {
                 write!(f, "invalid configuration: {what} {constraint}")
             }
@@ -182,6 +192,12 @@ mod tests {
                     got: 7,
                 },
                 "expected 8, got 7",
+            ),
+            (
+                Error::NonFiniteInput {
+                    what: "right-hand side",
+                },
+                "NaN or infinite",
             ),
             (
                 Error::InvalidConfig {

@@ -206,47 +206,33 @@ pub struct Evaluator<'a, T: Scalar> {
 /// dependency edges; concurrent applies run on *different* workspaces, so the
 /// DAG-delegated synchronization story is unchanged from the `&mut self`
 /// days — it just holds per lease instead of per evaluator.
-pub(crate) struct ApplyWorkspace<T: Scalar> {
+struct ApplyWorkspace<T: Scalar> {
     /// Skeleton weights `w~` per node.
-    pub(crate) wtilde: DisjointCells<DenseMatrix<T>>,
+    wtilde: DisjointCells<DenseMatrix<T>>,
     /// Skeleton potentials `u~` per node.
-    pub(crate) utilde: DisjointCells<DenseMatrix<T>>,
+    utilde: DisjointCells<DenseMatrix<T>>,
     /// Far-field contribution to the output, per leaf.
-    pub(crate) u_far: DisjointCells<DenseMatrix<T>>,
+    u_far: DisjointCells<DenseMatrix<T>>,
     /// Near-field (direct) contribution to the output, per leaf.
-    pub(crate) u_near: DisjointCells<DenseMatrix<T>>,
+    u_near: DisjointCells<DenseMatrix<T>>,
 }
 
 impl<T: Scalar> ApplyWorkspace<T> {
-    /// Allocate buffers shaped for `r` right-hand sides.
+    /// Allocate buffers shaped for `r` right-hand sides: `w~`/`u~` by skeleton
+    /// rank per node, the output accumulators per leaf (zero-sized elsewhere).
     fn allocate(comp: &Compressed<T>, r: usize) -> Self {
-        let all = vec![true; comp.tree.node_count()];
-        Self::allocate_masked(comp, r, &all, &all)
-    }
-
-    /// Allocate only the cells a subtree shard (or the hub) touches:
-    /// `wtilde` for `wtilde_mask` nodes, `utilde` and the per-leaf output
-    /// accumulators for `value_mask` nodes; every other cell is zero-sized,
-    /// so `2^L` shard workspaces together cost about one full workspace.
-    pub(crate) fn allocate_masked(
-        comp: &Compressed<T>,
-        r: usize,
-        wtilde_mask: &[bool],
-        value_mask: &[bool],
-    ) -> Self {
         let node_count = comp.tree.node_count();
         let rank_of = |heap: usize| comp.bases[heap].as_ref().map(|b| b.rank()).unwrap_or(0);
-        let cell = |keep: bool, rows: usize| {
-            if keep {
-                DenseMatrix::zeros(rows, r)
+        let leaf = |h: usize| {
+            if comp.tree.is_leaf(h) {
+                DenseMatrix::zeros(comp.tree.node(h).len, r)
             } else {
                 DenseMatrix::zeros(0, 0)
             }
         };
-        let leaf = |h: usize| cell(value_mask[h] && comp.tree.is_leaf(h), comp.tree.node(h).len);
         Self {
-            wtilde: DisjointCells::from_fn(node_count, |h| cell(wtilde_mask[h], rank_of(h))),
-            utilde: DisjointCells::from_fn(node_count, |h| cell(value_mask[h], rank_of(h))),
+            wtilde: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), r)),
+            utilde: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), r)),
             u_far: DisjointCells::from_fn(node_count, leaf),
             u_near: DisjointCells::from_fn(node_count, leaf),
         }
@@ -254,8 +240,8 @@ impl<T: Scalar> ApplyWorkspace<T> {
 
     /// Zero the accumulator families of a recycled workspace. `wtilde` needs
     /// no reset: every cell that is ever read is fully overwritten by its
-    /// node's N2S task (or, in a sharded apply, by a boundary copy).
-    pub(crate) fn reset(&mut self) {
+    /// node's N2S task.
+    fn reset(&mut self) {
         self.utilde.for_each_mut(|_, m| m.fill(T::zero()));
         self.u_far.for_each_mut(|_, m| m.fill(T::zero()));
         self.u_near.for_each_mut(|_, m| m.fill(T::zero()));
@@ -692,12 +678,6 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         stages.push(("L2L", 0, tree.leaf_range().len()));
         stages
     }
-
-    /// Default policy / worker count, for engines (sharded apply) that build
-    /// on this evaluator and must resolve per-call overrides the same way.
-    pub(crate) fn run_defaults(&self) -> &RunDefaults<TraversalPolicy> {
-        &self.defaults
-    }
 }
 
 /// The concatenation of a leaf's near nodes' original row indices, in
@@ -804,11 +784,11 @@ fn hstack_blocks<T: Scalar>(rows: usize, blocks: &[DenseMatrix<T>]) -> DenseMatr
 /// also fixes the floating-point accumulation order, making outputs
 /// bit-identical across all policies. Concurrent applies never share a
 /// workspace, so they cannot interact at all.
-pub(crate) struct ApplyPass<'p, 'a, T: Scalar> {
-    pub(crate) ev: &'p Evaluator<'a, T>,
-    pub(crate) ws: &'p ApplyWorkspace<T>,
-    pub(crate) w: &'p DenseMatrix<T>,
-    pub(crate) flops: &'p AtomicU64,
+struct ApplyPass<'p, 'a, T: Scalar> {
+    ev: &'p Evaluator<'a, T>,
+    ws: &'p ApplyWorkspace<T>,
+    w: &'p DenseMatrix<T>,
+    flops: &'p AtomicU64,
 }
 
 impl<T: Scalar> ApplyPass<'_, '_, T> {
@@ -832,7 +812,7 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
     }
 
     /// Route a `(family, node)` key from the cached plan to its task.
-    pub(crate) fn dispatch(&self, family: Family, node: usize) {
+    fn dispatch(&self, family: Family, node: usize) {
         match family {
             "N2S" => self.task_n2s(node),
             "S2S" => self.task_s2s(node),
@@ -844,7 +824,7 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
 
     /// N2S: skeleton weights `w~_alpha = P w_alpha` (leaf) or
     /// `P [w~_l; w~_r]` (interior).
-    pub(crate) fn task_n2s(&self, heap: usize) {
+    fn task_n2s(&self, heap: usize) {
         let comp = self.ev.compressed();
         let Some(basis) = comp.bases[heap].as_ref() else {
             return;
@@ -873,7 +853,7 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
     /// S2S: skeleton potentials `u~_beta += K_{skel(beta), Far-skels} w~_Far`
     /// — the far panel times the far nodes' stacked skeleton weights (one
     /// list entry's weights at a time for borrowed blocks).
-    pub(crate) fn task_s2s(&self, heap: usize) {
+    fn task_s2s(&self, heap: usize) {
         let panel = &self.ev.far[heap];
         if panel.is_empty() {
             return;
@@ -888,7 +868,7 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
     }
 
     /// S2N: interpolate skeleton potentials back down the tree.
-    pub(crate) fn task_s2n(&self, heap: usize) {
+    fn task_s2n(&self, heap: usize) {
         let comp = self.ev.compressed();
         let Some(basis) = comp.bases[heap].as_ref() else {
             return;
@@ -933,7 +913,7 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
 
     /// L2L: direct (near) interactions — the near panel times the gathered
     /// input rows (one near node's rows at a time for borrowed blocks).
-    pub(crate) fn task_l2l(&self, heap: usize) {
+    fn task_l2l(&self, heap: usize) {
         let panel = &self.ev.near[heap];
         if panel.is_empty() {
             return;
@@ -952,32 +932,18 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
     /// in the original index order.
     fn assemble(&self) -> DenseMatrix<T> {
         let comp = self.ev.compressed();
-        let mut out = DenseMatrix::zeros(comp.n(), self.w.cols());
-        let leaves: Vec<usize> = comp.tree.leaf_range().collect();
-        self.assemble_into(&mut out, &leaves);
-        out
-    }
-
-    /// Write the given leaves' far + near contributions into `out` rows (the
-    /// per-shard half of [`ApplyPass::assemble`]; shards partition leaves, so
-    /// calling this once per shard fills the full output).
-    pub(crate) fn assemble_into(&self, out: &mut DenseMatrix<T>, leaves: &[usize]) {
-        let comp = self.ev.compressed();
         let r = self.w.cols();
-        for &leaf in leaves {
+        let mut out = DenseMatrix::zeros(comp.n(), r);
+        for leaf in comp.tree.leaf_range() {
             let uf = self.ws.u_far.read(leaf);
             let un = self.ws.u_near.read(leaf);
             for (local, &orig) in comp.tree.indices(leaf).iter().enumerate() {
                 for c in 0..r {
-                    let far_v = if uf.rows() > 0 {
-                        uf.get(local, c)
-                    } else {
-                        T::zero()
-                    };
-                    out.set(orig, c, far_v + un.get(local, c));
+                    out.set(orig, c, uf.get(local, c) + un.get(local, c));
                 }
             }
         }
+        out
     }
 }
 

@@ -59,7 +59,6 @@ pub mod evaluate;
 pub mod lists;
 mod panel;
 mod persist;
-pub mod shard;
 pub mod skel;
 pub mod tune;
 
@@ -74,7 +73,6 @@ pub use evaluate::{
 pub use lists::{build_interaction_lists, check_coverage, InteractionLists};
 #[doc(hidden)]
 pub use persist::{policy_from_tag, policy_tag};
-pub use shard::ShardedApply;
 pub use skel::{skeletonize_node, NodeBasis, SkelParams};
 pub use tune::{AccuracyBudget, TuneStats};
 

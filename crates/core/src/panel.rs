@@ -418,25 +418,18 @@ impl<T: Scalar> Panel<'_, T> {
 impl<T: Scalar> Evaluator<'_, T> {
     /// Spill this evaluator's owned packed panels into `writer`: far panels
     /// under [`classes::S2S`], near panels under [`classes::L2L`], keyed by
-    /// heap index, for every node `filter` accepts (pass `|_| true` for
-    /// all). After the writer is finished and the file reopened as a
+    /// heap index. After the writer is finished and the file reopened as a
     /// [`FilePanelStore`], swap the in-memory panels out with
     /// [`Evaluator::attach_store`].
     ///
     /// # Errors
-    /// [`Error::InvalidConfig`] when a selected panel is borrowed
+    /// [`Error::InvalidConfig`] when a panel is borrowed
     /// ([`Evaluator::borrowing`]) or already file-backed — only owned packed
     /// panels can be spilled; [`Error::Storage`] on a write failure.
-    pub fn spill_panels(
-        &self,
-        writer: &mut StoreWriter,
-        mut filter: impl FnMut(usize) -> bool,
-    ) -> Result<(), Error> {
+    pub fn spill_panels(&self, writer: &mut StoreWriter) -> Result<(), Error> {
         for (class, panels) in [(classes::S2S, &self.far), (classes::L2L, &self.near)] {
             for (heap, panel) in panels.iter().enumerate() {
-                if filter(heap) {
-                    panel.spill(writer, class, heap)?;
-                }
+                panel.spill(writer, class, heap)?;
             }
         }
         Ok(())
@@ -449,8 +442,7 @@ impl<T: Scalar> Evaluator<'_, T> {
     /// patterns), file-backed applies are bit-identical to the in-memory
     /// evaluator under every traversal policy. Panels absent from the store
     /// (or borrowed) are left untouched, so one evaluator can mix resident
-    /// and spilled nodes — or spread its nodes across several stores by
-    /// calling this once per store.
+    /// and spilled nodes.
     pub fn attach_store(&mut self, store: &Arc<FilePanelStore>) {
         for (class, panels) in [
             (classes::S2S, &mut self.far),

@@ -56,7 +56,7 @@ impl<T: Scalar> Evaluator<'_, T> {
         if let Some(ts) = &self.tune_stats {
             put(classes::TUNE_META, &|buf| encode_tune_meta(buf, ts))?;
         }
-        self.spill_panels(writer, |_| true)
+        self.spill_panels(writer)
     }
 }
 

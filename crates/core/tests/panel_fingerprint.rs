@@ -143,7 +143,7 @@ fn apply_bits_match_the_recorded_fingerprints() {
         // Spilled and attached at a thrashing budget.
         let panels_path = dir.join("panels.gfmm");
         let mut writer = StoreWriter::create(&panels_path).unwrap();
-        ev.spill_panels(&mut writer, |_| true).unwrap();
+        ev.spill_panels(&mut writer).unwrap();
         writer.finish().unwrap();
         let store = Arc::new(FilePanelStore::open(&panels_path, THRASHING_BUDGET).unwrap());
         ev.attach_store(&store);

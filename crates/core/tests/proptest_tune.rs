@@ -208,7 +208,7 @@ fn tune_validates_budget_and_panel_ownership() {
     let path = dir.join("panels.gfmm");
     {
         let mut writer = StoreWriter::create(&path).unwrap();
-        ev.spill_panels(&mut writer, |_| true).unwrap();
+        ev.spill_panels(&mut writer).unwrap();
         writer.finish().unwrap();
     }
     let store = Arc::new(FilePanelStore::open(&path, 1 << 20).unwrap());
@@ -263,7 +263,7 @@ fn cached_bytes_shrinks_after_spill_and_attach() {
     let path = dir.join("panels.gfmm");
     {
         let mut writer = StoreWriter::create(&path).unwrap();
-        ev.spill_panels(&mut writer, |_| true).unwrap();
+        ev.spill_panels(&mut writer).unwrap();
         writer.finish().unwrap();
     }
     let store = Arc::new(FilePanelStore::open(&path, 1 << 22).unwrap());

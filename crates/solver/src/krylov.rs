@@ -289,8 +289,10 @@ fn column_norms<T: Scalar>(b: &DenseMatrix<T>) -> Vec<f64> {
         .collect()
 }
 
-/// Check that `b` matches the operator's dimension, and that the
-/// preconditioner (when it has a dimension) matches the operator.
+/// Check that `b` matches the operator's dimension and is finite, and that
+/// the preconditioner (when it has a dimension) matches the operator. A NaN
+/// entry would otherwise make its column's residual NaN, which no `> tol`
+/// test ever keeps iterating: the column would report converged at `x = 0`.
 fn check_system<T: Scalar>(
     op: &impl LinearOperator<T>,
     pre: &impl Preconditioner<T>,
@@ -312,7 +314,18 @@ fn check_system<T: Scalar>(
             });
         }
     }
-    Ok(())
+    check_finite_rhs(b)
+}
+
+/// [`Error::NonFiniteInput`] unless every entry of `b` is finite.
+pub(crate) fn check_finite_rhs<T: Scalar>(b: &DenseMatrix<T>) -> Result<(), Error> {
+    if b.data().iter().all(|v| v.to_f64().is_finite()) {
+        Ok(())
+    } else {
+        Err(Error::NonFiniteInput {
+            what: "right-hand side",
+        })
+    }
 }
 
 /// Preconditioned conjugate gradients for SPD systems `A x = b`.
@@ -333,6 +346,7 @@ fn check_system<T: Scalar>(
 /// # Errors
 /// [`Error::DimensionMismatch`] when `b.rows() != op.dim()` or the
 /// preconditioner's dimension does not match the operator's;
+/// [`Error::NonFiniteInput`] when `b` holds a NaN or infinite entry;
 /// [`Error::Cancelled`] when `opts.cancel` fires between iterations.
 pub fn cg<T: Scalar>(
     op: &impl LinearOperator<T>,
@@ -468,7 +482,8 @@ pub fn cg<T: Scalar>(
 /// Unpreconditioned conjugate gradients (`M = I`).
 ///
 /// # Errors
-/// [`Error::DimensionMismatch`] when `b.rows() != op.dim()`.
+/// [`Error::DimensionMismatch`] when `b.rows() != op.dim()`;
+/// [`Error::NonFiniteInput`] when `b` holds a NaN or infinite entry.
 pub fn cg_unpreconditioned<T: Scalar>(
     op: &impl LinearOperator<T>,
     b: &DenseMatrix<T>,
@@ -488,6 +503,7 @@ pub fn cg_unpreconditioned<T: Scalar>(
 /// # Errors
 /// [`Error::DimensionMismatch`] when `b.rows() != op.dim()` or the
 /// preconditioner's dimension does not match the operator's;
+/// [`Error::NonFiniteInput`] when `b` holds a NaN or infinite entry;
 /// [`Error::Cancelled`] when `opts.cancel` fires between restart cycles.
 pub fn gmres<T: Scalar>(
     op: &impl LinearOperator<T>,

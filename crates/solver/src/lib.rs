@@ -81,7 +81,6 @@ pub mod factor;
 pub mod krylov;
 pub mod operator;
 pub mod serve;
-pub mod shard;
 pub mod ulv;
 
 pub use factor::{FactorOptions, FactorStats, HierarchicalFactor};
@@ -99,8 +98,7 @@ pub use serve::{
     BatchedServer, FlightProgress, ServeConfig, ServerStats, Ticket, BATCH_WIDTH_BUCKETS,
     BATCH_WIDTH_BUCKET_BOUNDS, BATCH_WIDTH_BUCKET_LABELS,
 };
-pub use shard::ShardedOperator;
-pub use ulv::{ShardedSolve, UlvFactor};
+pub use ulv::UlvFactor;
 
 /// Storage-tier types accepted by [`GofmmOperatorBuilder::storage`] and the
 /// spill/attach surface; re-exported from `gofmm-core` (which re-exports
@@ -112,41 +110,12 @@ pub use gofmm_core::{FilePanelStore, StorageConfig, StoreStatsSnapshot, StoreWri
 /// callers can sparsify their operators without a core dependency.
 pub use gofmm_core::{AccuracyBudget, TuneStats};
 
-use gofmm_core::{Compressed, Evaluator};
-use gofmm_linalg::{DenseMatrix, Scalar};
-use gofmm_matrices::SpdMatrix;
-
-/// One-call solve of `(K~ + lambda I) x = b` by preconditioned CG, where
-/// `K~` is the compressed operator served by a persistent [`Evaluator`] and
-/// the preconditioner is the [`HierarchicalFactor`] of the same compression.
-///
-/// Builds the evaluator and the factorization (their setup time lands in
-/// [`SolveStats::setup_time`]), then iterates; after setup no kernel entry
-/// is evaluated. Callers solving many systems against one compression
-/// should hold a [`GofmmOperator`] (or the evaluator and factor themselves)
-/// and call [`GofmmOperator::solve_cg`] / [`cg`] directly.
-pub fn solve_cg<T: Scalar, M: SpdMatrix<T> + ?Sized>(
-    matrix: &M,
-    comp: &Compressed<T>,
-    lambda: f64,
-    b: &DenseMatrix<T>,
-    opts: &KrylovOptions,
-) -> Result<(DenseMatrix<T>, SolveStats), Error> {
-    let t0 = std::time::Instant::now();
-    let evaluator = Evaluator::new(matrix, comp);
-    let factor = HierarchicalFactor::new(matrix, comp, lambda)?;
-    let setup_time = t0.elapsed().as_secs_f64();
-    let op = Shifted::new(evaluator, lambda);
-    let (x, mut stats) = cg(&op, &factor, b, opts)?;
-    stats.setup_time = setup_time;
-    Ok((x, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gofmm_core::{compress, ApplyOptions, GofmmConfig, TraversalPolicy};
-    use gofmm_linalg::matmul_nt;
+    use gofmm_linalg::{matmul_nt, DenseMatrix};
+    use gofmm_matrices::SpdMatrix;
     use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -339,19 +308,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn solve_cg_quickstart_converges() {
-        let n = 256;
-        let k = test_matrix(n);
-        let comp = compress::<f64, _>(&k, &hss_config());
-        let b = DenseMatrix::<f64>::from_fn(n, 1, |i, _| ((i * 13 % 17) as f64) - 8.0);
-        let (x, stats) = solve_cg(&k, &comp, 1e-2, &b, &KrylovOptions::default()).unwrap();
-        assert!(stats.converged, "residual {}", stats.relative_residual);
-        assert!(stats.setup_time > 0.0);
-        assert!(stats.iterations < 25, "iterations {}", stats.iterations);
-        assert_eq!(x.rows(), n);
     }
 
     #[test]

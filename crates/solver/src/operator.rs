@@ -270,7 +270,7 @@ impl<T: Scalar> GofmmOperator<T> {
     /// [`UlvFactor::attach_store`]). An SMW factorization, when present,
     /// stays in memory — only the evaluator's panels and the ULV backend's
     /// nodes participate in the storage tier.
-    pub fn attach_store(&mut self, store: &Arc<FilePanelStore>) {
+    fn attach_store(&mut self, store: &Arc<FilePanelStore>) {
         self.evaluator.attach_store(store);
         if let Some(FactorEngine::Ulv(f)) = &mut self.factor {
             f.attach_store(store);
@@ -350,7 +350,8 @@ impl<T: Scalar> GofmmOperator<T> {
     /// # Errors
     /// [`Error::NoFactorization`] when the operator was built without
     /// [`GofmmOperatorBuilder::factorize`]; [`Error::DimensionMismatch`] when
-    /// `b.rows() != n`.
+    /// `b.rows() != n`; [`Error::NonFiniteInput`] when `b` holds a NaN or
+    /// infinite entry.
     pub fn solve_cg(
         &self,
         b: &DenseMatrix<T>,

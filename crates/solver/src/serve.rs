@@ -51,7 +51,7 @@ use gofmm_telemetry::{
     TraceSink,
 };
 
-use crate::krylov::KrylovOptions;
+use crate::krylov::{check_finite_rhs, KrylovOptions};
 use crate::operator::GofmmOperator;
 
 /// Number of buckets in the batch-width histogram:
@@ -642,10 +642,13 @@ impl<T: Scalar> BatchedServer<T> {
     /// CG requests whose `tol`, `max_iters` and `restart` agree exactly;
     /// `opts.cancel` is ignored (use [`Ticket::cancel`]). Per-column
     /// iteration freezing in the CG driver makes the coalesced solution of
-    /// each column bit-identical to a solo solve.
+    /// each column bit-identical to a solo solve. A right-hand side with a
+    /// NaN or infinite entry is refused here, so it can never fail (or
+    /// silently converge at zero) inside a coalesced batch.
     ///
     /// # Errors
-    /// As [`BatchedServer::submit_solve`].
+    /// [`Error::NonFiniteInput`] for a non-finite right-hand side; otherwise
+    /// as [`BatchedServer::submit_solve`].
     pub fn submit_solve_cg(
         &self,
         b: &DenseMatrix<T>,
@@ -655,6 +658,7 @@ impl<T: Scalar> BatchedServer<T> {
         if self.shared.op.backend().is_none() {
             return Err(Error::NoFactorization);
         }
+        check_finite_rhs(b)?;
         self.submit(RequestKind::SolveCg(opts.clone()), b, deadline)
     }
 

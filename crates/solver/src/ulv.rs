@@ -47,7 +47,7 @@ use gofmm_linalg::{
 use gofmm_matrices::SpdMatrix;
 use gofmm_runtime::{
     heap_level, parallel_for, CancelToken, DisjointCells, PhasePlan, ReusablePlan, RunDefaults,
-    SchedulePolicy, WorkspacePool,
+    WorkspacePool,
 };
 use gofmm_store::{classes, Blob, ByteReader, ByteWriter, FilePanelStore, StoreError, StoreWriter};
 use gofmm_telemetry::{traced_barrier, traced_task, SpanKind, SweepProgress};
@@ -259,24 +259,11 @@ struct UlvWorkspace<T: Scalar> {
 }
 
 impl<T: Scalar> UlvWorkspace<T> {
-    /// Full workspace: sweep cells for every node. `dims[h]` is node `h`'s
+    /// Sweep cells for every node, `r` columns wide. `dims[h]` is node `h`'s
     /// `(reduced, eliminated)` pair — kept on the factor (not read from the
     /// nodes) so allocation never faults a store-backed node in.
     fn allocate(comp: &Compressed<T>, dims: &[(usize, usize)], r: usize) -> Self {
         let node_count = comp.tree.node_count();
-        Self::allocate_masked(comp, dims, r, &vec![true; node_count])
-    }
-
-    /// Workspace for a subset of nodes: unmasked cells are zero-row (a
-    /// sharded sweep only ever touches its own subtree + boundary cells).
-    fn allocate_masked(
-        comp: &Compressed<T>,
-        dims: &[(usize, usize)],
-        r: usize,
-        mask: &[bool],
-    ) -> Self {
-        let node_count = comp.tree.node_count();
-        let rows = |heap: usize, want: usize| if mask[heap] { want } else { 0 };
         let leaf_rows = |heap: usize| {
             if comp.tree.is_leaf(heap) {
                 comp.tree.node(heap).len
@@ -285,10 +272,10 @@ impl<T: Scalar> UlvWorkspace<T> {
             }
         };
         Self {
-            bred: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rows(h, dims[h].0), r)),
-            y2: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rows(h, dims[h].1), r)),
-            xred: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rows(h, dims[h].0), r)),
-            x: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rows(h, leaf_rows(h)), r)),
+            bred: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].0, r)),
+            y2: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].1, r)),
+            xred: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].0, r)),
+            x: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(leaf_rows(h), r)),
         }
     }
 }
@@ -339,8 +326,8 @@ pub struct UlvFactor<'a, T: Scalar> {
     comp: CompRef<'a, T>,
     slots: Vec<NodeSlot<T>>,
     /// Per-node `(reduced, eliminated)` sweep dimensions, kept separately
-    /// from the slots so workspace allocation and sharding never fault a
-    /// store-backed node in.
+    /// from the slots so workspace allocation never faults a store-backed
+    /// node in.
     dims: Vec<(usize, usize)>,
     /// The SUP/SDOWN solve DAG (same shape as the SMW backend's), built once
     /// and re-run per solve.
@@ -726,23 +713,15 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     }
 
     /// Spill this factor's per-node blocks into `writer` under
-    /// [`classes::ULV_NODE`], keyed by heap index, for every node `filter`
-    /// accepts (pass `|_| true` for all). After the writer is finished and
-    /// the file reopened as a [`FilePanelStore`], swap the in-memory nodes
-    /// out with [`UlvFactor::attach_store`].
+    /// [`classes::ULV_NODE`], keyed by heap index. After the writer is
+    /// finished and the file reopened as a [`FilePanelStore`], swap the
+    /// in-memory nodes out with [`UlvFactor::attach_store`].
     ///
     /// # Errors
-    /// [`Error::InvalidConfig`] when a selected node is already file-backed;
+    /// [`Error::InvalidConfig`] when a node is already file-backed;
     /// [`Error::Storage`] on a write failure.
-    pub fn spill_nodes(
-        &self,
-        writer: &mut StoreWriter,
-        mut filter: impl FnMut(usize) -> bool,
-    ) -> Result<(), Error> {
+    pub fn spill_nodes(&self, writer: &mut StoreWriter) -> Result<(), Error> {
         for (heap, slot) in self.slots.iter().enumerate() {
-            if !filter(heap) {
-                continue;
-            }
             match slot {
                 NodeSlot::Mem(n) => writer
                     .put(classes::ULV_NODE, heap as u32, n.as_ref())
@@ -764,8 +743,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     /// fault those nodes per task through the store's LRU resident set;
     /// the spilled bytes are exact IEEE bit patterns, so file-backed solves
     /// are bit-identical under every traversal policy. Nodes absent from
-    /// the store are left untouched, so one factor can spread its nodes
-    /// across several stores by calling this once per store.
+    /// the store are left untouched.
     pub fn attach_store(&mut self, store: &Arc<FilePanelStore>) {
         for (heap, slot) in self.slots.iter_mut().enumerate() {
             if matches!(slot, NodeSlot::Mem(_)) && store.contains(classes::ULV_NODE, heap as u32) {
@@ -812,7 +790,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
         writer
             .put_raw(classes::ULV_META, 0, &buf)
             .map_err(Error::from)?;
-        self.spill_nodes(writer, |_| true)
+        self.spill_nodes(writer)
     }
 }
 
@@ -1160,18 +1138,9 @@ impl<T: Scalar> UlvSolvePass<'_, '_, T> {
     /// Scatter the per-leaf solutions back into original index order.
     fn assemble(&self) -> DenseMatrix<T> {
         let comp = &*self.factor.comp;
-        let mut out = DenseMatrix::zeros(comp.n(), self.b.cols());
-        let leaves: Vec<usize> = comp.tree.leaf_range().collect();
-        self.assemble_into(&mut out, &leaves);
-        out
-    }
-
-    /// Scatter a subset of leaves' solutions into `out` (the sharded solve
-    /// assembles each shard's leaves from that shard's workspace).
-    fn assemble_into(&self, out: &mut DenseMatrix<T>, leaves: &[usize]) {
-        let comp = &*self.factor.comp;
         let r = self.b.cols();
-        for &leaf in leaves {
+        let mut out = DenseMatrix::zeros(comp.n(), r);
+        for leaf in comp.tree.leaf_range() {
             let x = self.ws.x.read(leaf);
             for (local, &orig) in comp.tree.indices(leaf).iter().enumerate() {
                 for c in 0..r {
@@ -1179,323 +1148,8 @@ impl<T: Scalar> UlvSolvePass<'_, '_, T> {
                 }
             }
         }
+        out
     }
-}
-
-/// One subtree shard of a sharded ULV solve: its node set and its two plans.
-struct SolveShard {
-    /// Heap index of the shard root (a node at the cut level).
-    root: usize,
-    /// Every node of the shard's subtree, root included, ascending heap
-    /// order.
-    subtree: Vec<usize>,
-    /// The subtree's leaves (the output rows this shard assembles).
-    leaves: Vec<usize>,
-    /// Upward sweep: subtree `SUP`, children before parents.
-    up_plan: ReusablePlan,
-    /// Downward sweep: subtree `SDOWN`, parents before children.
-    down_plan: ReusablePlan,
-}
-
-/// The solve sweep of a [`UlvFactor`], partitioned into subtree shards at a
-/// tree level — the solver half of [`gofmm_core::ShardedApply`].
-///
-/// The ULV sweeps couple parent and child only (reduced right-hand sides up,
-/// reduced solutions down; there are no far lists), so the only boundary
-/// exchange is one `s x r` cell per shard in each direction: the shard
-/// root's `b~` is copied into the hub workspace after the shard's upward
-/// sweep, and the root's `x~` is copied back after the hub's sweep. Every
-/// cell still has exactly one writing task and every GEMM the same operands
-/// as the unsharded solve, so sharded solves are **bit-identical** to
-/// [`UlvFactor::solve_with`] under all four traversal policies.
-///
-/// Because a shard only faults its own subtree's factor blocks, a shard
-/// backed by its own [`FilePanelStore`] bounds resident factor bytes by the
-/// per-store budget instead of the whole factorization.
-pub struct ShardedSolve<T: Scalar> {
-    level: u32,
-    shards: Vec<SolveShard>,
-    /// Hub sweep: `SUP` then `SDOWN` over the levels above the cut.
-    hub_plan: ReusablePlan,
-    /// Per-shard workspace pools (masked to the subtree), keyed by RHS
-    /// count.
-    shard_pools: Vec<WorkspacePool<UlvWorkspace<T>>>,
-    /// Hub workspace pool (masked to the hub nodes + shard roots).
-    hub_pool: WorkspacePool<UlvWorkspace<T>>,
-}
-
-impl<T: Scalar> ShardedSolve<T> {
-    /// Partition `factor`'s solve DAG at tree level `level` (`1..=depth`).
-    ///
-    /// # Errors
-    /// [`Error::InvalidConfig`] when `level` is 0 or exceeds the tree depth.
-    pub fn new(factor: &UlvFactor<'_, T>, level: u32) -> Result<Self, Error> {
-        let comp = &*factor.comp;
-        let tree = &comp.tree;
-        if level == 0 || level > tree.depth() {
-            return Err(Error::InvalidConfig {
-                what: "shard level",
-                constraint: "must be between 1 and the tree depth",
-            });
-        }
-        let m = comp.config.leaf_size as f64;
-        let sk = comp.config.max_rank as f64;
-        let cost = |heap: usize| {
-            if tree.is_leaf(heap) {
-                2.0 * m * m + 2.0 * m * sk
-            } else {
-                8.0 * sk * sk
-            }
-        };
-
-        let mut shards = Vec::new();
-        for root in tree.level_range(level) {
-            let mut subtree = vec![root];
-            let mut i = 0;
-            while i < subtree.len() {
-                let h = subtree[i];
-                if !tree.is_leaf(h) {
-                    let (l, r) = tree.children(h);
-                    subtree.push(l);
-                    subtree.push(r);
-                }
-                i += 1;
-            }
-            subtree.sort_unstable();
-            let leaves: Vec<usize> = subtree
-                .iter()
-                .copied()
-                .filter(|&h| tree.is_leaf(h))
-                .collect();
-
-            // Upward plan: children before parents (descending heap order is
-            // a valid postorder).
-            let mut up_plan = ReusablePlan::new();
-            for &h in subtree.iter().rev() {
-                let deps: Vec<(&'static str, usize)> = if tree.is_leaf(h) {
-                    Vec::new()
-                } else {
-                    let (l, r) = tree.children(h);
-                    vec![("SUP", l), ("SUP", r)]
-                };
-                up_plan.add("SUP", h, cost(h), &deps);
-            }
-
-            // Downward plan: parents before children. The shard root's x~
-            // was installed by the down-exchange, so it has no parent edge;
-            // y2 dependencies are satisfied by construction (the upward plan
-            // ran to completion before this plan starts).
-            let mut down_plan = ReusablePlan::new();
-            for &h in &subtree {
-                let deps: Vec<(&'static str, usize)> = if h == root {
-                    Vec::new()
-                } else {
-                    vec![("SDOWN", (h - 1) / 2)]
-                };
-                down_plan.add("SDOWN", h, cost(h), &deps);
-            }
-
-            shards.push(SolveShard {
-                root,
-                subtree,
-                leaves,
-                up_plan,
-                down_plan,
-            });
-        }
-
-        // Hub plan: SUP over the hub nodes (children first — level-(L-1)
-        // tasks read the shard roots' b~, installed by the up-exchange, so
-        // their SUP keys are absent and already satisfied), then SDOWN top
-        // down (level-(L-1) tasks write the shard roots' x~ cells, which the
-        // down-exchange exports).
-        let first_at_cut = tree.level_range(level).start;
-        let mut hub_plan = ReusablePlan::new();
-        for h in (0..first_at_cut).rev() {
-            let (l, r) = tree.children(h);
-            hub_plan.add("SUP", h, cost(h), &[("SUP", l), ("SUP", r)]);
-        }
-        for h in 0..first_at_cut {
-            let mut deps: Vec<(&'static str, usize)> = vec![("SUP", h)];
-            if h != 0 {
-                deps.push(("SDOWN", (h - 1) / 2));
-            }
-            hub_plan.add("SDOWN", h, cost(h), &deps);
-        }
-
-        let shard_pools = shards.iter().map(|_| WorkspacePool::new()).collect();
-        Ok(Self {
-            level,
-            shards,
-            hub_plan,
-            shard_pools,
-            hub_pool: WorkspacePool::new(),
-        })
-    }
-
-    /// The cut level this engine shards at.
-    pub fn level(&self) -> u32 {
-        self.level
-    }
-
-    /// Number of subtree shards (`2^level`).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Heap indices of shard `s`'s subtree (ascending), for partitioning a
-    /// factor's nodes across per-shard stores.
-    pub fn shard_subtree(&self, s: usize) -> &[usize] {
-        &self.shards[s].subtree
-    }
-
-    /// Solve `(K_hss + lambda I) x = b` through the sharded sweep —
-    /// bit-identical to `factor.solve_with(b, opts)` for the factor this
-    /// engine was built from.
-    ///
-    /// `opts.progress` is ignored (sweep progress is reported by the
-    /// unsharded engine); policy, threads, cancellation and tracing apply.
-    ///
-    /// # Errors
-    /// [`Error::DimensionMismatch`] when `b.rows() != n`;
-    /// [`Error::Cancelled`] when `opts.cancel` fires between phases or
-    /// mid-plan.
-    pub fn solve(
-        &self,
-        factor: &UlvFactor<'_, T>,
-        b: &DenseMatrix<T>,
-        opts: &ApplyOptions,
-    ) -> Result<DenseMatrix<T>, Error> {
-        let comp = &*factor.comp;
-        if b.rows() != comp.n() {
-            return Err(Error::DimensionMismatch {
-                what: "right-hand-side rows",
-                expected: comp.n(),
-                got: b.rows(),
-            });
-        }
-        let cancel = opts.cancel.as_ref();
-        let check = || -> Result<(), Error> {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                Err(Error::Cancelled)
-            } else {
-                Ok(())
-            }
-        };
-        check()?;
-        let (policy, num_threads) = factor.defaults.resolve(opts.policy, opts.threads);
-        // Level-by-level has no DAG scheduler; within a shard the plans'
-        // insertion order is already the barrier order, so run sequentially.
-        let sched = policy
-            .schedule_policy()
-            .unwrap_or(SchedulePolicy::Sequential);
-        let sink = opts.trace.as_ref();
-        let r = b.cols();
-
-        // Phase 1: every shard's upward sweep against its masked workspace.
-        let mut shard_ws: Vec<_> = Vec::with_capacity(self.shards.len());
-        for (s, shard) in self.shards.iter().enumerate() {
-            check()?;
-            let ws = self.shard_pools[s].lease(r, || self.allocate_shard_ws(factor, s, r));
-            let pass = UlvSolvePass { factor, ws: &ws, b };
-            shard
-                .up_plan
-                .run_with(sched, num_threads, cancel, sink, |_, node| {
-                    pass.task_up(node)
-                })
-                .map_err(|_| Error::Cancelled)?;
-            shard_ws.push(ws);
-        }
-
-        // Up-exchange: the shard roots' reduced right-hand sides move into
-        // the hub workspace.
-        check()?;
-        let hub_ws = self.hub_pool.lease(r, || self.allocate_hub_ws(factor, r));
-        for (s, shard) in self.shards.iter().enumerate() {
-            copy_cell(&shard_ws[s].bred, &hub_ws.bred, shard.root);
-        }
-
-        // Phase 2: the hub's SUP + SDOWN sweep.
-        check()?;
-        {
-            let pass = UlvSolvePass {
-                factor,
-                ws: &hub_ws,
-                b,
-            };
-            self.hub_plan
-                .run_with(
-                    sched,
-                    num_threads,
-                    cancel,
-                    sink,
-                    |family, node| match family {
-                        "SUP" => pass.task_up(node),
-                        "SDOWN" => pass.task_down(node),
-                        other => unreachable!("unknown solve task family {other}"),
-                    },
-                )
-                .map_err(|_| Error::Cancelled)?;
-        }
-
-        // Down-exchange + phase 3: each shard imports its root's reduced
-        // solution, runs its downward sweep, and assembles its leaves.
-        let mut out = DenseMatrix::zeros(comp.n(), r);
-        for (s, shard) in self.shards.iter().enumerate() {
-            check()?;
-            copy_cell(&hub_ws.xred, &shard_ws[s].xred, shard.root);
-            let pass = UlvSolvePass {
-                factor,
-                ws: &shard_ws[s],
-                b,
-            };
-            shard
-                .down_plan
-                .run_with(sched, num_threads, cancel, sink, |_, node| {
-                    pass.task_down(node)
-                })
-                .map_err(|_| Error::Cancelled)?;
-            pass.assemble_into(&mut out, &shard.leaves);
-        }
-        Ok(out)
-    }
-
-    /// A shard workspace: sweep cells over the subtree only.
-    fn allocate_shard_ws(&self, factor: &UlvFactor<'_, T>, s: usize, r: usize) -> UlvWorkspace<T> {
-        let comp = &*factor.comp;
-        let mut mask = vec![false; comp.tree.node_count()];
-        for &h in &self.shards[s].subtree {
-            mask[h] = true;
-        }
-        UlvWorkspace::allocate_masked(comp, &factor.dims, r, &mask)
-    }
-
-    /// The hub workspace: sweep cells over the hub nodes and the shard
-    /// roots (whose `b~`/`x~` cells carry the boundary exchange).
-    fn allocate_hub_ws(&self, factor: &UlvFactor<'_, T>, r: usize) -> UlvWorkspace<T> {
-        let comp = &*factor.comp;
-        let first_at_cut = comp.tree.level_range(self.level).start;
-        let mut mask = vec![false; comp.tree.node_count()];
-        for h in 0..first_at_cut {
-            mask[h] = true;
-        }
-        for shard in &self.shards {
-            mask[shard.root] = true;
-        }
-        UlvWorkspace::allocate_masked(comp, &factor.dims, r, &mask)
-    }
-}
-
-/// Copy one node's cell between workspaces (the boundary-exchange
-/// primitive; both sides are `s x r` with identical dimensions).
-fn copy_cell<T: Scalar>(
-    src: &DisjointCells<DenseMatrix<T>>,
-    dst: &DisjointCells<DenseMatrix<T>>,
-    node: usize,
-) {
-    let s = src.read(node);
-    let mut d = dst.write(node);
-    d.data_mut().copy_from_slice(s.data());
 }
 
 #[cfg(test)]

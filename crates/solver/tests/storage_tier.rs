@@ -1,6 +1,6 @@
 //! Integration tests of the storage tier: out-of-core (file-backed)
-//! operators under eviction-thrashing resident budgets, subtree-sharded
-//! applies and solves, and operator persistence round-trips — every path
+//! operators under eviction-thrashing resident budgets and operator
+//! persistence round-trips — every path
 //! asserted **bit-identical** to the in-memory baseline, because the spilled
 //! bytes are exact IEEE bit patterns and the sweeps' reduction orders do not
 //! depend on where a panel lives.
@@ -8,7 +8,7 @@
 use gofmm_core::{ApplyOptions, Evaluator, GofmmConfig, StorageConfig, TraversalPolicy};
 use gofmm_linalg::DenseMatrix;
 use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
-use gofmm_solver::{GofmmOperator, ShardedOperator, StoreWriter, UlvFactor};
+use gofmm_solver::{GofmmOperator, StoreWriter, UlvFactor};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -126,84 +126,6 @@ fn file_backed_operator_bit_identical_under_tiny_budget() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Sharded applies and solves are bit-identical to the unsharded operator at
-/// every viable cut level, with and without per-shard stores.
-#[test]
-fn sharded_operator_bit_identical_across_levels() {
-    let n = 512;
-    let kernel = test_kernel(n, 21);
-    let cfg = test_config(32, 40);
-    let lambda = 5e-2;
-    let op = GofmmOperator::<f64>::builder(&kernel)
-        .config(cfg.clone())
-        .factorize(lambda)
-        .build()
-        .expect("operator");
-    let w = rhs(n, 2, 3);
-    let b = rhs(n, 3, 5);
-    let want_u = op.apply(&w).expect("baseline apply");
-    let want_x = op.solve(&b).expect("baseline solve");
-
-    let depth = op.compressed().tree.depth();
-    assert!(
-        depth >= 2,
-        "need at least two shardable levels, got {depth}"
-    );
-    for level in [1u32, 2u32] {
-        let sharded = ShardedOperator::new(&op, level).expect("sharded engine");
-        assert_eq!(sharded.shard_count(), 1 << level);
-        assert!(sharded.can_solve());
-        for policy in ALL_POLICIES {
-            let opts = ApplyOptions::default().with_policy(policy);
-            let (u, _) = sharded.apply_with(&op, &w, &opts).expect("sharded apply");
-            assert_eq!(
-                u.data(),
-                want_u.data(),
-                "sharded apply diverged at level {level} under {policy:?}"
-            );
-            let x = sharded.solve_with(&op, &b, &opts).expect("sharded solve");
-            assert_eq!(
-                x.data(),
-                want_x.data(),
-                "sharded solve diverged at level {level} under {policy:?}"
-            );
-        }
-    }
-
-    // Same cut, now with one store file per shard and an eviction-thrashing
-    // per-shard budget. Attaching the stores also flips the *unsharded*
-    // operator out of core — it must stay bit-identical too.
-    let dir = tmp_dir("sharded-stores");
-    let mut op = op;
-    let budget = op.evaluator().cached_bytes() / 8;
-    let sharded =
-        ShardedOperator::new_with_storage(&mut op, 2, &dir, budget).expect("sharded with storage");
-    assert_eq!(sharded.stores().len(), sharded.shard_count() + 1);
-    let (u, _) = sharded
-        .apply_with(&op, &w, &ApplyOptions::default())
-        .expect("out-of-core sharded apply");
-    assert_eq!(u.data(), want_u.data());
-    let x = sharded
-        .solve_with(&op, &b, &ApplyOptions::default())
-        .expect("out-of-core sharded solve");
-    assert_eq!(x.data(), want_x.data());
-    let u2 = op.apply(&w).expect("unsharded out-of-core apply");
-    assert_eq!(u2.data(), want_u.data());
-    let total_faults: u64 = sharded.store_stats().iter().map(|s| s.faults).sum();
-    assert!(
-        total_faults > 0,
-        "sharded sweeps must read through the stores"
-    );
-    for stats in sharded.store_stats() {
-        assert!(
-            stats.peak_resident_bytes <= budget as u64,
-            "a shard store exceeded its budget: {} > {budget}",
-            stats.peak_resident_bytes
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Persistence round-trip: an operator written with `write_to` and reopened
 /// with `open_from` — compression replayed from the store's headers, panels
 /// and factor blocks served out of core — applies and solves bit-identically
@@ -262,7 +184,6 @@ struct Instance {
     leaf_size: usize,
     max_rank: usize,
     rhs_cols: usize,
-    shard_level: u32,
     budget_divisor: usize,
 }
 
@@ -270,16 +191,15 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
     (
         (160usize..=320, 0u64..1000),
         (4u32..=5, 16usize..=32),
-        (1usize..=3, 1u32..=2, 3usize..=16),
+        (1usize..=3, 3usize..=16),
     )
         .prop_map(
-            |((n, seed), (leaf_pow, max_rank), (rhs_cols, shard_level, budget_divisor))| Instance {
+            |((n, seed), (leaf_pow, max_rank), (rhs_cols, budget_divisor))| Instance {
                 n,
                 seed,
                 leaf_size: 1usize << leaf_pow,
                 max_rank,
                 rhs_cols,
-                shard_level,
                 budget_divisor,
             },
         )
@@ -288,10 +208,10 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random kernels, leaf sizes, RHS widths, shard levels and resident
-    /// budgets (down to ~6% of the packed bytes, i.e. heavy eviction
-    /// thrash): file-backed and sharded paths always match the in-memory
-    /// baseline bit-for-bit, and the budget is always respected.
+    /// Random kernels, leaf sizes, RHS widths and resident budgets (down to
+    /// ~6% of the packed bytes, i.e. heavy eviction thrash): the file-backed
+    /// path always matches the in-memory baseline bit-for-bit, and the
+    /// budget is always respected.
     #[test]
     fn storage_paths_match_memory_bit_for_bit(inst in arb_instance()) {
         let kernel = test_kernel(inst.n, inst.seed);
@@ -322,16 +242,6 @@ proptest! {
         prop_assert_eq!(x.data(), want_x.data());
         let stats = op.store_stats().expect("store stats");
         prop_assert!(stats.peak_resident_bytes <= budget as u64);
-
-        // Sharded over the same (already file-backed) operator, when the
-        // tree is deep enough for the drawn cut.
-        if op.compressed().tree.depth() >= inst.shard_level {
-            let sharded = ShardedOperator::new(&op, inst.shard_level).expect("sharded");
-            let (u, _) = sharded.apply_with(&op, &w, &ApplyOptions::default()).expect("sharded apply");
-            prop_assert_eq!(u.data(), want_u.data());
-            let x = sharded.solve_with(&op, &b, &ApplyOptions::default()).expect("sharded solve");
-            prop_assert_eq!(x.data(), want_x.data());
-        }
         drop(op);
         let _ = std::fs::remove_dir_all(&dir);
     }

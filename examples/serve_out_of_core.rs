@@ -7,15 +7,14 @@
 //! operator's bytes. The sweeps fault panels back per task, evict under
 //! pressure, and still produce results **bit-identical** to the in-memory
 //! operator — asserted below, along with the peak-resident guarantee. A
-//! `BatchedServer` runs unchanged on top, and the subtree-sharded engine
-//! shows the same operator partitioned into per-shard store files.
+//! `BatchedServer` runs unchanged on top.
 //!
 //! Run with: `cargo run --release --example serve_out_of_core`
 
 use gofmm_suite::core::{GofmmConfig, TraversalPolicy};
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{KernelMatrix, KernelType, PointCloud};
-use gofmm_suite::{BatchedServer, GofmmOperator, ServeConfig, ShardedOperator, StorageConfig};
+use gofmm_suite::{BatchedServer, GofmmOperator, ServeConfig, StorageConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -99,34 +98,6 @@ fn main() {
     let served = ticket.wait().expect("served solve");
     assert_eq!(served.data(), x.data(), "served solve must match");
     println!("batched server served a solve through the same store");
-
-    // 5. Sharded: partition the sweeps at tree level 2 and give each
-    //    subtree its own store file and budget.
-    let shard_dir = dir.join("shards");
-    let mut sharded_op = GofmmOperator::<f64>::builder(&kernel)
-        .config(
-            GofmmConfig::default()
-                .with_leaf_size(128)
-                .with_max_rank(96)
-                .with_tolerance(1e-7)
-                .with_budget(0.0),
-        )
-        .factorize(lambda)
-        .build()
-        .expect("operator to shard");
-    let sharded = ShardedOperator::new_with_storage(&mut sharded_op, 2, &shard_dir, budget / 4)
-        .expect("sharded engine");
-    let (us, _) = sharded
-        .apply_with(&sharded_op, &w, &Default::default())
-        .expect("sharded apply");
-    assert_eq!(us.data(), u.data(), "sharded apply must be bit-identical");
-    let xs = sharded.solve(&sharded_op, &w).expect("sharded solve");
-    assert_eq!(xs.data(), x.data(), "sharded solve must be bit-identical");
-    let per_shard: Vec<u64> = sharded.store_stats().iter().map(|s| s.faults).collect();
-    println!(
-        "{} subtree shards (+1 hub) served bit-identical sweeps; per-store faults: {per_shard:?}",
-        sharded.shard_count(),
-    );
 
     let _ = std::fs::remove_dir_all(&dir);
     println!("done — store files cleaned up from {}", dir.display());

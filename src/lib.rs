@@ -27,7 +27,6 @@ pub use gofmm_tree as tree;
 pub use gofmm_core::{AccuracyBudget, ApplyOptions, CancelToken, Error, PanelPrecision, TuneStats};
 pub use gofmm_solver::{
     BatchedServer, FactorBackend, FlightProgress, GofmmOperator, GofmmOperatorBuilder,
-    KrylovOptions, ServeConfig, ServerStats, ShardedOperator, StorageConfig, StoreStatsSnapshot,
-    Ticket,
+    KrylovOptions, ServeConfig, ServerStats, StorageConfig, StoreStatsSnapshot, Ticket,
 };
 pub use gofmm_telemetry::{MetricsRegistry, ProgressHandle, ProgressReport, Trace, TraceSink};

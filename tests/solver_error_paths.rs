@@ -1,12 +1,16 @@
 //! Solver error paths through the `GofmmOperator` front door, exercised
 //! against **both** factorization backends: a deliberately singular
 //! regularized block surfaces as a typed error (never a panic),
-//! solve-before-factorize reports `NoFactorization`, and a wrong-length
-//! right-hand side reports `DimensionMismatch`.
+//! solve-before-factorize reports `NoFactorization`, a wrong-length
+//! right-hand side reports `DimensionMismatch`, and a non-finite Krylov
+//! right-hand side reports `NonFiniteInput` (directly and at serving
+//! admission).
 
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{KernelMatrix, KernelType, PointCloud, SpdMatrix};
-use gofmm_suite::{Error, FactorBackend, GofmmOperator, KrylovOptions};
+use gofmm_suite::solver::{cg, gmres, IdentityPreconditioner};
+use gofmm_suite::{BatchedServer, Error, FactorBackend, GofmmOperator, KrylovOptions, ServeConfig};
+use std::sync::Arc;
 
 /// A diagonal SPD-except-for-one-entry matrix: entry `n/2` of the diagonal
 /// is exactly zero, so with `lambda = 0` one leaf's regularized block is
@@ -148,4 +152,70 @@ fn wrong_length_rhs_reports_dimension_mismatch_in_both_backends() {
         let (_, stats) = op.solve_cg(&b, &KrylovOptions::default()).unwrap();
         assert!(stats.converged);
     }
+}
+
+/// A well-posed right-hand side with entry `i` replaced by `bad`.
+fn poisoned_rhs(n: usize, i: usize, bad: f64) -> DenseMatrix<f64> {
+    let mut b = DenseMatrix::<f64>::from_fn(n, 1, |r, _| ((r % 7) as f64) - 3.0);
+    b[(i, 0)] = bad;
+    b
+}
+
+#[test]
+fn non_finite_rhs_is_refused_by_every_krylov_entry_point() {
+    // One NaN used to return `converged: true` at `x = 0`: the NaN residual
+    // fails every `> tol` test, so the column froze before iterating.
+    let n = 128;
+    let k = well_posed_kernel(n);
+    let op = GofmmOperator::<f64>::builder(&k)
+        .config(config())
+        .factorize(1e-2)
+        .build()
+        .expect("well-posed operator must build");
+    let opts = KrylovOptions::default();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let b = poisoned_rhs(n, n / 3, bad);
+        for err in [
+            cg(&op, &IdentityPreconditioner, &b, &opts).unwrap_err(),
+            gmres(&op, &IdentityPreconditioner, &b, &opts).unwrap_err(),
+            op.solve_cg(&b, &opts).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, Error::NonFiniteInput { .. }),
+                "{bad}: expected NonFiniteInput, got {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn served_non_finite_cg_request_is_rejected_at_admission() {
+    let n = 128;
+    let k = well_posed_kernel(n);
+    let op = GofmmOperator::<f64>::builder(&k)
+        .config(config())
+        .factorize(1e-2)
+        .build()
+        .expect("well-posed operator must build");
+    let opts = KrylovOptions::default();
+    let finite = DenseMatrix::<f64>::from_fn(n, 1, |i, _| ((i % 5) as f64) - 2.0);
+    let (solo, _) = op.solve_cg(&finite, &opts).expect("solo solve");
+
+    let server = BatchedServer::new(Arc::new(op), ServeConfig::default());
+    let before = server.submit_solve_cg(&finite, &opts, None).expect("admit");
+    let poisoned = server.submit_solve_cg(&poisoned_rhs(n, 7, f64::NAN), &opts, None);
+    assert!(
+        matches!(poisoned, Err(Error::NonFiniteInput { .. })),
+        "a NaN CG request must be refused at admission"
+    );
+    let after = server.submit_solve_cg(&finite, &opts, None).expect("admit");
+    for ticket in [before, after] {
+        let x = ticket.wait().expect("finite request must be served");
+        assert_eq!(x.data(), solo.data(), "served CG must match its solo solve");
+    }
+    assert_eq!(
+        server.stats().admitted,
+        2,
+        "only finite requests are admitted"
+    );
 }
