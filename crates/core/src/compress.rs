@@ -216,7 +216,9 @@ pub fn compress<T: Scalar, M: SpdMatrix<T> + ?Sized>(
 ///
 /// Validates the input ([`crate::Error::EmptyInput`]) and the configuration
 /// ([`GofmmConfig::validate`] → [`crate::Error::InvalidConfig`]) before doing
-/// any work, and — when [`GofmmConfig::strict_rank_budget`] is set — reports
+/// any work, refuses a matrix with a NaN or infinite diagonal entry
+/// ([`crate::Error::NonFiniteInput`]), and — when
+/// [`GofmmConfig::strict_rank_budget`] is set — reports
 /// [`crate::Error::BudgetExhausted`] if any node's adaptive skeletonization
 /// was cut off by the rank cap rather than the accuracy tolerance.
 pub fn try_compress<T: Scalar, M: SpdMatrix<T> + ?Sized>(
@@ -242,8 +244,23 @@ pub fn try_compress<T: Scalar, M: SpdMatrix<T> + ?Sized>(
         },
         seed: config.seed,
     };
-    let (tree, neighbors) = if config.metric.has_distance() {
-        let oracle = GramOracle::<T, M>::new(matrix, config.metric);
+    // A NaN or infinite diagonal (say, from a NaN coordinate) would surface
+    // much later as an indefinite block; the distance metrics have the
+    // diagonal at hand already.
+    let oracle = config
+        .metric
+        .has_distance()
+        .then(|| GramOracle::<T, M>::new(matrix, config.metric));
+    let diagonal_finite = match &oracle {
+        Some(oracle) => oracle.diagonal().iter().all(|d| d.is_finite()),
+        None => (0..n).all(|i| matrix.diag(i).is_finite()),
+    };
+    if !diagonal_finite {
+        return Err(crate::Error::NonFiniteInput {
+            what: "matrix diagonal",
+        });
+    }
+    let (tree, neighbors) = if let Some(oracle) = oracle {
         let t0 = Instant::now();
         let ann = ann_search(
             &oracle,

@@ -100,9 +100,66 @@ impl<'a, T: Scalar, M: SpdMatrix<T> + ?Sized> GramOracle<'a, T, M> {
         self.metric
     }
 
-    #[inline]
-    fn kij(&self, i: usize, j: usize) -> f64 {
-        self.matrix.entry(i, j).to_f64()
+    /// The matrix diagonal `K_ii`, in double precision.
+    pub fn diagonal(&self) -> &[f64] {
+        &self.diag
+    }
+
+    /// [`DistanceOracle::distance_block`] of a Gram metric whose distance
+    /// of a distinct pair is `gram(K_ii, K_jj, K_ij)`.
+    fn gram_block(
+        &self,
+        rows: &[usize],
+        cols: &[usize],
+        out: &mut [f64],
+        gram: impl Fn(f64, f64, f64) -> f64,
+    ) {
+        let m = rows.len();
+        if out.is_empty() {
+            return;
+        }
+        let krows: Vec<f64> = rows.iter().map(|&i| self.diag[i]).collect();
+        // K a few columns at a time: a block of K as large as `out` next
+        // to it makes glibc return and re-fault the top of the heap on every
+        // ANN leaf of a fresh process (+10 % on its first search).
+        let tile = (GRAM_TILE_ENTRIES / m).max(1);
+        for (out, cols) in out.chunks_mut(tile * m).zip(cols.chunks(tile)) {
+            let k = self.matrix.submatrix(rows, cols);
+            let columns = out.chunks_exact_mut(m).zip(k.data().chunks_exact(m));
+            for ((dist, kcol), &j) in columns.zip(cols) {
+                let kjj = self.diag[j];
+                for ((d, &kii), kij) in dist.iter_mut().zip(&krows).zip(kcol) {
+                    *d = gram(kii, kjj, kij.to_f64());
+                }
+                // As in `distance`, a pair with itself is at distance zero.
+                for (d, &i) in dist.iter_mut().zip(rows) {
+                    if i == j {
+                        *d = 0.0;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Entries of `K` one `submatrix` call of a Gram distance block asks for
+/// (at least one column): 32 KiB of f64.
+const GRAM_TILE_ENTRIES: usize = 4096;
+
+/// Kernel distance of a distinct pair from `K_ii`, `K_jj` and `K_ij`.
+#[inline(always)]
+fn kernel_distance(kii: f64, kjj: f64, kij: f64) -> f64 {
+    (kii + kjj - 2.0 * kij).max(0.0).sqrt()
+}
+
+/// Angle distance of a distinct pair from `K_ii`, `K_jj` and `K_ij`.
+#[inline(always)]
+fn angle_distance(kii: f64, kjj: f64, kij: f64) -> f64 {
+    let denom = kii * kjj;
+    if denom <= 0.0 {
+        1.0
+    } else {
+        (1.0 - (kij * kij) / denom).max(0.0)
     }
 }
 
@@ -115,25 +172,34 @@ impl<'a, T: Scalar, M: SpdMatrix<T> + ?Sized> DistanceOracle for GramOracle<'a, 
         if i == j {
             return 0.0;
         }
+        let (kii, kjj) = (self.diag[i], self.diag[j]);
         match self.metric {
-            DistanceMetric::Kernel => {
-                let d2 = self.diag[i] + self.diag[j] - 2.0 * self.kij(i, j);
-                d2.max(0.0).sqrt()
-            }
-            DistanceMetric::Angle => {
-                let denom = self.diag[i] * self.diag[j];
-                if denom <= 0.0 {
-                    return 1.0;
-                }
-                let k = self.kij(i, j);
-                (1.0 - (k * k) / denom).max(0.0)
-            }
+            DistanceMetric::Kernel => kernel_distance(kii, kjj, self.matrix.entry(i, j).to_f64()),
+            DistanceMetric::Angle => angle_distance(kii, kjj, self.matrix.entry(i, j).to_f64()),
             DistanceMetric::Geometric => {
                 let pc = self.coords.expect("geometric oracle without coordinates");
                 pc.dist(i, j)
             }
             DistanceMetric::Lexicographic | DistanceMetric::Random => {
                 unreachable!("no distance defined")
+            }
+        }
+    }
+
+    /// A Gram distance block comes from `submatrix` calls of a few columns
+    /// each, turned into distances a column at a time.
+    fn distance_block(&self, rows: &[usize], cols: &[usize], out: &mut [f64]) {
+        assert_eq!(out.len(), rows.len() * cols.len(), "distance block shape");
+        match self.metric {
+            DistanceMetric::Kernel => self.gram_block(rows, cols, out, kernel_distance),
+            DistanceMetric::Angle => self.gram_block(rows, cols, out, angle_distance),
+            _ => {
+                let m = rows.len();
+                for (c, &j) in cols.iter().enumerate() {
+                    for (r, &i) in rows.iter().enumerate() {
+                        out[c * m + r] = self.distance(i, j);
+                    }
+                }
             }
         }
     }
@@ -170,38 +236,34 @@ impl<'a, T: Scalar, M: SpdMatrix<T> + ?Sized> DistanceOracle for GramOracle<'a, 
                     .collect()
             }
             DistanceMetric::Kernel | DistanceMetric::Angle => {
-                // ||c||^2 = (1/nc^2) sum_{s,t} K_st, needed by both metrics.
+                // The centroid c is one more Gram vector: K_cc = ||c||^2 and
+                // K_ic = phi_i . c stand in for K_jj and K_ij.
+                let gram: fn(f64, f64, f64) -> f64 = if self.metric == DistanceMetric::Kernel {
+                    kernel_distance
+                } else {
+                    angle_distance
+                };
+                // ||c||^2 = (1/nc^2) sum_{s,t} K_st, summed row by row.
+                let ss = self.matrix.submatrix(sample, sample);
                 let mut cc = 0.0;
-                for &s in sample {
-                    for &t in sample {
-                        cc += self.kij(s, t);
+                for s in 0..sample.len() {
+                    for t in 0..sample.len() {
+                        cc += ss[(s, t)].to_f64();
                     }
                 }
                 cc /= nc * nc;
+                // phi_i . c = (1/nc) sum_s K_is, each sum in sample order.
+                let ts = self.matrix.submatrix(targets, sample);
+                let mut ics = vec![0.0; targets.len()];
+                for s in 0..sample.len() {
+                    for (ic, k) in ics.iter_mut().zip(ts.col(s)) {
+                        *ic += k.to_f64();
+                    }
+                }
                 targets
                     .iter()
-                    .map(|&i| {
-                        // phi_i . c = (1/nc) sum_s K_is
-                        let mut ic = 0.0;
-                        for &s in sample {
-                            ic += self.kij(i, s);
-                        }
-                        ic /= nc;
-                        match self.metric {
-                            DistanceMetric::Kernel => {
-                                (self.diag[i] + cc - 2.0 * ic).max(0.0).sqrt()
-                            }
-                            DistanceMetric::Angle => {
-                                let denom = self.diag[i] * cc;
-                                if denom <= 0.0 {
-                                    1.0
-                                } else {
-                                    (1.0 - (ic * ic) / denom).max(0.0)
-                                }
-                            }
-                            _ => unreachable!(),
-                        }
-                    })
+                    .zip(ics)
+                    .map(|(&i, ic)| gram(self.diag[i], cc, ic / nc))
                     .collect()
             }
             DistanceMetric::Lexicographic | DistanceMetric::Random => {
@@ -319,6 +381,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn distance_blocks_are_the_pairwise_distances_bit_for_bit() {
+        use gofmm_matrices::CastedSpd;
+        let km = KernelMatrix::new(
+            PointCloud::uniform(60, 3, 4),
+            KernelType::Gaussian { bandwidth: 0.4 },
+            1e-3,
+            "t",
+        );
+        let rows = [7, 0, 59, 7, 31, 12, 3, 44, 18];
+        let cols = [7, 12, 0, 7, 50];
+        fn check<T: Scalar, M: SpdMatrix<T>>(k: &M, rows: &[usize], cols: &[usize]) {
+            for metric in [
+                DistanceMetric::Kernel,
+                DistanceMetric::Angle,
+                DistanceMetric::Geometric,
+            ] {
+                let oracle = GramOracle::<T, M>::new(k, metric);
+                let mut block = vec![f64::NAN; rows.len() * cols.len()];
+                oracle.distance_block(rows, cols, &mut block);
+                for (c, &j) in cols.iter().enumerate() {
+                    for (r, &i) in rows.iter().enumerate() {
+                        assert_eq!(
+                            block[c * rows.len() + r].to_bits(),
+                            oracle.distance(i, j).to_bits(),
+                            "{metric} {}: d({i}, {j})",
+                            T::precision_name()
+                        );
+                    }
+                }
+                let mut empty: [f64; 0] = [];
+                oracle.distance_block(&[], cols, &mut empty);
+                oracle.distance_block(rows, &[], &mut empty);
+            }
+        }
+        check::<f64, _>(&km, &rows, &cols);
+        check::<f32, _>(&CastedSpd::new(&km), &rows, &cols);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`blas`] — packed, cache-blocked GEMM (plus the mixed-precision
 //!   [`blas::gemm_mixed`]), GEMV, dots and norm estimates,
 //! * [`simd`] — the runtime-dispatched AVX2/FMA micro-kernels behind them,
-//!   with a portable scalar fallback (`GOFMM_FORCE_SCALAR=1` pins it),
+//!   and the vectorised `exp` behind kernel-matrix blocks, with a portable
+//!   scalar fallback (`GOFMM_FORCE_SCALAR=1` pins it),
 //! * [`qr`] — Householder QR/QL and column-pivoted (rank-revealing) QR,
 //! * [`trsm`] — triangular solves,
 //! * [`ulv`] — ULV building blocks: two-sided orthogonal block reduction and

@@ -5,7 +5,9 @@
 //! register micro-kernel over packed panels, the fused and the transposed
 //! stream kernel of GEMM's narrow-RHS path (which read `A` in place, see
 //! [`stream_scalar`] and [`stream_t_scalar`] for their contracts), a dot
-//! product and an axpy. This module provides two implementations of each:
+//! product and an axpy. Kernel-matrix blocks add a sixth, an in-place `exp`
+//! over a slice ([`exp_in_place`]). This module provides two implementations
+//! of each:
 //!
 //! * an x86-64 AVX2/FMA path written against `core::arch` intrinsics
 //!   (`8 x 6` tiles of f64, `16 x 6` tiles of f32 — twelve ymm accumulators,
@@ -32,7 +34,8 @@
 //! element in increasing `p`, and every lane of the transposed one is a
 //! zero-initialised sequential chain, so they agree with the micro-kernel and
 //! with their scalar twins bit for bit. The same holds
-//! for [`crate::blas::axpy`], which is element-wise. [`crate::blas::dot`]
+//! for [`crate::blas::axpy`] and [`exp_in_place`], which are element-wise
+//! ([`exp_scalar`] is the per-lane sequence of the latter). [`crate::blas::dot`]
 //! splits its accumulation
 //! across vector lanes and recombines, so its SIMD result may differ from
 //! the scalar one in the last bits (the kernel-equivalence suite bounds the
@@ -113,6 +116,74 @@ pub fn microkernel_scalar<T: Scalar>(
                 *cv = av.mul_add(*bv, *cv);
             }
         }
+    }
+}
+
+/// `1 / k!` for `k = 13, 12, ..., 2`: the Horner coefficients of the
+/// degree-13 Taylor polynomial of `exp` on `|r| <= ln(2) / 2`, whose
+/// truncation error there is below 0.06 ulp.
+const EXP_TAYLOR: [f64; 12] = [
+    1.0 / 6_227_020_800.0,
+    1.0 / 479_001_600.0,
+    1.0 / 39_916_800.0,
+    1.0 / 3_628_800.0,
+    1.0 / 362_880.0,
+    1.0 / 40_320.0,
+    1.0 / 5_040.0,
+    1.0 / 720.0,
+    1.0 / 120.0,
+    1.0 / 24.0,
+    1.0 / 6.0,
+    1.0 / 2.0,
+];
+/// `1.5 * 2^52`: adding it rounds any `|v| < 2^51` to an integer, which
+/// then sits in the low mantissa bits.
+const EXP_SHIFT: f64 = 6_755_399_441_055_744.0;
+/// `ln 2` split Cody–Waite style: the last 20 mantissa bits of `LN2_HI`
+/// are zero, so `k * LN2_HI` is exact for every `|k| <= 1076`.
+const EXP_LN2_HI: f64 = 0.693_147_180_369_123_8;
+const EXP_LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+/// Inputs are clamped into `[EXP_MIN, EXP_MAX]` before the reduction; the
+/// clamped ends still evaluate to `0` and `+inf`.
+const EXP_MIN: f64 = -746.0;
+const EXP_MAX: f64 = 710.0;
+
+/// Portable `exp`: the exact operation sequence of each lane of the AVX2
+/// kernel behind [`exp_in_place`], so both paths give the same bits.
+///
+/// `x` is clamped to `[-746, 710]`; `k = round(x / ln 2)` comes from the
+/// `1.5 * 2^52` shift, `r = x - k ln 2` from a two-constant Cody–Waite
+/// reduction, `exp(r)` from a degree-13 Horner polynomial in fmas, and the
+/// result is scaled by `2^k` as `2^floor(k/2) * 2^ceil(k/2)` so that every
+/// result from overflow down to the subnormals takes one rounding. Within
+/// 1 ulp of libm everywhere; `exp(±0) = 1`, `exp(-inf) = 0`,
+/// `exp(+inf) = +inf` and a NaN is returned unchanged.
+#[inline(always)]
+pub fn exp_scalar(x: f64) -> f64 {
+    let xc = x.clamp(EXP_MIN, EXP_MAX);
+    let shifted = xc.mul_add(std::f64::consts::LOG2_E, EXP_SHIFT);
+    let k = shifted - EXP_SHIFT;
+    let r = k.mul_add(-EXP_LN2_HI, xc);
+    let r = k.mul_add(-EXP_LN2_LO, r);
+    let mut p = EXP_TAYLOR[0];
+    for c in &EXP_TAYLOR[1..] {
+        p = p.mul_add(r, *c);
+    }
+    p = p.mul_add(r, 1.0);
+    p = p.mul_add(r, 1.0);
+    // The mantissa of `shifted` is `2^51 + k`, so the low 12 bits of
+    // `bits >> 1` and of `bits - (bits >> 1)` are `floor(k/2)` and
+    // `ceil(k/2)` modulo 4096: biased and shifted into place, the exponent
+    // fields of the two factors.
+    let bits = shifted.to_bits();
+    let half = bits >> 1;
+    let lo = f64::from_bits(half.wrapping_add(1023) << 52);
+    let hi = f64::from_bits(bits.wrapping_sub(half).wrapping_add(1023) << 52);
+    let y = p * lo * hi;
+    if x.is_nan() {
+        x
+    } else {
+        y
     }
 }
 
@@ -209,7 +280,10 @@ pub fn stream_t_scalar<P: Scalar, T: Scalar>(
 mod avx2 {
     //! AVX2/FMA kernels. All functions here are `unsafe` because of
     //! `#[target_feature]`; callers must have checked [`super::simd_level`].
-    use super::{widen, STREAM_GROUP, STREAM_T_WIDTH};
+    use super::{
+        widen, EXP_LN2_HI, EXP_LN2_LO, EXP_MAX, EXP_MIN, EXP_SHIFT, EXP_TAYLOR, STREAM_GROUP,
+        STREAM_T_WIDTH,
+    };
     use crate::scalar::Scalar;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
@@ -769,6 +843,58 @@ mod avx2 {
         acc
     }
 
+    /// Four lanes of [`super::exp_scalar`], operation for operation. Only a
+    /// NaN lane differs on the way (`vminpd` clamps it to the bound where
+    /// `f64::clamp` keeps it), and the final blend returns it unchanged on
+    /// both paths.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn exp_lanes(x: __m256d) -> __m256d {
+        let shift = _mm256_set1_pd(EXP_SHIFT);
+        let xc = _mm256_max_pd(
+            _mm256_min_pd(x, _mm256_set1_pd(EXP_MAX)),
+            _mm256_set1_pd(EXP_MIN),
+        );
+        let shifted = _mm256_fmadd_pd(xc, _mm256_set1_pd(std::f64::consts::LOG2_E), shift);
+        let k = _mm256_sub_pd(shifted, shift);
+        let r = _mm256_fmadd_pd(k, _mm256_set1_pd(-EXP_LN2_HI), xc);
+        let r = _mm256_fmadd_pd(k, _mm256_set1_pd(-EXP_LN2_LO), r);
+        let mut p = _mm256_set1_pd(EXP_TAYLOR[0]);
+        for c in &EXP_TAYLOR[1..] {
+            p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(*c));
+        }
+        let one = _mm256_set1_pd(1.0);
+        p = _mm256_fmadd_pd(p, r, one);
+        p = _mm256_fmadd_pd(p, r, one);
+        let bits = _mm256_castpd_si256(shifted);
+        let half = _mm256_srli_epi64::<1>(bits);
+        let bias = _mm256_set1_epi64x(1023);
+        let lo = _mm256_slli_epi64::<52>(_mm256_add_epi64(half, bias));
+        let hi = _mm256_slli_epi64::<52>(_mm256_add_epi64(_mm256_sub_epi64(bits, half), bias));
+        let y = _mm256_mul_pd(
+            _mm256_mul_pd(p, _mm256_castsi256_pd(lo)),
+            _mm256_castsi256_pd(hi),
+        );
+        _mm256_blendv_pd(y, x, _mm256_cmp_pd::<_CMP_UNORD_Q>(x, x))
+    }
+
+    /// AVX2 in-place `exp`. Each element of a short tail is broadcast and
+    /// evaluated in registers, which keeps a one-element call (an entry of
+    /// a kernel matrix) free of memory round trips.
+    ///
+    /// # Safety
+    /// Requires AVX2 + FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn exp_in_place(xs: &mut [f64]) {
+        let mut chunks = xs.chunks_exact_mut(4);
+        for c in &mut chunks {
+            _mm256_storeu_pd(c.as_mut_ptr(), exp_lanes(_mm256_loadu_pd(c.as_ptr())));
+        }
+        for x in chunks.into_remainder() {
+            *x = _mm256_cvtsd_f64(exp_lanes(_mm256_set1_pd(*x)));
+        }
+    }
+
     /// AVX2 f64 axpy: element-wise `y[i] = fma(alpha, x[i], y[i])`,
     /// bit-identical to the scalar fallback.
     ///
@@ -872,6 +998,20 @@ pub fn axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
         return;
     }
     axpy_scalar(alpha, x, y);
+}
+
+/// Dispatched in-place `exp` of every element, bit-identical across paths
+/// (see [`exp_scalar`] for the method and its accuracy).
+pub fn exp_in_place(xs: &mut [f64]) {
+    #[cfg(target_arch = "x86_64")]
+    if simd_level() == SimdLevel::Avx2 {
+        // SAFETY: AVX2+FMA presence established by `simd_level`.
+        unsafe { avx2::exp_in_place(xs) };
+        return;
+    }
+    for x in xs {
+        *x = exp_scalar(*x);
+    }
 }
 
 /// Dispatched f32 axpy (bit-identical across paths).

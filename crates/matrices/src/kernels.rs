@@ -10,7 +10,10 @@
 
 use crate::points::PointCloud;
 use crate::spd::SpdMatrix;
-use gofmm_linalg::Scalar;
+use gofmm_linalg::simd::exp_in_place;
+#[cfg(target_arch = "x86_64")]
+use gofmm_linalg::{simd_level, SimdLevel};
+use gofmm_linalg::{DenseMatrix, Scalar};
 
 /// Supported kernel functions.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -48,7 +51,10 @@ pub enum KernelType {
 }
 
 impl KernelType {
-    /// Evaluate the kernel on two points.
+    /// Evaluate the kernel on two points with libm's `exp`: the reference
+    /// formula. [`KernelMatrix`] entries equal it bit for bit for every
+    /// kernel but the two exponential ones, whose entries go through the
+    /// vectorised `exp` of `gofmm_linalg::simd` and stay within 1 ulp of it.
     pub fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         match *self {
             KernelType::Gaussian { bandwidth } => {
@@ -83,6 +89,51 @@ impl KernelType {
         }
     }
 
+    /// True for the kernels that depend on the points through `||x - y||^2`
+    /// alone, which [`KernelMatrix`] evaluates with [`Self::radial_in_place`].
+    fn is_radial(&self) -> bool {
+        !matches!(
+            self,
+            KernelType::Polynomial { .. } | KernelType::CosineSimilarity
+        )
+    }
+
+    /// Replace every squared distance in `v` by the kernel value, lane by
+    /// lane: [`Self::eval`]'s tail, with the vectorised `exp` for the two
+    /// exponential kernels. Radial kernels only.
+    #[inline(always)]
+    fn radial_in_place(&self, v: &mut [f64]) {
+        match *self {
+            KernelType::Gaussian { bandwidth } => {
+                let denom = 2.0 * bandwidth * bandwidth;
+                for x in v.iter_mut() {
+                    *x = -*x / denom;
+                }
+                exp_in_place(v);
+            }
+            KernelType::Exponential { bandwidth } => {
+                for x in v.iter_mut() {
+                    *x = -x.sqrt() / bandwidth;
+                }
+                exp_in_place(v);
+            }
+            KernelType::Laplace { shift } => {
+                for x in v.iter_mut() {
+                    *x = 1.0 / (x.sqrt() + shift);
+                }
+            }
+            KernelType::InverseMultiquadric { c } => {
+                let c2 = c * c;
+                for x in v.iter_mut() {
+                    *x = 1.0 / (*x + c2).sqrt();
+                }
+            }
+            KernelType::Polynomial { .. } | KernelType::CosineSimilarity => {
+                unreachable!("{} is not a radial kernel", self.label())
+            }
+        }
+    }
+
     /// Short identifier used in experiment reports.
     pub fn label(&self) -> String {
         match *self {
@@ -95,6 +146,10 @@ impl KernelType {
         }
     }
 }
+
+/// Rows a kernel block evaluates per pass: 2 KiB of a column and of each
+/// coordinate of the rows.
+const ROW_TILE: usize = 256;
 
 #[inline]
 fn dist2(a: &[f64], b: &[f64]) -> f64 {
@@ -150,6 +205,88 @@ impl KernelMatrix {
     pub fn points(&self) -> &PointCloud {
         &self.points
     }
+
+    /// `K_{rows, cols}` in double precision, column-major. Every entry
+    /// equals [`SpdMatrix::entry`] bit for bit.
+    fn block(&self, rows: &[usize], cols: &[usize]) -> Vec<f64> {
+        let m = rows.len();
+        let mut out = vec![0.0; m * cols.len()];
+        if out.is_empty() {
+            return out;
+        }
+        if !self.kernel.is_radial() {
+            for (col, &j) in out.chunks_exact_mut(m).zip(cols) {
+                for (v, &i) in col.iter_mut().zip(rows) {
+                    *v = self.kernel.eval(self.points.point(i), self.points.point(j));
+                }
+                self.regularize(rows, j, col);
+            }
+            return out;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if simd_level() == SimdLevel::Avx2 {
+            // SAFETY: AVX2 + FMA presence established by `simd_level`.
+            unsafe { self.radial_block_avx2(rows, cols, &mut out) };
+            return out;
+        }
+        self.radial_block(rows, cols, &mut out);
+        out
+    }
+
+    /// A radial kernel's block into the zeroed, column-major `out`,
+    /// [`ROW_TILE`] rows at a time so that every pass stays in L1. The
+    /// tile's coordinates are gathered once, structure-of-arrays; then each
+    /// column's squared distances are formed lane-parallel in the per-pair
+    /// order of [`PointCloud::dist2`] (`t = x - y; acc += t * t`, no fma),
+    /// followed by the lane-wise tail and the regularization.
+    #[inline(always)]
+    fn radial_block(&self, rows: &[usize], cols: &[usize], out: &mut [f64]) {
+        let m = rows.len();
+        let (dim, coords) = (self.points.dim(), self.points.data());
+        let stride = ROW_TILE.min(m);
+        let mut xs = vec![0.0; dim * stride];
+        for (r0, tile_rows) in (0..m).step_by(ROW_TILE).zip(rows.chunks(ROW_TILE)) {
+            for (d, xd) in xs.chunks_exact_mut(stride).enumerate() {
+                for (x, &i) in xd.iter_mut().zip(tile_rows) {
+                    *x = coords[i * dim + d];
+                }
+            }
+            for (c, &j) in cols.iter().enumerate() {
+                let tile = &mut out[c * m + r0..c * m + r0 + tile_rows.len()];
+                for (xd, &y) in xs.chunks_exact(stride).zip(self.points.point(j)) {
+                    for (acc, &x) in tile.iter_mut().zip(xd) {
+                        let t = x - y;
+                        *acc += t * t;
+                    }
+                }
+                self.kernel.radial_in_place(tile);
+                self.regularize(tile_rows, j, tile);
+            }
+        }
+    }
+
+    /// [`Self::radial_block`] compiled for AVX2: the same lane-wise
+    /// operations four lanes to an instruction. Rust never contracts
+    /// `acc + t * t` into an fma, so the bits are those of the portable
+    /// build.
+    ///
+    /// # Safety
+    /// Requires AVX2 + FMA.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn radial_block_avx2(&self, rows: &[usize], cols: &[usize], out: &mut [f64]) {
+        self.radial_block(rows, cols, out)
+    }
+
+    /// Add the regularization to the entries of column `j` whose row is `j`.
+    #[inline(always)]
+    fn regularize(&self, rows: &[usize], j: usize, col: &mut [f64]) {
+        for (v, &i) in col.iter_mut().zip(rows) {
+            if i == j {
+                *v += self.regularization;
+            }
+        }
+    }
 }
 
 impl<T: Scalar> SpdMatrix<T> for KernelMatrix {
@@ -157,13 +294,29 @@ impl<T: Scalar> SpdMatrix<T> for KernelMatrix {
         self.points.len()
     }
 
+    /// The 1 x 1 case of [`Self::submatrix`]'s lane definition.
     #[inline]
     fn entry(&self, i: usize, j: usize) -> T {
-        let mut v = self.kernel.eval(self.points.point(i), self.points.point(j));
+        let mut v = if self.kernel.is_radial() {
+            let mut v = [self.points.dist2(i, j)];
+            self.kernel.radial_in_place(&mut v);
+            v[0]
+        } else {
+            self.kernel.eval(self.points.point(i), self.points.point(j))
+        };
         if i == j {
             v += self.regularization;
         }
         T::from_f64(v)
+    }
+
+    fn submatrix(&self, rows: &[usize], cols: &[usize]) -> DenseMatrix<T> {
+        let block = self.block(rows, cols);
+        DenseMatrix::from_vec(
+            rows.len(),
+            cols.len(),
+            block.into_iter().map(T::from_f64).collect(),
+        )
     }
 
     fn coords(&self) -> Option<&PointCloud> {

@@ -8,10 +8,16 @@
 use crate::points::PointCloud;
 use gofmm_linalg::{DenseMatrix, Scalar};
 
-/// An SPD matrix accessible through entry evaluation.
+/// An SPD matrix accessible through block and entry evaluation.
 ///
-/// Implementations must be cheap (`O(1)` or `O(d)`) per entry; GOFMM's
-/// complexity guarantees assume entry evaluation does not dominate.
+/// [`Self::submatrix`] is the hot path: compression, near-block caching and
+/// the factorization ask for `K_{I,J}` a block at a time, and the tree and
+/// neighbour search ask for their Gram distances the same way. An
+/// implementation that can evaluate a block faster than entry by entry
+/// overrides it. Either way the two must agree bit for bit:
+/// `entry(i, j) == submatrix(&[i], &[j])[(0, 0)]`, and every entry of a
+/// block is the entry of its `(row, column)` pair, wherever the block and
+/// whichever its shape.
 pub trait SpdMatrix<T: Scalar>: Sync {
     /// Matrix dimension `N`.
     fn n(&self) -> usize;
@@ -205,6 +211,11 @@ impl<'a, T: Scalar, M: SpdMatrix<f64> + ?Sized> SpdMatrix<T> for CastedSpd<'a, M
     fn diag(&self, i: usize) -> T {
         T::from_f64(self.inner.diag(i))
     }
+    /// The inner double-precision block, cast: the same bits as casting
+    /// each entry, at the inner matrix's block speed.
+    fn submatrix(&self, rows: &[usize], cols: &[usize]) -> DenseMatrix<T> {
+        self.inner.submatrix(rows, cols).cast()
+    }
     fn coords(&self) -> Option<&PointCloud> {
         self.inner.coords()
     }
@@ -322,6 +333,54 @@ mod tests {
         let pc = PointCloud::uniform(9, 3, 0);
         let m = m.with_coords(pc);
         assert_eq!(m.coords().unwrap().dim(), 3);
+    }
+
+    /// A kernel matrix that counts the entries asked of it one at a time.
+    struct EntryCounter {
+        k: crate::KernelMatrix,
+        entries: std::sync::atomic::AtomicUsize,
+    }
+
+    impl SpdMatrix<f64> for EntryCounter {
+        fn n(&self) -> usize {
+            SpdMatrix::<f64>::n(&self.k)
+        }
+        fn entry(&self, i: usize, j: usize) -> f64 {
+            self.entries
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.k.entry(i, j)
+        }
+        fn submatrix(&self, rows: &[usize], cols: &[usize]) -> DenseMatrix<f64> {
+            self.k.submatrix(rows, cols)
+        }
+    }
+
+    #[test]
+    fn casted_submatrix_is_the_cast_of_the_inner_block() {
+        use crate::KernelType;
+        let inner = EntryCounter {
+            k: crate::KernelMatrix::new(
+                PointCloud::uniform(40, 3, 5),
+                KernelType::Gaussian { bandwidth: 0.3 },
+                1e-2,
+                "cast",
+            ),
+            entries: Default::default(),
+        };
+        let casted = CastedSpd::new(&inner);
+        let (rows, cols) = ([3, 0, 17, 3, 39], [17, 3, 8, 3]);
+        let block: DenseMatrix<f32> = casted.submatrix(&rows, &cols);
+        assert_eq!(
+            inner.entries.load(std::sync::atomic::Ordering::Relaxed),
+            0,
+            "the f32 block must come from the inner block, not entry by entry"
+        );
+        for (c, &j) in cols.iter().enumerate() {
+            for (r, &i) in rows.iter().enumerate() {
+                let e: f32 = casted.entry(i, j);
+                assert_eq!(block[(r, c)].to_bits(), e.to_bits(), "({i}, {j})");
+            }
+        }
     }
 
     #[test]

@@ -156,20 +156,17 @@ pub fn ann_search<O: DistanceOracle>(oracle: &O, cfg: &AnnConfig) -> AnnResult {
         parallel_for(leaves.len(), cfg.num_threads, |li| {
             let idx = tree.indices(leaves[li]);
             let len = idx.len();
-            // The leaf's symmetric distance block, every pair evaluated once.
-            let mut dist = vec![0.0; len * len];
-            for a in 0..len {
-                for b in a + 1..len {
-                    let d = oracle.distance(idx[a], idx[b]);
-                    dist[a * len + b] = d;
-                    dist[b * len + a] = d;
-                }
+            if len < 2 {
+                return;
             }
+            // The leaf's distance block in one oracle call.
+            let mut dist = vec![0.0; len * len];
+            oracle.distance_block(idx, idx, &mut dist);
             // One lock per index; its candidates arrive in leaf order, which
             // is what breaks distance ties. `insert_into` drops the self pair.
-            for (&i, row) in idx.iter().zip(dist.chunks_exact(len)) {
+            for (&i, col) in idx.iter().zip(dist.chunks_exact(len)) {
                 let mut list = shared[i].lock().expect(LOCK_POISONED);
-                for (&j, &d) in idx.iter().zip(row) {
+                for (&j, &d) in idx.iter().zip(col) {
                     insert_into(&mut list, k, j, d, i);
                 }
             }
@@ -195,12 +192,12 @@ pub fn ann_search<O: DistanceOracle>(oracle: &O, cfg: &AnnConfig) -> AnnResult {
 /// Exact k-nearest neighbors of one index by exhaustive scan (testing and
 /// recall estimation).
 pub fn exact_knn<O: DistanceOracle>(oracle: &O, i: usize, k: usize) -> Vec<(f64, usize)> {
+    let all: Vec<usize> = (0..oracle.len()).collect();
+    let mut dist = vec![0.0; all.len()];
+    oracle.distance_block(&all, &[i], &mut dist);
     let mut list = Vec::with_capacity(k + 1);
-    for j in 0..oracle.len() {
-        if j == i {
-            continue;
-        }
-        insert_into(&mut list, k, j, oracle.distance(i, j), i);
+    for (j, d) in dist.into_iter().enumerate() {
+        insert_into(&mut list, k, j, d, i);
     }
     list
 }

@@ -2,7 +2,8 @@
 //!
 //! The partitioning tree and the neighbor search never look at coordinates or
 //! matrix entries directly — they only ask an oracle for distances between
-//! index pairs and for distances to a sampled centroid. `gofmm-core`
+//! index sets (a block at a time: a leaf against itself, a node against its
+//! two poles) and for distances to a sampled centroid. `gofmm-core`
 //! implements this trait for the two Gram-space distances (kernel and angle)
 //! and for the geometric distance; this crate ships a plain Euclidean
 //! point-based oracle used for testing and for the geometry-aware reference
@@ -24,6 +25,23 @@ pub trait DistanceOracle: Sync {
 
     /// Distance between indices `i` and `j`.
     fn distance(&self, i: usize, j: usize) -> f64;
+
+    /// Every distance between `rows` and `cols` at once, column-major:
+    /// `out[c * rows.len() + r] = distance(rows[r], cols[c])`, bit for bit.
+    /// The default asks [`Self::distance`] pair by pair; an oracle that can
+    /// evaluate a block faster overrides it.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != rows.len() * cols.len()`.
+    fn distance_block(&self, rows: &[usize], cols: &[usize], out: &mut [f64]) {
+        assert_eq!(out.len(), rows.len() * cols.len(), "distance block shape");
+        let m = rows.len();
+        for (c, &j) in cols.iter().enumerate() {
+            for (r, &i) in rows.iter().enumerate() {
+                out[c * m + r] = self.distance(i, j);
+            }
+        }
+    }
 
     /// Distances from every index in `targets` to the centroid of the sample
     /// set `sample`.

@@ -351,7 +351,9 @@ fn split_range<O: DistanceOracle>(oracle: &O, idx: &mut [usize], opts: &TreeOpti
         }
         SplitRule::FarthestPair | SplitRule::RandomPair => {
             let mut rng = StdRng::seed_from_u64(seed);
-            let (p, q) = if opts.split == SplitRule::RandomPair {
+            // The columns d(., p) and d(., q), each evaluated once.
+            let mut d_pq = vec![0.0; 2 * len];
+            if opts.split == SplitRule::RandomPair {
                 let p = idx[rng.gen_range(0..len)];
                 let mut q = idx[rng.gen_range(0..len)];
                 // Ensure distinct picks when possible.
@@ -361,23 +363,24 @@ fn split_range<O: DistanceOracle>(oracle: &O, idx: &mut [usize], opts: &TreeOpti
                     }
                     q = idx[rng.gen_range(0..len)];
                 }
-                (p, q)
+                oracle.distance_block(idx, &[p, q], &mut d_pq);
             } else {
                 // Approximate centroid from a small sample.
                 let nc = opts.centroid_samples.clamp(1, len);
                 let sample: Vec<usize> = idx.choose_multiple(&mut rng, nc).copied().collect();
                 let d_c = oracle.distances_to_centroid(&sample, idx);
-                let p_pos = argmax(&d_c);
-                let p = idx[p_pos];
-                let d_p: Vec<f64> = idx.iter().map(|&i| oracle.distance(i, p)).collect();
-                let q_pos = argmax(&d_p);
-                let q = idx[q_pos];
-                (p, q)
-            };
+                let p = idx[argmax(&d_c)];
+                let (d_p, d_q) = d_pq.split_at_mut(len);
+                oracle.distance_block(idx, &[p], d_p);
+                let q = idx[argmax(d_p)];
+                oracle.distance_block(idx, &[q], d_q);
+            }
+            let (d_p, d_q) = d_pq.split_at(len);
             // Projection value d(i,p) - d(i,q): small = close to p.
             let mut keyed: Vec<(f64, usize)> = idx
                 .iter()
-                .map(|&i| (oracle.distance(i, p) - oracle.distance(i, q), i))
+                .zip(d_p.iter().zip(d_q))
+                .map(|(&i, (dp, dq))| (dp - dq, i))
                 .collect();
             keyed.sort_by(|a, b| {
                 a.0.partial_cmp(&b.0)

@@ -4,8 +4,10 @@
 //! solve-before-factorize reports `NoFactorization`, a wrong-length
 //! right-hand side reports `DimensionMismatch`, and a non-finite Krylov
 //! right-hand side reports `NonFiniteInput` (directly and at serving
-//! admission).
+//! admission), as does a matrix with a non-finite diagonal under every
+//! distance metric.
 
+use gofmm_suite::core::DistanceMetric;
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{KernelMatrix, KernelType, PointCloud, SpdMatrix};
 use gofmm_suite::solver::{cg, gmres, IdentityPreconditioner};
@@ -151,6 +153,38 @@ fn wrong_length_rhs_reports_dimension_mismatch_in_both_backends() {
         let b = DenseMatrix::<f64>::from_fn(n, 1, |i, _| ((i % 5) as f64) - 2.0);
         let (_, stats) = op.solve_cg(&b, &KrylovOptions::default()).unwrap();
         assert!(stats.converged);
+    }
+}
+
+#[test]
+fn non_finite_matrix_diagonal_is_refused_before_compression() {
+    // One NaN coordinate makes its kernel row and diagonal NaN; that used to
+    // build as far as the factorization and blame lambda for the failure.
+    let n = 300;
+    let mut coords = PointCloud::uniform(n, 3, 31).data().to_vec();
+    coords[3 * 123 + 1] = f64::NAN;
+    let k = KernelMatrix::new(
+        PointCloud::from_vec(3, coords),
+        KernelType::Gaussian { bandwidth: 1.0 },
+        1e-6,
+        "nan-coordinate",
+    );
+    for metric in [
+        DistanceMetric::Kernel,
+        DistanceMetric::Angle,
+        DistanceMetric::Geometric,
+        DistanceMetric::Lexicographic,
+        DistanceMetric::Random,
+    ] {
+        let result = GofmmOperator::<f64>::builder(&k)
+            .config(config().with_metric(metric))
+            .factorize(1e-2)
+            .build();
+        match result {
+            Err(Error::NonFiniteInput { what }) => assert_eq!(what, "matrix diagonal"),
+            Err(other) => panic!("{metric}: expected NonFiniteInput, got {other}"),
+            Ok(_) => panic!("{metric}: a NaN diagonal must not build"),
+        }
     }
 }
 
