@@ -62,9 +62,9 @@ pub struct EvaluationStats {
     /// evaluation: packing interaction blocks and building the task DAG.
     /// Amortized over every subsequent apply on the same evaluator.
     pub setup_time: f64,
-    /// Bytes of interaction blocks (plus gather indices) held *resident in
-    /// memory* by the evaluator. These are read, never recomputed, on every
-    /// apply. With [`PanelPrecision::MixedF32`] panels this reflects the
+    /// Bytes of interaction blocks held *resident in memory* by the
+    /// evaluator. These are read, never recomputed, on every apply. With
+    /// [`PanelPrecision::MixedF32`] panels this reflects the
     /// reduced `f32` storage footprint; panels freed by
     /// [`Evaluator::tune`] or swapped out by [`Evaluator::attach_store`]
     /// (out-of-core serving) no longer count.
@@ -176,10 +176,6 @@ pub struct Evaluator<'a, T: Scalar> {
     /// Per-leaf near blocks `K_{beta, alpha}`: packed or borrowed like `far`
     /// ([`Panel::Empty`] for interior nodes).
     pub(crate) near: Vec<Panel<'a, T>>,
-    /// Per-leaf concatenation of the near nodes' original row indices: the
-    /// gather list applied to `w` before the single L2L GEMM. Empty in
-    /// borrowed mode, where L2L gathers per near block instead.
-    pub(crate) near_gather: Vec<Vec<usize>>,
     /// Per-node *effective* far lists after [`Evaluator::tune`] dropped
     /// small-norm far blocks; `None` until a tune commits a drop. The
     /// compression's own lists are shared with the factorization and stay
@@ -207,6 +203,10 @@ pub struct Evaluator<'a, T: Scalar> {
 /// DAG-delegated synchronization story is unchanged from the `&mut self`
 /// days — it just holds per lease instead of per evaluator.
 struct ApplyWorkspace<T: Scalar> {
+    /// The right-hand side in tree order (row `pos` holds original row
+    /// `perm[pos]`), so every node's rows are one contiguous range. Filled
+    /// in full before each sweep.
+    staged: DenseMatrix<T>,
     /// Skeleton weights `w~` per node.
     wtilde: DisjointCells<DenseMatrix<T>>,
     /// Skeleton potentials `u~` per node.
@@ -218,8 +218,9 @@ struct ApplyWorkspace<T: Scalar> {
 }
 
 impl<T: Scalar> ApplyWorkspace<T> {
-    /// Allocate buffers shaped for `r` right-hand sides: `w~`/`u~` by skeleton
-    /// rank per node, the output accumulators per leaf (zero-sized elsewhere).
+    /// Allocate buffers shaped for `r` right-hand sides: the staged input
+    /// `n x r`, `w~`/`u~` by skeleton rank per node, the output accumulators
+    /// per leaf (zero-sized elsewhere).
     fn allocate(comp: &Compressed<T>, r: usize) -> Self {
         let node_count = comp.tree.node_count();
         let rank_of = |heap: usize| comp.bases[heap].as_ref().map(|b| b.rank()).unwrap_or(0);
@@ -231,6 +232,7 @@ impl<T: Scalar> ApplyWorkspace<T> {
             }
         };
         Self {
+            staged: DenseMatrix::zeros(comp.n(), r),
             wtilde: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), r)),
             utilde: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), r)),
             u_far: DisjointCells::from_fn(node_count, leaf),
@@ -238,13 +240,33 @@ impl<T: Scalar> ApplyWorkspace<T> {
         }
     }
 
-    /// Zero the accumulator families of a recycled workspace. `wtilde` needs
-    /// no reset: every cell that is ever read is fully overwritten by its
+    /// Zero the accumulator families of a recycled workspace. `staged` and
+    /// `wtilde` need no reset: the first is refilled before every sweep, and
+    /// every `wtilde` cell that is ever read is fully overwritten by its
     /// node's N2S task.
     fn reset(&mut self) {
         self.utilde.for_each_mut(|_, m| m.fill(T::zero()));
         self.u_far.for_each_mut(|_, m| m.fill(T::zero()));
         self.u_near.for_each_mut(|_, m| m.fill(T::zero()));
+    }
+
+    /// The output in original index order: each leaf's `u_far + u_near`,
+    /// scattered through the tree permutation one output column at a time,
+    /// so the random-row writes of a column stay within that column.
+    fn assemble(&mut self, comp: &Compressed<T>) -> DenseMatrix<T> {
+        let r = self.staged.cols();
+        let mut out = DenseMatrix::zeros(comp.n(), r);
+        for c in 0..r {
+            let dst = out.col_mut(c);
+            for leaf in comp.tree.leaf_range() {
+                let far = self.u_far.get_mut(leaf).col(c);
+                let near = self.u_near.get_mut(leaf).col(c);
+                for ((&orig, &f), &n) in comp.tree.indices(leaf).iter().zip(far).zip(near) {
+                    dst[orig] = f + n;
+                }
+            }
+        }
+        out
     }
 }
 
@@ -300,18 +322,15 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             DisjointCells::from_fn(node_count, |_| Panel::Empty);
         let near_cells: DisjointCells<Panel<'c, T>> =
             DisjointCells::from_fn(node_count, |_| Panel::Empty);
-        let gather_cells: DisjointCells<Vec<usize>> =
-            DisjointCells::from_fn(node_count, |_| Vec::new());
 
         let precision = comp.config.panel_precision;
         {
             let comp = &*comp;
             parallel_for(node_count, num_threads.max(1), |heap| {
                 let (near, far) = (&comp.near_blocks[heap], &comp.far_blocks[heap]);
-                let (near, far, gather) = pack_node(matrix, comp, heap, near, far);
+                let (near, far) = pack_node(matrix, comp, heap, near, far);
                 near_cells.set(heap, near);
                 far_cells.set(heap, far);
-                gather_cells.set(heap, gather);
             });
         }
 
@@ -322,7 +341,6 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             precision,
             far_cells.into_inner(),
             near_cells.into_inner(),
-            gather_cells.into_inner(),
             t0,
         )
     }
@@ -349,15 +367,13 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         let node_count = tree.node_count();
         let mut far: Vec<Panel<'a, T>> = Vec::with_capacity(node_count);
         let mut near: Vec<Panel<'a, T>> = Vec::with_capacity(node_count);
-        let mut near_gather: Vec<Vec<usize>> = vec![Vec::new(); node_count];
         for heap in 0..node_count {
             if tree.is_leaf(heap) && !comp.lists.near[heap].is_empty() {
                 if !comp.near_blocks[heap].is_empty() {
                     near.push(Panel::Blocks(&comp.near_blocks[heap]));
                 } else {
-                    let gather = near_gather_indices(comp, heap);
-                    near.push(packed_native(matrix.submatrix(tree.indices(heap), &gather)));
-                    near_gather[heap] = gather;
+                    let cols = near_gather_indices(comp, heap);
+                    near.push(packed_native(matrix.submatrix(tree.indices(heap), &cols)));
                 }
             } else {
                 near.push(Panel::Empty);
@@ -380,14 +396,12 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             PanelPrecision::Native,
             far,
             near,
-            near_gather,
             t0,
         )
     }
 
     /// Shared tail of every constructor: DAG construction, cache accounting
     /// and pool setup.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble_evaluator<'c>(
         comp: CompRef<'c, T>,
         policy: TraversalPolicy,
@@ -395,7 +409,6 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         panel_precision: PanelPrecision,
         far: Vec<Panel<'c, T>>,
         near: Vec<Panel<'c, T>>,
-        near_gather: Vec<Vec<usize>>,
         t0: Stopwatch,
     ) -> Evaluator<'c, T> {
         // --- Build the evaluation DAG once ---------------------------------
@@ -406,7 +419,6 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             defaults: RunDefaults::new(policy, num_threads),
             far,
             near,
-            near_gather,
             tuned_far: None,
             tune_stats: None,
             plan,
@@ -444,8 +456,9 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         self.setup_time
     }
 
-    /// Bytes of packed interaction blocks (plus gather indices) held
-    /// *resident in memory* by this evaluator. Shrinks when
+    /// Bytes of interaction blocks held *resident in memory* by this
+    /// evaluator; every other per-node structure it reads is the
+    /// compression's. Shrinks when
     /// [`Evaluator::tune`] drops or rank-truncates panels and when
     /// [`Evaluator::attach_store`] swaps panels out to a file store.
     pub fn cached_bytes(&self) -> usize {
@@ -468,14 +481,12 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         }
     }
 
-    /// Re-derive `cached_bytes` — in-memory panel bytes plus the gather
-    /// indices — from the current panel set. Called whenever panels move
-    /// (construction, [`Evaluator::tune`], [`Evaluator::attach_store`]).
+    /// Re-derive `cached_bytes` — the in-memory panel bytes — from the
+    /// current panel set. Called whenever panels move (construction,
+    /// [`Evaluator::tune`], [`Evaluator::attach_store`]).
     pub(crate) fn recompute_cached_bytes(&mut self) {
         let panels = self.far.iter().chain(&self.near);
-        let gathers = self.near_gather.iter().map(Vec::len).sum::<usize>();
-        self.cached_bytes = panels.map(Panel::resident_bytes).sum::<usize>()
-            + gathers * std::mem::size_of::<usize>();
+        self.cached_bytes = panels.map(Panel::resident_bytes).sum();
     }
 
     /// Lifetime lease traffic of the internal apply-workspace pool, as
@@ -557,9 +568,10 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         if ws.recycled() {
             ws.reset();
         }
+        let tree = &self.comp.tree;
+        w.gather_rows_into(tree.perm(), &mut ws.staged);
         let flops = AtomicU64::new(0);
 
-        let tree = &self.comp.tree;
         let sweep = opts
             .progress
             .as_ref()
@@ -567,7 +579,6 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         let pass = ApplyPass {
             ev: self,
             ws: &ws,
-            w,
             flops: &flops,
         };
         let exec_stats = match (policy.schedule_policy(), cancel) {
@@ -639,7 +650,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             ),
         };
 
-        let out = pass.assemble();
+        let out = ws.assemble(&self.comp);
         if let (Some(s), Some(t0)) = (sink, phase_start) {
             s.record(SpanKind::Phase, "APPLY", 0, 0, t0, s.now());
         }
@@ -681,8 +692,9 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
 }
 
 /// The concatenation of a leaf's near nodes' original row indices, in
-/// Near-list order: the gather applied to `w` before a packed L2L GEMM.
-pub(crate) fn near_gather_indices<T: Scalar>(comp: &Compressed<T>, heap: usize) -> Vec<usize> {
+/// Near-list order: the columns of the near panel a construction without
+/// cached blocks evaluates from the kernel.
+fn near_gather_indices<T: Scalar>(comp: &Compressed<T>, heap: usize) -> Vec<usize> {
     comp.lists.near[heap]
         .iter()
         .flat_map(|&alpha| comp.tree.indices(alpha).iter().copied())
@@ -695,8 +707,8 @@ fn packed_native<'p, T: Scalar>(mat: DenseMatrix<T>) -> Panel<'p, T> {
     Panel::Owned(Values::dense(mat, PanelPrecision::Native))
 }
 
-/// Pack one node's `(near panel, far panel, near gather list)` in the
-/// compression's configured panel precision: each panel from the node's
+/// Pack one node's `(near panel, far panel)` in the compression's
+/// configured panel precision: each panel from the node's
 /// cached blocks when there are any, from the kernel otherwise. The one
 /// per-node routine behind every owning constructor — the copying ones pass
 /// the compression's own block cache, the stealing ones the blocks they just
@@ -707,17 +719,15 @@ fn pack_node<'p, T: Scalar, M: SpdMatrix<T> + ?Sized>(
     heap: usize,
     near_blocks: &[DenseMatrix<T>],
     far_blocks: &[DenseMatrix<T>],
-) -> (Panel<'p, T>, Panel<'p, T>, Vec<usize>) {
+) -> (Panel<'p, T>, Panel<'p, T>) {
     let tree = &comp.tree;
     let owned = |mat| Panel::Owned(Values::dense(mat, comp.config.panel_precision));
     let mut near = Panel::Empty;
-    let mut gather = Vec::new();
     if tree.is_leaf(heap) && !comp.lists.near[heap].is_empty() {
-        gather = near_gather_indices(comp, heap);
         near = owned(if !near_blocks.is_empty() {
             hstack_blocks(tree.indices(heap).len(), near_blocks)
         } else {
-            matrix.submatrix(tree.indices(heap), &gather)
+            matrix.submatrix(tree.indices(heap), &near_gather_indices(comp, heap))
         });
     }
     let mut far = Panel::Empty;
@@ -730,7 +740,7 @@ fn pack_node<'p, T: Scalar, M: SpdMatrix<T> + ?Sized>(
             });
         }
     }
-    (near, far, gather)
+    (near, far)
 }
 
 /// Evaluate the packed far panel `K_{skel(heap), skel(Far(heap))}` from the
@@ -771,8 +781,8 @@ fn hstack_blocks<T: Scalar>(rows: usize, blocks: &[DenseMatrix<T>]) -> DenseMatr
     mat
 }
 
-/// One in-flight apply: the evaluator's cached state, the leased workspace,
-/// and the current right-hand sides.
+/// One in-flight apply: the evaluator's cached state and the leased
+/// workspace, which holds the current right-hand sides in tree order.
 ///
 /// All four per-node value families live in [`DisjointCells`] inside the
 /// leased workspace: every cell has exactly one writing task, and every
@@ -787,13 +797,43 @@ fn hstack_blocks<T: Scalar>(rows: usize, blocks: &[DenseMatrix<T>]) -> DenseMatr
 struct ApplyPass<'p, 'a, T: Scalar> {
     ev: &'p Evaluator<'a, T>,
     ws: &'p ApplyWorkspace<T>,
-    w: &'p DenseMatrix<T>,
     flops: &'p AtomicU64,
 }
 
 impl<T: Scalar> ApplyPass<'_, '_, T> {
     fn count_flops(&self, flops: u64) {
         self.flops.fetch_add(flops, Ordering::Relaxed);
+    }
+
+    /// Right-hand-side count of this apply.
+    fn r(&self) -> usize {
+        self.ws.staged.cols()
+    }
+
+    /// Node `heap`'s rows of the staged right-hand side: one contiguous
+    /// copy per column.
+    fn staged_rows(&self, heap: usize) -> DenseMatrix<T> {
+        let node = self.ev.compressed().tree.node(heap);
+        self.ws
+            .staged
+            .block(node.start, node.start + node.len, 0, self.r())
+    }
+
+    /// Stack the near nodes' staged rows in Near-list order, matching a
+    /// packed near panel's `panel_cols` column order: one contiguous copy
+    /// per near node per column.
+    fn near_stack(&self, heap: usize, panel_cols: usize) -> DenseMatrix<T> {
+        let comp = self.ev.compressed();
+        let r = self.r();
+        let mut data = Vec::with_capacity(panel_cols * r);
+        for c in 0..r {
+            let src = self.ws.staged.col(c);
+            for &alpha in &comp.lists.near[heap] {
+                let node = comp.tree.node(alpha);
+                data.extend_from_slice(&src[node.start..node.start + node.len]);
+            }
+        }
+        DenseMatrix::from_vec(panel_cols, r, data)
     }
 
     /// Stack the far nodes' skeleton weights in *effective* Far-list order
@@ -830,7 +870,7 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
             return;
         };
         let local = if comp.tree.is_leaf(heap) {
-            self.w.select_rows(comp.tree.indices(heap))
+            self.staged_rows(heap)
         } else {
             let (l, r) = comp.tree.children(heap);
             let wl = self.ws.wtilde.read(l);
@@ -847,7 +887,7 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
             T::zero(),
             &mut wt,
         );
-        self.count_flops(gemm_flops(basis.rank(), self.w.cols(), local.rows()));
+        self.count_flops(gemm_flops(basis.rank(), self.r(), local.rows()));
     }
 
     /// S2S: skeleton potentials `u~_beta += K_{skel(beta), Far-skels} w~_Far`
@@ -861,7 +901,7 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
         let far = self.ev.far_list(heap);
         let mut ut = self.ws.utilde.write(heap);
         self.count_flops(panel.apply(
-            |cols| self.far_weight_stack(heap, cols, self.w.cols()),
+            |cols| self.far_weight_stack(heap, cols, self.r()),
             |i, mul| mul(&self.ws.wtilde.read(far[i])),
             &mut ut,
         ));
@@ -873,7 +913,7 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
         let Some(basis) = comp.bases[heap].as_ref() else {
             return;
         };
-        let r = self.w.cols();
+        let r = self.r();
         let ut = self.ws.utilde.read(heap);
         if comp.tree.is_leaf(heap) {
             let len = comp.tree.node(heap).len;
@@ -911,39 +951,21 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
         }
     }
 
-    /// L2L: direct (near) interactions — the near panel times the gathered
-    /// input rows (one near node's rows at a time for borrowed blocks).
+    /// L2L: direct (near) interactions — the near panel times the near
+    /// nodes' stacked input rows (one near node's rows at a time for
+    /// borrowed blocks).
     fn task_l2l(&self, heap: usize) {
         let panel = &self.ev.near[heap];
         if panel.is_empty() {
             return;
         }
-        let comp = self.ev.compressed();
-        let near = &comp.lists.near[heap];
+        let near = &self.ev.compressed().lists.near[heap];
         let mut out = self.ws.u_near.write(heap);
         self.count_flops(panel.apply(
-            |_| self.w.select_rows(&self.ev.near_gather[heap]),
-            |i, mul| mul(&self.w.select_rows(comp.tree.indices(near[i]))),
+            |cols| self.near_stack(heap, cols),
+            |i, mul| mul(&self.staged_rows(near[i])),
             &mut out,
         ));
-    }
-
-    /// Gather the per-leaf far and near contributions into the output vector
-    /// in the original index order.
-    fn assemble(&self) -> DenseMatrix<T> {
-        let comp = self.ev.compressed();
-        let r = self.w.cols();
-        let mut out = DenseMatrix::zeros(comp.n(), r);
-        for leaf in comp.tree.leaf_range() {
-            let uf = self.ws.u_far.read(leaf);
-            let un = self.ws.u_near.read(leaf);
-            for (local, &orig) in comp.tree.indices(leaf).iter().enumerate() {
-                for c in 0..r {
-                    out.set(orig, c, uf.get(local, c) + un.get(local, c));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -988,15 +1010,13 @@ impl<T: Scalar> Compressed<T> {
         let stolen_far = std::mem::take(&mut self.far_blocks);
         let mut far = Vec::with_capacity(node_count);
         let mut near = Vec::with_capacity(node_count);
-        let mut near_gather = Vec::with_capacity(node_count);
         // Each node's stolen blocks are dropped right after they are packed,
         // so peak memory is the block cache plus a single node's panel —
         // instead of the cache plus a full packed copy.
         for (heap, (nb, fb)) in stolen_near.into_iter().zip(stolen_far).enumerate() {
-            let (near_panel, far_panel, gather) = pack_node(matrix, &self, heap, &nb, &fb);
+            let (near_panel, far_panel) = pack_node(matrix, &self, heap, &nb, &fb);
             near.push(near_panel);
             far.push(far_panel);
-            near_gather.push(gather);
         }
         // Keep the per-node cache vectors aligned with the tree (now empty).
         self.near_blocks = vec![Vec::new(); node_count];
@@ -1011,7 +1031,6 @@ impl<T: Scalar> Compressed<T> {
             precision,
             far,
             near,
-            near_gather,
             t0,
         );
         (comp, evaluator)
@@ -1405,12 +1424,11 @@ mod tests {
             0,
             "borrowing setup must not touch the kernel"
         );
-        // It still accounts the bytes it reads per apply, which match the
-        // packed evaluator's panel bytes minus the gather indices (borrowed
-        // mode keeps no gather lists).
+        // It still accounts the bytes it reads per apply: the same block
+        // values the packed evaluator holds, borrowed instead of copied.
         let packed = Evaluator::<f64>::new(&k, &comp);
         assert!(ev.cached_bytes() > 0);
-        assert!(ev.cached_bytes() <= packed.cached_bytes());
+        assert_eq!(ev.cached_bytes(), packed.cached_bytes());
         let mut rng = StdRng::seed_from_u64(36);
         let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
         let (u, _) = ev.apply(&w).unwrap();
@@ -1657,14 +1675,8 @@ mod tests {
         let ev_mixed = Evaluator::new(&k, &mixed);
         assert_eq!(ev_native.panel_precision(), PanelPrecision::Native);
         assert_eq!(ev_mixed.panel_precision(), PanelPrecision::MixedF32);
-        // Panels dominate cached_bytes; f32 storage should cut the total to
-        // roughly half (gather indices are precision-independent overhead).
-        assert!(
-            ev_mixed.cached_bytes() * 2 <= ev_native.cached_bytes() + n * 64,
-            "mixed {} vs native {}",
-            ev_mixed.cached_bytes(),
-            ev_native.cached_bytes()
-        );
+        // cached_bytes is panel values only, so f32 storage halves it exactly.
+        assert_eq!(ev_mixed.cached_bytes() * 2, ev_native.cached_bytes());
 
         let mut rng = StdRng::seed_from_u64(11);
         let w = DenseMatrix::<f64>::random_gaussian(n, 3, &mut rng);

@@ -11,7 +11,7 @@ use crate::compress::{CompRef, Compressed, CompressionStats};
 use crate::config::{GofmmConfig, PanelPrecision, TraversalPolicy};
 use crate::distance::DistanceMetric;
 use crate::error::Error;
-use crate::evaluate::{near_gather_indices, Evaluator};
+use crate::evaluate::Evaluator;
 use crate::lists::InteractionLists;
 use crate::panel::Panel;
 use crate::skel::NodeBasis;
@@ -113,13 +113,9 @@ impl<T: Scalar> Evaluator<'static, T> {
         let reduced = panel_precision == PanelPrecision::MixedF32;
         let mut far = Vec::with_capacity(node_count);
         let mut near = Vec::with_capacity(node_count);
-        let mut near_gather = vec![Vec::new(); node_count];
         for heap in 0..node_count {
             far.push(Panel::stored(&store, classes::S2S, heap, reduced));
             near.push(Panel::stored(&store, classes::L2L, heap, reduced));
-            if comp.tree.is_leaf(heap) && !comp.lists.near[heap].is_empty() {
-                near_gather[heap] = near_gather_indices(&comp, heap);
-            }
         }
         let (policy, threads) = (comp.config.policy, comp.config.num_threads);
         let comp = Arc::new(comp);
@@ -130,7 +126,6 @@ impl<T: Scalar> Evaluator<'static, T> {
             panel_precision,
             far,
             near,
-            near_gather,
             t0,
         );
         // A tuned operator persisted its effective far lists and tune stats;

@@ -506,8 +506,8 @@ fn far_edit<'a, T: Scalar, S: Scalar>(
 }
 
 /// Candidate panel for a near (L2L) panel stored as `S`: rank truncation
-/// only — near blocks are never dropped, so the leaf gather stays aligned
-/// with the compression's near lists.
+/// only — near blocks are never dropped, so the panel's columns stay aligned
+/// with the leaf's stacked near rows (the compression's near lists).
 fn near_edit<'a, T: Scalar, S: Scalar>(
     m: &DenseMatrix<S>,
     tau: f64,

@@ -60,8 +60,11 @@ fn requested_bytes<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 const N: usize = 2048;
-const RHS: usize = 4;
-const BUDGET: u64 = (16 * N * RHS * std::mem::size_of::<f64>() + (256 << 10)) as u64;
+
+/// The bound for an `r`-column apply.
+fn budget(r: usize) -> u64 {
+    (16 * N * r * std::mem::size_of::<f64>() + (256 << 10)) as u64
+}
 
 #[test]
 fn steady_state_apply_stays_inside_its_allocation_budget() {
@@ -71,12 +74,13 @@ fn steady_state_apply_stays_inside_its_allocation_budget() {
         1e-6,
         "alloc-budget",
     );
-    let w = DenseMatrix::from_fn(N, RHS, |i, j| ((i * 7 + j * 13) % 29) as f64 / 14.0 - 1.0);
     // Twice the leaf size halves the task count; the budget must hold at
     // both, i.e. it cannot be a per-task figure. It must also hold with two
     // workers: those are scoped threads spawned per run (per level, for the
     // level-by-level policy), so each grows a pack scratch of its own from
-    // empty inside the window — sized to these r = 4 calls, a few KiB.
+    // empty inside the window — sized to the call, a few KiB at r = 4. At
+    // r = 64 the staged tree-order input is pooled with the workspace, so
+    // it is not requested again either.
     let runs = [
         (1, TraversalPolicy::Sequential),
         (2, TraversalPolicy::DagHeft),
@@ -93,14 +97,20 @@ fn steady_state_apply_stays_inside_its_allocation_budget() {
                 .with_policy(policy);
             let comp = compress::<f64, _>(&k, &cfg);
             let ev = Evaluator::new(&k, &comp);
-            // First apply: leases the workspace, grows this thread's scratch.
-            let (first, _) = ev.apply(&w).unwrap();
-            let (second, bytes) = requested_bytes(|| ev.apply(&w).unwrap().0);
-            assert_eq!(first.data(), second.data());
-            assert!(
-                bytes < BUDGET,
-                "leaf {leaf}, {threads} x {policy:?}: a steady-state apply requested {bytes} B, budget {BUDGET} B"
-            );
+            for rhs in [4, 64] {
+                let w = DenseMatrix::from_fn(N, rhs, |i, j| {
+                    ((i * 7 + j * 13) % 29) as f64 / 14.0 - 1.0
+                });
+                // First apply: leases the workspace, grows this thread's scratch.
+                let (first, _) = ev.apply(&w).unwrap();
+                let (second, bytes) = requested_bytes(|| ev.apply(&w).unwrap().0);
+                assert_eq!(first.data(), second.data());
+                let budget = budget(rhs);
+                assert!(
+                    bytes < budget,
+                    "leaf {leaf}, r = {rhs}, {threads} x {policy:?}: a steady-state apply requested {bytes} B, budget {budget} B"
+                );
+            }
         }
     }
 }

@@ -209,19 +209,41 @@ impl<T: Scalar> DenseMatrix<T> {
 
     /// Select whole rows by index (gather of rows).
     pub fn select_rows(&self, row_idx: &[usize]) -> Self {
-        Self::from_fn(row_idx.len(), self.cols, |i, j| self.get(row_idx[i], j))
+        let mut out = Self::zeros(row_idx.len(), self.cols);
+        self.gather_rows_into(row_idx, &mut out);
+        out
+    }
+
+    /// Gather rows into an existing matrix: `out[i, j] = self[row_idx[i], j]`,
+    /// one column slice at a time.
+    ///
+    /// # Panics
+    /// Panics unless `out` is `row_idx.len() x self.cols()`, or if an index
+    /// is out of range.
+    pub fn gather_rows_into(&self, row_idx: &[usize], out: &mut Self) {
+        assert_eq!(
+            (out.rows, out.cols),
+            (row_idx.len(), self.cols),
+            "gather_rows_into shape mismatch"
+        );
+        for j in 0..self.cols {
+            let src = self.col(j);
+            for (dst, &i) in out.col_mut(j).iter_mut().zip(row_idx) {
+                *dst = src[i];
+            }
+        }
     }
 
     /// Vertically stack `self` on top of `other` (column counts must match).
     pub fn vstack(&self, other: &Self) -> Self {
         assert_eq!(self.cols, other.cols, "vstack column mismatch");
-        Self::from_fn(self.rows + other.rows, self.cols, |i, j| {
-            if i < self.rows {
-                self.get(i, j)
-            } else {
-                other.get(i - self.rows, j)
-            }
-        })
+        let mut out = Self::zeros(self.rows + other.rows, self.cols);
+        for j in 0..self.cols {
+            let (top, bottom) = out.col_mut(j).split_at_mut(self.rows);
+            top.copy_from_slice(self.col(j));
+            bottom.copy_from_slice(other.col(j));
+        }
+        out
     }
 
     /// Horizontally stack `self` to the left of `other` (row counts must match).
@@ -441,6 +463,29 @@ mod tests {
         let r = m.select_rows(&[1]);
         assert_eq!(r.rows(), 1);
         assert_eq!(r[(0, 2)], 5.0);
+        let mut g = DenseMatrix::<f64>::zeros(4, 3);
+        m.gather_rows_into(&[2, 0, 2, 1], &mut g);
+        assert_eq!(
+            g,
+            DenseMatrix::from_fn(4, 3, |i, j| m[([2, 0, 2, 1][i], j)])
+        );
+        assert_eq!(m.select_rows(&[2, 0, 2, 1]), g);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather_rows_into shape mismatch")]
+    fn gather_rows_into_rejects_a_misshapen_output() {
+        let m = DenseMatrix::<f64>::zeros(3, 2);
+        m.gather_rows_into(&[0, 1], &mut DenseMatrix::zeros(2, 3));
+    }
+
+    #[test]
+    fn vstack_handles_empty_blocks() {
+        let a = DenseMatrix::<f64>::from_fn(3, 2, |i, j| (i + 10 * j) as f64);
+        let empty = DenseMatrix::<f64>::zeros(0, 2);
+        assert_eq!(a.vstack(&empty), a);
+        assert_eq!(empty.vstack(&a), a);
+        assert_eq!(empty.vstack(&empty).rows(), 0);
     }
 
     #[test]

@@ -243,8 +243,12 @@ pub(crate) struct UlvParts<T: Scalar> {
 /// One solve's per-node sweep buffers, pooled by right-hand-side count.
 ///
 /// Every cell is fully overwritten by its (single) writing task before any
-/// reader runs, so no reset between solves is needed.
+/// reader runs, and `staged` is refilled before each sweep, so no reset
+/// between solves is needed.
 struct UlvWorkspace<T: Scalar> {
+    /// The right-hand side in tree order (row `pos` holds original row
+    /// `perm[pos]`), so every leaf's rows are one contiguous range.
+    staged: DenseMatrix<T>,
     /// Reduced right-hand sides passed upward (`s x r`), written by
     /// `SUP(node)`, read by `SUP(parent)`.
     bred: DisjointCells<DenseMatrix<T>>,
@@ -272,11 +276,29 @@ impl<T: Scalar> UlvWorkspace<T> {
             }
         };
         Self {
+            staged: DenseMatrix::zeros(comp.n(), r),
             bred: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].0, r)),
             y2: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].1, r)),
             xred: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].0, r)),
             x: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(leaf_rows(h), r)),
         }
+    }
+
+    /// The solution in original index order: each leaf's block scattered
+    /// through the tree permutation one output column at a time.
+    fn assemble(&mut self, comp: &Compressed<T>) -> DenseMatrix<T> {
+        let r = self.staged.cols();
+        let mut out = DenseMatrix::zeros(comp.n(), r);
+        for c in 0..r {
+            let dst = out.col_mut(c);
+            for leaf in comp.tree.leaf_range() {
+                let x = self.x.get_mut(leaf).col(c);
+                for (&orig, &v) in comp.tree.indices(leaf).iter().zip(x) {
+                    dst[orig] = v;
+                }
+            }
+        }
+        out
     }
 }
 
@@ -621,10 +643,11 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
             return Err(Error::Cancelled);
         }
         let (policy, num_threads) = self.defaults.resolve(opts.policy, opts.threads);
-        let ws = self.pool.lease(b.cols(), || {
+        let mut ws = self.pool.lease(b.cols(), || {
             UlvWorkspace::allocate(&self.comp, &self.dims, b.cols())
         });
         let tree = &self.comp.tree;
+        b.gather_rows_into(tree.perm(), &mut ws.staged);
         let sweep = opts
             .progress
             .as_ref()
@@ -632,7 +655,6 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
         let pass = UlvSolvePass {
             factor: self,
             ws: &ws,
-            b,
         };
         let sink = opts.trace.as_ref();
         let phase_start = sink.map(|s| s.now());
@@ -689,7 +711,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
                     .map_err(|_| Error::Cancelled)?;
             }
         }
-        let out = pass.assemble();
+        let out = ws.assemble(&self.comp);
         if let (Some(s), Some(t0)) = (sink, phase_start) {
             s.record(SpanKind::Phase, "SOLVE", 0, 0, t0, s.now());
         }
@@ -1027,8 +1049,8 @@ fn factor_interior<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     finish_node(heap, d, rotation, reduced, sl)
 }
 
-/// One in-flight ULV solve: the factor's frozen state, the leased
-/// workspace, and the right-hand side.
+/// One in-flight ULV solve: the factor's frozen state and the leased
+/// workspace, which holds the right-hand side in tree order.
 ///
 /// Every buffer cell has exactly one writing task per solve, and every
 /// cross-task read/write pair is ordered by a plan edge (or level barrier),
@@ -1037,19 +1059,22 @@ fn factor_interior<T: Scalar, M: SpdMatrix<T> + ?Sized>(
 struct UlvSolvePass<'p, 'a, T: Scalar> {
     factor: &'p UlvFactor<'a, T>,
     ws: &'p UlvWorkspace<T>,
-    b: &'p DenseMatrix<T>,
 }
 
 impl<T: Scalar> UlvSolvePass<'_, '_, T> {
-    /// `SUP`: rotate the gathered right-hand side, forward-eliminate the
-    /// trailing variables, push the reduced right-hand side upward.
+    /// `SUP`: rotate the node's right-hand side (a leaf's contiguous staged
+    /// rows, or the children's reduced ones), forward-eliminate the trailing
+    /// variables, push the reduced right-hand side upward.
     fn task_up(&self, heap: usize) {
         let comp = &*self.factor.comp;
         let nf = self.factor.node(heap);
         let (s, t) = (nf.reduced, nf.eliminated);
-        let r = self.b.cols();
+        let r = self.ws.staged.cols();
         let mut bh = if comp.tree.is_leaf(heap) {
-            self.b.select_rows(comp.tree.indices(heap))
+            let node = comp.tree.node(heap);
+            self.ws
+                .staged
+                .block(node.start, node.start + node.len, 0, r)
         } else {
             let (l, rr) = comp.tree.children(heap);
             let bl = self.ws.bred.read(l);
@@ -1091,7 +1116,7 @@ impl<T: Scalar> UlvSolvePass<'_, '_, T> {
         let comp = &*self.factor.comp;
         let nf = self.factor.node(heap);
         let (s, t) = (nf.reduced, nf.eliminated);
-        let r = self.b.cols();
+        let r = self.ws.staged.cols();
         let mut u = DenseMatrix::zeros(s + t, r);
         if s > 0 {
             let x1 = self.ws.xred.read(heap);
@@ -1133,22 +1158,6 @@ impl<T: Scalar> UlvSolvePass<'_, '_, T> {
                 xr.col_mut(j).copy_from_slice(&u.col(j)[nf.split..]);
             }
         }
-    }
-
-    /// Scatter the per-leaf solutions back into original index order.
-    fn assemble(&self) -> DenseMatrix<T> {
-        let comp = &*self.factor.comp;
-        let r = self.b.cols();
-        let mut out = DenseMatrix::zeros(comp.n(), r);
-        for leaf in comp.tree.leaf_range() {
-            let x = self.ws.x.read(leaf);
-            for (local, &orig) in comp.tree.indices(leaf).iter().enumerate() {
-                for c in 0..r {
-                    out.set(orig, c, x.get(local, c));
-                }
-            }
-        }
-        out
     }
 }
 
