@@ -1,8 +1,11 @@
 //! Cholesky factorization, SPD solves and SPD inversion.
 //!
-//! Used by the matrix zoo to build "inverse operator" SPD matrices (regularized
-//! inverse graph Laplacians, inverse stencil operators) and by tests to verify
-//! that generated matrices really are positive definite.
+//! The hierarchical solvers factor with it: the ULV trailing elimination
+//! ([`crate::ulv::eliminate_trailing`], every node's eliminated block and
+//! the root's whole merged block) and the SMW backend's leaf blocks. The
+//! matrix zoo uses it to build "inverse operator" SPD matrices (regularized
+//! inverse graph Laplacians), and [`is_spd`] checks that generated matrices
+//! really are positive definite.
 
 use crate::blas::{gemm, Transpose};
 use crate::matrix::DenseMatrix;
@@ -42,17 +45,24 @@ pub struct Cholesky<T: Scalar> {
 
 impl<T: Scalar> Cholesky<T> {
     /// Factor `A = L L^T`. Only the lower triangle of `a` is referenced.
+    ///
+    /// A right-looking column sweep: once column `j` is final it is scaled
+    /// by its pivot and subtracted from every column to its right, each
+    /// update a contiguous slice loop. Every entry therefore sees the same
+    /// products, subtracted one at a time (a multiply, then a subtract — no
+    /// fma) in the same increasing-`k` order as the textbook dot form
+    /// `l_ij = (a_ij - sum_k l_ik l_jk) / l_jj`, so the factor and any
+    /// breakdown's pivot and value are bit-identical to it.
     pub fn factor(a: &DenseMatrix<T>) -> Result<Self, NotPositiveDefinite> {
         let n = a.rows();
         assert_eq!(a.cols(), n, "Cholesky requires a square matrix");
         let mut l = DenseMatrix::zeros(n, n);
         for j in 0..n {
-            // Diagonal entry.
-            let mut d = a.get(j, j);
-            for k in 0..j {
-                let v = l.get(j, k);
-                d -= v * v;
-            }
+            l.col_mut(j)[j..].copy_from_slice(&a.col(j)[j..]);
+        }
+        for j in 0..n {
+            // The diagonal entry, downdated by every column left of it.
+            let d = l.get(j, j);
             if d.to_f64() <= 0.0 || !d.is_finite() {
                 return Err(NotPositiveDefinite {
                     pivot: j,
@@ -60,14 +70,18 @@ impl<T: Scalar> Cholesky<T> {
                 });
             }
             let dj = d.sqrt();
-            l.set(j, j, dj);
-            // Column below the diagonal.
-            for i in (j + 1)..n {
-                let mut s = a.get(i, j);
-                for k in 0..j {
-                    s -= l.get(i, k) * l.get(j, k);
+            let col = &mut l.col_mut(j)[j..];
+            col[0] = dj;
+            for v in &mut col[1..] {
+                *v /= dj;
+            }
+            // Downdate the trailing lower triangle: a_ic -= l_ij l_cj.
+            for c in (j + 1)..n {
+                let (src, dst) = l.two_cols_mut(j, c);
+                let l_cj = src[c];
+                for (d, s) in dst[c..].iter_mut().zip(&src[c..]) {
+                    *d -= *s * l_cj;
                 }
-                l.set(i, j, s / dj);
             }
         }
         Ok(Self { l })

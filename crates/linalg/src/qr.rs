@@ -377,7 +377,8 @@ pub fn pivoted_qr<T: Scalar>(a: &DenseMatrix<T>, opts: QrOptions) -> QrFactors<T
 
 /// Unpivoted Householder QR (full factorization, rank = min(m, n)).
 ///
-/// Used by the randomized-sampling HSS baseline for re-orthonormalization.
+/// The ULV factorization compresses every rotated node's outgoing basis
+/// with it, and [`householder_ql`] is built on it.
 pub fn householder_qr<T: Scalar>(a: &DenseMatrix<T>) -> QrFactors<T> {
     pivoted_qr_nopivot(a)
 }

@@ -134,6 +134,14 @@ pub trait Scalar:
     /// left there: the caller must write every element before reading it
     /// (the pack step of [`crate::blas::gemm`] does). Not re-entrant.
     fn with_pack_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
+
+    /// Run `f` on the calling thread's stash of grow-only buffers for
+    /// dense-factorization temporaries (the compact-WY operands of
+    /// [`crate::ulv::rotate_symmetric`]). `f` pops buffers — of any length
+    /// and contents — and pushes them back when done, so later calls on this
+    /// thread reuse their capacity. Unlike the pack scratch it may stay
+    /// borrowed across [`crate::blas::gemm`] calls. Not re-entrant.
+    fn with_factor_scratch<R>(f: impl FnOnce(&mut Vec<Vec<Self>>) -> R) -> R;
 }
 
 macro_rules! impl_scalar {
@@ -231,6 +239,12 @@ macro_rules! impl_scalar {
                     }
                     f(&mut buf[..len])
                 })
+            }
+            fn with_factor_scratch<R>(f: impl FnOnce(&mut Vec<Vec<Self>>) -> R) -> R {
+                thread_local! {
+                    static STASH: RefCell<Vec<Vec<$t>>> = const { RefCell::new(Vec::new()) };
+                }
+                STASH.with(|cell| f(&mut cell.borrow_mut()))
             }
         }
     };

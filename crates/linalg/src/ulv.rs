@@ -9,7 +9,10 @@
 //!    (`U~ = R`, `s x s`): in the rotated coordinates, the trailing `m - s`
 //!    variables decouple from everything outside the block.
 //! 2. **Two-sided block reduction** — [`rotate_symmetric`] forms
-//!    `D^ = Q^T D Q` without ever materializing `Q`.
+//!    `D^ = Q^T D Q` without ever materializing `Q`: from block order
+//!    [`ROTATE_WY_MIN_ORDER`] on as one symmetric rank-`2k` update with the
+//!    compact-WY form `Q = I - V T V^T` (GEMMs only), below it as two passes
+//!    of the `k` reflectors.
 //! 3. **Trailing elimination** — [`eliminate_trailing`] Cholesky-factors the
 //!    trailing block `D^_22 = L L^T` and forms the Schur complement
 //!    `S = D^_11 - X X^T` with `X^T = L^{-1} D^_21` (small-core triangular
@@ -30,15 +33,36 @@ use crate::qr::QrFactors;
 use crate::scalar::Scalar;
 use crate::trsm::{trsm_left_blocked, Triangle};
 
+/// Smallest block order `m` at which [`rotate_symmetric`] takes the
+/// compact-WY GEMM form, provided fewer than two thirds of the order are
+/// reflectors (`3k < 2m`). Below either bound the WY form's extra flops
+/// (`O(m k^2)` for `T`, `Y`, `M` and `W`) and its small GEMMs cost more than
+/// the two reflector passes save. Measured on one AVX2 core in f64,
+/// WY / two-pass in us at `m x k`: 64 x 16 56 / 55, 64 x 32 103 / 96,
+/// 96 x 16 98 / 147, 96 x 48 294 / 318, 96 x 64 407 / 377,
+/// 128 x 64 536 / 766, 128 x 96 968 / 852, 256 x 128 3 440 / 5 640.
+pub const ROTATE_WY_MIN_ORDER: usize = 96;
+
 /// Two-sided orthogonal reduction `Q^T A Q` for a symmetric `A`, using the
 /// compact Householder representation of `Q` (never materialized). The
 /// result is explicitly symmetrized: in exact arithmetic `Q^T A Q` is
 /// symmetric, and enforcing the symmetry roundoff loses keeps downstream
 /// Cholesky factorizations and CG's symmetry assumption exact.
+///
+/// From order [`ROTATE_WY_MIN_ORDER`] on (with `k` reflectors, `3k < 2m`),
+/// `Q = I - V T V^T` is taken in compact-WY form (`V` the unit
+/// lower-trapezoidal reflectors, `T` upper triangular) and the reduction is
+/// one symmetric rank-`2k` update: with `Y = V T`, `X = A Y`, `M = Y^T X`
+/// and `W = X - V M / 2`, `Q^T A Q = A - W V^T - V W^T`, all GEMMs. Smaller
+/// rotations apply the reflectors one at a time, twice: `Q^T (Q^T A)^T`.
+/// The two forms agree to roundoff, not bit for bit.
 pub fn rotate_symmetric<T: Scalar>(q: &QrFactors<T>, a: &DenseMatrix<T>) -> DenseMatrix<T> {
     assert_eq!(a.rows(), a.cols(), "rotate_symmetric requires a square A");
     assert_eq!(a.rows(), q.rows(), "rotation/matrix dimension mismatch");
-    // M = Q^T A, then Q^T A Q = (Q^T M^T)^T.
+    let m = a.rows();
+    if m >= ROTATE_WY_MIN_ORDER && 3 * q.rank() < 2 * m {
+        return rotate_wy(q, a);
+    }
     let mut m1 = a.clone();
     q.apply_qt(&mut m1);
     let mut m2 = m1.transpose();
@@ -46,6 +70,111 @@ pub fn rotate_symmetric<T: Scalar>(q: &QrFactors<T>, a: &DenseMatrix<T>) -> Dens
     let mut out = m2.transpose();
     out.symmetrize();
     out
+}
+
+/// The compact-WY form of [`rotate_symmetric`]. It updates the lower
+/// triangle only and mirrors it into the upper one. Its temporaries come
+/// from the thread's factorization scratch, so a sweep of rotations
+/// allocates only the results.
+fn rotate_wy<T: Scalar>(q: &QrFactors<T>, a: &DenseMatrix<T>) -> DenseMatrix<T> {
+    let (m, k) = (a.rows(), q.rank());
+    let (one, zero) = (T::one(), T::zero());
+    T::with_factor_scratch(|stash| {
+        let mut take = |rows: usize, cols: usize| {
+            let mut buf = stash.pop().unwrap_or_default();
+            buf.clear();
+            buf.resize(rows * cols, zero);
+            DenseMatrix::from_vec(rows, cols, buf)
+        };
+        let (mut v, mut t, mut y, mut x, mut g) =
+            (take(m, k), take(k, k), take(m, k), take(m, k), take(k, k));
+        for j in 0..k {
+            let col = v.col_mut(j);
+            col[j] = one;
+            col[j + 1..].copy_from_slice(&q.compact().col(j)[j + 1..]);
+        }
+        // Forward `larft`: T[j, j] = tau_j and T[..j, j] = -tau_j T[..j, ..j]
+        // (V^T V)[..j, j], the triangular product as column axpys.
+        gemm(one, &v, Transpose::Yes, &v, Transpose::No, zero, &mut g);
+        for j in 0..k {
+            let tau = q.tau()[j];
+            for p in 0..j {
+                let (tp, tj) = t.two_cols_mut(p, j);
+                T::axpy_kernel(-tau * g.get(p, j), &tp[..=p], &mut tj[..=p]);
+            }
+            t.set(j, j, tau);
+        }
+        gemm(one, &v, Transpose::No, &t, Transpose::No, zero, &mut y);
+        gemm(one, a, Transpose::No, &y, Transpose::No, zero, &mut x);
+        // g is M = Y^T A Y from here on, and x becomes W.
+        gemm(one, &y, Transpose::Yes, &x, Transpose::No, zero, &mut g);
+        gemm(
+            T::from_f64(-0.5),
+            &v,
+            Transpose::No,
+            &g,
+            Transpose::No,
+            one,
+            &mut x,
+        );
+        // The rank-2k update of the lower triangle, one column block at a
+        // time: out[c0.., c0..c1] -= [W V][c0.., :] [V W][c0..c1, :]^T.
+        let mut out = a.clone();
+        let wv = || (0..k).map(|j| x.col(j)).chain((0..k).map(|j| v.col(j)));
+        let vw = || (0..k).map(|j| v.col(j)).chain((0..k).map(|j| x.col(j)));
+        for c0 in (0..m).step_by(UPDATE_NB) {
+            let c1 = (c0 + UPDATE_NB).min(m);
+            let lhs = gather_rows(wv(), c0..m, stash.pop().unwrap_or_default());
+            let rhs = gather_rows(vw(), c0..c1, stash.pop().unwrap_or_default());
+            let mut blk = gather_rows(
+                (c0..c1).map(|j| out.col(j)),
+                c0..m,
+                stash.pop().unwrap_or_default(),
+            );
+            gemm(
+                -one,
+                &lhs,
+                Transpose::No,
+                &rhs,
+                Transpose::Yes,
+                one,
+                &mut blk,
+            );
+            for j in c0..c1 {
+                out.col_mut(j)[c0..].copy_from_slice(blk.col(j - c0));
+            }
+            stash.extend([blk.into_vec(), rhs.into_vec(), lhs.into_vec()]);
+        }
+        for j in 0..m {
+            for i in (j + 1)..m {
+                out.set(j, i, out.get(i, j));
+            }
+        }
+        // Pushed in reverse so the next call pops each buffer for its old role.
+        stash.extend([g, x, y, t, v].map(DenseMatrix::into_vec));
+        out
+    })
+}
+
+/// Column width of the lower-triangle blocks of [`rotate_wy`]'s rank-`2k`
+/// update: narrower blocks skip more of the upper triangle, wider ones run
+/// fewer, larger GEMMs.
+const UPDATE_NB: usize = 64;
+
+/// `rows` of the given columns, side by side, as a matrix over `buf`'s
+/// storage.
+fn gather_rows<'a, T: Scalar>(
+    cols: impl Iterator<Item = &'a [T]>,
+    rows: std::ops::Range<usize>,
+    mut buf: Vec<T>,
+) -> DenseMatrix<T> {
+    buf.clear();
+    let mut count = 0;
+    for col in cols {
+        buf.extend_from_slice(&col[rows.clone()]);
+        count += 1;
+    }
+    DenseMatrix::from_vec(rows.len(), count, buf)
 }
 
 /// One ULV elimination of the trailing block: the Cholesky factor of the

@@ -10,9 +10,12 @@
 //!    (`U = P^T` at a leaf; the stacked `diag(U~_l, U~_r) E` at an interior
 //!    node) rotates the local coordinates so that all coupling to the rest
 //!    of the matrix lives in the leading `s` rotated variables:
-//!    `Q^T U = [U~; 0]`.
+//!    `Q^T U = [U~; 0]`. A square basis (`s == m`, a rank-saturated node)
+//!    leaves nothing to eliminate: such a node skips the QR and the
+//!    rotation, stores no rotation, and hands `U~ = U` to its parent.
 //! 2. **Rotate the block.** `D^ = Q^T (D + lambda I) Q` (two-sided
-//!    reduction, `Q` kept in compact Householder form).
+//!    reduction, `Q` kept in compact Householder form; large blocks are
+//!    rotated as one compact-WY GEMM update).
 //! 3. **Eliminate the trailing block.** `D^_22 = L L^T` (Cholesky),
 //!    `X^T = L^{-1} D^_21`, Schur complement `S = D^_11 - X X^T`. The
 //!    `(S, U~)` pair is what the parent sees as its child's diagonal block
@@ -41,8 +44,8 @@ use gofmm_core::{
 };
 use gofmm_linalg::{
     check_scalar_width, decode_scalar_vec, eliminate_trailing, encode_scalar_slice, gemm,
-    householder_qr, matmul, matmul_nt, rotate_symmetric, Cholesky, DenseMatrix,
-    NotPositiveDefinite, QrFactors, Scalar, TrailingElimination, Transpose,
+    householder_qr, matmul, rotate_symmetric, Cholesky, DenseMatrix, NotPositiveDefinite,
+    QrFactors, Scalar, TrailingElimination, Transpose,
 };
 use gofmm_matrices::SpdMatrix;
 use gofmm_runtime::{
@@ -66,7 +69,9 @@ const SINGULAR_REL: f64 = 1e-10;
 /// Per-node ULV factor storage.
 struct UlvNode<T: Scalar> {
     /// Compact Householder rotation of the node's outgoing basis; `None` at
-    /// the root (no basis above) — there the block is factored unrotated.
+    /// the root (no basis above), where the block is factored unrotated, and
+    /// at square-basis nodes (`s == m`), where nothing is eliminated and the
+    /// block passes to the parent unrotated.
     rotation: Option<QrFactors<T>>,
     /// Trailing elimination of the rotated block: Cholesky of `D^_22`,
     /// coupling panel `X^T`, (Schur complement stripped after the upward
@@ -471,8 +476,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
                 None
             }
             Some(sched) => {
-                let m = comp.config.leaf_size as f64;
-                let s = comp.config.max_rank as f64;
+                let rank = |heap: usize| comp.basis(heap).map_or(0, |b| b.rank());
                 let factor_ref = &factor_one;
                 let mut plan = PhasePlan::new();
                 plan.add_bottom_up(
@@ -480,13 +484,13 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
                     tree,
                     |_| false,
                     |heap| {
-                        if tree.is_leaf(heap) {
-                            // QR of the basis + two-sided rotation + trailing
-                            // Cholesky: all O(m^2 s + m^3)-ish.
-                            2.0 * m * m * s + m * m * m / 3.0
+                        let m = if tree.is_leaf(heap) {
+                            tree.node(heap).len
                         } else {
-                            16.0 * s * s * s
-                        }
+                            let (l, r) = tree.children(heap);
+                            rank(l) + rank(r)
+                        };
+                        factor_cost(m, rank(heap))
                     },
                     |heap| move || factor_ref(heap),
                 );
@@ -893,16 +897,23 @@ impl<T: Scalar> UlvFactor<'static, T> {
     }
 }
 
-/// Classify a failed trailing Cholesky: a pivot at roundoff scale relative
-/// to the block's diagonal means the regularized block is numerically
-/// singular ([`Error::SingularCore`]); a genuinely negative pivot means it
-/// is indefinite ([`Error::NotPositiveDefinite`]).
+/// Classify a failed trailing Cholesky: a non-finite pivot means the matrix
+/// fed the block a NaN or infinity ([`Error::NonFiniteInput`]), not that
+/// lambda is too small; a pivot at roundoff scale relative to the block's
+/// diagonal means the regularized block is numerically singular
+/// ([`Error::SingularCore`]); a genuinely negative pivot means it is
+/// indefinite ([`Error::NotPositiveDefinite`]).
 fn classify_breakdown<T: Scalar>(
     heap: usize,
     keep: usize,
     dhat: &DenseMatrix<T>,
     err: &NotPositiveDefinite,
 ) -> Error {
+    if !err.value.is_finite() {
+        return Error::NonFiniteInput {
+            what: "matrix block",
+        };
+    }
     let scale = (0..dhat.rows())
         .map(|i| dhat.get(i, i).to_f64().abs())
         .fold(0.0f64, f64::max)
@@ -919,23 +930,53 @@ fn classify_breakdown<T: Scalar>(
     }
 }
 
-/// Shared tail of the leaf and interior factor tasks: rotate the block (when
-/// the node has an outgoing basis), eliminate the trailing variables, and
-/// package the persistent node plus the transient `(S, U~)` pair.
+/// HEFT cost estimate, in flops, of factoring a node of order `m` with an
+/// `m x s` outgoing basis: the basis QR and the two-sided rotation
+/// (`2 m s^2 + 8 m^2 s`; none for a square basis, which is not rotated), then
+/// the trailing elimination of `t = m - s` variables (Cholesky, triangular
+/// solve, Schur update: `t^3 / 3 + t^2 s + 2 t s^2`).
+fn factor_cost(m: usize, s: usize) -> f64 {
+    let (m, s) = (m as f64, s as f64);
+    let t = m - s;
+    let rotate = if t > 0.0 {
+        2.0 * m * s * s + 8.0 * m * m * s
+    } else {
+        0.0
+    };
+    rotate + t * t * t / 3.0 + t * t * s + 2.0 * t * s * s
+}
+
+/// Shared tail of the leaf and interior factor tasks: compress the node's
+/// outgoing basis `u` (`m x s`) and rotate the block with it, eliminate the
+/// trailing variables, and package the persistent node plus the transient
+/// `(S, U~)` pair.
+///
+/// A QR of the basis gives `Q^T U = [U~; 0]`, so the trailing `m - s`
+/// rotated variables decouple from the rest of the matrix. A square basis
+/// (`s == m`) decouples nothing: the node is neither rotated nor
+/// eliminated, and hands `U~ = U` and its unrotated block to the parent.
+/// The root has no basis and eliminates everything (`s = 0`).
 fn finish_node<T: Scalar>(
     heap: usize,
     d: DenseMatrix<T>,
-    rotation: Option<QrFactors<T>>,
-    reduced: usize,
+    u: Option<DenseMatrix<T>>,
     split: usize,
 ) -> Slot<T> {
+    let (rotation, utilde, reduced) = match u {
+        Some(u) if u.cols() < u.rows() => {
+            let qr = householder_qr(&u);
+            let utilde = qr.r();
+            (Some(qr), utilde, u.cols())
+        }
+        Some(u) => {
+            let reduced = u.cols();
+            (None, u, reduced)
+        }
+        None => (None, DenseMatrix::zeros(0, 0), 0),
+    };
     let dhat = match &rotation {
         Some(qr) => rotate_symmetric(qr, &d),
         None => d,
-    };
-    let utilde = match &rotation {
-        Some(qr) => qr.r(),
-        None => DenseMatrix::zeros(0, 0),
     };
     let mut elim = match eliminate_trailing(&dhat, reduced) {
         Ok(elim) => elim,
@@ -958,8 +999,8 @@ fn finish_node<T: Scalar>(
     }
 }
 
-/// Factor one leaf: QR of the leaf basis, two-sided rotation of the
-/// regularized diagonal block, trailing elimination.
+/// Factor one leaf: its regularized diagonal block with the leaf basis
+/// `U = P^T`.
 fn factor_leaf<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     matrix: &M,
     comp: &Compressed<T>,
@@ -975,25 +1016,14 @@ fn factor_leaf<T: Scalar, M: SpdMatrix<T> + ?Sized>(
         let d = a.get(i, i);
         a.set(i, i, d + lambda);
     }
-    let (rotation, reduced) = match comp.basis(heap) {
-        Some(basis) => {
-            // U = P^T (m x s): compress it so the trailing m - s rotated
-            // variables decouple from the rest of the matrix.
-            let u = basis.interp.transpose();
-            let qr = householder_qr(&u);
-            debug_assert_eq!(qr.rank(), basis.rank(), "leaf basis must be tall");
-            (Some(qr), basis.rank())
-        }
-        // Depth-0 tree: the root leaf has no outgoing basis; eliminate
-        // everything (plain dense Cholesky).
-        None => (None, 0),
-    };
-    finish_node(heap, a, rotation, reduced, 0)
+    // A depth-0 tree's root leaf has no outgoing basis: plain dense Cholesky.
+    let u = comp.basis(heap).map(|basis| basis.interp.transpose());
+    finish_node(heap, a, u, 0)
 }
 
 /// Factor one interior node: assemble the merged block from the children's
-/// Schur complements and the sibling skeleton block, compress the stacked
-/// basis, rotate, eliminate.
+/// Schur complements and the sibling skeleton block, and factor it with the
+/// stacked basis.
 fn factor_interior<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     matrix: &M,
     comp: &Compressed<T>,
@@ -1023,30 +1053,82 @@ fn factor_interior<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     // Merged block in the children's reduced coordinates:
     // [ S_l              U~_l B U~_r^T ]
     // [ (U~_l B U~_r^T)^T     S_r      ]
+    let (perm_l, perm_r) = (as_permutation(utilde_l), as_permutation(utilde_r));
     let mut d = DenseMatrix::zeros(merged, merged);
     d.set_block(0, 0, schur_l);
     d.set_block(sl, sl, schur_r);
-    let coupling = matmul_nt(&matmul(utilde_l, &b), utilde_r);
-    d.set_block(0, sl, &coupling);
-    d.set_block(sl, 0, &coupling.transpose());
+    // (U~_l B U~_r^T)^T = U~_r (U~_l B)^T.
+    let left = basis_times(utilde_l, perm_l.as_deref(), &b);
+    let coupling_t = basis_times(utilde_r, perm_r.as_deref(), &left.transpose());
+    d.set_block(0, sl, &coupling_t.transpose());
+    d.set_block(sl, 0, &coupling_t);
 
-    let (rotation, reduced) = match comp.basis(heap) {
-        Some(basis) => {
-            // Stacked outgoing basis diag(U~_l, U~_r) E, E = P^T.
-            let e = basis.interp.transpose();
-            debug_assert_eq!(e.rows(), merged, "nested basis shape");
-            let cols = e.cols();
-            let mut ue = DenseMatrix::zeros(merged, cols);
-            ue.set_block(0, 0, &matmul(utilde_l, &e.block(0, sl, 0, cols)));
-            ue.set_block(sl, 0, &matmul(utilde_r, &e.block(sl, merged, 0, cols)));
-            let qr = householder_qr(&ue);
-            debug_assert_eq!(qr.rank(), basis.rank(), "stacked basis must be tall");
-            (Some(qr), basis.rank())
+    // Stacked outgoing basis diag(U~_l, U~_r) E, E = P^T; the root has none
+    // and Cholesky-factors the whole merged block.
+    let u = comp.basis(heap).map(|basis| {
+        let e = basis.interp.transpose();
+        debug_assert_eq!(e.rows(), merged, "nested basis shape");
+        let cols = e.cols();
+        let mut ue = DenseMatrix::zeros(merged, cols);
+        ue.set_block(
+            0,
+            0,
+            &basis_times(utilde_l, perm_l.as_deref(), &e.block(0, sl, 0, cols)),
+        );
+        ue.set_block(
+            sl,
+            0,
+            &basis_times(utilde_r, perm_r.as_deref(), &e.block(sl, merged, 0, cols)),
+        );
+        ue
+    });
+    finish_node(heap, d, u, sl)
+}
+
+/// `Some(perm)` when the child basis `U~` is a permutation matrix, column
+/// `k` holding its single one in row `perm[k]`: the `U~ = P^T` a square,
+/// unrotated leaf hands up (every point is a skeleton point, so `P` only
+/// reorders them).
+fn as_permutation<T: Scalar>(u: &DenseMatrix<T>) -> Option<Vec<usize>> {
+    let mut taken = vec![false; u.rows()];
+    let mut perm = Vec::with_capacity(u.cols());
+    for k in 0..u.cols() {
+        let mut one = None;
+        for (i, &v) in u.col(k).iter().enumerate() {
+            if v != T::zero() {
+                if v != T::one() || one.is_some() || taken[i] {
+                    return None;
+                }
+                one = Some(i);
+            }
         }
-        // Root: no outgoing basis; Cholesky-factor the whole merged block.
-        None => (None, 0),
-    };
-    finish_node(heap, d, rotation, reduced, sl)
+        let i = one?;
+        taken[i] = true;
+        perm.push(i);
+    }
+    Some(perm)
+}
+
+/// `U~ X` for a child basis `U~`: a row scatter when `U~` is the
+/// permutation `perm` (equal to the GEMM for finite `X`), a GEMM otherwise.
+fn basis_times<T: Scalar>(
+    u: &DenseMatrix<T>,
+    perm: Option<&[usize]>,
+    x: &DenseMatrix<T>,
+) -> DenseMatrix<T> {
+    match perm {
+        Some(p) => {
+            let mut out = DenseMatrix::zeros(u.rows(), x.cols());
+            for c in 0..x.cols() {
+                let (src, dst) = (x.col(c), out.col_mut(c));
+                for (k, &i) in p.iter().enumerate() {
+                    dst[i] = src[k];
+                }
+            }
+            out
+        }
+        None => matmul(u, x),
+    }
 }
 
 /// One in-flight ULV solve: the factor's frozen state and the leased
@@ -1211,6 +1293,123 @@ mod tests {
         let x = factor.solve(&b).unwrap();
         let resid = op.matvec(&x).sub(&b).norm_fro() / b.norm_fro();
         assert!(resid < 1e-10, "ULV factor residual {resid}");
+    }
+
+    #[test]
+    fn square_basis_nodes_are_neither_rotated_nor_stored() {
+        // leaf_size == max_rank on a 6-D cloud: every leaf basis saturates
+        // (s == m), so no leaf eliminates anything.
+        let n = 512;
+        let k = KernelMatrix::new(
+            PointCloud::uniform(n, 6, 42),
+            KernelType::Gaussian { bandwidth: 1.0 },
+            1e-6,
+            "ulv-saturated",
+        );
+        let cfg = hss_config().with_leaf_size(32).with_max_rank(32);
+        let comp = Arc::new(compress::<f64, _>(&k, &cfg));
+        // The rank cap leaves a large compression error in 6-D: at small
+        // lambda the HSS part is not positive definite.
+        let lambda = 1.0;
+        let opts = FactorOptions {
+            lambda,
+            ..FactorOptions::default()
+        };
+        let factor = UlvFactor::from_shared(&k, Arc::clone(&comp), &opts).unwrap();
+        let tree = &comp.tree;
+        let order = |h: usize| {
+            if tree.is_leaf(h) {
+                tree.node(h).len
+            } else {
+                let (l, r) = tree.children(h);
+                factor.dims[l].0 + factor.dims[r].0
+            }
+        };
+        let square: Vec<usize> = (0..tree.node_count())
+            .filter(|&h| comp.basis(h).is_some_and(|b| b.rank() == order(h)))
+            .collect();
+        assert!(
+            tree.leaf_range().all(|h| square.contains(&h)),
+            "every leaf basis must be square in this configuration"
+        );
+        for &h in &square {
+            let node = factor.node(h);
+            assert!(node.rotation.is_none(), "node {h}: square basis rotated");
+            assert_eq!((node.eliminated, node.bytes()), (0, 0), "node {h}");
+        }
+
+        // Storage: the dimension formula with no rotation at square nodes,
+        // and exactly (m^2 + m) scalars less than rotating them too.
+        let scalar = std::mem::size_of::<f64>();
+        let (mut expected, mut rotated_everywhere) = (0, 0);
+        for (h, &(s, t)) in factor.dims.iter().enumerate() {
+            let m = s + t;
+            let elim = (t * t + t * s) * scalar;
+            let rot = if comp.basis(h).is_some() {
+                (m * s + s) * scalar
+            } else {
+                0
+            };
+            expected += elim + if t > 0 { rot } else { 0 };
+            rotated_everywhere += elim + rot;
+        }
+        assert_eq!(factor.stats().bytes, expected);
+        let dropped: usize = square
+            .iter()
+            .map(|&h| (order(h) * order(h) + order(h)) * scalar)
+            .sum();
+        assert_eq!(factor.stats().bytes + dropped, rotated_everywhere);
+
+        // The solve still inverts the (budget 0) HSS operator.
+        let mut rng = StdRng::seed_from_u64(28);
+        let x_true = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
+        let ev = gofmm_core::Evaluator::new(&k, &comp);
+        let op = Shifted::new(&ev, lambda);
+        let b = op.matvec(&x_true);
+        let x = factor.solve(&b).unwrap();
+        let resid = op.matvec(&x).sub(&b).norm_fro() / b.norm_fro();
+        assert!(resid < 1e-10, "ULV factor residual {resid}");
+
+        // Every factor and solve policy x {1, 2} threads: the same bits.
+        for policy in [
+            TraversalPolicy::Sequential,
+            TraversalPolicy::LevelByLevel,
+            TraversalPolicy::DagHeft,
+            TraversalPolicy::DagFifo,
+        ] {
+            for threads in [1, 2] {
+                let factor_opts = FactorOptions {
+                    lambda,
+                    policy: Some(policy),
+                    num_threads: Some(threads),
+                };
+                let refactored = UlvFactor::with_options(&k, &comp, &factor_opts).unwrap();
+                let opts = ApplyOptions::new()
+                    .with_policy(policy)
+                    .with_threads(threads);
+                let ours = refactored.solve_with(&b, &opts).unwrap();
+                let theirs = factor.solve_with(&b, &opts).unwrap();
+                assert_eq!(ours.data(), x.data(), "{policy}/{threads}: refactored");
+                assert_eq!(theirs.data(), x.data(), "{policy}/{threads}: solve");
+            }
+        }
+
+        // A store round trip: square nodes encode as rotation-absent, and
+        // the reopened factor solves bit for bit.
+        let dir = std::env::temp_dir().join(format!("gofmm-ulv-square-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("factor.gfmm");
+        let mut writer = StoreWriter::create(&path).unwrap();
+        factor.write_to(&mut writer).unwrap();
+        writer.finish().unwrap();
+        let reopened = UlvFactor::open_from(&path, Arc::clone(&comp), 1 << 16).unwrap();
+        assert_eq!(reopened.stats().bytes, factor.stats().bytes);
+        for &h in &square {
+            assert!(reopened.node(h).rotation.is_none(), "node {h} reopened");
+        }
+        assert_eq!(reopened.solve(&b).unwrap().data(), x.data());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

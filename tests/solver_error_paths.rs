@@ -5,7 +5,7 @@
 //! right-hand side reports `DimensionMismatch`, and a non-finite Krylov
 //! right-hand side reports `NonFiniteInput` (directly and at serving
 //! admission), as does a matrix with a non-finite diagonal under every
-//! distance metric.
+//! distance metric and a NaN off the diagonal that reaches the ULV factor.
 
 use gofmm_suite::core::DistanceMetric;
 use gofmm_suite::linalg::DenseMatrix;
@@ -184,6 +184,49 @@ fn non_finite_matrix_diagonal_is_refused_before_compression() {
             Err(Error::NonFiniteInput { what }) => assert_eq!(what, "matrix diagonal"),
             Err(other) => panic!("{metric}: expected NonFiniteInput, got {other}"),
             Ok(_) => panic!("{metric}: a NaN diagonal must not build"),
+        }
+    }
+}
+
+/// A well-posed Gaussian kernel with one NaN planted off the diagonal, at
+/// `at` and its mirror.
+struct NanOffDiagonal {
+    kernel: KernelMatrix,
+    at: (usize, usize),
+}
+
+impl SpdMatrix<f64> for NanOffDiagonal {
+    fn n(&self) -> usize {
+        SpdMatrix::<f64>::n(&self.kernel)
+    }
+    fn entry(&self, i: usize, j: usize) -> f64 {
+        if (i, j) == self.at || (j, i) == self.at {
+            f64::NAN
+        } else {
+            SpdMatrix::<f64>::entry(&self.kernel, i, j)
+        }
+    }
+}
+
+#[test]
+fn non_finite_off_diagonal_entry_is_not_blamed_on_lambda() {
+    // The diagonal is finite, so compression accepts the matrix; the NaN
+    // reaches the ULV factor as a NaN Cholesky pivot, which used to read
+    // "not positive definite; increase lambda". (The SMW backend reports
+    // this case as a numerically singular core; it is left as is.)
+    for (n, at) in [(12, (2, 5)), (300, (10, 290))] {
+        let m = NanOffDiagonal {
+            kernel: well_posed_kernel(n),
+            at,
+        };
+        match GofmmOperator::<f64>::builder(&m)
+            .config(config())
+            .factorize(1e-2)
+            .build()
+        {
+            Err(Error::NonFiniteInput { what }) => assert_eq!(what, "matrix block"),
+            Err(other) => panic!("n = {n}, NaN at {at:?}: expected NonFiniteInput, got {other}"),
+            Ok(_) => panic!("n = {n}, NaN at {at:?}: a NaN block must not factor"),
         }
     }
 }
