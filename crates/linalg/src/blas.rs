@@ -15,16 +15,20 @@
 //!   scratch lives as long as the thread: a caller's own thread keeps it
 //!   across calls, while the scoped workers a multi-threaded sweep spawns
 //!   each grow one per run (at most 1.25 MiB of f64) and drop it at the join.
-//! * **Stream** (`B` untransposed with at most `NR` columns — the narrow
-//!   applies, solves and PCG iterations): no packing at all. Each element of
-//!   `A` is used once per column of `B`, so copying it into a strip first
-//!   only doubles the memory traffic; instead `A` is read once, in place, by
-//!   one of two dispatched kernels ([`StreamInto`], AVX2/FMA or portable):
+//! * **Stream** (`B` untransposed with at most [`STREAM_MAX_COLS`] columns —
+//!   the applies, solves and PCG iterations of up to that many right-hand
+//!   sides, coalesced server batches included): no packing at all. Each
+//!   element of `A` is used once per column of `B`, so copying it into a
+//!   strip first only doubles the memory traffic; instead `B` and `C` are
+//!   taken one chunk of at most `NR` columns at a time, and for each chunk
+//!   `A` is read once, in place (from cache after the first chunk, as far as
+//!   it fits), by one of two dispatched kernels ([`StreamInto`], AVX2/FMA or
+//!   portable):
 //!   - `A * B`: the **fused** kernel takes four consecutive columns of `A`
 //!     per pass over an L1-resident block of sums (a few KiB of the same
-//!     thread scratch) and updates all `n` sum columns in that pass, so a sum
-//!     is loaded and stored once per four fmas and `A` once in all. A
-//!     reduced-precision `A` is widened in register on the load.
+//!     thread scratch) and updates all of the chunk's sum columns in that
+//!     pass, so a sum is loaded and stored once per four fmas and `A` once
+//!     per chunk. A reduced-precision `A` is widened in register on the load.
 //!   - `A^T * B`: the **transposed** kernel re-lays the `KC`-deep block of
 //!     `B` row-major, walks eight columns of `A` at once and keeps one
 //!     register of sums per output row: `sums_j = fma(broadcast A[i,j],
@@ -42,7 +46,8 @@
 //! increasing `p` inside the same `KC` blocks (the fused kernel chains its
 //! four fmas per element in increasing `p`; every lane of the transposed one
 //! is a sequential chain over `i`), one `alpha.mul_add` per block — only in a
-//! different loop nest. Every fma is per element on every dispatch path, so
+//! different loop nest. Which chunk an output column falls in changes none
+//! of that. Every fma is per element on every dispatch path, so
 //! the SIMD and scalar builds, the three kernels, and [`reference::gemm`]
 //! all agree.
 //!
@@ -91,6 +96,25 @@ const NC: usize = 512;
 /// 4096 x 256, 584-664 / 525-537 / 440 us at 1024 x 1024; cold reads alike.
 const STREAM_ROWS: usize = 512;
 
+/// Widest untransposed `B` that [`gemm`] streams rather than packs. The
+/// stream path reads `A` in place once per chunk of at most `NR` columns, so
+/// past some width re-reading it costs more than packing it once. Measured
+/// crossover (f64, µs per product, best of 5 over a pool of 8 MiB of
+/// distinct `A`s, 2-vCPU AVX2 VM, two alternating runs, packed -> streamed):
+///
+/// | `A` (`m x k`) | n = 7 | n = 16 | n = 32 | n = 48 | n = 64 |
+/// |---|---|---|---|---|---|
+/// | `A·B` 64 x 220 | 34-37 -> 11-12 | 34-42 -> 18 | 66-70 -> 35-38 | 72-77 -> 52-53 | 87-91 -> 70-75 |
+/// | `A·B` 128 x 1280 | 292-352 -> 116-144 | 366-575 -> 260-294 | 588-846 -> 464-585 | 725-1072 -> 655-759 | 1268-1406 -> 864-1167 |
+/// | `A·B` 128 x 512 | 113-122 -> 57-65 | 155-160 -> 116-128 | 251-266 -> 234-258 | 319-415 -> 340-379 | 448-544 -> 457-501 |
+/// | `Aᵀ·B` 128 x 512 | 145-149 -> 73-79 | 169-195 -> 104-131 | 247-313 -> 224-234 | 297-404 -> 317-348 | 485-533 -> 443-643 |
+/// | `Aᵀ·B` 128 x 1280 | 276-344 -> 192-227 | 360-375 -> 347-367 | 806-863 -> 768-790 | 747-1064 -> 916-1137 | 956-1393 -> 1100-1490 |
+///
+/// Streaming wins by 2-3x at 7 columns and still by 5-40 % at 32; from 48
+/// columns on some shapes stream slower than they pack. 32 is also the
+/// serving layer's default batch cap.
+pub const STREAM_MAX_COLS: usize = 32;
+
 /// `y = beta * y` as BLAS defines it: `beta == 0` **overwrites** `y` with
 /// zeros rather than multiplying, so NaN or Inf left in a recycled output
 /// buffer cannot survive as `0 * NaN`.
@@ -108,8 +132,9 @@ fn scale_or_clear<T: Scalar>(beta: T, y: &mut [T]) {
 ///
 /// Dimensions are checked at runtime. `beta == 0` overwrites `C` (a recycled
 /// buffer holding NaN or Inf does not leak into the result). Products with
-/// an untransposed `B` of at most `NR` columns stream `A` (or `A^T`) in
-/// place through the fused / transposed stream kernel; everything else is
+/// an untransposed `B` of at most [`STREAM_MAX_COLS`] columns stream `A` (or
+/// `A^T`) in place through the fused / transposed stream kernel, once per
+/// chunk of at most `NR` columns of `B`; everything else is
 /// packed into cache-friendly panels and multiplied with the
 /// runtime-dispatched `MR x NR` micro-kernel. Neither path allocates once
 /// the calling thread's scratch has grown, and results are bit-identical
@@ -186,10 +211,14 @@ fn gemm_core<P: Scalar + StreamInto<T>, T: Scalar>(
     // too (f64, hot, k = 256, n = 4, packed / fused: m = 1 2.1 / 0.45 us,
     // m = 4 2.2 / 0.48, m = 7 2.3 / 1.25), and so does its transposed twin
     // (m = 1 1.6 / 0.8 us, m = 4 1.9 / 0.8, k = 4 x m = 256 3.6 / 3.2).
-    if !force_scalar && op_b == Transpose::No && n <= T::NR {
-        match op_a {
-            Transpose::No => gemm_stream(alpha, a, b, c),
-            Transpose::Yes => gemm_stream_t(alpha, a, b, c),
+    if !force_scalar && op_b == Transpose::No && n <= STREAM_MAX_COLS {
+        // Column chunks of `B` and `C` are contiguous in column-major order.
+        let chunks = b.data().chunks(T::NR * k);
+        for (b, c) in chunks.zip(c.data_mut().chunks_mut(T::NR * m)) {
+            match op_a {
+                Transpose::No => gemm_stream(alpha, a, b, c),
+                Transpose::Yes => gemm_stream_t(alpha, a, b, c),
+            }
         }
         return;
     }
@@ -325,18 +354,20 @@ fn gemm_core<P: Scalar + StreamInto<T>, T: Scalar>(
     });
 }
 
-/// Narrow-RHS path of [`gemm_core`]: `C += alpha * A * B` for untransposed
-/// operands and a `B` of a few columns, reading `A` once, in place. `beta`
-/// has already been applied and the empty cases returned. Bit-identical to
-/// the packed path: same zero-initialised per-`KC`-block sums, same fma per
-/// `p` in increasing order, same single `alpha.mul_add` per block.
+/// One chunk of the stream path of [`gemm_core`]: `C += alpha * A * B` for
+/// untransposed operands, `b` and `c` the column-major data of at most `NR`
+/// columns of `B` and `C`, reading `A` once, in place. `beta` has already
+/// been applied and the empty cases returned. Bit-identical to the packed
+/// path: same zero-initialised per-`KC`-block sums, same fma per `p` in
+/// increasing order, same single `alpha.mul_add` per block.
 fn gemm_stream<P: Scalar + StreamInto<T>, T: Scalar>(
     alpha: T,
     a: &DenseMatrix<P>,
-    b: &DenseMatrix<T>,
-    c: &mut DenseMatrix<T>,
+    b: &[T],
+    c: &mut [T],
 ) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let (m, k) = (a.rows(), a.cols());
+    let n = b.len() / k;
     // The block sums live in the thread's scratch: the same few KiB every
     // call, so they stay in L1, and `fill` below clears exactly what a block
     // uses.
@@ -347,10 +378,9 @@ fn gemm_stream<P: Scalar + StreamInto<T>, T: Scalar>(
             for pc in (0..k).step_by(KC) {
                 let kb = KC.min(k - pc);
                 acc.fill(T::zero());
-                P::stream_kernel(rb, kb, &a.data()[pc * m + i0..], m, &b.data()[pc..], k, acc);
-                for (cc, sums) in acc.chunks_exact(rb).enumerate() {
-                    let col = &mut c.col_mut(cc)[i0..i0 + rb];
-                    for (cv, sv) in col.iter_mut().zip(sums) {
+                P::stream_kernel(rb, kb, &a.data()[pc * m + i0..], m, &b[pc..], k, acc);
+                for (col, sums) in c.chunks_exact_mut(m).zip(acc.chunks_exact(rb)) {
+                    for (cv, sv) in col[i0..i0 + rb].iter_mut().zip(sums) {
                         *cv = alpha.mul_add(*sv, *cv);
                     }
                 }
@@ -359,19 +389,22 @@ fn gemm_stream<P: Scalar + StreamInto<T>, T: Scalar>(
     });
 }
 
-/// Narrow-RHS path of [`gemm_core`] for a transposed `A`: `C += alpha * A^T
-/// * B`, reading `A` once, in place. Each `KC`-deep block of `B` is re-laid
-/// row-major (zero-padded to [`STREAM_T_WIDTH`] lanes) so that one column of
-/// `A` against it yields a whole row of `C`'s block sums; those are folded
-/// into `C` with one `alpha.mul_add` per element and block, as the packed
-/// path does. `beta` has already been applied and the empty cases returned.
+/// One chunk of the stream path of [`gemm_core`] for a transposed `A`:
+/// `C += alpha * A^T * B`, `b` and `c` the column-major data of at most `NR`
+/// columns of `B` and `C`, reading `A` once, in place. Each `KC`-deep block
+/// of `B` is re-laid row-major (zero-padded to [`STREAM_T_WIDTH`] lanes) so
+/// that one column of `A` against it yields a whole row of `C`'s block sums;
+/// those are folded into `C` with one `alpha.mul_add` per element and block,
+/// as the packed path does. `beta` has already been applied and the empty
+/// cases returned.
 fn gemm_stream_t<P: Scalar + StreamInto<T>, T: Scalar>(
     alpha: T,
     a: &DenseMatrix<P>,
-    b: &DenseMatrix<T>,
-    c: &mut DenseMatrix<T>,
+    b: &[T],
+    c: &mut [T],
 ) {
-    let (k, m, n) = (a.rows(), a.cols(), b.cols());
+    let (k, m) = (a.rows(), a.cols());
+    let n = b.len() / k;
     let brow_len = KC.min(k) * STREAM_T_WIDTH;
     T::with_pack_scratch(brow_len + m * STREAM_T_WIDTH, |scratch| {
         let (brow, sums) = scratch.split_at_mut(brow_len);
@@ -379,14 +412,14 @@ fn gemm_stream_t<P: Scalar + StreamInto<T>, T: Scalar>(
             let kb = KC.min(k - pc);
             let brow = &mut brow[..kb * STREAM_T_WIDTH];
             brow.fill(T::zero());
-            for cc in 0..n {
-                for (i, v) in b.col(cc)[pc..pc + kb].iter().enumerate() {
+            for (cc, col) in b.chunks_exact(k).enumerate() {
+                for (i, v) in col[pc..pc + kb].iter().enumerate() {
                     brow[i * STREAM_T_WIDTH + cc] = *v;
                 }
             }
             P::stream_t_kernel(kb, m, n, &a.data()[pc..], k, brow, sums);
-            for cc in 0..n {
-                for (j, cv) in c.col_mut(cc).iter_mut().enumerate() {
+            for (cc, col) in c.chunks_exact_mut(m).enumerate() {
+                for (j, cv) in col.iter_mut().enumerate() {
                     *cv = alpha.mul_add(sums[j * STREAM_T_WIDTH + cc], *cv);
                 }
             }

@@ -1,29 +1,35 @@
 //! Kernel-equivalence tests for the two things `gemm` does besides multiply:
-//! choosing between the packed path and the narrow-RHS stream path, and
-//! packing into thread-owned scratch that is never cleared.
+//! choosing between the packed path and the stream path, and packing into
+//! thread-owned scratch that is never cleared.
 //!
-//! The contract: with at most `NR` right-hand-side columns and an
-//! untransposed `B` (the stream path: the fused kernel for `A`, its in-place
-//! twin for `A^T`), `gemm` and `gemm_mixed` produce the bits of the
-//! scalar-pinned packed reference; the same columns computed as part of a
-//! wider product (which takes the packed path) are bit-equal; `A^T B` read in
-//! place equals `A B` over the transposed copy; whatever an earlier GEMM left
-//! in the thread's scratch never reaches a result; and the other dispatch
-//! level (`GOFMM_FORCE_SCALAR`) produces the same bits.
+//! The contract: with at most `STREAM_MAX_COLS` right-hand-side columns and
+//! an untransposed `B` (the stream path, one chunk of at most `NR` columns at
+//! a time: the fused kernel for `A`, its in-place twin for `A^T`), `gemm` and
+//! `gemm_mixed` produce the bits of the scalar-pinned packed reference; the
+//! same columns computed as part of a wider product (which takes the packed
+//! path) are bit-equal; `A^T B` read in place equals `A B` over the
+//! transposed copy; `beta = 0` overwrites a NaN `C`; whatever an earlier GEMM
+//! left in the thread's scratch never reaches a result; and the other
+//! dispatch level (`GOFMM_FORCE_SCALAR`) produces the same bits.
 //!
 //! Entries use the full mantissa, so a changed accumulation order or block
 //! boundary shows up in the last bit (the grid-valued entries of
 //! `proptest_simd.rs` sum exactly in f64 and could not see it). Random shapes
-//! cross `KC = 256` and the stream path's 512-row block; [`edge_shapes`]
-//! walks every tail of the kernels on both sides of those edges.
+//! cross `KC = 256`, the stream path's 512-row block, every chunk tail and the
+//! stream/packed gate; [`edge_shapes`] walks every tail of the kernels on both
+//! sides of those edges.
 
-use gofmm_linalg::blas::reference;
+use gofmm_linalg::blas::{reference, STREAM_MAX_COLS};
 use gofmm_linalg::{gemm, gemm_mixed, simd_level, DenseMatrix, Scalar, SimdLevel, Transpose};
 use proptest::prelude::*;
 use std::process::Command;
 
-/// Register-tile width; a product with more columns than this is packed.
+/// Register-tile width: the stream path takes `B` in chunks of this many
+/// columns.
 const NR: usize = <f64 as Scalar>::NR;
+
+/// Every streamed width, every chunk tail, the gate and one past it.
+const WIDTHS: std::ops::RangeInclusive<usize> = 1..=STREAM_MAX_COLS + NR;
 
 const SCALES: [f64; 4] = [0.0, 1.0, -0.75, 1.5];
 
@@ -79,7 +85,7 @@ fn product<T: Scalar>(
 }
 
 /// Shapes `(m, k, n)` on both sides of every edge of the stream kernels, for
-/// every `n` in `1..=NR`: `k mod 4` in `{0, 1, 2, 3}` (the fused kernel's
+/// every `n` in [`WIDTHS`]: `k mod 4` in `{0, 1, 2, 3}` (the fused kernel's
 /// groups of 4, 2 and 1 columns) and partial cache lines of a column (the
 /// transposed kernel's prefetch step) below `KC`, across it and across
 /// `2 * KC`; and row counts around one and two registers of either precision
@@ -89,26 +95,34 @@ fn edge_shapes() -> Vec<(usize, usize, usize)> {
     let ks = (1..=9).chain(252..=260).chain(510..=515);
     let ms = (1..=18).chain([31, 32, 33, 510, 511, 512, 513, 519, 1030]);
     let mut shapes = Vec::new();
-    for n in 1..=NR {
-        for (i, k) in ks.clone().enumerate() {
+    for n in WIDTHS {
+        // Past `NR` every chunk runs the kernels of the narrow widths, so a
+        // rotating half of the edges meets each of them at many chunk tails.
+        let keep = |i: usize| n <= NR || (i + n) % 2 == 0;
+        for (i, k) in ks.clone().enumerate().filter(|&(i, _)| keep(i)) {
             shapes.push(([7, 13, 520][i % 3], k, n));
         }
-        for (i, m) in ms.clone().enumerate() {
+        for (i, m) in ms.clone().enumerate().filter(|&(i, _)| keep(i)) {
             shapes.push((m, [5, 258][i % 2], n));
         }
     }
     shapes
 }
 
-/// One stream-shaped product in accumulator precision `T` — native, mixed
-/// and with `A` stored transposed — against (a) the scalar-pinned packed
-/// reference and (b) the same columns of a product widened past `NR` so that
-/// it is packed.
+/// One stream-shaped product (packed once `n` passes the gate) in accumulator
+/// precision `T` — native, mixed and with `A` stored transposed — against
+/// (a) the scalar-pinned packed reference and (b) the same columns of a
+/// product widened past `STREAM_MAX_COLS` so that it is packed. With
+/// `beta = 0`, `C` starts as NaN.
 fn check_stream_shape<T: Scalar>(m: usize, k: usize, n: usize, alpha: T, beta: T, seed: u64) {
     let a = fill::<T>(m, k, seed);
     let b = fill::<T>(k, n, seed ^ 0x5bd1);
-    let c0 = fill::<T>(m, n, seed ^ 0xa3c5);
-    let pad = NR + 1 - n;
+    let c0 = if beta == T::zero() {
+        DenseMatrix::from_fn(m, n, |_, _| T::from_f64(f64::NAN))
+    } else {
+        fill::<T>(m, n, seed ^ 0xa3c5)
+    };
+    let pad = (STREAM_MAX_COLS + 1).saturating_sub(n).max(1);
     let b_wide = widen(&b, &fill(k, pad, seed ^ 0x77));
     let c0_wide = widen(&c0, &fill(m, pad, seed ^ 0x99));
     let label = format!(
@@ -168,7 +182,7 @@ proptest! {
 
     #[test]
     fn stream_path_is_bit_identical_to_the_packed_reference_f64(
-        m in 1usize..700, k in 1usize..600, n in 1usize..=NR,
+        m in 1usize..700, k in 1usize..600, n in WIDTHS,
         alpha_sel in 0usize..4, beta_sel in 0usize..4, seed in 0u64..1_000_000,
     ) {
         check_stream_shape::<f64>(m, k, n, SCALES[alpha_sel], SCALES[beta_sel], seed);
@@ -176,7 +190,7 @@ proptest! {
 
     #[test]
     fn stream_path_is_bit_identical_to_the_packed_reference_f32(
-        m in 1usize..700, k in 1usize..600, n in 1usize..=NR,
+        m in 1usize..700, k in 1usize..600, n in WIDTHS,
         alpha_sel in 0usize..4, beta_sel in 0usize..4, seed in 0u64..1_000_000,
     ) {
         check_stream_shape::<f32>(m, k, n, SCALES[alpha_sel] as f32, SCALES[beta_sel] as f32, seed);
@@ -231,15 +245,18 @@ fn stream_shapes_keep_the_beta_and_empty_product_contract() {
 }
 
 /// Products small enough to leave most of a dirtied scratch stale: a wide
-/// packed one, a narrow transposed one (whose row-major `B` and block sums
-/// live in the scratch, padding lanes included), and a narrow mixed one.
+/// packed one, a chunked stream one, a narrow transposed one (whose row-major
+/// `B` and block sums live in the scratch, padding lanes included), and a
+/// narrow mixed one.
 fn small_products<T: Scalar>() -> Vec<u64> {
     let no = Transpose::No;
     let mut out = Vec::new();
-    let (a, b) = (fill::<T>(13, 9, 41), fill::<T>(9, NR + 2, 42));
-    let mut c = fill::<T>(13, NR + 2, 43);
-    gemm(T::one(), &a, no, &b, no, T::one(), &mut c);
-    out.extend(bits(&c));
+    for n in [STREAM_MAX_COLS + 2, NR + 2] {
+        let (a, b) = (fill::<T>(13, 9, 41), fill::<T>(9, n, 42));
+        let mut c = fill::<T>(13, n, 43);
+        gemm(T::one(), &a, no, &b, no, T::one(), &mut c);
+        out.extend(bits(&c));
+    }
     let (a, b) = (fill::<T>(21, 5, 44), fill::<T>(21, 3, 45));
     let mut c = DenseMatrix::<T>::zeros(5, 3);
     gemm(T::one(), &a, Transpose::Yes, &b, no, T::zero(), &mut c);
@@ -293,6 +310,10 @@ fn dispatch_digest() -> u64 {
             (530, 70, NR),
             (64, 257, 3),
             (40, 40, NR + 3),
+            (37, 300, 7),
+            (130, 260, 13),
+            (70, 513, STREAM_MAX_COLS),
+            (40, 40, STREAM_MAX_COLS + 3),
         ];
         for (m, k, n) in fixed.into_iter().chain(edge_shapes()) {
             let (a, b) = (fill::<T>(m, k, 7), fill::<T>(k, n, 8));

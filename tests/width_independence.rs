@@ -5,15 +5,18 @@
 //! product is accumulated in the same order at any width (the GEMM's stream
 //! and packed paths agree bit for bit), and the sweeps stage the right-hand
 //! side in tree order once per call, so nothing that differs between widths
-//! may reach a result. The widths cross the six-column stream/packed
-//! boundary; the operators cover native panels and tuned `MixedF32`
-//! low-rank panels, held resident or spilled to a store file at a thrashing
-//! budget; each is driven sequentially and on the two-worker DAG. Widths
-//! interleave on one operator (64, then 4, then 64 again with the columns
-//! reversed), so a recycled workspace that kept the previous call's staged
-//! input would show up as a wrong column.
+//! may reach a result. The widths cross every kind of edge of the GEMM's
+//! stream path — one chunk of `NR` = 6 columns, a chunk tail, two full
+//! chunks plus one (13), the `STREAM_MAX_COLS` gate and one past it — and
+//! reach the packed path at 64; the operators cover native panels and tuned
+//! `MixedF32` low-rank panels, held resident or spilled to a store file at a
+//! thrashing budget; each is driven sequentially and on the two-worker DAG.
+//! Widths interleave on one operator (64, then 4, then 64 again with the
+//! columns reversed), so a recycled workspace that kept the previous call's
+//! staged input would show up as a wrong column.
 
 use gofmm_suite::core::{GofmmConfig, TraversalPolicy};
+use gofmm_suite::linalg::blas::STREAM_MAX_COLS;
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{KernelMatrix, KernelType, PointCloud};
 use gofmm_suite::{AccuracyBudget, ApplyOptions, GofmmOperator, PanelPrecision, StorageConfig};
@@ -96,9 +99,10 @@ fn assert_column_bits(got: &DenseMatrix<f64>, c: usize, want: &DenseMatrix<f64>,
 fn batched_columns_match_one_column_calls_bit_for_bit() {
     let k = kernel();
     let w = rhs();
-    // Column selections in call order; widths 1, 5, 6, 7 straddle the
-    // stream/packed boundary, and the second 64-wide call recycles the
-    // first one's workspace with different (reversed) inputs.
+    // Column selections in call order; widths 1, 5, 6, 7 straddle the first
+    // chunk edge, 13, `STREAM_MAX_COLS` and one more the chunk tails and the
+    // stream/packed gate, and the second 64-wide call recycles the first
+    // one's workspace with different (reversed) inputs.
     let batches: Vec<Vec<usize>> = vec![
         (0..WIDE).collect(),
         vec![5, 17, 33, 62],
@@ -108,6 +112,9 @@ fn batched_columns_match_one_column_calls_bit_for_bit() {
         (20..26).collect(),
         (30..37).collect(),
         (40..56).collect(),
+        (1..14).collect(),
+        (8..8 + STREAM_MAX_COLS).collect(),
+        (20..21 + STREAM_MAX_COLS).rev().collect(),
     ];
     let root = std::env::temp_dir()
         .join("gofmm-width-independence")
