@@ -51,4 +51,4 @@ pub use qr::{
 pub use scalar::Scalar;
 pub use simd::{simd_level, SimdLevel};
 pub use trsm::{tri_inverse, trsm_left, trsm_left_blocked, trsv, Triangle};
-pub use ulv::{eliminate_trailing, rotate_symmetric, TrailingElimination};
+pub use ulv::{eliminate_trailing, rotate_symmetric, TrailingElimination, WyRotation};

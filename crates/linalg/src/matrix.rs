@@ -355,6 +355,23 @@ impl<T: Scalar> std::ops::IndexMut<(usize, usize)> for DenseMatrix<T> {
     }
 }
 
+/// `rows` of the given columns, side by side, as a matrix over `buf`'s
+/// storage: how the dense factorization kernels stage GEMM operands in the
+/// thread's factorization scratch.
+pub(crate) fn gather_rows<'a, T: Scalar>(
+    cols: impl Iterator<Item = &'a [T]>,
+    rows: std::ops::Range<usize>,
+    mut buf: Vec<T>,
+) -> DenseMatrix<T> {
+    buf.clear();
+    let mut count = 0;
+    for col in cols {
+        buf.extend_from_slice(&col[rows.clone()]);
+        count += 1;
+    }
+    DenseMatrix::from_vec(rows.len(), count, buf)
+}
+
 /// Sample one standard Gaussian variate with Box–Muller.
 pub fn sample_gaussian<R: Rng>(rng: &mut R) -> f64 {
     loop {

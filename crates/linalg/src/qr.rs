@@ -67,32 +67,6 @@ impl QrOptions {
 }
 
 impl<T: Scalar> QrFactors<T> {
-    /// Reassemble a factorization from its raw parts, exactly as exposed by
-    /// [`QrFactors::compact`]/[`QrFactors::tau`]/[`QrFactors::pivots`] etc.
-    /// Used by the out-of-core storage tier to round-trip ULV rotations
-    /// bit-identically; `from_parts(f.compact().clone(), ...)` reproduces a
-    /// factor whose every apply matches the original bit-for-bit.
-    pub fn from_parts(
-        factors: DenseMatrix<T>,
-        tau: Vec<T>,
-        pivots: Vec<usize>,
-        rank: usize,
-        next_norm: f64,
-        rank_capped: bool,
-    ) -> Self {
-        assert!(rank <= factors.rows().min(factors.cols()));
-        assert!(tau.len() >= rank, "tau shorter than rank");
-        assert_eq!(pivots.len(), factors.cols());
-        QrFactors {
-            factors,
-            tau,
-            pivots,
-            rank,
-            next_norm,
-            rank_capped,
-        }
-    }
-
     /// The compact LAPACK-style factor storage: Householder vectors below
     /// the diagonal, `R` on and above it.
     pub fn compact(&self) -> &DenseMatrix<T> {
@@ -192,8 +166,12 @@ impl<T: Scalar> QrFactors<T> {
     /// place the compact-representation conventions (implicit `v[step] = 1`,
     /// `tau == 0` skip) live. Both the reflector and the updated column are
     /// contiguous column slices, so the reduction and the rank-1 update run
-    /// through the dispatched dot/axpy kernels — this apply dominates the
-    /// ULV `FACTOR` sweep.
+    /// through the dispatched dot/axpy kernels. Its callers: the two-pass
+    /// form of [`crate::ulv::rotate_symmetric`] (blocks below
+    /// `ROTATE_WY_MIN_ORDER`), [`QrFactors::q_thin`] (and with it
+    /// [`truncate_low_rank`] and the ID), and [`QlFactors`]. The ULV solves
+    /// apply [`crate::ulv::WyRotation`] instead, which runs these same steps
+    /// on its stored blocks below `SOLVE_WY_MIN_ORDER`.
     fn apply_reflections(&self, b: &mut DenseMatrix<T>, transpose: bool) {
         assert_eq!(b.rows(), self.rows());
         let m = self.rows();

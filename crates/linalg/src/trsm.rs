@@ -5,7 +5,7 @@
 //! forward/backward substitution.
 
 use crate::blas::{gemm, Transpose};
-use crate::matrix::DenseMatrix;
+use crate::matrix::{gather_rows, DenseMatrix};
 use crate::scalar::Scalar;
 use std::ops::Range;
 
@@ -155,42 +155,56 @@ pub fn trsm_left_blocked<T: Scalar>(
         (Triangle::Upper, false) | (Triangle::Lower, true) => false,
     };
     let r = b.cols();
-    let panels: Vec<(usize, usize)> = (0..n.div_ceil(TRSM_NB))
-        .map(|p| (p * TRSM_NB, ((p + 1) * TRSM_NB).min(n)))
-        .collect();
-    let order: Box<dyn Iterator<Item = &(usize, usize)>> = if lower_effective {
-        Box::new(panels.iter())
-    } else {
-        Box::new(panels.iter().rev())
-    };
-    for &(k0, k1) in order {
-        // Solve the diagonal panel with the scalar kernel.
-        trsm_diagonal_block(tri, transpose, t, k0..k1, b);
-        let panel = b.block(k0, k1, 0, r);
-        // Fold the solved panel out of the not-yet-solved rows with one GEMM.
-        let (u0, u1) = if lower_effective { (k1, n) } else { (0, k0) };
-        if u0 == u1 {
-            continue;
+    let panels = n.div_ceil(TRSM_NB);
+    // The GEMM operands are gathered into the thread's factorization
+    // scratch, so a solve sweep's triangular solves do not allocate.
+    T::with_factor_scratch(|stash| {
+        for idx in 0..panels {
+            let p = if lower_effective {
+                idx
+            } else {
+                panels - 1 - idx
+            };
+            let (k0, k1) = (p * TRSM_NB, ((p + 1) * TRSM_NB).min(n));
+            // Solve the diagonal panel with the scalar kernel.
+            trsm_diagonal_block(tri, transpose, t, k0..k1, b);
+            // Fold the solved panel out of the not-yet-solved rows with one GEMM.
+            let (u0, u1) = if lower_effective { (k1, n) } else { (0, k0) };
+            if u0 == u1 {
+                continue;
+            }
+            let panel = gather_rows(cols(b, 0..r), k0..k1, stash.pop().unwrap_or_default());
+            // op(T)[u0..u1, k0..k1]: stored block for the no-transpose case,
+            // the mirrored block driven through GEMM's transpose flag
+            // otherwise.
+            let (coef, op) = if transpose {
+                (cols(t, u0..u1), Transpose::Yes)
+            } else {
+                (cols(t, k0..k1), Transpose::No)
+            };
+            let rows = if transpose { k0..k1 } else { u0..u1 };
+            let coef = gather_rows(coef, rows, stash.pop().unwrap_or_default());
+            let mut trailing = gather_rows(cols(b, 0..r), u0..u1, stash.pop().unwrap_or_default());
+            gemm(
+                -T::one(),
+                &coef,
+                op,
+                &panel,
+                Transpose::No,
+                T::one(),
+                &mut trailing,
+            );
+            for j in 0..r {
+                b.col_mut(j)[u0..u1].copy_from_slice(trailing.col(j));
+            }
+            stash.extend([trailing, coef, panel].map(DenseMatrix::into_vec));
         }
-        // op(T)[u0..u1, k0..k1]: stored block for the no-transpose case, the
-        // mirrored block driven through GEMM's transpose flag otherwise.
-        let (coef, op) = if transpose {
-            (t.block(k0, k1, u0, u1), Transpose::Yes)
-        } else {
-            (t.block(u0, u1, k0, k1), Transpose::No)
-        };
-        let mut trailing = b.block(u0, u1, 0, r);
-        gemm(
-            -T::one(),
-            &coef,
-            op,
-            &panel,
-            Transpose::No,
-            T::one(),
-            &mut trailing,
-        );
-        b.set_block(u0, 0, &trailing);
-    }
+    });
+}
+
+/// Columns `c` of `m`, as slices.
+fn cols<T: Scalar>(m: &DenseMatrix<T>, c: Range<usize>) -> impl Iterator<Item = &[T]> + '_ {
+    c.map(|j| m.col(j))
 }
 
 #[cfg(test)]

@@ -24,11 +24,22 @@
 //! factorizations are Cholesky factorizations of principal submatrices of
 //! congruence-rotated SPD matrices, so the sweep is backward stable for any
 //! regularization `lambda > -lambda_min`.
+//!
+//! The solve sweeps keep only [`WyRotation`], the rotation in **blocked
+//! compact-WY** form: the `k` reflectors in column blocks of width
+//! `nb = min(`[`SOLVE_WY_NB`]`, ceil(k / 2))`, block `g` stored as its
+//! row-trimmed `(m - g nb) x nb` reflector matrix `V_g` (unit diagonal, zeros
+//! above it) and its packed upper-triangular `nb x nb` factor `T_g`, so that
+//! `Q = prod_g (I - V_g T_g V_g^T)`. The trimmed rows and the halved `T`
+//! fit in the scalars the dead `R` triangle and `tau` used to take: a
+//! rotation never stores more than `m k + k` scalars. Applying `Q^T` or `Q`
+//! is, per block, two GEMMs (`w = V_g^T b`, `b -= V_g w`) around an
+//! `nb^2 / 2` triangular product.
 
 use crate::blas::gemm;
 use crate::blas::Transpose;
 use crate::cholesky::{Cholesky, NotPositiveDefinite};
-use crate::matrix::DenseMatrix;
+use crate::matrix::{gather_rows, DenseMatrix};
 use crate::qr::QrFactors;
 use crate::scalar::Scalar;
 use crate::trsm::{trsm_left_blocked, Triangle};
@@ -93,17 +104,7 @@ fn rotate_wy<T: Scalar>(q: &QrFactors<T>, a: &DenseMatrix<T>) -> DenseMatrix<T> 
             col[j] = one;
             col[j + 1..].copy_from_slice(&q.compact().col(j)[j + 1..]);
         }
-        // Forward `larft`: T[j, j] = tau_j and T[..j, j] = -tau_j T[..j, ..j]
-        // (V^T V)[..j, j], the triangular product as column axpys.
-        gemm(one, &v, Transpose::Yes, &v, Transpose::No, zero, &mut g);
-        for j in 0..k {
-            let tau = q.tau()[j];
-            for p in 0..j {
-                let (tp, tj) = t.two_cols_mut(p, j);
-                T::axpy_kernel(-tau * g.get(p, j), &tp[..=p], &mut tj[..=p]);
-            }
-            t.set(j, j, tau);
-        }
+        larft(&v, q.tau(), &mut g, &mut t);
         gemm(one, &v, Transpose::No, &t, Transpose::No, zero, &mut y);
         gemm(one, a, Transpose::No, &y, Transpose::No, zero, &mut x);
         // g is M = Y^T A Y from here on, and x becomes W.
@@ -161,20 +162,266 @@ fn rotate_wy<T: Scalar>(q: &QrFactors<T>, a: &DenseMatrix<T>) -> DenseMatrix<T> 
 /// fewer, larger GEMMs.
 const UPDATE_NB: usize = 64;
 
-/// `rows` of the given columns, side by side, as a matrix over `buf`'s
-/// storage.
-fn gather_rows<'a, T: Scalar>(
-    cols: impl Iterator<Item = &'a [T]>,
-    rows: std::ops::Range<usize>,
-    mut buf: Vec<T>,
-) -> DenseMatrix<T> {
-    buf.clear();
-    let mut count = 0;
-    for col in cols {
-        buf.extend_from_slice(&col[rows.clone()]);
-        count += 1;
+/// Forward `larft`: the upper-triangular `t` with
+/// `H_0 H_1 ... H_{k-1} = I - V T V^T` for the reflectors in the columns of
+/// `v` (explicit: unit diagonal, zeros above it). `T[j, j] = tau_j` and
+/// `T[..j, j] = -tau_j T[..j, ..j] (V^T V)[..j, j]`, the triangular product
+/// as column axpys. `g` (`k x k`) receives `V^T V`; `t` must arrive zeroed.
+fn larft<T: Scalar>(v: &DenseMatrix<T>, tau: &[T], g: &mut DenseMatrix<T>, t: &mut DenseMatrix<T>) {
+    gemm(T::one(), v, Transpose::Yes, v, Transpose::No, T::zero(), g);
+    for (j, &tau) in tau.iter().enumerate().take(v.cols()) {
+        for p in 0..j {
+            let (tp, tj) = t.two_cols_mut(p, j);
+            T::axpy_kernel(-tau * g.get(p, j), &tp[..=p], &mut tj[..=p]);
+        }
+        t.set(j, j, tau);
     }
-    DenseMatrix::from_vec(rows.len(), count, buf)
+}
+
+/// Widest column block of a [`WyRotation`]. A rotation of `k` reflectors
+/// takes blocks `min(SOLVE_WY_NB, ceil(k / 2))` wide: two or more blocks
+/// whenever `k > 1`, which is what keeps the packed `T_g` inside the
+/// scalars the row trimming frees (see [`WyRotation::stored_scalars_for`]).
+/// Every block costs two GEMM calls whose fixed part (the fold of the block
+/// sums into `b`, per row and column) does not shrink with the block, so
+/// wide blocks win: on the 256 x 128 nodes of a rank-128 6-D compression,
+/// `nb` = 32 cut the r = 4 ULV solve by ~11 % (two alternating pairs) and
+/// `nb` = 64 by ~13 % (ten pairs, 11.4 -> 9.9 ms median; benchmark
+/// `solve_r4_ms`, 2-vCPU AVX2 VM). `nb` = 32 would store ~4 000 fewer
+/// scalars per such node, `nb` = 64 saves 64.
+pub const SOLVE_WY_NB: usize = 64;
+
+/// Smallest order `m` at which [`WyRotation`] applies its blocks as GEMMs.
+/// Below it the same stored blocks are applied one reflector at a time
+/// (`v` a column of `V_g`, `tau` the diagonal of `T_g`), bit for bit as
+/// [`QrFactors::apply_qt`] would: there the per-block staging and the small
+/// GEMMs cost more than the WY form saves. Measured over a 32 MiB pool of
+/// distinct `m x m/2` rotations (so `V` comes from outside L2, as in a solve
+/// sweep), f64, one AVX2 core, WY / reflector loop in us per `Q^T` plus `Q`
+/// at r = 1, 4, 16, 64: m = 64 (k = 20) 4.5 / 3.1, 10.7 / 5.1, 30 / 15,
+/// 124 / 55; m = 128 23 / 20, 40 / 34, 122 / 101, 335 / 303; m = 160
+/// 24 / 21, 38 / 41, 127 / 112, 478 / 457; m = 192 33 / 35, 52 / 62,
+/// 168 / 164, 621 / 648; m = 256 54 / 68, 85 / 114, 257 / 281, 967 / 1 137.
+pub const SOLVE_WY_MIN_ORDER: usize = 192;
+
+/// A node rotation `Q = H_0 H_1 ... H_{k-1}` (`m x m`, from a Householder QR
+/// of an `m x k` basis) in the blocked compact-WY form the ULV solve sweeps
+/// apply: reflectors `g nb .. g nb + w_g` make block `g`, stored as
+/// `V_g`, its rows `g nb ..` (unit diagonal, zeros above it), and the packed
+/// upper triangle of `T_g`, with `Q = prod_g (I - V_g T_g V_g^T)`. Nothing of
+/// the QR's `R`, pivots or norms is kept.
+#[derive(Clone, Debug)]
+pub struct WyRotation<T: Scalar> {
+    pub(crate) rows: usize,
+    pub(crate) rank: usize,
+    /// Block width `nb`, [`WyRotation::block_width`] of the rank.
+    pub(crate) nb: usize,
+    /// `V_g`, `(rows - g nb) x w_g`.
+    pub(crate) v: Vec<DenseMatrix<T>>,
+    /// Every `T_g`'s upper triangle by columns, block after block, in one
+    /// buffer (so that decoding a rotation costs one allocation per block,
+    /// plus two): see [`WyRotation::t_block`].
+    pub(crate) t: Vec<T>,
+}
+
+impl<T: Scalar> WyRotation<T> {
+    /// Block width of a rotation of `rank` reflectors:
+    /// `min(`[`SOLVE_WY_NB`]`, ceil(rank / 2))`, zero for no reflectors.
+    pub fn block_width(rank: usize) -> usize {
+        SOLVE_WY_NB.min(rank.div_ceil(2))
+    }
+
+    /// Scalars a rotation of `rank` reflectors of length `rows` stores:
+    /// `sum_g (rows - g nb) w_g + w_g (w_g + 1) / 2`, at most
+    /// `rows * rank + rank`. `None` on overflow.
+    pub fn stored_scalars_for(rows: usize, rank: usize) -> Option<usize> {
+        let nb = Self::block_width(rank).max(1);
+        (0..rank).step_by(nb).try_fold(0usize, |acc, j0| {
+            let w = nb.min(rank - j0);
+            rows.checked_sub(j0)?
+                .checked_mul(w)?
+                .checked_add(w * (w + 1) / 2)?
+                .checked_add(acc)
+        })
+    }
+
+    /// The blocked form of the first `q.rank()` reflectors of `q`, with each
+    /// `T_g` formed by the same `larft` as [`rotate_symmetric`]'s.
+    pub fn from_qr(q: &QrFactors<T>) -> Self {
+        let (m, k) = (q.rows(), q.rank());
+        let nb = Self::block_width(k);
+        let mut v = Vec::new();
+        let mut t = Vec::with_capacity(Self::packed_len(k, nb));
+        for j0 in (0..k).step_by(nb.max(1)) {
+            let w = nb.min(k - j0);
+            let mut vg = DenseMatrix::zeros(m - j0, w);
+            for c in 0..w {
+                let col = vg.col_mut(c);
+                col[c] = T::one();
+                col[c + 1..].copy_from_slice(&q.compact().col(j0 + c)[j0 + c + 1..]);
+            }
+            let (mut g, mut tg) = (DenseMatrix::zeros(w, w), DenseMatrix::zeros(w, w));
+            larft(&vg, &q.tau()[j0..j0 + w], &mut g, &mut tg);
+            for j in 0..w {
+                t.extend_from_slice(&tg.col(j)[..=j]);
+            }
+            v.push(vg);
+        }
+        Self {
+            rows: m,
+            rank: k,
+            nb,
+            v,
+            t,
+        }
+    }
+
+    /// Order `m` of the rotation.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of reflectors `k`.
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// Scalars held: every `V_g` and every packed `T_g`.
+    pub fn stored_scalars(&self) -> usize {
+        let v: usize = self.v.iter().map(|v| v.rows() * v.cols()).sum();
+        v + self.t.len()
+    }
+
+    /// Length of the packed `T_g`s of `rank` reflectors in blocks of `nb`.
+    pub(crate) fn packed_len(rank: usize, nb: usize) -> usize {
+        let (full, last) = (rank / nb.max(1), rank % nb.max(1));
+        full * (nb * (nb + 1) / 2) + last * (last + 1) / 2
+    }
+
+    /// `T_g` packed by columns: its column `j` is `t_block(g)[j (j + 1) / 2..][..=j]`.
+    /// Every block before the last is `nb` wide, so block `g` starts at
+    /// `g nb (nb + 1) / 2`.
+    fn t_block(&self, g: usize) -> &[T] {
+        let (w, start) = (self.v[g].cols(), g * (self.nb * (self.nb + 1) / 2));
+        &self.t[start..start + w * (w + 1) / 2]
+    }
+
+    /// `B <- Q^T B` in place (`B` has [`WyRotation::rows`] rows). Column `j`
+    /// of the result does not depend on the other columns of `B`, bit for
+    /// bit.
+    pub fn apply_qt(&self, b: &mut DenseMatrix<T>) {
+        self.apply(b, true);
+    }
+
+    /// `B <- Q B` in place, the inverse of [`WyRotation::apply_qt`].
+    pub fn apply_q(&self, b: &mut DenseMatrix<T>) {
+        self.apply(b, false);
+    }
+
+    /// `Q^T = prod_g (I - V_g T_g^T V_g^T)` from the first block on
+    /// (`transpose`), `Q` from the last. Block `g` touches rows `g nb..` of
+    /// `B`: staged into the thread's factorization scratch (block 0 spans
+    /// all of `B` and works in place), they take `w = V_g^T b_g`,
+    /// `w <- T_g^T w` (or `T_g w`) and `b_g -= V_g w`.
+    fn apply(&self, b: &mut DenseMatrix<T>, transpose: bool) {
+        assert_eq!(b.rows(), self.rows, "rotation/matrix dimension mismatch");
+        if self.rows < SOLVE_WY_MIN_ORDER {
+            self.apply_reflections(b, transpose);
+            return;
+        }
+        let (r, blocks) = (b.cols(), self.v.len());
+        T::with_factor_scratch(|stash| {
+            let mut staged = stash.pop().unwrap_or_default();
+            let mut w = stash.pop().unwrap_or_default();
+            for idx in 0..blocks {
+                let g = if transpose { idx } else { blocks - 1 - idx };
+                let (v, t) = (&self.v[g], self.t_block(g));
+                w.clear();
+                w.resize(v.cols() * r, T::zero());
+                let mut wg = DenseMatrix::from_vec(v.cols(), r, w);
+                let r0 = self.rows - v.rows();
+                if r0 == 0 {
+                    apply_block(v, t, transpose, b, &mut wg);
+                } else {
+                    staged.clear();
+                    for j in 0..r {
+                        staged.extend_from_slice(&b.col(j)[r0..]);
+                    }
+                    let mut bg = DenseMatrix::from_vec(v.rows(), r, staged);
+                    apply_block(v, t, transpose, &mut bg, &mut wg);
+                    for j in 0..r {
+                        b.col_mut(j)[r0..].copy_from_slice(bg.col(j));
+                    }
+                    staged = bg.into_vec();
+                }
+                w = wg.into_vec();
+            }
+            stash.extend([w, staged]);
+        });
+    }
+
+    /// The reflectors one at a time from the stored blocks, in the order and
+    /// with the arithmetic of [`QrFactors::apply_qt`] / `apply_q`.
+    fn apply_reflections(&self, b: &mut DenseMatrix<T>, transpose: bool) {
+        let m = self.rows;
+        for idx in 0..self.rank {
+            let step = if transpose { idx } else { self.rank - 1 - idx };
+            let (g, c) = (step / self.nb, step % self.nb);
+            let tau = self.t_block(g)[c * (c + 3) / 2];
+            if tau == T::zero() {
+                continue;
+            }
+            let v = &self.v[g].col(c)[c + 1..];
+            for j in 0..b.cols() {
+                let bj = b.col_mut(j);
+                let s = tau * (bj[step] + T::dot_kernel(v, &bj[step + 1..m]));
+                bj[step] -= s;
+                T::axpy_kernel(-s, v, &mut bj[step + 1..m]);
+            }
+        }
+    }
+}
+
+/// `b <- (I - V T^T V^T) b` (`transpose`) or `(I - V T V^T) b` for one WY
+/// block, `T` packed; `w` (`nb x r`, zeroed) is the GEMMs' middle operand.
+fn apply_block<T: Scalar>(
+    v: &DenseMatrix<T>,
+    t: &[T],
+    transpose: bool,
+    b: &mut DenseMatrix<T>,
+    w: &mut DenseMatrix<T>,
+) {
+    gemm(T::one(), v, Transpose::Yes, b, Transpose::No, T::zero(), w);
+    for j in 0..b.cols() {
+        if transpose {
+            packed_upper_t_mul(t, w.col_mut(j));
+        } else {
+            packed_upper_mul(t, w.col_mut(j));
+        }
+    }
+    gemm(-T::one(), v, Transpose::No, w, Transpose::No, T::one(), b);
+}
+
+/// `w <- T^T w` for an upper-triangular `T` packed by columns: entry `i`
+/// becomes column `i` of `T` dotted with `w[..=i]`, from the bottom up, so
+/// the entries still to be read are unchanged.
+fn packed_upper_t_mul<T: Scalar>(t: &[T], w: &mut [T]) {
+    for i in (0..w.len()).rev() {
+        let off = i * (i + 1) / 2;
+        w[i] = T::dot_kernel(&t[off..=off + i], &w[..=i]);
+    }
+}
+
+/// `w <- T w` for an upper-triangular `T` packed by columns: column `p`
+/// scaled by `w[p]` is added from the left, so every `w[p]` is read before
+/// it is scaled.
+fn packed_upper_mul<T: Scalar>(t: &[T], w: &mut [T]) {
+    for p in 0..w.len() {
+        let off = p * (p + 1) / 2;
+        let x = w[p];
+        T::axpy_kernel(x, &t[off..off + p], &mut w[..p]);
+        w[p] = t[off + p] * x;
+    }
 }
 
 /// One ULV elimination of the trailing block: the Cholesky factor of the

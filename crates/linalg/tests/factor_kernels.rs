@@ -6,9 +6,16 @@
 //! * `rotate_symmetric` must agree with two passes of the reflectors,
 //!   `Q^T (Q^T A)^T`, to roundoff on both sides of the compact-WY crossover
 //!   (`ulv::ROTATE_WY_MIN_ORDER`), and its result must be exactly symmetric.
+//! * The solve sweeps' `WyRotation` must apply `Q^T` and `Q` as the
+//!   reflectors do, to roundoff from `ulv::SOLVE_WY_MIN_ORDER` on and bit
+//!   for bit below it; each column of a batched apply must equal its
+//!   one-column apply bit for bit; and it must never store more scalars than
+//!   the QR it replaces (`m k + k`).
 
-use gofmm_linalg::ulv::ROTATE_WY_MIN_ORDER;
-use gofmm_linalg::{householder_qr, rotate_symmetric, Cholesky, DenseMatrix, Scalar};
+use gofmm_linalg::ulv::{ROTATE_WY_MIN_ORDER, SOLVE_WY_MIN_ORDER, SOLVE_WY_NB};
+use gofmm_linalg::{
+    householder_qr, rotate_symmetric, Cholesky, DenseMatrix, QrFactors, Scalar, WyRotation,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -192,4 +199,169 @@ fn rotate_symmetric_agrees_with_two_reflector_passes() {
         check_rotation::<f64>(m, k, zero_col, &mut rng);
         check_rotation::<f32>(m, k, zero_col, &mut rng);
     }
+}
+
+/// A QR of a random `m x k` basis, column `zero_col` zeroed so that its
+/// reflector has `tau = 0`.
+fn basis_qr<T: Scalar>(
+    m: usize,
+    k: usize,
+    zero_col: Option<usize>,
+    rng: &mut StdRng,
+) -> QrFactors<T> {
+    let mut u = DenseMatrix::<T>::random_gaussian(m, k, rng);
+    if let Some(c) = zero_col {
+        u.col_mut(c).fill(T::zero());
+    }
+    householder_qr(&u)
+}
+
+/// Shapes on both sides of the block width and of the GEMM gate: no
+/// reflector, one, `m - 1`, ragged last blocks, and a `tau = 0` reflector.
+fn wy_shapes() -> Vec<(usize, usize, Option<usize>)> {
+    let (g, nb) = (SOLVE_WY_MIN_ORDER, SOLVE_WY_NB);
+    vec![
+        (1, 0, None),
+        (2, 1, None),
+        (7, 0, None),
+        (7, 1, None),
+        (7, 6, None),
+        (40, 21, Some(3)),
+        (g - 1, 2 * nb, None),
+        (g - 1, g - 2, None),
+        (g, 0, None),
+        (g, 1, None),
+        (g, 2, None),
+        (g, nb - 1, None),
+        (g, nb + 1, None),
+        (g, 2 * nb - 1, None),
+        (g, 2 * nb, None),
+        (g, 2 * nb + 1, Some(nb)),
+        (g, g - 1, None),
+        (g + 1, 2 * nb + 37, Some(2)),
+        (256, 128, None),
+    ]
+}
+
+fn max_col_err<T: Scalar>(a: &DenseMatrix<T>, b: &DenseMatrix<T>, scale: &DenseMatrix<T>) -> f64 {
+    (0..a.cols())
+        .map(|j| {
+            let d: f64 = a
+                .col(j)
+                .iter()
+                .zip(b.col(j))
+                .map(|(x, y)| (x.to_f64() - y.to_f64()).powi(2))
+                .sum();
+            let n: f64 = scale.col(j).iter().map(|x| x.to_f64().powi(2)).sum();
+            (d / n).sqrt()
+        })
+        .fold(0.0, f64::max)
+}
+
+fn check_wy_rotation<T: Scalar>(m: usize, k: usize, zero_col: Option<usize>, rng: &mut StdRng) {
+    let what = format!("{} m = {m}, k = {k}", T::precision_name());
+    let q = basis_qr::<T>(m, k, zero_col, rng);
+    let wy = WyRotation::from_qr(&q);
+    assert_eq!((wy.rows(), wy.rank()), (m, k), "{what}");
+    assert_eq!(
+        Some(wy.stored_scalars()),
+        WyRotation::<T>::stored_scalars_for(m, k),
+        "{what}: stored scalars"
+    );
+    let b = DenseMatrix::<T>::random_gaussian(m, 5, rng);
+    let tol = 16.0 * T::epsilon().to_f64();
+    for transpose in [true, false] {
+        let (mut ours, mut theirs) = (b.clone(), b.clone());
+        if transpose {
+            wy.apply_qt(&mut ours);
+            q.apply_qt(&mut theirs);
+        } else {
+            wy.apply_q(&mut ours);
+            q.apply_q(&mut theirs);
+        }
+        if m < SOLVE_WY_MIN_ORDER {
+            // The reflector loop on the stored blocks: the QR's bits.
+            assert!(
+                ours.data()
+                    .iter()
+                    .zip(theirs.data())
+                    .all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits()),
+                "{what}, transpose {transpose}: reflector loop bits differ from the QR's"
+            );
+        }
+        let err = max_col_err(&ours, &theirs, &b);
+        assert!(
+            err <= tol,
+            "{what}, transpose {transpose}: |WY - reflectors| / |b| = {err:.3e} > {tol:.3e}"
+        );
+    }
+    let mut roundtrip = b.clone();
+    wy.apply_qt(&mut roundtrip);
+    wy.apply_q(&mut roundtrip);
+    let err = max_col_err(&roundtrip, &b, &b);
+    assert!(
+        err <= tol,
+        "{what}: |Q Q^T b - b| / |b| = {err:.3e} > {tol:.3e}"
+    );
+}
+
+#[test]
+fn wy_rotation_applies_the_reflectors() {
+    let mut rng = StdRng::seed_from_u64(3101);
+    for (m, k, zero_col) in wy_shapes() {
+        check_wy_rotation::<f64>(m, k, zero_col, &mut rng);
+        check_wy_rotation::<f32>(m, k, zero_col, &mut rng);
+    }
+}
+
+fn check_wy_width_independence<T: Scalar>(m: usize, k: usize, rng: &mut StdRng) {
+    let wy = WyRotation::from_qr(&basis_qr::<T>(m, k, None, rng));
+    for r in [1, 4, 7, 32, 33, 64] {
+        let b = DenseMatrix::<T>::random_gaussian(m, r, rng);
+        for transpose in [true, false] {
+            let apply = |x: &mut DenseMatrix<T>| {
+                if transpose {
+                    wy.apply_qt(x)
+                } else {
+                    wy.apply_q(x)
+                }
+            };
+            let mut wide = b.clone();
+            apply(&mut wide);
+            for j in 0..r {
+                let mut one = b.block(0, m, j, j + 1);
+                apply(&mut one);
+                assert!(
+                    one.col(0).iter().zip(wide.col(j)).all(|(x, y)| x.to_f64().to_bits() == y.to_f64().to_bits()),
+                    "{} m = {m}, k = {k}, r = {r}, transpose {transpose}: column {j} differs from its one-column apply",
+                    T::precision_name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn wy_rotation_columns_match_their_one_column_apply() {
+    let mut rng = StdRng::seed_from_u64(3102);
+    let g = SOLVE_WY_MIN_ORDER;
+    for (m, k) in [(40, 21), (g - 1, 100), (g, 2 * SOLVE_WY_NB + 3), (256, 128)] {
+        check_wy_width_independence::<f64>(m, k, &mut rng);
+        check_wy_width_independence::<f32>(m, k, &mut rng);
+    }
+}
+
+#[test]
+fn wy_rotation_never_stores_more_than_the_qr() {
+    for m in 1..=300 {
+        for k in 0..=m {
+            let stored = WyRotation::<f64>::stored_scalars_for(m, k).expect("no overflow");
+            assert!(
+                stored <= m * k + k,
+                "m = {m}, k = {k}: {stored} > {}",
+                m * k + k
+            );
+        }
+    }
+    assert_eq!(WyRotation::<f64>::stored_scalars_for(usize::MAX, 2), None);
 }

@@ -15,7 +15,8 @@
 //!    rotation, stores no rotation, and hands `U~ = U` to its parent.
 //! 2. **Rotate the block.** `D^ = Q^T (D + lambda I) Q` (two-sided
 //!    reduction, `Q` kept in compact Householder form; large blocks are
-//!    rotated as one compact-WY GEMM update).
+//!    rotated as one compact-WY GEMM update). The node then keeps `Q` only
+//!    as the blocked compact-WY [`WyRotation`] the solve sweeps apply.
 //! 3. **Eliminate the trailing block.** `D^_22 = L L^T` (Cholesky),
 //!    `X^T = L^{-1} D^_21`, Schur complement `S = D^_11 - X X^T`. The
 //!    `(S, U~)` pair is what the parent sees as its child's diagonal block
@@ -43,9 +44,8 @@ use gofmm_core::{
     policy_from_tag, policy_tag, ApplyOptions, CompRef, Compressed, Error, TraversalPolicy,
 };
 use gofmm_linalg::{
-    check_scalar_width, decode_scalar_vec, eliminate_trailing, encode_scalar_slice, gemm,
-    householder_qr, matmul, rotate_symmetric, Cholesky, DenseMatrix, NotPositiveDefinite,
-    QrFactors, Scalar, TrailingElimination, Transpose,
+    check_scalar_width, eliminate_trailing, gemm, householder_qr, matmul, rotate_symmetric,
+    Cholesky, DenseMatrix, NotPositiveDefinite, Scalar, TrailingElimination, Transpose, WyRotation,
 };
 use gofmm_matrices::SpdMatrix;
 use gofmm_runtime::{
@@ -68,11 +68,11 @@ const SINGULAR_REL: f64 = 1e-10;
 
 /// Per-node ULV factor storage.
 struct UlvNode<T: Scalar> {
-    /// Compact Householder rotation of the node's outgoing basis; `None` at
-    /// the root (no basis above), where the block is factored unrotated, and
-    /// at square-basis nodes (`s == m`), where nothing is eliminated and the
-    /// block passes to the parent unrotated.
-    rotation: Option<QrFactors<T>>,
+    /// Rotation of the node's outgoing basis in blocked compact-WY form;
+    /// `None` at the root (no basis above), where the block is factored
+    /// unrotated, and at square-basis nodes (`s == m`), where nothing is
+    /// eliminated and the block passes to the parent unrotated.
+    rotation: Option<WyRotation<T>>,
     /// Trailing elimination of the rotated block: Cholesky of `D^_22`,
     /// coupling panel `X^T`, (Schur complement stripped after the upward
     /// factor pass — parents consume it during factorization only).
@@ -94,7 +94,7 @@ impl<T: Scalar> UlvNode<T> {
         let rot = self
             .rotation
             .as_ref()
-            .map(|q| q.rows() * q.cols() * scalar + q.rank() * scalar)
+            .map(|q| q.stored_scalars() * scalar)
             .unwrap_or(0);
         let chol = self.elim.chol.as_ref().map(|c| mat(c.l())).unwrap_or(0);
         rot + chol + mat(&self.elim.xt)
@@ -110,23 +110,15 @@ fn encode_nested(out: &mut Vec<u8>, inner: &impl Blob) {
 }
 
 impl<T: Scalar> Blob for UlvNode<T> {
-    /// Everything the solve sweeps read: the compact Householder rotation
-    /// (factors, tau, pivots, rank metadata), the trailing Cholesky, the
-    /// coupling panel `X^T`, and the dimension triple. The Schur complement
-    /// is *not* encoded — it is stripped after the factor pass and decodes
-    /// back as the same empty placeholder.
+    /// Everything the solve sweeps read: the blocked WY rotation, the
+    /// trailing Cholesky, the coupling panel `X^T`, and the dimension
+    /// triple. The Schur complement is *not* encoded — it is stripped after
+    /// the factor pass and decodes back as the same empty placeholder.
     fn encode(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).u8(std::mem::size_of::<T>() as u8);
         ByteWriter::new(out).u8(self.rotation.is_some() as u8);
-        if let Some(qr) = &self.rotation {
-            encode_nested(out, qr.compact());
-            ByteWriter::new(out).usize(qr.tau().len());
-            encode_scalar_slice(out, qr.tau());
-            let mut w = ByteWriter::new(out);
-            w.usize_slice(qr.pivots());
-            w.usize(qr.rank());
-            w.f64(qr.next_pivot_norm());
-            w.u8(qr.rank_capped() as u8);
+        if let Some(rotation) = &self.rotation {
+            encode_nested(out, rotation);
         }
         ByteWriter::new(out).u8(self.elim.chol.is_some() as u8);
         if let Some(chol) = &self.elim.chol {
@@ -139,38 +131,19 @@ impl<T: Scalar> Blob for UlvNode<T> {
         w.usize(self.split);
     }
 
+    /// Rejects, as [`StoreError::Corrupt`], any blob whose blocks disagree
+    /// with its dimension triple: the solve sweeps index by those dimensions
+    /// and must not be the first to find out.
     fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
         let mut r = ByteReader::new(bytes);
         check_scalar_width::<T>(r.u8()?)?;
         let rotation = if r.u8()? != 0 {
-            let factors = DenseMatrix::<T>::decode(r.bytes()?)?;
-            let tau_len = r.usize()?;
-            let tau = decode_scalar_vec::<T>(&mut r, tau_len)?;
-            let pivots = r.usize_slice()?;
-            let rank = r.usize()?;
-            let next_norm = r.f64()?;
-            let rank_capped = r.u8()? != 0;
-            if rank > factors.rows().min(factors.cols())
-                || tau.len() < rank
-                || pivots.len() != factors.cols()
-            {
-                return Err(StoreError::Corrupt(
-                    "ULV rotation metadata disagrees with its factor matrix".into(),
-                ));
-            }
-            Some(QrFactors::from_parts(
-                factors,
-                tau,
-                pivots,
-                rank,
-                next_norm,
-                rank_capped,
-            ))
+            Some(WyRotation::<T>::decode(r.bytes()?)?)
         } else {
             None
         };
-        let chol = if r.u8()? != 0 {
-            Some(Cholesky::from_l(DenseMatrix::<T>::decode(r.bytes()?)?))
+        let l = if r.u8()? != 0 {
+            Some(DenseMatrix::<T>::decode(r.bytes()?)?)
         } else {
             None
         };
@@ -179,6 +152,24 @@ impl<T: Scalar> Blob for UlvNode<T> {
         let eliminated = r.usize()?;
         let split = r.usize()?;
         r.finish()?;
+        let order = reduced.checked_add(eliminated);
+        let consistent = order.is_some_and(|m| split <= m)
+            && match &rotation {
+                Some(q) => Some(q.rows()) == order && q.rank() == reduced,
+                None => true,
+            }
+            && match &l {
+                Some(l) => l.rows() == eliminated && l.cols() == eliminated && eliminated > 0,
+                None => eliminated == 0,
+            }
+            && (xt.rows(), xt.cols()) == (eliminated, reduced);
+        if !consistent {
+            return Err(StoreError::Corrupt(format!(
+                "ULV node blocks disagree with its dimensions \
+                 (reduced {reduced}, eliminated {eliminated}, split {split})"
+            )));
+        }
+        let chol = l.map(Cholesky::from_l);
         Ok(UlvNode {
             rotation,
             elim: TrailingElimination {
@@ -978,6 +969,7 @@ fn finish_node<T: Scalar>(
         Some(qr) => rotate_symmetric(qr, &d),
         None => d,
     };
+    let rotation = rotation.as_ref().map(WyRotation::from_qr);
     let mut elim = match eliminate_trailing(&dhat, reduced) {
         Ok(elim) => elim,
         Err(e) => return Slot::Failed(classify_breakdown(heap, reduced, &dhat, &e)),
@@ -1152,17 +1144,23 @@ impl<T: Scalar> UlvSolvePass<'_, '_, T> {
         let nf = self.factor.node(heap);
         let (s, t) = (nf.reduced, nf.eliminated);
         let r = self.ws.staged.cols();
-        let mut bh = if comp.tree.is_leaf(heap) {
+        // b^ is assembled in a factorization-scratch buffer, column by column.
+        let mut buf = take_scratch::<T>();
+        if comp.tree.is_leaf(heap) {
             let node = comp.tree.node(heap);
-            self.ws
-                .staged
-                .block(node.start, node.start + node.len, 0, r)
+            for j in 0..r {
+                buf.extend_from_slice(&self.ws.staged.col(j)[node.start..node.start + node.len]);
+            }
         } else {
             let (l, rr) = comp.tree.children(heap);
             let bl = self.ws.bred.read(l);
             let br = self.ws.bred.read(rr);
-            bl.vstack(&br)
-        };
+            for j in 0..r {
+                buf.extend_from_slice(bl.col(j));
+                buf.extend_from_slice(br.col(j));
+            }
+        }
+        let mut bh = DenseMatrix::from_vec(s + t, r, buf);
         if let Some(qr) = &nf.rotation {
             qr.apply_qt(&mut bh);
         }
@@ -1190,6 +1188,7 @@ impl<T: Scalar> UlvSolvePass<'_, '_, T> {
                 &mut bred,
             );
         }
+        give_scratch(bh);
     }
 
     /// `SDOWN`: back-substitute the eliminated variables, rotate back to the
@@ -1199,16 +1198,13 @@ impl<T: Scalar> UlvSolvePass<'_, '_, T> {
         let nf = self.factor.node(heap);
         let (s, t) = (nf.reduced, nf.eliminated);
         let r = self.ws.staged.cols();
-        let mut u = DenseMatrix::zeros(s + t, r);
-        if s > 0 {
-            let x1 = self.ws.xred.read(heap);
-            u.set_block(0, 0, &x1);
-        }
+        let x1 = self.ws.xred.read(heap);
+        // x2 = L^{-T} (y2 - X^T x1), in a factorization-scratch buffer.
+        let mut x2 = take_scratch::<T>();
+        x2.extend_from_slice(self.ws.y2.read(heap).data());
+        let mut x2 = DenseMatrix::from_vec(t, r, x2);
         if t > 0 {
-            // x2 = L^{-T} (y2 - X^T x1).
-            let mut x2 = self.ws.y2.read(heap).clone();
             if s > 0 {
-                let x1 = self.ws.xred.read(heap);
                 gemm(
                     -T::one(),
                     &nf.elim.xt,
@@ -1220,8 +1216,16 @@ impl<T: Scalar> UlvSolvePass<'_, '_, T> {
                 );
             }
             nf.elim.backward_eliminated(&mut x2);
-            u.set_block(s, 0, &x2);
         }
+        // u = [x1; x2], rotated back.
+        let mut u = take_scratch::<T>();
+        for j in 0..r {
+            u.extend_from_slice(x1.col(j));
+            u.extend_from_slice(x2.col(j));
+        }
+        drop(x1);
+        give_scratch(x2);
+        let mut u = DenseMatrix::from_vec(s + t, r, u);
         if let Some(qr) = &nf.rotation {
             qr.apply_q(&mut u);
         }
@@ -1240,7 +1244,22 @@ impl<T: Scalar> UlvSolvePass<'_, '_, T> {
                 xr.col_mut(j).copy_from_slice(&u.col(j)[nf.split..]);
             }
         }
+        give_scratch(u);
     }
+}
+
+/// An empty buffer from the calling thread's factorization scratch: a solve
+/// task's temporaries reuse the capacity of earlier tasks' on that thread
+/// instead of the allocator's. Return it with [`give_scratch`].
+fn take_scratch<T: Scalar>() -> Vec<T> {
+    let mut buf = T::with_factor_scratch(Vec::pop).unwrap_or_default();
+    buf.clear();
+    buf
+}
+
+/// Return a temporary's buffer to the calling thread's factorization scratch.
+fn give_scratch<T: Scalar>(m: DenseMatrix<T>) {
+    T::with_factor_scratch(|stash| stash.push(m.into_vec()));
 }
 
 #[cfg(test)]
@@ -1339,14 +1358,20 @@ mod tests {
         }
 
         // Storage: the dimension formula with no rotation at square nodes,
-        // and exactly (m^2 + m) scalars less than rotating them too.
+        // and exactly one m x m rotation less per square node than rotating
+        // them too. A rotation of k reflectors of length m stores its WY
+        // blocks: sum_g (m - g nb) w_g + w_g (w_g + 1) / 2 scalars, with
+        // w_g the width of block g.
+        let wy_scalars = |m: usize, k: usize| -> usize {
+            WyRotation::<f64>::stored_scalars_for(m, k).expect("no overflow")
+        };
         let scalar = std::mem::size_of::<f64>();
         let (mut expected, mut rotated_everywhere) = (0, 0);
         for (h, &(s, t)) in factor.dims.iter().enumerate() {
             let m = s + t;
             let elim = (t * t + t * s) * scalar;
             let rot = if comp.basis(h).is_some() {
-                (m * s + s) * scalar
+                wy_scalars(m, s) * scalar
             } else {
                 0
             };
@@ -1356,7 +1381,7 @@ mod tests {
         assert_eq!(factor.stats().bytes, expected);
         let dropped: usize = square
             .iter()
-            .map(|&h| (order(h) * order(h) + order(h)) * scalar)
+            .map(|&h| wy_scalars(order(h), order(h)) * scalar)
             .sum();
         assert_eq!(factor.stats().bytes + dropped, rotated_everywhere);
 
@@ -1409,6 +1434,102 @@ mod tests {
             assert!(reopened.node(h).rotation.is_none(), "node {h} reopened");
         }
         assert_eq!(reopened.solve(&b).unwrap().data(), x.data());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn corrupt<T: Scalar>(bytes: &[u8]) -> bool {
+        matches!(UlvNode::<T>::decode(bytes), Err(StoreError::Corrupt(_)))
+    }
+
+    #[test]
+    fn node_decode_rejects_truncated_inconsistent_and_hostile_blobs() {
+        let n = 256;
+        let k = test_matrix(n);
+        let comp = compress::<f64, _>(&k, &hss_config());
+        let factor = UlvFactor::new(&k, &comp, 1e-2).unwrap();
+        let rotated = (0..comp.tree.node_count())
+            .map(|h| factor.node(h))
+            .find(|node| node.rotation.is_some() && node.reduced > 1)
+            .expect("a rotated node");
+        let mut bytes = Vec::new();
+        rotated.encode(&mut bytes);
+        let back = UlvNode::<f64>::decode(&bytes).unwrap();
+        assert_eq!(back.bytes(), rotated.bytes());
+        let mut again = Vec::new();
+        back.encode(&mut again);
+        assert_eq!(again, bytes, "decode . encode is the identity");
+
+        for len in 0..bytes.len() {
+            assert!(corrupt::<f64>(&bytes[..len]), "truncated to {len} bytes");
+        }
+        assert!(!corrupt::<f64>(&bytes) && corrupt::<f32>(&bytes));
+        // The rotation's length prefix sits after the width and presence
+        // bytes; its own header follows: width, m, k, nb, block count.
+        let patch = |at: usize, value: u64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            b
+        };
+        let (prefix, rot) = (2, 10);
+        let s_nb = WyRotation::<f64>::block_width(rotated.reduced) as u64;
+        for (at, value, what) in [
+            (prefix, u64::MAX, "hostile rotation length"),
+            (prefix, 1 << 40, "rotation longer than the blob"),
+            (rot + 1, u64::MAX, "hostile m"),
+            (rot + 9, 1 << 40, "hostile k"),
+            (rot + 17, s_nb + 1, "nb disagrees with k"),
+            (rot + 25, 1000, "block count disagrees with k"),
+        ] {
+            assert!(corrupt::<f64>(&patch(at, value)), "{what}");
+        }
+        // The dimension triple closes the blob: a rotation, Cholesky and
+        // coupling panel sized for (s, t) cannot be served as anything else.
+        let (s, t) = (rotated.reduced, rotated.eliminated);
+        let tail = bytes.len() - 24;
+        for (field, value, what) in [
+            (0, s + 1, "reduced"),
+            (0, s - 1, "reduced"),
+            (1, t + 1, "eliminated"),
+            (1, 0, "nothing eliminated"),
+            (2, s + t + 1, "split past the block"),
+            (1, usize::MAX, "hostile eliminated"),
+        ] {
+            assert!(
+                corrupt::<f64>(&patch(tail + 8 * field, value as u64)),
+                "{what} = {value}"
+            );
+        }
+    }
+
+    #[test]
+    fn version_one_store_file_is_refused_with_a_typed_error() {
+        let n = 128;
+        let k = test_matrix(n);
+        let comp = Arc::new(compress::<f64, _>(&k, &hss_config()));
+        let opts = FactorOptions {
+            lambda: 1e-2,
+            ..FactorOptions::default()
+        };
+        let factor = UlvFactor::from_shared(&k, Arc::clone(&comp), &opts).unwrap();
+        let dir = std::env::temp_dir().join(format!("gofmm-ulv-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("factor.gfmm");
+        let mut writer = StoreWriter::create(&path).unwrap();
+        factor.write_to(&mut writer).unwrap();
+        writer.finish().unwrap();
+        assert!(UlvFactor::open_from(&path, Arc::clone(&comp), 1 << 20).is_ok());
+        // A file from before blocked WY rotations: header version 1.
+        let mut file = std::fs::read(&path).unwrap();
+        file[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &file).unwrap();
+        match UlvFactor::open_from(&path, Arc::clone(&comp), 1 << 20) {
+            Err(Error::Storage { message }) => {
+                assert!(message.contains("version 1"), "{message}")
+            }
+            Err(other) => panic!("expected Error::Storage, got {other}"),
+            Ok(_) => panic!("a version-1 store file must be refused"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -44,7 +44,8 @@ pub const PAGE: u64 = 4096;
 
 const HEADER_MAGIC: &[u8; 8] = b"GFMMSTR1";
 const INDEX_MAGIC: &[u8; 8] = b"GFMMIDX1";
-const FORMAT_VERSION: u32 = 1;
+/// Version 2: ULV node blobs hold blocked compact-WY rotations.
+const FORMAT_VERSION: u32 = 2;
 
 /// Well-known blob classes used by the GOFMM crates. The store itself does
 /// not interpret these; they only namespace the `(class, node)` key space so
@@ -251,7 +252,9 @@ impl<'a> ByteReader<'a> {
     /// Read a length-prefixed `usize` slice.
     pub fn usize_slice(&mut self) -> Result<Vec<usize>, StoreError> {
         let n = self.usize()?;
-        let mut v = Vec::with_capacity(n);
+        // Capacity only for what the remaining bytes can hold: a hostile
+        // length fails on truncation instead of allocating.
+        let mut v = Vec::with_capacity(n.min(self.remaining() / 8));
         for _ in 0..n {
             v.push(self.usize()?);
         }
