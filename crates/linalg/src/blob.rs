@@ -8,6 +8,11 @@
 //! Every decoder checks a length against the bytes actually present before
 //! it allocates for it, so a hostile length fails with
 //! [`StoreError::Corrupt`] rather than an allocation.
+//!
+//! A store fault reads a blob's bytes into a per-thread reused buffer (one
+//! blob at most, outside the store's `resident_budget`) and decodes them
+//! from there; [`decode_scalar_vec`] turns each scalar run into its `Vec` in
+//! one slice-wide pass, so a fault costs about two copies of the payload.
 
 use crate::matrix::DenseMatrix;
 use crate::scalar::Scalar;
@@ -32,30 +37,31 @@ pub fn encode_scalar_slice<T: Scalar>(out: &mut Vec<u8>, vals: &[T]) {
 
 /// Read `count` scalars written by [`encode_scalar_slice`]; a `count` the
 /// remaining bytes cannot hold is [`StoreError::Corrupt`], before anything
-/// is allocated.
+/// is allocated. The `count × width` payload is taken as one slice and
+/// converted in a single pass over its fixed-width chunks (a loop the
+/// compiler vectorises), with the same bit-pattern conversion per scalar as
+/// [`ByteReader::u64`] / [`ByteReader::u32`] followed by `from_bits`.
 pub fn decode_scalar_vec<T: Scalar>(
     r: &mut ByteReader<'_>,
     count: usize,
 ) -> Result<Vec<T>, StoreError> {
-    let fits = count
-        .checked_mul(std::mem::size_of::<T>())
-        .is_some_and(|bytes| bytes <= r.remaining());
-    if !fits {
-        return Err(StoreError::Corrupt(format!(
-            "{count} scalars claimed, {} bytes left",
-            r.remaining()
-        )));
-    }
-    let mut vals = Vec::with_capacity(count);
-    if std::mem::size_of::<T>() == 4 {
-        for _ in 0..count {
-            vals.push(T::from_f64(f32::from_bits(r.u32()?) as f64));
-        }
+    let width = std::mem::size_of::<T>();
+    let bytes = count
+        .checked_mul(width)
+        .ok_or_else(|| StoreError::Corrupt(format!("{count} scalars of {width} bytes overflow")))?;
+    // `Corrupt` unless `bytes` are left, checked before anything is allocated.
+    let payload = r.take(bytes)?;
+    let vals = if width == 4 {
+        payload
+            .chunks_exact(4)
+            .map(|c| T::from_f64(f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())) as f64))
+            .collect()
     } else {
-        for _ in 0..count {
-            vals.push(T::from_f64(f64::from_bits(r.u64()?)));
-        }
-    }
+        payload
+            .chunks_exact(8)
+            .map(|c| T::from_f64(f64::from_bits(u64::from_le_bytes(c.try_into().unwrap()))))
+            .collect()
+    };
     Ok(vals)
 }
 
@@ -284,6 +290,186 @@ mod tests {
             b[9..17].copy_from_slice(&cols.to_le_bytes());
             assert_corrupt::<DenseMatrix<f64>>(&b, &format!("{rows} x {cols}"));
         }
+    }
+
+    /// The per-element decoder: one bounds-checked `ByteReader` read and
+    /// one `push` per scalar. This is the reference [`decode_scalar_vec`]
+    /// must match bit for bit.
+    fn per_element_decode<T: Scalar>(
+        r: &mut ByteReader<'_>,
+        count: usize,
+    ) -> Result<Vec<T>, StoreError> {
+        let fits = count
+            .checked_mul(std::mem::size_of::<T>())
+            .is_some_and(|bytes| bytes <= r.remaining());
+        if !fits {
+            return Err(StoreError::Corrupt(format!("{count} scalars claimed")));
+        }
+        let mut vals = Vec::with_capacity(count);
+        if std::mem::size_of::<T>() == 4 {
+            for _ in 0..count {
+                vals.push(T::from_f64(f32::from_bits(r.u32()?) as f64));
+            }
+        } else {
+            for _ in 0..count {
+                vals.push(T::from_f64(f64::from_bits(r.u64()?)));
+            }
+        }
+        Ok(vals)
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// ±0, ±∞, quiet and signalling NaNs (with and without payloads, both
+    /// signs), the subnormal range's ends and the normal range's ends.
+    const F64_SPECIALS: [u64; 15] = [
+        0,
+        1 << 63,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x7ff8_0000_0000_0000,
+        0x7ff8_dead_beef_0001,
+        0xfff8_0000_0000_1234,
+        0x7ff0_0000_0000_0001,
+        0x7ff4_0000_0000_0000,
+        0xfff0_0000_dead_beef,
+        1,
+        0x000f_ffff_ffff_ffff,
+        0x800f_ffff_ffff_ffff,
+        0x0010_0000_0000_0000,
+        0x7fef_ffff_ffff_ffff,
+    ];
+    const F32_SPECIALS: [u32; 15] = [
+        0,
+        1 << 31,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7fc0_0000,
+        0x7fc0_1234,
+        0xffc0_0001,
+        0x7f80_0001,
+        0x7fa0_0000,
+        0xff80_beef,
+        1,
+        0x007f_ffff,
+        0x807f_ffff,
+        0x0080_0000,
+        0x7f7f_ffff,
+    ];
+
+    /// `count` little-endian `width`-byte words after a one-byte header
+    /// (so the payload starts unaligned) and before a three-byte trailer:
+    /// random bit patterns with every fourth word, on average, a special.
+    fn random_payload(count: usize, width: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        let mut bytes = vec![0xa5];
+        for _ in 0..count {
+            let r = splitmix(&mut state);
+            let special = splitmix(&mut state) % 4 == 0;
+            if width == 4 {
+                let w = if special {
+                    F32_SPECIALS[(r % 15) as usize]
+                } else {
+                    r as u32
+                };
+                bytes.extend_from_slice(&w.to_le_bytes());
+            } else {
+                let w = if special {
+                    F64_SPECIALS[(r % 15) as usize]
+                } else {
+                    r
+                };
+                bytes.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        bytes.extend_from_slice(&[1, 2, 3]);
+        bytes
+    }
+
+    /// Decode with both decoders from the same position; both must agree
+    /// on the result bits, or both fail with `Corrupt`, and leave the same
+    /// bytes unread.
+    fn assert_decoders_agree<T: Scalar>(
+        bytes: &[u8],
+        count: usize,
+        bits: fn(T) -> u64,
+    ) -> Result<Vec<T>, StoreError> {
+        let (mut new_r, mut old_r) = (ByteReader::new(bytes), ByteReader::new(bytes));
+        new_r.u8().unwrap();
+        old_r.u8().unwrap();
+        let new = decode_scalar_vec::<T>(&mut new_r, count);
+        let old = per_element_decode::<T>(&mut old_r, count);
+        match (&new, &old) {
+            (Ok(new), Ok(old)) => {
+                assert_eq!(new.len(), count);
+                let new_bits: Vec<u64> = new.iter().map(|&x| bits(x)).collect();
+                let old_bits: Vec<u64> = old.iter().map(|&x| bits(x)).collect();
+                assert!(new_bits == old_bits, "count {count}: decoded bits differ");
+                assert_eq!(new_r.remaining(), old_r.remaining());
+            }
+            (Err(StoreError::Corrupt(_)), Err(StoreError::Corrupt(_))) => {
+                // Rejected before the payload was touched.
+                assert_eq!(new_r.remaining(), bytes.len() - 1, "count {count}");
+            }
+            _ => panic!("count {count}: decoders disagree: {new:?} vs {old:?}"),
+        }
+        new
+    }
+
+    fn decoder_battery<T: Scalar>(bits: fn(T) -> u64) {
+        let width = std::mem::size_of::<T>();
+        for (seed, count) in [0, 1, 2, 3, 7, 31, 33, 1001, 65_537]
+            .into_iter()
+            .enumerate()
+        {
+            let bytes = random_payload(count, width, seed as u64 + 1);
+            // Every count up to the payload's decodes; one more does not.
+            for claimed in [count.saturating_sub(1), count] {
+                assert!(assert_decoders_agree::<T>(&bytes, claimed, bits).is_ok());
+            }
+            let hostile = [
+                count + 1,
+                usize::MAX / width,
+                usize::MAX / width + 1,
+                usize::MAX,
+            ];
+            for claimed in hostile {
+                assert!(assert_decoders_agree::<T>(&bytes, claimed, bits).is_err());
+            }
+        }
+        // Every special in every lane position of a short run.
+        let specials: Vec<u8> = std::iter::once(0)
+            .chain((0..64).flat_map(|i| {
+                if width == 4 {
+                    F32_SPECIALS[i % 15].to_le_bytes().to_vec()
+                } else {
+                    F64_SPECIALS[i % 15].to_le_bytes().to_vec()
+                }
+            }))
+            .collect();
+        assert!(assert_decoders_agree::<T>(&specials, 64, bits).is_ok());
+    }
+
+    #[test]
+    fn slice_decoder_matches_per_element_decoder_f64() {
+        decoder_battery::<f64>(f64::to_bits);
+        // The raw patterns come back untouched, NaN payloads included.
+        let bytes = random_payload(1001, 8, 7);
+        let vals = assert_decoders_agree::<f64>(&bytes, 1001, f64::to_bits).unwrap();
+        for (x, raw) in vals.iter().zip(bytes[1..].chunks_exact(8)) {
+            assert_eq!(x.to_bits(), u64::from_le_bytes(raw.try_into().unwrap()));
+        }
+    }
+
+    #[test]
+    fn slice_decoder_matches_per_element_decoder_f32() {
+        decoder_battery::<f32>(|x| x.to_bits() as u64);
     }
 
     #[test]

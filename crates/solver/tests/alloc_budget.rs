@@ -10,15 +10,19 @@
 //! `UlvFactor::solve` requests the solution block and nothing else: 65 544 B
 //! at both leaf sizes here, against 65 536 B of solution.
 //! (With more than one worker the scratch is regrown per run; see the test.)
+//! A spilled factor's solve also requests the values its faults decode —
+//! about the bytes they read — but not the read bytes themselves, which
+//! land in the store's per-thread read buffer.
 //! This binary has its own counting `#[global_allocator]` and holds a single
 //! test, so nothing else allocates inside the window.
 
 use gofmm_core::{compress, GofmmConfig, TraversalPolicy};
 use gofmm_linalg::DenseMatrix;
 use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
-use gofmm_solver::UlvFactor;
+use gofmm_solver::{FilePanelStore, StoreWriter, UlvFactor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct CountingAllocator;
 
@@ -70,6 +74,9 @@ const BUDGET: u64 = (N * RHS * std::mem::size_of::<f64>() + (16 << 10)) as u64;
 /// The largest pack scratch a GEMM can ask for (`MC x KC` of `A` plus
 /// `KC x NC` of `B`, rounded up to whole strips, in f64): 1.26 MiB.
 const WORKER_SCRATCH: u64 = ((128 * 256 + 516 * 256) * std::mem::size_of::<f64>()) as u64;
+/// What a spilled solve may request per fault beyond the blob's decoded
+/// scalars: the `Arc`'d node, its WY block list and Cholesky wrapper.
+const PER_FAULT: u64 = 1 << 10;
 /// The multi-worker bound: a few multiples of `n × r` plus one maximum-size
 /// scratch per worker.
 const TWO_WORKERS: u64 =
@@ -118,4 +125,42 @@ fn steady_state_solve_stays_inside_its_allocation_budget() {
             );
         }
     }
+
+    // Spilled at a quarter of the factor's bytes, a solve faults most nodes
+    // back. Each fault reads into the thread's reused buffer, grown by the
+    // warm-up solve, so what a steady-state solve requests is the decoded
+    // values (about the bytes read), the solution, and per-fault overhead:
+    // 2 677 832 B over 98 faults reading 2 593 315 B here.
+    let cfg = GofmmConfig::default()
+        .with_leaf_size(64)
+        .with_max_rank(64)
+        .with_tolerance(1e-7)
+        .with_budget(0.03)
+        .with_threads(1)
+        .with_policy(TraversalPolicy::Sequential);
+    let comp = compress::<f64, _>(&k, &cfg);
+    let mut ulv = UlvFactor::new(&k, &comp, 1.0).unwrap();
+    let resident = ulv.solve(&b).unwrap();
+    let path = std::env::temp_dir().join(format!("gofmm-alloc-budget-{}.gfmm", std::process::id()));
+    let mut writer = StoreWriter::create(&path).unwrap();
+    ulv.spill_nodes(&mut writer).unwrap();
+    let quarter = writer.payload_bytes() as usize / 4;
+    writer.finish().unwrap();
+    let store = Arc::new(FilePanelStore::open(&path, quarter).unwrap());
+    ulv.attach_store(&store);
+    let first = ulv.solve(&b).unwrap();
+    let before = store.stats();
+    let (second, bytes) = requested_bytes(|| ulv.solve(&b).unwrap());
+    let after = store.stats();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(first.data(), resident.data());
+    assert_eq!(second.data(), resident.data());
+    let faults = after.faults - before.faults;
+    let read = after.bytes_read - before.bytes_read;
+    assert!(faults > 0, "a quarter budget must fault");
+    let bound = read + BUDGET + faults * PER_FAULT;
+    assert!(
+        bytes < bound,
+        "a spilled solve requested {bytes} B over {faults} faults reading {read} B, bound {bound} B"
+    );
 }

@@ -25,11 +25,13 @@
 //!
 //! [`StoreWriter`] produces the file in one append-only pass;
 //! [`FilePanelStore`] opens it read-only, loads the index, and serves
-//! [`FilePanelStore::get`] requests through the LRU cache.
+//! [`FilePanelStore::get`] requests through the LRU cache. A miss reads the
+//! blob into a per-thread reused buffer and decodes it from there.
 
 #![deny(missing_docs)]
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
@@ -204,7 +206,9 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+    /// Read the next `n` bytes as one borrowed slice (no length prefix):
+    /// the whole-payload read of a slice decoder.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         if self.buf.len() - self.pos < n {
             return Err(StoreError::Corrupt(format!(
                 "blob truncated: wanted {n} bytes at offset {}, have {}",
@@ -447,8 +451,23 @@ struct LruCache {
     tick: u64,
 }
 
+thread_local! {
+    /// The calling thread's grow-only fault read buffer: a faulted blob's
+    /// bytes land here, are decoded, and the buffer is kept for the next
+    /// fault. It is taken out of the cell for the fault and put back after,
+    /// so a nested fault would only grow a buffer of its own.
+    static FAULT_BUF: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
 /// Read-only store file with per-node demand faulting behind an LRU
 /// resident set bounded by `resident_budget` bytes.
+///
+/// A fault is a `seek` + `read_exact` of the blob's bytes under the file
+/// lock, into the calling thread's reused read buffer, then one
+/// [`Blob::decode`] from that buffer into the value the resident set caches.
+/// The buffer grows to the largest blob the thread has faulted and holds at
+/// most one blob's bytes; like a per-fault read `Vec`, it sits outside
+/// `resident_budget`, which counts decoded values only.
 ///
 /// Lookups take one internal lock for the full fault (disk read + decode),
 /// which keeps the resident accounting exact: the budget is never exceeded
@@ -532,7 +551,9 @@ impl FilePanelStore {
             .map_err(|e| io_err(&path, "read index of", e))?;
         let mut r = ByteReader::new(&index_bytes);
         let count = r.usize()?;
-        let mut index = HashMap::with_capacity(count);
+        // Capacity only for the 24-byte entries actually present: a hostile
+        // count fails on truncation below instead of sizing the map.
+        let mut index = HashMap::with_capacity(count.min(r.remaining() / 24));
         for _ in 0..count {
             let class = r.u32()?;
             let node = r.u32()?;
@@ -540,12 +561,20 @@ impl FilePanelStore {
             let len = r.u64()?;
             let class = u16::try_from(class)
                 .map_err(|_| StoreError::Corrupt(format!("class id {class} out of range")))?;
-            if offset + len > index_offset {
+            let inside = match offset.checked_add(len) {
+                Some(end) => end <= index_offset,
+                None => false,
+            };
+            if !inside {
                 return Err(StoreError::Corrupt(format!(
                     "blob (class {class}, node {node}) extends into the index"
                 )));
             }
-            index.insert((class, node), (offset, len));
+            if index.insert((class, node), (offset, len)).is_some() {
+                return Err(StoreError::Corrupt(format!(
+                    "duplicate index entry (class {class}, node {node})"
+                )));
+            }
         }
 
         Ok(FilePanelStore {
@@ -607,16 +636,18 @@ impl FilePanelStore {
         }
     }
 
-    fn read_blob(&self, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
-        let mut buf = vec![0u8; len as usize];
+    /// Fill `buf` with the file bytes at `offset`.
+    fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
         let mut file = self.file.lock().unwrap();
         file.seek(SeekFrom::Start(offset))
             .map_err(|e| io_err(&self.path, "seek", e))?;
-        file.read_exact(&mut buf)
+        file.read_exact(buf)
             .map_err(|e| io_err(&self.path, "read blob of", e))?;
         drop(file);
-        self.stats.bytes_read.fetch_add(len, Ordering::Relaxed);
-        Ok(buf)
+        self.stats
+            .bytes_read
+            .fetch_add(buf.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Fetch the blob under `(class, node)`, faulting it in from disk if it
@@ -646,9 +677,17 @@ impl FilePanelStore {
         // Fault path: read + decode under the cache lock so resident
         // accounting stays exact under concurrent callers.
         self.stats.faults.fetch_add(1, Ordering::Relaxed);
-        let bytes = self.read_blob(offset, len)?;
-        let value = V::decode(&bytes)
-            .map_err(|e| StoreError::Corrupt(format!("(class {class}, node {node}): {e}")))?;
+        let len = len as usize;
+        let mut buf = FAULT_BUF.take();
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        let value = self.read_into(offset, &mut buf[..len]).and_then(|()| {
+            V::decode(&buf[..len])
+                .map_err(|e| StoreError::Corrupt(format!("(class {class}, node {node}): {e}")))
+        });
+        FAULT_BUF.set(buf);
+        let value = value?;
         let resident = value.resident_bytes();
         let arc = Arc::new(value);
 
@@ -702,7 +741,9 @@ impl FilePanelStore {
             .index
             .get(&(class, node))
             .ok_or(StoreError::Missing { class, node })?;
-        self.read_blob(offset, len)
+        let mut buf = vec![0u8; len as usize];
+        self.read_into(offset, &mut buf)?;
+        Ok(buf)
     }
 
     /// Drop every resident blob (counters are preserved). Mainly for tests
@@ -889,6 +930,57 @@ mod tests {
         let err = FilePanelStore::open(&path, 1 << 20).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A store file of one page-aligned blob (an 8-byte tag) followed by
+    /// an index that claims `count` entries and holds `entries`.
+    fn write_with_index(path: &Path, count: u64, entries: &[(u32, u32, u64, u64)]) {
+        let mut file = vec![0u8; PAGE as usize];
+        file[..8].copy_from_slice(HEADER_MAGIC);
+        file[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        file.extend_from_slice(&7u64.to_le_bytes());
+        file.resize(2 * PAGE as usize, 0);
+        let index_offset = file.len() as u64;
+        let mut w = ByteWriter::new(&mut file);
+        w.u64(count);
+        for &(class, node, offset, len) in entries {
+            w.u32(class);
+            w.u32(node);
+            w.u64(offset);
+            w.u64(len);
+        }
+        w.u64(index_offset);
+        file.extend_from_slice(INDEX_MAGIC);
+        std::fs::write(path, file).unwrap();
+    }
+
+    fn assert_open_corrupt(name: &str, count: u64, entries: &[(u32, u32, u64, u64)]) {
+        let path = tmp_path(name);
+        write_with_index(&path, count, entries);
+        let err = FilePanelStore::open(&path, 1 << 20).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{name}: {err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn hostile_entry_count_is_corrupt() {
+        assert_open_corrupt("hostile-count", 1 << 58, &[(1, 0, PAGE, 8)]);
+    }
+
+    #[test]
+    fn overflowing_blob_extent_is_corrupt() {
+        assert_open_corrupt("overflowing-extent", 1, &[(1, 0, 1 << 63, (1 << 63) + 8)]);
+    }
+
+    #[test]
+    fn duplicate_index_entry_is_corrupt() {
+        // The hand-built file itself is sound: its first entry alone opens.
+        let path = tmp_path("hand-built");
+        write_with_index(&path, 1, &[(1, 0, PAGE, 8)]);
+        let store = FilePanelStore::open(&path, 1 << 20).unwrap();
+        assert_eq!(store.read_raw(1, 0).unwrap(), 7u64.to_le_bytes());
+        std::fs::remove_file(&path).unwrap();
+        assert_open_corrupt("duplicate-entry", 2, &[(1, 0, PAGE, 8), (1, 0, PAGE, 4)]);
     }
 
     #[test]
