@@ -34,14 +34,16 @@
 //! change a bit. The packed and borrowed storage modes agree with each other
 //! to accumulation roundoff, not bit-for-bit: a packed panel sums one long
 //! GEMM inner dimension where the borrowed path adds one block's product at a
-//! time.
+//! time, and packed near panels store each symmetric block once (see
+//! `NearLayout`).
 
 use crate::compress::{CompRef, Compressed};
 use crate::config::{ApplyOptions, PanelPrecision, TraversalPolicy};
 use crate::error::Error;
-use crate::panel::{Panel, Values};
+use crate::lists::InteractionLists;
+use crate::panel::{with_temp, Panel, Values};
 use crate::tune::TuneStats;
-use gofmm_linalg::blas::gemm_flops;
+use gofmm_linalg::blas::{gemm_flops, KC};
 use gofmm_linalg::{gemm, DenseMatrix, Scalar, Transpose};
 use gofmm_matrices::SpdMatrix;
 use gofmm_runtime::{
@@ -51,6 +53,7 @@ use gofmm_runtime::{
 use gofmm_telemetry::{
     traced_barrier, traced_task, PhaseTimes, SpanKind, Stopwatch, SweepProgress,
 };
+use gofmm_tree::PartitionTree;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Statistics of one evaluation.
@@ -114,7 +117,9 @@ impl EvaluationStats {
 ///   `K_{beta, alpha}` is packed into one contiguous column-major matrix per
 ///   node (blocks side by side), so each S2S/L2L task is a single GEMM
 ///   against packed storage instead of a loop of small GEMMs against lazily
-///   materialized blocks;
+///   materialized blocks. Of each symmetric pair of off-diagonal near
+///   blocks only the lower heap index's is packed (the owner layout);
+///   its transpose serves the other leaf;
 /// * the evaluation [`ReusablePlan`] (N2S postorder, S2S, S2N preorder, L2L;
 ///   Figure 3 of the paper) is built once and re-run for every apply;
 /// * the per-node value buffers (`w~`, `u~`, far/near leaf outputs) live in
@@ -174,8 +179,11 @@ pub struct Evaluator<'a, T: Scalar> {
     /// when the node has none.
     pub(crate) far: Vec<Panel<'a, T>>,
     /// Per-leaf near blocks `K_{beta, alpha}`: packed or borrowed like `far`
-    /// ([`Panel::Empty`] for interior nodes).
+    /// ([`Panel::Empty`] for interior nodes), laid out as `near_map` says.
     pub(crate) near: Vec<Panel<'a, T>>,
+    /// The evaluator-wide near-panel layout and the per-leaf index lists it
+    /// implies.
+    pub(crate) near_map: NearMap,
     /// Per-node *effective* far lists after [`Evaluator::tune`] dropped
     /// small-norm far blocks; `None` until a tune commits a drop. The
     /// compression's own lists are shared with the factorization and stay
@@ -215,6 +223,12 @@ struct ApplyWorkspace<T: Scalar> {
     u_far: DisjointCells<DenseMatrix<T>>,
     /// Near-field (direct) contribution to the output, per leaf.
     u_near: DisjointCells<DenseMatrix<T>>,
+    /// Mirror products `Y_β = K_{β,off}^T w_β` per owner-layout leaf: the
+    /// contributions of β's owned off-diagonal blocks to the other leaves'
+    /// outputs, stacked in [`NearMap::mirror_entries`] order. Sized by β's
+    /// L2L task the first time it computes them, and overwritten by it on
+    /// every apply that does ([`NearMap::owner_mirrors`]); empty otherwise.
+    mirror: DisjointCells<DenseMatrix<T>>,
 }
 
 impl<T: Scalar> ApplyWorkspace<T> {
@@ -237,13 +251,14 @@ impl<T: Scalar> ApplyWorkspace<T> {
             utilde: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), r)),
             u_far: DisjointCells::from_fn(node_count, leaf),
             u_near: DisjointCells::from_fn(node_count, leaf),
+            mirror: DisjointCells::from_fn(node_count, |_| DenseMatrix::zeros(0, 0)),
         }
     }
 
-    /// Zero the accumulator families of a recycled workspace. `staged` and
-    /// `wtilde` need no reset: the first is refilled before every sweep, and
-    /// every `wtilde` cell that is ever read is fully overwritten by its
-    /// node's N2S task.
+    /// Zero the accumulator families of a recycled workspace. `staged`,
+    /// `wtilde` and `mirror` need no reset: the first is refilled before
+    /// every sweep, and every `wtilde` / `mirror` cell that is ever read is
+    /// fully overwritten by its node's N2S / L2L task.
     fn reset(&mut self) {
         self.utilde.for_each_mut(|_, m| m.fill(T::zero()));
         self.u_far.for_each_mut(|_, m| m.fill(T::zero()));
@@ -252,9 +267,31 @@ impl<T: Scalar> ApplyWorkspace<T> {
 
     /// The output in original index order: each leaf's `u_far + u_near`,
     /// scattered through the tree permutation one output column at a time,
-    /// so the random-row writes of a column stay within that column.
-    fn assemble(&mut self, comp: &Compressed<T>) -> DenseMatrix<T> {
+    /// so the random-row writes of a column stay within that column. First,
+    /// in tree order, the mirror blocks its owners computed for a leaf are
+    /// added into its `u_near` column in ascending owner order: the one
+    /// fixed-order pass that closes an owner-layout sweep.
+    fn assemble(
+        &mut self,
+        comp: &Compressed<T>,
+        near_map: &NearMap,
+        owner_mirrors: bool,
+    ) -> DenseMatrix<T> {
         let r = self.staged.cols();
+        if owner_mirrors {
+            for leaf in comp.tree.leaf_range() {
+                let near = self.u_near.get_mut(leaf);
+                for &(owner, row) in near_map.mirrors_in(leaf) {
+                    let y = self.mirror.get_mut(owner);
+                    for c in 0..r {
+                        let y = &y.col(c)[row..row + near.rows()];
+                        for (n, &m) in near.col_mut(c).iter_mut().zip(y) {
+                            *n += m;
+                        }
+                    }
+                }
+            }
+        }
         let mut out = DenseMatrix::zeros(comp.n(), r);
         for c in 0..r {
             let dst = out.col_mut(c);
@@ -267,6 +304,114 @@ impl<T: Scalar> ApplyWorkspace<T> {
             }
         }
         out
+    }
+}
+
+/// How an evaluator lays out its leaves' near panels: one tag for the whole
+/// evaluator.
+///
+/// The near lists are symmetric and `K` is SPD, so `K_{αβ} = K_{βα}^T`: one
+/// copy of each off-diagonal near block is enough to serve both leaves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum NearLayout {
+    /// Leaf β's panel holds `K_{β, Near(β)}`, every block of its Near list
+    /// in list order. Borrowing and tuned evaluators keep it.
+    Full,
+    /// The lower heap index owns each off-diagonal near pair: β's panel
+    /// holds `K_{ββ}` and then `K_{βα}` for each `α > β` in `Near(β)`, in
+    /// list order. Mirror blocks are never stored: β's L2L task also forms
+    /// `K_{β,off}^T w_β` from its own panel for the leaves it owns blocks
+    /// of.
+    Owner,
+}
+
+/// Widest apply whose owners compute their mirror blocks
+/// ([`NearMap::owner_mirrors`]).
+const OWNER_MIRROR_MAX_COLS: usize = 4;
+
+/// The per-leaf index lists a [`NearLayout`] implies.
+pub(crate) struct NearMap {
+    layout: NearLayout,
+    /// Per leaf: the near leaves whose blocks its panel holds, in panel
+    /// column order (empty for interior nodes). Under the owner layout the
+    /// leaf itself comes first.
+    entries: Vec<Vec<usize>>,
+    /// Per leaf α: `(β, row)` for every owner `β < α` of a block of α's,
+    /// ascending in β: α's share of `Y_β` starts at row `row`.
+    mirrors_in: Vec<Vec<(usize, usize)>>,
+}
+
+impl NearMap {
+    pub(crate) fn new(tree: &PartitionTree, lists: &InteractionLists, layout: NearLayout) -> Self {
+        let node_count = tree.node_count();
+        let mut map = NearMap {
+            layout,
+            entries: vec![Vec::new(); node_count],
+            mirrors_in: Vec::new(),
+        };
+        for beta in tree.leaf_range() {
+            let near = &lists.near[beta];
+            map.entries[beta] = match layout {
+                NearLayout::Full => near.clone(),
+                NearLayout::Owner if near.is_empty() => Vec::new(),
+                NearLayout::Owner => {
+                    debug_assert!(near.contains(&beta), "a Near list holds its leaf");
+                    let owned = near.iter().copied().filter(|&alpha| alpha > beta);
+                    std::iter::once(beta).chain(owned).collect()
+                }
+            };
+        }
+        let mut mirrors_in = vec![Vec::new(); node_count];
+        for beta in tree.leaf_range() {
+            let mut row = 0;
+            for &alpha in map.mirror_entries(beta) {
+                mirrors_in[alpha].push((beta, row));
+                row += tree.node(alpha).len;
+            }
+        }
+        map.mirrors_in = mirrors_in;
+        map
+    }
+
+    pub(crate) fn layout(&self) -> NearLayout {
+        self.layout
+    }
+
+    /// The near leaves whose blocks `heap`'s panel holds, in column order.
+    pub(crate) fn entries(&self, heap: usize) -> &[usize] {
+        &self.entries[heap]
+    }
+
+    /// The leaves `heap`'s mirror product serves: its owned off-diagonal
+    /// entries under the owner layout, none under the full one.
+    fn mirror_entries(&self, heap: usize) -> &[usize] {
+        match (self.layout, self.entries[heap].split_first()) {
+            (NearLayout::Owner, Some((_, owned))) => owned,
+            _ => &[],
+        }
+    }
+
+    /// Rows of `heap`'s mirror product `Y_heap`.
+    fn mirror_rows(&self, tree: &PartitionTree, heap: usize) -> usize {
+        let entries = self.mirror_entries(heap).iter();
+        entries.map(|&alpha| tree.node(alpha).len).sum()
+    }
+
+    /// `(owner, row)` of every mirror block that lands in `heap`'s output.
+    fn mirrors_in(&self, heap: usize) -> &[(usize, usize)] {
+        &self.mirrors_in[heap]
+    }
+
+    /// Whether an apply of `r` columns over `near` panels has the owners
+    /// compute their mirror blocks (each block read once, then a pass over
+    /// the mirror cells), rather than each leaf reading the blocks its
+    /// owners store in place (each block read twice, no mirror cells). The
+    /// mirror cells hold `r` values per mirror row against the 64-odd panel
+    /// values per mirror column they save reading, so they pay off only for
+    /// narrow applies; a spilled panel always serves both products on one
+    /// fault. Both ways give the same bits.
+    fn owner_mirrors<T: Scalar>(&self, r: usize, near: &[Panel<'_, T>]) -> bool {
+        r <= OWNER_MIRROR_MAX_COLS || near.iter().any(Panel::is_stored)
     }
 }
 
@@ -324,11 +469,12 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             DisjointCells::from_fn(node_count, |_| Panel::Empty);
 
         let precision = comp.config.panel_precision;
+        let near_map = NearMap::new(&comp.tree, &comp.lists, NearLayout::Owner);
         {
             let comp = &*comp;
             parallel_for(node_count, num_threads.max(1), |heap| {
                 let (near, far) = (&comp.near_blocks[heap], &comp.far_blocks[heap]);
-                let (near, far) = pack_node(matrix, comp, heap, near, far);
+                let (near, far) = pack_node(matrix, comp, &near_map, heap, near, far);
                 near_cells.set(heap, near);
                 far_cells.set(heap, far);
             });
@@ -341,6 +487,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             precision,
             far_cells.into_inner(),
             near_cells.into_inner(),
+            near_map,
             t0,
         )
     }
@@ -372,7 +519,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
                 if !comp.near_blocks[heap].is_empty() {
                     near.push(Panel::Blocks(&comp.near_blocks[heap]));
                 } else {
-                    let cols = near_gather_indices(comp, heap);
+                    let cols = near_gather_indices(comp, &comp.lists.near[heap]);
                     near.push(packed_native(matrix.submatrix(tree.indices(heap), &cols)));
                 }
             } else {
@@ -396,12 +543,14 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             PanelPrecision::Native,
             far,
             near,
+            NearMap::new(tree, &comp.lists, NearLayout::Full),
             t0,
         )
     }
 
     /// Shared tail of every constructor: DAG construction, cache accounting
     /// and pool setup.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble_evaluator<'c>(
         comp: CompRef<'c, T>,
         policy: TraversalPolicy,
@@ -409,16 +558,18 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         panel_precision: PanelPrecision,
         far: Vec<Panel<'c, T>>,
         near: Vec<Panel<'c, T>>,
+        near_map: NearMap,
         t0: Stopwatch,
     ) -> Evaluator<'c, T> {
         // --- Build the evaluation DAG once ---------------------------------
-        let plan = evaluation_plan(&comp);
+        let plan = evaluation_plan(&comp, &near_map);
 
         let mut evaluator = Evaluator {
             comp,
             defaults: RunDefaults::new(policy, num_threads),
             far,
             near,
+            near_map,
             tuned_far: None,
             tune_stats: None,
             plan,
@@ -458,8 +609,13 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
 
     /// Bytes of interaction blocks held *resident in memory* by this
     /// evaluator; every other per-node structure it reads is the
-    /// compression's. Shrinks when
-    /// [`Evaluator::tune`] drops or rank-truncates panels and when
+    /// compression's. A packing constructor stores each symmetric pair of
+    /// off-diagonal near blocks once (the owner layout), so this is about
+    /// half the near blocks' bytes plus the far panels'; a borrowing
+    /// evaluator counts every block it reads. Shrinks when
+    /// [`Evaluator::tune`] drops or rank-truncates panels (a tuned
+    /// evaluator stores both blocks of a pair again, and a tune is accepted
+    /// only if the total still shrinks) and when
     /// [`Evaluator::attach_store`] swaps panels out to a file store.
     pub fn cached_bytes(&self) -> usize {
         self.cached_bytes
@@ -479,6 +635,15 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             Some(lists) => &lists[heap],
             None => &self.comp.lists.far[heap],
         }
+    }
+
+    /// Switch the near panels to `layout`: the caller has just replaced them
+    /// with panels in that layout. Rebuilds the index lists and the plan,
+    /// whose L2L costs follow the layout.
+    pub(crate) fn set_near_layout(&mut self, layout: NearLayout) {
+        self.near_map = NearMap::new(&self.comp.tree, &self.comp.lists, layout);
+        self.plan = evaluation_plan(&self.comp, &self.near_map);
+        self.recompute_cached_bytes();
     }
 
     /// Re-derive `cached_bytes` — the in-memory panel bytes — from the
@@ -576,10 +741,12 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             .progress
             .as_ref()
             .map(|handle| SweepProgress::new(handle.clone(), &self.sweep_stages()));
+        let owner_mirrors = self.near_map.owner_mirrors(w.cols(), &self.near);
         let pass = ApplyPass {
             ev: self,
             ws: &ws,
             flops: &flops,
+            owner_mirrors,
         };
         let exec_stats = match (policy.schedule_policy(), cancel) {
             (None, cancel) => {
@@ -650,7 +817,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             ),
         };
 
-        let out = ws.assemble(&self.comp);
+        let out = ws.assemble(&self.comp, &self.near_map, owner_mirrors);
         if let (Some(s), Some(t0)) = (sink, phase_start) {
             s.record(SpanKind::Phase, "APPLY", 0, 0, t0, s.now());
         }
@@ -691,11 +858,11 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     }
 }
 
-/// The concatenation of a leaf's near nodes' original row indices, in
-/// Near-list order: the columns of the near panel a construction without
-/// cached blocks evaluates from the kernel.
-fn near_gather_indices<T: Scalar>(comp: &Compressed<T>, heap: usize) -> Vec<usize> {
-    comp.lists.near[heap]
+/// The concatenation of `entries`' original row indices, in order: the
+/// columns of the near panel a construction without cached blocks evaluates
+/// from the kernel.
+fn near_gather_indices<T: Scalar>(comp: &Compressed<T>, entries: &[usize]) -> Vec<usize> {
+    entries
         .iter()
         .flat_map(|&alpha| comp.tree.indices(alpha).iter().copied())
         .collect()
@@ -713,9 +880,16 @@ fn packed_native<'p, T: Scalar>(mat: DenseMatrix<T>) -> Panel<'p, T> {
 /// per-node routine behind every owning constructor — the copying ones pass
 /// the compression's own block cache, the stealing ones the blocks they just
 /// moved out of it.
+///
+/// The near panel holds the blocks of `near_map`'s entries for the leaf, in
+/// that order: under the owner layout, `K_{ββ}` and the blocks `K_{βα}` of
+/// the owned pairs `α > β`. The cached mirror blocks `K_{βα}`, `α < β`, are
+/// skipped (their owner α packs the transpose) and never evaluated when
+/// nothing was cached.
 fn pack_node<'p, T: Scalar, M: SpdMatrix<T> + ?Sized>(
     matrix: &M,
     comp: &Compressed<T>,
+    near_map: &NearMap,
     heap: usize,
     near_blocks: &[DenseMatrix<T>],
     far_blocks: &[DenseMatrix<T>],
@@ -723,18 +897,24 @@ fn pack_node<'p, T: Scalar, M: SpdMatrix<T> + ?Sized>(
     let tree = &comp.tree;
     let owned = |mat| Panel::Owned(Values::dense(mat, comp.config.panel_precision));
     let mut near = Panel::Empty;
-    if tree.is_leaf(heap) && !comp.lists.near[heap].is_empty() {
+    let entries = near_map.entries(heap);
+    if !entries.is_empty() {
         near = owned(if !near_blocks.is_empty() {
-            hstack_blocks(tree.indices(heap).len(), near_blocks)
+            let list = &comp.lists.near[heap];
+            let block = |alpha| {
+                let pos = list.iter().position(|&a| a == alpha);
+                &near_blocks[pos.expect("panel entries come from the Near list")]
+            };
+            hstack_blocks(tree.indices(heap).len(), entries.iter().map(|&a| block(a)))
         } else {
-            matrix.submatrix(tree.indices(heap), &near_gather_indices(comp, heap))
+            matrix.submatrix(tree.indices(heap), &near_gather_indices(comp, entries))
         });
     }
     let mut far = Panel::Empty;
     if let Some(basis) = comp.bases[heap].as_ref() {
         if !comp.lists.far[heap].is_empty() {
             far = owned(if !far_blocks.is_empty() {
-                hstack_blocks(basis.rank(), far_blocks)
+                hstack_blocks(basis.rank(), far_blocks.iter())
             } else {
                 extract_far_panel(matrix, comp, heap)
             });
@@ -769,8 +949,11 @@ fn extract_far_panel<T: Scalar, M: SpdMatrix<T> + ?Sized>(
 
 /// Copy `blocks` (all with `rows` rows) side by side into one column-major
 /// matrix, preserving every bit of the cached values.
-fn hstack_blocks<T: Scalar>(rows: usize, blocks: &[DenseMatrix<T>]) -> DenseMatrix<T> {
-    let total: usize = blocks.iter().map(|b| b.cols()).sum();
+fn hstack_blocks<'b, T: Scalar>(
+    rows: usize,
+    blocks: impl Iterator<Item = &'b DenseMatrix<T>> + Clone,
+) -> DenseMatrix<T> {
+    let total: usize = blocks.clone().map(|b| b.cols()).sum();
     let mut mat = DenseMatrix::zeros(rows, total);
     let mut off = 0;
     for b in blocks {
@@ -798,6 +981,10 @@ struct ApplyPass<'p, 'a, T: Scalar> {
     ev: &'p Evaluator<'a, T>,
     ws: &'p ApplyWorkspace<T>,
     flops: &'p AtomicU64,
+    /// Whether owners compute their mirror blocks into the workspace's
+    /// mirror cells ([`NearMap::owner_mirrors`]); otherwise every leaf reads
+    /// the blocks its owners store in place.
+    owner_mirrors: bool,
 }
 
 impl<T: Scalar> ApplyPass<'_, '_, T> {
@@ -819,21 +1006,65 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
             .block(node.start, node.start + node.len, 0, self.r())
     }
 
-    /// Stack the near nodes' staged rows in Near-list order, matching a
-    /// packed near panel's `panel_cols` column order: one contiguous copy
-    /// per near node per column.
-    fn near_stack(&self, heap: usize, panel_cols: usize) -> DenseMatrix<T> {
-        let comp = self.ev.compressed();
+    /// Call `mul` with the staged rows of `entries` stacked in order —
+    /// a packed near panel's `panel_cols` column order — in a reused
+    /// buffer: one contiguous copy per near node per column.
+    fn near_stack(
+        &self,
+        entries: &[usize],
+        panel_cols: usize,
+        mul: &mut dyn FnMut(&DenseMatrix<T>),
+    ) {
+        let tree = &self.ev.compressed().tree;
         let r = self.r();
-        let mut data = Vec::with_capacity(panel_cols * r);
-        for c in 0..r {
-            let src = self.ws.staged.col(c);
-            for &alpha in &comp.lists.near[heap] {
-                let node = comp.tree.node(alpha);
-                data.extend_from_slice(&src[node.start..node.start + node.len]);
+        let fill = |data: &mut Vec<T>| {
+            for c in 0..r {
+                let src = self.ws.staged.col(c);
+                for &alpha in entries {
+                    let node = tree.node(alpha);
+                    data.extend_from_slice(&src[node.start..node.start + node.len]);
+                }
             }
+        };
+        with_temp(panel_cols, r, fill, |stack| mul(stack));
+    }
+
+    /// Add the mirror blocks of leaf `heap` into `out` (its `u_near`), in
+    /// ascending owner order, reading each owner's block `K_{βα}` in place
+    /// and transposed: `out += K_{βα}^T w_β`. The owners have not computed
+    /// them this apply (see [`ApplyPass::owner_mirrors`]). Each product is
+    /// summed from zero and then added, exactly as an owner's mirror cell
+    /// is added by [`ApplyWorkspace::assemble`], so both ways give the same
+    /// bits: within one GEMM accumulation block (an owner of at most
+    /// [`KC`] rows) the GEMM's own `C + sum` is that addition; past it the
+    /// product goes through a scratch block.
+    fn read_mirrors(&self, heap: usize, out: &mut DenseMatrix<T>) -> u64 {
+        let tree = &self.ev.compressed().tree;
+        let (r, rows) = (self.r(), out.rows());
+        let mut flops = 0;
+        for &(owner, row) in self.ev.near_map.mirrors_in(heap) {
+            let node = tree.node(owner);
+            let (panel, cols) = (&self.ev.near[owner], node.len + row..node.len + row + rows);
+            let fill = |buf: &mut Vec<T>| {
+                for c in 0..r {
+                    buf.extend_from_slice(
+                        &self.ws.staged.col(c)[node.start..node.start + node.len],
+                    );
+                }
+            };
+            with_temp(node.len, r, fill, |w| {
+                if node.len <= KC {
+                    flops += panel.apply_t_cols(cols, w, T::one(), out);
+                } else {
+                    let zeros = |buf: &mut Vec<T>| buf.resize(rows * r, T::zero());
+                    with_temp(rows, r, zeros, |y| {
+                        flops += panel.apply_t_cols(cols, w, T::zero(), y);
+                        out.axpy(T::one(), y);
+                    })
+                }
+            });
         }
-        DenseMatrix::from_vec(panel_cols, r, data)
+        flops
     }
 
     /// Stack the far nodes' skeleton weights in *effective* Far-list order
@@ -901,9 +1132,10 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
         let far = self.ev.far_list(heap);
         let mut ut = self.ws.utilde.write(heap);
         self.count_flops(panel.apply(
-            |cols| self.far_weight_stack(heap, cols, self.r()),
+            |cols, mul| mul(&self.far_weight_stack(heap, cols, self.r())),
             |i, mul| mul(&self.ws.wtilde.read(far[i])),
             &mut ut,
+            None,
         ));
     }
 
@@ -951,21 +1183,37 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
         }
     }
 
-    /// L2L: direct (near) interactions — the near panel times the near
-    /// nodes' stacked input rows (one near node's rows at a time for
-    /// borrowed blocks).
+    /// L2L: direct (near) interactions — the near panel times the stacked
+    /// input rows of its entries (one entry's rows at a time for borrowed
+    /// blocks). Under the owner layout the same task, on the same warm
+    /// panel, also forms the mirror product `Y_β = K_{β,off}^T w_β` that
+    /// [`ApplyWorkspace::assemble`] adds into the other leaves' outputs.
     fn task_l2l(&self, heap: usize) {
         let panel = &self.ev.near[heap];
         if panel.is_empty() {
             return;
         }
-        let near = &self.ev.compressed().lists.near[heap];
+        let map = &self.ev.near_map;
+        let entries = map.entries(heap);
         let mut out = self.ws.u_near.write(heap);
+        let by_owner = self.owner_mirrors && !map.mirror_entries(heap).is_empty();
+        let mut mirror = by_owner.then(|| {
+            let mut y = self.ws.mirror.write(heap);
+            let rows = map.mirror_rows(&self.ev.compressed().tree, heap);
+            if (y.rows(), y.cols()) != (rows, self.r()) {
+                *y = DenseMatrix::zeros(rows, self.r());
+            }
+            y
+        });
         self.count_flops(panel.apply(
-            |cols| self.near_stack(heap, cols),
-            |i, mul| mul(&self.staged_rows(near[i])),
+            |cols, mul| self.near_stack(entries, cols, mul),
+            |i, mul| mul(&self.staged_rows(entries[i])),
             &mut out,
+            mirror.as_deref_mut(),
         ));
+        if !self.owner_mirrors {
+            self.count_flops(self.read_mirrors(heap, &mut out));
+        }
     }
 }
 
@@ -1008,13 +1256,14 @@ impl<T: Scalar> Compressed<T> {
         let node_count = self.tree.node_count();
         let stolen_near = std::mem::take(&mut self.near_blocks);
         let stolen_far = std::mem::take(&mut self.far_blocks);
+        let near_map = NearMap::new(&self.tree, &self.lists, NearLayout::Owner);
         let mut far = Vec::with_capacity(node_count);
         let mut near = Vec::with_capacity(node_count);
         // Each node's stolen blocks are dropped right after they are packed,
         // so peak memory is the block cache plus a single node's panel —
         // instead of the cache plus a full packed copy.
         for (heap, (nb, fb)) in stolen_near.into_iter().zip(stolen_far).enumerate() {
-            let (near_panel, far_panel) = pack_node(matrix, &self, heap, &nb, &fb);
+            let (near_panel, far_panel) = pack_node(matrix, &self, &near_map, heap, &nb, &fb);
             near.push(near_panel);
             far.push(far_panel);
         }
@@ -1031,6 +1280,7 @@ impl<T: Scalar> Compressed<T> {
             precision,
             far,
             near,
+            near_map,
             t0,
         );
         (comp, evaluator)
@@ -1108,7 +1358,7 @@ pub fn try_evaluate_with<T: Scalar, M: SpdMatrix<T> + ?Sized>(
 /// edges give every `utilde` cell a schedule-independent write order
 /// (own S2S first, then parent's S2N), so all policies produce
 /// bit-identical outputs.
-fn evaluation_plan<T: Scalar>(comp: &Compressed<T>) -> ReusablePlan {
+fn evaluation_plan<T: Scalar>(comp: &Compressed<T>, near_map: &NearMap) -> ReusablePlan {
     let tree = &comp.tree;
     let node_count = tree.node_count();
     let m = comp.config.leaf_size as f64;
@@ -1149,9 +1399,12 @@ fn evaluation_plan<T: Scalar>(comp: &Compressed<T>) -> ReusablePlan {
         }
     });
 
-    // L2L: independent of everything else.
+    // L2L: independent of everything else. Its work is the panel's direct
+    // columns plus the mirror product's, which re-reads the off-diagonal
+    // ones: an owner does about twice the work per stored block.
     for heap in tree.leaf_range() {
-        let cost = 2.0 * m * m * comp.lists.near[heap].len() as f64;
+        let blocks = near_map.entries(heap).len() + near_map.mirror_entries(heap).len();
+        let cost = 2.0 * m * m * blocks as f64;
         plan.add("L2L", heap, cost, &[]);
     }
 
@@ -1167,6 +1420,7 @@ mod tests {
     use gofmm_matrices::{sampled_relative_error, KernelMatrix, KernelType, PointCloud, SpdMatrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn test_matrix(n: usize) -> KernelMatrix {
         KernelMatrix::new(
@@ -1718,6 +1972,108 @@ mod tests {
                 assert!(d <= 1e-4 * u_native.get(r, c).abs().max(1.0));
             }
         }
+    }
+
+    /// Narrow applies have the owners compute the mirror blocks, wide ones
+    /// have each leaf read its owners' blocks in place; every column of a
+    /// wide apply carries the bits of the same column applied alone, with
+    /// leaves within one GEMM accumulation block and past it.
+    #[test]
+    fn both_mirror_paths_give_the_same_bits() {
+        for (n, leaf) in [(512, 32), (1100, KC + 44)] {
+            let k = test_matrix(n);
+            let cfg = config().with_leaf_size(leaf).with_budget(1.0);
+            let comp = compress::<f64, _>(&k, &cfg);
+            let rows = comp.tree.leaf_range().map(|h| comp.tree.node(h).len);
+            assert_eq!(rows.max().unwrap() > KC, leaf > KC);
+            let ev = Evaluator::new(&k, &comp);
+            let mirrors = comp
+                .tree
+                .leaf_range()
+                .map(|h| ev.near_map.mirrors_in(h).len());
+            assert!(
+                mirrors.sum::<usize>() > 0,
+                "leaf {leaf}: no off-diagonal near pairs"
+            );
+            let r = OWNER_MIRROR_MAX_COLS + 2;
+            let mut rng = StdRng::seed_from_u64(43);
+            let w = DenseMatrix::<f64>::random_gaussian(n, r, &mut rng);
+            let (wide, _) = ev.apply(&w).unwrap();
+            for c in 0..r {
+                let (one, _) = ev.apply(&w.block(0, n, c, c + 1)).unwrap();
+                assert_eq!(one.col(0), wide.col(c), "leaf {leaf}: column {c}");
+            }
+        }
+    }
+
+    /// The owner layout serves the operator of the full layout: owned in
+    /// memory (native and `MixedF32`), spilled and attached at a thrashing
+    /// budget, and persisted then reopened, the owner-layout apply agrees
+    /// with the full-layout apply of the same compression to 1e-12.
+    #[test]
+    fn owner_layout_matches_full_layout_in_every_residence() {
+        use gofmm_store::{FilePanelStore, StoreWriter};
+        let n = 512;
+        let k = test_matrix(n);
+        let dir = std::env::temp_dir().join(format!("gofmm-owner-layout-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let thrashing = 32 << 10;
+        let mut rng = StdRng::seed_from_u64(41);
+        let w = DenseMatrix::<f64>::random_gaussian(n, 3, &mut rng);
+        for precision in [PanelPrecision::Native, PanelPrecision::MixedF32] {
+            let cfg = config().with_budget(0.3).with_panel_precision(precision);
+            let comp = compress::<f64, _>(&k, &cfg);
+            let mut full = Evaluator::new(&k, &comp);
+            assert!(full.unfold_near_mirrors().is_some());
+            assert_eq!(full.near_map.layout(), NearLayout::Full);
+            let (u_full, _) = full.apply(&w).unwrap();
+            let mut owner = Evaluator::new(&k, &comp);
+            assert_eq!(owner.near_map.layout(), NearLayout::Owner);
+            let mirrors: usize = comp
+                .tree
+                .leaf_range()
+                .map(|h| owner.near_map.mirror_entries(h).len())
+                .sum();
+            assert!(
+                mirrors > 0,
+                "{precision:?}: the lists must have off-diagonal near pairs"
+            );
+            assert!(owner.cached_bytes() < full.cached_bytes());
+            let agree = |u: &DenseMatrix<f64>, residence: &str| {
+                let rel = u.sub(&u_full).norm_fro() / u_full.norm_fro();
+                assert!(
+                    rel <= 1e-12,
+                    "{precision:?} {residence}: owner vs full {rel:e}"
+                );
+            };
+            let (u_owned, _) = owner.apply(&w).unwrap();
+            agree(&u_owned, "owned");
+
+            let path = dir.join(format!("{precision:?}-operator.gfmm"));
+            let mut writer = StoreWriter::create(&path).unwrap();
+            owner.write_to(&mut writer).unwrap();
+            writer.finish().unwrap();
+            let (_, reopened) = Evaluator::<f64>::open_from(&path, thrashing).unwrap();
+            assert_eq!(reopened.near_map.layout(), NearLayout::Owner);
+            let (u, _) = reopened.apply(&w).unwrap();
+            agree(&u, "reopened");
+            assert_eq!(u.data(), u_owned.data(), "{precision:?}: reopened bits");
+
+            let path = dir.join(format!("{precision:?}-panels.gfmm"));
+            let mut writer = StoreWriter::create(&path).unwrap();
+            owner.spill_panels(&mut writer).unwrap();
+            writer.finish().unwrap();
+            let store = Arc::new(FilePanelStore::open(&path, thrashing).unwrap());
+            owner.attach_store(&store);
+            let (u, _) = owner.apply(&w).unwrap();
+            agree(&u, "spilled");
+            assert_eq!(u.data(), u_owned.data(), "{precision:?}: spilled bits");
+            assert!(
+                store.stats().evictions > 0,
+                "{precision:?}: the budget must thrash"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -15,7 +15,12 @@ use std::collections::{HashMap, HashSet};
 #[derive(Clone, Debug)]
 pub struct InteractionLists {
     /// For each leaf (indexed by heap index): the heap indices of near leaves
-    /// (always contains the leaf itself). Empty for interior nodes.
+    /// (always contains the leaf itself, first). Empty for interior nodes.
+    ///
+    /// Symmetric: `α ∈ near[β]` exactly when `β ∈ near[α]`, so with an SPD
+    /// `K` the pair's two blocks are transposes, `K_{αβ} = K_{βα}^T`. An
+    /// evaluator may therefore store one of them: the lower heap index owns
+    /// each off-diagonal pair and serves both leaves from its block.
     pub near: Vec<Vec<usize>>,
     /// For each node (heap index): heap indices of far nodes whose interaction
     /// is compressed through skeletons.
@@ -23,8 +28,9 @@ pub struct InteractionLists {
 }
 
 impl InteractionLists {
-    /// Total number of near leaf pairs (size of the sparse correction in
-    /// blocks).
+    /// Total number of near-list entries: ordered leaf pairs `(β, α)`, each
+    /// self pair `(β, β)` included — the size of the sparse correction in
+    /// blocks. Each off-diagonal pair counts twice, once per direction.
     pub fn near_pair_count(&self) -> usize {
         self.near.iter().map(|l| l.len()).sum()
     }
@@ -79,7 +85,6 @@ pub fn build_interaction_lists(
     }
 
     // Symmetrize: if alpha in Near(beta) then beta in Near(alpha).
-    let leaf_first = tree.leaf_range().start;
     let mut to_add: Vec<(usize, usize)> = Vec::new();
     for leaf in tree.leaf_range() {
         for &other in &near[leaf] {
@@ -91,7 +96,6 @@ pub fn build_interaction_lists(
     for (node, extra) in to_add {
         near[node].push(extra);
     }
-    let _ = leaf_first;
 
     // --- Far lists (FindFar per leaf, then MergeFar) -----------------------
     let mut far: Vec<Vec<usize>> = vec![Vec::new(); node_count];

@@ -24,8 +24,9 @@ use crate::config::PanelPrecision;
 use crate::error::Error;
 use crate::evaluate::Evaluator;
 use gofmm_linalg::blas::gemm_flops;
-use gofmm_linalg::{gemm, gemm_mixed, DenseMatrix, Scalar, Transpose};
+use gofmm_linalg::{gemm, gemm_cols, gemm_mixed, gemm_mixed_cols, DenseMatrix, Scalar, Transpose};
 use gofmm_store::{classes, FilePanelStore, StoreWriter};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Shape axis: one dense block matrix, or a rank-truncated pair with `left`
@@ -90,6 +91,22 @@ impl<T: Scalar> MatRef<'_, T> {
         }
     }
 
+    /// `out = self[:, cols]^T * v + beta * out`, accumulated in `T`: a
+    /// column block of the stored matrix multiplied transposed, in place.
+    fn gemm_t_cols_into(
+        self,
+        cols: Range<usize>,
+        v: &DenseMatrix<T>,
+        beta: T,
+        out: &mut DenseMatrix<T>,
+    ) {
+        let (one, yes) = (T::one(), Transpose::Yes);
+        match self {
+            MatRef::Native(m) => gemm_cols(one, m, cols, yes, v, beta, out),
+            MatRef::Reduced(m) => gemm_mixed_cols(one, m, cols, yes, v, beta, out),
+        }
+    }
+
     fn put(self, writer: &mut StoreWriter, class: u16, node: u32) -> Result<(), Error> {
         match self {
             MatRef::Native(m) => writer.put(class, node, m),
@@ -144,6 +161,41 @@ impl<T: Scalar> View<'_, T> {
                 left.gemm_into(&tmp, T::one(), out);
                 flops(right) + flops(left)
             }
+        }
+    }
+
+    /// The mirror product of an owner-layout near panel `[K_ββ  K_{β,off}]`:
+    /// `y = K_{β,off}^T w_β`, where `w_β` is the first `rows` rows of the
+    /// stacked right-hand side `v` (the diagonal block's columns). Reads the
+    /// off-diagonal columns in place, never the diagonal block; returns the
+    /// flops spent.
+    fn apply_mirror(&self, v: &DenseMatrix<T>, y: &mut DenseMatrix<T>) -> u64 {
+        let rows = self.dense().dims().0;
+        let fill =
+            |buf: &mut Vec<T>| (0..v.cols()).for_each(|c| buf.extend_from_slice(&v.col(c)[..rows]));
+        with_temp(rows, v.cols(), fill, |w| {
+            self.apply_t_cols(rows..self.cols(), w, T::zero(), y)
+        })
+    }
+
+    /// `y = self[:, cols]^T w + beta * y` over a dense panel; returns the
+    /// flops spent.
+    fn apply_t_cols(
+        &self,
+        cols: Range<usize>,
+        w: &DenseMatrix<T>,
+        beta: T,
+        y: &mut DenseMatrix<T>,
+    ) -> u64 {
+        let flops = gemm_flops(cols.len(), w.cols(), w.rows());
+        self.dense().gemm_t_cols_into(cols, w, beta, y);
+        flops
+    }
+
+    fn dense(&self) -> MatRef<'_, T> {
+        match *self {
+            Shape::Dense(m) => m,
+            Shape::LowRank { .. } => unreachable!("owner-layout near panels are dense"),
         }
     }
 
@@ -345,18 +397,33 @@ impl<T: Scalar> Panel<'_, T> {
 
     /// `out += panel * rhs`; returns the flops spent.
     ///
-    /// A packed panel (owned, or stored and faulted in here) multiplies
-    /// `stacked(cols)` — the whole right-hand side, its `cols` rows stacked
-    /// in interaction-list order — in one [`Shape::apply`]. Borrowed blocks
-    /// multiply one list entry at a time: `entry(i, mul)` must call `mul`
-    /// with entry `i`'s rows.
+    /// A packed panel (owned, or stored and faulted in here) multiplies the
+    /// whole right-hand side in one [`Shape::apply`]: `stacked(cols, mul)`
+    /// must call `mul` with its `cols` rows stacked in panel column order.
+    /// Borrowed blocks multiply one list entry at a time: `entry(i, mul)`
+    /// must call `mul` with entry `i`'s rows.
+    ///
+    /// With `mirror`, the panel is an owner-layout near panel and the same
+    /// call also runs its mirror product ([`View::apply_mirror`]) into
+    /// `mirror`, on the values the direct product just read: a stored panel
+    /// is faulted in once for both.
     pub(crate) fn apply(
         &self,
-        stacked: impl FnOnce(usize) -> DenseMatrix<T>,
+        stacked: impl FnOnce(usize, &mut dyn FnMut(&DenseMatrix<T>)),
         entry: impl Fn(usize, &mut dyn FnMut(&DenseMatrix<T>)),
         out: &mut DenseMatrix<T>,
+        mut mirror: Option<&mut DenseMatrix<T>>,
     ) -> u64 {
-        let packed = |view: View<'_, T>| view.apply(&stacked(view.cols()), out);
+        let packed = |view: View<'_, T>| {
+            let mut flops = 0;
+            stacked(view.cols(), &mut |v| {
+                flops += view.apply(v, out);
+                if let Some(y) = mirror.as_deref_mut() {
+                    flops += view.apply_mirror(v, y);
+                }
+            });
+            flops
+        };
         match self {
             Panel::Empty => 0,
             Panel::Owned(values) => packed(values.view()),
@@ -365,6 +432,7 @@ impl<T: Scalar> Panel<'_, T> {
             }
             Panel::Stored(sp) => packed(sp.fault().as_ref().map(|m| MatRef::Native(m))),
             Panel::Blocks(blocks) => {
+                debug_assert!(mirror.is_none(), "borrowed panels keep the full layout");
                 let mut flops = 0;
                 for (i, block) in blocks.iter().enumerate() {
                     entry(i, &mut |v| {
@@ -374,6 +442,26 @@ impl<T: Scalar> Panel<'_, T> {
                 flops
             }
         }
+    }
+
+    /// `y = panel[:, cols]^T w + beta * y` for an in-memory owner-layout
+    /// near panel, read in place; returns the flops spent. How a leaf reads
+    /// a block its owner stores, `K_{αβ} = K_{βα}^T`.
+    pub(crate) fn apply_t_cols(
+        &self,
+        cols: Range<usize>,
+        w: &DenseMatrix<T>,
+        beta: T,
+        y: &mut DenseMatrix<T>,
+    ) -> u64 {
+        let Panel::Owned(values) = self else {
+            unreachable!("only in-memory owner panels are read by other leaves")
+        };
+        values.view().apply_t_cols(cols, w, beta, y)
+    }
+
+    pub(crate) fn is_stored(&self) -> bool {
+        matches!(self, Panel::Stored(_))
     }
 
     /// Spill one owned packed panel (see [`Evaluator::spill_panels`]).
@@ -413,6 +501,26 @@ impl<T: Scalar> Panel<'_, T> {
             });
         }
     }
+}
+
+/// Run `f` on a `rows x cols` matrix whose values `fill` appends, column
+/// by column, to an empty vector taken from the calling thread's stash of
+/// reusable buffers ([`Scalar::with_factor_scratch`]) and returned to it
+/// afterwards. An apply task's stacked right-hand sides therefore allocate
+/// nothing once its thread has seen the largest one.
+pub(crate) fn with_temp<T: Scalar, R>(
+    rows: usize,
+    cols: usize,
+    fill: impl FnOnce(&mut Vec<T>),
+    f: impl FnOnce(&mut DenseMatrix<T>) -> R,
+) -> R {
+    let mut buf = T::with_factor_scratch(|stash| stash.pop()).unwrap_or_default();
+    buf.clear();
+    fill(&mut buf);
+    let mut mat = DenseMatrix::from_vec(rows, cols, buf);
+    let out = f(&mut mat);
+    T::with_factor_scratch(|stash| stash.push(mat.into_vec()));
+    out
 }
 
 impl<T: Scalar> Evaluator<'_, T> {
@@ -552,15 +660,16 @@ mod tests {
     fn run(panel: &Panel<'_, f64>, v: &DenseMatrix<f64>) -> (Vec<u64>, u64) {
         let mut out = mat(ROWS, R, 9);
         let flops = panel.apply(
-            |cols| {
+            |cols, mul| {
                 assert_eq!(cols, COLS, "apply must ask for the panel's column count");
-                v.clone()
+                mul(v)
             },
             |i, mul| {
                 let off: usize = WIDTHS[..i].iter().sum();
                 mul(&v.block(off, off + WIDTHS[i], 0, R));
             },
             &mut out,
+            None,
         );
         (bits(&out), flops)
     }
@@ -611,6 +720,80 @@ mod tests {
             assert_eq!(reopened.bytes(), case.bytes, "{}", case.name);
             assert_eq!(reopened.resident_bytes(), 0, "{}", case.name);
             assert!(Panel::<f64>::stored(&store, classes::L2L, node, reduced).is_empty());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An owner-layout near panel `[K_ββ  K_{β,off}]`, in memory and spilled:
+    /// one call runs the direct product and the mirror product
+    /// `K_{β,off}^T w_β` over the same values, faulting a stored panel once.
+    #[test]
+    fn mirror_product_reads_the_off_diagonal_columns_of_the_same_view() {
+        const OFF: usize = 20;
+        let cols = ROWS + OFF;
+        let dir = std::env::temp_dir().join(format!("gofmm-panel-mirror-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let v = mat(cols, R, 4);
+        let w_own = v.block(0, ROWS, 0, R);
+        for (node, precision) in [PanelPrecision::Native, PanelPrecision::MixedF32]
+            .into_iter()
+            .enumerate()
+        {
+            let values = || Values::dense(mat(ROWS, cols, 6), precision);
+            let stored = match values().view() {
+                Shape::Dense(MatRef::Native(m)) => m.clone(),
+                Shape::Dense(MatRef::Reduced(m)) => m.cast(),
+                Shape::LowRank { .. } => unreachable!(),
+            };
+            let mut want = mat(ROWS, R, 9);
+            native(&stored, &v, 1.0, &mut want);
+            let off_diag = stored.block(0, ROWS, ROWS, cols);
+            let mut want_y = DenseMatrix::zeros(OFF, R);
+            gemm(
+                1.0,
+                &off_diag,
+                Transpose::Yes,
+                &w_own,
+                Transpose::No,
+                0.0,
+                &mut want_y,
+            );
+            let check = |panel: &Panel<'_, f64>| {
+                let mut out = mat(ROWS, R, 9);
+                let mut y = DenseMatrix::from_fn(OFF, R, |_, _| f64::NAN);
+                let flops = panel.apply(
+                    |c, mul| {
+                        assert_eq!(c, cols);
+                        mul(&v)
+                    },
+                    |_, _| unreachable!("packed panels multiply the stack"),
+                    &mut out,
+                    Some(&mut y),
+                );
+                assert_eq!(bits(&out), bits(&want), "{precision:?}: direct product");
+                assert_eq!(bits(&y), bits(&want_y), "{precision:?}: mirror product");
+                let mirror_flops = gemm_flops(OFF, R, ROWS);
+                assert_eq!(flops, gemm_flops(ROWS, R, cols) + mirror_flops);
+            };
+            let mut panel = Panel::Owned(values());
+            check(&panel);
+
+            let path = dir.join(format!("mirror-{node}.gfmm"));
+            let mut writer = StoreWriter::create(&path).unwrap();
+            panel.spill(&mut writer, classes::L2L, node).unwrap();
+            writer.finish().unwrap();
+            // A one-byte budget keeps nothing resident: every get faults.
+            let store = Arc::new(FilePanelStore::open(&path, 1).unwrap());
+            panel.attach(&store, classes::L2L, node);
+            assert!(matches!(panel, Panel::Stored(_)));
+            for apply in 1..=2 {
+                check(&panel);
+                assert_eq!(
+                    store.stats().faults,
+                    apply,
+                    "{precision:?}: one fault per apply"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -11,7 +11,7 @@ use crate::compress::{CompRef, Compressed, CompressionStats};
 use crate::config::{GofmmConfig, PanelPrecision, TraversalPolicy};
 use crate::distance::DistanceMetric;
 use crate::error::Error;
-use crate::evaluate::Evaluator;
+use crate::evaluate::{Evaluator, NearLayout, NearMap};
 use crate::lists::InteractionLists;
 use crate::panel::Panel;
 use crate::skel::NodeBasis;
@@ -45,7 +45,12 @@ impl<T: Scalar> Evaluator<'_, T> {
             writer.put_raw(class, 0, &buf)
         };
         put(classes::CONFIG, &|buf| {
-            encode_header::<T>(buf, &comp.config, self.panel_precision)
+            encode_header::<T>(
+                buf,
+                &comp.config,
+                self.panel_precision,
+                self.near_map.layout(),
+            )
         })?;
         put(classes::TREE, &|buf| encode_tree(buf, &comp.tree))?;
         put(classes::LISTS, &|buf| encode_lists(buf, &comp.lists))?;
@@ -82,7 +87,8 @@ impl<T: Scalar> Evaluator<'static, T> {
     ) -> Result<(Arc<Compressed<T>>, Self), Error> {
         let t0 = Stopwatch::start();
         let store = Arc::new(FilePanelStore::open(path, resident_budget)?);
-        let (config, panel_precision) = decode_header::<T>(&store.read_raw(classes::CONFIG, 0)?)?;
+        let (config, panel_precision, layout) =
+            decode_header::<T>(&store.read_raw(classes::CONFIG, 0)?)?;
         let tree = decode_tree(&store.read_raw(classes::TREE, 0)?)?;
         let lists = decode_lists(&store.read_raw(classes::LISTS, 0)?)?;
         let bases = decode_bases::<T>(&store.read_raw(classes::BASES, 0)?)?;
@@ -100,6 +106,13 @@ impl<T: Scalar> Evaluator<'static, T> {
                 ),
             });
         }
+        let not_leaf = |&&h: &&usize| h >= node_count || !tree.is_leaf(h);
+        if let Some(bad) = lists.near.iter().flatten().find(not_leaf) {
+            return Err(Error::Storage {
+                message: format!("near list entry {bad} is not a leaf of the tree"),
+            });
+        }
+        let near_map = NearMap::new(&tree, &lists, layout);
         let comp = Compressed {
             tree,
             lists,
@@ -126,6 +139,7 @@ impl<T: Scalar> Evaluator<'static, T> {
             panel_precision,
             far,
             near,
+            near_map,
             t0,
         );
         // A tuned operator persisted its effective far lists and tune stats;
@@ -214,13 +228,34 @@ fn precision_from_tag(tag: u8) -> Result<PanelPrecision, StoreError> {
     })
 }
 
-/// CONFIG blob: operator scalar width, every [`GofmmConfig`] field, and the
+fn layout_tag(layout: NearLayout) -> u8 {
+    match layout {
+        NearLayout::Full => 0,
+        NearLayout::Owner => 1,
+    }
+}
+
+fn layout_from_tag(tag: u8) -> Result<NearLayout, StoreError> {
+    Ok(match tag {
+        0 => NearLayout::Full,
+        1 => NearLayout::Owner,
+        other => {
+            return Err(StoreError::Corrupt(format!(
+                "unknown near-layout tag {other}"
+            )))
+        }
+    })
+}
+
+/// CONFIG blob: operator scalar width, every [`GofmmConfig`] field, the
 /// evaluator's *actual* panel precision (which can differ from the config's —
-/// e.g. a borrowing evaluator always packs native).
+/// e.g. a borrowing evaluator always packs native) and its near-panel layout
+/// (owner for untuned evaluators, full for tuned ones).
 fn encode_header<T: Scalar>(
     out: &mut Vec<u8>,
     config: &GofmmConfig,
     panel_precision: PanelPrecision,
+    layout: NearLayout,
 ) {
     let mut w = ByteWriter::new(out);
     w.u8(std::mem::size_of::<T>() as u8);
@@ -239,9 +274,12 @@ fn encode_header<T: Scalar>(
     w.u8(config.strict_rank_budget as u8);
     w.u8(precision_tag(config.panel_precision));
     w.u8(precision_tag(panel_precision));
+    w.u8(layout_tag(layout));
 }
 
-fn decode_header<T: Scalar>(bytes: &[u8]) -> Result<(GofmmConfig, PanelPrecision), StoreError> {
+fn decode_header<T: Scalar>(
+    bytes: &[u8],
+) -> Result<(GofmmConfig, PanelPrecision, NearLayout), StoreError> {
     let mut r = ByteReader::new(bytes);
     check_scalar_width::<T>(r.u8()?)?;
     let config = GofmmConfig {
@@ -261,8 +299,9 @@ fn decode_header<T: Scalar>(bytes: &[u8]) -> Result<(GofmmConfig, PanelPrecision
         panel_precision: precision_from_tag(r.u8()?)?,
     };
     let panel_precision = precision_from_tag(r.u8()?)?;
+    let layout = layout_from_tag(r.u8()?)?;
     r.finish()?;
-    Ok((config, panel_precision))
+    Ok((config, panel_precision, layout))
 }
 
 /// TREE blob: `(n, depth, perm)` — everything [`PartitionTree::from_parts`]
@@ -426,4 +465,90 @@ fn decode_tune_meta(bytes: &[u8]) -> Result<TuneStats, StoreError> {
     };
     r.finish()?;
     Ok(ts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compress::compress;
+    use crate::tune::AccuracyBudget;
+    use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
+
+    fn operator() -> (KernelMatrix, Compressed<f64>) {
+        let n = 384;
+        let k = KernelMatrix::new(
+            PointCloud::uniform(n, 3, 5),
+            KernelType::Gaussian { bandwidth: 1.0 },
+            1e-6,
+            "persist-test",
+        );
+        let config = GofmmConfig::default()
+            .with_leaf_size(32)
+            .with_max_rank(48)
+            .with_tolerance(1e-8)
+            .with_budget(0.3)
+            .with_threads(2)
+            .with_policy(TraversalPolicy::Sequential);
+        let comp = compress::<f64, _>(&k, &config);
+        (k, comp)
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("gofmm-persist-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn write(ev: &Evaluator<'_, f64>, path: &Path) {
+        let mut writer = StoreWriter::create(path).unwrap();
+        ev.write_to(&mut writer).unwrap();
+        writer.finish().unwrap();
+    }
+
+    #[test]
+    fn version_two_store_file_is_refused_with_a_typed_error() {
+        let (k, comp) = operator();
+        let dir = scratch("v2");
+        let path = dir.join("operator.gfmm");
+        write(&Evaluator::new(&k, &comp), &path);
+        assert!(Evaluator::<f64>::open_from(&path, 1 << 20).is_ok());
+        // A file from before the near-layout tag: header version 2.
+        let mut file = std::fs::read(&path).unwrap();
+        file[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &file).unwrap();
+        match Evaluator::<f64>::open_from(&path, 1 << 20) {
+            Err(Error::Storage { message }) => {
+                assert!(message.contains("version 2"), "{message}")
+            }
+            Err(other) => panic!("expected Error::Storage, got {other}"),
+            Ok(_) => panic!("a version-2 store file must be refused"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An untuned evaluator persists the owner layout, a tuned one the full
+    /// layout; each reopens under its own tag and applies bit-identically.
+    #[test]
+    fn owner_and_full_layouts_round_trip_bit_identically() {
+        let (k, comp) = operator();
+        let dir = scratch("layouts");
+        let w = DenseMatrix::from_fn(comp.n(), 3, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
+        let mut ev = Evaluator::new(&k, &comp);
+        for (tuned, layout) in [(false, NearLayout::Owner), (true, NearLayout::Full)] {
+            if tuned {
+                let stats = ev.tune(&AccuracyBudget::new(1e-3)).unwrap();
+                assert!(stats.accepted_any(), "1e-3 must be attainable");
+            }
+            assert_eq!(ev.near_map.layout(), layout);
+            let path = dir.join(format!("tuned-{tuned}.gfmm"));
+            write(&ev, &path);
+            let (_, reopened) = Evaluator::<f64>::open_from(&path, 1 << 16).unwrap();
+            assert_eq!(reopened.near_map.layout(), layout);
+            let (want, _) = ev.apply(&w).unwrap();
+            let (got, _) = reopened.apply(&w).unwrap();
+            assert_eq!(got.data(), want.data(), "tuned = {tuned}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -20,10 +20,20 @@
 //! top-down is what makes tuned bytes monotone along a loosening budget:
 //! a looser budget accepts at the same rung or an earlier (more
 //! aggressive) one, never a later one.
+//!
+//! Tuned panels keep the full near layout: an untuned evaluator stores each
+//! symmetric near block once (the owner layout), so the tuner first copies
+//! every mirror block back in as the exact transpose of its owner's block —
+//! the panels, reference and candidates are then those of a full-layout
+//! evaluator, bit for bit. A fitting rung must also store no more bytes than
+//! the untuned owner layout did; one that would ends the search as a
+//! rejection (less aggressive rungs only store more), and a rejected tune
+//! restores the owner panels.
 
+use crate::compress::Compressed;
 use crate::config::ApplyOptions;
 use crate::error::Error;
-use crate::evaluate::Evaluator;
+use crate::evaluate::{Evaluator, NearLayout, NearMap};
 use crate::panel::{MatRef, Panel, Shape, Values};
 use gofmm_linalg::{truncate_low_rank, DenseMatrix, LowRankFactors, QrOptions, Scalar};
 use gofmm_telemetry::Stopwatch;
@@ -227,6 +237,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             bytes_after: self.cached_bytes,
             ..TuneStats::default()
         };
+        let owner_panels = self.unfold_near_mirrors();
 
         // Reference apply from the untouched panels: tuning error is
         // measured against *this* state, not against the exact kernel, so
@@ -268,6 +279,13 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
                 diff
             };
             if eps2 <= budget.eps2 {
+                self.recompute_cached_bytes();
+                if self.cached_bytes > stats.bytes_before {
+                    // Fits the budget but outweighs the untuned panels.
+                    stats.rejected += 1;
+                    self.apply_edits(undo);
+                    break;
+                }
                 stats.accepted = 1;
                 stats.measured_eps2 = eps2;
                 stats.blocks_dropped = dropped;
@@ -289,9 +307,50 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             if !had_tuned_far {
                 self.tuned_far = None;
             }
+            if let Some(owner) = owner_panels {
+                self.near = owner;
+                self.set_near_layout(NearLayout::Owner);
+            }
+            self.recompute_cached_bytes();
             stats.time = sw.seconds();
         }
         Ok(stats)
+    }
+
+    /// Switch owner-layout near panels to the full layout, every mirror
+    /// block copied in as the exact transpose of its owner's block, and
+    /// return the owner panels; `None` when the layout already is full.
+    /// Kernel blocks are bit-symmetric, so these are the very panels a
+    /// full-layout construction packs.
+    pub(crate) fn unfold_near_mirrors(&mut self) -> Option<Vec<Panel<'a, T>>> {
+        if self.near_map.layout() == NearLayout::Full {
+            return None;
+        }
+        let (comp, map, near) = (self.compressed(), &self.near_map, &self.near);
+        let full = (0..near.len())
+            .map(|beta| match near[beta].dense() {
+                None => Panel::Empty,
+                Some(MatRef::Native(_)) => {
+                    let panel = |h: usize| match near[h].dense() {
+                        Some(MatRef::Native(m)) => m,
+                        _ => unreachable!("owner-layout near panels are dense"),
+                    };
+                    let mat = unfold_leaf(comp, map, beta, panel);
+                    Panel::Owned(Values::Native(Shape::Dense(mat)))
+                }
+                Some(MatRef::Reduced(_)) => {
+                    let panel = |h: usize| match near[h].dense() {
+                        Some(MatRef::Reduced(m)) => m,
+                        _ => unreachable!("owner-layout near panels are dense"),
+                    };
+                    let mat = unfold_leaf(comp, map, beta, panel);
+                    Panel::Owned(Values::Reduced(Shape::Dense(mat)))
+                }
+            })
+            .collect();
+        let owner = std::mem::replace(&mut self.near, full);
+        self.set_near_layout(NearLayout::Full);
+        Some(owner)
     }
 
     /// Frobenius mass of the far panels (`sqrt` of the summed squares) and
@@ -390,6 +449,43 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         }
         undo
     }
+}
+
+/// Leaf `beta`'s full-layout near panel `K_{β, Near(β)}` rebuilt from the
+/// owner-layout panels `panel(heap)`: an owned block `K_{βα}` (`α ≥ β`) is
+/// copied from β's panel, a mirror block (`α < β`) is the transpose of the
+/// block `K_{αβ}` in its owner α's panel.
+fn unfold_leaf<'m, T: Scalar, S: Scalar + 'm>(
+    comp: &Compressed<T>,
+    map: &NearMap,
+    beta: usize,
+    panel: impl Fn(usize) -> &'m DenseMatrix<S>,
+) -> DenseMatrix<S> {
+    let len = |h: usize| comp.tree.node(h).len;
+    // Column offset of `alpha`'s block in `owner`'s panel.
+    let offset = |owner: usize, alpha: usize| {
+        let entries = map.entries(owner);
+        let pos = entries.iter().position(|&a| a == alpha);
+        let pos = pos.expect("every near pair has an owner");
+        entries[..pos].iter().map(|&a| len(a)).sum::<usize>()
+    };
+    let list = &comp.lists.near[beta];
+    let rows = len(beta);
+    let mut mat = DenseMatrix::zeros(rows, list.iter().map(|&a| len(a)).sum());
+    let mut off = 0;
+    for &alpha in list {
+        let cols = len(alpha);
+        let block = if alpha >= beta {
+            let c0 = offset(beta, alpha);
+            panel(beta).block(0, rows, c0, c0 + cols)
+        } else {
+            let c0 = offset(alpha, beta);
+            panel(alpha).block(0, cols, c0, c0 + rows).transpose()
+        };
+        mat.set_block(0, off, &block);
+        off += cols;
+    }
+    mat
 }
 
 /// Squared Frobenius norm accumulated in `f64`, whatever the storage scalar.

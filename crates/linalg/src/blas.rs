@@ -20,7 +20,8 @@
 //!   sides, coalesced server batches included): no packing at all. Each
 //!   element of `A` is used once per column of `B`, so copying it into a
 //!   strip first only doubles the memory traffic; instead `B` and `C` are
-//!   taken one chunk of at most `NR` columns at a time, and for each chunk
+//!   taken one chunk of at most `NR` columns (`A * B`) or
+//!   [`STREAM_T_WIDTH`] columns (`A^T * B`) at a time, and for each chunk
 //!   `A` is read once, in place (from cache after the first chunk, as far as
 //!   it fits), by one of two dispatched kernels ([`StreamInto`], AVX2/FMA or
 //!   portable):
@@ -32,7 +33,10 @@
 //!   - `A^T * B`: the **transposed** kernel re-lays the `KC`-deep block of
 //!     `B` row-major, walks eight columns of `A` at once and keeps one
 //!     register of sums per output row: `sums_j = fma(broadcast A[i,j],
-//!     B[i,:], sums_j)`.
+//!     B[i,:], sums_j)`. Its chunks fill all eight lanes of a row (two f64
+//!     registers, one f32): with six-column chunks a quarter of every f64
+//!     fma was padding, and `A^T * B` ran at 10.7 GFLOP/s against 13.6 with
+//!     eight (f64, `A` 64 x 474 hot, 16 columns, 2-vCPU AVX2 VM).
 //!
 //!   Both prefetch `A` a few columns ahead: they do enough L1-resident work
 //!   per byte of `A` that the hardware prefetcher alone leaves a cold panel
@@ -72,6 +76,7 @@
 use crate::matrix::DenseMatrix;
 use crate::scalar::{Scalar, StreamInto};
 use crate::simd::{self, widen, STREAM_T_WIDTH};
+use std::ops::Range;
 
 /// Whether an operand of [`gemm`] is used as-is or transposed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,7 +91,11 @@ pub enum Transpose {
 /// `MC` is divisible by both precisions' `MR` so A-strips never straddle the
 /// block edge.
 const MC: usize = 128;
-const KC: usize = 256;
+/// Depth of one accumulation block: every path sums a product's inner
+/// dimension from zero in blocks of `KC` terms and folds each block into `C`
+/// with one `alpha.mul_add`. So with `k <= KC`, `gemm(.., beta = 1, C)`
+/// gives the bits of `C + gemm(.., beta = 0)`.
+pub const KC: usize = 256;
 const NC: usize = 512;
 
 /// Row block of the fused stream path: `STREAM_ROWS x n` block sums (16 KiB of
@@ -134,7 +143,7 @@ fn scale_or_clear<T: Scalar>(beta: T, y: &mut [T]) {
 /// buffer holding NaN or Inf does not leak into the result). Products with
 /// an untransposed `B` of at most [`STREAM_MAX_COLS`] columns stream `A` (or
 /// `A^T`) in place through the fused / transposed stream kernel, once per
-/// chunk of at most `NR` columns of `B`; everything else is
+/// chunk of at most `NR` / [`STREAM_T_WIDTH`] columns of `B`; everything else is
 /// packed into cache-friendly panels and multiplied with the
 /// runtime-dispatched `MR x NR` micro-kernel. Neither path allocates once
 /// the calling thread's scratch has grown, and results are bit-identical
@@ -149,7 +158,7 @@ pub fn gemm<T: Scalar>(
     beta: T,
     c: &mut DenseMatrix<T>,
 ) {
-    gemm_core(alpha, a, op_a, b, op_b, beta, c, false);
+    gemm_core(alpha, a.into(), op_a, b, op_b, beta, c, false);
 }
 
 /// Mixed-precision multiply `C = alpha * A * B + beta * C` where `A` is
@@ -161,8 +170,8 @@ pub fn gemm<T: Scalar>(
 /// fused stream kernel loads it, which therefore reads half the bytes of the
 /// native product — and every fma runs in `T`, i.e. f32 storage, f64
 /// accumulation when `T = f64`. The result is bit-identical to [`gemm`] over
-/// the upconverted panel. Only the no-transpose form is provided because
-/// the evaluator multiplies its panels untransposed.
+/// the upconverted panel. [`gemm_mixed_cols`] adds the transposed form, over
+/// a column range of the panel.
 pub fn gemm_mixed<T: Scalar>(
     alpha: T,
     a: &DenseMatrix<T::PanelScalar>,
@@ -170,17 +179,98 @@ pub fn gemm_mixed<T: Scalar>(
     beta: T,
     c: &mut DenseMatrix<T>,
 ) {
-    gemm_core(alpha, a, Transpose::No, b, Transpose::No, beta, c, false);
+    gemm_core(
+        alpha,
+        a.into(),
+        Transpose::No,
+        b,
+        Transpose::No,
+        beta,
+        c,
+        false,
+    );
 }
 
-/// The shared GEMM behind [`gemm`], [`gemm_mixed`] and [`reference::gemm`].
-/// `P` is the storage precision of `A` (equal to `T` except for mixed
-/// panels); `force_scalar` pins the packed path and the scalar micro-kernel
-/// for the retained reference.
+/// [`gemm`] over a contiguous range of `A`'s columns:
+/// `C = alpha * op_a(A[:, cols]) * B + beta * C`, with `B` untransposed.
+/// Column-major storage makes the range one contiguous slice, so a block of
+/// a packed panel is multiplied in place, never copied out. Bit-identical to
+/// [`gemm`] over the copied block.
+///
+/// # Panics
+/// When `cols` reaches past `A`'s last column, or on a dimension mismatch.
+pub fn gemm_cols<T: Scalar>(
+    alpha: T,
+    a: &DenseMatrix<T>,
+    cols: Range<usize>,
+    op_a: Transpose,
+    b: &DenseMatrix<T>,
+    beta: T,
+    c: &mut DenseMatrix<T>,
+) {
+    let a = ColBlock::new(a, cols);
+    gemm_core(alpha, a, op_a, b, Transpose::No, beta, c, false);
+}
+
+/// [`gemm_mixed`] over a contiguous range of `A`'s columns, in either
+/// orientation: `C = alpha * op_a(A[:, cols]) * B + beta * C` with `A`
+/// stored in [`Scalar::PanelScalar`] (see [`gemm_cols`]).
+pub fn gemm_mixed_cols<T: Scalar>(
+    alpha: T,
+    a: &DenseMatrix<T::PanelScalar>,
+    cols: Range<usize>,
+    op_a: Transpose,
+    b: &DenseMatrix<T>,
+    beta: T,
+    c: &mut DenseMatrix<T>,
+) {
+    let a = ColBlock::new(a, cols);
+    gemm_core(alpha, a, op_a, b, Transpose::No, beta, c, false);
+}
+
+/// The `A` operand of [`gemm_core`]: a contiguous range of a column-major
+/// matrix's columns (all of them for [`gemm`]).
+#[derive(Clone, Copy)]
+struct ColBlock<'a, P> {
+    data: &'a [P],
+    rows: usize,
+    cols: usize,
+}
+
+impl<'a, P: Scalar> ColBlock<'a, P> {
+    fn new(a: &'a DenseMatrix<P>, cols: Range<usize>) -> Self {
+        assert!(
+            cols.start <= cols.end && cols.end <= a.cols(),
+            "gemm column range {cols:?} outside {} columns",
+            a.cols()
+        );
+        let rows = a.rows();
+        Self {
+            data: &a.data()[cols.start * rows..cols.end * rows],
+            rows,
+            cols: cols.len(),
+        }
+    }
+
+    fn col(&self, j: usize) -> &'a [P] {
+        &self.data[j * self.rows..(j + 1) * self.rows]
+    }
+}
+
+impl<'a, P: Scalar> From<&'a DenseMatrix<P>> for ColBlock<'a, P> {
+    fn from(a: &'a DenseMatrix<P>) -> Self {
+        Self::new(a, 0..a.cols())
+    }
+}
+
+/// The shared GEMM behind [`gemm`], [`gemm_mixed`], their column-range
+/// forms and [`reference::gemm`]. `P` is the storage precision of `A` (equal
+/// to `T` except for mixed panels); `force_scalar` pins the packed path and
+/// the scalar micro-kernel for the retained reference.
 #[allow(clippy::too_many_arguments)]
 fn gemm_core<P: Scalar + StreamInto<T>, T: Scalar>(
     alpha: T,
-    a: &DenseMatrix<P>,
+    a: ColBlock<'_, P>,
     op_a: Transpose,
     b: &DenseMatrix<T>,
     op_b: Transpose,
@@ -189,8 +279,8 @@ fn gemm_core<P: Scalar + StreamInto<T>, T: Scalar>(
     force_scalar: bool,
 ) {
     let (m, ka) = match op_a {
-        Transpose::No => (a.rows(), a.cols()),
-        Transpose::Yes => (a.cols(), a.rows()),
+        Transpose::No => (a.rows, a.cols),
+        Transpose::Yes => (a.cols, a.rows),
     };
     let (kb, n) = match op_b {
         Transpose::No => (b.rows(), b.cols()),
@@ -213,8 +303,12 @@ fn gemm_core<P: Scalar + StreamInto<T>, T: Scalar>(
     // (m = 1 1.6 / 0.8 us, m = 4 1.9 / 0.8, k = 4 x m = 256 3.6 / 3.2).
     if !force_scalar && op_b == Transpose::No && n <= STREAM_MAX_COLS {
         // Column chunks of `B` and `C` are contiguous in column-major order.
-        let chunks = b.data().chunks(T::NR * k);
-        for (b, c) in chunks.zip(c.data_mut().chunks_mut(T::NR * m)) {
+        let width = match op_a {
+            Transpose::No => T::NR,
+            Transpose::Yes => STREAM_T_WIDTH,
+        };
+        let chunks = b.data().chunks(width * k);
+        for (b, c) in chunks.zip(c.data_mut().chunks_mut(width * m)) {
             match op_a {
                 Transpose::No => gemm_stream(alpha, a, b, c),
                 Transpose::Yes => gemm_stream_t(alpha, a, b, c),
@@ -362,11 +456,11 @@ fn gemm_core<P: Scalar + StreamInto<T>, T: Scalar>(
 /// increasing order, same single `alpha.mul_add` per block.
 fn gemm_stream<P: Scalar + StreamInto<T>, T: Scalar>(
     alpha: T,
-    a: &DenseMatrix<P>,
+    a: ColBlock<'_, P>,
     b: &[T],
     c: &mut [T],
 ) {
-    let (m, k) = (a.rows(), a.cols());
+    let (m, k) = (a.rows, a.cols);
     let n = b.len() / k;
     // The block sums live in the thread's scratch: the same few KiB every
     // call, so they stay in L1, and `fill` below clears exactly what a block
@@ -378,7 +472,7 @@ fn gemm_stream<P: Scalar + StreamInto<T>, T: Scalar>(
             for pc in (0..k).step_by(KC) {
                 let kb = KC.min(k - pc);
                 acc.fill(T::zero());
-                P::stream_kernel(rb, kb, &a.data()[pc * m + i0..], m, &b[pc..], k, acc);
+                P::stream_kernel(rb, kb, &a.data[pc * m + i0..], m, &b[pc..], k, acc);
                 for (col, sums) in c.chunks_exact_mut(m).zip(acc.chunks_exact(rb)) {
                     for (cv, sv) in col[i0..i0 + rb].iter_mut().zip(sums) {
                         *cv = alpha.mul_add(*sv, *cv);
@@ -390,8 +484,8 @@ fn gemm_stream<P: Scalar + StreamInto<T>, T: Scalar>(
 }
 
 /// One chunk of the stream path of [`gemm_core`] for a transposed `A`:
-/// `C += alpha * A^T * B`, `b` and `c` the column-major data of at most `NR`
-/// columns of `B` and `C`, reading `A` once, in place. Each `KC`-deep block
+/// `C += alpha * A^T * B`, `b` and `c` the column-major data of at most
+/// [`STREAM_T_WIDTH`] columns of `B` and `C`, reading `A` once, in place. Each `KC`-deep block
 /// of `B` is re-laid row-major (zero-padded to [`STREAM_T_WIDTH`] lanes) so
 /// that one column of `A` against it yields a whole row of `C`'s block sums;
 /// those are folded into `C` with one `alpha.mul_add` per element and block,
@@ -399,11 +493,11 @@ fn gemm_stream<P: Scalar + StreamInto<T>, T: Scalar>(
 /// cases returned.
 fn gemm_stream_t<P: Scalar + StreamInto<T>, T: Scalar>(
     alpha: T,
-    a: &DenseMatrix<P>,
+    a: ColBlock<'_, P>,
     b: &[T],
     c: &mut [T],
 ) {
-    let (k, m) = (a.rows(), a.cols());
+    let (k, m) = (a.rows, a.cols);
     let n = b.len() / k;
     let brow_len = KC.min(k) * STREAM_T_WIDTH;
     T::with_pack_scratch(brow_len + m * STREAM_T_WIDTH, |scratch| {
@@ -417,7 +511,7 @@ fn gemm_stream_t<P: Scalar + StreamInto<T>, T: Scalar>(
                     brow[i * STREAM_T_WIDTH + cc] = *v;
                 }
             }
-            P::stream_t_kernel(kb, m, n, &a.data()[pc..], k, brow, sums);
+            P::stream_t_kernel(kb, m, n, &a.data[pc..], k, brow, sums);
             for (cc, col) in c.chunks_exact_mut(m).enumerate() {
                 for (j, cv) in col.iter_mut().enumerate() {
                     *cv = alpha.mul_add(sums[j * STREAM_T_WIDTH + cc], *cv);
@@ -587,7 +681,7 @@ pub mod reference {
         beta: T,
         c: &mut DenseMatrix<T>,
     ) {
-        super::gemm_core(alpha, a, op_a, b, op_b, beta, c, true);
+        super::gemm_core(alpha, a.into(), op_a, b, op_b, beta, c, true);
     }
 
     /// Scalar GEMV with sequential fma accumulation.

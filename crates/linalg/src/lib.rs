@@ -37,7 +37,8 @@ pub mod trsm;
 pub mod ulv;
 
 pub use blas::{
-    axpy, dot, gemm, gemm_mixed, gemv, matmul, matmul_nt, matmul_tn, norm2_est, nrm2, Transpose,
+    axpy, dot, gemm, gemm_cols, gemm_mixed, gemm_mixed_cols, gemv, matmul, matmul_nt, matmul_tn,
+    norm2_est, nrm2, Transpose,
 };
 pub use blob::{check_scalar_width, decode_scalar_vec, encode_scalar_slice};
 pub use cholesky::{is_spd, Cholesky, NotPositiveDefinite};

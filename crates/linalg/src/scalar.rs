@@ -136,8 +136,9 @@ pub trait Scalar:
     fn with_pack_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
 
     /// Run `f` on the calling thread's stash of grow-only buffers for
-    /// dense-factorization temporaries (the compact-WY operands of
-    /// [`crate::ulv::rotate_symmetric`]). `f` pops buffers — of any length
+    /// dense temporaries (the compact-WY operands of
+    /// [`crate::ulv::rotate_symmetric`], an apply task's stacked right-hand
+    /// sides). `f` pops buffers — of any length
     /// and contents — and pushes them back when done, so later calls on this
     /// thread reuse their capacity. Unlike the pack scratch it may stay
     /// borrowed across [`crate::blas::gemm`] calls. Not re-entrant.

@@ -208,7 +208,8 @@ pub fn axpy_scalar<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
 const STREAM_GROUP: usize = 4;
 
 /// Row stride of the transposed stream kernel's row-major `B` and of its
-/// sums: the `n <= NR` lanes of one row, zero-padded to two AVX2 registers of
+/// sums: the `n <= STREAM_T_WIDTH` lanes of one row (a chunk of that many
+/// columns of `B`), zero-padded to two AVX2 registers of
 /// f64 (one of f32).
 pub const STREAM_T_WIDTH: usize = 8;
 

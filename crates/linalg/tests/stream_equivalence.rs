@@ -20,7 +20,10 @@
 //! sides of those edges.
 
 use gofmm_linalg::blas::{reference, STREAM_MAX_COLS};
-use gofmm_linalg::{gemm, gemm_mixed, simd_level, DenseMatrix, Scalar, SimdLevel, Transpose};
+use gofmm_linalg::{
+    gemm, gemm_cols, gemm_mixed, gemm_mixed_cols, simd_level, DenseMatrix, Scalar, SimdLevel,
+    Transpose,
+};
 use proptest::prelude::*;
 use std::process::Command;
 
@@ -206,6 +209,69 @@ fn kernel_edges_are_bit_identical_to_the_packed_reference() {
         check_stream_shape::<f64>(m, k, n, alpha, beta, i as u64);
         check_stream_shape::<f32>(m, k, n, alpha as f32, beta as f32, i as u64);
     }
+}
+
+/// A column range of `A` multiplied in place — either way round, native and
+/// mixed, streamed and packed — gives the bits of the same product over the
+/// copied block.
+fn check_column_range<T: Scalar>(rows: usize, lead: usize, m: usize, n: usize, seed: u64) {
+    let panel = fill::<T>(rows, lead + m + 3, seed);
+    let cols = lead..lead + m;
+    let block = panel.block(0, rows, cols.start, cols.end);
+    let stored = panel.cast::<T::PanelScalar>();
+    let (alpha, beta) = (T::from_f64(-0.75), T::from_f64(1.5));
+    for op in [Transpose::No, Transpose::Yes] {
+        let (out_rows, inner) = match op {
+            Transpose::No => (rows, m),
+            Transpose::Yes => (m, rows),
+        };
+        let b = fill::<T>(inner, n, seed ^ 0x5bd1);
+        let c0 = fill::<T>(out_rows, n, seed ^ 0xa3c5);
+        let label = format!("{} {rows}x{m}@{lead} r={n} {op:?}", T::precision_name());
+
+        let want = product(reference::gemm, alpha, (&block, op), &b, beta, &c0);
+        let mut c = c0.clone();
+        gemm_cols(alpha, &panel, cols.clone(), op, &b, beta, &mut c);
+        assert_eq!(bits(&c), bits(&want), "{label}: native");
+
+        let want = product(
+            reference::gemm,
+            alpha,
+            (&block.cast::<T::PanelScalar>().cast(), op),
+            &b,
+            beta,
+            &c0,
+        );
+        let mut c = c0.clone();
+        gemm_mixed_cols(alpha, &stored, cols.clone(), op, &b, beta, &mut c);
+        assert_eq!(bits(&c), bits(&want), "{label}: mixed");
+    }
+}
+
+#[test]
+fn column_ranges_multiply_in_place_bit_for_bit() {
+    let shapes = [
+        (64, 64, 448),
+        (64, 0, 64),
+        (7, 5, 1),
+        (300, 13, 260),
+        (32, 32, 96),
+    ];
+    for (i, (rows, lead, m)) in shapes.into_iter().enumerate() {
+        for n in [1, 4, 13, 32, 33, 64] {
+            check_column_range::<f64>(rows, lead, m, n, i as u64);
+            check_column_range::<f32>(rows, lead, m, n, i as u64);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "outside")]
+fn column_range_past_the_last_column_panics() {
+    let a = fill::<f64>(4, 3, 1);
+    let b = fill::<f64>(4, 1, 2);
+    let mut c = DenseMatrix::zeros(2, 1);
+    gemm_cols(1.0, &a, 2..4, Transpose::Yes, &b, 0.0, &mut c);
 }
 
 /// `beta == 0` overwrites `C` and the early-outs leave `beta * C`: the

@@ -126,3 +126,80 @@ fn a_nan_coordinate_gives_nan_entries_in_blocks() {
         }
     }
 }
+
+/// `submatrix(rows, cols)` is exactly the transpose of
+/// `submatrix(cols, rows)`: every entry `K(i, j)` carries the bits of
+/// `K(j, i)`.
+fn assert_block_is_symmetric<T: Scalar>(
+    k: &(impl SpdMatrix<T> + ?Sized),
+    rows: &[usize],
+    cols: &[usize],
+) {
+    let block: DenseMatrix<T> = k.submatrix(rows, cols);
+    let mirror: DenseMatrix<T> = k.submatrix(cols, rows);
+    for c in 0..cols.len() {
+        for r in 0..rows.len() {
+            assert_eq!(
+                block[(r, c)].to_f64().to_bits(),
+                mirror[(c, r)].to_f64().to_bits(),
+                "{} {}: K({}, {}) vs K({}, {})",
+                k.name(),
+                T::precision_name(),
+                rows[r],
+                cols[c],
+                cols[c],
+                rows[r]
+            );
+        }
+    }
+}
+
+/// The evaluator stores each symmetric near block once and serves its
+/// mirror as the transpose, so a kernel block must be bit-symmetric: for
+/// every kernel, dimension and precision, over index sets with duplicates,
+/// diagonal hits and lengths around the vector width.
+#[test]
+fn every_kernel_block_is_its_mirror_transposed() {
+    let mut rng = StdRng::seed_from_u64(33);
+    for dim in [1, 3, 6] {
+        let n = 90;
+        let pc = PointCloud::uniform(n, dim, 200 + dim as u64);
+        for kernel in KERNELS {
+            let k = KernelMatrix::new(pc.clone(), kernel, REG, "symmetry");
+            let sets = index_sets(n, &mut rng);
+            for rows in &sets {
+                for cols in &sets {
+                    assert_block_is_symmetric::<f64>(&k, rows, cols);
+                    assert_block_is_symmetric::<f32>(&k, rows, cols);
+                }
+            }
+            let all: Vec<usize> = (0..n).collect();
+            assert_block_is_symmetric::<f64>(&k, &all, &all);
+            assert_block_is_symmetric::<f32>(&k, &all, &all);
+        }
+    }
+}
+
+/// The same contract for the zoo matrices the evaluator suites compress
+/// (served as `f64`).
+#[test]
+fn every_zoo_block_is_its_mirror_transposed() {
+    use gofmm_matrices::{build_matrix, TestMatrixId, ZooOptions};
+    use TestMatrixId::*;
+    let mut rng = StdRng::seed_from_u64(34);
+    let zoo = [
+        K02, K04, K05, K06, K07, K08, K09, K10, K12, G03, G04, Covtype,
+    ];
+    for id in zoo {
+        let k = build_matrix(id, &ZooOptions::with_n(256));
+        let n = k.n();
+        let sets = index_sets(n, &mut rng);
+        for rows in &sets {
+            for cols in &sets {
+                assert_block_is_symmetric::<f64>(k.as_ref(), rows, cols);
+            }
+        }
+        let all: Vec<usize> = (0..n).collect();
+        assert_block_is_symmetric::<f64>(k.as_ref(), &all, &all);
+    }
+}

@@ -47,7 +47,7 @@ pub const PAGE: u64 = 4096;
 const HEADER_MAGIC: &[u8; 8] = b"GFMMSTR1";
 const INDEX_MAGIC: &[u8; 8] = b"GFMMIDX1";
 /// Version 2: ULV node blobs hold blocked compact-WY rotations.
-const FORMAT_VERSION: u32 = 2;
+const FORMAT_VERSION: u32 = 3;
 
 /// Well-known blob classes used by the GOFMM crates. The store itself does
 /// not interpret these; they only namespace the `(class, node)` key space so
