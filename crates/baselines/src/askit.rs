@@ -15,8 +15,7 @@
 //! level-by-level traversals, and a single-RHS matvec API.
 
 use gofmm_core::{
-    compress, evaluate_with, Compressed, DistanceMetric, GofmmConfig, PanelPrecision,
-    TraversalPolicy,
+    compress, Compressed, DistanceMetric, Evaluator, GofmmConfig, PanelPrecision, TraversalPolicy,
 };
 use gofmm_linalg::{DenseMatrix, Scalar};
 use gofmm_matrices::SpdMatrix;
@@ -112,13 +111,15 @@ impl<T: Scalar> AskitMatrix<T> {
     pub fn matvec_single<M: SpdMatrix<T> + ?Sized>(&self, matrix: &M, w: &[T]) -> Vec<T> {
         assert_eq!(w.len(), self.n());
         let w_mat = DenseMatrix::from_vec(w.len(), 1, w.to_vec());
-        let (u, _) = evaluate_with(
+        let evaluator = Evaluator::with_options(
             matrix,
             &self.inner,
-            &w_mat,
             TraversalPolicy::LevelByLevel,
             self.threads,
         );
+        let (u, _) = evaluator
+            .apply(&w_mat)
+            .expect("the length was checked above");
         u.col(0).to_vec()
     }
 

@@ -15,8 +15,7 @@
 //! the effect of the matrix-aware permutation and of the sparse correction.
 
 use gofmm_core::{
-    compress, evaluate_with, Compressed, DistanceMetric, GofmmConfig, PanelPrecision,
-    TraversalPolicy,
+    compress, Compressed, DistanceMetric, Evaluator, GofmmConfig, PanelPrecision, TraversalPolicy,
 };
 use gofmm_linalg::{DenseMatrix, Scalar};
 use gofmm_matrices::SpdMatrix;
@@ -101,20 +100,20 @@ impl<T: Scalar> HssMatrix<T> {
         self.inner.average_rank()
     }
 
-    /// Approximate `u = K w`.
+    /// Approximate `u = K w` through an evaluator packed for this one
+    /// product. Panics when `w` does not have `n` rows.
     pub fn matvec<M: SpdMatrix<T> + ?Sized>(
         &self,
         matrix: &M,
         w: &DenseMatrix<T>,
     ) -> DenseMatrix<T> {
-        let (u, _) = evaluate_with(
-            matrix,
-            &self.inner,
-            w,
-            TraversalPolicy::LevelByLevel,
-            self.inner.config.num_threads,
-        );
-        u
+        let threads = self.inner.config.num_threads;
+        let evaluator =
+            Evaluator::with_options(matrix, &self.inner, TraversalPolicy::LevelByLevel, threads);
+        match evaluator.apply(w) {
+            Ok((u, _)) => u,
+            Err(err) => panic!("HSS matvec: {err}"),
+        }
     }
 
     /// Access the underlying compressed representation.
@@ -203,7 +202,7 @@ mod tests {
         let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
         let exact = k.matvec_exact(&w);
         let e_hss = hss.matvec(&k, &w).sub(&exact).norm_fro() / exact.norm_fro();
-        let (u_gofmm, _) = gofmm_core::evaluate(&k, &comp, &w);
+        let (u_gofmm, _) = comp.into_evaluator(&k).apply(&w).unwrap();
         let e_gofmm = u_gofmm.sub(&exact).norm_fro() / exact.norm_fro();
         assert!(
             e_gofmm < e_hss,

@@ -3,7 +3,7 @@
 //! block caching vs on-the-fly evaluation, and distance metric choice.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gofmm_core::{compress, evaluate_with, DistanceMetric, GofmmConfig, TraversalPolicy};
+use gofmm_core::{compress, DistanceMetric, Evaluator, GofmmConfig, TraversalPolicy};
 use gofmm_linalg::DenseMatrix;
 use gofmm_matrices::{build_matrix, TestMatrixId, ZooOptions};
 use std::time::Duration;
@@ -72,14 +72,16 @@ fn bench_ablation(c: &mut Criterion) {
         );
     }
 
-    // Cached vs on-the-fly blocks at evaluation time.
+    // Cached vs on-the-fly blocks at evaluation time: evaluator construction
+    // (which packs cached blocks or evaluates them) plus one apply.
     let w = DenseMatrix::<f64>::from_fn(n, 128, |i, j| (((i + j) % 5) as f64) - 2.0);
     for (label, cache) in [("cached_blocks", true), ("on_the_fly_blocks", false)] {
         let mut cfg = base_config();
         cfg.cache_blocks = cache;
         let comp = compress::<f64, _>(&k, &cfg);
         group.bench_function(BenchmarkId::new("evaluation", label), |bencher| {
-            bencher.iter(|| evaluate_with(&k, &comp, &w, TraversalPolicy::DagHeft, 8));
+            let policy = TraversalPolicy::DagHeft;
+            bencher.iter(|| Evaluator::with_options(&k, &comp, policy, 8).apply(&w));
         });
     }
     group.finish();

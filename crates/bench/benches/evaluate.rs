@@ -2,7 +2,7 @@
 //! scheduling policies and number of right-hand sides.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gofmm_core::{compress, evaluate_with, DistanceMetric, GofmmConfig, TraversalPolicy};
+use gofmm_core::{compress, ApplyOptions, DistanceMetric, Evaluator, GofmmConfig, TraversalPolicy};
 use gofmm_linalg::DenseMatrix;
 use gofmm_matrices::{build_matrix, TestMatrixId, ZooOptions};
 use std::time::Duration;
@@ -29,6 +29,11 @@ fn bench_evaluate(c: &mut Criterion) {
         .with_metric(DistanceMetric::Angle)
         .with_policy(TraversalPolicy::DagHeft);
     let comp = compress::<f64, _>(&k, &cfg);
+    let evaluator = Evaluator::new(&k, &comp);
+    let apply = |w: &DenseMatrix<f64>, policy| {
+        let opts = ApplyOptions::new().with_policy(policy).with_threads(8);
+        evaluator.apply_with(w, &opts)
+    };
 
     for policy in [
         TraversalPolicy::Sequential,
@@ -41,7 +46,7 @@ fn bench_evaluate(c: &mut Criterion) {
             BenchmarkId::new("policy_r128", policy.to_string()),
             &policy,
             |bencher, &policy| {
-                bencher.iter(|| evaluate_with(&k, &comp, &w, policy, 8));
+                bencher.iter(|| apply(&w, policy));
             },
         );
     }
@@ -49,7 +54,7 @@ fn bench_evaluate(c: &mut Criterion) {
     for &r in &[1usize, 64, 512] {
         let w = DenseMatrix::<f64>::from_fn(n, r, |i, j| (((i + j) % 7) as f64) - 3.0);
         group.bench_with_input(BenchmarkId::new("rhs_count", r), &r, |bencher, _| {
-            bencher.iter(|| evaluate_with(&k, &comp, &w, TraversalPolicy::DagHeft, 8));
+            bencher.iter(|| apply(&w, TraversalPolicy::DagHeft));
         });
     }
     group.finish();

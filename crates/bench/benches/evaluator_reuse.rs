@@ -1,13 +1,10 @@
-//! Criterion benchmarks of the persistent [`Evaluator`] against one-shot
-//! `evaluate()`: the amortized-throughput story behind long-running matvec
-//! services. One-shot evaluation re-packs every interaction block and
-//! rebuilds the task DAG per call; `Evaluator::apply` serves each matvec from
-//! state precomputed at construction.
+//! Criterion benchmarks of a reused [`Evaluator`] against one built per
+//! matvec: the amortized-throughput story behind long-running matvec
+//! services. Building an evaluator packs every interaction block and the
+//! task DAG; `Evaluator::apply` serves each later matvec from that state.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gofmm_core::{
-    compress, evaluate_with, DistanceMetric, Evaluator, GofmmConfig, TraversalPolicy,
-};
+use gofmm_core::{compress, DistanceMetric, Evaluator, GofmmConfig, TraversalPolicy};
 use gofmm_linalg::DenseMatrix;
 use gofmm_matrices::{build_matrix, TestMatrixId, ZooOptions};
 use std::time::Duration;
@@ -41,13 +38,9 @@ fn bench_evaluator_reuse(c: &mut Criterion) {
         let w = DenseMatrix::<f64>::from_fn(n, r, |i, j| (((i + j) % 7) as f64) - 3.0);
 
         // One-shot: pays block packing + DAG construction on every call.
-        group.bench_with_input(
-            BenchmarkId::new("one_shot_evaluate", r),
-            &r,
-            |bencher, _| {
-                bencher.iter(|| evaluate_with(&k, &comp, &w, policy, threads));
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("setup_and_apply", r), &r, |bencher, _| {
+            bencher.iter(|| Evaluator::with_options(&k, &comp, policy, threads).apply(&w));
+        });
 
         // Reused: setup hoisted out of the measured loop — the service shape.
         let evaluator = Evaluator::with_options(&k, &comp, policy, threads);

@@ -4,7 +4,7 @@
 //! size 64 for G01-G03.
 
 use gofmm_bench::harness::{bench_threads, fmt_err, fmt_secs, print_table, scaled, timed};
-use gofmm_core::{compress, evaluate, DistanceMetric, GofmmConfig, TraversalPolicy};
+use gofmm_core::{compress, DistanceMetric, GofmmConfig, TraversalPolicy};
 use gofmm_linalg::DenseMatrix;
 use gofmm_matrices::{build_matrix, sampled_relative_error, SpdMatrix, TestMatrixId, ZooOptions};
 
@@ -27,9 +27,10 @@ fn run(
     let (comp, t_comp) = timed(|| compress::<f64, _>(k, &cfg));
     let n = k.n();
     let w = DenseMatrix::<f64>::from_fn(n, 128, |i, j| (((i * 5 + j) % 11) as f64) / 11.0 - 0.5);
-    let ((u, _), t_eval) = timed(|| evaluate(k, &comp, &w));
+    let rank = comp.average_rank();
+    let ((u, _), t_eval) = timed(|| comp.into_evaluator(k).apply(&w).unwrap());
     let eps = sampled_relative_error(k, &w, &u, 100, 0);
-    (eps, t_comp, t_eval, comp.average_rank())
+    (eps, t_comp, t_eval, rank)
 }
 
 fn main() {
@@ -82,7 +83,7 @@ fn main() {
             "eps2 (tau=1e-5, 3%)",
             "avg rank",
             "compress (s)",
-            "evaluate (s)",
+            "setup+apply (s)",
             "note",
         ],
         &rows,

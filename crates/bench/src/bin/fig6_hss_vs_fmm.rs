@@ -3,7 +3,7 @@
 //! growing the off-diagonal rank.
 
 use gofmm_bench::harness::{bench_threads, fmt_err, fmt_secs, print_table, scaled, timed};
-use gofmm_core::{compress, evaluate, DistanceMetric, GofmmConfig, TraversalPolicy};
+use gofmm_core::{compress, DistanceMetric, GofmmConfig, TraversalPolicy};
 use gofmm_linalg::DenseMatrix;
 use gofmm_matrices::{build_matrix, sampled_relative_error, SpdMatrix, TestMatrixId, ZooOptions};
 
@@ -52,7 +52,7 @@ fn main() {
                 .with_policy(TraversalPolicy::DagHeft)
                 .with_threads(threads);
             let (comp, t_comp) = timed(|| compress::<f64, _>(&k, &cfg));
-            let ((u, _), t_eval) = timed(|| evaluate(&k, &comp, &w));
+            let ((u, _), t_eval) = timed(|| comp.into_evaluator(&k).apply(&w).unwrap());
             let eps = sampled_relative_error(&k, &w, &u, 100, 0);
             rows.push(vec![
                 id.name().to_string(),
@@ -76,7 +76,7 @@ fn main() {
             "budget",
             "eps2",
             "compress (s)",
-            "evaluate (s)",
+            "setup+apply (s)",
             "total (s)",
         ],
         &rows,

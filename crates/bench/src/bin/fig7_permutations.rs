@@ -3,7 +3,7 @@
 //! and average skeleton rank.
 
 use gofmm_bench::harness::{bench_threads, fmt_err, print_table, scaled, timed};
-use gofmm_core::{compress, evaluate, DistanceMetric, GofmmConfig, TraversalPolicy};
+use gofmm_core::{compress, DistanceMetric, GofmmConfig, TraversalPolicy};
 use gofmm_linalg::DenseMatrix;
 use gofmm_matrices::{build_matrix, sampled_relative_error, SpdMatrix, TestMatrixId, ZooOptions};
 
@@ -61,13 +61,14 @@ fn main() {
                 .with_policy(TraversalPolicy::DagHeft)
                 .with_threads(threads);
             let (comp, _t) = timed(|| compress::<f64, _>(&k, &cfg));
-            let (u, _) = evaluate(&k, &comp, &w);
+            let rank = comp.average_rank();
+            let (u, _) = comp.into_evaluator(&k).apply(&w).unwrap();
             let eps = sampled_relative_error(&k, &w, &u, 100, 0);
             rows.push(vec![
                 id.name().to_string(),
                 metric.to_string(),
                 fmt_err(eps),
-                format!("{:.1}", comp.average_rank()),
+                format!("{rank:.1}"),
             ]);
         }
     }

@@ -3,7 +3,7 @@
 
 use gofmm_baselines::{Hodlr, HodlrConfig, HssConfig, HssMatrix};
 use gofmm_bench::harness::{bench_threads, fmt_err, fmt_secs, print_table, scaled, timed};
-use gofmm_core::{compress, evaluate, DistanceMetric, GofmmConfig, TraversalPolicy};
+use gofmm_core::{compress, DistanceMetric, GofmmConfig, TraversalPolicy};
 use gofmm_linalg::DenseMatrix;
 use gofmm_matrices::{build_matrix, sampled_relative_error, SpdMatrix, TestMatrixId, ZooOptions};
 
@@ -76,7 +76,7 @@ fn main() {
             .with_policy(TraversalPolicy::DagHeft)
             .with_threads(threads);
         let (comp, t_gofmm_c) = timed(|| compress::<f64, _>(&k, &cfg));
-        let ((u_gofmm, _), t_gofmm_e) = timed(|| evaluate(&k, &comp, &w));
+        let ((u_gofmm, _), t_gofmm_e) = timed(|| comp.into_evaluator(&k).apply(&w).unwrap());
         let e_gofmm = sampled_relative_error(&k, &w, &u_gofmm, 100, 0);
 
         rows.push(vec![
@@ -102,10 +102,10 @@ fn main() {
             "HODLR eval",
             "HSS eps2",
             "HSS comp",
-            "HSS eval",
+            "HSS setup+apply",
             "GOFMM eps2",
             "GOFMM comp",
-            "GOFMM eval",
+            "GOFMM setup+apply",
         ],
         &rows,
     );

@@ -71,9 +71,9 @@ impl std::fmt::Display for TraversalPolicy {
 /// (`gofmm_linalg::gemm_mixed`), roughly halving `cached_bytes` for an `f64`
 /// operator at the cost of one `f32` rounding per panel entry — a relative
 /// apply perturbation of order `1e-7` (single-precision epsilon), far below
-/// typical compression tolerances. The mode only affects owned (packed)
-/// panels; zero-copy borrowing evaluators keep the compression's native
-/// precision, and for an `f32` operator `MixedF32` is the identity.
+/// typical compression tolerances. The compression's own block cache keeps
+/// the native precision, and for an `f32` operator `MixedF32` is the
+/// identity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PanelPrecision {
     /// Panels stored in the operator's own precision (the default).

@@ -1,8 +1,8 @@
 //! The evaluation phase (paper Algorithm 2.7): approximate `u = K w` using the
 //! compressed representation via the four task families N2S, S2S, S2N and L2L.
 //!
-//! One engine, [`Evaluator`], built four ways that differ only in where the
-//! interaction panels come from:
+//! One engine, [`Evaluator`], built three ways that differ only in who owns
+//! the compression it serves:
 //!
 //! * [`Evaluator::new`] / [`Evaluator::with_options`] — the persistent path.
 //!   Built once from a borrowed [`Compressed`] matrix, it packs every
@@ -17,25 +17,19 @@
 //!   compression (the construction behind the `GofmmOperator` front door).
 //! * [`Compressed::into_evaluator`] / [`Compressed::into_shared_evaluator`] —
 //!   move the compression in and *steal* its cached blocks, halving the peak
-//!   memory of persistent-evaluator setup.
-//! * [`Evaluator::borrowing`] — a transient *zero-copy* evaluator whose
-//!   S2S/L2L tasks read the blocks cached inside the [`Compressed`] directly.
-//!   The one-shot wrappers [`evaluate`] / [`evaluate_with`] build one and
-//!   apply it once.
+//!   memory of evaluator setup. The right tool for a one-shot matvec whose
+//!   caller does not need the compression again.
 //!
 //! How a panel is stored and multiplied lives in `panel.rs`; the persisted
 //! operator format ([`Evaluator::write_to`] / [`Evaluator::open_from`]) in
 //! `persist.rs`. This file owns the engine: constructors, the apply sweep and
 //! its task bodies, and the plan.
 //!
-//! Each construction produces bit-identical outputs for every traversal
-//! policy: all cross-task accumulation orders are fixed by dependency edges
-//! (or by the equivalent level-by-level barriers), so the schedule cannot
-//! change a bit. The packed and borrowed storage modes agree with each other
-//! to accumulation roundoff, not bit-for-bit: a packed panel sums one long
-//! GEMM inner dimension where the borrowed path adds one block's product at a
-//! time, and packed near panels store each symmetric block once (see
-//! `NearLayout`).
+//! Every construction packs the same panels, so all three give the same
+//! bits, and each produces bit-identical outputs for every traversal policy:
+//! all cross-task accumulation orders are fixed by dependency edges (or by
+//! the equivalent level-by-level barriers), so the schedule cannot change a
+//! bit.
 
 use crate::compress::{CompRef, Compressed};
 use crate::config::{ApplyOptions, PanelPrecision, TraversalPolicy};
@@ -108,10 +102,8 @@ impl EvaluationStats {
 /// A persistent evaluator: `u ≈ K w` served from precomputed state.
 ///
 /// GOFMM splits work into a one-time compression and a per-matvec
-/// evaluation. The one-shot [`evaluate`] entry point still rebuilt
-/// per-call state — interaction blocks gathered from the kernel, the task
-/// DAG, the per-node buffers. `Evaluator` hoists all of that into
-/// construction:
+/// evaluation. `Evaluator` hoists every piece of per-matvec state that does
+/// not depend on the right-hand side into construction:
 ///
 /// * every far block `K_{skel(beta), skel(alpha)}` and near block
 ///   `K_{beta, alpha}` is packed into one contiguous column-major matrix per
@@ -173,14 +165,13 @@ pub struct Evaluator<'a, T: Scalar> {
     /// Default traversal policy / worker count, overridable per call through
     /// [`ApplyOptions`].
     defaults: RunDefaults<TraversalPolicy>,
-    /// Per-node far blocks `K_{skel(beta), skel(alpha)}`: packed into one
-    /// panel (persistent mode, in memory or file-backed) or borrowed from the
-    /// compression's block cache (zero-copy one-shot mode); [`Panel::Empty`]
-    /// when the node has none.
-    pub(crate) far: Vec<Panel<'a, T>>,
-    /// Per-leaf near blocks `K_{beta, alpha}`: packed or borrowed like `far`
+    /// Per-node far blocks `K_{skel(beta), skel(alpha)}`, packed into one
+    /// panel (in memory or file-backed); [`Panel::Empty`] when the node has
+    /// none.
+    pub(crate) far: Vec<Panel<T>>,
+    /// Per-leaf near blocks `K_{beta, alpha}`, packed like `far`
     /// ([`Panel::Empty`] for interior nodes), laid out as `near_map` says.
-    pub(crate) near: Vec<Panel<'a, T>>,
+    pub(crate) near: Vec<Panel<T>>,
     /// The evaluator-wide near-panel layout and the per-leaf index lists it
     /// implies.
     pub(crate) near_map: NearMap,
@@ -197,8 +188,7 @@ pub struct Evaluator<'a, T: Scalar> {
     plan: ReusablePlan,
     setup_time: f64,
     pub(crate) cached_bytes: usize,
-    /// Storage precision of the owned packed panels; borrowing evaluators
-    /// always report `Native`.
+    /// Storage precision of the packed panels.
     pub(crate) panel_precision: PanelPrecision,
     /// Per-apply value buffers, leased per call and recycled across calls.
     pool: WorkspacePool<ApplyWorkspace<T>>,
@@ -315,7 +305,7 @@ impl<T: Scalar> ApplyWorkspace<T> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum NearLayout {
     /// Leaf β's panel holds `K_{β, Near(β)}`, every block of its Near list
-    /// in list order. Borrowing and tuned evaluators keep it.
+    /// in list order. Tuned evaluators keep it.
     Full,
     /// The lower heap index owns each off-diagonal near pair: β's panel
     /// holds `K_{ββ}` and then `K_{βα}` for each `α > β` in `Near(β)`, in
@@ -410,7 +400,7 @@ impl NearMap {
     /// values per mirror column they save reading, so they pay off only for
     /// narrow applies; a spilled panel always serves both products on one
     /// fault. Both ways give the same bits.
-    fn owner_mirrors<T: Scalar>(&self, r: usize, near: &[Panel<'_, T>]) -> bool {
+    fn owner_mirrors<T: Scalar>(&self, r: usize, near: &[Panel<T>]) -> bool {
         r <= OWNER_MIRROR_MAX_COLS || near.iter().any(Panel::is_stored)
     }
 }
@@ -463,9 +453,9 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         // --- Pack interaction blocks into contiguous per-node storage ------
         // Every parallel iteration writes only its own node's cells
         // (DisjointCells verifies that at runtime).
-        let far_cells: DisjointCells<Panel<'c, T>> =
+        let far_cells: DisjointCells<Panel<T>> =
             DisjointCells::from_fn(node_count, |_| Panel::Empty);
-        let near_cells: DisjointCells<Panel<'c, T>> =
+        let near_cells: DisjointCells<Panel<T>> =
             DisjointCells::from_fn(node_count, |_| Panel::Empty);
 
         let precision = comp.config.panel_precision;
@@ -492,62 +482,6 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         )
     }
 
-    /// Build a *zero-copy* transient evaluator: interaction blocks cached at
-    /// compression time are borrowed (not packed into copies), and S2S / L2L
-    /// run one GEMM per block against them. This is what one-shot
-    /// [`evaluate`] uses — it restores the allocation profile evaluation had
-    /// before persistent evaluators existed, at the cost of the packed
-    /// single-GEMM inner loop.
-    ///
-    /// Nodes whose blocks were not cached (`cache_blocks: false`) fall back
-    /// to extracting a packed panel from `matrix`. Outputs are bit-identical
-    /// across traversal policies within this mode, and agree with the packed
-    /// mode to accumulation roundoff.
-    pub fn borrowing<M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: &'a Compressed<T>,
-        policy: TraversalPolicy,
-        num_threads: usize,
-    ) -> Self {
-        let t0 = Stopwatch::start();
-        let tree = &comp.tree;
-        let node_count = tree.node_count();
-        let mut far: Vec<Panel<'a, T>> = Vec::with_capacity(node_count);
-        let mut near: Vec<Panel<'a, T>> = Vec::with_capacity(node_count);
-        for heap in 0..node_count {
-            if tree.is_leaf(heap) && !comp.lists.near[heap].is_empty() {
-                if !comp.near_blocks[heap].is_empty() {
-                    near.push(Panel::Blocks(&comp.near_blocks[heap]));
-                } else {
-                    let cols = near_gather_indices(comp, &comp.lists.near[heap]);
-                    near.push(packed_native(matrix.submatrix(tree.indices(heap), &cols)));
-                }
-            } else {
-                near.push(Panel::Empty);
-            }
-            let has_far = comp.bases[heap].is_some() && !comp.lists.far[heap].is_empty();
-            if has_far {
-                if !comp.far_blocks[heap].is_empty() {
-                    far.push(Panel::Blocks(&comp.far_blocks[heap]));
-                } else {
-                    far.push(packed_native(extract_far_panel(matrix, comp, heap)));
-                }
-            } else {
-                far.push(Panel::Empty);
-            }
-        }
-        Self::assemble_evaluator(
-            CompRef::Borrowed(comp),
-            policy,
-            num_threads,
-            PanelPrecision::Native,
-            far,
-            near,
-            NearMap::new(tree, &comp.lists, NearLayout::Full),
-            t0,
-        )
-    }
-
     /// Shared tail of every constructor: DAG construction, cache accounting
     /// and pool setup.
     #[allow(clippy::too_many_arguments)]
@@ -556,8 +490,8 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         policy: TraversalPolicy,
         num_threads: usize,
         panel_precision: PanelPrecision,
-        far: Vec<Panel<'c, T>>,
-        near: Vec<Panel<'c, T>>,
+        far: Vec<Panel<T>>,
+        near: Vec<Panel<T>>,
         near_map: NearMap,
         t0: Stopwatch,
     ) -> Evaluator<'c, T> {
@@ -609,10 +543,9 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
 
     /// Bytes of interaction blocks held *resident in memory* by this
     /// evaluator; every other per-node structure it reads is the
-    /// compression's. A packing constructor stores each symmetric pair of
+    /// compression's. Every constructor stores each symmetric pair of
     /// off-diagonal near blocks once (the owner layout), so this is about
-    /// half the near blocks' bytes plus the far panels'; a borrowing
-    /// evaluator counts every block it reads. Shrinks when
+    /// half the near blocks' bytes plus the far panels'. Shrinks when
     /// [`Evaluator::tune`] drops or rank-truncates panels (a tuned
     /// evaluator stores both blocks of a pair again, and a tune is accepted
     /// only if the total still shrinks) and when
@@ -662,10 +595,8 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         (self.pool.created(), self.pool.recycled())
     }
 
-    /// Storage precision of the owned packed panels. Packing constructors
-    /// take it from [`crate::GofmmConfig::panel_precision`]; borrowing
-    /// evaluators always report [`PanelPrecision::Native`] (they reference
-    /// the compression's cached blocks in place).
+    /// Storage precision of the packed panels, taken from
+    /// [`crate::GofmmConfig::panel_precision`].
     pub fn panel_precision(&self) -> PanelPrecision {
         self.panel_precision
     }
@@ -868,12 +799,6 @@ fn near_gather_indices<T: Scalar>(comp: &Compressed<T>, entries: &[usize]) -> Ve
         .collect()
 }
 
-/// An owned packed panel in the operator precision (what a borrowing
-/// evaluator extracts from the kernel when a node's blocks were not cached).
-fn packed_native<'p, T: Scalar>(mat: DenseMatrix<T>) -> Panel<'p, T> {
-    Panel::Owned(Values::dense(mat, PanelPrecision::Native))
-}
-
 /// Pack one node's `(near panel, far panel)` in the compression's
 /// configured panel precision: each panel from the node's
 /// cached blocks when there are any, from the kernel otherwise. The one
@@ -886,14 +811,14 @@ fn packed_native<'p, T: Scalar>(mat: DenseMatrix<T>) -> Panel<'p, T> {
 /// the owned pairs `α > β`. The cached mirror blocks `K_{βα}`, `α < β`, are
 /// skipped (their owner α packs the transpose) and never evaluated when
 /// nothing was cached.
-fn pack_node<'p, T: Scalar, M: SpdMatrix<T> + ?Sized>(
+fn pack_node<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     matrix: &M,
     comp: &Compressed<T>,
     near_map: &NearMap,
     heap: usize,
     near_blocks: &[DenseMatrix<T>],
     far_blocks: &[DenseMatrix<T>],
-) -> (Panel<'p, T>, Panel<'p, T>) {
+) -> (Panel<T>, Panel<T>) {
     let tree = &comp.tree;
     let owned = |mat| Panel::Owned(Values::dense(mat, comp.config.panel_precision));
     let mut near = Panel::Empty;
@@ -1122,18 +1047,15 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
     }
 
     /// S2S: skeleton potentials `u~_beta += K_{skel(beta), Far-skels} w~_Far`
-    /// — the far panel times the far nodes' stacked skeleton weights (one
-    /// list entry's weights at a time for borrowed blocks).
+    /// — the far panel times the far nodes' stacked skeleton weights.
     fn task_s2s(&self, heap: usize) {
         let panel = &self.ev.far[heap];
         if panel.is_empty() {
             return;
         }
-        let far = self.ev.far_list(heap);
         let mut ut = self.ws.utilde.write(heap);
         self.count_flops(panel.apply(
             |cols, mul| mul(&self.far_weight_stack(heap, cols, self.r())),
-            |i, mul| mul(&self.ws.wtilde.read(far[i])),
             &mut ut,
             None,
         ));
@@ -1184,10 +1106,10 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
     }
 
     /// L2L: direct (near) interactions — the near panel times the stacked
-    /// input rows of its entries (one entry's rows at a time for borrowed
-    /// blocks). Under the owner layout the same task, on the same warm
-    /// panel, also forms the mirror product `Y_β = K_{β,off}^T w_β` that
-    /// [`ApplyWorkspace::assemble`] adds into the other leaves' outputs.
+    /// input rows of its entries. Under the owner layout the same task, on
+    /// the same warm panel, also forms the mirror product
+    /// `Y_β = K_{β,off}^T w_β` that [`ApplyWorkspace::assemble`] adds into
+    /// the other leaves' outputs.
     fn task_l2l(&self, heap: usize) {
         let panel = &self.ev.near[heap];
         if panel.is_empty() {
@@ -1207,7 +1129,6 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
         });
         self.count_flops(panel.apply(
             |cols, mul| self.near_stack(entries, cols, mul),
-            |i, mul| mul(&self.staged_rows(entries[i])),
             &mut out,
             mirror.as_deref_mut(),
         ));
@@ -1285,65 +1206,6 @@ impl<T: Scalar> Compressed<T> {
         );
         (comp, evaluator)
     }
-}
-
-/// Evaluate `u ≈ K w` using the policy and thread count stored in the
-/// compression configuration.
-///
-/// One-shot wrapper over [`Evaluator::borrowing`]: builds a transient
-/// *zero-copy* evaluator whose S2S/L2L tasks read the interaction blocks
-/// cached inside `comp` directly (no packed copies), and applies it once.
-/// Callers issuing repeated matvecs against the same compression should hold
-/// a packed [`Evaluator`] instead and amortize the setup.
-///
-/// Panics on a dimension mismatch; [`try_evaluate`] is the fallible form.
-pub fn evaluate<T: Scalar, M: SpdMatrix<T> + ?Sized>(
-    matrix: &M,
-    comp: &Compressed<T>,
-    w: &DenseMatrix<T>,
-) -> (DenseMatrix<T>, EvaluationStats) {
-    match try_evaluate(matrix, comp, w) {
-        Ok(out) => out,
-        Err(err) => panic!("evaluate: {err}"),
-    }
-}
-
-/// Fallible form of [`evaluate`].
-pub fn try_evaluate<T: Scalar, M: SpdMatrix<T> + ?Sized>(
-    matrix: &M,
-    comp: &Compressed<T>,
-    w: &DenseMatrix<T>,
-) -> Result<(DenseMatrix<T>, EvaluationStats), Error> {
-    try_evaluate_with(matrix, comp, w, comp.config.policy, comp.config.num_threads)
-}
-
-/// Evaluate `u ≈ K w` with an explicit traversal policy and thread count
-/// (used by the scheduling experiments).
-///
-/// One-shot wrapper over [`Evaluator::borrowing`]; see [`evaluate`]. Panics
-/// on a dimension mismatch; [`try_evaluate_with`] is the fallible form.
-pub fn evaluate_with<T: Scalar, M: SpdMatrix<T> + ?Sized>(
-    matrix: &M,
-    comp: &Compressed<T>,
-    w: &DenseMatrix<T>,
-    policy: TraversalPolicy,
-    num_threads: usize,
-) -> (DenseMatrix<T>, EvaluationStats) {
-    match try_evaluate_with(matrix, comp, w, policy, num_threads) {
-        Ok(out) => out,
-        Err(err) => panic!("evaluate: {err}"),
-    }
-}
-
-/// Fallible form of [`evaluate_with`].
-pub fn try_evaluate_with<T: Scalar, M: SpdMatrix<T> + ?Sized>(
-    matrix: &M,
-    comp: &Compressed<T>,
-    w: &DenseMatrix<T>,
-    policy: TraversalPolicy,
-    num_threads: usize,
-) -> Result<(DenseMatrix<T>, EvaluationStats), Error> {
-    Evaluator::borrowing(matrix, comp, policy, num_threads).apply(w)
 }
 
 /// Build the evaluation phase plan (N2S postorder, S2S any order after its
@@ -1478,7 +1340,7 @@ mod tests {
         let comp = compress::<f64, _>(&k, &config());
         let mut rng = StdRng::seed_from_u64(9);
         let w = DenseMatrix::<f64>::random_gaussian(n, 4, &mut rng);
-        let (u, stats) = evaluate(&k, &comp, &w);
+        let (u, stats) = Evaluator::new(&k, &comp).apply(&w).unwrap();
         assert_eq!(u.rows(), n);
         assert_eq!(u.cols(), 4);
         assert!(stats.flops > 0);
@@ -1496,7 +1358,7 @@ mod tests {
         let comp = compress::<f64, _>(&k, &cfg);
         let mut rng = StdRng::seed_from_u64(10);
         let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
-        let (u, _) = evaluate(&k, &comp, &w);
+        let (u, _) = Evaluator::new(&k, &comp).apply(&w).unwrap();
         let exact = k.matvec_exact(&w);
         let rel = u.sub(&exact).norm_fro() / exact.norm_fro();
         assert!(rel < 1e-3, "HSS relative error {rel}");
@@ -1509,13 +1371,17 @@ mod tests {
         let comp = compress::<f64, _>(&k, &config());
         let mut rng = StdRng::seed_from_u64(11);
         let w = DenseMatrix::<f64>::random_gaussian(n, 3, &mut rng);
-        let (u_seq, _) = evaluate_with(&k, &comp, &w, TraversalPolicy::Sequential, 1);
+        let apply = |policy, threads| {
+            let ev = Evaluator::with_options(&k, &comp, policy, threads);
+            ev.apply(&w).unwrap()
+        };
+        let (u_seq, _) = apply(TraversalPolicy::Sequential, 1);
         for policy in [
             TraversalPolicy::LevelByLevel,
             TraversalPolicy::DagHeft,
             TraversalPolicy::DagFifo,
         ] {
-            let (u, stats) = evaluate_with(&k, &comp, &w, policy, 4);
+            let (u, stats) = apply(policy, 4);
             let diff = u.sub(&u_seq).norm_max();
             assert!(diff < 1e-8, "{policy}: max diff {diff}");
             if policy.dag_policy().is_some() {
@@ -1535,20 +1401,24 @@ mod tests {
         let comp = compress::<f64, _>(&k, &config());
         let mut rng = StdRng::seed_from_u64(21);
         let w = DenseMatrix::<f64>::random_gaussian(n, 3, &mut rng);
-        let (u_lvl, _) = evaluate_with(&k, &comp, &w, TraversalPolicy::LevelByLevel, 4);
+        let apply = |policy, threads| {
+            let ev = Evaluator::with_options(&k, &comp, policy, threads);
+            ev.apply(&w).unwrap().0
+        };
+        let u_lvl = apply(TraversalPolicy::LevelByLevel, 4);
         for policy in [
             TraversalPolicy::Sequential,
             TraversalPolicy::DagHeft,
             TraversalPolicy::DagFifo,
         ] {
-            let (u, _) = evaluate_with(&k, &comp, &w, policy, 4);
+            let u = apply(policy, 4);
             let diff = u.sub(&u_lvl).norm_max();
             assert!(diff <= 1e-12, "{policy} vs level-by-level: max diff {diff}");
         }
         // The DAG policies share one plan; they must agree bit-for-bit.
-        let (u_heft, _) = evaluate_with(&k, &comp, &w, TraversalPolicy::DagHeft, 8);
-        let (u_fifo, _) = evaluate_with(&k, &comp, &w, TraversalPolicy::DagFifo, 8);
-        let (u_seq, _) = evaluate_with(&k, &comp, &w, TraversalPolicy::Sequential, 1);
+        let u_heft = apply(TraversalPolicy::DagHeft, 8);
+        let u_fifo = apply(TraversalPolicy::DagFifo, 8);
+        let u_seq = apply(TraversalPolicy::Sequential, 1);
         for i in 0..n {
             for c in 0..3 {
                 assert_eq!(u_heft.get(i, c).to_bits(), u_seq.get(i, c).to_bits());
@@ -1567,20 +1437,21 @@ mod tests {
         let uncached = compress::<f64, _>(&k, &cfg_uncached);
         let mut rng = StdRng::seed_from_u64(12);
         let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
-        let (u1, _) = evaluate(&k, &cached, &w);
-        let (u2, _) = evaluate(&k, &uncached, &w);
-        assert!(u1.sub(&u2).norm_max() < 1e-9);
+        let (u1, _) = Evaluator::new(&k, &cached).apply(&w).unwrap();
+        let (u2, _) = Evaluator::new(&k, &uncached).apply(&w).unwrap();
+        // Cached blocks are kernel blocks, and an uncached construction
+        // evaluates the very same blocks: the panels, hence the bits, agree.
+        assert_eq!(u1.data(), u2.data());
     }
 
     #[test]
-    fn evaluator_and_one_shot_are_each_bit_identical_across_policies() {
+    fn evaluator_is_bit_identical_across_policies_and_applies() {
         let n = 300;
         let k = test_matrix(n);
         let comp = compress::<f64, _>(&k, &config());
         let mut rng = StdRng::seed_from_u64(31);
         let w = DenseMatrix::<f64>::random_gaussian(n, 3, &mut rng);
-        // References in each storage mode (sequential, single-threaded).
-        let (once_ref, _) = evaluate_with(&k, &comp, &w, TraversalPolicy::Sequential, 1);
+        // Reference: sequential, single-threaded.
         let (packed_ref, _) = Evaluator::with_options(&k, &comp, TraversalPolicy::Sequential, 1)
             .apply(&w)
             .unwrap();
@@ -1590,14 +1461,9 @@ mod tests {
             TraversalPolicy::DagHeft,
             TraversalPolicy::DagFifo,
         ] {
-            // One-shot (borrowed blocks) is bit-identical across policies.
-            let (u_once, _) = evaluate_with(&k, &comp, &w, policy, 4);
-            for (idx, (a, b)) in once_ref.data().iter().zip(u_once.data()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{policy}: one-shot entry {idx}");
-            }
-            // Packed persistent evaluator is bit-identical across policies
-            // and across consecutive applies (the second runs entirely on
-            // recycled buffers and must not see leaked state).
+            // Bit-identical across policies and across consecutive applies
+            // (the second runs entirely on recycled buffers and must not see
+            // leaked state).
             let evaluator = Evaluator::with_options(&k, &comp, policy, 4);
             let (u1, s1) = evaluator.apply(&w).unwrap();
             let (u2, s2) = evaluator.apply(&w).unwrap();
@@ -1610,10 +1476,6 @@ mod tests {
             assert!(s1.flops > 0);
             assert_eq!(s1.flops, s2.flops, "{policy}: flops drifted across applies");
         }
-        // The two storage modes perform the same arithmetic in a different
-        // accumulation order: equal to roundoff, not necessarily to the bit.
-        let diff = once_ref.sub(&packed_ref).norm_max();
-        assert!(diff < 1e-10, "borrowed vs packed drift {diff}");
     }
 
     #[test]
@@ -1662,38 +1524,6 @@ mod tests {
             }
             other => panic!("expected DimensionMismatch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn one_shot_evaluation_borrows_cached_blocks_without_copying() {
-        let n = 300;
-        let k = test_matrix(n);
-        let comp = compress::<f64, _>(&k, &config());
-        // Zero-copy transient evaluator: reads the cached blocks in place and
-        // extracts nothing from the kernel.
-        let counter = CountingMatrix::new(&k);
-        let ev = Evaluator::<f64>::borrowing(&counter, &comp, TraversalPolicy::Sequential, 1);
-        assert_eq!(
-            counter.count(),
-            0,
-            "borrowing setup must not touch the kernel"
-        );
-        // It still accounts the bytes it reads per apply: the same block
-        // values the packed evaluator holds, borrowed instead of copied.
-        let packed = Evaluator::<f64>::new(&k, &comp);
-        assert!(ev.cached_bytes() > 0);
-        assert_eq!(ev.cached_bytes(), packed.cached_bytes());
-        let mut rng = StdRng::seed_from_u64(36);
-        let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
-        let (u, _) = ev.apply(&w).unwrap();
-        assert_eq!(
-            counter.count(),
-            0,
-            "borrowed apply must not touch the kernel"
-        );
-        let exact = k.matvec_exact(&w);
-        let rel = u.sub(&exact).norm_fro() / exact.norm_fro();
-        assert!(rel < 1e-4, "borrowed-mode relative error {rel}");
     }
 
     #[test]
@@ -1758,8 +1588,8 @@ mod tests {
         let (u2a, _) = evaluator.apply(&w2).unwrap();
         let (u5, _) = evaluator.apply(&w5).unwrap(); // different width, new workspace
         let (u2b, _) = evaluator.apply(&w2).unwrap(); // recycles the width-2 workspace
-        let (u2_ref, _) = evaluate(&k, &comp, &w2);
-        let (u5_ref, _) = evaluate(&k, &comp, &w5);
+        let (u2_ref, _) = Evaluator::new(&k, &comp).apply(&w2).unwrap();
+        let (u5_ref, _) = Evaluator::new(&k, &comp).apply(&w5).unwrap();
         assert!(u2a.sub(&u2_ref).norm_max() == 0.0);
         assert!(u5.sub(&u5_ref).norm_max() == 0.0);
         assert!(u2b.sub(&u2_ref).norm_max() == 0.0);
@@ -1786,15 +1616,40 @@ mod tests {
         assert_eq!(counter.count(), 0, "second apply must not touch the kernel");
         assert_eq!(u1.data(), u2.data());
 
-        // Uncached compression: setup extracts the blocks (kernel evals > 0),
-        // applies still touch the kernel zero times.
-        let mut cfg = config();
+        // Uncached compression, with off-diagonal near pairs: setup
+        // evaluates exactly the owner-layout near panels and the far
+        // skeleton panels (never a mirror block: 126 650 entries here,
+        // against 154 298 for the full layout), and applies still touch the
+        // kernel zero times.
+        let n = 512;
+        let k = test_matrix(n);
+        let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
+        let mut cfg = config().with_budget(0.3);
         cfg.cache_blocks = false;
         let comp_uncached = compress::<f64, _>(&k, &cfg);
         let counter = CountingMatrix::new(&k);
         let evaluator = Evaluator::new(&counter, &comp_uncached);
         let setup_evals = counter.count();
-        assert!(setup_evals > 0, "uncached setup must extract blocks");
+        let (tree, lists) = (&comp_uncached.tree, &comp_uncached.lists);
+        let len = |h: usize| tree.node(h).len as u64;
+        let rank = |h: usize| comp_uncached.bases[h].as_ref().map_or(0, |b| b.rank()) as u64;
+        let near = |entries: &[usize]| entries.iter().map(|&a| len(a)).sum::<u64>();
+        let owner_near: u64 = tree
+            .leaf_range()
+            .map(|h| len(h) * near(evaluator.near_map.entries(h)))
+            .sum();
+        let full_near: u64 = tree
+            .leaf_range()
+            .map(|h| len(h) * near(&lists.near[h]))
+            .sum();
+        let far: u64 = (0..tree.node_count())
+            .map(|h| rank(h) * lists.far[h].iter().map(|&a| rank(a)).sum::<u64>())
+            .sum();
+        assert!(
+            owner_near < full_near,
+            "the lists must have off-diagonal near pairs"
+        );
+        assert_eq!(setup_evals, owner_near + far, "uncached setup evaluations");
         let (_, _) = evaluator.apply(&w).unwrap();
         let (_, _) = evaluator.apply(&w).unwrap();
         assert_eq!(
@@ -1807,8 +1662,7 @@ mod tests {
     #[test]
     fn zero_column_rhs_yields_empty_output() {
         // Degenerate but legal: no right-hand sides. The apply must allocate
-        // a zero-width workspace and return an n x 0 result, as evaluate()
-        // always has.
+        // a zero-width workspace and return an n x 0 result.
         let n = 200;
         let k = test_matrix(n);
         let comp = compress::<f64, _>(&k, &config());
@@ -1817,8 +1671,6 @@ mod tests {
         let (u, stats) = evaluator.apply(&w).unwrap();
         assert_eq!((u.rows(), u.cols()), (n, 0));
         assert_eq!(stats.flops, 0);
-        let (u2, _) = evaluate(&k, &comp, &w);
-        assert_eq!((u2.rows(), u2.cols()), (n, 0));
     }
 
     #[test]
@@ -1867,7 +1719,7 @@ mod tests {
         let comp = compress::<f64, _>(&k, &config());
         let mut rng = StdRng::seed_from_u64(13);
         let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
-        let (u, _) = evaluate(&k, &comp, &w);
+        let (u, _) = Evaluator::new(&k, &comp).apply(&w).unwrap();
         let full = {
             let exact = k.matvec_exact(&w);
             u.sub(&exact).norm_fro() / exact.norm_fro()
@@ -1885,7 +1737,7 @@ mod tests {
         let comp = compress::<f64, _>(&k, &cfg);
         let mut rng = StdRng::seed_from_u64(14);
         let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
-        let (u, _) = evaluate(&k, &comp, &w);
+        let (u, _) = Evaluator::new(&k, &comp).apply(&w).unwrap();
         let exact = k.matvec_exact(&w);
         assert!(u.sub(&exact).norm_max() < 1e-10);
     }
@@ -1898,7 +1750,7 @@ mod tests {
         let comp = compress::<f64, _>(&k, &cfg);
         let mut rng = StdRng::seed_from_u64(15);
         let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
-        let (u, _) = evaluate(&k, &comp, &w);
+        let (u, _) = Evaluator::new(&k, &comp).apply(&w).unwrap();
         let exact = k.matvec_exact(&w);
         let rel = u.sub(&exact).norm_fro() / exact.norm_fro();
         assert!(rel < 1e-4, "geometric metric error {rel}");
@@ -1912,7 +1764,7 @@ mod tests {
         let comp = compress::<f32, _>(&k, &cfg);
         let mut rng = StdRng::seed_from_u64(16);
         let w = DenseMatrix::<f32>::random_gaussian(n, 2, &mut rng);
-        let (u, _) = evaluate(&k, &comp, &w);
+        let (u, _) = Evaluator::new(&k, &comp).apply(&w).unwrap();
         let exact = SpdMatrix::<f32>::matvec_exact(&k, &w);
         let rel = (u.sub(&exact).norm_fro() / exact.norm_fro()) as f64;
         assert!(rel < 1e-3, "f32 relative error {rel}");

@@ -14,7 +14,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use gofmm_core::{compress, evaluate, GofmmConfig, TraversalPolicy, DistanceMetric};
+//! use gofmm_core::{compress, GofmmConfig, TraversalPolicy, DistanceMetric};
 //! use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
 //! use gofmm_linalg::DenseMatrix;
 //!
@@ -33,14 +33,19 @@
 //!
 //! let compressed = compress::<f64, _>(&k, &config);
 //! let w = DenseMatrix::<f64>::from_fn(n, 2, |i, j| ((i + j) % 5) as f64);
-//! let (u, _stats) = evaluate(&k, &compressed, &w);
+//! // One matvec, and the compression is not needed again: the evaluator
+//! // steals its cached blocks instead of copying them.
+//! let evaluator = compressed.into_evaluator(&k);
+//! let (u, _stats) = evaluator.apply(&w).unwrap();
 //! assert_eq!(u.rows(), n);
 //! ```
 //!
 //! For repeated matvecs against one compression — iterative solvers,
-//! long-running services — build a persistent [`Evaluator`] once and call
+//! long-running services — keep that [`Evaluator`] and call
 //! [`Evaluator::apply`] per matvec: the interaction blocks, the task DAG and
 //! the per-node buffers are then reused instead of rebuilt per call.
+//! [`Evaluator::new`] builds one that borrows the compression instead, for
+//! callers that still need its cached blocks (a factorization, say).
 //!
 //! ## Crate map
 //!
@@ -67,9 +72,7 @@ pub use compress::{compress, try_compress, CompRef, Compressed, CompressionStats
 pub use config::{ApplyOptions, GofmmConfig, PanelPrecision, TraversalPolicy};
 pub use distance::{DistanceMetric, GramOracle};
 pub use error::Error;
-pub use evaluate::{
-    evaluate, evaluate_with, try_evaluate, try_evaluate_with, EvaluationStats, Evaluator,
-};
+pub use evaluate::{EvaluationStats, Evaluator};
 pub use lists::{build_interaction_lists, check_coverage, InteractionLists};
 #[doc(hidden)]
 pub use persist::{policy_from_tag, policy_tag};

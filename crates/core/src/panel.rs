@@ -11,8 +11,8 @@
 //! * **storage scalar** ([`Values`] / [`MatRef`]) — the operator precision
 //!   `T`, or the reduced [`Scalar::PanelScalar`] of
 //!   [`PanelPrecision::MixedF32`];
-//! * **residence** ([`Panel`]) — owned in memory, borrowed block by block
-//!   from the compression's cache, or a locator into a [`FilePanelStore`].
+//! * **residence** ([`Panel`]) — owned in memory, or a locator into a
+//!   [`FilePanelStore`].
 //!
 //! Residence is resolved *before* any arithmetic: a stored panel is faulted
 //! in to the same [`View`] an in-memory panel exposes, and [`Panel::apply`]
@@ -24,7 +24,10 @@ use crate::config::PanelPrecision;
 use crate::error::Error;
 use crate::evaluate::Evaluator;
 use gofmm_linalg::blas::gemm_flops;
-use gofmm_linalg::{gemm, gemm_cols, gemm_mixed, gemm_mixed_cols, DenseMatrix, Scalar, Transpose};
+use gofmm_linalg::{
+    gemm, gemm_cols, gemm_mixed, gemm_mixed_cols, DenseMatrix, Scalar, Transpose,
+    MATRIX_BLOB_HEADER,
+};
 use gofmm_store::{classes, FilePanelStore, StoreWriter};
 use std::ops::Range;
 use std::sync::Arc;
@@ -238,23 +241,13 @@ impl<T: Scalar> Values<T> {
     }
 }
 
-/// Residence axis: one node's interaction blocks, wherever they live.
-///
-/// `Owned` is the persistent fast path — all blocks concatenated side by
-/// side, so S2S / L2L are one GEMM each. `Blocks` is the zero-copy one-shot
-/// path: the cached per-interaction blocks are borrowed straight from the
-/// [`crate::Compressed`] and multiplied one GEMM per block. Both are
-/// bit-identical across traversal policies; they differ from *each other*
-/// in the last bits, because a packed panel accumulates over one long inner
-/// dimension while the borrowed path adds one block's product at a time.
-pub(crate) enum Panel<'a, T: Scalar> {
+/// Residence axis: one node's interaction blocks, packed side by side so
+/// S2S / L2L are one GEMM each, wherever they live.
+pub(crate) enum Panel<T: Scalar> {
     /// No interaction blocks for this node.
     Empty,
     /// Packed values held in memory.
     Owned(Values<T>),
-    /// Blocks borrowed from the compression's cache, in interaction-list
-    /// order.
-    Blocks(&'a [DenseMatrix<T>]),
     /// The packed values live in a [`FilePanelStore`] and are faulted in per
     /// apply behind the store's LRU resident set (the out-of-core path).
     Stored(StoredPanel),
@@ -316,7 +309,7 @@ impl StoredPanel {
     }
 }
 
-impl<T: Scalar> Panel<'_, T> {
+impl<T: Scalar> Panel<T> {
     /// A locator for `(class, heap)` if `store` holds it — as a dense blob
     /// or as a low-rank pair under the companion classes — and
     /// [`Panel::Empty`] otherwise (nodes without interactions spill nothing).
@@ -327,10 +320,10 @@ impl<T: Scalar> Panel<'_, T> {
         reduced: bool,
     ) -> Self {
         let node = heap as u32;
-        // A DenseMatrix blob is a 17-byte header (1-byte scalar width, two
-        // u64 dimensions) followed by the raw values, so the decoded panel
-        // footprint is the blob length minus the header.
-        let values = |class: u16| Some((store.blob_len(class, node)? as usize).saturating_sub(17));
+        // The decoded panel footprint is the blob length minus its header.
+        let values = |class: u16| {
+            Some((store.blob_len(class, node)? as usize).saturating_sub(MATRIX_BLOB_HEADER))
+        };
         let pair = || {
             let (left, right) = pair_classes(class);
             Some(values(left)? + values(right)?)
@@ -356,7 +349,6 @@ impl<T: Scalar> Panel<'_, T> {
         match self {
             Panel::Empty => true,
             Panel::Owned(values) => values.view().is_empty(),
-            Panel::Blocks(b) => b.is_empty(),
             // Only non-empty panels are ever spilled.
             Panel::Stored(_) => false,
         }
@@ -368,7 +360,6 @@ impl<T: Scalar> Panel<'_, T> {
         match self {
             Panel::Empty => 0,
             Panel::Owned(values) => values.view().bytes(),
-            Panel::Blocks(b) => b.iter().map(|m| MatRef::<T>::Native(m).bytes()).sum(),
             Panel::Stored(sp) => sp.bytes,
         }
     }
@@ -397,11 +388,9 @@ impl<T: Scalar> Panel<'_, T> {
 
     /// `out += panel * rhs`; returns the flops spent.
     ///
-    /// A packed panel (owned, or stored and faulted in here) multiplies the
-    /// whole right-hand side in one [`Shape::apply`]: `stacked(cols, mul)`
-    /// must call `mul` with its `cols` rows stacked in panel column order.
-    /// Borrowed blocks multiply one list entry at a time: `entry(i, mul)`
-    /// must call `mul` with entry `i`'s rows.
+    /// The panel (owned, or stored and faulted in here) multiplies the whole
+    /// right-hand side in one [`Shape::apply`]: `stacked(cols, mul)` must
+    /// call `mul` with its `cols` rows stacked in panel column order.
     ///
     /// With `mirror`, the panel is an owner-layout near panel and the same
     /// call also runs its mirror product ([`View::apply_mirror`]) into
@@ -410,7 +399,6 @@ impl<T: Scalar> Panel<'_, T> {
     pub(crate) fn apply(
         &self,
         stacked: impl FnOnce(usize, &mut dyn FnMut(&DenseMatrix<T>)),
-        entry: impl Fn(usize, &mut dyn FnMut(&DenseMatrix<T>)),
         out: &mut DenseMatrix<T>,
         mut mirror: Option<&mut DenseMatrix<T>>,
     ) -> u64 {
@@ -431,16 +419,6 @@ impl<T: Scalar> Panel<'_, T> {
                 packed(sp.fault().as_ref().map(|m| MatRef::Reduced(m)))
             }
             Panel::Stored(sp) => packed(sp.fault().as_ref().map(|m| MatRef::Native(m))),
-            Panel::Blocks(blocks) => {
-                debug_assert!(mirror.is_none(), "borrowed panels keep the full layout");
-                let mut flops = 0;
-                for (i, block) in blocks.iter().enumerate() {
-                    entry(i, &mut |v| {
-                        flops += Shape::Dense(MatRef::Native(block)).apply(v, out)
-                    });
-                }
-                flops
-            }
         }
     }
 
@@ -469,10 +447,9 @@ impl<T: Scalar> Panel<'_, T> {
         match self {
             Panel::Empty => Ok(()),
             Panel::Owned(values) => values.view().spill(writer, class, heap as u32),
-            Panel::Blocks(_) | Panel::Stored(_) => Err(Error::InvalidConfig {
+            Panel::Stored(_) => Err(Error::InvalidConfig {
                 what: "storage",
-                constraint: "requires an evaluator with owned packed panels \
-                             (not a borrowing or already file-backed one)",
+                constraint: "requires in-memory panels (not an already file-backed one)",
             }),
         }
     }
@@ -531,9 +508,9 @@ impl<T: Scalar> Evaluator<'_, T> {
     /// [`Evaluator::attach_store`].
     ///
     /// # Errors
-    /// [`Error::InvalidConfig`] when a panel is borrowed
-    /// ([`Evaluator::borrowing`]) or already file-backed — only owned packed
-    /// panels can be spilled; [`Error::Storage`] on a write failure.
+    /// [`Error::InvalidConfig`] when a panel is already file-backed — only
+    /// in-memory panels can be spilled; [`Error::Storage`] on a write
+    /// failure.
     pub fn spill_panels(&self, writer: &mut StoreWriter) -> Result<(), Error> {
         for (class, panels) in [(classes::S2S, &self.far), (classes::L2L, &self.near)] {
             for (heap, panel) in panels.iter().enumerate() {
@@ -549,8 +526,8 @@ impl<T: Scalar> Evaluator<'_, T> {
     /// LRU resident set; because the spilled bytes are exact (IEEE bit
     /// patterns), file-backed applies are bit-identical to the in-memory
     /// evaluator under every traversal policy. Panels absent from the store
-    /// (or borrowed) are left untouched, so one evaluator can mix resident
-    /// and spilled nodes.
+    /// are left untouched, so one evaluator can mix resident and spilled
+    /// nodes.
     pub fn attach_store(&mut self, store: &Arc<FilePanelStore>) {
         for (class, panels) in [
             (classes::S2S, &mut self.far),
@@ -572,8 +549,6 @@ mod tests {
 
     const ROWS: usize = 24;
     const RANK: usize = 5;
-    /// Column widths of the three interaction-list entries.
-    const WIDTHS: [usize; 3] = [7, 4, 9];
     const COLS: usize = 20;
     const R: usize = 3;
 
@@ -657,16 +632,12 @@ mod tests {
 
     /// Apply `panel` to the stacked right-hand side `v` on top of a nonzero
     /// accumulator, returning the output bits and the flops reported.
-    fn run(panel: &Panel<'_, f64>, v: &DenseMatrix<f64>) -> (Vec<u64>, u64) {
+    fn run(panel: &Panel<f64>, v: &DenseMatrix<f64>) -> (Vec<u64>, u64) {
         let mut out = mat(ROWS, R, 9);
         let flops = panel.apply(
             |cols, mul| {
                 assert_eq!(cols, COLS, "apply must ask for the panel's column count");
                 mul(v)
-            },
-            |i, mul| {
-                let off: usize = WIDTHS[..i].iter().sum();
-                mul(&v.block(off, off + WIDTHS[i], 0, R));
             },
             &mut out,
             None,
@@ -679,6 +650,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gofmm-panel-table-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let v = mat(COLS, R, 4);
+        assert!(Panel::<f64>::Empty.is_empty());
+        assert_eq!(run(&Panel::Empty, &v), (bits(&mat(ROWS, R, 9)), 0));
         for (node, case) in cases().iter().enumerate() {
             let mut want = mat(ROWS, R, 9);
             (case.reference)(&v, &mut want);
@@ -713,7 +686,7 @@ mod tests {
             );
 
             // Residence 2 again, located from the store alone (`open_from`):
-            // bytes come from the blob lengths minus the 17-byte headers.
+            // bytes come from the blob lengths minus their headers.
             let reduced = matches!((case.values)(), Values::Reduced(_));
             let reopened = Panel::<f64>::stored(&store, classes::S2S, node, reduced);
             assert_eq!(run(&reopened, &v), (want, case.flops), "{}", case.name);
@@ -758,7 +731,7 @@ mod tests {
                 0.0,
                 &mut want_y,
             );
-            let check = |panel: &Panel<'_, f64>| {
+            let check = |panel: &Panel<f64>| {
                 let mut out = mat(ROWS, R, 9);
                 let mut y = DenseMatrix::from_fn(OFF, R, |_, _| f64::NAN);
                 let flops = panel.apply(
@@ -766,7 +739,6 @@ mod tests {
                         assert_eq!(c, cols);
                         mul(&v)
                     },
-                    |_, _| unreachable!("packed panels multiply the stack"),
                     &mut out,
                     Some(&mut y),
                 );
@@ -796,36 +768,6 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn borrowed_blocks_multiply_one_list_entry_at_a_time() {
-        let blocks: Vec<DenseMatrix<f64>> = WIDTHS
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| mat(ROWS, w, 5 + i))
-            .collect();
-        let v = mat(COLS, R, 4);
-        let mut want = mat(ROWS, R, 9);
-        let mut off = 0;
-        for block in &blocks {
-            native(
-                block,
-                &v.block(off, off + block.cols(), 0, R),
-                1.0,
-                &mut want,
-            );
-            off += block.cols();
-        }
-        let panel = Panel::Blocks(&blocks);
-        let (got, flops) = run(&panel, &v);
-        assert_eq!(got, bits(&want));
-        assert_eq!(flops, gemm_flops(ROWS, R, COLS));
-        assert_eq!(panel.bytes(), ROWS * COLS * 8);
-        assert_eq!(panel.resident_bytes(), ROWS * COLS * 8);
-        assert!(panel.dense().is_none() && !panel.is_empty());
-        assert!(Panel::<f64>::Blocks(&[]).is_empty() && Panel::<f64>::Empty.is_empty());
-        assert_eq!(run(&Panel::Empty, &v), (bits(&mat(ROWS, R, 9)), 0));
     }
 
     #[test]

@@ -34,8 +34,8 @@ impl<T: Scalar> Evaluator<'_, T> {
     /// bit-identical to this one's.
     ///
     /// # Errors
-    /// [`Error::InvalidConfig`] for borrowing or already-file-backed
-    /// evaluators; [`Error::Storage`] on a write failure.
+    /// [`Error::InvalidConfig`] for an already file-backed evaluator;
+    /// [`Error::Storage`] on a write failure.
     pub fn write_to(&self, writer: &mut StoreWriter) -> Result<(), Error> {
         let comp = self.compressed();
         let mut buf = Vec::new();
@@ -248,8 +248,8 @@ fn layout_from_tag(tag: u8) -> Result<NearLayout, StoreError> {
 }
 
 /// CONFIG blob: operator scalar width, every [`GofmmConfig`] field, the
-/// evaluator's *actual* panel precision (which can differ from the config's —
-/// e.g. a borrowing evaluator always packs native) and its near-panel layout
+/// evaluator's panel precision (recorded apart from the config's, which it
+/// equals in every evaluator this crate builds) and its near-panel layout
 /// (owner for untuned evaluators, full for tuned ones).
 fn encode_header<T: Scalar>(
     out: &mut Vec<u8>,

@@ -147,11 +147,11 @@ impl TuneStats {
 
 /// One panel replacement of a candidate state, reversible by re-applying
 /// the displaced original.
-struct PanelEdit<'a, T: Scalar> {
+struct PanelEdit<T: Scalar> {
     /// True for a far (S2S) panel, false for a near (L2L) panel.
     far: bool,
     heap: usize,
-    panel: Panel<'a, T>,
+    panel: Panel<T>,
     /// Replacement effective far list when the edit dropped far blocks.
     list: Option<Vec<usize>>,
     /// Far blocks removed by this edit.
@@ -164,7 +164,7 @@ struct PanelEdit<'a, T: Scalar> {
 /// the budget) so that every budget scans the same candidate sequence.
 const TAU0: f64 = 0.25;
 
-impl<'a, T: Scalar> Evaluator<'a, T> {
+impl<T: Scalar> Evaluator<'_, T> {
     /// Sparsify this evaluator's packed panels until they just fit
     /// `budget`: drop small-norm far blocks and rank-truncate S2S/L2L
     /// panels, accepting the most aggressive candidate whose *measured*
@@ -189,9 +189,8 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     /// # Errors
     /// [`Error::InvalidConfig`] when the budget is malformed (`eps2` not
     /// positive and finite, zero probes, decay outside `(0, 1)`), or when
-    /// the evaluator does not own its panels in memory — borrowing
-    /// evaluators and already-spilled (file-backed) panels cannot be
-    /// tuned; tune *before* attaching a store.
+    /// a panel is already spilled (file-backed): tune *before* attaching a
+    /// store.
     pub fn tune(&mut self, budget: &AccuracyBudget) -> Result<TuneStats, Error> {
         if !(budget.eps2.is_finite() && budget.eps2 > 0.0) {
             return Err(Error::InvalidConfig {
@@ -211,24 +210,11 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
                 constraint: "accuracy budget decay must lie in (0, 1)",
             });
         }
-        for panel in self.far.iter().chain(self.near.iter()) {
-            match panel {
-                Panel::Blocks(_) => {
-                    return Err(Error::InvalidConfig {
-                        what: "tune",
-                        constraint: "requires an evaluator that owns packed panels \
-                                     (not a borrowing one)",
-                    })
-                }
-                Panel::Stored(_) => {
-                    return Err(Error::InvalidConfig {
-                        what: "tune",
-                        constraint: "requires in-memory panels; tune before spilling \
-                                     to a store",
-                    })
-                }
-                _ => {}
-            }
+        if self.far.iter().chain(&self.near).any(Panel::is_stored) {
+            return Err(Error::InvalidConfig {
+                what: "tune",
+                constraint: "requires in-memory panels; tune before spilling to a store",
+            });
         }
 
         let sw = Stopwatch::start();
@@ -322,7 +308,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     /// return the owner panels; `None` when the layout already is full.
     /// Kernel blocks are bit-symmetric, so these are the very panels a
     /// full-layout construction packs.
-    pub(crate) fn unfold_near_mirrors(&mut self) -> Option<Vec<Panel<'a, T>>> {
+    pub(crate) fn unfold_near_mirrors(&mut self) -> Option<Vec<Panel<T>>> {
         if self.near_map.layout() == NearLayout::Full {
             return None;
         }
@@ -379,7 +365,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         tau: f64,
         global_scale: f64,
         total_blocks: usize,
-    ) -> Vec<PanelEdit<'a, T>> {
+    ) -> Vec<PanelEdit<T>> {
         let thr = tau * global_scale / (total_blocks.max(1) as f64).sqrt();
         let comp = self.compressed();
         let rank_of = |alpha: usize| {
@@ -422,7 +408,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
 
     /// Swap `edits` into the evaluator, returning the displaced originals —
     /// re-applying the result rolls the state back exactly.
-    fn apply_edits(&mut self, edits: Vec<PanelEdit<'a, T>>) -> Vec<PanelEdit<'a, T>> {
+    fn apply_edits(&mut self, edits: Vec<PanelEdit<T>>) -> Vec<PanelEdit<T>> {
         let mut undo = Vec::with_capacity(edits.len());
         for edit in edits {
             let slot = if edit.far {
@@ -563,7 +549,7 @@ fn try_truncate<T: Scalar, S: Scalar>(m: &DenseMatrix<S>, tau: f64) -> Trunc<S> 
 /// Candidate edit for a far panel stored as `S` (`wrap` names the scalar
 /// axis): block drops, selected on the stored values so kept values stay
 /// bit-exact, then a rank truncation of what survives.
-fn far_edit<'a, T: Scalar, S: Scalar>(
+fn far_edit<T: Scalar, S: Scalar>(
     heap: usize,
     m: &DenseMatrix<S>,
     list: &[usize],
@@ -571,7 +557,7 @@ fn far_edit<'a, T: Scalar, S: Scalar>(
     thr: f64,
     tau: f64,
     wrap: impl Fn(Shape<DenseMatrix<S>>) -> Values<T>,
-) -> Option<PanelEdit<'a, T>> {
+) -> Option<PanelEdit<T>> {
     let (sel, new_list, dropped) = match drop_blocks(m, list, widths, thr) {
         Some(d) => d,
         None => (m.clone(), list.to_vec(), 0),
@@ -604,11 +590,11 @@ fn far_edit<'a, T: Scalar, S: Scalar>(
 /// Candidate panel for a near (L2L) panel stored as `S`: rank truncation
 /// only — near blocks are never dropped, so the panel's columns stay aligned
 /// with the leaf's stacked near rows (the compression's near lists).
-fn near_edit<'a, T: Scalar, S: Scalar>(
+fn near_edit<T: Scalar, S: Scalar>(
     m: &DenseMatrix<S>,
     tau: f64,
     wrap: impl Fn(Shape<DenseMatrix<S>>) -> Values<T>,
-) -> Option<Panel<'a, T>> {
+) -> Option<Panel<T>> {
     match try_truncate::<T, S>(m, tau) {
         Trunc::Zero => Some(Panel::Empty),
         Trunc::Shrunk(pair) => Some(Panel::Owned(wrap(pair))),

@@ -5,9 +5,9 @@
 //! GEMM, a different accumulation width) passes. This test pins the output
 //! bit patterns themselves: FNV-1a over the `to_bits()` of a 3-column apply,
 //! for each panel precision × {untuned, tuned} × {resident, spilled and
-//! attached at a thrashing budget, persisted and reopened}, plus the
-//! one-shot borrowed path — compared against constants recorded before the
-//! seven-variant `Panel` enum was collapsed. The resident-byte gauge is
+//! attached at a thrashing budget, persisted and reopened} — compared
+//! against constants recorded before the seven-variant `Panel` enum was
+//! collapsed. The resident-byte gauge is
 //! pinned alongside, so the panel byte accounting cannot drift either.
 //!
 //! The matrix is an inverse-multiquadric kernel (`+ − × ÷ sqrt` only, all
@@ -19,8 +19,8 @@
 //! a host without AVX2).
 
 use gofmm_core::{
-    compress, evaluate, AccuracyBudget, Evaluator, FilePanelStore, GofmmConfig, PanelPrecision,
-    StoreWriter, TraversalPolicy,
+    compress, AccuracyBudget, Evaluator, FilePanelStore, GofmmConfig, PanelPrecision, StoreWriter,
+    TraversalPolicy,
 };
 use gofmm_linalg::{simd_level, DenseMatrix, SimdLevel};
 use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
@@ -96,10 +96,6 @@ const GOLDEN: [(PanelPrecision, bool, [u64; 2], usize); 4] = [
 /// `cached_bytes()` once every panel is file-backed: nothing stays resident.
 const SPILLED_BYTES: usize = 0;
 
-/// FNV-1a of the one-shot borrowed-blocks apply (native, untuned), as
-/// `[scalar, avx2]`.
-const GOLDEN_ONE_SHOT: [u64; 2] = [0x8f1f_5ea4_a4b8_e8a2, 0x198b_f28c_136a_f95f];
-
 /// Index of the running dispatch level in the `[scalar, avx2]` columns.
 fn level() -> usize {
     match simd_level() {
@@ -158,12 +154,4 @@ fn apply_bits_match_the_recorded_fingerprints() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-#[test]
-fn one_shot_borrowed_apply_matches_its_recorded_fingerprint() {
-    let k = kernel();
-    let comp = compress::<f64, _>(&k, &config(PanelPrecision::Native));
-    let (u, _) = evaluate(&k, &comp, &rhs());
-    assert_eq!(fnv1a(&u), GOLDEN_ONE_SHOT[level()]);
 }

@@ -76,6 +76,11 @@ pub fn check_scalar_width<T: Scalar>(width: u8) -> Result<(), StoreError> {
     Ok(())
 }
 
+/// Bytes of a [`DenseMatrix`] blob ahead of its values: the scalar width
+/// (one byte) and the two dimensions (a `u64` each). An encoded `m × n`
+/// matrix is this header plus `m·n` scalars.
+pub const MATRIX_BLOB_HEADER: usize = 1 + 2 * std::mem::size_of::<u64>();
+
 impl<T: Scalar> Blob for DenseMatrix<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         {
@@ -194,6 +199,20 @@ mod tests {
         let s = DenseMatrix::<f32>::from_fn(4, 9, |i, j| ((i * 13 + j) as f32).cos());
         roundtrip(&s);
         roundtrip(&DenseMatrix::<f64>::zeros(0, 3));
+    }
+
+    #[test]
+    fn matrix_blob_is_its_header_plus_the_values() {
+        fn check<T: Scalar>(rows: usize, cols: usize) {
+            let mut bytes = Vec::new();
+            DenseMatrix::<T>::zeros(rows, cols).encode(&mut bytes);
+            let values = rows * cols * std::mem::size_of::<T>();
+            assert_eq!(bytes.len(), MATRIX_BLOB_HEADER + values, "{rows} x {cols}");
+        }
+        for (rows, cols) in [(7, 5), (0, 3), (1, 1), (64, 130)] {
+            check::<f64>(rows, cols);
+            check::<f32>(rows, cols);
+        }
     }
 
     fn sample_rotation(m: usize, k: usize) -> WyRotation<f64> {

@@ -40,7 +40,7 @@ pub use blas::{
     axpy, dot, gemm, gemm_cols, gemm_mixed, gemm_mixed_cols, gemv, matmul, matmul_nt, matmul_tn,
     norm2_est, nrm2, Transpose,
 };
-pub use blob::{check_scalar_width, decode_scalar_vec, encode_scalar_slice};
+pub use blob::{check_scalar_width, decode_scalar_vec, encode_scalar_slice, MATRIX_BLOB_HEADER};
 pub use cholesky::{is_spd, Cholesky, NotPositiveDefinite};
 pub use id::{id_reconstruct, interpolative_decomposition, Id};
 pub use lu::{LuFactor, SingularMatrix};

@@ -371,8 +371,7 @@ impl ReusablePlan {
 }
 
 /// A [`ReusablePlan`] paired with one closure per task: the one-shot plan
-/// used when a phase runs exactly once (compression, and the legacy
-/// `evaluate()` path before evaluators existed).
+/// used when a phase runs exactly once (compression).
 ///
 /// See [`ReusablePlan`] for the key/dependency semantics; `PhasePlan` simply
 /// forwards construction and attaches the work.

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example graph_laplacian`
 
-use gofmm_suite::core::{compress, evaluate, DistanceMetric, GofmmConfig};
+use gofmm_suite::core::{compress, DistanceMetric, Evaluator, GofmmConfig};
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{graph_laplacian_inverse, sampled_relative_error, Graph, SpdMatrix};
 
@@ -61,7 +61,9 @@ fn main() {
             .with_budget(budget)
             .with_metric(metric);
         let comp = compress::<f64, _>(&k, &config);
-        let (u, stats) = evaluate(&k, &comp, &w);
+        let (u, stats) = Evaluator::new(&k, &comp)
+            .apply(&w)
+            .expect("matching dimensions");
         let eps2 = sampled_relative_error(&k, &w, &u, 100, 0);
         println!(
             "{label:45} compress {:6.2}s  evaluate {:6.3}s  avg rank {:6.1}  eps2 {:9.3e}",

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example inverse_operator`
 
-use gofmm_suite::core::{compress, evaluate, DistanceMetric, GofmmConfig};
+use gofmm_suite::core::{compress, DistanceMetric, GofmmConfig};
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{sampled_relative_error, SpdMatrix};
 use rand::rngs::StdRng;
@@ -37,6 +37,9 @@ fn main() {
         comp.stats.far_pairs
     );
 
+    // One evaluator serves every product below.
+    let evaluator = comp.into_evaluator(&k);
+
     // Hutchinson trace estimator: trace(K) ~ mean_z z^T K z with Rademacher z.
     let samples = 64;
     let mut rng = StdRng::seed_from_u64(1);
@@ -45,7 +48,7 @@ fn main() {
         samples,
         |_, _| if rng.gen::<bool>() { 1.0 } else { -1.0 },
     );
-    let (kz, stats) = evaluate(&k, &comp, &z);
+    let (kz, stats) = evaluator.apply(&z).expect("matching dimensions");
     let mut trace_est = 0.0;
     for s in 0..samples {
         let mut acc = 0.0;
@@ -70,7 +73,7 @@ fn main() {
 
     // Smooth random field: u = K g looks like a correlated Gaussian field.
     let g = DenseMatrix::<f64>::from_fn(n, 1, |_, _| rng.gen::<f64>() - 0.5);
-    let (field, _) = evaluate(&k, &comp, &g);
+    let (field, _) = evaluator.apply(&g).expect("matching dimensions");
     let mean: f64 = (0..n).map(|i| field[(i, 0)]).sum::<f64>() / n as f64;
     println!("smooth random field drawn; mean value {mean:.3e}");
 }

@@ -9,22 +9,16 @@
 //!
 //! Run with: `cargo run --release --example kernel_regression`
 
-use gofmm_suite::core::{compress, evaluate, Compressed, DistanceMetric, GofmmConfig};
+use gofmm_suite::core::{compress, DistanceMetric, Evaluator, GofmmConfig};
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{KernelMatrix, KernelType, PointCloud, SpdMatrix};
 
 /// Conjugate gradients on the compressed operator plus a ridge shift.
-fn cg_solve(
-    kernel: &KernelMatrix,
-    comp: &Compressed<f64>,
-    y: &[f64],
-    ridge: f64,
-    iters: usize,
-) -> Vec<f64> {
+fn cg_solve(evaluator: &Evaluator<'_, f64>, y: &[f64], ridge: f64, iters: usize) -> Vec<f64> {
     let n = y.len();
     let matvec = |x: &[f64]| -> Vec<f64> {
         let xm = DenseMatrix::from_vec(n, 1, x.to_vec());
-        let (u, _) = evaluate(kernel, comp, &xm);
+        let (u, _) = evaluator.apply(&xm).expect("matching dimensions");
         (0..n).map(|i| u[(i, 0)] + ridge * x[i]).collect()
     };
     let mut x = vec![0.0; n];
@@ -78,7 +72,7 @@ fn main() {
     );
     let ridge = 1e-3;
 
-    // Compress once, then reuse the compressed operator for every CG matvec.
+    // Compress once, then serve every CG matvec from one evaluator.
     let config = GofmmConfig::default()
         .with_leaf_size(128)
         .with_max_rank(128)
@@ -92,7 +86,8 @@ fn main() {
         comp.average_rank()
     );
 
-    let coeffs = cg_solve(&kernel, &comp, &y, ridge, 50);
+    let evaluator = comp.into_evaluator(&kernel);
+    let coeffs = cg_solve(&evaluator, &y, ridge, 50);
 
     // Residual of the ridge system (K + ridge I) c = y on a sample of rows,
     // using exact rows of K.

@@ -53,7 +53,7 @@ fn main() {
     );
 
     // 5. Evaluate u = K w for 128 right-hand sides — twice, to show the
-    //    steady-state cost. Both applies are bit-identical to evaluate().
+    //    steady-state cost. Both applies give the same bits.
     let w = DenseMatrix::<f64>::from_fn(n, 128, |i, j| ((i * 7 + j * 13) % 32) as f64 / 32.0 - 0.5);
     let (u, eval_stats) = evaluator.apply(&w).expect("matching dimensions");
     println!(

@@ -3,7 +3,7 @@
 //! behind Tables 3 and 4 of the paper.
 
 use gofmm_suite::baselines::{AskitConfig, AskitMatrix, Hodlr, HodlrConfig, HssConfig, HssMatrix};
-use gofmm_suite::core::{compress, evaluate, DistanceMetric, GofmmConfig, TraversalPolicy};
+use gofmm_suite::core::{compress, DistanceMetric, GofmmConfig, TraversalPolicy};
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{
     build_matrix, sampled_relative_error, SpdMatrix, TestMatrixId, ZooOptions,
@@ -40,7 +40,7 @@ fn all_methods_are_accurate_on_well_ordered_operator() {
     let w = rhs(n, 8);
 
     let comp = compress::<f64, _>(&k, &gofmm_config());
-    let (u_gofmm, _) = evaluate(&k, &comp, &w);
+    let (u_gofmm, _) = comp.into_evaluator(&k).apply(&w).unwrap();
     let e_gofmm = sampled_relative_error(&k, &w, &u_gofmm, 100, 0);
 
     let hodlr = Hodlr::<f64>::compress(
@@ -105,7 +105,7 @@ fn gofmm_beats_unpermuted_baselines_on_scrambled_kernel() {
         .with_metric(DistanceMetric::Kernel)
         .with_budget(0.10);
     let comp = compress::<f64, _>(&k, &cfg);
-    let (u_gofmm, _) = evaluate(&k, &comp, &w);
+    let (u_gofmm, _) = comp.into_evaluator(&k).apply(&w).unwrap();
     let e_gofmm = sampled_relative_error(&k, &w, &u_gofmm, 100, 0);
 
     let hodlr = Hodlr::<f64>::compress(
@@ -167,7 +167,7 @@ fn askit_and_gofmm_agree_when_points_exist() {
     let cfg = gofmm_config().with_metric(DistanceMetric::Geometric);
     let comp = compress::<f64, _>(&k, &cfg);
     let w_mat = DenseMatrix::from_vec(n, 1, w_vec.clone());
-    let (u_gofmm, _) = evaluate(&k, &comp, &w_mat);
+    let (u_gofmm, _) = comp.into_evaluator(&k).apply(&w_mat).unwrap();
 
     let u_askit_mat = DenseMatrix::from_vec(n, 1, u_askit);
     let e_askit = sampled_relative_error(&k, &w_mat, &u_askit_mat, 100, 0);
@@ -190,7 +190,7 @@ fn gofmm_handles_coordinate_free_matrices_baselines_with_points_cannot() {
     // GOFMM works.
     let comp = compress::<f64, _>(&k, &gofmm_config());
     let w = rhs(k.n(), 4);
-    let (u, _) = evaluate(&k, &comp, &w);
+    let (u, _) = comp.into_evaluator(&k).apply(&w).unwrap();
     let eps = sampled_relative_error(&k, &w, &u, 100, 0);
     assert!(eps < 5e-2, "G04 eps {eps}");
     // ASKIT cannot even start (panics); verified in the baselines unit tests.

@@ -132,7 +132,6 @@ fn compressed_operator_is_symmetric() {
     // lists are symmetrized and the far blocks reuse the same skeletons and
     // interpolation matrices on both sides, applying K~ to basis vectors must
     // give a symmetric matrix (up to round-off).
-    use gofmm_suite::core::evaluate;
     use gofmm_suite::linalg::DenseMatrix;
     let n = 256;
     let k = kernel_matrix(n, 3, 0.8, 21);
@@ -151,7 +150,7 @@ fn compressed_operator_is_symmetric() {
     for (c, &i) in cols.iter().enumerate() {
         basis[(i, c)] = 1.0;
     }
-    let (ktilde_cols, _) = evaluate(&k, &comp, &basis);
+    let (ktilde_cols, _) = comp.into_evaluator(&k).apply(&basis).unwrap();
     let scale = ktilde_cols.norm_max();
     for (a, &i) in cols.iter().enumerate() {
         for (b, &j) in cols.iter().enumerate() {
