@@ -41,8 +41,8 @@ pub struct CompressionStats {
     pub far_pairs: usize,
     /// Estimated floating-point operations spent in skeletonization.
     pub flops: u64,
-    /// Scheduler statistics when skeletonization ran through the shared
-    /// execution-plan layer (every policy except level-by-level).
+    /// Scheduler statistics of the skeletonization sweep, under every
+    /// policy; `None` only when the tree is a single leaf.
     pub exec: Option<ExecStats>,
 }
 
@@ -358,10 +358,9 @@ pub fn try_compress<T: Scalar, M: SpdMatrix<T> + ?Sized>(
 /// Skeletonize every non-root node with the configured traversal policy.
 ///
 /// The per-node bases live in [`DisjointCells`]: each SKEL task writes its
-/// own node's cell and reads its children's cells, and that access pattern is
-/// ordered either by the plan's dependency edges (DAG policies, sequential)
-/// or by the per-level barrier (level-by-level), so no cell ever needs a
-/// blocking lock.
+/// own node's cell and reads its children's cells, and the plan orders that
+/// access under every policy (by dependency edges, or by the barrier between
+/// levels), so no cell ever needs a blocking lock.
 fn skeletonize_all<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     matrix: &M,
     tree: &PartitionTree,
@@ -408,50 +407,33 @@ fn skeletonize_all<T: Scalar, M: SpdMatrix<T> + ?Sized>(
         skeletonize_node(matrix, &columns, own, neighbors, &params)
     };
 
-    let exec = match config.policy.schedule_policy() {
-        None => {
-            // Level-by-level: a barrier after every level orders child writes
-            // before parent reads.
-            for level in (1..=tree.depth()).rev() {
-                let nodes: Vec<usize> = tree.level_range(level).collect();
-                parallel_for(nodes.len(), config.num_threads, |i| {
-                    let heap = nodes[i];
-                    let b = skel_one(heap);
-                    bases.set(heap, Some(b));
-                });
+    let m = config.leaf_size as f64;
+    let s = config.max_rank as f64;
+    let skel_ref = &skel_one;
+    let bases_ref = &bases;
+    let mut plan = PhasePlan::new();
+    plan.add_bottom_up(
+        "SKEL",
+        tree,
+        |heap| heap == 0,
+        |heap| {
+            if tree.is_leaf(heap) {
+                2.0 * m * m * m
+            } else {
+                2.0 * s * s * s
             }
-            None
-        }
-        Some(policy) => {
-            let m = config.leaf_size as f64;
-            let s = config.max_rank as f64;
-            let skel_ref = &skel_one;
-            let bases_ref = &bases;
-            let mut plan = PhasePlan::new();
-            plan.add_bottom_up(
-                "SKEL",
-                tree,
-                |heap| heap == 0,
-                |heap| {
-                    if tree.is_leaf(heap) {
-                        2.0 * m * m * m
-                    } else {
-                        2.0 * s * s * s
-                    }
-                },
-                |heap| {
-                    move || {
-                        let b = skel_ref(heap);
-                        bases_ref.set(heap, Some(b));
-                    }
-                },
-            );
-            Some(plan.run(policy, config.num_threads))
-        }
-    };
+        },
+        |heap| {
+            move || {
+                let b = skel_ref(heap);
+                bases_ref.set(heap, Some(b));
+            }
+        },
+    );
+    let exec = plan.run(config.policy, config.num_threads);
 
     stats.flops += flops.load(Ordering::Relaxed);
-    (bases.into_inner(), exec)
+    (bases.into_inner(), Some(exec))
 }
 
 /// Per-node cached blocks, aligned with the corresponding interaction list.
@@ -673,9 +655,7 @@ mod tests {
             for heap in 1..comp.tree.node_count() {
                 assert!(comp.bases[heap].is_some(), "{policy}: node {heap} missing");
             }
-            if policy.dag_policy().is_some() {
-                assert!(comp.stats.exec.is_some());
-            }
+            assert!(comp.stats.exec.is_some(), "{policy}: no exec stats");
         }
     }
 

@@ -1,66 +1,12 @@
 //! Configuration of the GOFMM compression and evaluation.
 
 use crate::distance::DistanceMetric;
-use gofmm_runtime::{CancelToken, SchedulePolicy};
+use gofmm_runtime::CancelToken;
 use gofmm_telemetry::{ProgressHandle, TraceSink};
 
-/// How tree traversals are executed (paper §2.3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraversalPolicy {
-    /// Single-threaded reference traversals.
-    Sequential,
-    /// Parallel level-by-level traversals with a barrier per tree level
-    /// (the classical static-scheduling approach).
-    LevelByLevel,
-    /// Out-of-order execution of the task dependency DAG with the HEFT
-    /// runtime (GOFMM's own scheduler).
-    DagHeft,
-    /// Out-of-order execution with a plain FIFO task pool (the paper's
-    /// `omp task depend` comparison point).
-    DagFifo,
-}
-
-impl TraversalPolicy {
-    /// The schedule used when this traversal executes through the shared
-    /// execution-plan layer (`gofmm_runtime::PhasePlan`). Every policy except
-    /// the barrier-based level-by-level traversal routes through the plan;
-    /// `Sequential` is simply the plan executed in topological order on the
-    /// calling thread.
-    pub fn schedule_policy(&self) -> Option<SchedulePolicy> {
-        match self {
-            TraversalPolicy::Sequential => Some(SchedulePolicy::Sequential),
-            TraversalPolicy::DagHeft => Some(SchedulePolicy::Heft),
-            TraversalPolicy::DagFifo => Some(SchedulePolicy::Fifo),
-            TraversalPolicy::LevelByLevel => None,
-        }
-    }
-
-    /// The out-of-order DAG scheduling policy, when this traversal uses one
-    /// (the paper's runtime comparison: HEFT vs `omp task depend`).
-    pub fn dag_policy(&self) -> Option<SchedulePolicy> {
-        match self {
-            TraversalPolicy::DagHeft => Some(SchedulePolicy::Heft),
-            TraversalPolicy::DagFifo => Some(SchedulePolicy::Fifo),
-            _ => None,
-        }
-    }
-
-    /// Display label used in experiment tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TraversalPolicy::Sequential => "sequential",
-            TraversalPolicy::LevelByLevel => "level-by-level",
-            TraversalPolicy::DagHeft => "dag-heft",
-            TraversalPolicy::DagFifo => "dag-fifo",
-        }
-    }
-}
-
-impl std::fmt::Display for TraversalPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.label())
-    }
-}
+/// How tree traversals are executed (paper §2.3): the runtime's schedules
+/// of one task DAG, re-exported here so configuration code needs one import.
+pub use gofmm_runtime::TraversalPolicy;
 
 /// Storage precision of the evaluator's packed interaction panels.
 ///
@@ -288,15 +234,15 @@ impl GofmmConfig {
 /// produces bit-identical results, so the options only steer scheduling.
 ///
 /// A [`CancelToken`] attached via [`ApplyOptions::with_cancel`] is polled at
-/// checkpoints inside the sweep (once per DAG task, or between level
-/// barriers); when it fires, the call drains its remaining tasks, returns
+/// checkpoints inside the sweep (once per task, under every policy); when
+/// it fires, the call drains its remaining tasks, returns
 /// `Err(Error::Cancelled)`, and its leased workspace goes back to the pool
 /// in a reusable state.
 ///
 /// A [`TraceSink`] attached via [`ApplyOptions::with_trace`] records one
 /// task span per executed task body (plus a phase span for the whole call,
-/// and per-level barrier markers under the level-by-level policy) into the
-/// sink. Tracing never changes the call's outputs: traced and untraced
+/// and one marker per barrier group under the level-by-level policy) into
+/// the sink. Tracing never changes the call's outputs: traced and untraced
 /// runs are bit-identical.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ApplyOptions {
@@ -407,37 +353,5 @@ mod tests {
         assert_eq!(c.max_near(64), 16);
         let hss = GofmmConfig::default().with_budget(0.0);
         assert_eq!(hss.max_near(64), 1);
-    }
-
-    #[test]
-    fn traversal_policy_dag_mapping() {
-        assert_eq!(
-            TraversalPolicy::DagHeft.dag_policy(),
-            Some(SchedulePolicy::Heft)
-        );
-        assert_eq!(
-            TraversalPolicy::DagFifo.dag_policy(),
-            Some(SchedulePolicy::Fifo)
-        );
-        assert_eq!(TraversalPolicy::Sequential.dag_policy(), None);
-        assert_eq!(TraversalPolicy::LevelByLevel.dag_policy(), None);
-        assert_eq!(TraversalPolicy::LevelByLevel.to_string(), "level-by-level");
-    }
-
-    #[test]
-    fn traversal_policy_schedule_mapping() {
-        assert_eq!(
-            TraversalPolicy::Sequential.schedule_policy(),
-            Some(SchedulePolicy::Sequential)
-        );
-        assert_eq!(
-            TraversalPolicy::DagHeft.schedule_policy(),
-            Some(SchedulePolicy::Heft)
-        );
-        assert_eq!(
-            TraversalPolicy::DagFifo.schedule_policy(),
-            Some(SchedulePolicy::Fifo)
-        );
-        assert_eq!(TraversalPolicy::LevelByLevel.schedule_policy(), None);
     }
 }

@@ -27,9 +27,8 @@
 //!
 //! Every construction packs the same panels, so all three give the same
 //! bits, and each produces bit-identical outputs for every traversal policy:
-//! all cross-task accumulation orders are fixed by dependency edges (or by
-//! the equivalent level-by-level barriers), so the schedule cannot change a
-//! bit.
+//! all four schedules run the same plan, whose dependency edges fix every
+//! cross-task accumulation order, so the schedule cannot change a bit.
 
 use crate::compress::{CompRef, Compressed};
 use crate::config::{ApplyOptions, PanelPrecision, TraversalPolicy};
@@ -44,9 +43,7 @@ use gofmm_runtime::{
     parallel_for, CancelToken, DisjointCells, ExecStats, Family, ReusablePlan, RunDefaults,
     WorkspacePool,
 };
-use gofmm_telemetry::{
-    traced_barrier, traced_task, PhaseTimes, SpanKind, Stopwatch, SweepProgress,
-};
+use gofmm_telemetry::{PhaseTimes, SpanKind, Stopwatch, SweepProgress};
 use gofmm_tree::PartitionTree;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -70,8 +67,7 @@ pub struct EvaluationStats {
     pub panel_precision: PanelPrecision,
     /// Floating-point operations performed (GEMM counts).
     pub flops: u64,
-    /// Scheduler statistics when the evaluation ran through the shared
-    /// execution-plan layer (every policy except level-by-level).
+    /// Scheduler statistics of the sweep; `Some` for every apply.
     pub exec: Option<ExecStats>,
     /// Outcome of the last accepted [`Evaluator::tune`] run on the serving
     /// evaluator, `None` when it was never tuned.
@@ -164,7 +160,7 @@ pub struct Evaluator<'a, T: Scalar> {
     comp: CompRef<'a, T>,
     /// Default traversal policy / worker count, overridable per call through
     /// [`ApplyOptions`].
-    defaults: RunDefaults<TraversalPolicy>,
+    defaults: RunDefaults,
     /// Per-node far blocks `K_{skel(beta), skel(alpha)}`, packed into one
     /// panel (in memory or file-backed); [`Panel::Empty`] when the node has
     /// none.
@@ -635,7 +631,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     /// # Errors
     /// [`Error::DimensionMismatch`] when `w.rows() != n`;
     /// [`Error::Cancelled`] when `opts.cancel` fires before the sweep
-    /// completes (checked once per DAG task, or between level barriers).
+    /// completes (checked once per task under every policy).
     /// A cancelled call leaves the evaluator fully reusable: its leased
     /// workspace is returned to the pool and reset on the next checkout.
     pub fn apply_with(
@@ -679,74 +675,19 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             flops: &flops,
             owner_mirrors,
         };
-        let exec_stats = match (policy.schedule_policy(), cancel) {
-            (None, cancel) => {
-                // Level-by-level: one barrier per tree level / task family.
-                // The phase order (all S2S before any S2N, S2N levels
-                // descending the tree) matches the plan's dependency edges,
-                // so per-cell write order — and therefore the floating-point
-                // result — is identical to the DAG policies. Cancellation is
-                // polled at each barrier (the level-by-level analogue of the
-                // DAG runners' per-task checkpoint).
-                // One barrier: `family`'s tasks over `nodes`, traced under
-                // `barrier_level`, reported as progress stage `stage_level`.
-                let stage = |family: Family,
-                             barrier_level: usize,
-                             stage_level: usize,
-                             nodes: std::ops::Range<usize>|
-                 -> Result<(), Error> {
-                    if cancel.is_some_and(CancelToken::is_cancelled) {
-                        return Err(Error::Cancelled);
-                    }
-                    traced_barrier(sink, family, barrier_level, || {
-                        parallel_for(nodes.len(), num_threads, |i| {
-                            let node = nodes.start + i;
-                            traced_task(sink, family, node, gofmm_runtime::heap_level(node), || {
-                                pass.dispatch(family, node)
-                            })
-                        })
-                    });
-                    if let Some(sp) = sweep.as_ref() {
-                        sp.stage_done(family, stage_level);
-                    }
-                    Ok(())
-                };
-                let depth = tree.depth();
-                for level in (1..=depth).rev() {
-                    stage(
-                        "N2S",
-                        level as usize,
-                        level as usize,
-                        tree.level_range(level),
-                    )?;
+        let exec_stats = self
+            .plan
+            .run_with(policy, num_threads, cancel, sink, |family, node| {
+                pass.dispatch(family, node);
+                if let Some(sp) = sweep.as_ref() {
+                    let level = match family {
+                        "N2S" | "S2N" => gofmm_runtime::heap_level(node),
+                        _ => 0,
+                    };
+                    sp.task_done(family, level);
                 }
-                stage("S2S", 0, 0, 1..tree.node_count())?;
-                for level in 1..=depth {
-                    stage(
-                        "S2N",
-                        level as usize,
-                        level as usize,
-                        tree.level_range(level),
-                    )?;
-                }
-                stage("L2L", depth as usize, 0, tree.leaf_range())?;
-                None
-            }
-            (Some(sched), cancel) => Some(
-                self.plan
-                    .run_with(sched, num_threads, cancel, sink, |family, node| {
-                        pass.dispatch(family, node);
-                        if let Some(sp) = sweep.as_ref() {
-                            let level = match family {
-                                "N2S" | "S2N" => gofmm_runtime::heap_level(node),
-                                _ => 0,
-                            };
-                            sp.task_done(family, level);
-                        }
-                    })
-                    .map_err(|_| Error::Cancelled)?,
-            ),
-        };
+            })
+            .map_err(|_| Error::Cancelled)?;
 
         let out = ws.assemble(&self.comp, &self.near_map, owner_mirrors);
         if let (Some(s), Some(t0)) = (sink, phase_start) {
@@ -758,7 +699,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             cached_bytes: self.cached_bytes,
             panel_precision: self.panel_precision,
             flops: flops.load(Ordering::Relaxed),
-            exec: exec_stats,
+            exec: Some(exec_stats),
             tune: self.tune_stats.clone(),
         };
         Ok((out, stats))
@@ -894,9 +835,9 @@ fn hstack_blocks<'b, T: Scalar>(
 ///
 /// All four per-node value families live in [`DisjointCells`] inside the
 /// leased workspace: every cell has exactly one writing task, and every
-/// cross-task read/write pair is ordered either by a plan dependency edge
-/// (DAG policies, sequential) or by a phase barrier (level-by-level), so no
-/// cell ever takes a blocking lock. In particular the `utilde` accumulation —
+/// cross-task read/write pair is ordered by a plan dependency edge (which
+/// level-by-level honours with the barrier between groups), so no cell ever
+/// takes a blocking lock. In particular the `utilde` accumulation —
 /// written by a node's own S2S *and* by its parent's S2N — is ordered by the
 /// explicit `S2S(child) -> S2N(parent)` edges in [`evaluation_plan`], which
 /// also fixes the floating-point accumulation order, making outputs
@@ -1384,9 +1325,7 @@ mod tests {
             let (u, stats) = apply(policy, 4);
             let diff = u.sub(&u_seq).norm_max();
             assert!(diff < 1e-8, "{policy}: max diff {diff}");
-            if policy.dag_policy().is_some() {
-                assert!(stats.exec.is_some());
-            }
+            assert!(stats.exec.is_some(), "{policy}: no exec stats");
         }
     }
 

@@ -2,14 +2,13 @@
 //!
 //! A [`CancelToken`] is a cloneable flag shared between a caller and the
 //! engine working on its behalf. The caller sets it ([`CancelToken::cancel`]);
-//! the engine polls it at checkpoints inside its sweep loops — between DAG
-//! tasks in the executors, between level barriers in level-by-level
-//! traversals, between Krylov iterations — and winds down instead of
-//! finishing the request. Cancellation is *cooperative*: nothing is
+//! the engine polls it at checkpoints inside its sweep loops — before every
+//! task under every schedule, between Krylov iterations — and winds down
+//! instead of finishing the request. Cancellation is *cooperative*: nothing is
 //! interrupted mid-task, so every workspace an engine leased stays
 //! structurally valid and goes back to its pool for the next request.
 //!
-//! The DAG runners keep their termination detection intact under
+//! The runners keep their termination detection intact under
 //! cancellation by *draining* rather than stopping: once the token is
 //! observed, remaining tasks are popped and their successors released
 //! without running the task bodies, so every worker's `done()` check still

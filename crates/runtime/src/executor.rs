@@ -1,44 +1,63 @@
-//! Schedulers that execute a [`TaskGraph`].
+//! Schedulers that execute a frozen task DAG (a [`crate::plan::ReusablePlan`]).
 //!
-//! Three policies mirror the paper's comparison (§2.3, Figure 4):
+//! Four policies mirror the paper's comparison (§2.3, Figure 4), all over
+//! the same DAG:
 //!
-//! * [`execute_heft`] — the GOFMM runtime: dynamic out-of-order execution with
-//!   per-worker ready queues, tasks dispatched to the worker with the smallest
-//!   estimated finish time (a light-weight HEFT), plus job stealing.
-//! * [`execute_fifo`] — a plain shared ready queue without a cost model; the
-//!   stand-in for `omp task depend`.
-//! * [`execute_sequential`] — topological-order execution on the calling
-//!   thread, used as the single-core baseline and in tests.
+//! * [`TraversalPolicy::DagHeft`] — the GOFMM runtime: dynamic out-of-order
+//!   execution with per-worker ready queues, tasks dispatched to the worker
+//!   with the smallest estimated finish time (a light-weight HEFT), plus job
+//!   stealing.
+//! * [`TraversalPolicy::DagFifo`] — a plain shared ready queue without a
+//!   cost model; the stand-in for `omp task depend`.
+//! * [`TraversalPolicy::LevelByLevel`] — the classical static schedule: the
+//!   plan's barrier groups (one per tree level for a sweep family, one for
+//!   a flat family) run one after another, each through
+//!   [`crate::parallel::parallel_for`].
+//! * [`TraversalPolicy::Sequential`] — topological-order execution on the
+//!   calling thread, used as the single-core baseline and in tests.
 //!
-//! Level-by-level traversal (the third scheme in the paper) is not a DAG
-//! policy — it is a different driver loop in `gofmm-core` built on
-//! [`crate::parallel::parallel_for`] with a barrier per tree level.
+//! Every runner checks the cancellation token once per task.
 
 use crate::cancel::CancelToken;
-use crate::graph::TaskGraph;
+use crate::parallel::parallel_for;
 use crossbeam::deque::{Injector, Steal};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Which DAG scheduling policy to use.
+/// How tree traversals are executed (paper §2.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulePolicy {
-    /// Dynamic HEFT-style scheduling with per-worker queues and stealing.
-    Heft,
-    /// Single shared FIFO ready queue (models `omp task depend`).
-    Fifo,
-    /// Sequential topological execution on the calling thread.
+pub enum TraversalPolicy {
+    /// Single-threaded reference traversals.
     Sequential,
+    /// Parallel level-by-level traversals with a barrier per tree level
+    /// (the classical static-scheduling approach): the plan's barrier
+    /// groups in order, each run by `parallel_for`.
+    LevelByLevel,
+    /// Out-of-order execution of the task dependency DAG with the HEFT
+    /// runtime (GOFMM's own scheduler).
+    DagHeft,
+    /// Out-of-order execution with a plain FIFO task pool (the paper's
+    /// `omp task depend` comparison point).
+    DagFifo,
 }
 
-impl std::fmt::Display for SchedulePolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl TraversalPolicy {
+    /// Display label used in experiment tables.
+    pub fn label(&self) -> &'static str {
         match self {
-            SchedulePolicy::Heft => write!(f, "heft"),
-            SchedulePolicy::Fifo => write!(f, "fifo"),
-            SchedulePolicy::Sequential => write!(f, "sequential"),
+            TraversalPolicy::Sequential => "sequential",
+            TraversalPolicy::LevelByLevel => "level-by-level",
+            TraversalPolicy::DagHeft => "dag-heft",
+            TraversalPolicy::DagFifo => "dag-fifo",
         }
+    }
+}
+
+impl std::fmt::Display for TraversalPolicy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.label())
     }
 }
 
@@ -53,7 +72,8 @@ pub struct ExecStats {
     /// sequential policy does not time tasks one by one: there it equals
     /// `elapsed`.
     pub total_task_time: f64,
-    /// Per-worker busy seconds.
+    /// Per-worker busy seconds. Empty under level-by-level, whose
+    /// `parallel_for` threads are anonymous and respawned per group.
     pub worker_busy: Vec<f64>,
     /// Number of successful steals (HEFT only).
     pub steals: usize,
@@ -75,15 +95,6 @@ impl ExecStats {
     }
 }
 
-/// Execute the graph with the requested policy and worker count.
-pub fn execute(graph: TaskGraph<'_>, policy: SchedulePolicy, workers: usize) -> ExecStats {
-    match policy {
-        SchedulePolicy::Sequential => execute_sequential(graph),
-        SchedulePolicy::Fifo => execute_fifo(graph, workers),
-        SchedulePolicy::Heft => execute_heft(graph, workers),
-    }
-}
-
 /// The frozen shape of a DAG: everything a scheduler needs except the work
 /// itself. Borrowed by [`run_dag_with_cancel`], which pairs it with a
 /// run-task callback; the same shape can therefore drive many runs (see
@@ -93,8 +104,12 @@ pub(crate) struct DagShape<'s> {
     pub indegrees: &'s [usize],
     /// Successor adjacency per task.
     pub successors: &'s [Vec<usize>],
-    /// Cost estimates per task (HEFT dispatch; ignored by FIFO/sequential).
+    /// Cost estimates per task (HEFT dispatch; ignored by the others).
     pub costs: &'s [f64],
+    /// Barrier groups of the level-by-level schedule: consecutive index
+    /// ranges covering every task, no task in the same group as a task it
+    /// depends on.
+    pub groups: &'s [Range<usize>],
 }
 
 impl DagShape<'_> {
@@ -103,9 +118,16 @@ impl DagShape<'_> {
     }
 }
 
+/// Runs one level-by-level barrier group: called with the group's task range
+/// and a `body` that runs the group, it calls `body` once (a traced run
+/// records its marker span around it).
+pub(crate) type BarrierHook<'h> = dyn Fn(Range<usize>, &dyn Fn()) + 'h;
+
 /// Execute a DAG described by `shape` with the given policy, running task `i`
 /// by calling `run(i)`. Task indices are assumed to be in topological
-/// (insertion) order, as guaranteed by [`TaskGraph`] and `PhasePlan`.
+/// (insertion) order, as guaranteed by `ReusablePlan`. Under level-by-level,
+/// `barrier(group, body)` wraps each barrier group's run (`body`); the other
+/// policies never call it.
 ///
 /// Takes an optional cooperative cancellation token, polled once
 /// per task. Once the token fires, the remaining tasks are *drained*:
@@ -116,15 +138,17 @@ impl DagShape<'_> {
 /// have `cancelled` set when any task body was skipped.
 pub(crate) fn run_dag_with_cancel(
     shape: DagShape<'_>,
-    policy: SchedulePolicy,
+    policy: TraversalPolicy,
     workers: usize,
     cancel: Option<&CancelToken>,
     run: impl Fn(usize) + Sync,
+    barrier: &BarrierHook<'_>,
 ) -> ExecStats {
     match policy {
-        SchedulePolicy::Sequential => run_dag_sequential(shape.len(), cancel, run),
-        SchedulePolicy::Fifo => run_dag_fifo(shape, workers, cancel, run),
-        SchedulePolicy::Heft => run_dag_heft(shape, workers, cancel, run),
+        TraversalPolicy::Sequential => run_dag_sequential(shape.len(), cancel, run),
+        TraversalPolicy::LevelByLevel => run_dag_barriers(shape, workers, cancel, run, barrier),
+        TraversalPolicy::DagFifo => run_dag_fifo(shape, workers, cancel, run),
+        TraversalPolicy::DagHeft => run_dag_heft(shape, workers, cancel, run),
     }
 }
 
@@ -154,58 +178,7 @@ fn run_dag_sequential(n: usize, cancel: Option<&CancelToken>, run: impl Fn(usize
     }
 }
 
-/// Execute every task on the calling thread in insertion (topological) order.
-pub fn execute_sequential(graph: TaskGraph<'_>) -> ExecStats {
-    with_graph_slots(graph, |shape, run| {
-        run_dag_sequential(shape.len(), None, run)
-    })
-}
-
-/// A task closure slot, emptied by whichever worker runs the task.
-pub(crate) type TaskSlot<'a> = Mutex<Option<Box<dyn FnOnce() + Send + 'a>>>;
-
-/// Take the closure out of `slots[i]` and run it, panicking if the scheduler
-/// dispatched the same task twice. Shared by every slot-backed runner
-/// (`with_graph_slots` here, `PhasePlan::run` in the plan layer).
-pub(crate) fn take_and_run(slots: &[TaskSlot<'_>], i: usize) {
-    let f = slots[i]
-        .lock()
-        .take()
-        .expect("task executed twice or missing");
-    f();
-}
-
-/// Move the task closures out of `graph` into lock-protected take-once slots
-/// and hand the resulting (shape, run-callback) pair to `body`. This is the
-/// bridge between the consuming [`TaskGraph`] API and the index-based
-/// [`run_dag`] runners that re-runnable plans also use.
-fn with_graph_slots(
-    mut graph: TaskGraph<'_>,
-    body: impl FnOnce(DagShape<'_>, &(dyn Fn(usize) + Sync)) -> ExecStats,
-) -> ExecStats {
-    graph.finalize();
-    let indegrees = graph.indegrees();
-    let total = graph.tasks.len();
-    let mut slots: Vec<TaskSlot<'_>> = Vec::with_capacity(total);
-    let mut successors: Vec<Vec<usize>> = Vec::with_capacity(total);
-    let mut costs: Vec<f64> = Vec::with_capacity(total);
-    for t in &mut graph.tasks {
-        slots.push(Mutex::new(t.func.take()));
-        successors.push(t.successors.iter().map(|s| s.0).collect());
-        costs.push(t.cost.max(0.0));
-    }
-    let run = |i: usize| take_and_run(&slots, i);
-    body(
-        DagShape {
-            indegrees: &indegrees,
-            successors: &successors,
-            costs: &costs,
-        },
-        &run,
-    )
-}
-
-/// Dynamic scheduling state shared by the parallel DAG runners: remaining
+/// Dynamic scheduling state shared by the parallel runners: remaining
 /// dependency counts plus a completion counter for termination detection.
 struct RunState<'s> {
     remaining: Vec<AtomicUsize>,
@@ -255,9 +228,49 @@ impl<'s> RunState<'s> {
     }
 }
 
-/// Execute with one shared FIFO ready queue (no cost model, no affinity).
-pub fn execute_fifo(graph: TaskGraph<'_>, workers: usize) -> ExecStats {
-    with_graph_slots(graph, |shape, run| run_dag_fifo(shape, workers, None, run))
+/// Run a DAG level by level: the shape's barrier groups one after another,
+/// each through [`parallel_for`]. The barrier after a group stands in for
+/// every dependency edge out of it, since no task shares a group with a task
+/// it depends on, so no dependency counters are kept.
+fn run_dag_barriers(
+    shape: DagShape<'_>,
+    workers: usize,
+    cancel: Option<&CancelToken>,
+    run: impl Fn(usize) + Sync,
+    barrier: &BarrierHook<'_>,
+) -> ExecStats {
+    let workers = workers.max(1);
+    let groups = shape.groups;
+    let state = RunState {
+        remaining: Vec::new(),
+        completed: AtomicUsize::new(0),
+        total: shape.len(),
+        shape,
+        cancel,
+    };
+    let busy_ns = AtomicU64::new(0);
+    let executed = AtomicUsize::new(0);
+    let start = Instant::now();
+    for group in groups {
+        barrier(group.clone(), &|| {
+            parallel_for(group.len(), workers, |i| {
+                if let Some(dt) = state.run_task(group.start + i, &run) {
+                    busy_ns.fetch_add((dt * 1e9) as u64, Ordering::Relaxed);
+                    executed.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        });
+    }
+    let tasks_executed = executed.load(Ordering::Relaxed);
+    ExecStats {
+        elapsed: start.elapsed().as_secs_f64(),
+        tasks_executed,
+        total_task_time: busy_ns.load(Ordering::Relaxed) as f64 * 1e-9,
+        worker_busy: Vec::new(),
+        steals: 0,
+        workers,
+        cancelled: tasks_executed < state.total,
+    }
 }
 
 /// Run a DAG with one shared FIFO ready queue (no cost model, no affinity).
@@ -328,17 +341,12 @@ fn run_dag_fifo(
     }
 }
 
-/// Execute with the GOFMM-style runtime: HEFT dispatch plus job stealing.
+/// Run a DAG with the GOFMM-style runtime: HEFT dispatch plus job stealing.
 ///
 /// Every ready task is pushed to the queue of the worker whose estimated
 /// finish time (sum of costs of tasks already queued there) is smallest. Idle
 /// workers steal from the longest queue, which covers cost-model inaccuracy
 /// exactly like the paper's job-stealing fallback.
-pub fn execute_heft(graph: TaskGraph<'_>, workers: usize) -> ExecStats {
-    with_graph_slots(graph, |shape, run| run_dag_heft(shape, workers, None, run))
-}
-
-/// Run a DAG with the GOFMM-style runtime: HEFT dispatch plus job stealing.
 fn run_dag_heft(
     shape: DagShape<'_>,
     workers: usize,
@@ -365,8 +373,7 @@ fn run_dag_heft(
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .unwrap();
-        // Clamp here (not only in with_graph_slots) so plans run directly via
-        // run_dag see the same cost floor as the TaskGraph path.
+        // A negative cost estimate counts as zero.
         eft[wmin] += state.shape.costs[idx].max(0.0);
         queues[wmin].push(idx);
     };
@@ -443,21 +450,29 @@ fn run_dag_heft(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::TaskGraph;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::plan::PhasePlan;
     use std::sync::Arc;
 
+    const POLICIES: [TraversalPolicy; 4] = [
+        TraversalPolicy::Sequential,
+        TraversalPolicy::LevelByLevel,
+        TraversalPolicy::DagFifo,
+        TraversalPolicy::DagHeft,
+    ];
+
     /// Build a diamond DAG that records execution order.
-    fn diamond(order: Arc<parking_lot::Mutex<Vec<&'static str>>>) -> TaskGraph<'static> {
-        let mut g = TaskGraph::new();
+    fn diamond(order: Arc<Mutex<Vec<&'static str>>>) -> PhasePlan<'static> {
+        let mut g = PhasePlan::new();
         let o = order.clone();
-        let a = g.add_task("a", 1.0, &[], move || o.lock().push("a"));
+        g.add("a", 0, 1.0, &[], move || o.lock().push("a"));
         let o = order.clone();
-        let b = g.add_task("b", 1.0, &[a], move || o.lock().push("b"));
+        g.add("b", 0, 1.0, &[("a", 0)], move || o.lock().push("b"));
         let o = order.clone();
-        let c = g.add_task("c", 1.0, &[a], move || o.lock().push("c"));
+        g.add("c", 0, 1.0, &[("a", 0)], move || o.lock().push("c"));
         let o = order.clone();
-        let _d = g.add_task("d", 1.0, &[b, c], move || o.lock().push("d"));
+        g.add("d", 0, 1.0, &[("b", 0), ("c", 0)], move || {
+            o.lock().push("d")
+        });
         g
     }
 
@@ -471,8 +486,8 @@ mod tests {
 
     #[test]
     fn sequential_respects_dependencies() {
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let stats = execute_sequential(diamond(order.clone()));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let stats = diamond(order.clone()).run(TraversalPolicy::Sequential, 1);
         check_diamond_order(&order.lock());
         assert_eq!(stats.tasks_executed, 4);
         assert_eq!(stats.workers, 1);
@@ -480,16 +495,16 @@ mod tests {
 
     #[test]
     fn fifo_respects_dependencies() {
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let stats = execute_fifo(diamond(order.clone()), 4);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let stats = diamond(order.clone()).run(TraversalPolicy::DagFifo, 4);
         check_diamond_order(&order.lock());
         assert_eq!(stats.tasks_executed, 4);
     }
 
     #[test]
     fn heft_respects_dependencies() {
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let stats = execute_heft(diamond(order.clone()), 4);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let stats = diamond(order.clone()).run(TraversalPolicy::DagHeft, 4);
         check_diamond_order(&order.lock());
         assert_eq!(stats.tasks_executed, 4);
         assert_eq!(stats.workers, 4);
@@ -497,32 +512,24 @@ mod tests {
 
     #[test]
     fn all_policies_run_every_task_once() {
-        for policy in [
-            SchedulePolicy::Sequential,
-            SchedulePolicy::Fifo,
-            SchedulePolicy::Heft,
-        ] {
+        for policy in POLICIES {
             let counter = Arc::new(AtomicUsize::new(0));
-            let mut g = TaskGraph::new();
-            let mut prev_level: Vec<crate::graph::TaskId> = Vec::new();
+            let mut g = PhasePlan::new();
+            let mut prev_level: Vec<(&'static str, usize)> = Vec::new();
             // Three levels of 20 tasks with full bipartite dependencies.
             for level in 0..3 {
                 let mut this_level = Vec::new();
                 for i in 0..20 {
                     let c = counter.clone();
-                    let id = g.add_task(
-                        format!("t{level}_{i}"),
-                        1.0 + i as f64,
-                        &prev_level,
-                        move || {
-                            c.fetch_add(1, Ordering::SeqCst);
-                        },
-                    );
-                    this_level.push(id);
+                    let node = level * 20 + i;
+                    g.add("t", node, 1.0 + i as f64, &prev_level, move || {
+                        c.fetch_add(1, Ordering::SeqCst);
+                    });
+                    this_level.push(("t", node));
                 }
                 prev_level = this_level;
             }
-            let stats = execute(g, policy, 6);
+            let stats = g.run(policy, 6);
             assert_eq!(counter.load(Ordering::SeqCst), 60, "policy {policy}");
             assert_eq!(stats.tasks_executed, 60, "policy {policy}");
         }
@@ -530,12 +537,8 @@ mod tests {
 
     #[test]
     fn empty_graph_is_fine() {
-        for policy in [
-            SchedulePolicy::Sequential,
-            SchedulePolicy::Fifo,
-            SchedulePolicy::Heft,
-        ] {
-            let stats = execute(TaskGraph::new(), policy, 3);
+        for policy in POLICIES {
+            let stats = PhasePlan::new().run(policy, 3);
             assert_eq!(stats.tasks_executed, 0);
         }
     }
@@ -544,9 +547,9 @@ mod tests {
     fn heft_balances_independent_tasks() {
         // 64 independent tasks of equal cost on 4 workers: every worker should
         // get some share of work (dispatch is round-robin-ish through EFT).
-        let mut g = TaskGraph::new();
+        let mut g = PhasePlan::new();
         for i in 0..64 {
-            g.add_task(format!("t{i}"), 1.0, &[], move || {
+            g.add("t", i, 1.0, &[], move || {
                 // Simulate real work so busy times are measurable; black_box
                 // the loop variable so the sum cannot be constant-folded in
                 // optimized test builds.
@@ -557,7 +560,7 @@ mod tests {
                 std::hint::black_box(acc);
             });
         }
-        let stats = execute_heft(g, 4);
+        let stats = g.run(TraversalPolicy::DagHeft, 4);
         assert_eq!(stats.tasks_executed, 64);
         let active_workers = stats.worker_busy.iter().filter(|&&b| b > 0.0).count();
         assert!(active_workers >= 2, "only {active_workers} workers active");
@@ -566,13 +569,13 @@ mod tests {
 
     #[test]
     fn stats_efficiency_bounds() {
-        let mut g = TaskGraph::new();
+        let mut g = PhasePlan::new();
         for i in 0..8 {
-            g.add_task(format!("t{i}"), 1.0, &[], || {
+            g.add("t", i, 1.0, &[], || {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             });
         }
-        let stats = execute_heft(g, 4);
+        let stats = g.run(TraversalPolicy::DagHeft, 4);
         assert!(
             stats.efficiency() <= 1.05,
             "efficiency {}",
@@ -583,8 +586,9 @@ mod tests {
 
     #[test]
     fn policy_display_names() {
-        assert_eq!(SchedulePolicy::Heft.to_string(), "heft");
-        assert_eq!(SchedulePolicy::Fifo.to_string(), "fifo");
-        assert_eq!(SchedulePolicy::Sequential.to_string(), "sequential");
+        assert_eq!(TraversalPolicy::Sequential.to_string(), "sequential");
+        assert_eq!(TraversalPolicy::LevelByLevel.to_string(), "level-by-level");
+        assert_eq!(TraversalPolicy::DagHeft.to_string(), "dag-heft");
+        assert_eq!(TraversalPolicy::DagFifo.label(), "dag-fifo");
     }
 }

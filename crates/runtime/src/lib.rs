@@ -8,22 +8,21 @@
 //! traversal, and a light-weight HEFT scheduler with job stealing executes the
 //! DAG. This crate provides:
 //!
-//! * [`graph::TaskGraph`] — the DAG container (boxed closures + cost
-//!   estimates + dependency edges),
-//! * [`executor`] — three scheduling policies: HEFT with per-worker queues and
-//!   stealing, a plain FIFO pool (the `omp task depend` stand-in), and a
-//!   sequential baseline,
-//! * [`parallel`] — dynamically scheduled `parallel_for` helpers used by the
-//!   level-by-level traversal variant and by "any order" tasks,
-//! * [`plan`] — the shared execution-plan layer: symbolic `(family, node)`
-//!   task keys over a tree topology, per-node cell storage with
-//!   DAG-delegated synchronization, and uniform dispatch across the three
-//!   scheduling policies. Both GOFMM phases (SKEL/COEF compression tasks and
-//!   N2S/S2S/S2N/L2L evaluation tasks) build their DAGs through this layer.
-//!   One-shot phases use [`plan::PhasePlan`]; phases that run repeatedly
-//!   (the evaluation DAG behind a persistent evaluator) use
+//! * [`plan`] — the task-DAG layer: symbolic `(family, node)` task keys
+//!   over a tree topology, per-node cell storage with DAG-delegated
+//!   synchronization, and uniform dispatch across the four schedules. Every
+//!   GOFMM phase (SKEL compression, N2S/S2S/S2N/L2L evaluation, the solver
+//!   factorizations and their SUP/SDOWN solves) builds its DAG through this
+//!   layer. One-shot phases use [`plan::PhasePlan`]; phases that run
+//!   repeatedly (the evaluation DAG behind a persistent evaluator) use
 //!   [`plan::ReusablePlan`], which freezes the DAG once and re-executes it
 //!   any number of times — including from several threads at once,
+//! * [`executor`] — the four schedules of [`TraversalPolicy`]: HEFT with
+//!   per-worker queues and stealing, a plain FIFO pool (the
+//!   `omp task depend` stand-in), level-by-level barrier groups, and a
+//!   sequential baseline,
+//! * [`parallel`] — dynamically scheduled `parallel_for` helpers used by the
+//!   level-by-level schedule and by "any order" loops,
 //! * [`pool`] — shared-state serving support: [`pool::WorkspacePool`] leases
 //!   per-call buffer bundles (keyed by right-hand-side width) so persistent
 //!   engines can serve `&self` applies/solves concurrently, and
@@ -37,16 +36,12 @@
 
 pub mod cancel;
 pub mod executor;
-pub mod graph;
 pub mod parallel;
 pub mod plan;
 pub mod pool;
 
 pub use cancel::{CancelToken, Cancelled};
-pub use executor::{
-    execute, execute_fifo, execute_heft, execute_sequential, ExecStats, SchedulePolicy,
-};
-pub use graph::{Task, TaskGraph, TaskId};
+pub use executor::{ExecStats, TraversalPolicy};
 pub use parallel::{available_threads, parallel_for, parallel_map, parallel_ranges, split_ranges};
 pub use plan::{
     heap_level, DisjointCells, Family, PhasePlan, PlanTopology, ReusablePlan, SharedCells,

@@ -2,19 +2,20 @@
 //!
 //! The compression phase (SKEL/COEF tasks) and the evaluation phase
 //! (N2S/S2S/S2N/L2L tasks) used to each hand-roll the same machinery: a
-//! `Vec<Mutex<...>>` per per-node value, a `HashMap<usize, TaskId>` per task
+//! `Vec<Mutex<...>>` per per-node value, a node-to-task-id map per task
 //! family, and a policy `match` dispatching between a sequential loop and the
 //! DAG executors. This module centralizes all three:
 //!
 //! * [`ReusablePlan`] — the structural core: a frozen `(family, node)`-keyed
-//!   DAG (costs, dependency edges, successor lists) with no closures attached,
-//!   executable any number of times via [`ReusablePlan::run`] with a
-//!   task-dispatch callback. Long-lived evaluators build their DAG once at
-//!   setup and re-run it for every matvec,
+//!   DAG (costs, dependency edges, successor lists, barrier groups) with no
+//!   closures attached, executable any number of times via
+//!   [`ReusablePlan::run`] with a task-dispatch callback. Long-lived
+//!   evaluators build their DAG once at setup and re-run it for every
+//!   matvec,
 //! * [`PhasePlan`] — a one-shot plan: a [`ReusablePlan`] plus one closure per
 //!   task, so dependencies are declared symbolically ("N2S of my left child")
 //!   and resolved once, with [`PhasePlan::run`] dispatching uniformly to the
-//!   sequential / FIFO / HEFT executors,
+//!   four schedules of [`TraversalPolicy`],
 //! * [`PlanTopology`] — the minimal binary-tree interface plans need to wire
 //!   postorder (bottom-up) and preorder (top-down) task families,
 //! * [`DisjointCells`] — per-node storage whose synchronization is delegated
@@ -25,14 +26,23 @@
 //!   race,
 //! * [`SharedCells`] — mutex-backed cells for values that genuinely are
 //!   accumulated by concurrently schedulable tasks.
+//!
+//! Level-by-level traversal is a schedule of the same DAG, not a separate
+//! loop: freezing a plan splits its insertion order into *barrier groups*.
+//! A group closes when the task family changes or when the next task
+//! depends on a task already in the group, so a bottom-up or top-down
+//! family gets one group per tree level and a flat family (S2S, L2L) one
+//! group. [`TraversalPolicy::LevelByLevel`] runs the groups one after
+//! another with a barrier between them and, under a trace sink, records one
+//! [`SpanKind::Marker`] span per group.
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::executor::{run_dag_with_cancel, DagShape, ExecStats, SchedulePolicy};
-use crate::graph::{TaskGraph, TaskId};
+use crate::executor::{run_dag_with_cancel, BarrierHook, DagShape, ExecStats, TraversalPolicy};
 use gofmm_telemetry::{SpanKind, TraceSink};
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
@@ -86,9 +96,17 @@ pub struct ReusablePlan {
     /// out-of-order construction: registering a task under one of these keys
     /// later would mean an edge was silently dropped.
     unresolved: std::collections::HashSet<(Family, usize)>,
-    /// Successor adjacency + indegrees, derived lazily on first run and
-    /// shared by all subsequent runs.
-    frozen: OnceLock<(Vec<Vec<usize>>, Vec<usize>)>,
+    /// Successor adjacency, indegrees and barrier groups, derived lazily on
+    /// first run and shared by all subsequent runs.
+    frozen: OnceLock<Frozen>,
+}
+
+/// The run-time tables of a [`ReusablePlan`], derived once by `freeze`.
+struct Frozen {
+    successors: Vec<Vec<usize>>,
+    indegrees: Vec<usize>,
+    /// Barrier groups of the level-by-level schedule (see the module docs).
+    groups: Vec<Range<usize>>,
 }
 
 impl ReusablePlan {
@@ -229,18 +247,46 @@ impl ReusablePlan {
         }
     }
 
-    /// Successor adjacency and indegrees, derived once and cached.
-    fn freeze(&self) -> &(Vec<Vec<usize>>, Vec<usize>) {
+    /// Successor adjacency, indegrees and barrier groups, derived once and
+    /// cached.
+    fn freeze(&self) -> &Frozen {
         self.frozen.get_or_init(|| {
-            let mut successors: Vec<Vec<usize>> = vec![Vec::new(); self.keys.len()];
-            let mut indegrees = vec![0usize; self.keys.len()];
+            let n = self.keys.len();
+            let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
+            let mut indegrees = vec![0usize; n];
+            let mut groups: Vec<Range<usize>> = Vec::new();
+            let mut start = 0;
             for (i, deps) in self.deps.iter().enumerate() {
                 indegrees[i] = deps.len();
                 for &d in deps {
                     successors[d].push(i);
                 }
+                if i > start
+                    && (self.keys[i].0 != self.keys[start].0 || deps.iter().any(|&d| d >= start))
+                {
+                    groups.push(start..i);
+                    start = i;
+                }
             }
-            (successors, indegrees)
+            if start < n {
+                groups.push(start..n);
+            }
+            // The barrier before a group must cover every edge into it.
+            for group in &groups {
+                for i in group.clone() {
+                    assert!(
+                        self.deps[i].iter().all(|&d| d < group.start),
+                        "task {}({}) shares a barrier group with a dependency",
+                        self.keys[i].0,
+                        self.keys[i].1
+                    );
+                }
+            }
+            Frozen {
+                successors,
+                indegrees,
+                groups,
+            }
         })
     }
 
@@ -261,7 +307,7 @@ impl ReusablePlan {
     /// [`crate::pool::WorkspacePool`] lease provides.
     pub fn run(
         &self,
-        policy: SchedulePolicy,
+        policy: TraversalPolicy,
         workers: usize,
         task: impl Fn(Family, usize) + Sync,
     ) -> ExecStats {
@@ -271,53 +317,39 @@ impl ReusablePlan {
         })
     }
 
-    /// [`ReusablePlan::run`] with a cooperative cancellation token, polled
-    /// once per task by the underlying DAG runner.
+    /// [`ReusablePlan::run`] plus optional cooperative cancellation *and*
+    /// optional span tracing in one call.
     ///
-    /// When the token fires mid-run, the remaining tasks are drained
+    /// When `cancel` fires mid-run, the remaining tasks are drained
     /// (dependencies released, bodies skipped) so the runner winds down
     /// promptly, and `Err(Cancelled)` is returned — the run's outputs are
     /// incomplete and must be discarded. A token that only fires after the
     /// last task body ran returns `Ok`: the results are complete and
-    /// usable. This is the checkpoint layer the serving front door threads
-    /// its per-request cancellation through.
-    pub fn run_cancellable(
-        &self,
-        policy: SchedulePolicy,
-        workers: usize,
-        cancel: &CancelToken,
-        task: impl Fn(Family, usize) + Sync,
-    ) -> Result<ExecStats, Cancelled> {
-        self.run_with(policy, workers, Some(cancel), None, task)
-    }
-
-    /// The fully general entry point: [`ReusablePlan::run`] plus optional
-    /// cooperative cancellation *and* optional span tracing in one call.
+    /// usable. Pass `cancel: None` for an uncancellable run (the `Err` case
+    /// is then unreachable).
     ///
     /// When `trace` is `Some`, every task body is wrapped in a
     /// [`SpanKind::Task`] span recorded into the sink — keyed by the
-    /// task's family, node and heap level — with zero effect on the task's
-    /// outputs (the hard observability contract: traced and untraced runs
-    /// are bit-identical). When `trace` is `None` the only extra cost over
-    /// [`ReusablePlan::run`] is one branch per task.
-    ///
-    /// Cancellation semantics match [`ReusablePlan::run_cancellable`]; pass
-    /// `cancel: None` for an uncancellable run (the `Err` case is then
-    /// unreachable).
+    /// task's family, node and heap level — and, under level-by-level,
+    /// every barrier group in a [`SpanKind::Marker`] span labelled with its
+    /// family and its first task's heap level. Neither has any effect on
+    /// the task's outputs (the hard observability contract: traced and
+    /// untraced runs are bit-identical). When `trace` is `None` the only
+    /// extra cost over [`ReusablePlan::run`] is one branch per task.
     pub fn run_with(
         &self,
-        policy: SchedulePolicy,
+        policy: TraversalPolicy,
         workers: usize,
         cancel: Option<&CancelToken>,
         trace: Option<&TraceSink>,
         task: impl Fn(Family, usize) + Sync,
     ) -> Result<ExecStats, Cancelled> {
-        if let (Some(sink), SchedulePolicy::Sequential) = (trace, policy) {
+        if let (Some(sink), TraversalPolicy::Sequential) = (trace, policy) {
             // The tasks run on this thread: set its lane up before the first
             // span opens, not between the first span and the second.
             sink.register_thread();
         }
-        let stats = self.run_indexed_with_cancel(policy, workers, cancel, |idx| {
+        let run = |idx: usize| {
             let (family, node) = self.keys[idx];
             match trace {
                 None => task(family, node),
@@ -328,7 +360,24 @@ impl ReusablePlan {
                     sink.record(SpanKind::Task, family, node, heap_level(node), t0, t1);
                 }
             }
-        });
+        };
+        let barrier = |group: Range<usize>, body: &dyn Fn()| match trace {
+            None => body(),
+            Some(sink) => {
+                let (family, node) = self.keys[group.start];
+                let t0 = sink.now();
+                body();
+                sink.record(
+                    SpanKind::Marker,
+                    family,
+                    0,
+                    heap_level(node),
+                    t0,
+                    sink.now(),
+                );
+            }
+        };
+        let stats = self.execute(policy, workers, cancel, run, &barrier);
         if stats.cancelled {
             Err(Cancelled)
         } else {
@@ -341,34 +390,40 @@ impl ReusablePlan {
     /// that keep their own per-task state.
     pub fn run_indexed(
         &self,
-        policy: SchedulePolicy,
+        policy: TraversalPolicy,
         workers: usize,
         run: impl Fn(usize) + Sync,
     ) -> ExecStats {
-        self.run_indexed_with_cancel(policy, workers, None, run)
+        self.execute(policy, workers, None, run, &|_, body| body())
     }
 
-    fn run_indexed_with_cancel(
+    fn execute(
         &self,
-        policy: SchedulePolicy,
+        policy: TraversalPolicy,
         workers: usize,
         cancel: Option<&CancelToken>,
         run: impl Fn(usize) + Sync,
+        barrier: &BarrierHook<'_>,
     ) -> ExecStats {
-        let (successors, indegrees) = self.freeze();
+        let frozen = self.freeze();
         run_dag_with_cancel(
             DagShape {
-                indegrees,
-                successors,
+                indegrees: &frozen.indegrees,
+                successors: &frozen.successors,
                 costs: &self.costs,
+                groups: &frozen.groups,
             },
             policy,
             workers,
             cancel,
             run,
+            barrier,
         )
     }
 }
+
+/// A task closure slot, emptied by whichever worker runs the task.
+type TaskSlot<'a> = Mutex<Option<Box<dyn FnOnce() + Send + 'a>>>;
 
 /// A [`ReusablePlan`] paired with one closure per task: the one-shot plan
 /// used when a phase runs exactly once (compression).
@@ -397,9 +452,9 @@ impl<'a> PhasePlan<'a> {
         self.shape.is_empty()
     }
 
-    /// The task id registered for `(family, node)`, if any.
-    pub fn id(&self, family: Family, node: usize) -> Option<TaskId> {
-        self.shape.id(family, node).map(TaskId)
+    /// The task index registered for `(family, node)`, if any.
+    pub fn id(&self, family: Family, node: usize) -> Option<usize> {
+        self.shape.id(family, node)
     }
 
     /// Sum of all task cost estimates.
@@ -427,10 +482,10 @@ impl<'a> PhasePlan<'a> {
         cost: f64,
         deps: &[(Family, usize)],
         func: impl FnOnce() + Send + 'a,
-    ) -> TaskId {
+    ) -> usize {
         let id = self.shape.add(family, node, cost, deps);
         self.funcs.push(Some(Box::new(func)));
-        TaskId(id)
+        id
     }
 
     /// Add one task per non-skipped node in bottom-up (postorder) sweep
@@ -487,50 +542,20 @@ impl<'a> PhasePlan<'a> {
 
     /// Execute the plan with the given policy and worker count.
     ///
-    /// All three policies run the identical task closures; only the schedule
+    /// All four policies run the identical task closures; only the schedule
     /// differs. Because insertion order is a topological order and every
     /// cross-task data access is covered by a dependency edge, outputs are
     /// identical (bit-for-bit for deterministic tasks) across policies.
-    pub fn run(self, policy: SchedulePolicy, workers: usize) -> ExecStats {
-        self.run_traced(policy, workers, None)
-    }
-
-    /// [`PhasePlan::run`] with optional span tracing: when `trace` is
-    /// `Some`, each task body is recorded as a [`SpanKind::Task`] span
-    /// keyed by its family, node and heap level. Outputs are identical
-    /// with or without a sink.
-    pub fn run_traced(
-        self,
-        policy: SchedulePolicy,
-        workers: usize,
-        trace: Option<&TraceSink>,
-    ) -> ExecStats {
+    pub fn run(self, policy: TraversalPolicy, workers: usize) -> ExecStats {
         let PhasePlan { shape, funcs } = self;
-        let slots: Vec<crate::executor::TaskSlot<'a>> = funcs.into_iter().map(Mutex::new).collect();
-        shape.run_indexed(policy, workers, |idx| match trace {
-            None => crate::executor::take_and_run(&slots, idx),
-            Some(sink) => {
-                let (family, node) = shape.key(idx);
-                let t0 = sink.now();
-                crate::executor::take_and_run(&slots, idx);
-                let t1 = sink.now();
-                sink.record(SpanKind::Task, family, node, heap_level(node), t0, t1);
-            }
+        let slots: Vec<TaskSlot<'a>> = funcs.into_iter().map(Mutex::new).collect();
+        shape.run_indexed(policy, workers, |idx| {
+            let f = slots[idx]
+                .lock()
+                .take()
+                .expect("task executed twice or missing");
+            f();
         })
-    }
-
-    /// Consume the plan into an equivalent [`TaskGraph`] (for custom
-    /// execution through the `execute_*` entry points).
-    pub fn into_graph(self) -> TaskGraph<'a> {
-        let PhasePlan { shape, funcs } = self;
-        let mut graph = TaskGraph::new();
-        for (idx, func) in funcs.into_iter().enumerate() {
-            let (family, node) = shape.key(idx);
-            let deps: Vec<TaskId> = shape.deps[idx].iter().map(|&d| TaskId(d)).collect();
-            let func = func.expect("task already executed");
-            graph.add_task(format!("{family}({node})"), shape.costs[idx], &deps, func);
-        }
-        graph
     }
 }
 
@@ -725,7 +750,15 @@ impl<T> SharedCells<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gofmm_telemetry::SpanEvent;
     use std::sync::atomic::AtomicUsize;
+
+    const POLICIES: [TraversalPolicy; 4] = [
+        TraversalPolicy::Sequential,
+        TraversalPolicy::LevelByLevel,
+        TraversalPolicy::DagFifo,
+        TraversalPolicy::DagHeft,
+    ];
 
     /// A perfect binary tree with `levels` levels in heap order.
     struct HeapTree {
@@ -750,11 +783,7 @@ mod tests {
         let topo = HeapTree { levels: 4 };
         let n = topo.node_count();
         let order = SharedCells::from_fn(1, |_| Vec::new());
-        for policy in [
-            SchedulePolicy::Sequential,
-            SchedulePolicy::Fifo,
-            SchedulePolicy::Heft,
-        ] {
+        for policy in POLICIES {
             let mut plan = PhasePlan::new();
             let order = &order;
             plan.add_bottom_up(
@@ -801,7 +830,7 @@ mod tests {
                 |node| move || order.lock(0).push(node),
             );
         }
-        plan.run(SchedulePolicy::Heft, 4);
+        plan.run(TraversalPolicy::DagHeft, 4);
         let seen = order.into_inner().pop().unwrap();
         let pos = |x: usize| seen.iter().position(|&v| v == x).unwrap();
         for node in 1..n {
@@ -818,24 +847,77 @@ mod tests {
         shape.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
         let sink = TraceSink::new();
         let hits = AtomicUsize::new(0);
-        for policy in [
-            SchedulePolicy::Sequential,
-            SchedulePolicy::Fifo,
-            SchedulePolicy::Heft,
-        ] {
+        for policy in POLICIES {
             shape
                 .run_with(policy, 3, None, Some(&sink), |_, _| {
                     hits.fetch_add(1, Ordering::SeqCst);
                 })
                 .unwrap();
         }
-        assert_eq!(hits.load(Ordering::SeqCst), 3 * n);
+        assert_eq!(hits.load(Ordering::SeqCst), 4 * n);
         let trace = sink.trace();
-        assert_eq!(trace.len(), 3 * n, "one span per executed task");
-        for ev in trace.events() {
+        let (tasks, markers): (Vec<&SpanEvent>, Vec<&SpanEvent>) = trace
+            .events()
+            .iter()
+            .partition(|ev| ev.kind == SpanKind::Task);
+        assert_eq!(tasks.len(), 4 * n, "one span per executed task");
+        // Level-by-level adds one marker per barrier group: one per level.
+        assert_eq!(markers.len(), topo.levels as usize);
+        for ev in &tasks {
             assert_eq!(ev.family, "UP");
             assert_eq!(ev.level, heap_level(ev.node), "span level matches node");
             assert!(ev.t_end >= ev.t_start, "spans close after they open");
+        }
+        for ev in &markers {
+            assert_eq!((ev.kind, ev.family), (SpanKind::Marker, "UP"));
+            let inside = tasks
+                .iter()
+                .filter(|t| t.level == ev.level && ev.t_start <= t.t_start && t.t_end <= ev.t_end);
+            assert_eq!(inside.count(), 1 << ev.level, "a marker brackets its level");
+        }
+    }
+
+    /// Barrier groups on a heap tree: a bottom-up or top-down family gets
+    /// one group per level, a flat family one group, and no group holds
+    /// both ends of a dependency edge.
+    #[test]
+    fn barrier_groups_follow_levels_and_families() {
+        let topo = HeapTree { levels: 5 };
+        let n = topo.node_count();
+        let mut plan = ReusablePlan::new();
+        plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+        for node in 0..n {
+            plan.add("FLAT", node, 1.0, &[("UP", node)]);
+        }
+        plan.add_top_down(
+            "DOWN",
+            &topo,
+            |_| false,
+            |_| 1.0,
+            |node, deps| deps.push(("FLAT", node)),
+        );
+        let groups = &plan.freeze().groups;
+        let levels = topo.levels as usize;
+        assert_eq!(groups.len(), 2 * levels + 1);
+        assert_eq!(groups.iter().map(Range::len).sum::<usize>(), 3 * n);
+        for (g, group) in groups.iter().enumerate() {
+            let family = plan.key(group.start).0;
+            let (want_family, want_level) = match g {
+                g if g < levels => ("UP", Some(levels - 1 - g)),
+                g if g == levels => ("FLAT", None),
+                g => ("DOWN", Some(g - levels - 1)),
+            };
+            assert_eq!(family, want_family, "group {g}");
+            for i in group.clone() {
+                let (f, node) = plan.key(i);
+                assert_eq!(f, family, "group {g} mixes families");
+                if let Some(level) = want_level {
+                    assert_eq!(heap_level(node), level, "group {g} mixes levels");
+                }
+                for &d in &plan.deps[i] {
+                    assert!(!group.contains(&d), "group {g} holds an edge {d} -> {i}");
+                }
+            }
         }
     }
 
@@ -859,7 +941,7 @@ mod tests {
         });
         assert!(plan.id("GHOST", 3).is_none());
         assert!(plan.id("A", 0).is_some());
-        plan.run(SchedulePolicy::Sequential, 1);
+        plan.run(TraversalPolicy::Sequential, 1);
         assert_eq!(counter.load(Ordering::SeqCst), 1);
     }
 
@@ -946,11 +1028,7 @@ mod tests {
         // per-cell write order it encodes must make results identical.
         let reference: Option<Vec<f64>> = None;
         let mut reference = reference;
-        for policy in [
-            SchedulePolicy::Sequential,
-            SchedulePolicy::Fifo,
-            SchedulePolicy::Heft,
-        ] {
+        for policy in POLICIES {
             for _ in 0..3 {
                 let cells: DisjointCells<f64> = DisjointCells::from_fn(n, |i| i as f64 * 0.5);
                 let stats = plan.run(policy, 4, |family, node| match family {
@@ -998,7 +1076,7 @@ mod tests {
         // Sequential reference.
         let reference = {
             let cells: DisjointCells<f64> = DisjointCells::from_fn(n, |i| i as f64 * 0.5);
-            plan.run(SchedulePolicy::Sequential, 1, |_, node| task(&cells, node));
+            plan.run(TraversalPolicy::Sequential, 1, |_, node| task(&cells, node));
             cells.into_inner()
         };
         let plan = &plan;
@@ -1007,11 +1085,7 @@ mod tests {
                 let reference = &reference;
                 let task = &task;
                 scope.spawn(move || {
-                    let policy = [
-                        SchedulePolicy::Sequential,
-                        SchedulePolicy::Fifo,
-                        SchedulePolicy::Heft,
-                    ][t % 3];
+                    let policy = POLICIES[t % POLICIES.len()];
                     for _ in 0..4 {
                         let cells: DisjointCells<f64> =
                             DisjointCells::from_fn(n, |i| i as f64 * 0.5);
@@ -1036,15 +1110,11 @@ mod tests {
         let n = topo.node_count();
         let mut plan = ReusablePlan::new();
         plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
-        for policy in [
-            SchedulePolicy::Sequential,
-            SchedulePolicy::Fifo,
-            SchedulePolicy::Heft,
-        ] {
+        for policy in POLICIES {
             let token = CancelToken::new();
             let counter = AtomicUsize::new(0);
             let stats = plan
-                .run_cancellable(policy, 3, &token, |_, _| {
+                .run_with(policy, 3, Some(&token), None, |_, _| {
                     counter.fetch_add(1, Ordering::SeqCst);
                 })
                 .expect("un-cancelled run must complete");
@@ -1059,15 +1129,11 @@ mod tests {
         let topo = HeapTree { levels: 5 };
         let mut plan = ReusablePlan::new();
         plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
-        for policy in [
-            SchedulePolicy::Sequential,
-            SchedulePolicy::Fifo,
-            SchedulePolicy::Heft,
-        ] {
+        for policy in POLICIES {
             let token = CancelToken::new();
             token.cancel();
             let counter = AtomicUsize::new(0);
-            let err = plan.run_cancellable(policy, 3, &token, |_, _| {
+            let err = plan.run_with(policy, 3, Some(&token), None, |_, _| {
                 counter.fetch_add(1, Ordering::SeqCst);
             });
             assert!(matches!(err, Err(Cancelled)), "{policy}");
@@ -1084,14 +1150,10 @@ mod tests {
         let n = topo.node_count();
         let mut plan = ReusablePlan::new();
         plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
-        for policy in [
-            SchedulePolicy::Sequential,
-            SchedulePolicy::Fifo,
-            SchedulePolicy::Heft,
-        ] {
+        for policy in POLICIES {
             let token = CancelToken::new();
             let ran = AtomicUsize::new(0);
-            let err = plan.run_cancellable(policy, 4, &token, |_, _| {
+            let err = plan.run_with(policy, 4, Some(&token), None, |_, _| {
                 if ran.fetch_add(1, Ordering::SeqCst) == 2 {
                     token.cancel();
                 }
@@ -1104,7 +1166,7 @@ mod tests {
             // The plan itself is untouched by a cancelled run.
             let counter = AtomicUsize::new(0);
             let stats = plan
-                .run_cancellable(policy, 4, &CancelToken::new(), |_, _| {
+                .run_with(policy, 4, Some(&CancelToken::new()), None, |_, _| {
                     counter.fetch_add(1, Ordering::SeqCst);
                 })
                 .expect("fresh token must complete");
@@ -1129,7 +1191,7 @@ mod tests {
     fn reusable_plan_rejects_adds_after_running() {
         let mut plan = ReusablePlan::new();
         plan.add("A", 0, 1.0, &[]);
-        plan.run(SchedulePolicy::Sequential, 1, |_, _| {});
+        plan.run(TraversalPolicy::Sequential, 1, |_, _| {});
         plan.add("A", 1, 1.0, &[]);
     }
 

@@ -23,6 +23,7 @@
 //! lease's own shelf handle). The lookup is a hash probe plus an `Arc`
 //! clone — negligible next to the tree sweep a lease exists to serve.
 
+use crate::executor::TraversalPolicy;
 use crossbeam::deque::{Injector, Steal};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -229,18 +230,15 @@ impl<W> Drop for Lease<W> {
 
 /// Default traversal policy and worker count of a persistent engine, with
 /// per-call override resolution.
-///
-/// The policy type is generic because `TraversalPolicy` lives downstream of
-/// this crate; engines instantiate `RunDefaults<TraversalPolicy>`.
 #[derive(Clone, Copy, Debug)]
-pub struct RunDefaults<P: Copy> {
-    policy: P,
+pub struct RunDefaults {
+    policy: TraversalPolicy,
     threads: usize,
 }
 
-impl<P: Copy> RunDefaults<P> {
+impl RunDefaults {
     /// Defaults with the thread count clamped to at least one worker.
-    pub fn new(policy: P, threads: usize) -> Self {
+    pub fn new(policy: TraversalPolicy, threads: usize) -> Self {
         Self {
             policy,
             threads: threads.max(1),
@@ -248,7 +246,7 @@ impl<P: Copy> RunDefaults<P> {
     }
 
     /// The default traversal policy.
-    pub fn policy(&self) -> P {
+    pub fn policy(&self) -> TraversalPolicy {
         self.policy
     }
 
@@ -258,7 +256,11 @@ impl<P: Copy> RunDefaults<P> {
     }
 
     /// Resolve per-call overrides against the defaults.
-    pub fn resolve(&self, policy: Option<P>, threads: Option<usize>) -> (P, usize) {
+    pub fn resolve(
+        &self,
+        policy: Option<TraversalPolicy>,
+        threads: Option<usize>,
+    ) -> (TraversalPolicy, usize) {
         (
             policy.unwrap_or(self.policy),
             threads.map(|t| t.max(1)).unwrap_or(self.threads),
@@ -361,14 +363,15 @@ mod tests {
 
     #[test]
     fn run_defaults_resolution() {
+        use TraversalPolicy::{DagFifo, DagHeft, Sequential};
         assert_eq!(
-            RunDefaults::new('h', 0).threads(),
+            RunDefaults::new(DagHeft, 0).threads(),
             1,
             "thread count clamps to 1"
         );
-        let d = RunDefaults::new('s', 4);
-        assert_eq!((d.policy(), d.threads()), ('s', 4));
-        assert_eq!(d.resolve(None, None), ('s', 4));
-        assert_eq!(d.resolve(Some('f'), Some(0)), ('f', 1));
+        let d = RunDefaults::new(Sequential, 4);
+        assert_eq!((d.policy(), d.threads()), (Sequential, 4));
+        assert_eq!(d.resolve(None, None), (Sequential, 4));
+        assert_eq!(d.resolve(Some(DagFifo), Some(0)), (DagFifo, 1));
     }
 }

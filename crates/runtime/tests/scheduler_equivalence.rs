@@ -1,28 +1,28 @@
-//! Scheduler equivalence: the three scheduling policies must produce
+//! Scheduler equivalence: the four scheduling policies must produce
 //! bit-identical outputs on a shared DAG.
 //!
 //! The contract under test is the one the GOFMM phases rely on: when every
 //! cross-task data access is covered by a dependency edge and each task is
-//! deterministic, the schedule (sequential topological order, FIFO pool, or
-//! HEFT with stealing, at any worker count) must not change a single bit of
-//! the result — floating-point non-associativity included, because the DAG
-//! fixes every accumulation order.
+//! deterministic, the schedule (sequential topological order, level-by-level
+//! barrier groups, FIFO pool, or HEFT with stealing, at any worker count)
+//! must not change a single bit of the result — floating-point
+//! non-associativity included, because the DAG fixes every accumulation
+//! order.
 
-use gofmm_runtime::{
-    execute, DisjointCells, PhasePlan, PlanTopology, SchedulePolicy, TaskGraph, TaskId,
-};
+use gofmm_runtime::{DisjointCells, PhasePlan, PlanTopology, TraversalPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const POLICIES: [SchedulePolicy; 3] = [
-    SchedulePolicy::Sequential,
-    SchedulePolicy::Fifo,
-    SchedulePolicy::Heft,
+const POLICIES: [TraversalPolicy; 4] = [
+    TraversalPolicy::Sequential,
+    TraversalPolicy::LevelByLevel,
+    TraversalPolicy::DagFifo,
+    TraversalPolicy::DagHeft,
 ];
 
 /// Deterministic random DAG: task `i` depends on a few earlier tasks and
 /// combines their cell values in a fixed, order-sensitive chain.
-fn random_dag_outputs(policy: SchedulePolicy, workers: usize, seed: u64) -> Vec<f64> {
+fn random_dag_outputs(policy: TraversalPolicy, workers: usize, seed: u64) -> Vec<f64> {
     let n = 400;
     let mut rng = StdRng::seed_from_u64(seed);
     let dep_sets: Vec<Vec<usize>> = (0..n)
@@ -40,13 +40,12 @@ fn random_dag_outputs(policy: SchedulePolicy, workers: usize, seed: u64) -> Vec<
         .collect();
 
     let cells: DisjointCells<f64> = DisjointCells::from_fn(n, |_| 0.0);
-    let mut graph = TaskGraph::new();
-    let mut ids: Vec<TaskId> = Vec::with_capacity(n);
+    let mut plan = PhasePlan::new();
     for (i, deps) in dep_sets.iter().enumerate() {
-        let dep_ids: Vec<TaskId> = deps.iter().map(|&j| ids[j]).collect();
+        let dep_keys: Vec<(&'static str, usize)> = deps.iter().map(|&j| ("t", j)).collect();
         let deps = deps.clone();
         let cells_ref = &cells;
-        let id = graph.add_task(format!("t{i}"), 1.0 + (i % 7) as f64, &dep_ids, move || {
+        plan.add("t", i, 1.0 + (i % 7) as f64, &dep_keys, move || {
             // Order-sensitive floating-point chain over the dependency
             // values; the dep list order is fixed at build time, so the
             // result is schedule-independent iff the DAG is respected.
@@ -56,9 +55,8 @@ fn random_dag_outputs(policy: SchedulePolicy, workers: usize, seed: u64) -> Vec<
             }
             *cells_ref.write(i) = acc;
         });
-        ids.push(id);
     }
-    let stats = execute(graph, policy, workers);
+    let stats = plan.run(policy, workers);
     assert_eq!(stats.tasks_executed, n, "{policy}: not every task ran");
     cells.into_inner()
 }
@@ -66,8 +64,8 @@ fn random_dag_outputs(policy: SchedulePolicy, workers: usize, seed: u64) -> Vec<
 #[test]
 fn policies_bit_identical_on_random_dags() {
     for seed in [1u64, 7, 42] {
-        let reference = random_dag_outputs(SchedulePolicy::Sequential, 1, seed);
-        for policy in [SchedulePolicy::Fifo, SchedulePolicy::Heft] {
+        let reference = random_dag_outputs(TraversalPolicy::Sequential, 1, seed);
+        for policy in POLICIES {
             for workers in [1usize, 3, 8] {
                 let out = random_dag_outputs(policy, workers, seed);
                 for (i, (a, b)) in reference.iter().zip(&out).enumerate() {
@@ -110,7 +108,7 @@ impl PlanTopology for HeapTree {
 /// an upward sweep (N2S shape), a cross-node combination over "far" nodes
 /// (S2S shape), a downward sweep accumulating into children (S2N shape, with
 /// the child-S2S ordering edges), and independent leaf tasks (L2L shape).
-fn phase_plan_outputs(policy: SchedulePolicy, workers: usize) -> (Vec<f64>, Vec<f64>) {
+fn phase_plan_outputs(policy: TraversalPolicy, workers: usize) -> (Vec<f64>, Vec<f64>) {
     let topo = HeapTree { levels: 6 };
     let n = topo.node_count();
     // "Far list": nodes at the same level, cyclic neighbors.
@@ -196,7 +194,7 @@ fn phase_plan_outputs(policy: SchedulePolicy, workers: usize) -> (Vec<f64>, Vec<
 
 #[test]
 fn phase_plan_bit_identical_across_policies() {
-    let (up_ref, down_ref) = phase_plan_outputs(SchedulePolicy::Sequential, 1);
+    let (up_ref, down_ref) = phase_plan_outputs(TraversalPolicy::Sequential, 1);
     // The reference itself must be nontrivial.
     assert!(up_ref.iter().any(|&v| v != 0.0));
     assert!(down_ref.iter().any(|&v| v != 0.0));
@@ -218,7 +216,7 @@ fn phase_plan_bit_identical_across_policies() {
 /// by a downward sweep ("SDOWN" shape) where every downward task depends on
 /// the matching upward task (it reads the coefficients the up-sweep wrote)
 /// and on its parent's downward task (which wrote its incoming coefficient).
-fn solve_sweep_outputs(policy: SchedulePolicy, workers: usize) -> Vec<f64> {
+fn solve_sweep_outputs(policy: TraversalPolicy, workers: usize) -> Vec<f64> {
     let topo = HeapTree { levels: 6 };
     let n = topo.node_count();
     let mut plan = gofmm_runtime::ReusablePlan::new();
@@ -263,7 +261,7 @@ fn solve_sweep_outputs(policy: SchedulePolicy, workers: usize) -> Vec<f64> {
 
 #[test]
 fn solver_shaped_up_down_plan_bit_identical_across_policies() {
-    let reference = solve_sweep_outputs(SchedulePolicy::Sequential, 1);
+    let reference = solve_sweep_outputs(TraversalPolicy::Sequential, 1);
     assert!(reference.iter().any(|&v| v != 0.0));
     for policy in POLICIES {
         for workers in [2usize, 4, 8] {
@@ -278,9 +276,9 @@ fn solver_shaped_up_down_plan_bit_identical_across_policies() {
 #[test]
 fn repeated_runs_are_stable() {
     // Guard against racy nondeterminism slipping past a single lucky run.
-    let reference = random_dag_outputs(SchedulePolicy::Heft, 8, 5);
+    let reference = random_dag_outputs(TraversalPolicy::DagHeft, 8, 5);
     for _ in 0..5 {
-        let again = random_dag_outputs(SchedulePolicy::Heft, 8, 5);
+        let again = random_dag_outputs(TraversalPolicy::DagHeft, 8, 5);
         assert!(reference
             .iter()
             .zip(&again)

@@ -82,10 +82,9 @@ use gofmm_core::{ApplyOptions, CompRef, Compressed, Error, TraversalPolicy};
 use gofmm_linalg::{gemm, matmul, matmul_tn, Cholesky, DenseMatrix, LuFactor, Scalar, Transpose};
 use gofmm_matrices::SpdMatrix;
 use gofmm_runtime::{
-    parallel_for, CancelToken, DisjointCells, ExecStats, PhasePlan, ReusablePlan, RunDefaults,
-    WorkspacePool,
+    CancelToken, DisjointCells, ExecStats, PhasePlan, ReusablePlan, RunDefaults, WorkspacePool,
 };
-use gofmm_telemetry::{traced_barrier, traced_task, SpanKind};
+use gofmm_telemetry::SpanKind;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -121,7 +120,8 @@ pub struct FactorStats {
     pub bytes: usize,
     /// Regularization used.
     pub lambda: f64,
-    /// Scheduler statistics of the factor sweep (absent for level-by-level).
+    /// Scheduler statistics of the factor sweep, under every policy; `None`
+    /// for a ULV factor opened from a store file (it ran no sweep).
     pub exec: Option<ExecStats>,
 }
 
@@ -163,7 +163,7 @@ impl<T: Scalar> NodeFactor<T> {
 /// `HierarchicalFactor::from_parts`.
 pub(crate) struct FactorParts<T: Scalar> {
     nodes: Vec<NodeFactor<T>>,
-    defaults: RunDefaults<TraversalPolicy>,
+    defaults: RunDefaults,
     stats: FactorStats,
 }
 
@@ -261,7 +261,7 @@ pub struct HierarchicalFactor<'a, T: Scalar> {
     plan: ReusablePlan,
     /// Default traversal policy / worker count, overridable per call through
     /// [`ApplyOptions`].
-    defaults: RunDefaults<TraversalPolicy>,
+    defaults: RunDefaults,
     stats: FactorStats,
     /// Per-solve sweep buffers, leased per call and recycled across calls.
     pool: WorkspacePool<SolveWorkspace<T>>,
@@ -364,37 +364,24 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
             slots.set(heap, slot);
         };
 
-        let exec = match policy.schedule_policy() {
-            None => {
-                // Level-by-level: a barrier per level orders child factor
-                // writes before parent reads.
-                for level in (0..=tree.depth()).rev() {
-                    let nodes: Vec<usize> = tree.level_range(level).collect();
-                    parallel_for(nodes.len(), num_threads, |i| factor_one(nodes[i]));
+        let m = comp.config.leaf_size as f64;
+        let s = comp.config.max_rank as f64;
+        let factor_ref = &factor_one;
+        let mut plan = PhasePlan::new();
+        plan.add_bottom_up(
+            "FACTOR",
+            tree,
+            |_| false,
+            |heap| {
+                if tree.is_leaf(heap) {
+                    m * m * m / 3.0 + 2.0 * m * m * s
+                } else {
+                    8.0 * s * s * s
                 }
-                None
-            }
-            Some(sched) => {
-                let m = comp.config.leaf_size as f64;
-                let s = comp.config.max_rank as f64;
-                let factor_ref = &factor_one;
-                let mut plan = PhasePlan::new();
-                plan.add_bottom_up(
-                    "FACTOR",
-                    tree,
-                    |_| false,
-                    |heap| {
-                        if tree.is_leaf(heap) {
-                            m * m * m / 3.0 + 2.0 * m * m * s
-                        } else {
-                            8.0 * s * s * s
-                        }
-                    },
-                    |heap| move || factor_ref(heap),
-                );
-                Some(plan.run(sched, num_threads))
-            }
-        };
+            },
+            |heap| move || factor_ref(heap),
+        );
+        let exec = plan.run(policy, num_threads);
 
         let mut slots = slots.into_inner();
         // Surface the deepest-level failure first; ancestors of a failed
@@ -423,7 +410,7 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
                 setup_time: t0.elapsed().as_secs_f64(),
                 bytes,
                 lambda: opts.lambda,
-                exec,
+                exec: Some(exec),
             },
         })
     }
@@ -523,60 +510,24 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
         let ws = self.pool.lease(b.cols(), || {
             SolveWorkspace::allocate(&self.comp, &self.nodes, b.cols())
         });
-        let tree = &self.comp.tree;
         let pass = SolvePass {
             factor: self,
             ws: &ws,
             b,
         };
-        match (policy.schedule_policy(), cancel) {
-            (None, cancel) => {
-                let check = || -> Result<(), Error> {
-                    if cancel.is_some_and(CancelToken::is_cancelled) {
-                        Err(Error::Cancelled)
-                    } else {
-                        Ok(())
-                    }
-                };
-                for level in (0..=tree.depth()).rev() {
-                    check()?;
-                    let nodes: Vec<usize> = tree.level_range(level).collect();
-                    traced_barrier(sink, "SUP", level as usize, || {
-                        parallel_for(nodes.len(), num_threads, |i| {
-                            traced_task(sink, "SUP", nodes[i], level as usize, || {
-                                pass.task_up(nodes[i])
-                            })
-                        })
-                    });
-                }
-                for level in 0..=tree.depth() {
-                    check()?;
-                    let nodes: Vec<usize> = tree.level_range(level).collect();
-                    traced_barrier(sink, "SDOWN", level as usize, || {
-                        parallel_for(nodes.len(), num_threads, |i| {
-                            traced_task(sink, "SDOWN", nodes[i], level as usize, || {
-                                pass.task_down(nodes[i])
-                            })
-                        })
-                    });
-                }
-            }
-            (Some(sched), cancel) => {
-                self.plan
-                    .run_with(
-                        sched,
-                        num_threads,
-                        cancel,
-                        sink,
-                        |family, node| match family {
-                            "SUP" => pass.task_up(node),
-                            "SDOWN" => pass.task_down(node),
-                            other => unreachable!("unknown solve task family {other}"),
-                        },
-                    )
-                    .map_err(|_| Error::Cancelled)?;
-            }
-        }
+        self.plan
+            .run_with(
+                policy,
+                num_threads,
+                cancel,
+                sink,
+                |family, node| match family {
+                    "SUP" => pass.task_up(node),
+                    "SDOWN" => pass.task_down(node),
+                    other => unreachable!("unknown solve task family {other}"),
+                },
+            )
+            .map_err(|_| Error::Cancelled)?;
         let out = pass.assemble();
         if let (Some(s), Some(t0)) = (sink, phase_start) {
             s.record(SpanKind::Phase, "SOLVE", 0, 0, t0, s.now());

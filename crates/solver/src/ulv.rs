@@ -49,11 +49,10 @@ use gofmm_linalg::{
 };
 use gofmm_matrices::SpdMatrix;
 use gofmm_runtime::{
-    heap_level, parallel_for, CancelToken, DisjointCells, PhasePlan, ReusablePlan, RunDefaults,
-    WorkspacePool,
+    heap_level, CancelToken, DisjointCells, PhasePlan, ReusablePlan, RunDefaults, WorkspacePool,
 };
 use gofmm_store::{classes, Blob, ByteReader, ByteWriter, FilePanelStore, StoreError, StoreWriter};
-use gofmm_telemetry::{traced_barrier, traced_task, SpanKind, SweepProgress};
+use gofmm_telemetry::{SpanKind, SweepProgress};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -232,7 +231,7 @@ enum Slot<T: Scalar> {
 /// compression handle; mirrors `factor::FactorParts`.
 pub(crate) struct UlvParts<T: Scalar> {
     nodes: Vec<UlvNode<T>>,
-    defaults: RunDefaults<TraversalPolicy>,
+    defaults: RunDefaults,
     stats: FactorStats,
 }
 
@@ -350,7 +349,7 @@ pub struct UlvFactor<'a, T: Scalar> {
     /// The SUP/SDOWN solve DAG (same shape as the SMW backend's), built once
     /// and re-run per solve.
     plan: ReusablePlan,
-    defaults: RunDefaults<TraversalPolicy>,
+    defaults: RunDefaults,
     stats: FactorStats,
     /// Per-solve sweep buffers, leased per call and recycled across calls.
     pool: WorkspacePool<UlvWorkspace<T>>,
@@ -456,38 +455,25 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
             slots.set(heap, slot);
         };
 
-        let exec = match policy.schedule_policy() {
-            None => {
-                // Level-by-level: a barrier per level orders child factor
-                // writes before parent reads.
-                for level in (0..=tree.depth()).rev() {
-                    let nodes: Vec<usize> = tree.level_range(level).collect();
-                    parallel_for(nodes.len(), num_threads, |i| factor_one(nodes[i]));
-                }
-                None
-            }
-            Some(sched) => {
-                let rank = |heap: usize| comp.basis(heap).map_or(0, |b| b.rank());
-                let factor_ref = &factor_one;
-                let mut plan = PhasePlan::new();
-                plan.add_bottom_up(
-                    "FACTOR",
-                    tree,
-                    |_| false,
-                    |heap| {
-                        let m = if tree.is_leaf(heap) {
-                            tree.node(heap).len
-                        } else {
-                            let (l, r) = tree.children(heap);
-                            rank(l) + rank(r)
-                        };
-                        factor_cost(m, rank(heap))
-                    },
-                    |heap| move || factor_ref(heap),
-                );
-                Some(plan.run(sched, num_threads))
-            }
-        };
+        let rank = |heap: usize| comp.basis(heap).map_or(0, |b| b.rank());
+        let factor_ref = &factor_one;
+        let mut plan = PhasePlan::new();
+        plan.add_bottom_up(
+            "FACTOR",
+            tree,
+            |_| false,
+            |heap| {
+                let m = if tree.is_leaf(heap) {
+                    tree.node(heap).len
+                } else {
+                    let (l, r) = tree.children(heap);
+                    rank(l) + rank(r)
+                };
+                factor_cost(m, rank(heap))
+            },
+            |heap| move || factor_ref(heap),
+        );
+        let exec = plan.run(policy, num_threads);
 
         let mut slots = slots.into_inner();
         // Surface the deepest-level failure first; ancestors of a failed
@@ -516,7 +502,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
                 setup_time: t0.elapsed().as_secs_f64(),
                 bytes,
                 lambda: opts.lambda,
-                exec,
+                exec: Some(exec),
             },
         })
     }
@@ -653,59 +639,18 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
         };
         let sink = opts.trace.as_ref();
         let phase_start = sink.map(|s| s.now());
-        match (policy.schedule_policy(), cancel) {
-            (None, cancel) => {
-                let check = || -> Result<(), Error> {
-                    if cancel.is_some_and(CancelToken::is_cancelled) {
-                        Err(Error::Cancelled)
-                    } else {
-                        Ok(())
-                    }
-                };
-                for level in (0..=tree.depth()).rev() {
-                    check()?;
-                    let nodes: Vec<usize> = tree.level_range(level).collect();
-                    traced_barrier(sink, "SUP", level as usize, || {
-                        parallel_for(nodes.len(), num_threads, |i| {
-                            traced_task(sink, "SUP", nodes[i], level as usize, || {
-                                pass.task_up(nodes[i]);
-                            });
-                        });
-                    });
-                    if let Some(sp) = sweep.as_ref() {
-                        sp.stage_done("SUP", level as usize);
-                    }
+        self.plan
+            .run_with(policy, num_threads, cancel, sink, |family, node| {
+                match family {
+                    "SUP" => pass.task_up(node),
+                    "SDOWN" => pass.task_down(node),
+                    other => unreachable!("unknown solve task family {other}"),
                 }
-                for level in 0..=tree.depth() {
-                    check()?;
-                    let nodes: Vec<usize> = tree.level_range(level).collect();
-                    traced_barrier(sink, "SDOWN", level as usize, || {
-                        parallel_for(nodes.len(), num_threads, |i| {
-                            traced_task(sink, "SDOWN", nodes[i], level as usize, || {
-                                pass.task_down(nodes[i]);
-                            });
-                        });
-                    });
-                    if let Some(sp) = sweep.as_ref() {
-                        sp.stage_done("SDOWN", level as usize);
-                    }
+                if let Some(sp) = sweep.as_ref() {
+                    sp.task_done(family, heap_level(node));
                 }
-            }
-            (Some(sched), cancel) => {
-                self.plan
-                    .run_with(sched, num_threads, cancel, sink, |family, node| {
-                        match family {
-                            "SUP" => pass.task_up(node),
-                            "SDOWN" => pass.task_down(node),
-                            other => unreachable!("unknown solve task family {other}"),
-                        }
-                        if let Some(sp) = sweep.as_ref() {
-                            sp.task_done(family, heap_level(node));
-                        }
-                    })
-                    .map_err(|_| Error::Cancelled)?;
-            }
-        }
+            })
+            .map_err(|_| Error::Cancelled)?;
         let out = ws.assemble(&self.comp);
         if let (Some(s), Some(t0)) = (sink, phase_start) {
             s.record(SpanKind::Phase, "SOLVE", 0, 0, t0, s.now());
@@ -1409,6 +1354,7 @@ mod tests {
                     num_threads: Some(threads),
                 };
                 let refactored = UlvFactor::with_options(&k, &comp, &factor_opts).unwrap();
+                assert!(refactored.stats().exec.is_some(), "{policy}: no exec stats");
                 let opts = ApplyOptions::new()
                     .with_policy(policy)
                     .with_threads(threads);

@@ -172,6 +172,7 @@ fn solve_is_bit_identical_across_all_four_traversal_policies() {
         )
         .unwrap();
         assert_eq!(factor.policy(), policy);
+        assert!(factor.stats().exec.is_some(), "{policy}: no exec stats");
         let x1 = factor.solve(&b).unwrap();
         let x2 = factor
             .solve_with(&b, &gofmm_core::ApplyOptions::new().with_threads(1))

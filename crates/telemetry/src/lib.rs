@@ -48,6 +48,6 @@ pub mod trace;
 pub use json::validate_chrome_trace;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use progress::{ProgressHandle, ProgressListener, ProgressReport, SweepProgress};
-pub use sink::{traced_barrier, traced_task, SpanEvent, SpanGuard, SpanKind, TraceSink};
+pub use sink::{SpanEvent, SpanGuard, SpanKind, TraceSink};
 pub use stats::{LatencySummary, PhaseTimes, Stopwatch};
 pub use trace::{Trace, TraceSummary};

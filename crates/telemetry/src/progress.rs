@@ -196,18 +196,6 @@ impl SweepProgress {
             self.finish_stage(idx);
         }
     }
-
-    /// Record a whole stage as finished (the level-by-level barrier path).
-    /// Idempotent; unknown stages are ignored.
-    pub fn stage_done(&self, family: &'static str, level: usize) {
-        use std::sync::atomic::Ordering;
-        let Some(&idx) = self.index.get(&(family, level)) else {
-            return;
-        };
-        if self.remaining[idx].swap(0, Ordering::AcqRel) > 0 {
-            self.finish_stage(idx);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -258,8 +246,8 @@ mod tests {
         assert!(seen.lock().unwrap().is_empty());
         sweep.task_done("N2S", 2);
         sweep.task_done("N2S", 1); // unknown stage: ignored
-        sweep.stage_done("L2L", 0);
-        sweep.stage_done("L2L", 0); // idempotent
+        sweep.task_done("L2L", 0);
+        sweep.task_done("L2L", 0);
         assert_eq!(*seen.lock().unwrap(), vec![(1, 2), (2, 2)]);
     }
 

@@ -34,16 +34,16 @@ const MAX_LANES: usize = 8;
 /// What a recorded span measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanKind {
-    /// One task body executed by the DAG runners or a level-by-level sweep
-    /// (N2S/S2S/S2N/L2L, SUP/SDOWN, ...). Task spans are the unit of the
-    /// per-family/per-level aggregates and the critical path.
+    /// One task body of a plan run, under any schedule (N2S/S2S/S2N/L2L,
+    /// SUP/SDOWN, ...). Task spans are the unit of the per-family/per-level
+    /// aggregates and the critical path.
     Task,
     /// A whole algorithmic phase (`APPLY`, `SOLVE`, `CG`, `GMRES`);
     /// encloses the task and iteration spans it drives.
     Phase,
-    /// A barrier marker: one per `(family, level)` sweep under the
-    /// level-by-level traversal policy. Task spans of that family/level
-    /// nest inside the marker.
+    /// A barrier marker: one per barrier group of a level-by-level plan
+    /// run, recorded by the runtime and labelled with the group's family
+    /// and its first task's level. Task spans of the group nest inside it.
     Marker,
     /// One Krylov iteration (`CG_ITER`, `GMRES_ITER`); `node` carries the
     /// iteration index.
@@ -349,47 +349,6 @@ impl TraceSink {
     /// Whether `self` and `other` share the same underlying buffer.
     pub fn same_sink(&self, other: &TraceSink) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
-    }
-}
-
-/// Run one task body, recording a [`SpanKind::Task`] span into `sink`
-/// when one is installed. The shared helper behind every instrumented
-/// sweep: with `sink == None` the only cost is this branch, and the span
-/// never changes what `f` computes.
-pub fn traced_task(
-    sink: Option<&TraceSink>,
-    family: &'static str,
-    node: usize,
-    level: usize,
-    f: impl FnOnce(),
-) {
-    match sink {
-        None => f(),
-        Some(s) => {
-            let t0 = s.now();
-            f();
-            s.record(SpanKind::Task, family, node, level, t0, s.now());
-        }
-    }
-}
-
-/// Run one barrier-delimited sweep, recording a [`SpanKind::Marker`] span
-/// covering it when a sink is installed. Task spans recorded inside `f`
-/// nest within the marker.
-pub fn traced_barrier<R>(
-    sink: Option<&TraceSink>,
-    family: &'static str,
-    level: usize,
-    f: impl FnOnce() -> R,
-) -> R {
-    match sink {
-        None => f(),
-        Some(s) => {
-            let t0 = s.now();
-            let out = f();
-            s.record(SpanKind::Marker, family, 0, level, t0, s.now());
-            out
-        }
     }
 }
 

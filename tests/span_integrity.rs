@@ -9,7 +9,7 @@ use gofmm_suite::core::{GofmmConfig, TraversalPolicy};
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{KernelMatrix, KernelType, PointCloud};
 use gofmm_suite::telemetry::{validate_chrome_trace, SpanKind};
-use gofmm_suite::{ApplyOptions, GofmmOperator, KrylovOptions, Trace, TraceSink};
+use gofmm_suite::{ApplyOptions, FactorBackend, GofmmOperator, KrylovOptions, Trace, TraceSink};
 use std::sync::Arc;
 
 fn build_operator(n: usize) -> Arc<GofmmOperator<f64>> {
@@ -120,6 +120,94 @@ fn task_spans_nest_within_level_barriers() {
         nested += 1;
     }
     assert!(nested > 0, "no task spans recorded");
+}
+
+/// One DAG, four schedules: a traced apply, ULV solve and SMW solve record
+/// the same multiset of `(family, node)` task spans under every policy, and
+/// it is exactly the plan's task set. At budget 0.2 some nodes have an
+/// empty far list and therefore no S2S task.
+#[test]
+fn task_spans_match_the_plan_under_every_policy() {
+    let n = 2048;
+    let k = KernelMatrix::new(
+        PointCloud::uniform(n, 3, 41),
+        KernelType::Gaussian { bandwidth: 1.0 },
+        1e-6,
+        "span-parity",
+    );
+    let cfg = GofmmConfig::default()
+        .with_leaf_size(48)
+        .with_max_rank(48)
+        .with_tolerance(1e-7)
+        .with_budget(0.2)
+        .with_threads(2);
+    let build = |backend: FactorBackend| {
+        GofmmOperator::builder(&k)
+            .config(cfg.clone())
+            .factorize(1e-2)
+            .backend(backend)
+            .build()
+            .expect("operator must build")
+    };
+    let w = rhs(n, 3, 1);
+    let task_spans = |policy: TraversalPolicy, call: &dyn Fn(&ApplyOptions)| {
+        let sink = TraceSink::new();
+        call(
+            &ApplyOptions::default()
+                .with_policy(policy)
+                .with_threads(3)
+                .with_trace(sink.clone()),
+        );
+        let mut spans: Vec<(&'static str, usize)> = sink
+            .trace()
+            .events()
+            .iter()
+            .filter(|e| e.kind == SpanKind::Task)
+            .map(|e| (e.family, e.node))
+            .collect();
+        spans.sort_unstable();
+        spans
+    };
+
+    let ulv = build(FactorBackend::Ulv);
+    let smw = build(FactorBackend::Smw);
+    let comp = ulv.compressed();
+    let tree = &comp.tree;
+    let mut apply_tasks = Vec::new();
+    for heap in (1..tree.node_count()).filter(|&h| comp.bases[h].is_some()) {
+        apply_tasks.extend([("N2S", heap), ("S2N", heap)]);
+        if !comp.lists.far[heap].is_empty() {
+            apply_tasks.push(("S2S", heap));
+        }
+    }
+    apply_tasks.extend(tree.leaf_range().map(|leaf| ("L2L", leaf)));
+    apply_tasks.sort_unstable();
+    assert!(
+        apply_tasks.len() < 4 * (tree.node_count() - 1),
+        "the fixture must leave some far lists empty"
+    );
+    let mut solve_tasks: Vec<(&'static str, usize)> = (0..tree.node_count())
+        .flat_map(|heap| [("SUP", heap), ("SDOWN", heap)])
+        .collect();
+    solve_tasks.sort_unstable();
+
+    for policy in [
+        TraversalPolicy::Sequential,
+        TraversalPolicy::LevelByLevel,
+        TraversalPolicy::DagHeft,
+        TraversalPolicy::DagFifo,
+    ] {
+        let apply = task_spans(policy, &|opts| {
+            ulv.apply_with(&w, opts).expect("traced apply");
+        });
+        assert_eq!(apply, apply_tasks, "{policy}: apply spans");
+        for (name, op) in [("ULV", &ulv), ("SMW", &smw)] {
+            let solve = task_spans(policy, &|opts| {
+                op.solve_with(&w, opts).expect("traced solve");
+            });
+            assert_eq!(solve, solve_tasks, "{policy}: {name} solve spans");
+        }
+    }
 }
 
 /// The acceptance contract on the aggregates: on a sequential traced apply

@@ -166,35 +166,28 @@ fn compressed_operator_is_symmetric() {
 
 #[test]
 fn dag_runtime_handles_large_random_graphs() {
-    // Stress the HEFT and FIFO executors with a randomized layered DAG and
-    // verify that every task runs exactly once and in dependency order.
-    use gofmm_suite::runtime::{execute, SchedulePolicy, TaskGraph};
+    // Stress the HEFT, FIFO and level-by-level executors with a randomized
+    // layered DAG and verify that every task runs exactly once and in
+    // dependency order.
+    use gofmm_suite::runtime::{PhasePlan, TraversalPolicy};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     let layers = 12;
     let width = 40;
     let finished: Arc<Vec<AtomicUsize>> =
         Arc::new((0..layers * width).map(|_| AtomicUsize::new(0)).collect());
-    for policy in [SchedulePolicy::Heft, SchedulePolicy::Fifo] {
-        let mut graph = TaskGraph::new();
-        let mut prev = Vec::new();
+    for policy in [
+        TraversalPolicy::DagHeft,
+        TraversalPolicy::DagFifo,
+        TraversalPolicy::LevelByLevel,
+    ] {
+        let mut plan = PhasePlan::new();
         for layer in 0..layers {
-            let mut this_layer = Vec::new();
             for w in 0..width {
                 let idx = layer * width + w;
+                let fin = finished.clone();
                 // Each task depends on up to three pseudo-random tasks of the
                 // previous layer.
-                let deps: Vec<_> = (0..3)
-                    .filter_map(|d| {
-                        if layer == 0 {
-                            None
-                        } else {
-                            let p = (w * 7 + d * 13 + layer) % width;
-                            Some(prev[p])
-                        }
-                    })
-                    .collect();
-                let fin = finished.clone();
                 let dep_idxs: Vec<usize> = if layer == 0 {
                     Vec::new()
                 } else {
@@ -202,19 +195,17 @@ fn dag_runtime_handles_large_random_graphs() {
                         .map(|d| (layer - 1) * width + (w * 7 + d * 13 + layer) % width)
                         .collect()
                 };
-                let id =
-                    graph.add_task(format!("t{idx}"), (w % 5) as f64 + 1.0, &deps, move || {
-                        // All dependencies must have completed already.
-                        for &d in &dep_idxs {
-                            assert!(fin[d].load(Ordering::SeqCst) > 0, "dependency {d} not done");
-                        }
-                        fin[idx].fetch_add(1, Ordering::SeqCst);
-                    });
-                this_layer.push(id);
+                let deps: Vec<(&'static str, usize)> = dep_idxs.iter().map(|&d| ("t", d)).collect();
+                plan.add("t", idx, (w % 5) as f64 + 1.0, &deps, move || {
+                    // All dependencies must have completed already.
+                    for &d in &dep_idxs {
+                        assert!(fin[d].load(Ordering::SeqCst) > 0, "dependency {d} not done");
+                    }
+                    fin[idx].fetch_add(1, Ordering::SeqCst);
+                });
             }
-            prev = this_layer;
         }
-        let stats = execute(graph, policy, 8);
+        let stats = plan.run(policy, 8);
         assert_eq!(stats.tasks_executed, layers * width);
         for f in finished.iter() {
             assert_eq!(f.swap(0, Ordering::SeqCst), 1);
