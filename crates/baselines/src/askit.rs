@@ -82,7 +82,6 @@ impl<T: Scalar> AskitMatrix<T> {
             num_threads: config.num_threads,
             policy: TraversalPolicy::LevelByLevel,
             sample_size: 0,
-            cache_blocks: true,
             ann_iters: 10,
             seed: config.seed,
             strict_rank_budget: false,

@@ -76,7 +76,6 @@ impl<T: Scalar> HssMatrix<T> {
             num_threads: config.num_threads,
             policy: TraversalPolicy::LevelByLevel,
             sample_size: sample,
-            cache_blocks: true,
             ann_iters: 0,
             seed: 1,
             strict_rank_budget: false,

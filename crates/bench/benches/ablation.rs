@@ -1,10 +1,9 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //! adaptive vs fixed rank, neighbor importance sampling vs uniform sampling,
-//! block caching vs on-the-fly evaluation, and distance metric choice.
+//! and distance metric choice.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gofmm_core::{compress, DistanceMetric, Evaluator, GofmmConfig, TraversalPolicy};
-use gofmm_linalg::DenseMatrix;
+use gofmm_core::{compress, DistanceMetric, GofmmConfig, TraversalPolicy};
 use gofmm_matrices::{build_matrix, TestMatrixId, ZooOptions};
 use std::time::Duration;
 
@@ -72,18 +71,6 @@ fn bench_ablation(c: &mut Criterion) {
         );
     }
 
-    // Cached vs on-the-fly blocks at evaluation time: evaluator construction
-    // (which packs cached blocks or evaluates them) plus one apply.
-    let w = DenseMatrix::<f64>::from_fn(n, 128, |i, j| (((i + j) % 5) as f64) - 2.0);
-    for (label, cache) in [("cached_blocks", true), ("on_the_fly_blocks", false)] {
-        let mut cfg = base_config();
-        cfg.cache_blocks = cache;
-        let comp = compress::<f64, _>(&k, &cfg);
-        group.bench_function(BenchmarkId::new("evaluation", label), |bencher| {
-            let policy = TraversalPolicy::DagHeft;
-            bencher.iter(|| Evaluator::with_options(&k, &comp, policy, 8).apply(&w));
-        });
-    }
     group.finish();
 }
 

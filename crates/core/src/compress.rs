@@ -1,13 +1,15 @@
 //! The compression phase (paper Algorithm 2.2): neighbor search, tree
-//! partitioning, near/far pruning, skeletonization and optional block caching.
+//! partitioning, near/far pruning and skeletonization. Compression produces
+//! structure only (tree, lists, bases); every interaction block's values are
+//! evaluated from the matrix by the engine that stores them.
 
 use crate::config::GofmmConfig;
 use crate::distance::{DistanceMetric, GramOracle};
 use crate::lists::{build_interaction_lists, InteractionLists};
 use crate::skel::{skeletonize_node, NodeBasis, SkelParams};
-use gofmm_linalg::{DenseMatrix, Scalar};
+use gofmm_linalg::Scalar;
 use gofmm_matrices::SpdMatrix;
-use gofmm_runtime::{parallel_for, DisjointCells, ExecStats, PhasePlan};
+use gofmm_runtime::{DisjointCells, ExecStats, PhasePlan};
 use gofmm_tree::{
     ann_search, AnnConfig, DistanceOracle, NeighborList, PartitionTree, SplitRule, TreeOptions,
 };
@@ -27,7 +29,9 @@ pub struct CompressionStats {
     pub lists_time: f64,
     /// Time spent in skeletonization (ID factorizations).
     pub skel_time: f64,
-    /// Time spent caching near/far blocks.
+    /// Always `0.0`: compression caches no blocks. Kept for reports that
+    /// still read it; the block evaluation now happens in evaluator
+    /// construction (see `Evaluator::setup_time`).
     pub cache_time: f64,
     /// Average skeleton rank over all skeletonized nodes.
     pub avg_rank: f64,
@@ -56,13 +60,6 @@ pub struct Compressed<T: Scalar> {
     /// Per-node skeleton bases (heap-indexed; `None` for the root and for
     /// trees of depth zero).
     pub bases: Vec<Option<NodeBasis<T>>>,
-    /// Cached direct blocks `K_{beta, alpha}` for `alpha in Near(beta)`,
-    /// aligned with `lists.near`; empty when caching is disabled.
-    pub near_blocks: Vec<Vec<DenseMatrix<T>>>,
-    /// Cached skeleton blocks `K_{skel(beta), skel(alpha)}` for
-    /// `alpha in Far(beta)`, aligned with `lists.far`; empty when caching is
-    /// disabled.
-    pub far_blocks: Vec<Vec<DenseMatrix<T>>>,
     /// Neighbor lists (kept for diagnostics and for baselines that reuse them).
     pub neighbors: Option<NeighborList>,
     /// The configuration used.
@@ -97,36 +94,16 @@ impl<T: Scalar> Compressed<T> {
         self.bases[heap].as_ref()
     }
 
-    /// The cached diagonal (self) near block `K_{beta, beta}` of a leaf, if
-    /// block caching was enabled. This is the block the hierarchical solver
-    /// Cholesky-factors (after regularization) without touching the kernel.
-    pub fn self_near_block(&self, leaf: usize) -> Option<&DenseMatrix<T>> {
-        let pos = self.lists.near[leaf].iter().position(|&a| a == leaf)?;
-        self.near_blocks[leaf].get(pos)
-    }
-
-    /// The cached skeleton block `K_{skel(beta), skel(alpha)}` for
-    /// `alpha in Far(beta)`, if block caching was enabled. The hierarchical
-    /// solver uses the sibling pair to build its level-restricted low-rank
-    /// correction kernel-free.
-    pub fn cached_far_block(&self, beta: usize, alpha: usize) -> Option<&DenseMatrix<T>> {
-        let pos = self.lists.far[beta].iter().position(|&a| a == alpha)?;
-        self.far_blocks[beta].get(pos)
-    }
-
-    /// Approximate memory footprint of the compressed representation in bytes
-    /// (interpolation matrices plus cached blocks).
+    /// Approximate memory footprint of the compressed representation in bytes:
+    /// the skeleton bases (interpolation matrices and skeleton indices). The
+    /// interaction blocks live in an evaluator's panels
+    /// (`Evaluator::cached_bytes`).
     pub fn memory_bytes(&self) -> usize {
         let scalar = std::mem::size_of::<T>();
         let mut total = 0usize;
         for b in self.bases.iter().flatten() {
             total += b.interp.rows() * b.interp.cols() * scalar;
             total += b.skeleton.len() * std::mem::size_of::<usize>();
-        }
-        for blocks in self.near_blocks.iter().chain(self.far_blocks.iter()) {
-            for b in blocks {
-                total += b.rows() * b.cols() * scalar;
-            }
         }
         total
     }
@@ -330,25 +307,11 @@ pub fn try_compress<T: Scalar, M: SpdMatrix<T> + ?Sized>(
         ranks.iter().sum::<usize>() as f64 / ranks.len() as f64
     };
 
-    // --- Optional block caching (Kba / SKba) --------------------------------
-    let t4 = Instant::now();
-    let (near_blocks, far_blocks) = if config.cache_blocks {
-        cache_blocks(matrix, &tree, &lists, &bases, config)
-    } else {
-        (
-            vec![Vec::new(); tree.node_count()],
-            vec![Vec::new(); tree.node_count()],
-        )
-    };
-    stats.cache_time = t4.elapsed().as_secs_f64();
-
     stats.total_time = t_total.elapsed().as_secs_f64();
     Ok(Compressed {
         tree,
         lists,
         bases,
-        near_blocks,
-        far_blocks,
         neighbors,
         config: config.clone(),
         stats,
@@ -434,53 +397,6 @@ fn skeletonize_all<T: Scalar, M: SpdMatrix<T> + ?Sized>(
 
     stats.flops += flops.load(Ordering::Relaxed);
     (bases.into_inner(), Some(exec))
-}
-
-/// Per-node cached blocks, aligned with the corresponding interaction list.
-type BlockCache<T> = Vec<Vec<DenseMatrix<T>>>;
-
-/// Pre-evaluate and cache the `K_{beta,alpha}` (near) and
-/// `K_{skel(beta),skel(alpha)}` (far) blocks.
-fn cache_blocks<T: Scalar, M: SpdMatrix<T> + ?Sized>(
-    matrix: &M,
-    tree: &PartitionTree,
-    lists: &InteractionLists,
-    bases: &[Option<NodeBasis<T>>],
-    config: &GofmmConfig,
-) -> (BlockCache<T>, BlockCache<T>) {
-    let node_count = tree.node_count();
-    // Every parallel iteration writes only its own node's cells, so the
-    // blocks need no locks (DisjointCells verifies that at runtime).
-    let near_blocks: DisjointCells<Vec<DenseMatrix<T>>> =
-        DisjointCells::from_fn(node_count, |_| Vec::new());
-    let far_blocks: DisjointCells<Vec<DenseMatrix<T>>> =
-        DisjointCells::from_fn(node_count, |_| Vec::new());
-
-    parallel_for(node_count, config.num_threads, |heap| {
-        // Near blocks exist only for leaves.
-        if tree.is_leaf(heap) {
-            let rows = tree.indices(heap);
-            let mut blocks = Vec::with_capacity(lists.near[heap].len());
-            for &alpha in &lists.near[heap] {
-                blocks.push(matrix.submatrix(rows, tree.indices(alpha)));
-            }
-            near_blocks.set(heap, blocks);
-        }
-        // Far blocks for any node with a skeleton.
-        if let Some(basis) = bases[heap].as_ref() {
-            let mut blocks = Vec::with_capacity(lists.far[heap].len());
-            for &alpha in &lists.far[heap] {
-                let alpha_skel = &bases[alpha]
-                    .as_ref()
-                    .expect("far node must have a skeleton")
-                    .skeleton;
-                blocks.push(matrix.submatrix(&basis.skeleton, alpha_skel));
-            }
-            far_blocks.set(heap, blocks);
-        }
-    });
-
-    (near_blocks.into_inner(), far_blocks.into_inner())
 }
 
 #[cfg(test)]
@@ -628,20 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_blocks_match_lists() {
-        let k = small_kernel_matrix(256);
-        let comp: Compressed<f64> = compress(&k, &base_config());
-        for heap in 0..comp.tree.node_count() {
-            if comp.tree.is_leaf(heap) {
-                assert_eq!(comp.near_blocks[heap].len(), comp.lists.near[heap].len());
-            }
-            if comp.bases[heap].is_some() {
-                assert_eq!(comp.far_blocks[heap].len(), comp.lists.far[heap].len());
-            }
-        }
-    }
-
-    #[test]
     fn all_policies_produce_valid_compressions() {
         let k = small_kernel_matrix(200);
         for policy in [
@@ -682,15 +584,5 @@ mod tests {
         assert_eq!(comp.tree.leaf_count(), 1);
         assert!(comp.bases.iter().all(|b| b.is_none()));
         assert_eq!(comp.average_rank(), 0.0);
-    }
-
-    #[test]
-    fn disabling_cache_leaves_blocks_empty() {
-        let k = small_kernel_matrix(128);
-        let mut cfg = base_config();
-        cfg.cache_blocks = false;
-        let comp: Compressed<f64> = compress(&k, &cfg);
-        assert!(comp.near_blocks.iter().all(|v| v.is_empty()));
-        assert!(comp.far_blocks.iter().all(|v| v.is_empty()));
     }
 }

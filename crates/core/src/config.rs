@@ -17,8 +17,9 @@ pub use gofmm_runtime::TraversalPolicy;
 /// (`gofmm_linalg::gemm_mixed`), roughly halving `cached_bytes` for an `f64`
 /// operator at the cost of one `f32` rounding per panel entry — a relative
 /// apply perturbation of order `1e-7` (single-precision epsilon), far below
-/// typical compression tolerances. The compression's own block cache keeps
-/// the native precision, and for an `f32` operator `MixedF32` is the
+/// typical compression tolerances. The panels are the only stored copy of
+/// the interaction blocks; the factorizations evaluate their blocks from the
+/// matrix in the native precision. For an `f32` operator `MixedF32` is the
 /// identity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PanelPrecision {
@@ -69,10 +70,6 @@ pub struct GofmmConfig {
     /// Number of rows sampled for each node's interpolative decomposition.
     /// `0` selects the default `2 * max_rank + 32`.
     pub sample_size: usize,
-    /// Cache the `K_{beta,alpha}` and `K_{skel(beta),skel(alpha)}` blocks at
-    /// compression time (paper's `Kba`/`SKba` tasks). Costs memory, speeds up
-    /// evaluation.
-    pub cache_blocks: bool,
     /// Number of randomized-tree iterations for the neighbor search.
     pub ann_iters: usize,
     /// RNG seed.
@@ -100,7 +97,6 @@ impl Default for GofmmConfig {
             num_threads: gofmm_runtime::available_threads(),
             policy: TraversalPolicy::DagHeft,
             sample_size: 0,
-            cache_blocks: true,
             ann_iters: 10,
             seed: 0,
             strict_rank_budget: false,

@@ -4,21 +4,19 @@
 //! One engine, [`Evaluator`], built three ways that differ only in who owns
 //! the compression it serves:
 //!
-//! * [`Evaluator::new`] / [`Evaluator::with_options`] — the persistent path.
-//!   Built once from a borrowed [`Compressed`] matrix, it packs every
-//!   near/far interaction block into contiguous per-node storage, builds the
-//!   evaluation task DAG once (a [`ReusablePlan`]), and then serves unlimited
-//!   [`Evaluator::apply`] calls that touch the kernel zero times. `apply`
-//!   takes `&self`: every call leases its per-node value buffers from an
-//!   internal [`WorkspacePool`], so one evaluator can serve many request
-//!   threads concurrently. This is the right tool for solvers and services
-//!   that issue many matvecs against one compression.
-//! * [`Evaluator::from_shared`] — the same packing over an `Arc`-shared
-//!   compression (the construction behind the `GofmmOperator` front door).
-//! * [`Compressed::into_evaluator`] / [`Compressed::into_shared_evaluator`] —
-//!   move the compression in and *steal* its cached blocks, halving the peak
-//!   memory of evaluator setup. The right tool for a one-shot matvec whose
-//!   caller does not need the compression again.
+//! * [`Evaluator::new`] / [`Evaluator::with_options`] borrow it;
+//! * [`Evaluator::from_shared`] shares it behind an `Arc` (the construction
+//!   behind the `GofmmOperator` front door);
+//! * [`Compressed::into_evaluator`] takes it by value (a one-shot matvec is
+//!   `comp.into_evaluator(&k).apply(&w)`).
+//!
+//! Each evaluates every near/far interaction block from the matrix straight
+//! into contiguous per-node panels — the only copy of the block values;
+//! compression stores none — builds the evaluation task DAG once (a
+//! [`ReusablePlan`]), and then serves unlimited [`Evaluator::apply`] calls
+//! that touch the matrix zero times. `apply` takes `&self`: every call
+//! leases its per-node value buffers from an internal [`WorkspacePool`], so
+//! one evaluator can serve many request threads concurrently.
 //!
 //! How a panel is stored and multiplied lives in `panel.rs`; the persisted
 //! operator format ([`Evaluator::write_to`] / [`Evaluator::open_from`]) in
@@ -184,8 +182,6 @@ pub struct Evaluator<'a, T: Scalar> {
     plan: ReusablePlan,
     setup_time: f64,
     pub(crate) cached_bytes: usize,
-    /// Storage precision of the packed panels.
-    pub(crate) panel_precision: PanelPrecision,
     /// Per-apply value buffers, leased per call and recycled across calls.
     pool: WorkspacePool<ApplyWorkspace<T>>,
 }
@@ -405,9 +401,8 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     /// Build an evaluator using the policy and thread count stored in the
     /// compression configuration.
     ///
-    /// The `matrix` is only consulted here, and only when the compression
-    /// skipped block caching (`cache_blocks: false`); every subsequent
-    /// [`Evaluator::apply`] runs without kernel access.
+    /// The `matrix` is consulted only here, to evaluate the panels; every
+    /// subsequent [`Evaluator::apply`] runs without kernel access.
     pub fn new<M: SpdMatrix<T> + ?Sized>(matrix: &M, comp: &'a Compressed<T>) -> Self {
         Self::with_options(matrix, comp, comp.config.policy, comp.config.num_threads)
     }
@@ -436,7 +431,8 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     }
 
     /// Shared packing constructor behind [`Evaluator::new`],
-    /// [`Evaluator::with_options`] and [`Evaluator::from_shared`].
+    /// [`Evaluator::with_options`], [`Evaluator::from_shared`] and
+    /// [`Compressed::into_evaluator`].
     fn packed<'c, M: SpdMatrix<T> + ?Sized>(
         matrix: &M,
         comp: CompRef<'c, T>,
@@ -454,13 +450,11 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         let near_cells: DisjointCells<Panel<T>> =
             DisjointCells::from_fn(node_count, |_| Panel::Empty);
 
-        let precision = comp.config.panel_precision;
         let near_map = NearMap::new(&comp.tree, &comp.lists, NearLayout::Owner);
         {
             let comp = &*comp;
             parallel_for(node_count, num_threads.max(1), |heap| {
-                let (near, far) = (&comp.near_blocks[heap], &comp.far_blocks[heap]);
-                let (near, far) = pack_node(matrix, comp, &near_map, heap, near, far);
+                let (near, far) = pack_node(matrix, comp, &near_map, heap);
                 near_cells.set(heap, near);
                 far_cells.set(heap, far);
             });
@@ -470,7 +464,6 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             comp,
             policy,
             num_threads,
-            precision,
             far_cells.into_inner(),
             near_cells.into_inner(),
             near_map,
@@ -480,12 +473,10 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
 
     /// Shared tail of every constructor: DAG construction, cache accounting
     /// and pool setup.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble_evaluator<'c>(
         comp: CompRef<'c, T>,
         policy: TraversalPolicy,
         num_threads: usize,
-        panel_precision: PanelPrecision,
         far: Vec<Panel<T>>,
         near: Vec<Panel<T>>,
         near_map: NearMap,
@@ -505,7 +496,6 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             plan,
             setup_time: t0.seconds(),
             cached_bytes: 0,
-            panel_precision,
             pool: WorkspacePool::new(),
         };
         evaluator.recompute_cached_bytes();
@@ -518,16 +508,8 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     }
 
     /// The compressed representation this evaluator serves (owned, borrowed
-    /// or shared).
-    ///
-    /// When the evaluator was built with [`Compressed::into_evaluator`], the
-    /// returned compression's `near_blocks`/`far_blocks` caches are empty —
-    /// they were stolen into the packed panels — so cache-dependent helpers
-    /// ([`Compressed::self_near_block`], [`Compressed::cached_far_block`])
-    /// return `None` and consumers that need those blocks (e.g. a
-    /// hierarchical factorization) will fall back to kernel extraction.
-    /// Keep the `Compressed` and use [`Evaluator::new`] when other engines
-    /// still need its block cache.
+    /// or shared): the tree, the lists and the bases. It holds no block
+    /// values; those live only in this evaluator's panels.
     pub fn compressed(&self) -> &Compressed<T> {
         &self.comp
     }
@@ -594,7 +576,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     /// Storage precision of the packed panels, taken from
     /// [`crate::GofmmConfig::panel_precision`].
     pub fn panel_precision(&self) -> PanelPrecision {
-        self.panel_precision
+        self.comp.config.panel_precision
     }
 
     /// The default traversal policy of [`Evaluator::apply`] (override per
@@ -697,7 +679,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             time: sw.seconds(),
             setup_time: self.setup_time,
             cached_bytes: self.cached_bytes,
-            panel_precision: self.panel_precision,
+            panel_precision: self.panel_precision(),
             flops: flops.load(Ordering::Relaxed),
             exec: Some(exec_stats),
             tune: self.tune_stats.clone(),
@@ -731,8 +713,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
 }
 
 /// The concatenation of `entries`' original row indices, in order: the
-/// columns of the near panel a construction without cached blocks evaluates
-/// from the kernel.
+/// columns of a near panel.
 fn near_gather_indices<T: Scalar>(comp: &Compressed<T>, entries: &[usize]) -> Vec<usize> {
     entries
         .iter()
@@ -740,57 +721,36 @@ fn near_gather_indices<T: Scalar>(comp: &Compressed<T>, entries: &[usize]) -> Ve
         .collect()
 }
 
-/// Pack one node's `(near panel, far panel)` in the compression's
-/// configured panel precision: each panel from the node's
-/// cached blocks when there are any, from the kernel otherwise. The one
-/// per-node routine behind every owning constructor — the copying ones pass
-/// the compression's own block cache, the stealing ones the blocks they just
-/// moved out of it.
+/// Evaluate one node's `(near panel, far panel)` from the matrix, in the
+/// compression's configured panel precision: the one per-node routine
+/// behind every constructor.
 ///
 /// The near panel holds the blocks of `near_map`'s entries for the leaf, in
 /// that order: under the owner layout, `K_{ββ}` and the blocks `K_{βα}` of
-/// the owned pairs `α > β`. The cached mirror blocks `K_{βα}`, `α < β`, are
-/// skipped (their owner α packs the transpose) and never evaluated when
-/// nothing was cached.
+/// the owned pairs `α > β` (one gathered block). The mirror blocks `K_{βα}`,
+/// `α < β`, are never evaluated: their owner α packs the transpose.
 fn pack_node<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     matrix: &M,
     comp: &Compressed<T>,
     near_map: &NearMap,
     heap: usize,
-    near_blocks: &[DenseMatrix<T>],
-    far_blocks: &[DenseMatrix<T>],
 ) -> (Panel<T>, Panel<T>) {
-    let tree = &comp.tree;
     let owned = |mat| Panel::Owned(Values::dense(mat, comp.config.panel_precision));
     let mut near = Panel::Empty;
     let entries = near_map.entries(heap);
     if !entries.is_empty() {
-        near = owned(if !near_blocks.is_empty() {
-            let list = &comp.lists.near[heap];
-            let block = |alpha| {
-                let pos = list.iter().position(|&a| a == alpha);
-                &near_blocks[pos.expect("panel entries come from the Near list")]
-            };
-            hstack_blocks(tree.indices(heap).len(), entries.iter().map(|&a| block(a)))
-        } else {
-            matrix.submatrix(tree.indices(heap), &near_gather_indices(comp, entries))
-        });
+        let cols = near_gather_indices(comp, entries);
+        near = owned(matrix.submatrix(comp.tree.indices(heap), &cols));
     }
     let mut far = Panel::Empty;
-    if let Some(basis) = comp.bases[heap].as_ref() {
-        if !comp.lists.far[heap].is_empty() {
-            far = owned(if !far_blocks.is_empty() {
-                hstack_blocks(basis.rank(), far_blocks.iter())
-            } else {
-                extract_far_panel(matrix, comp, heap)
-            });
-        }
+    if comp.bases[heap].is_some() && !comp.lists.far[heap].is_empty() {
+        far = owned(extract_far_panel(matrix, comp, heap));
     }
     (near, far)
 }
 
 /// Evaluate the packed far panel `K_{skel(heap), skel(Far(heap))}` from the
-/// kernel (the fallback when compression skipped block caching).
+/// matrix.
 fn extract_far_panel<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     matrix: &M,
     comp: &Compressed<T>,
@@ -811,23 +771,6 @@ fn extract_far_panel<T: Scalar, M: SpdMatrix<T> + ?Sized>(
         })
         .collect();
     matrix.submatrix(&basis.skeleton, &cols)
-}
-
-/// Copy `blocks` (all with `rows` rows) side by side into one column-major
-/// matrix, preserving every bit of the cached values.
-fn hstack_blocks<'b, T: Scalar>(
-    rows: usize,
-    blocks: impl Iterator<Item = &'b DenseMatrix<T>> + Clone,
-) -> DenseMatrix<T> {
-    let total: usize = blocks.clone().map(|b| b.cols()).sum();
-    let mut mat = DenseMatrix::zeros(rows, total);
-    let mut off = 0;
-    for b in blocks {
-        debug_assert_eq!(b.rows(), rows, "packed block row mismatch");
-        mat.set_block(0, off, b);
-        off += b.cols();
-    }
-    mat
 }
 
 /// One in-flight apply: the evaluator's cached state and the leased
@@ -1080,72 +1023,12 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
 }
 
 impl<T: Scalar> Compressed<T> {
-    /// Convert this compression into a persistent [`Evaluator`], *stealing*
-    /// the cached interaction blocks instead of copying them: each node's
-    /// cached blocks are moved out, packed into the evaluator's contiguous
-    /// panel, and freed immediately, so peak memory during construction is
-    /// roughly half of [`Evaluator::new`]'s copy-then-keep-both profile.
-    /// Use this when the caller does not need the `Compressed` afterwards.
-    ///
-    /// The `matrix` is only consulted for nodes whose blocks were not cached
-    /// (`cache_blocks: false`); with a cached compression, construction and
-    /// every apply are kernel-free.
-    ///
-    /// The compression reachable through [`Evaluator::compressed`] afterwards
-    /// has **empty block caches** (see that method's documentation); stealing
-    /// is the right trade only when nothing else needs the cached blocks.
+    /// Convert this compression into a persistent [`Evaluator`] that owns
+    /// it: the same panels as [`Evaluator::new`], hence the same bits, for a
+    /// caller that does not need the `Compressed` again.
     pub fn into_evaluator<M: SpdMatrix<T> + ?Sized>(self, matrix: &M) -> Evaluator<'static, T> {
-        self.into_shared_evaluator(matrix).1
-    }
-
-    /// Like [`Compressed::into_evaluator`], but the (cache-stripped)
-    /// compression survives behind an [`std::sync::Arc`] that other engines
-    /// can share: the cached interaction blocks are *stolen* into the
-    /// evaluator's packed panels, and the returned `Arc<Compressed>` — whose
-    /// block caches are now **empty** — still carries everything a
-    /// hierarchical factorization or diagnostics need (tree, lists, bases).
-    /// This is how the `GofmmOperator` front door avoids holding every
-    /// interaction block twice (once cached, once packed) for its lifetime.
-    ///
-    /// Consumers that need the block caches themselves must run *before*
-    /// this call (or keep the `Compressed` and use [`Evaluator::from_shared`],
-    /// which copies instead of stealing).
-    pub fn into_shared_evaluator<M: SpdMatrix<T> + ?Sized>(
-        mut self,
-        matrix: &M,
-    ) -> (std::sync::Arc<Compressed<T>>, Evaluator<'static, T>) {
-        let t0 = Stopwatch::start();
-        let node_count = self.tree.node_count();
-        let stolen_near = std::mem::take(&mut self.near_blocks);
-        let stolen_far = std::mem::take(&mut self.far_blocks);
-        let near_map = NearMap::new(&self.tree, &self.lists, NearLayout::Owner);
-        let mut far = Vec::with_capacity(node_count);
-        let mut near = Vec::with_capacity(node_count);
-        // Each node's stolen blocks are dropped right after they are packed,
-        // so peak memory is the block cache plus a single node's panel —
-        // instead of the cache plus a full packed copy.
-        for (heap, (nb, fb)) in stolen_near.into_iter().zip(stolen_far).enumerate() {
-            let (near_panel, far_panel) = pack_node(matrix, &self, &near_map, heap, &nb, &fb);
-            near.push(near_panel);
-            far.push(far_panel);
-        }
-        // Keep the per-node cache vectors aligned with the tree (now empty).
-        self.near_blocks = vec![Vec::new(); node_count];
-        self.far_blocks = vec![Vec::new(); node_count];
         let (policy, threads) = (self.config.policy, self.config.num_threads);
-        let precision = self.config.panel_precision;
-        let comp = std::sync::Arc::new(self);
-        let evaluator = Evaluator::assemble_evaluator(
-            CompRef::Shared(std::sync::Arc::clone(&comp)),
-            policy,
-            threads,
-            precision,
-            far,
-            near,
-            near_map,
-            t0,
-        );
-        (comp, evaluator)
+        Evaluator::packed(matrix, CompRef::from(self), policy, threads)
     }
 }
 
@@ -1367,23 +1250,6 @@ mod tests {
     }
 
     #[test]
-    fn uncached_evaluation_matches_cached() {
-        let n = 200;
-        let k = test_matrix(n);
-        let cached = compress::<f64, _>(&k, &config());
-        let mut cfg_uncached = config();
-        cfg_uncached.cache_blocks = false;
-        let uncached = compress::<f64, _>(&k, &cfg_uncached);
-        let mut rng = StdRng::seed_from_u64(12);
-        let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
-        let (u1, _) = Evaluator::new(&k, &cached).apply(&w).unwrap();
-        let (u2, _) = Evaluator::new(&k, &uncached).apply(&w).unwrap();
-        // Cached blocks are kernel blocks, and an uncached construction
-        // evaluates the very same blocks: the panels, hence the bits, agree.
-        assert_eq!(u1.data(), u2.data());
-    }
-
-    #[test]
     fn evaluator_is_bit_identical_across_policies_and_applies() {
         let n = 300;
         let k = test_matrix(n);
@@ -1466,7 +1332,7 @@ mod tests {
     }
 
     #[test]
-    fn into_evaluator_steals_blocks_and_matches_copying_evaluator() {
+    fn into_evaluator_matches_borrowing_evaluator() {
         let n = 300;
         let k = test_matrix(n);
         let comp = compress::<f64, _>(&k, &config());
@@ -1476,22 +1342,10 @@ mod tests {
             Evaluator::with_options(&k, &comp, comp.config.policy, comp.config.num_threads)
                 .apply(&w)
                 .unwrap();
-
-        let comp2 = compress::<f64, _>(&k, &config());
-        let counter = CountingMatrix::new(&k);
-        let owned = comp2.into_evaluator(&counter);
-        assert_eq!(
-            counter.count(),
-            0,
-            "stealing setup must reuse cached blocks"
-        );
-        // The owned evaluator emptied the compression's block cache...
-        assert!(owned.compressed().near_blocks.iter().all(|b| b.is_empty()));
-        assert!(owned.compressed().far_blocks.iter().all(|b| b.is_empty()));
-        // ...but packs the identical panels, so applies are bit-identical to
-        // the copying constructor.
+        // The owning constructor packs the identical panels, so its applies
+        // are bit-identical to the borrowing one's.
+        let owned = compress::<f64, _>(&k, &config()).into_evaluator(&k);
         let (u, _) = owned.apply(&w).unwrap();
-        assert_eq!(counter.count(), 0);
         for (idx, (a, b)) in u_ref.data().iter().zip(u.data()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "owned evaluator entry {idx}");
         }
@@ -1536,46 +1390,23 @@ mod tests {
 
     #[test]
     fn evaluator_apply_performs_zero_kernel_evaluations() {
-        let n = 256;
-        let k = test_matrix(n);
-        // Cached compression: even setup reads no kernel entries.
-        let comp = compress::<f64, _>(&k, &config());
-        let counter = CountingMatrix::new(&k);
-        let evaluator = Evaluator::new(&counter, &comp);
-        assert_eq!(
-            counter.count(),
-            0,
-            "setup must reuse the blocks cached at compression time"
-        );
-        let mut rng = StdRng::seed_from_u64(33);
-        let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
-        let (u1, _) = evaluator.apply(&w).unwrap();
-        assert_eq!(counter.count(), 0, "first apply must not touch the kernel");
-        let (u2, _) = evaluator.apply(&w).unwrap();
-        assert_eq!(counter.count(), 0, "second apply must not touch the kernel");
-        assert_eq!(u1.data(), u2.data());
-
-        // Uncached compression, with off-diagonal near pairs: setup
-        // evaluates exactly the owner-layout near panels and the far
-        // skeleton panels (never a mirror block: 126 650 entries here,
-        // against 154 298 for the full layout), and applies still touch the
-        // kernel zero times.
+        // With off-diagonal near pairs, every construction evaluates exactly
+        // the owner-layout near panels and the far skeleton panels (never a
+        // mirror block: 126 650 entries here, against 154 298 for the full
+        // layout), and applies touch the kernel zero times.
         let n = 512;
         let k = test_matrix(n);
+        let mut rng = StdRng::seed_from_u64(33);
         let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
-        let mut cfg = config().with_budget(0.3);
-        cfg.cache_blocks = false;
-        let comp_uncached = compress::<f64, _>(&k, &cfg);
-        let counter = CountingMatrix::new(&k);
-        let evaluator = Evaluator::new(&counter, &comp_uncached);
-        let setup_evals = counter.count();
-        let (tree, lists) = (&comp_uncached.tree, &comp_uncached.lists);
+        let comp = compress::<f64, _>(&k, &config().with_budget(0.3));
+        let (tree, lists) = (&comp.tree, &comp.lists);
         let len = |h: usize| tree.node(h).len as u64;
-        let rank = |h: usize| comp_uncached.bases[h].as_ref().map_or(0, |b| b.rank()) as u64;
+        let rank = |h: usize| comp.bases[h].as_ref().map_or(0, |b| b.rank()) as u64;
         let near = |entries: &[usize]| entries.iter().map(|&a| len(a)).sum::<u64>();
+        let owner_map = NearMap::new(tree, lists, NearLayout::Owner);
         let owner_near: u64 = tree
             .leaf_range()
-            .map(|h| len(h) * near(evaluator.near_map.entries(h)))
+            .map(|h| len(h) * near(owner_map.entries(h)))
             .sum();
         let full_near: u64 = tree
             .leaf_range()
@@ -1588,14 +1419,30 @@ mod tests {
             owner_near < full_near,
             "the lists must have off-diagonal near pairs"
         );
-        assert_eq!(setup_evals, owner_near + far, "uncached setup evaluations");
-        let (_, _) = evaluator.apply(&w).unwrap();
-        let (_, _) = evaluator.apply(&w).unwrap();
-        assert_eq!(
-            counter.count(),
-            setup_evals,
-            "applies must stay kernel-free"
-        );
+        let check =
+            |label: &str, counter: &CountingMatrix<'_, KernelMatrix>, ev: Evaluator<'_, f64>| {
+                let setup_evals = counter.count();
+                assert_eq!(setup_evals, owner_near + far, "{label}: setup evaluations");
+                let (u1, _) = ev.apply(&w).unwrap();
+                let (u2, _) = ev.apply(&w).unwrap();
+                assert_eq!(
+                    counter.count(),
+                    setup_evals,
+                    "{label}: applies must stay kernel-free"
+                );
+                assert_eq!(u1.data(), u2.data(), "{label}");
+                u1
+            };
+        let counter = CountingMatrix::new(&k);
+        let u = check("new", &counter, Evaluator::new(&counter, &comp));
+        let shared = std::sync::Arc::new(compress::<f64, _>(&k, &config().with_budget(0.3)));
+        let counter = CountingMatrix::new(&k);
+        let ev = Evaluator::from_shared(&counter, shared);
+        assert_eq!(check("from_shared", &counter, ev).data(), u.data());
+        let owned = compress::<f64, _>(&k, &config().with_budget(0.3));
+        let counter = CountingMatrix::new(&k);
+        let ev = owned.into_evaluator(&counter);
+        assert_eq!(check("into_evaluator", &counter, ev).data(), u.data());
     }
 
     #[test]

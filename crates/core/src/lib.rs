@@ -34,7 +34,7 @@
 //! let compressed = compress::<f64, _>(&k, &config);
 //! let w = DenseMatrix::<f64>::from_fn(n, 2, |i, j| ((i + j) % 5) as f64);
 //! // One matvec, and the compression is not needed again: the evaluator
-//! // steals its cached blocks instead of copying them.
+//! // takes it by value.
 //! let evaluator = compressed.into_evaluator(&k);
 //! let (u, _stats) = evaluator.apply(&w).unwrap();
 //! assert_eq!(u.rows(), n);
@@ -45,7 +45,7 @@
 //! [`Evaluator::apply`] per matvec: the interaction blocks, the task DAG and
 //! the per-node buffers are then reused instead of rebuilt per call.
 //! [`Evaluator::new`] builds one that borrows the compression instead, for
-//! callers that still need its cached blocks (a factorization, say).
+//! callers that still need it (a factorization, say).
 //!
 //! ## Crate map
 //!

@@ -45,12 +45,7 @@ impl<T: Scalar> Evaluator<'_, T> {
             writer.put_raw(class, 0, &buf)
         };
         put(classes::CONFIG, &|buf| {
-            encode_header::<T>(
-                buf,
-                &comp.config,
-                self.panel_precision,
-                self.near_map.layout(),
-            )
+            encode_header::<T>(buf, &comp.config, self.near_map.layout())
         })?;
         put(classes::TREE, &|buf| encode_tree(buf, &comp.tree))?;
         put(classes::LISTS, &|buf| encode_lists(buf, &comp.lists))?;
@@ -72,11 +67,11 @@ impl<T: Scalar> Evaluator<'static, T> {
     /// every interaction panel *out of core* through the store's LRU
     /// resident set, bounded by `resident_budget` decoded bytes.
     ///
-    /// Returns the reconstructed compression (shared, as the front door's
-    /// `into_shared_evaluator` does) and the file-backed evaluator. The
-    /// reconstructed compression carries empty block caches, no neighbor
-    /// lists and zeroed compression statistics — everything the evaluation
-    /// and factorization phases read (tree, lists, bases, config) is exact.
+    /// Returns the reconstructed compression (shared, so a factorization can
+    /// serve it next to the evaluator) and the file-backed evaluator. The
+    /// reconstructed compression carries no neighbor lists and zeroed
+    /// compression statistics — everything the evaluation and factorization
+    /// phases read (tree, lists, bases, config) is exact.
     ///
     /// # Errors
     /// [`Error::Storage`] when the file is missing, incomplete, corrupt, or
@@ -87,8 +82,7 @@ impl<T: Scalar> Evaluator<'static, T> {
     ) -> Result<(Arc<Compressed<T>>, Self), Error> {
         let t0 = Stopwatch::start();
         let store = Arc::new(FilePanelStore::open(path, resident_budget)?);
-        let (config, panel_precision, layout) =
-            decode_header::<T>(&store.read_raw(classes::CONFIG, 0)?)?;
+        let (config, layout) = decode_header::<T>(&store.read_raw(classes::CONFIG, 0)?)?;
         let tree = decode_tree(&store.read_raw(classes::TREE, 0)?)?;
         let lists = decode_lists(&store.read_raw(classes::LISTS, 0)?)?;
         let bases = decode_bases::<T>(&store.read_raw(classes::BASES, 0)?)?;
@@ -117,13 +111,11 @@ impl<T: Scalar> Evaluator<'static, T> {
             tree,
             lists,
             bases,
-            near_blocks: vec![Vec::new(); node_count],
-            far_blocks: vec![Vec::new(); node_count],
             neighbors: None,
             config,
             stats: CompressionStats::default(),
         };
-        let reduced = panel_precision == PanelPrecision::MixedF32;
+        let reduced = comp.config.panel_precision == PanelPrecision::MixedF32;
         let mut far = Vec::with_capacity(node_count);
         let mut near = Vec::with_capacity(node_count);
         for heap in 0..node_count {
@@ -136,7 +128,6 @@ impl<T: Scalar> Evaluator<'static, T> {
             CompRef::Shared(Arc::clone(&comp)),
             policy,
             threads,
-            panel_precision,
             far,
             near,
             near_map,
@@ -247,16 +238,10 @@ fn layout_from_tag(tag: u8) -> Result<NearLayout, StoreError> {
     })
 }
 
-/// CONFIG blob: operator scalar width, every [`GofmmConfig`] field, the
-/// evaluator's panel precision (recorded apart from the config's, which it
-/// equals in every evaluator this crate builds) and its near-panel layout
-/// (owner for untuned evaluators, full for tuned ones).
-fn encode_header<T: Scalar>(
-    out: &mut Vec<u8>,
-    config: &GofmmConfig,
-    panel_precision: PanelPrecision,
-    layout: NearLayout,
-) {
+/// CONFIG blob: operator scalar width, every [`GofmmConfig`] field (the
+/// panel precision among them) and the evaluator's near-panel layout (owner
+/// for untuned evaluators, full for tuned ones).
+fn encode_header<T: Scalar>(out: &mut Vec<u8>, config: &GofmmConfig, layout: NearLayout) {
     let mut w = ByteWriter::new(out);
     w.u8(std::mem::size_of::<T>() as u8);
     w.usize(config.leaf_size);
@@ -268,18 +253,14 @@ fn encode_header<T: Scalar>(
     w.usize(config.num_threads);
     w.u8(policy_tag(config.policy));
     w.usize(config.sample_size);
-    w.u8(config.cache_blocks as u8);
     w.usize(config.ann_iters);
     w.u64(config.seed);
     w.u8(config.strict_rank_budget as u8);
     w.u8(precision_tag(config.panel_precision));
-    w.u8(precision_tag(panel_precision));
     w.u8(layout_tag(layout));
 }
 
-fn decode_header<T: Scalar>(
-    bytes: &[u8],
-) -> Result<(GofmmConfig, PanelPrecision, NearLayout), StoreError> {
+fn decode_header<T: Scalar>(bytes: &[u8]) -> Result<(GofmmConfig, NearLayout), StoreError> {
     let mut r = ByteReader::new(bytes);
     check_scalar_width::<T>(r.u8()?)?;
     let config = GofmmConfig {
@@ -292,19 +273,17 @@ fn decode_header<T: Scalar>(
         num_threads: r.usize()?,
         policy: policy_from_tag(r.u8()?)?,
         sample_size: r.usize()?,
-        cache_blocks: r.u8()? != 0,
         ann_iters: r.usize()?,
         seed: r.u64()?,
         strict_rank_budget: r.u8()? != 0,
         panel_precision: precision_from_tag(r.u8()?)?,
     };
-    let panel_precision = precision_from_tag(r.u8()?)?;
     let layout = layout_from_tag(r.u8()?)?;
     r.finish()?;
-    Ok((config, panel_precision, layout))
+    Ok((config, layout))
 }
 
-/// TREE blob: `(n, depth, perm)` — everything [`PartitionTree::from_parts`]
+/// TREE blob: `(n, depth, perm)` — everything [`PartitionTree::from_perm`]
 /// needs to replay the deterministic build.
 fn encode_tree(out: &mut Vec<u8>, tree: &PartitionTree) {
     let mut w = ByteWriter::new(out);
@@ -319,7 +298,7 @@ fn decode_tree(bytes: &[u8]) -> Result<PartitionTree, StoreError> {
     let depth = r.u32()?;
     let perm = r.usize_slice()?;
     r.finish()?;
-    // Validate before from_parts, which asserts on malformed input.
+    // Validate before from_perm, which asserts on malformed input.
     if perm.len() != n {
         return Err(StoreError::Corrupt(format!(
             "tree permutation has {} entries for n = {n}",
@@ -335,7 +314,7 @@ fn decode_tree(bytes: &[u8]) -> Result<PartitionTree, StoreError> {
         }
         seen[p] = true;
     }
-    Ok(PartitionTree::from_parts(n, depth, perm))
+    Ok(PartitionTree::from_perm(n, depth, perm))
 }
 
 /// One per-node family of index lists: a count, then each node's list.
@@ -513,16 +492,21 @@ mod tests {
         let path = dir.join("operator.gfmm");
         write(&Evaluator::new(&k, &comp), &path);
         assert!(Evaluator::<f64>::open_from(&path, 1 << 20).is_ok());
-        // A file from before the near-layout tag: header version 2.
-        let mut file = std::fs::read(&path).unwrap();
-        file[8..12].copy_from_slice(&2u32.to_le_bytes());
-        std::fs::write(&path, &file).unwrap();
-        match Evaluator::<f64>::open_from(&path, 1 << 20) {
-            Err(Error::Storage { message }) => {
-                assert!(message.contains("version 2"), "{message}")
+        let current = std::fs::read(&path).unwrap();
+        // Files from before the near-layout tag (version 2) and from before
+        // the CONFIG blob lost its block-cache flag and second precision tag
+        // (version 3).
+        for version in [2u32, 3] {
+            let mut file = current.clone();
+            file[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &file).unwrap();
+            match Evaluator::<f64>::open_from(&path, 1 << 20) {
+                Err(Error::Storage { message }) => {
+                    assert!(message.contains(&format!("version {version}")), "{message}")
+                }
+                Err(other) => panic!("expected Error::Storage, got {other}"),
+                Ok(_) => panic!("a version-{version} store file must be refused"),
             }
-            Err(other) => panic!("expected Error::Storage, got {other}"),
-            Ok(_) => panic!("a version-2 store file must be refused"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -157,16 +157,6 @@ impl<T: Scalar> NodeFactor<T> {
     }
 }
 
-/// Everything a factorization computes before it is attached to a
-/// compression handle: the per-node factor storage plus defaults and stats.
-/// Produced by `HierarchicalFactor::compute_parts`, consumed by
-/// `HierarchicalFactor::from_parts`.
-pub(crate) struct FactorParts<T: Scalar> {
-    nodes: Vec<NodeFactor<T>>,
-    defaults: RunDefaults,
-    stats: FactorStats,
-}
-
 /// Outcome slot of one node's factor task.
 enum Slot<T: Scalar> {
     Pending,
@@ -271,9 +261,8 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
     /// Factor `K + lambda I` using the compression's configured policy and
     /// thread count.
     ///
-    /// The `matrix` is consulted only for blocks the compression did not
-    /// cache (diagonal near blocks with `cache_blocks: false`, or sibling
-    /// skeleton blocks absent from the Far lists in FMM mode); after this
+    /// The `matrix` supplies each leaf's diagonal block and each interior
+    /// node's sibling skeleton block `K_{skel(l), skel(r)}`; after this
     /// returns, [`HierarchicalFactor::solve`] never evaluates a kernel
     /// entry.
     pub fn new<M: SpdMatrix<T> + ?Sized>(
@@ -312,25 +301,14 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
         HierarchicalFactor::build(matrix, CompRef::Shared(comp), opts)
     }
 
-    /// Shared construction tail behind every public constructor.
+    /// Shared construction behind every public constructor: the `FACTOR`
+    /// sweep, then the solve plan (which depends only on the compressed
+    /// structure).
     fn build<'c, M: SpdMatrix<T> + ?Sized>(
         matrix: &M,
         comp: CompRef<'c, T>,
         opts: &FactorOptions,
     ) -> Result<HierarchicalFactor<'c, T>, Error> {
-        let parts = Self::compute_parts(matrix, &comp, opts)?;
-        Ok(Self::from_parts(comp, parts))
-    }
-
-    /// Run the `FACTOR` sweep against `comp`, producing everything except
-    /// the compression handle itself. Split from [`Self::from_parts`] so the
-    /// operator front door can factor (which reads the block caches) *before*
-    /// handing those caches to the evaluator's stealing constructor.
-    pub(crate) fn compute_parts<M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: &Compressed<T>,
-        opts: &FactorOptions,
-    ) -> Result<FactorParts<T>, Error> {
         if !opts.lambda.is_finite() {
             return Err(Error::InvalidConfig {
                 what: "lambda",
@@ -345,7 +323,7 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
         let node_count = tree.node_count();
 
         let slots: DisjointCells<Slot<T>> = DisjointCells::from_fn(node_count, |_| Slot::Pending);
-        let comp_ref = comp;
+        let comp_ref = &*comp;
         let factor_one = |heap: usize| {
             let slot = if tree.is_leaf(heap) {
                 factor_leaf(matrix, comp_ref, heap, lambda)
@@ -403,33 +381,21 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
         }
 
         let bytes = nodes.iter().map(NodeFactor::bytes).sum();
-        Ok(FactorParts {
-            nodes,
-            defaults: RunDefaults::new(policy, num_threads),
-            stats: FactorStats {
-                setup_time: t0.elapsed().as_secs_f64(),
-                bytes,
-                lambda: opts.lambda,
-                exec: Some(exec),
-            },
-        })
-    }
-
-    /// Attach precomputed [`FactorParts`] to a compression handle (the solve
-    /// plan depends only on the compressed structure, so it is built here).
-    pub(crate) fn from_parts<'c>(
-        comp: CompRef<'c, T>,
-        parts: FactorParts<T>,
-    ) -> HierarchicalFactor<'c, T> {
+        let stats = FactorStats {
+            setup_time: t0.elapsed().as_secs_f64(),
+            bytes,
+            lambda: opts.lambda,
+            exec: Some(exec),
+        };
         let plan = solve_plan(&comp);
-        HierarchicalFactor {
+        Ok(HierarchicalFactor {
             comp,
-            nodes: parts.nodes,
+            nodes,
             plan,
-            defaults: parts.defaults,
-            stats: parts.stats,
+            defaults: RunDefaults::new(policy, num_threads),
+            stats,
             pool: WorkspacePool::new(),
-        }
+        })
     }
 
     /// Matrix dimension `N`.
@@ -545,10 +511,7 @@ fn factor_leaf<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     lambda: T,
 ) -> Slot<T> {
     let rows = comp.tree.indices(heap);
-    let mut a = match comp.self_near_block(heap) {
-        Some(cached) => cached.clone(),
-        None => matrix.submatrix(rows, rows),
-    };
+    let mut a = matrix.submatrix(rows, rows);
     for i in 0..a.rows() {
         let d = a.get(i, i);
         a.set(i, i, d + lambda);
@@ -599,17 +562,10 @@ fn factor_interior<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     let (sl, sr) = (g_left.rows(), g_right.rows());
     let total = sl + sr;
 
-    // B = K_{skel(l), skel(r)}: from the cached sibling far block when the
-    // interaction lists have it (always in HSS mode), from the kernel
-    // otherwise.
-    let b = match comp.cached_far_block(l, r) {
-        Some(cached) => cached.clone(),
-        None => {
-            let skel_l = &comp.basis(l).expect("child skeleton").skeleton;
-            let skel_r = &comp.basis(r).expect("child skeleton").skeleton;
-            matrix.submatrix(skel_l, skel_r)
-        }
-    };
+    // B = K_{skel(l), skel(r)}, the sibling skeleton block.
+    let skel_l = &comp.basis(l).expect("child skeleton").skeleton;
+    let skel_r = &comp.basis(r).expect("child skeleton").skeleton;
+    let b = matrix.submatrix(skel_l, skel_r);
     debug_assert_eq!((b.rows(), b.cols()), (sl, sr), "sibling block shape");
 
     // C = [0 B; B^T 0], G_hat = diag(G_l, G_r).

@@ -207,15 +207,9 @@ impl<T: Scalar> GofmmOperator<T> {
         self.comp.n()
     }
 
-    /// The shared compressed representation behind this handle.
-    ///
-    /// Its `near_blocks`/`far_blocks` caches are **empty**: the builder
-    /// steals them into the evaluator's packed panels (and the
-    /// factorization consumes them before that), so each interaction block
-    /// is held exactly once. Cache-dependent helpers
-    /// ([`Compressed::self_near_block`], [`Compressed::cached_far_block`])
-    /// therefore return `None`; consumers needing cached blocks should
-    /// compress separately.
+    /// The shared compressed representation behind this handle: the tree,
+    /// the lists and the bases. It holds no block values; each interaction
+    /// block is held once, in the evaluator's panels.
     pub fn compressed(&self) -> &Compressed<T> {
         &self.comp
     }
@@ -590,44 +584,22 @@ impl<'m, T: Scalar, M: SpdMatrix<T> + ?Sized> GofmmOperatorBuilder<'m, T, M> {
     /// configuration, strict-mode budget exhaustion) plus the factorization
     /// errors ([`Error::NotPositiveDefinite`], [`Error::SingularCore`]).
     pub fn build(self) -> Result<GofmmOperator<T>, Error> {
-        let comp = try_compress(self.matrix, &self.config)?;
-        // Factor first: the FACTOR sweep reads the block caches (diagonal
-        // near blocks, sibling skeleton blocks), which the evaluator is
-        // about to steal.
-        enum Parts<T: Scalar> {
-            Smw(crate::factor::FactorParts<T>),
-            Ulv(crate::ulv::UlvParts<T>),
-        }
+        let comp = Arc::new(try_compress(self.matrix, &self.config)?);
+        let evaluator = Evaluator::from_shared(self.matrix, Arc::clone(&comp));
         let opts = |lambda| FactorOptions {
             lambda,
             ..FactorOptions::default()
         };
-        let factor_parts = match (self.lambda, self.backend) {
-            (None, _) => None,
-            (Some(lambda), FactorBackend::Smw) => Some(Parts::Smw(
-                HierarchicalFactor::compute_parts(self.matrix, &comp, &opts(lambda))?,
-            )),
-            (Some(lambda), FactorBackend::Ulv) => Some(Parts::Ulv(UlvFactor::compute_parts(
-                self.matrix,
-                &comp,
-                &opts(lambda),
-            )?)),
-        };
-        // Steal the caches into the evaluator's packed panels rather than
-        // copying them: the shared compression keeps tree/lists/bases but no
-        // duplicate block storage, so the handle holds each interaction
-        // block exactly once.
-        let (comp, evaluator) = comp.into_shared_evaluator(self.matrix);
-        let factor = factor_parts.map(|parts| match parts {
-            Parts::Smw(parts) => FactorEngine::Smw(HierarchicalFactor::from_parts(
-                gofmm_core::CompRef::Shared(Arc::clone(&comp)),
-                parts,
-            )),
-            Parts::Ulv(parts) => FactorEngine::Ulv(UlvFactor::from_parts(
-                gofmm_core::CompRef::Shared(Arc::clone(&comp)),
-                parts,
-            )),
-        });
+        let factor =
+            match (self.lambda, self.backend) {
+                (None, _) => None,
+                (Some(lambda), FactorBackend::Smw) => Some(FactorEngine::Smw(
+                    HierarchicalFactor::from_shared(self.matrix, Arc::clone(&comp), &opts(lambda))?,
+                )),
+                (Some(lambda), FactorBackend::Ulv) => Some(FactorEngine::Ulv(
+                    UlvFactor::from_shared(self.matrix, Arc::clone(&comp), &opts(lambda))?,
+                )),
+            };
         let mut op = GofmmOperator {
             comp,
             evaluator,
@@ -707,10 +679,6 @@ mod tests {
         let (u_ref, _) = Evaluator::new(&k, &comp).apply(&w).unwrap();
         let u = op.apply(&w).unwrap();
         assert_eq!(u.data(), u_ref.data());
-        // The builder steals the block caches into the packed panels: the
-        // shared compression holds no duplicate block storage.
-        assert!(op.compressed().near_blocks.iter().all(|b| b.is_empty()));
-        assert!(op.compressed().far_blocks.iter().all(|b| b.is_empty()));
         // solves are a typed error, not a panic.
         assert_eq!(op.solve(&w), Err(Error::NoFactorization));
         assert!(matches!(
@@ -825,6 +793,86 @@ mod tests {
         let shifted = Shifted::new(op.evaluator(), lambda);
         let (x_ref, _) = cg(&shifted, &factor, &b, &KrylovOptions::default()).unwrap();
         assert_eq!(x.data(), x_ref.data());
+    }
+
+    /// An SPD wrapper counting kernel-entry evaluations.
+    struct CountingMatrix<'m> {
+        inner: &'m KernelMatrix,
+        entries: std::sync::atomic::AtomicU64,
+    }
+
+    impl CountingMatrix<'_> {
+        /// Entries evaluated since the last call.
+        fn take(&self) -> u64 {
+            self.entries.swap(0, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl SpdMatrix<f64> for CountingMatrix<'_> {
+        fn n(&self) -> usize {
+            SpdMatrix::<f64>::n(self.inner)
+        }
+        fn entry(&self, i: usize, j: usize) -> f64 {
+            self.entries
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.entry(i, j)
+        }
+    }
+
+    #[test]
+    fn builder_evaluates_each_block_once_and_serves_kernel_free() {
+        // Past compression, the build evaluates the evaluator's owner-layout
+        // near panels and far panels plus the factor's leaf diagonal blocks
+        // and sibling skeleton blocks, each once; applies and solves
+        // evaluate nothing.
+        let n = 384;
+        let k = test_matrix(n);
+        let counter = CountingMatrix {
+            inner: &k,
+            entries: std::sync::atomic::AtomicU64::new(0),
+        };
+        let cfg = config().with_budget(0.2);
+        let comp = try_compress::<f64, _>(&counter, &cfg).unwrap();
+        let compress_evals = counter.take();
+        let (tree, lists) = (&comp.tree, &comp.lists);
+        let len = |h: usize| tree.node(h).len as u64;
+        let rank = |h: usize| comp.basis(h).map_or(0, |b| b.rank()) as u64;
+        // The owner layout: a leaf's own block and those of its higher
+        // near neighbours.
+        let owned = |h: usize| {
+            lists.near[h]
+                .iter()
+                .filter(|&&a| a >= h)
+                .map(|&a| len(a))
+                .sum::<u64>()
+        };
+        let near: u64 = tree.leaf_range().map(|h| len(h) * owned(h)).sum();
+        let far: u64 = (0..tree.node_count())
+            .map(|h| rank(h) * lists.far[h].iter().map(|&a| rank(a)).sum::<u64>())
+            .sum();
+        let factor: u64 = (0..tree.node_count())
+            .map(|h| match tree.is_leaf(h) {
+                true => len(h) * len(h),
+                false => rank(tree.children(h).0) * rank(tree.children(h).1),
+            })
+            .sum();
+        assert!(
+            lists.near.iter().any(|l| l.len() > 1),
+            "the lists must have off-diagonal near pairs"
+        );
+
+        let op = GofmmOperator::<f64>::builder(&counter)
+            .config(cfg)
+            .factorize(1e-2)
+            .build()
+            .unwrap();
+        assert_eq!(counter.take(), compress_evals + near + far + factor);
+        let mut rng = StdRng::seed_from_u64(54);
+        let w = DenseMatrix::<f64>::random_gaussian(n, 3, &mut rng);
+        op.apply(&w).unwrap();
+        op.solve(&w).unwrap();
+        op.solve_cg(&w, &KrylovOptions::default()).unwrap();
+        assert_eq!(counter.take(), 0, "serving must stay kernel-free");
     }
 
     #[test]

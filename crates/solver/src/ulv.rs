@@ -227,14 +227,6 @@ enum Slot<T: Scalar> {
     Failed(Error),
 }
 
-/// Everything a ULV factorization computes before it is attached to a
-/// compression handle; mirrors `factor::FactorParts`.
-pub(crate) struct UlvParts<T: Scalar> {
-    nodes: Vec<UlvNode<T>>,
-    defaults: RunDefaults,
-    stats: FactorStats,
-}
-
 /// One solve's per-node sweep buffers, pooled by right-hand-side count.
 ///
 /// Every cell is fully overwritten by its (single) writing task before any
@@ -359,9 +351,9 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     /// Factor `K + lambda I` using the compression's configured policy and
     /// thread count.
     ///
-    /// The `matrix` is consulted only for blocks the compression did not
-    /// cache; after this returns, [`UlvFactor::solve`] never evaluates a
-    /// kernel entry.
+    /// The `matrix` supplies each leaf's diagonal block and each interior
+    /// node's sibling skeleton block `K_{skel(l), skel(r)}`; after this
+    /// returns, [`UlvFactor::solve`] never evaluates a kernel entry.
     pub fn new<M: SpdMatrix<T> + ?Sized>(
         matrix: &M,
         comp: &'a Compressed<T>,
@@ -396,24 +388,14 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
         UlvFactor::build(matrix, CompRef::Shared(comp), opts)
     }
 
-    /// Shared construction tail behind every public constructor.
+    /// Shared construction behind every public constructor: the `FACTOR`
+    /// sweep, then the solve plan (which depends only on the compressed
+    /// structure).
     fn build<'c, M: SpdMatrix<T> + ?Sized>(
         matrix: &M,
         comp: CompRef<'c, T>,
         opts: &FactorOptions,
     ) -> Result<UlvFactor<'c, T>, Error> {
-        let parts = Self::compute_parts(matrix, &comp, opts)?;
-        Ok(Self::from_parts(comp, parts))
-    }
-
-    /// Run the `FACTOR` sweep against `comp`. Split from
-    /// [`Self::from_parts`] so the operator front door can factor (which
-    /// reads the block caches) *before* the evaluator steals those caches.
-    pub(crate) fn compute_parts<M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: &Compressed<T>,
-        opts: &FactorOptions,
-    ) -> Result<UlvParts<T>, Error> {
         if !opts.lambda.is_finite() {
             return Err(Error::InvalidConfig {
                 what: "lambda",
@@ -428,9 +410,10 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
         let node_count = tree.node_count();
 
         let slots: DisjointCells<Slot<T>> = DisjointCells::from_fn(node_count, |_| Slot::Pending);
+        let comp_ref = &*comp;
         let factor_one = |heap: usize| {
             let slot = if tree.is_leaf(heap) {
-                factor_leaf(matrix, comp, heap, lambda)
+                factor_leaf(matrix, comp_ref, heap, lambda)
             } else {
                 let (l, r) = tree.children(heap);
                 let gl = slots.read(l);
@@ -447,7 +430,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
                             utilde: ur,
                             ..
                         },
-                    ) => factor_interior(matrix, comp, heap, sl, ul, sr, ur),
+                    ) => factor_interior(matrix, comp_ref, heap, sl, ul, sr, ur),
                     // A failed child already recorded its error; stay silent.
                     _ => Slot::Pending,
                 }
@@ -495,39 +478,26 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
         }
 
         let bytes = nodes.iter().map(UlvNode::bytes).sum();
-        Ok(UlvParts {
-            nodes,
-            defaults: RunDefaults::new(policy, num_threads),
-            stats: FactorStats {
-                setup_time: t0.elapsed().as_secs_f64(),
-                bytes,
-                lambda: opts.lambda,
-                exec: Some(exec),
-            },
-        })
-    }
-
-    /// Attach precomputed [`UlvParts`] to a compression handle.
-    pub(crate) fn from_parts<'c>(comp: CompRef<'c, T>, parts: UlvParts<T>) -> UlvFactor<'c, T> {
+        let stats = FactorStats {
+            setup_time: t0.elapsed().as_secs_f64(),
+            bytes,
+            lambda: opts.lambda,
+            exec: Some(exec),
+        };
         let plan = solve_plan(&comp);
-        let dims = parts
-            .nodes
-            .iter()
-            .map(|n| (n.reduced, n.eliminated))
-            .collect();
-        UlvFactor {
+        let dims = nodes.iter().map(|n| (n.reduced, n.eliminated)).collect();
+        Ok(UlvFactor {
             comp,
-            slots: parts
-                .nodes
+            slots: nodes
                 .into_iter()
                 .map(|n| NodeSlot::Mem(Box::new(n)))
                 .collect(),
             dims,
             plan,
-            defaults: parts.defaults,
-            stats: parts.stats,
+            defaults: RunDefaults::new(policy, num_threads),
+            stats,
             pool: WorkspacePool::new(),
-        }
+        })
     }
 
     /// One node's factor blocks — borrowed when resident, faulted in through
@@ -945,10 +915,7 @@ fn factor_leaf<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     lambda: T,
 ) -> Slot<T> {
     let rows = comp.tree.indices(heap);
-    let mut a = match comp.self_near_block(heap) {
-        Some(cached) => cached.clone(),
-        None => matrix.submatrix(rows, rows),
-    };
+    let mut a = matrix.submatrix(rows, rows);
     for i in 0..a.rows() {
         let d = a.get(i, i);
         a.set(i, i, d + lambda);
@@ -974,17 +941,10 @@ fn factor_interior<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     let (sl, sr) = (schur_l.rows(), schur_r.rows());
     let merged = sl + sr;
 
-    // B = K_{skel(l), skel(r)}: from the cached sibling far block when the
-    // interaction lists have it (always in HSS mode), from the kernel
-    // otherwise.
-    let b = match comp.cached_far_block(l, r) {
-        Some(cached) => cached.clone(),
-        None => {
-            let skel_l = &comp.basis(l).expect("child skeleton").skeleton;
-            let skel_r = &comp.basis(r).expect("child skeleton").skeleton;
-            matrix.submatrix(skel_l, skel_r)
-        }
-    };
+    // B = K_{skel(l), skel(r)}, the sibling skeleton block.
+    let skel_l = &comp.basis(l).expect("child skeleton").skeleton;
+    let skel_r = &comp.basis(r).expect("child skeleton").skeleton;
+    let b = matrix.submatrix(skel_l, skel_r);
     debug_assert_eq!((b.rows(), b.cols()), (sl, sr), "sibling block shape");
 
     // Merged block in the children's reduced coordinates:

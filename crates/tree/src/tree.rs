@@ -165,7 +165,7 @@ impl PartitionTree {
     /// deterministic function of `(n, depth, perm)` — ranges always split
     /// evenly (`left_len = len.div_ceil(2)`) — so the storage tier persists
     /// only those three and replays the rest here bit-identically.
-    pub fn from_parts(n: usize, depth: u32, perm: Vec<usize>) -> Self {
+    pub fn from_perm(n: usize, depth: u32, perm: Vec<usize>) -> Self {
         assert!(n > 0, "cannot rebuild a tree over an empty index set");
         assert_eq!(perm.len(), n, "permutation length must equal n");
         let node_count = (1usize << (depth + 1)) - 1;
@@ -449,7 +449,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let replay = PartitionTree::from_parts(tree.n(), tree.depth(), tree.perm().to_vec());
+        let replay = PartitionTree::from_perm(tree.n(), tree.depth(), tree.perm().to_vec());
         assert_eq!(replay.n(), tree.n());
         assert_eq!(replay.depth(), tree.depth());
         assert_eq!(replay.node_count(), tree.node_count());

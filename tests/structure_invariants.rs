@@ -1,7 +1,9 @@
 //! Cross-crate structural invariants and property-based tests of the GOFMM
 //! pipeline.
 
-use gofmm_suite::core::{check_coverage, compress, DistanceMetric, GofmmConfig, TraversalPolicy};
+use gofmm_suite::core::{
+    check_coverage, compress, DistanceMetric, Evaluator, GofmmConfig, TraversalPolicy,
+};
 use gofmm_suite::matrices::{KernelMatrix, KernelType, PointCloud};
 use proptest::prelude::*;
 
@@ -91,8 +93,9 @@ proptest! {
 
 #[test]
 fn memory_grows_subquadratically() {
-    // Compressed memory should grow roughly like N log N, far slower than N^2:
-    // doubling N should far less than quadruple the footprint.
+    // Compressed memory — the bases plus the evaluator's interaction panels —
+    // should grow roughly like N log N, far slower than N^2: doubling N
+    // should far less than quadruple the footprint.
     let mut sizes = Vec::new();
     for &n in &[512usize, 1024, 2048] {
         let k = kernel_matrix(n, 3, 1.0, 7);
@@ -104,7 +107,8 @@ fn memory_grows_subquadratically() {
             .with_policy(TraversalPolicy::LevelByLevel)
             .with_threads(4);
         let comp = compress::<f64, _>(&k, &cfg);
-        sizes.push(comp.memory_bytes() as f64);
+        let panels = Evaluator::new(&k, &comp).cached_bytes();
+        sizes.push((comp.memory_bytes() + panels) as f64);
     }
     let growth1 = sizes[1] / sizes[0];
     let growth2 = sizes[2] / sizes[1];
