@@ -1,13 +1,14 @@
 //! Allocation budget of a steady-state apply.
 //!
 //! The GEMM pack buffers used to be `vec!`-ed on every call — 1.25 MiB per
-//! task, hundreds of MiB per apply, and most of its time. They are now the
-//! calling thread's scratch, so what one warmed-up `Evaluator::apply`
-//! requests from the allocator is the output block plus small per-task
-//! temporaries: a few multiples of `n × r` scalars, independent of how many
-//! tasks the tree has. With more than one worker the scratch is not kept
-//! between applies (workers are scoped threads), but it is sized to the call,
-//! so the same bound covers it. This binary has its own counting `#[global_allocator]`
+//! task, hundreds of MiB per apply, and most of its time. Today GEMM copies
+//! nothing but a transposed `A` (at most `MC x KC`, 256 KiB of f64) and the
+//! stream path's block sums, both into the calling thread's scratch, so
+//! what one warmed-up `Evaluator::apply` requests from the allocator is the
+//! output block plus small per-task temporaries: a few multiples of `n × r`
+//! scalars, independent of how many tasks the tree has. With more than one
+//! worker the scratch is not kept between applies (workers are scoped
+//! threads), but it is sized to the call, so the same bound covers it. This binary has its own counting `#[global_allocator]`
 //! and holds a single test, so nothing else allocates inside the window.
 
 use gofmm_core::{compress, Evaluator, GofmmConfig, TraversalPolicy};

@@ -2,29 +2,36 @@
 //!
 //! These are the work-horses behind skeletonization (`GEQP3`/`TRSM` call into
 //! them) and behind the N2S/S2S/S2N/L2L evaluation tasks. [`gemm`] has two
-//! paths, chosen from the shape, that produce the same bits:
+//! paths, chosen from the shape, that produce the same bits. Neither copies
+//! an untransposed operand:
 //!
-//! * **Packed** (every transpose combination, any width): BLIS-style cache
-//!   blocking. Operands are copied into contiguous `MR`/`NR` strips with
-//!   row/column **slice** copies (no per-element bounds checks), then
-//!   multiplied by the register micro-kernel dispatched through
-//!   [`Scalar::gemm_microkernel`] — AVX2/FMA on x86-64, a portable scalar
-//!   loop elsewhere (see [`crate::simd`]). The pack buffers are the calling
-//!   thread's grow-only scratch ([`Scalar::with_pack_scratch`]), so a GEMM
-//!   allocates nothing once its thread has seen the largest shape. The
-//!   scratch lives as long as the thread: a caller's own thread keeps it
-//!   across calls, while the scoped workers a multi-threaded sweep spawns
-//!   each grow one per run (at most 1.25 MiB of f64) and drop it at the join.
+//! * **Tile** (every transpose combination, any width): a register tile of
+//!   `MR x NR` (`8 x 6` f64, `16 x 6` f32) reads its operands in place. An
+//!   untransposed `A` is read as an `MR`-row strip of its columns at stride
+//!   `lda` (a reduced-precision `A` widened in register on the load), `B` by
+//!   broadcasts straight from its columns (or rows, for `op_b = Yes`), and
+//!   the kernel folds its sums into `C` itself; ragged row strips use masked
+//!   loads and stores, ragged column tiles broadcast their last column
+//!   again. Only a transposed `A` is copied, `MC` rows at a time, into
+//!   `MR`-row strips of the calling thread's grow-only scratch
+//!   ([`Scalar::with_pack_scratch`]; at most `MC x KC`, 256 KiB of f64), so a
+//!   GEMM allocates nothing once its thread has seen the largest shape. The
+//!   kernel is dispatched through [`InPlaceInto::tile_kernel`] — AVX2/FMA on
+//!   x86-64, a portable scalar loop elsewhere (see [`crate::simd`]). The
+//!   operands here are small (a leaf of 64 rows, a rank of ~20, a few
+//!   hundred columns of near panel), and at such shapes BLIS-style packing
+//!   of `A` and `B` costs about as much as the multiply: against a packing
+//!   GEMM with the same register tile, reading in place runs a cold
+//!   64 x 474 panel times 64 columns 1.1-1.6x as fast and a 64 x 19 one
+//!   2.5-3x (f64, 2-vCPU AVX2 VM).
 //! * **Stream** (`B` untransposed with at most [`STREAM_MAX_COLS`] columns —
 //!   the applies, solves and PCG iterations of up to that many right-hand
-//!   sides, coalesced server batches included): no packing at all. Each
-//!   element of `A` is used once per column of `B`, so copying it into a
-//!   strip first only doubles the memory traffic; instead `B` and `C` are
-//!   taken one chunk of at most `NR` columns (`A * B`) or
-//!   [`STREAM_T_WIDTH`] columns (`A^T * B`) at a time, and for each chunk
-//!   `A` is read once, in place (from cache after the first chunk, as far as
-//!   it fits), by one of two dispatched kernels ([`StreamInto`], AVX2/FMA or
-//!   portable):
+//!   sides, coalesced server batches included): each element of `A` is used
+//!   once per column of `B`, so `B` and `C` are taken one chunk of at most
+//!   `NR` columns (`A * B`) or [`STREAM_T_WIDTH`] columns (`A^T * B`) at a
+//!   time, and for each chunk `A` is read once, in place (from cache after
+//!   the first chunk, as far as it fits), by one of two dispatched kernels
+//!   ([`InPlaceInto`], AVX2/FMA or portable):
 //!   - `A * B`: the **fused** kernel takes four consecutive columns of `A`
 //!     per pass over an L1-resident block of sums (a few KiB of the same
 //!     thread scratch) and updates all of the chunk's sum columns in that
@@ -42,40 +49,39 @@
 //!   per byte of `A` that the hardware prefetcher alone leaves a cold panel
 //!   at a third of the memory rate.
 //!
-//! **Why the paths agree bit for bit.** Per output element and per `KC`-deep
-//! block of the inner dimension, the micro-kernel starts from zero, does one
-//! fused multiply-add per `p` in increasing order, and the block's sum is
-//! folded into `C` with one `alpha.mul_add(sum, c)`. The stream kernels do
-//! exactly that sequence — zeroed sums, `fma(A[r,p], B[p,c], sum)` for
-//! increasing `p` inside the same `KC` blocks (the fused kernel chains its
-//! four fmas per element in increasing `p`; every lane of the transposed one
-//! is a sequential chain over `i`), one `alpha.mul_add` per block — only in a
-//! different loop nest. Which chunk an output column falls in changes none
-//! of that. Every fma is per element on every dispatch path, so
-//! the SIMD and scalar builds, the three kernels, and [`reference::gemm`]
-//! all agree.
+//! **Why the paths agree bit for bit.** [`reference::gemm`] states the
+//! contract as plain loops: per output element and per `KC`-deep block of
+//! the inner dimension, a sum starts from zero, takes one fused
+//! multiply-add per `p` in increasing order, and is folded into `C` with
+//! one `alpha.mul_add(sum, c)`. The tile does exactly that per lane; the
+//! stream kernels do it in a different loop nest (the fused kernel chains
+//! its four fmas per element in increasing `p`; every lane of the
+//! transposed one is a sequential chain over `i`). Which tile or chunk an
+//! output element falls in, and which lane of a register, changes none of
+//! that. Every fma is per element on every dispatch path, so the SIMD and
+//! scalar builds, the three kernels, and [`reference::gemm`] all agree.
 //!
 //! **Scratch-overwrite invariant.** The pack scratch is never cleared. The
-//! pack step writes every element of every strip the micro-kernel then reads
-//! — `kb` rows of each strip, zero padding of ragged strips included — so
-//! whatever an earlier GEMM left in the buffer cannot reach a result. The
-//! stream paths keep their block sums and the row-major `B` there under the
-//! same rule: sums are zeroed (fused) or overwritten (transposed) per block,
-//! and `B`'s padding lanes are written as zeros.
+//! pack step writes every element of every strip the tile then reads — `kb`
+//! columns of the strip's rows; the lanes of a ragged strip past its rows
+//! are masked off, never read — so whatever an earlier GEMM left in the
+//! buffer cannot reach a result. The stream paths keep their block sums and
+//! the row-major `B` there under the same rule: sums are zeroed (fused) or
+//! overwritten (transposed) per block, and `B`'s padding lanes are written
+//! as zeros.
 //!
 //! [`gemm_mixed`] is the mixed-precision variant the serving layer uses for
 //! `f32`-stored interaction panels: `A` is upconverted losslessly to the
-//! accumulator precision `T` (while packing, or in register on the stream
-//! path, which therefore moves half the bytes), so all arithmetic runs in `T`
-//! (f64 accumulation over f32 storage) with the very same fma sequence.
+//! accumulator precision `T` in register as it is loaded (so the product
+//! moves half the bytes of `A`), and all arithmetic runs in `T` (f64
+//! accumulation over f32 storage) with the very same fma sequence.
 //!
-//! The pre-SIMD scalar kernels are retained verbatim under [`mod@reference`] as
-//! the comparison baseline for the kernel-equivalence suite and the bench
-//! grid.
+//! The scalar kernels under [`mod@reference`] are the comparison baseline
+//! for the kernel-equivalence suite and the bench grid.
 
 use crate::matrix::DenseMatrix;
-use crate::scalar::{Scalar, StreamInto};
-use crate::simd::{self, widen, STREAM_T_WIDTH};
+use crate::scalar::{InPlaceInto, Scalar};
+use crate::simd::{widen, STREAM_T_WIDTH};
 use std::ops::Range;
 
 /// Whether an operand of [`gemm`] is used as-is or transposed.
@@ -87,15 +93,16 @@ pub enum Transpose {
     Yes,
 }
 
-/// Cache-block sizes for the packed GEMM. Chosen for ~32 KiB L1 / 1 MiB L2;
-/// `MC` is divisible by both precisions' `MR` so A-strips never straddle the
-/// block edge.
+/// Rows of a transposed `A` the tile path copies into strips at a time (a
+/// multiple of both precisions' `MR`, so strips never straddle the block).
 const MC: usize = 128;
 /// Depth of one accumulation block: every path sums a product's inner
 /// dimension from zero in blocks of `KC` terms and folds each block into `C`
 /// with one `alpha.mul_add`. So with `k <= KC`, `gemm(.., beta = 1, C)`
 /// gives the bits of `C + gemm(.., beta = 0)`.
 pub const KC: usize = 256;
+/// Columns of `B` the tile path takes per block: a `KC x NC` block of `B`
+/// (1 MiB of f64) stays in L2 while the strips of `A` pass it.
 const NC: usize = 512;
 
 /// Row block of the fused stream path: `STREAM_ROWS x n` block sums (16 KiB of
@@ -105,23 +112,27 @@ const NC: usize = 512;
 /// 4096 x 256, 584-664 / 525-537 / 440 us at 1024 x 1024; cold reads alike.
 const STREAM_ROWS: usize = 512;
 
-/// Widest untransposed `B` that [`gemm`] streams rather than packs. The
+/// Widest untransposed `B` that [`gemm`] streams rather than tiles. The
 /// stream path reads `A` in place once per chunk of at most `NR` columns, so
-/// past some width re-reading it costs more than packing it once. Measured
-/// crossover (f64, µs per product, best of 5 over a pool of 8 MiB of
-/// distinct `A`s, 2-vCPU AVX2 VM, two alternating runs, packed -> streamed):
+/// past some width re-reading it costs more than the tile's passes (and, for
+/// `Aᵀ·B`, its copy of `A`). Measured crossover (f64, µs per product, best
+/// of 7 over a pool of 8 MiB of distinct `A`s, 2-vCPU AVX2 VM, range of
+/// three alternating runs, tile -> stream):
 ///
 /// | `A` (`m x k`) | n = 7 | n = 16 | n = 32 | n = 48 | n = 64 |
 /// |---|---|---|---|---|---|
-/// | `A·B` 64 x 220 | 34-37 -> 11-12 | 34-42 -> 18 | 66-70 -> 35-38 | 72-77 -> 52-53 | 87-91 -> 70-75 |
-/// | `A·B` 128 x 1280 | 292-352 -> 116-144 | 366-575 -> 260-294 | 588-846 -> 464-585 | 725-1072 -> 655-759 | 1268-1406 -> 864-1167 |
-/// | `A·B` 128 x 512 | 113-122 -> 57-65 | 155-160 -> 116-128 | 251-266 -> 234-258 | 319-415 -> 340-379 | 448-544 -> 457-501 |
-/// | `Aᵀ·B` 128 x 512 | 145-149 -> 73-79 | 169-195 -> 104-131 | 247-313 -> 224-234 | 297-404 -> 317-348 | 485-533 -> 443-643 |
-/// | `Aᵀ·B` 128 x 1280 | 276-344 -> 192-227 | 360-375 -> 347-367 | 806-863 -> 768-790 | 747-1064 -> 916-1137 | 956-1393 -> 1100-1490 |
+/// | `A·B` 64 x 220 | 17-19 -> 8-11 | 21 -> 14-22 | 39-40 -> 44-46 | 38-50 -> 39-63 | 62-83 -> 80-95 |
+/// | `A·B` 64 x 474 | 28-30 -> 19 | 38-42 -> 34-48 | 69-89 -> 70-95 | 87-88 -> 101-151 | 161-168 -> 199-202 |
+/// | `A·B` 128 x 512 | 78-88 -> 52-61 | 87-118 -> 110-111 | 203-210 -> 198-212 | 184-286 -> 197-251 | 246-261 -> 254-269 |
+/// | `A·B` 128 x 1280 | 156-191 -> 112-131 | 274-277 -> 265-271 | 475-501 -> 481-491 | 638-663 -> 669-692 | 749-857 -> 866-913 |
+/// | `Aᵀ·B` 64 x 474 | 55-58 -> 28-29 | 69-74 -> 51-56 | 91-96 -> 83-107 | 119-131 -> 122-164 | 126-137 -> 153-177 |
+/// | `Aᵀ·B` 128 x 512 | 107-119 -> 41-55 | 115-128 -> 78-80 | 218-238 -> 199-226 | 217-276 -> 228-289 | 278-289 -> 301-306 |
+/// | `Aᵀ·B` 128 x 1280 | 307-319 -> 128-134 | 273-354 -> 194-246 | 558-570 -> 540-562 | 589-704 -> 573-805 | 681-946 -> 1009-1137 |
 ///
-/// Streaming wins by 2-3x at 7 columns and still by 5-40 % at 32; from 48
-/// columns on some shapes stream slower than they pack. 32 is also the
-/// serving layer's default batch cap.
+/// Streaming wins by 1.4-2.5x at 7 columns and, for `Aᵀ·B`, by 1.3-1.5x
+/// at 16; at 32 the two tie within 5 %, and from 48 columns the tile is as
+/// fast or faster (1.05-1.5x at 64). 32 is also the serving layer's default
+/// batch cap.
 pub const STREAM_MAX_COLS: usize = 32;
 
 /// `y = beta * y` as BLAS defines it: `beta == 0` **overwrites** `y` with
@@ -143,9 +154,9 @@ fn scale_or_clear<T: Scalar>(beta: T, y: &mut [T]) {
 /// buffer holding NaN or Inf does not leak into the result). Products with
 /// an untransposed `B` of at most [`STREAM_MAX_COLS`] columns stream `A` (or
 /// `A^T`) in place through the fused / transposed stream kernel, once per
-/// chunk of at most `NR` / [`STREAM_T_WIDTH`] columns of `B`; everything else is
-/// packed into cache-friendly panels and multiplied with the
-/// runtime-dispatched `MR x NR` micro-kernel. Neither path allocates once
+/// chunk of at most `NR` / [`STREAM_T_WIDTH`] columns of `B`; everything else
+/// runs the runtime-dispatched `MR x NR` register tile over the operands in
+/// place (a transposed `A` copied into strips). Neither path allocates once
 /// the calling thread's scratch has grown, and results are bit-identical
 /// between the two paths and between the SIMD and scalar dispatch (see the
 /// [module docs](self)).
@@ -158,7 +169,7 @@ pub fn gemm<T: Scalar>(
     beta: T,
     c: &mut DenseMatrix<T>,
 ) {
-    gemm_core(alpha, a.into(), op_a, b, op_b, beta, c, false);
+    gemm_core(alpha, a.into(), op_a, b, op_b, beta, c);
 }
 
 /// Mixed-precision multiply `C = alpha * A * B + beta * C` where `A` is
@@ -166,9 +177,9 @@ pub fn gemm<T: Scalar>(
 /// arithmetic accumulates in `T`.
 ///
 /// This is the serving-layer kernel for `f32`-stored far-field panels: `A`
-/// is upconverted losslessly to `T` — while packing, or in register as the
-/// fused stream kernel loads it, which therefore reads half the bytes of the
-/// native product — and every fma runs in `T`, i.e. f32 storage, f64
+/// is upconverted losslessly to `T` in register as the kernels load it, so
+/// the product reads half the bytes of the native one — and every fma runs
+/// in `T`, i.e. f32 storage, f64
 /// accumulation when `T = f64`. The result is bit-identical to [`gemm`] over
 /// the upconverted panel. [`gemm_mixed_cols`] adds the transposed form, over
 /// a column range of the panel.
@@ -179,16 +190,7 @@ pub fn gemm_mixed<T: Scalar>(
     beta: T,
     c: &mut DenseMatrix<T>,
 ) {
-    gemm_core(
-        alpha,
-        a.into(),
-        Transpose::No,
-        b,
-        Transpose::No,
-        beta,
-        c,
-        false,
-    );
+    gemm_core(alpha, a.into(), Transpose::No, b, Transpose::No, beta, c);
 }
 
 /// [`gemm`] over a contiguous range of `A`'s columns:
@@ -209,7 +211,7 @@ pub fn gemm_cols<T: Scalar>(
     c: &mut DenseMatrix<T>,
 ) {
     let a = ColBlock::new(a, cols);
-    gemm_core(alpha, a, op_a, b, Transpose::No, beta, c, false);
+    gemm_core(alpha, a, op_a, b, Transpose::No, beta, c);
 }
 
 /// [`gemm_mixed`] over a contiguous range of `A`'s columns, in either
@@ -225,7 +227,7 @@ pub fn gemm_mixed_cols<T: Scalar>(
     c: &mut DenseMatrix<T>,
 ) {
     let a = ColBlock::new(a, cols);
-    gemm_core(alpha, a, op_a, b, Transpose::No, beta, c, false);
+    gemm_core(alpha, a, op_a, b, Transpose::No, beta, c);
 }
 
 /// The `A` operand of [`gemm_core`]: a contiguous range of a column-major
@@ -263,12 +265,10 @@ impl<'a, P: Scalar> From<&'a DenseMatrix<P>> for ColBlock<'a, P> {
     }
 }
 
-/// The shared GEMM behind [`gemm`], [`gemm_mixed`], their column-range
-/// forms and [`reference::gemm`]. `P` is the storage precision of `A` (equal
-/// to `T` except for mixed panels); `force_scalar` pins the packed path and
-/// the scalar micro-kernel for the retained reference.
-#[allow(clippy::too_many_arguments)]
-fn gemm_core<P: Scalar + StreamInto<T>, T: Scalar>(
+/// The shared GEMM behind [`gemm`], [`gemm_mixed`] and their column-range
+/// forms. `P` is the storage precision of `A` (equal to `T` except for mixed
+/// panels).
+fn gemm_core<P: Scalar + InPlaceInto<T>, T: Scalar>(
     alpha: T,
     a: ColBlock<'_, P>,
     op_a: Transpose,
@@ -276,7 +276,6 @@ fn gemm_core<P: Scalar + StreamInto<T>, T: Scalar>(
     op_b: Transpose,
     beta: T,
     c: &mut DenseMatrix<T>,
-    force_scalar: bool,
 ) {
     let (m, ka) = match op_a {
         Transpose::No => (a.rows, a.cols),
@@ -297,11 +296,12 @@ fn gemm_core<P: Scalar + StreamInto<T>, T: Scalar>(
         return;
     }
 
-    // No floor on the rows: below `MR` rows the fused kernel beats packing
-    // too (f64, hot, k = 256, n = 4, packed / fused: m = 1 2.1 / 0.45 us,
-    // m = 4 2.2 / 0.48, m = 7 2.3 / 1.25), and so does its transposed twin
-    // (m = 1 1.6 / 0.8 us, m = 4 1.9 / 0.8, k = 4 x m = 256 3.6 / 3.2).
-    if !force_scalar && op_b == Transpose::No && n <= STREAM_MAX_COLS {
+    // No floor on the rows or the depth: at four columns the fused kernel
+    // beats or ties the tile on every measured shape from 16 x 19 to
+    // 64 x 474 (f64, cold, stream / tile: 64 x 19 0.5 / 0.7-1.0 us, 64 x 474
+    // 12 / 17 us), and so does its transposed twin (64 x 19 1.2-1.8 / 1.9-2.1
+    // us, 64 x 474 15-20 / 47-48 us).
+    if op_b == Transpose::No && n <= STREAM_MAX_COLS {
         // Column chunks of `B` and `C` are contiguous in column-major order.
         let width = match op_a {
             Transpose::No => T::NR,
@@ -317,144 +317,87 @@ fn gemm_core<P: Scalar + StreamInto<T>, T: Scalar>(
         return;
     }
 
+    // Element `(p, j)` of `op_b(B)` sits at `p * rsb + j * csb`.
+    let b_strides = match op_b {
+        Transpose::No => (1, b.rows()),
+        Transpose::Yes => (b.rows(), 1),
+    };
     let mr = T::MR;
-    let nr = T::NR;
-    debug_assert!(MC % mr == 0, "MC must be a multiple of MR");
-    debug_assert!(mr * nr <= simd::ACC_TILE);
-
-    // Packed panels reused across blocks. A is packed in `mr`-row strips
-    // (`a_pack[strip][p*mr + r]`), B in `nr`-column strips
-    // (`b_pack[strip][p*nr + c]`), both zero-padded to full strip width so
-    // the micro-kernel always runs complete tiles. Sized to this call's
-    // largest block, not to the `MC x KC` / `KC x NC` maximum.
-    let kc = KC.min(k);
-    let a_len = MC.min(m).div_ceil(mr) * mr * kc;
-    let b_len = NC.min(n).div_ceil(nr) * nr * kc;
-    T::with_pack_scratch(a_len + b_len, |scratch| {
-        let (a_pack, b_pack) = scratch.split_at_mut(a_len);
-        let mut acc = [T::zero(); simd::ACC_TILE];
-        let acc = &mut acc[..mr * nr];
-
-        let mut jc = 0;
-        while jc < n {
-            let nb = NC.min(n - jc);
-            let mut pc = 0;
-            while pc < k {
-                let kb_ = KC.min(k - pc);
-                // Pack B panel with contiguous column-slice reads.
-                for jstrip in 0..nb.div_ceil(nr) {
-                    let j0 = jstrip * nr;
-                    let cmax = nr.min(nb - j0);
-                    let dst = &mut b_pack[jstrip * (kc * nr)..jstrip * (kc * nr) + kb_ * nr];
-                    match op_b {
-                        Transpose::No => {
-                            for cc in 0..nr {
-                                if cc < cmax {
-                                    let src = &b.col(jc + j0 + cc)[pc..pc + kb_];
-                                    for (p, v) in src.iter().enumerate() {
-                                        dst[p * nr + cc] = *v;
-                                    }
-                                } else {
-                                    for p in 0..kb_ {
-                                        dst[p * nr + cc] = T::zero();
-                                    }
-                                }
-                            }
-                        }
-                        Transpose::Yes => {
-                            // bt(p, j) = B(j, p): row `p` of the packed strip is a
-                            // contiguous run of column `pc + p`.
-                            for p in 0..kb_ {
-                                let src = &b.col(pc + p)[jc + j0..jc + j0 + cmax];
-                                let row = &mut dst[p * nr..(p + 1) * nr];
-                                row[..cmax].copy_from_slice(src);
-                                for v in &mut row[cmax..] {
-                                    *v = T::zero();
-                                }
-                            }
-                        }
-                    }
+    for jc in (0..n).step_by(NC) {
+        let nb = NC.min(n - jc);
+        for pc in (0..k).step_by(KC) {
+            let kb = KC.min(k - pc);
+            let b = (&b.data()[pc * b_strides.0 + jc * b_strides.1..], b_strides);
+            match op_a {
+                Transpose::No => {
+                    let a = (&a.data[pc * m..], m, mr);
+                    tile_block(alpha, a, (m, kb), b, nb, c, (0, jc));
                 }
-                let mut ic = 0;
-                while ic < m {
-                    let mb = MC.min(m - ic);
-                    // Pack A panel in `mr`-row strips with slice reads, upconverting
-                    // storage precision to the accumulator precision.
-                    for istrip in 0..mb.div_ceil(mr) {
-                        let i0 = istrip * mr;
-                        let rmax = mr.min(mb - i0);
-                        let dst = &mut a_pack[istrip * (kc * mr)..istrip * (kc * mr) + kb_ * mr];
-                        match op_a {
-                            Transpose::No => {
-                                for p in 0..kb_ {
-                                    let src = &a.col(pc + p)[ic + i0..ic + i0 + rmax];
-                                    let row = &mut dst[p * mr..(p + 1) * mr];
-                                    for (rv, sv) in row.iter_mut().zip(src.iter()) {
-                                        *rv = widen(*sv);
-                                    }
-                                    for rv in &mut row[rmax..] {
-                                        *rv = T::zero();
-                                    }
-                                }
-                            }
-                            Transpose::Yes => {
-                                // at(i, p) = A(p, i): lane `r` of the strip reads a
-                                // contiguous run of column `ic + i0 + r`.
-                                for r in 0..mr {
-                                    if r < rmax {
-                                        let src = &a.col(ic + i0 + r)[pc..pc + kb_];
-                                        for (p, v) in src.iter().enumerate() {
-                                            dst[p * mr + r] = widen(*v);
-                                        }
-                                    } else {
-                                        for p in 0..kb_ {
-                                            dst[p * mr + r] = T::zero();
-                                        }
-                                    }
+                // `A^T` is copied, `MC` rows at a time, into `MR`-row strips:
+                // `pack[strip * MR * kb + p * MR + r] = A(pc + p, ic + strip * MR + r)`.
+                Transpose::Yes => T::with_pack_scratch(MC.min(m).div_ceil(mr) * mr * kb, |pack| {
+                    for ic in (0..m).step_by(MC) {
+                        let mb = MC.min(m - ic);
+                        for (s, dst) in pack.chunks_mut(mr * kb).take(mb.div_ceil(mr)).enumerate() {
+                            for r in 0..mr.min(mb - s * mr) {
+                                let src = &a.col(ic + s * mr + r)[pc..pc + kb];
+                                for (p, v) in src.iter().enumerate() {
+                                    dst[p * mr + r] = widen(*v);
                                 }
                             }
                         }
+                        tile_block(
+                            alpha,
+                            (&pack[..], mr, mr * kb),
+                            (mb, kb),
+                            b,
+                            nb,
+                            c,
+                            (ic, jc),
+                        );
                     }
-                    // Macro kernel over micro tiles.
-                    for jstrip in 0..nb.div_ceil(nr) {
-                        let j0 = jstrip * nr;
-                        let cmax = nr.min(nb - j0);
-                        let b_strip = &b_pack[jstrip * (kc * nr)..jstrip * (kc * nr) + kb_ * nr];
-                        for istrip in 0..mb.div_ceil(mr) {
-                            let i0 = istrip * mr;
-                            let rmax = mr.min(mb - i0);
-                            let a_strip =
-                                &a_pack[istrip * (kc * mr)..istrip * (kc * mr) + kb_ * mr];
-                            if force_scalar {
-                                simd::microkernel_scalar(mr, nr, kb_, a_strip, b_strip, acc);
-                            } else {
-                                T::gemm_microkernel(kb_, a_strip, b_strip, acc);
-                            }
-                            for cc in 0..cmax {
-                                let tile = &acc[cc * mr..cc * mr + rmax];
-                                let col = &mut c.col_mut(jc + j0 + cc)[ic + i0..ic + i0 + rmax];
-                                for (cv, tv) in col.iter_mut().zip(tile.iter()) {
-                                    *cv = alpha.mul_add(*tv, *cv);
-                                }
-                            }
-                        }
-                    }
-                    ic += mb;
-                }
-                pc += kb_;
+                }),
             }
-            jc += nb;
         }
-    });
+    }
+}
+
+/// One `KC`-deep block of the tile path of [`gemm_core`]:
+/// `C[ic.., jc..] += alpha * A_blk * B_blk`, one `MR x NR` register tile at
+/// a time, each folded into `C` by the kernel with one `alpha.mul_add` per
+/// element. The `mb x kb` block `A_blk` is given as `(data, lda, strip)`:
+/// its `MR`-row strips start `strip` elements apart and are read with
+/// leading dimension `lda` (`MR` for a packed strip); `B_blk` (`kb x nb`) as
+/// its first element and strides. A strip of `A` stays in L1 while every
+/// column tile of `B` passes it.
+fn tile_block<Q: InPlaceInto<T>, T: Scalar>(
+    alpha: T,
+    (a, lda, strip): (&[Q], usize, usize),
+    (mb, kb): (usize, usize),
+    (b, b_strides): (&[T], (usize, usize)),
+    nb: usize,
+    c: &mut DenseMatrix<T>,
+    (ic, jc): (usize, usize),
+) {
+    let (mr, nr, ldc) = (T::MR, T::NR, c.rows());
+    for (s, i0) in (0..mb).step_by(mr).enumerate() {
+        let rows = mr.min(mb - i0);
+        for j0 in (0..nb).step_by(nr) {
+            let shape = (rows, nr.min(nb - j0), kb);
+            let b = (&b[j0 * b_strides.1..], b_strides);
+            let c = &mut c.data_mut()[(jc + j0) * ldc + ic + i0..];
+            Q::tile_kernel(alpha, shape, (&a[s * strip..], lda), b, (c, ldc));
+        }
+    }
 }
 
 /// One chunk of the stream path of [`gemm_core`]: `C += alpha * A * B` for
 /// untransposed operands, `b` and `c` the column-major data of at most `NR`
 /// columns of `B` and `C`, reading `A` once, in place. `beta` has already
-/// been applied and the empty cases returned. Bit-identical to the packed
+/// been applied and the empty cases returned. Bit-identical to the tile
 /// path: same zero-initialised per-`KC`-block sums, same fma per `p` in
 /// increasing order, same single `alpha.mul_add` per block.
-fn gemm_stream<P: Scalar + StreamInto<T>, T: Scalar>(
+fn gemm_stream<P: Scalar + InPlaceInto<T>, T: Scalar>(
     alpha: T,
     a: ColBlock<'_, P>,
     b: &[T],
@@ -473,10 +416,9 @@ fn gemm_stream<P: Scalar + StreamInto<T>, T: Scalar>(
                 let kb = KC.min(k - pc);
                 acc.fill(T::zero());
                 P::stream_kernel(rb, kb, &a.data[pc * m + i0..], m, &b[pc..], k, acc);
+                // `axpy` is the fold `c = alpha.mul_add(sum, c)`, vectorised.
                 for (col, sums) in c.chunks_exact_mut(m).zip(acc.chunks_exact(rb)) {
-                    for (cv, sv) in col[i0..i0 + rb].iter_mut().zip(sums) {
-                        *cv = alpha.mul_add(*sv, *cv);
-                    }
+                    T::axpy_kernel(alpha, sums, &mut col[i0..i0 + rb]);
                 }
             }
         }
@@ -489,9 +431,9 @@ fn gemm_stream<P: Scalar + StreamInto<T>, T: Scalar>(
 /// of `B` is re-laid row-major (zero-padded to [`STREAM_T_WIDTH`] lanes) so
 /// that one column of `A` against it yields a whole row of `C`'s block sums;
 /// those are folded into `C` with one `alpha.mul_add` per element and block,
-/// as the packed path does. `beta` has already been applied and the empty
+/// as the tile does. `beta` has already been applied and the empty
 /// cases returned.
-fn gemm_stream_t<P: Scalar + StreamInto<T>, T: Scalar>(
+fn gemm_stream_t<P: Scalar + InPlaceInto<T>, T: Scalar>(
     alpha: T,
     a: ColBlock<'_, P>,
     b: &[T],
@@ -661,17 +603,19 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
 pub mod reference {
     //! Retained scalar reference kernels.
     //!
-    //! These run the exact packed-GEMM structure of [`super::gemm`] but pin
-    //! the portable scalar micro-kernel regardless of the runtime dispatch
-    //! decision, plus plain sequential-fma loops for GEMV/dot/axpy. The
-    //! kernel-equivalence proptest suite compares the dispatched kernels
-    //! against these, and the bench grid times simd-vs-scalar through them.
+    //! [`gemm`] states the bit contract of [`super::gemm`] as plain loops;
+    //! the others are sequential-fma GEMV/dot/axpy. The kernel-equivalence
+    //! suites compare the dispatched kernels against these, and the bench
+    //! grid times them as the scalar baseline.
 
-    use super::{DenseMatrix, Scalar, Transpose};
+    use super::{DenseMatrix, Scalar, Transpose, KC};
     use crate::simd;
 
-    /// Scalar-pinned GEMM: bit-identical to [`super::gemm`] by construction
-    /// (same packing, same per-element accumulation order).
+    /// The bit contract of [`super::gemm`], as plain loops: after
+    /// `C = beta * C` (`beta = 0` overwrites), each element of `C` takes,
+    /// per `KC`-deep block of the inner dimension in increasing order, the
+    /// block's sum — from zero, one fma per term in increasing order — with
+    /// one `alpha.mul_add(sum, c)`. `alpha = 0` leaves `beta * C`.
     pub fn gemm<T: Scalar>(
         alpha: T,
         a: &DenseMatrix<T>,
@@ -681,7 +625,38 @@ pub mod reference {
         beta: T,
         c: &mut DenseMatrix<T>,
     ) {
-        super::gemm_core(alpha, a.into(), op_a, b, op_b, beta, c, true);
+        // Rows of `op_a(A)` and columns of `op_b(B)` as contiguous columns.
+        let a_rows = match op_a {
+            Transpose::No => a.transpose(),
+            Transpose::Yes => a.clone(),
+        };
+        let b_cols = match op_b {
+            Transpose::No => b.clone(),
+            Transpose::Yes => b.transpose(),
+        };
+        let (m, n) = (a_rows.cols(), b_cols.cols());
+        assert_eq!(
+            a_rows.rows(),
+            b_cols.rows(),
+            "gemm inner dimension mismatch"
+        );
+        assert_eq!((c.rows(), c.cols()), (m, n), "gemm output shape mismatch");
+        super::scale_or_clear(beta, c.data_mut());
+        if alpha == T::zero() {
+            return;
+        }
+        for j in 0..n {
+            for i in 0..m {
+                let blocks = a_rows.col(i).chunks(KC).zip(b_cols.col(j).chunks(KC));
+                for (x, y) in blocks {
+                    let sum = x
+                        .iter()
+                        .zip(y)
+                        .fold(T::zero(), |s, (xv, yv)| xv.mul_add(*yv, s));
+                    c[(i, j)] = alpha.mul_add(sum, c[(i, j)]);
+                }
+            }
+        }
     }
 
     /// Scalar GEMV with sequential fma accumulation.

@@ -11,13 +11,14 @@ use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// A storage precision (`Self`) whose elements the narrow-RHS stream kernels
-/// of [`crate::blas::gemm`] read in place and accumulate in precision `T`,
-/// widening in register. Implemented for every scalar into itself and for
-/// each [`Scalar::PanelScalar`] into its accumulator precision, which is how
+/// A storage precision (`Self`) whose elements the kernels of
+/// [`crate::blas::gemm`] read in place and accumulate in precision `T`,
+/// widening in register: the two narrow-RHS stream kernels and the register
+/// tile. Implemented for every scalar into itself and for each
+/// [`Scalar::PanelScalar`] into its accumulator precision, which is how
 /// `gemm` and `gemm_mixed` pick their kernel from the operand types. The
 /// implementations sit next to the kernels in [`crate::simd`].
-pub trait StreamInto<T>: Sized {
+pub trait InPlaceInto<T>: Sized {
     /// Runtime-dispatched fused stream kernel, bit-identical on every
     /// dispatch path: `acc[c*rows + r] = fma(a[p*lda + r], b[c*ldb + p],
     /// acc[c*rows + r])` for `p = 0..kb` in increasing order, over the
@@ -45,6 +46,19 @@ pub trait StreamInto<T>: Sized {
         brow: &[T],
         out: &mut [T],
     );
+    /// Runtime-dispatched `MR x NR` register tile over `a`, `b` and `c` read
+    /// in place with the given leading dimensions and strides, bit-identical
+    /// on every dispatch path: `c[j*ldc + r] = alpha.mul_add(sum, ..)` with
+    /// `sum = sum_p a[p*lda + r] * b[p*rsb + j*csb]` from zero in increasing
+    /// `p < kb`, for `r < rows`, `j < cols` (see
+    /// [`crate::simd::microkernel_scalar`]).
+    fn tile_kernel(
+        alpha: T,
+        shape: (usize, usize, usize),
+        a: (&[Self], usize),
+        b: (&[T], (usize, usize)),
+        c: (&mut [T], usize),
+    );
 }
 
 /// Floating-point scalar usable by the dense linear-algebra kernels.
@@ -71,7 +85,7 @@ pub trait Scalar:
     + MulAssign
     + DivAssign
     + Sum<Self>
-    + StreamInto<Self>
+    + InPlaceInto<Self>
 {
     /// Additive identity.
     fn zero() -> Self;
@@ -109,30 +123,30 @@ pub trait Scalar:
 
     /// Storage precision of mixed-precision interaction panels: `f32` for an
     /// `f64` operator (halving panel memory), identity for `f32`. The GEMM
-    /// against such a panel upconverts during packing and accumulates in
+    /// against such a panel upconverts in register as it loads and accumulates in
     /// `Self` — i.e. `Self` is the accumulator precision, `PanelScalar` the
     /// storage precision (paper §3 runs storage-bound problems in single
     /// precision for exactly this trade).
-    type PanelScalar: Scalar + StreamInto<Self>;
+    type PanelScalar: Scalar + InPlaceInto<Self>;
 
     /// Register micro-kernel rows (`MR`) of this precision's GEMM tile.
     const MR: usize;
     /// Register micro-kernel columns (`NR`) of this precision's GEMM tile.
     const NR: usize;
 
-    /// Runtime-dispatched `MR x NR` GEMM micro-kernel over packed panels
-    /// (see [`crate::simd::microkernel_scalar`] for the layout contract).
-    fn gemm_microkernel(kb: usize, a: &[Self], b: &[Self], acc: &mut [Self]);
     /// Runtime-dispatched dot product.
     fn dot_kernel(x: &[Self], y: &[Self]) -> Self;
     /// Runtime-dispatched axpy `y[i] = fma(alpha, x[i], y[i])` (bit-identical
     /// to the scalar loop on every dispatch path).
     fn axpy_kernel(alpha: Self, x: &[Self], y: &mut [Self]);
 
-    /// Run `f` on `len` elements of the calling thread's grow-only GEMM pack
-    /// scratch. The contents are whatever the previous call on this thread
-    /// left there: the caller must write every element before reading it
-    /// (the pack step of [`crate::blas::gemm`] does). Not re-entrant.
+    /// Run `f` on `len` elements of the calling thread's grow-only GEMM
+    /// scratch: the `MR`-row strips a transposed `A` is copied into (at most
+    /// `MC x KC`, 256 KiB of f64) and the stream path's block sums and
+    /// row-major `B` (tens of KiB). The contents are whatever the previous
+    /// call on this thread left there: the caller must write every element
+    /// before reading it (each user in [`crate::blas::gemm`] does). Not
+    /// re-entrant.
     fn with_pack_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
 
     /// Run `f` on the calling thread's stash of grow-only buffers for
@@ -146,8 +160,8 @@ pub trait Scalar:
 }
 
 macro_rules! impl_scalar {
-    ($t:ty, $name:expr, $panel:ty, $mr:expr, $nr:expr,
-     $microkernel:path, $dot:path, $axpy:path) => {
+    ($t:ty, $name:expr, $panel:ty, $mr:expr,
+     $dot:path, $axpy:path) => {
         impl Scalar for $t {
             #[inline(always)]
             fn zero() -> Self {
@@ -215,12 +229,8 @@ macro_rules! impl_scalar {
 
             type PanelScalar = $panel;
             const MR: usize = $mr;
-            const NR: usize = $nr;
+            const NR: usize = crate::simd::TILE_COLS;
 
-            #[inline(always)]
-            fn gemm_microkernel(kb: usize, a: &[Self], b: &[Self], acc: &mut [Self]) {
-                $microkernel(kb, a, b, acc)
-            }
             #[inline(always)]
             fn dot_kernel(x: &[Self], y: &[Self]) -> Self {
                 $dot(x, y)
@@ -256,8 +266,6 @@ impl_scalar!(
     "f32",
     f32,
     16,
-    6,
-    crate::simd::microkernel_f32,
     crate::simd::dot_f32,
     crate::simd::axpy_f32
 );
@@ -266,8 +274,6 @@ impl_scalar!(
     "f64",
     f32,
     8,
-    6,
-    crate::simd::microkernel_f64,
     crate::simd::dot_f64,
     crate::simd::axpy_f64
 );
@@ -305,11 +311,15 @@ mod tests {
         assert!((Scalar::mul_add(a, 2.0, 3.0) - (a * 2.0 + 3.0)).abs() < 1e-15);
     }
 
+    /// The AVX2 tile keeps its `MR x NR` sums in twelve 256-bit registers:
+    /// two registers of rows for each of `NR` columns.
     #[test]
-    #[allow(clippy::assertions_on_constants)]
     fn tile_sizes_fit_the_accumulator_buffer() {
-        assert!(<f32 as Scalar>::MR * <f32 as Scalar>::NR <= crate::simd::ACC_TILE);
-        assert!(<f64 as Scalar>::MR * <f64 as Scalar>::NR <= crate::simd::ACC_TILE);
+        use std::mem::size_of;
+        assert_eq!(<f64 as Scalar>::MR * size_of::<f64>(), 2 * 32);
+        assert_eq!(<f32 as Scalar>::MR * size_of::<f32>(), 2 * 32);
+        assert_eq!(<f64 as Scalar>::NR, crate::simd::TILE_COLS);
+        assert_eq!(<f32 as Scalar>::NR * 2, 12);
     }
 
     #[test]

@@ -2,19 +2,19 @@
 //!
 //! The GEMM in [`crate::blas`], the triangular solves and the Householder
 //! reflection applies all bottom out in five primitives: an `MR x NR`
-//! register micro-kernel over packed panels, the fused and the transposed
-//! stream kernel of GEMM's narrow-RHS path (which read `A` in place, see
-//! [`stream_scalar`] and [`stream_t_scalar`] for their contracts), a dot
-//! product and an axpy. Kernel-matrix blocks add a sixth, an in-place `exp`
-//! over a slice ([`exp_in_place`]). This module provides two implementations
-//! of each:
+//! register tile over operands read in place (see [`microkernel_scalar`]),
+//! the fused and the transposed stream kernel of GEMM's narrow-RHS path
+//! (which read `A` in place, see [`stream_scalar`] and [`stream_t_scalar`]
+//! for their contracts), a dot product and an axpy. Kernel-matrix blocks add
+//! a sixth, an in-place `exp` over a slice ([`exp_in_place`]). This module
+//! provides two implementations of each:
 //!
 //! * an x86-64 AVX2/FMA path written against `core::arch` intrinsics
 //!   (`8 x 6` tiles of f64, `16 x 6` tiles of f32 — twelve ymm accumulators,
-//!   two panel loads and one broadcast per update, fitting the sixteen
-//!   architectural vector registers; the stream kernels are written once
-//!   over a register-lane trait, for f64, f32 and f32 widened to f64 on the
-//!   load), and
+//!   two loads of `A` and six broadcasts of `B` per update, fitting the
+//!   sixteen architectural vector registers; the tile and the stream
+//!   kernels are written once over a register-lane trait, for f64, f32 and
+//!   f32 widened to f64 on the load), and
 //! * a portable scalar fallback with the exact same per-element accumulation
 //!   order.
 //!
@@ -25,14 +25,16 @@
 //!
 //! # Bit-compatibility contract
 //!
-//! The GEMM micro-kernel accumulates every output element over `k` in
-//! increasing order with one fused multiply-add per step; AVX2 lanes map
-//! one-to-one onto output elements (`vfmaddxxxpd` is a per-lane IEEE fma), so
-//! the SIMD and scalar micro-kernels — and therefore [`crate::blas::gemm`] on
-//! either dispatch path — produce **bit-identical** results. The stream
+//! The GEMM tile accumulates every output element over `k` in increasing
+//! order with one fused multiply-add per step and folds the sum into `C`
+//! with one more; AVX2 lanes map one-to-one onto output elements
+//! (`vfmaddxxxpd` is a per-lane IEEE fma, and a masked-off lane is neither
+//! read nor written), so the SIMD and scalar tiles — and therefore
+//! [`crate::blas::gemm`] on either dispatch path — produce **bit-identical**
+//! results. The stream
 //! kernels keep that order too: the fused one chains its four fmas per
 //! element in increasing `p`, and every lane of the transposed one is a
-//! zero-initialised sequential chain, so they agree with the micro-kernel and
+//! zero-initialised sequential chain, so they agree with the tile and
 //! with their scalar twins bit for bit. The same holds
 //! for [`crate::blas::axpy`] and [`exp_in_place`], which are element-wise
 //! ([`exp_scalar`] is the per-lane sequence of the latter). [`crate::blas::dot`]
@@ -41,13 +43,8 @@
 //! the scalar one in the last bits (the kernel-equivalence suite bounds the
 //! drift in ULPs).
 
-use crate::scalar::{Scalar, StreamInto};
+use crate::scalar::{InPlaceInto, Scalar};
 use std::sync::OnceLock;
-
-/// Maximum `MR * NR` accumulator-tile footprint across supported precisions
-/// (16 x 6 for f32). Callers hand the micro-kernel a `&mut [T]` of at least
-/// `MR * NR` elements; a fixed-size stack array of this size always fits.
-pub const ACC_TILE: usize = 96;
 
 /// Instruction set selected for the dense kernels of this process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,33 +85,34 @@ pub fn simd_level() -> SimdLevel {
     })
 }
 
-/// Portable reference micro-kernel: overwrite `acc[c*mr + r]` with
-/// `sum_p a[p*mr + r] * b[p*nr + c]`, accumulated in increasing `p` with one
-/// fma per step. This is the exact accumulation order of the AVX2 kernels
-/// (and of the pre-SIMD seed GEMM), so results are bit-identical across
-/// dispatch paths.
-pub fn microkernel_scalar<T: Scalar>(
-    mr: usize,
-    nr: usize,
-    kb: usize,
-    a: &[T],
-    b: &[T],
-    acc: &mut [T],
+/// Columns of the register tile, `NR` of both precisions.
+pub const TILE_COLS: usize = 6;
+
+/// Portable register tile: for every row `r < rows <= T::MR` and column
+/// `j < cols <=` [`TILE_COLS`],
+/// `c[j*ldc + r] = alpha.mul_add(sum, c[j*ldc + r])` with
+/// `sum = sum_p a[p*lda + r] * b[p*rsb + j*csb]` accumulated from zero in
+/// increasing `p < kb` with one fma per step, `a` widened to `T` on the
+/// load. `a` is an `MR`-row strip of a column-major matrix read in place
+/// (`lda` its leading dimension, or `MR` for a packed strip), `b` the
+/// `kb x cols` block of `B` read by columns (`rsb = 1`) or by rows
+/// (`csb = 1`), `c` the tile of `C` (`ldc` its leading dimension). This is
+/// the accumulation order of the AVX2 tile (and of the pre-SIMD seed GEMM),
+/// so results are bit-identical across dispatch paths.
+pub fn microkernel_scalar<P: Scalar, T: Scalar>(
+    alpha: T,
+    (rows, cols, kb): (usize, usize, usize),
+    (a, lda): (&[P], usize),
+    (b, (rsb, csb)): (&[T], (usize, usize)),
+    (c, ldc): (&mut [T], usize),
 ) {
-    debug_assert!(a.len() >= kb * mr);
-    debug_assert!(b.len() >= kb * nr);
-    let acc = &mut acc[..mr * nr];
-    for v in acc.iter_mut() {
-        *v = T::zero();
-    }
-    for p in 0..kb {
-        let arow = &a[p * mr..p * mr + mr];
-        let brow = &b[p * nr..p * nr + nr];
-        for (c, bv) in brow.iter().enumerate() {
-            let tile = &mut acc[c * mr..(c + 1) * mr];
-            for (av, cv) in arow.iter().zip(tile.iter_mut()) {
-                *cv = av.mul_add(*bv, *cv);
+    for j in 0..cols {
+        for (r, cv) in c[j * ldc..j * ldc + rows].iter_mut().enumerate() {
+            let mut sum = T::zero();
+            for p in 0..kb {
+                sum = widen::<P, T>(a[p * lda + r]).mul_add(b[p * rsb + j * csb], sum);
             }
+            *cv = alpha.mul_add(sum, *cv);
         }
     }
 }
@@ -283,7 +281,7 @@ mod avx2 {
     //! `#[target_feature]`; callers must have checked [`super::simd_level`].
     use super::{
         widen, EXP_LN2_HI, EXP_LN2_LO, EXP_MAX, EXP_MIN, EXP_SHIFT, EXP_TAYLOR, STREAM_GROUP,
-        STREAM_T_WIDTH,
+        STREAM_T_WIDTH, TILE_COLS,
     };
     use crate::scalar::Scalar;
     #[cfg(target_arch = "x86_64")]
@@ -298,11 +296,12 @@ mod avx2 {
     const PREFETCH_COLS: usize = 2 * STREAM_GROUP;
 
     /// One AVX2 register of accumulator precision `Self`: what lets the
-    /// stream kernels be written once for f64 and f32.
+    /// tile and the stream kernels be written once for f64 and f32.
     ///
     /// # Safety
     /// Every method requires AVX2 + FMA; `load` reads and `store` writes `N`
-    /// elements at `p`, at any alignment.
+    /// elements at `p`, the masked forms only the lanes their mask selects,
+    /// at any alignment.
     pub trait Lanes: Scalar {
         /// The register type.
         type V: Copy;
@@ -316,18 +315,30 @@ mod avx2 {
         unsafe fn splat(x: Self) -> Self::V;
         /// Per-lane IEEE `a * b + c`.
         unsafe fn fma(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+        /// A lane mask for the masked loads and stores.
+        type Mask: Copy;
+        /// The mask that selects the first `n <= N` lanes.
+        unsafe fn mask(n: usize) -> Self::Mask;
+        /// Load of the lanes `mask` selects, zero in the others; only the
+        /// selected elements are read.
+        unsafe fn load_masked(p: *const Self, mask: Self::Mask) -> Self::V;
+        /// Store of the lanes `mask` selects; only those elements are written.
+        unsafe fn store_masked(p: *mut Self, mask: Self::Mask, v: Self::V);
     }
 
     /// A storage precision whose elements load, widened in register, into
     /// the lanes of accumulator precision `T`.
     ///
     /// # Safety
-    /// `load_as` requires AVX2 + FMA and reads `T::N` elements at `p`, at any
-    /// alignment.
+    /// Both methods require AVX2 + FMA; `load_as` reads `T::N` elements at
+    /// `p`, `load_as_masked` the first `n`, at any alignment.
     pub trait LoadAs<T: Lanes>: Scalar {
         /// Unaligned load of `T::N` elements, each converted exactly as
         /// [`widen`] converts one.
         unsafe fn load_as(p: *const Self) -> T::V;
+        /// [`LoadAs::load_as`] of the first `n <= T::N` lanes, zero in the
+        /// others; only those `n` elements are read.
+        unsafe fn load_as_masked(p: *const Self, n: usize) -> T::V;
     }
 
     impl Lanes for f64 {
@@ -352,6 +363,22 @@ mod avx2 {
         #[target_feature(enable = "avx2,fma")]
         unsafe fn fma(a: __m256d, b: __m256d, c: __m256d) -> __m256d {
             _mm256_fmadd_pd(a, b, c)
+        }
+        type Mask = __m256i;
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn mask(n: usize) -> __m256i {
+            _mm256_cmpgt_epi64(_mm256_set1_epi64x(n as i64), _mm256_setr_epi64x(0, 1, 2, 3))
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load_masked(p: *const f64, mask: __m256i) -> __m256d {
+            _mm256_maskload_pd(p, mask)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn store_masked(p: *mut f64, mask: __m256i, v: __m256d) {
+            _mm256_maskstore_pd(p, mask, v)
         }
     }
 
@@ -378,13 +405,37 @@ mod avx2 {
         unsafe fn fma(a: __m256, b: __m256, c: __m256) -> __m256 {
             _mm256_fmadd_ps(a, b, c)
         }
-    }
-
-    impl LoadAs<f64> for f64 {
+        type Mask = __m256i;
         #[inline]
         #[target_feature(enable = "avx2,fma")]
-        unsafe fn load_as(p: *const f64) -> __m256d {
-            _mm256_loadu_pd(p)
+        unsafe fn mask(n: usize) -> __m256i {
+            _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(n as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            )
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load_masked(p: *const f32, mask: __m256i) -> __m256 {
+            _mm256_maskload_ps(p, mask)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn store_masked(p: *mut f32, mask: __m256i, v: __m256) {
+            _mm256_maskstore_ps(p, mask, v)
+        }
+    }
+
+    impl<T: Lanes> LoadAs<T> for T {
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load_as(p: *const T) -> T::V {
+            T::load(p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load_as_masked(p: *const T, n: usize) -> T::V {
+            T::load_masked(p, T::mask(n))
         }
     }
 
@@ -394,13 +445,11 @@ mod avx2 {
         unsafe fn load_as(p: *const f32) -> __m256d {
             _mm256_cvtps_pd(_mm_loadu_ps(p))
         }
-    }
-
-    impl LoadAs<f32> for f32 {
         #[inline]
         #[target_feature(enable = "avx2,fma")]
-        unsafe fn load_as(p: *const f32) -> __m256 {
-            _mm256_loadu_ps(p)
+        unsafe fn load_as_masked(p: *const f32, n: usize) -> __m256d {
+            let mask = _mm_cmpgt_epi32(_mm_set1_epi32(n as i32), _mm_setr_epi32(0, 1, 2, 3));
+            _mm256_cvtps_pd(_mm_maskload_ps(p, mask))
         }
     }
 
@@ -618,128 +667,82 @@ mod avx2 {
         }
     }
 
-    /// 8 x 6 f64 micro-kernel: twelve 4-lane accumulators, overwriting
-    /// `acc[c*8 + r]` with the packed-panel product.
+    /// One `2 * T::N x TILE_COLS` register tile (see
+    /// [`super::microkernel_scalar`]): twelve accumulators, two loads of `a`
+    /// and six broadcasts of `b` per `p`, then one vector fma per register
+    /// into `c`. With `MASKED` the loads of `a` and the loads and stores of
+    /// `c` are masked to `rows` rows. Columns `cols..` broadcast column
+    /// `cols - 1` again and are not stored.
     ///
     /// # Safety
-    /// Requires AVX2 + FMA; `a.len() >= kb*8`, `b.len() >= kb*6`,
-    /// `acc.len() >= 48`.
+    /// As [`tile`].
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn microkernel_f64_8x6(kb: usize, a: &[f64], b: &[f64], acc: &mut [f64]) {
-        debug_assert!(a.len() >= kb * 8);
-        debug_assert!(b.len() >= kb * 6);
-        debug_assert!(acc.len() >= 48);
-        let mut c00 = _mm256_setzero_pd();
-        let mut c01 = _mm256_setzero_pd();
-        let mut c10 = _mm256_setzero_pd();
-        let mut c11 = _mm256_setzero_pd();
-        let mut c20 = _mm256_setzero_pd();
-        let mut c21 = _mm256_setzero_pd();
-        let mut c30 = _mm256_setzero_pd();
-        let mut c31 = _mm256_setzero_pd();
-        let mut c40 = _mm256_setzero_pd();
-        let mut c41 = _mm256_setzero_pd();
-        let mut c50 = _mm256_setzero_pd();
-        let mut c51 = _mm256_setzero_pd();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
+    unsafe fn tile_rows<const MASKED: bool, P: LoadAs<T>, T: Lanes>(
+        alpha: T,
+        (rows, cols, kb): (usize, usize, usize),
+        (a, lda): (*const P, usize),
+        (b, rsb, csb): (*const T, usize, usize),
+        (c, ldc): (*mut T, usize),
+    ) {
+        let bc: [*const T; TILE_COLS] = std::array::from_fn(|j| b.add(j.min(cols - 1) * csb));
+        let mut s = [[T::splat(T::zero()); 2]; TILE_COLS];
         for p in 0..kb {
-            let a0 = _mm256_loadu_pd(ap.add(p * 8));
-            let a1 = _mm256_loadu_pd(ap.add(p * 8 + 4));
-            let b0 = _mm256_set1_pd(*bp.add(p * 6));
-            c00 = _mm256_fmadd_pd(a0, b0, c00);
-            c01 = _mm256_fmadd_pd(a1, b0, c01);
-            let b1 = _mm256_set1_pd(*bp.add(p * 6 + 1));
-            c10 = _mm256_fmadd_pd(a0, b1, c10);
-            c11 = _mm256_fmadd_pd(a1, b1, c11);
-            let b2 = _mm256_set1_pd(*bp.add(p * 6 + 2));
-            c20 = _mm256_fmadd_pd(a0, b2, c20);
-            c21 = _mm256_fmadd_pd(a1, b2, c21);
-            let b3 = _mm256_set1_pd(*bp.add(p * 6 + 3));
-            c30 = _mm256_fmadd_pd(a0, b3, c30);
-            c31 = _mm256_fmadd_pd(a1, b3, c31);
-            let b4 = _mm256_set1_pd(*bp.add(p * 6 + 4));
-            c40 = _mm256_fmadd_pd(a0, b4, c40);
-            c41 = _mm256_fmadd_pd(a1, b4, c41);
-            let b5 = _mm256_set1_pd(*bp.add(p * 6 + 5));
-            c50 = _mm256_fmadd_pd(a0, b5, c50);
-            c51 = _mm256_fmadd_pd(a1, b5, c51);
+            let ap = a.add(p * lda);
+            let (a0, a1) = if MASKED {
+                (
+                    P::load_as_masked(ap, rows.min(T::N)),
+                    P::load_as_masked(ap.wrapping_add(T::N), rows.saturating_sub(T::N)),
+                )
+            } else {
+                (P::load_as(ap), P::load_as(ap.add(T::N)))
+            };
+            for (sj, bp) in s.iter_mut().zip(&bc) {
+                let bv = T::splat(*bp.add(p * rsb));
+                sj[0] = T::fma(a0, bv, sj[0]);
+                sj[1] = T::fma(a1, bv, sj[1]);
+            }
         }
-        let cp = acc.as_mut_ptr();
-        _mm256_storeu_pd(cp, c00);
-        _mm256_storeu_pd(cp.add(4), c01);
-        _mm256_storeu_pd(cp.add(8), c10);
-        _mm256_storeu_pd(cp.add(12), c11);
-        _mm256_storeu_pd(cp.add(16), c20);
-        _mm256_storeu_pd(cp.add(20), c21);
-        _mm256_storeu_pd(cp.add(24), c30);
-        _mm256_storeu_pd(cp.add(28), c31);
-        _mm256_storeu_pd(cp.add(32), c40);
-        _mm256_storeu_pd(cp.add(36), c41);
-        _mm256_storeu_pd(cp.add(40), c50);
-        _mm256_storeu_pd(cp.add(44), c51);
+        let alpha = T::splat(alpha);
+        let cm = [T::mask(rows.min(T::N)), T::mask(rows.saturating_sub(T::N))];
+        for (j, sj) in s.iter().enumerate().take(cols) {
+            let cj = c.add(j * ldc);
+            for (h, (sv, m)) in sj.iter().zip(cm).enumerate() {
+                let ch = cj.wrapping_add(h * T::N);
+                if MASKED {
+                    T::store_masked(ch, m, T::fma(alpha, *sv, T::load_masked(ch, m)));
+                } else {
+                    T::store(ch, T::fma(alpha, *sv, T::load(ch)));
+                }
+            }
+        }
     }
 
-    /// 16 x 6 f32 micro-kernel: twelve 8-lane accumulators, overwriting
-    /// `acc[c*16 + r]` with the packed-panel product.
+    /// AVX2 register tile; see [`super::microkernel_scalar`] for the
+    /// contract. A full-height tile moves `a` and `c` with plain loads and
+    /// stores, a shorter one masked.
     ///
     /// # Safety
-    /// Requires AVX2 + FMA; `a.len() >= kb*16`, `b.len() >= kb*6`,
-    /// `acc.len() >= 96`.
+    /// Requires AVX2 + FMA; `1 <= rows <= 2 * T::N`, `1 <= cols <=
+    /// TILE_COLS`, `a` readable for `(kb-1)*lda + rows` elements, `b` for
+    /// `(kb-1)*rsb + (cols-1)*csb + 1`, `c` readable and writable for
+    /// `(cols-1)*ldc + rows`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn microkernel_f32_16x6(kb: usize, a: &[f32], b: &[f32], acc: &mut [f32]) {
-        debug_assert!(a.len() >= kb * 16);
-        debug_assert!(b.len() >= kb * 6);
-        debug_assert!(acc.len() >= 96);
-        let mut c00 = _mm256_setzero_ps();
-        let mut c01 = _mm256_setzero_ps();
-        let mut c10 = _mm256_setzero_ps();
-        let mut c11 = _mm256_setzero_ps();
-        let mut c20 = _mm256_setzero_ps();
-        let mut c21 = _mm256_setzero_ps();
-        let mut c30 = _mm256_setzero_ps();
-        let mut c31 = _mm256_setzero_ps();
-        let mut c40 = _mm256_setzero_ps();
-        let mut c41 = _mm256_setzero_ps();
-        let mut c50 = _mm256_setzero_ps();
-        let mut c51 = _mm256_setzero_ps();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        for p in 0..kb {
-            let a0 = _mm256_loadu_ps(ap.add(p * 16));
-            let a1 = _mm256_loadu_ps(ap.add(p * 16 + 8));
-            let b0 = _mm256_set1_ps(*bp.add(p * 6));
-            c00 = _mm256_fmadd_ps(a0, b0, c00);
-            c01 = _mm256_fmadd_ps(a1, b0, c01);
-            let b1 = _mm256_set1_ps(*bp.add(p * 6 + 1));
-            c10 = _mm256_fmadd_ps(a0, b1, c10);
-            c11 = _mm256_fmadd_ps(a1, b1, c11);
-            let b2 = _mm256_set1_ps(*bp.add(p * 6 + 2));
-            c20 = _mm256_fmadd_ps(a0, b2, c20);
-            c21 = _mm256_fmadd_ps(a1, b2, c21);
-            let b3 = _mm256_set1_ps(*bp.add(p * 6 + 3));
-            c30 = _mm256_fmadd_ps(a0, b3, c30);
-            c31 = _mm256_fmadd_ps(a1, b3, c31);
-            let b4 = _mm256_set1_ps(*bp.add(p * 6 + 4));
-            c40 = _mm256_fmadd_ps(a0, b4, c40);
-            c41 = _mm256_fmadd_ps(a1, b4, c41);
-            let b5 = _mm256_set1_ps(*bp.add(p * 6 + 5));
-            c50 = _mm256_fmadd_ps(a0, b5, c50);
-            c51 = _mm256_fmadd_ps(a1, b5, c51);
+    pub unsafe fn tile<P: LoadAs<T>, T: Lanes>(
+        alpha: T,
+        shape: (usize, usize, usize),
+        (a, lda): (&[P], usize),
+        (b, (rsb, csb)): (&[T], (usize, usize)),
+        (c, ldc): (&mut [T], usize),
+    ) {
+        let a = (a.as_ptr(), lda);
+        let b = (b.as_ptr(), rsb, csb);
+        let c = (c.as_mut_ptr(), ldc);
+        if shape.0 == 2 * T::N {
+            tile_rows::<false, P, T>(alpha, shape, a, b, c);
+        } else {
+            tile_rows::<true, P, T>(alpha, shape, a, b, c);
         }
-        let cp = acc.as_mut_ptr();
-        _mm256_storeu_ps(cp, c00);
-        _mm256_storeu_ps(cp.add(8), c01);
-        _mm256_storeu_ps(cp.add(16), c10);
-        _mm256_storeu_ps(cp.add(24), c11);
-        _mm256_storeu_ps(cp.add(32), c20);
-        _mm256_storeu_ps(cp.add(40), c21);
-        _mm256_storeu_ps(cp.add(48), c30);
-        _mm256_storeu_ps(cp.add(56), c31);
-        _mm256_storeu_ps(cp.add(64), c40);
-        _mm256_storeu_ps(cp.add(72), c41);
-        _mm256_storeu_ps(cp.add(80), c50);
-        _mm256_storeu_ps(cp.add(88), c51);
     }
 
     /// AVX2 f64 dot product: four independent 4-lane accumulators over the
@@ -942,31 +945,6 @@ mod avx2 {
     }
 }
 
-/// Dispatched f64 micro-kernel (8 x 6 tile); see [`microkernel_scalar`] for
-/// the contract.
-pub fn microkernel_f64(kb: usize, a: &[f64], b: &[f64], acc: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: AVX2+FMA presence established by `simd_level`; slice
-        // bounds are the caller's packed-panel invariant (debug-asserted).
-        unsafe { avx2::microkernel_f64_8x6(kb, a, b, acc) };
-        return;
-    }
-    microkernel_scalar::<f64>(8, 6, kb, a, b, acc);
-}
-
-/// Dispatched f32 micro-kernel (16 x 6 tile); see [`microkernel_scalar`] for
-/// the contract.
-pub fn microkernel_f32(kb: usize, a: &[f32], b: &[f32], acc: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if simd_level() == SimdLevel::Avx2 {
-        // SAFETY: AVX2+FMA presence established by `simd_level`.
-        unsafe { avx2::microkernel_f32_16x6(kb, a, b, acc) };
-        return;
-    }
-    microkernel_scalar::<f32>(16, 6, kb, a, b, acc);
-}
-
 /// Dispatched f64 dot product.
 pub fn dot_f64(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
@@ -1027,12 +1005,13 @@ pub fn axpy_f32(alpha: f32, x: &[f32], y: &mut [f32]) {
     axpy_scalar(alpha, x, y);
 }
 
-/// Implements [`StreamInto`] for storage precision `$p` accumulated in `$t`:
-/// the dispatched fused and transposed stream kernels. The length checks are
-/// `assert!`s because the AVX2 kernels index raw pointers on their strength.
+/// Implements [`InPlaceInto`] for storage precision `$p` accumulated in `$t`:
+/// the dispatched fused and transposed stream kernels and the register tile.
+/// The length checks are `assert!`s because the AVX2 kernels index raw
+/// pointers on their strength.
 macro_rules! impl_stream_into {
     ($p:ty, $t:ty) => {
-        impl StreamInto<$t> for $p {
+        impl InPlaceInto<$t> for $p {
             fn stream_kernel(
                 rows: usize,
                 kb: usize,
@@ -1084,6 +1063,35 @@ macro_rules! impl_stream_into {
                 }
                 stream_t_scalar::<$p, $t>(kb, m, n, a, lda, brow, out);
             }
+
+            fn tile_kernel(
+                alpha: $t,
+                (rows, cols, kb): (usize, usize, usize),
+                (a, lda): (&[$p], usize),
+                (b, (rsb, csb)): (&[$t], (usize, usize)),
+                (c, ldc): (&mut [$t], usize),
+            ) {
+                assert!(
+                    (1..=<$t as Scalar>::MR).contains(&rows) && (1..=TILE_COLS).contains(&cols),
+                    "tile shape"
+                );
+                assert!(c.len() >= (cols - 1) * ldc + rows, "C too short");
+                if kb > 0 {
+                    assert!(a.len() >= (kb - 1) * lda + rows, "A too short");
+                    assert!(b.len() > (kb - 1) * rsb + (cols - 1) * csb, "B too short");
+                }
+                let shape = (rows, cols, kb);
+                #[cfg(target_arch = "x86_64")]
+                if simd_level() == SimdLevel::Avx2 {
+                    // SAFETY: AVX2+FMA presence established by `simd_level`;
+                    // the shape and slice lengths were asserted above.
+                    unsafe {
+                        avx2::tile::<$p, $t>(alpha, shape, (a, lda), (b, (rsb, csb)), (c, ldc))
+                    };
+                    return;
+                }
+                microkernel_scalar::<$p, $t>(alpha, shape, (a, lda), (b, (rsb, csb)), (c, ldc));
+            }
         }
     };
 }
@@ -1130,14 +1138,28 @@ mod tests {
 
     #[test]
     fn dispatched_microkernel_is_bit_identical_to_scalar() {
+        // The packed strip (`lda = MR`, `B` by rows) and strips read in place
+        // (`lda = 11`, `B` by columns), full and ragged, into a `C` whose
+        // elements outside the tile must not move.
         for kb in [0, 1, 2, 7, 64] {
-            let a = seq(kb * 8, 0.5);
-            let b = seq(kb * 6, 0.25);
-            let mut acc1 = [0.0f64; ACC_TILE];
-            let mut acc2 = [1.0f64; ACC_TILE]; // overwrite contract: stale values must not leak
-            microkernel_f64(kb, &a, &b, &mut acc1[..48]);
-            microkernel_scalar::<f64>(8, 6, kb, &a, &b, &mut acc2[..48]);
-            assert_eq!(&acc1[..48], &acc2[..48], "kb={kb}");
+            for (rows, cols, lda, b_strides) in
+                [(8, 6, 8, (6, 1)), (8, 6, 11, (1, 64)), (3, 2, 11, (1, 64))]
+            {
+                let a = seq(kb.max(1) * lda, 0.5);
+                let b = seq(64 * 6, 0.25);
+                let mut c1 = seq(6 * 10, 1.0);
+                let mut c2 = c1.clone();
+                let shape = (rows, cols, kb);
+                f64::tile_kernel(1.5, shape, (&a, lda), (&b, b_strides), (&mut c1, 10));
+                microkernel_scalar::<f64, f64>(
+                    1.5,
+                    shape,
+                    (&a, lda),
+                    (&b, b_strides),
+                    (&mut c2, 10),
+                );
+                assert_eq!(c1, c2, "kb={kb} {rows}x{cols}");
+            }
         }
     }
 

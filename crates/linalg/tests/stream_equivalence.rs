@@ -1,25 +1,30 @@
 //! Kernel-equivalence tests for the two things `gemm` does besides multiply:
-//! choosing between the packed path and the stream path, and packing into
-//! thread-owned scratch that is never cleared.
+//! choosing between the register-tile path and the stream path, and keeping
+//! packed strips and block sums in thread-owned scratch that is never
+//! cleared.
 //!
 //! The contract: with at most `STREAM_MAX_COLS` right-hand-side columns and
 //! an untransposed `B` (the stream path, one chunk of at most `NR` columns at
 //! a time: the fused kernel for `A`, its in-place twin for `A^T`), `gemm` and
-//! `gemm_mixed` produce the bits of the scalar-pinned packed reference; the
-//! same columns computed as part of a wider product (which takes the packed
-//! path) are bit-equal; `A^T B` read in place equals `A B` over the
-//! transposed copy; `beta = 0` overwrites a NaN `C`; whatever an earlier GEMM
-//! left in the thread's scratch never reaches a result; and the other
-//! dispatch level (`GOFMM_FORCE_SCALAR`) produces the same bits.
+//! `gemm_mixed` produce the bits of the reference loops
+//! (`blas::reference::gemm`, the bit contract as plain code); the same
+//! columns computed as part of a wider product (which takes the tile path)
+//! are bit-equal; `A^T B` read in place equals `A B` over the transposed
+//! copy; the tile path gives the reference's bits for every transpose pair,
+//! every row and column tail of its tile and depths around `KC`, on column
+//! ranges and on `f32`-stored panels; `beta = 0` overwrites a NaN `C`;
+//! whatever an earlier GEMM left in the thread's scratch never reaches a
+//! result; and the other dispatch level (`GOFMM_FORCE_SCALAR`) produces the
+//! same bits.
 //!
 //! Entries use the full mantissa, so a changed accumulation order or block
 //! boundary shows up in the last bit (the grid-valued entries of
 //! `proptest_simd.rs` sum exactly in f64 and could not see it). Random shapes
 //! cross `KC = 256`, the stream path's 512-row block, every chunk tail and the
-//! stream/packed gate; [`edge_shapes`] walks every tail of the kernels on both
+//! stream/tile gate; [`edge_shapes`] walks every tail of the kernels on both
 //! sides of those edges.
 
-use gofmm_linalg::blas::{reference, STREAM_MAX_COLS};
+use gofmm_linalg::blas::{reference, KC, STREAM_MAX_COLS};
 use gofmm_linalg::{
     gemm, gemm_cols, gemm_mixed, gemm_mixed_cols, simd_level, DenseMatrix, Scalar, SimdLevel,
     Transpose,
@@ -93,7 +98,10 @@ fn product<T: Scalar>(
 /// transposed kernel's prefetch step) below `KC`, across it and across
 /// `2 * KC`; and row counts around one and two registers of either precision
 /// (`rows mod lanes != 0`, the transposed kernel's 8/4/2/1 columns, fewer
-/// rows than `MR`) and around the 512-row block.
+/// rows than `MR`) and around the 512-row block. Past the gate it adds the
+/// register tile's edges: every row tail of either precision's `MR` (f32's
+/// 16 covers f64's 8), every column tail of `NR`, and depths of `KC - 1`,
+/// `KC`, `KC + 1` and `2 * KC + 3`, rotated over the tails.
 fn edge_shapes() -> Vec<(usize, usize, usize)> {
     let ks = (1..=9).chain(252..=260).chain(510..=515);
     let ms = (1..=18).chain([31, 32, 33, 510, 511, 512, 513, 519, 1030]);
@@ -109,14 +117,20 @@ fn edge_shapes() -> Vec<(usize, usize, usize)> {
             shapes.push((m, [5, 258][i % 2], n));
         }
     }
+    let tile_ks = [KC - 1, KC, KC + 1, 2 * KC + 3];
+    for m in 1..=2 * <f32 as Scalar>::MR + 1 {
+        for n in STREAM_MAX_COLS + 1..=STREAM_MAX_COLS + NR {
+            shapes.push((m, tile_ks[(m + n) % tile_ks.len()], n));
+        }
+    }
     shapes
 }
 
-/// One stream-shaped product (packed once `n` passes the gate) in accumulator
+/// One stream-shaped product (tiled once `n` passes the gate) in accumulator
 /// precision `T` — native, mixed and with `A` stored transposed — against
-/// (a) the scalar-pinned packed reference and (b) the same columns of a
-/// product widened past `STREAM_MAX_COLS` so that it is packed. With
-/// `beta = 0`, `C` starts as NaN.
+/// (a) the reference loops and (b) the same columns of a product widened
+/// past `STREAM_MAX_COLS` so that it is tiled. With `beta = 0`, `C` starts
+/// as NaN.
 fn check_stream_shape<T: Scalar>(m: usize, k: usize, n: usize, alpha: T, beta: T, seed: u64) {
     let a = fill::<T>(m, k, seed);
     let b = fill::<T>(k, n, seed ^ 0x5bd1);
@@ -211,8 +225,83 @@ fn kernel_edges_are_bit_identical_to_the_packed_reference() {
     }
 }
 
+/// One tile-shaped product in precision `T` against the reference loops:
+/// every `(op_a, op_b)` pair, then `A` as a column range of a wider panel,
+/// either way round, stored in `T` and in `T::PanelScalar` (`gemm_cols`,
+/// `gemm_mixed_cols`, and `gemm_mixed` over the block). With `beta = 0`,
+/// `C` starts as NaN.
+fn check_tile_shape<T: Scalar>(m: usize, k: usize, n: usize, alpha: T, beta: T, seed: u64) {
+    let c0 = if beta == T::zero() {
+        DenseMatrix::from_fn(m, n, |_, _| T::from_f64(f64::NAN))
+    } else {
+        fill::<T>(m, n, seed ^ 0xa3c5)
+    };
+    let label = format!(
+        "{} {m}x{n}x{k} alpha={alpha} beta={beta}",
+        T::precision_name()
+    );
+    let stored_as = |op: Transpose, rows: usize, cols: usize| match op {
+        Transpose::No => (rows, cols),
+        Transpose::Yes => (cols, rows),
+    };
+    for op_a in [Transpose::No, Transpose::Yes] {
+        let (ar, ac) = stored_as(op_a, m, k);
+        for op_b in [Transpose::No, Transpose::Yes] {
+            let a = fill::<T>(ar, ac, seed);
+            let (br, bc) = stored_as(op_b, k, n);
+            let b = fill::<T>(br, bc, seed ^ 0x5bd1);
+            let (mut c, mut c_ref) = (c0.clone(), c0.clone());
+            gemm(alpha, &a, op_a, &b, op_b, beta, &mut c);
+            reference::gemm(alpha, &a, op_a, &b, op_b, beta, &mut c_ref);
+            assert_eq!(bits(&c), bits(&c_ref), "{label} {op_a:?}/{op_b:?}");
+        }
+
+        let lead = (seed % 5) as usize;
+        let panel = fill::<T>(ar, lead + ac + 2, seed ^ 0x31);
+        let cols = lead..lead + ac;
+        let block = panel.block(0, ar, cols.start, cols.end);
+        let b = fill::<T>(k, n, seed ^ 0x5bd1);
+        let want = product(reference::gemm, alpha, (&block, op_a), &b, beta, &c0);
+        let mut c = c0.clone();
+        gemm_cols(alpha, &panel, cols.clone(), op_a, &b, beta, &mut c);
+        assert_eq!(bits(&c), bits(&want), "{label} {op_a:?}: column range");
+
+        let stored = panel.cast::<T::PanelScalar>();
+        let widened = block.cast::<T::PanelScalar>().cast::<T>();
+        let want = bits(&product(
+            reference::gemm,
+            alpha,
+            (&widened, op_a),
+            &b,
+            beta,
+            &c0,
+        ));
+        let mut c = c0.clone();
+        gemm_mixed_cols(alpha, &stored, cols.clone(), op_a, &b, beta, &mut c);
+        assert_eq!(bits(&c), want, "{label} {op_a:?}: stored column range");
+        if op_a == Transpose::No {
+            let mut c = c0.clone();
+            gemm_mixed(alpha, &block.cast::<T::PanelScalar>(), &b, beta, &mut c);
+            assert_eq!(bits(&c), want, "{label}: stored");
+        }
+    }
+}
+
+/// Every edge of the register tile, in both precisions, every way round.
+#[test]
+fn tile_edges_are_bit_identical_to_the_reference() {
+    let tile_shapes = edge_shapes()
+        .into_iter()
+        .filter(|&(_, _, n)| n > STREAM_MAX_COLS);
+    for (i, (m, k, n)) in tile_shapes.enumerate() {
+        let (alpha, beta) = (SCALES[1 + i % 3], SCALES[(i / 3) % 4]);
+        check_tile_shape::<f64>(m, k, n, alpha, beta, i as u64);
+        check_tile_shape::<f32>(m, k, n, alpha as f32, beta as f32, i as u64);
+    }
+}
+
 /// A column range of `A` multiplied in place — either way round, native and
-/// mixed, streamed and packed — gives the bits of the same product over the
+/// mixed, streamed and tiled — gives the bits of the same product over the
 /// copied block.
 fn check_column_range<T: Scalar>(rows: usize, lead: usize, m: usize, n: usize, seed: u64) {
     let panel = fill::<T>(rows, lead + m + 3, seed);
@@ -275,7 +364,7 @@ fn column_range_past_the_last_column_panics() {
 }
 
 /// `beta == 0` overwrites `C` and the early-outs leave `beta * C`: the
-/// stream path sits behind the same prologue as the packed one.
+/// stream path sits behind the same prologue as the tile path.
 #[test]
 fn stream_shapes_keep_the_beta_and_empty_product_contract() {
     let a = fill::<f64>(9, 5, 1);
@@ -311,12 +400,17 @@ fn stream_shapes_keep_the_beta_and_empty_product_contract() {
 }
 
 /// Products small enough to leave most of a dirtied scratch stale: a wide
-/// packed one, a chunked stream one, a narrow transposed one (whose row-major
-/// `B` and block sums live in the scratch, padding lanes included), and a
-/// narrow mixed one.
+/// tiled one, a chunked stream one, a narrow transposed one (whose row-major
+/// `B` and block sums live in the scratch, padding lanes included), a
+/// narrow mixed one, and a wide one with `A` transposed (whose strips live in
+/// the scratch, the last one ragged).
 fn small_products<T: Scalar>() -> Vec<u64> {
     let no = Transpose::No;
     let mut out = Vec::new();
+    let (a, b) = (fill::<T>(9, 13, 49), fill::<T>(9, STREAM_MAX_COLS + 2, 50));
+    let mut c = fill::<T>(13, STREAM_MAX_COLS + 2, 51);
+    gemm(T::one(), &a, Transpose::Yes, &b, no, T::one(), &mut c);
+    out.extend(bits(&c));
     for n in [STREAM_MAX_COLS + 2, NR + 2] {
         let (a, b) = (fill::<T>(13, 9, 41), fill::<T>(9, n, 42));
         let mut c = fill::<T>(13, n, 43);
@@ -339,13 +433,14 @@ fn stale_scratch_cannot_leak<T: Scalar>() {
         .join()
         .expect("fresh-thread GEMM panicked");
     let dirtied = std::thread::spawn(|| {
-        // Fill this thread's scratch, edge to edge, with NaN strips.
+        // Fill this thread's scratch, edge to edge, with NaN strips: the
+        // tile path copies a transposed `A` into it.
         let nan = DenseMatrix::from_fn(300, 300, |_, _| T::from_f64(f64::NAN));
         let mut sink = DenseMatrix::<T>::zeros(300, 300);
         gemm(
             T::one(),
             &nan,
-            Transpose::No,
+            Transpose::Yes,
             &nan,
             Transpose::No,
             T::zero(),
@@ -365,9 +460,9 @@ fn stale_pack_scratch_never_reaches_a_result() {
     stale_scratch_cannot_leak::<f32>();
 }
 
-/// FNV-1a over the result bits of a fixed list of stream- and packed-path
+/// FNV-1a over the result bits of a fixed list of stream- and tile-path
 /// products plus every [`edge_shapes`] entry, in both precisions, native,
-/// mixed and transposed.
+/// mixed, with `A` transposed and with `B` transposed.
 fn dispatch_digest() -> u64 {
     fn products<T: Scalar>(out: &mut Vec<u64>) {
         let fixed = [
@@ -408,6 +503,16 @@ fn dispatch_digest() -> u64 {
                 Transpose::Yes,
                 &b,
                 Transpose::No,
+                T::one(),
+                &mut c,
+            );
+            out.extend(bits(&c));
+            gemm(
+                T::from_f64(0.5),
+                &a,
+                Transpose::No,
+                &b.transpose(),
+                Transpose::Yes,
                 T::one(),
                 &mut c,
             );

@@ -86,9 +86,10 @@ pub struct ServeConfig {
     /// Coalescing stops once a batch holds this many columns (default 32).
     /// A single oversized request still runs — alone in its own batch.
     /// Batches wider than [`gofmm_linalg::blas::STREAM_MAX_COLS`] (32) take
-    /// the GEMM's packed path rather than its stream path (on
-    /// `lowrank3d-n8k` a 64-column apply costs 0.47 ms per column against
-    /// 0.39 at 32 columns).
+    /// the GEMM's register-tile path rather than its stream path (on
+    /// `lowrank3d-n8k`, one sequential apply, 2-vCPU AVX2 VM: 0.31-0.40 ms
+    /// per column at 64 columns against 0.39-0.44 at 32 and 0.46-0.50 at
+    /// 4, two runs).
     pub max_batch_cols: usize,
     /// How long the worker holds a freshly seeded batch open for more
     /// requests to join before executing it (default 200 µs). Larger values

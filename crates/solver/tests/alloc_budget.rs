@@ -71,8 +71,9 @@ const N: usize = 2048;
 const RHS: usize = 4;
 /// The solution block, plus 16 KiB of headroom for bookkeeping.
 const BUDGET: u64 = (N * RHS * std::mem::size_of::<f64>() + (16 << 10)) as u64;
-/// The largest pack scratch a GEMM can ask for (`MC x KC` of `A` plus
-/// `KC x NC` of `B`, rounded up to whole strips, in f64): 1.26 MiB.
+/// Scratch per worker: 1.26 MiB, the most a GEMM asked for when it packed
+/// both operands (`MC x KC` of `A` plus `KC x NC` of `B`, in f64). It now
+/// asks for at most the `MC x KC` strips of a transposed `A`, 256 KiB.
 const WORKER_SCRATCH: u64 = ((128 * 256 + 516 * 256) * std::mem::size_of::<f64>()) as u64;
 /// What a spilled solve may request per fault beyond the blob's decoded
 /// scalars: the `Arc`'d node, its WY block list and Cholesky wrapper.

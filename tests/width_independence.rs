@@ -3,12 +3,13 @@
 //! Column `j` of `apply(W)` and of `solve(W)` must be bit-equal to the
 //! one-column call on `W[:, j]`, whatever the batch width. Every per-column
 //! product is accumulated in the same order at any width (the GEMM's stream
-//! and packed paths agree bit for bit), and the sweeps stage the right-hand
+//! and tile paths agree bit for bit), and the sweeps stage the right-hand
 //! side in tree order once per call, so nothing that differs between widths
 //! may reach a result. The widths cross every kind of edge of the GEMM's
 //! stream path — one chunk of `NR` = 6 columns, a chunk tail, two full
 //! chunks plus one (13), the `STREAM_MAX_COLS` gate and one past it — and
-//! reach the packed path at 64; the operators cover native panels and tuned
+//! reach the register-tile path at 47 (a ragged tail of `NR` columns) and
+//! 64; the operators cover native panels and tuned
 //! `MixedF32` low-rank panels, held resident or spilled to a store file at a
 //! thrashing budget; each is driven sequentially and on the two-worker DAG.
 //! Widths interleave on one operator (64, then 4, then 64 again with the
@@ -101,8 +102,8 @@ fn batched_columns_match_one_column_calls_bit_for_bit() {
     let w = rhs();
     // Column selections in call order; widths 1, 5, 6, 7 straddle the first
     // chunk edge, 13, `STREAM_MAX_COLS` and one more the chunk tails and the
-    // stream/packed gate, and the second 64-wide call recycles the first
-    // one's workspace with different (reversed) inputs.
+    // stream/tile gate, 47 a ragged column tile, and the second 64-wide call
+    // recycles the first one's workspace with different (reversed) inputs.
     let batches: Vec<Vec<usize>> = vec![
         (0..WIDE).collect(),
         vec![5, 17, 33, 62],
@@ -115,6 +116,7 @@ fn batched_columns_match_one_column_calls_bit_for_bit() {
         (1..14).collect(),
         (8..8 + STREAM_MAX_COLS).collect(),
         (20..21 + STREAM_MAX_COLS).rev().collect(),
+        (10..57).collect(),
     ];
     let root = std::env::temp_dir()
         .join("gofmm-width-independence")
