@@ -166,8 +166,7 @@ pub struct Evaluator<'a, T: Scalar> {
     /// Per-leaf near blocks `K_{beta, alpha}`, packed like `far`
     /// ([`Panel::Empty`] for interior nodes), laid out as `near_map` says.
     pub(crate) near: Vec<Panel<T>>,
-    /// The evaluator-wide near-panel layout and the per-leaf index lists it
-    /// implies.
+    /// The per-leaf index lists of the owner layout.
     pub(crate) near_map: NearMap,
     /// Per-node *effective* far lists after [`Evaluator::tune`] dropped
     /// small-norm far blocks; `None` until a tune commits a drop. The
@@ -205,7 +204,7 @@ struct ApplyWorkspace<T: Scalar> {
     u_far: DisjointCells<DenseMatrix<T>>,
     /// Near-field (direct) contribution to the output, per leaf.
     u_near: DisjointCells<DenseMatrix<T>>,
-    /// Mirror products `Y_β = K_{β,off}^T w_β` per owner-layout leaf: the
+    /// Mirror products `Y_β = K_{β,off}^T w_β` per owning leaf: the
     /// contributions of β's owned off-diagonal blocks to the other leaves'
     /// outputs, stacked in [`NearMap::mirror_entries`] order. Sized by β's
     /// L2L task the first time it computes them, and overwritten by it on
@@ -252,7 +251,7 @@ impl<T: Scalar> ApplyWorkspace<T> {
     /// so the random-row writes of a column stay within that column. First,
     /// in tree order, the mirror blocks its owners computed for a leaf are
     /// added into its `u_near` column in ascending owner order: the one
-    /// fixed-order pass that closes an owner-layout sweep.
+    /// fixed-order pass that closes a sweep.
     fn assemble(
         &mut self,
         comp: &Compressed<T>,
@@ -289,34 +288,21 @@ impl<T: Scalar> ApplyWorkspace<T> {
     }
 }
 
-/// How an evaluator lays out its leaves' near panels: one tag for the whole
-/// evaluator.
-///
-/// The near lists are symmetric and `K` is SPD, so `K_{αβ} = K_{βα}^T`: one
-/// copy of each off-diagonal near block is enough to serve both leaves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum NearLayout {
-    /// Leaf β's panel holds `K_{β, Near(β)}`, every block of its Near list
-    /// in list order. Tuned evaluators keep it.
-    Full,
-    /// The lower heap index owns each off-diagonal near pair: β's panel
-    /// holds `K_{ββ}` and then `K_{βα}` for each `α > β` in `Near(β)`, in
-    /// list order. Mirror blocks are never stored: β's L2L task also forms
-    /// `K_{β,off}^T w_β` from its own panel for the leaves it owns blocks
-    /// of.
-    Owner,
-}
-
 /// Widest apply whose owners compute their mirror blocks
 /// ([`NearMap::owner_mirrors`]).
 const OWNER_MIRROR_MAX_COLS: usize = 4;
 
-/// The per-leaf index lists a [`NearLayout`] implies.
+/// Which near blocks each leaf's panel holds: the owner layout.
+///
+/// The near lists are symmetric and `K` is SPD, so `K_{αβ} = K_{βα}^T`: one
+/// copy of each off-diagonal near block serves both leaves. The lower heap
+/// index owns each pair: β's panel holds `K_{ββ}` and then `K_{βα}` for each
+/// `α > β` in `Near(β)`, in list order — dense, or the `left · right` pair
+/// a tune truncated it to. Mirror blocks are never stored: β's panel also
+/// serves `K_{β,off}^T w_β` to the leaves it owns blocks of.
 pub(crate) struct NearMap {
-    layout: NearLayout,
     /// Per leaf: the near leaves whose blocks its panel holds, in panel
-    /// column order (empty for interior nodes). Under the owner layout the
-    /// leaf itself comes first.
+    /// column order, the leaf itself first (empty for interior nodes).
     entries: Vec<Vec<usize>>,
     /// Per leaf α: `(β, row)` for every owner `β < α` of a block of α's,
     /// ascending in β: α's share of `Y_β` starts at row `row`.
@@ -324,24 +310,20 @@ pub(crate) struct NearMap {
 }
 
 impl NearMap {
-    pub(crate) fn new(tree: &PartitionTree, lists: &InteractionLists, layout: NearLayout) -> Self {
+    pub(crate) fn new(tree: &PartitionTree, lists: &InteractionLists) -> Self {
         let node_count = tree.node_count();
         let mut map = NearMap {
-            layout,
             entries: vec![Vec::new(); node_count],
             mirrors_in: Vec::new(),
         };
         for beta in tree.leaf_range() {
             let near = &lists.near[beta];
-            map.entries[beta] = match layout {
-                NearLayout::Full => near.clone(),
-                NearLayout::Owner if near.is_empty() => Vec::new(),
-                NearLayout::Owner => {
-                    debug_assert!(near.contains(&beta), "a Near list holds its leaf");
-                    let owned = near.iter().copied().filter(|&alpha| alpha > beta);
-                    std::iter::once(beta).chain(owned).collect()
-                }
-            };
+            if near.is_empty() {
+                continue;
+            }
+            debug_assert!(near.contains(&beta), "a Near list holds its leaf");
+            let owned = near.iter().copied().filter(|&alpha| alpha > beta);
+            map.entries[beta] = std::iter::once(beta).chain(owned).collect();
         }
         let mut mirrors_in = vec![Vec::new(); node_count];
         for beta in tree.leaf_range() {
@@ -355,22 +337,17 @@ impl NearMap {
         map
     }
 
-    pub(crate) fn layout(&self) -> NearLayout {
-        self.layout
-    }
-
     /// The near leaves whose blocks `heap`'s panel holds, in column order.
     pub(crate) fn entries(&self, heap: usize) -> &[usize] {
         &self.entries[heap]
     }
 
     /// The leaves `heap`'s mirror product serves: its owned off-diagonal
-    /// entries under the owner layout, none under the full one.
+    /// entries.
     fn mirror_entries(&self, heap: usize) -> &[usize] {
-        match (self.layout, self.entries[heap].split_first()) {
-            (NearLayout::Owner, Some((_, owned))) => owned,
-            _ => &[],
-        }
+        self.entries[heap]
+            .split_first()
+            .map_or(&[], |(_, owned)| owned)
     }
 
     /// Rows of `heap`'s mirror product `Y_heap`.
@@ -450,7 +427,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         let near_cells: DisjointCells<Panel<T>> =
             DisjointCells::from_fn(node_count, |_| Panel::Empty);
 
-        let near_map = NearMap::new(&comp.tree, &comp.lists, NearLayout::Owner);
+        let near_map = NearMap::new(&comp.tree, &comp.lists);
         {
             let comp = &*comp;
             parallel_for(node_count, num_threads.max(1), |heap| {
@@ -521,12 +498,11 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
 
     /// Bytes of interaction blocks held *resident in memory* by this
     /// evaluator; every other per-node structure it reads is the
-    /// compression's. Every constructor stores each symmetric pair of
-    /// off-diagonal near blocks once (the owner layout), so this is about
-    /// half the near blocks' bytes plus the far panels'. Shrinks when
-    /// [`Evaluator::tune`] drops or rank-truncates panels (a tuned
-    /// evaluator stores both blocks of a pair again, and a tune is accepted
-    /// only if the total still shrinks) and when
+    /// compression's. Each symmetric pair of off-diagonal near blocks is
+    /// stored once (the owner layout), so this is about half the near
+    /// blocks' bytes plus the far panels'. Shrinks when
+    /// [`Evaluator::tune`] drops or rank-truncates panels (every tune edit
+    /// removes columns or swaps in a strictly smaller pair) and when
     /// [`Evaluator::attach_store`] swaps panels out to a file store.
     pub fn cached_bytes(&self) -> usize {
         self.cached_bytes
@@ -546,15 +522,6 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             Some(lists) => &lists[heap],
             None => &self.comp.lists.far[heap],
         }
-    }
-
-    /// Switch the near panels to `layout`: the caller has just replaced them
-    /// with panels in that layout. Rebuilds the index lists and the plan,
-    /// whose L2L costs follow the layout.
-    pub(crate) fn set_near_layout(&mut self, layout: NearLayout) {
-        self.near_map = NearMap::new(&self.comp.tree, &self.comp.lists, layout);
-        self.plan = evaluation_plan(&self.comp, &self.near_map);
-        self.recompute_cached_bytes();
     }
 
     /// Re-derive `cached_bytes` — the in-memory panel bytes — from the
@@ -726,9 +693,9 @@ fn near_gather_indices<T: Scalar>(comp: &Compressed<T>, entries: &[usize]) -> Ve
 /// behind every constructor.
 ///
 /// The near panel holds the blocks of `near_map`'s entries for the leaf, in
-/// that order: under the owner layout, `K_{ββ}` and the blocks `K_{βα}` of
-/// the owned pairs `α > β` (one gathered block). The mirror blocks `K_{βα}`,
-/// `α < β`, are never evaluated: their owner α packs the transpose.
+/// that order: `K_{ββ}` and the blocks `K_{βα}` of the owned pairs `α > β`
+/// (one gathered block). The mirror blocks `K_{βα}`, `α < β`, are never
+/// evaluated: their owner α packs the transpose.
 fn pack_node<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     matrix: &M,
     comp: &Compressed<T>,
@@ -845,8 +812,9 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
     /// summed from zero and then added, exactly as an owner's mirror cell
     /// is added by [`ApplyWorkspace::assemble`], so both ways give the same
     /// bits: within one GEMM accumulation block (an owner of at most
-    /// [`KC`] rows) the GEMM's own `C + sum` is that addition; past it the
-    /// product goes through a scratch block.
+    /// [`KC`] rows, so a low-rank owner's rank is within it too) the GEMM's
+    /// own `C + sum` is that addition; past it the product goes through a
+    /// scratch block.
     fn read_mirrors(&self, heap: usize, out: &mut DenseMatrix<T>) -> u64 {
         let tree = &self.ev.compressed().tree;
         let (r, rows) = (self.r(), out.rows());
@@ -990,8 +958,8 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
     }
 
     /// L2L: direct (near) interactions — the near panel times the stacked
-    /// input rows of its entries. Under the owner layout the same task, on
-    /// the same warm panel, also forms the mirror product
+    /// input rows of its entries. On narrow or spilled applies the same
+    /// task, on the same warm panel, also forms the mirror product
     /// `Y_β = K_{β,off}^T w_β` that [`ApplyWorkspace::assemble`] adds into
     /// the other leaves' outputs.
     fn task_l2l(&self, heap: usize) {
@@ -1103,6 +1071,8 @@ mod tests {
     use crate::compress::compress;
     use crate::config::GofmmConfig;
     use crate::distance::DistanceMetric;
+    use crate::panel::Shape;
+    use crate::tune::AccuracyBudget;
     use gofmm_matrices::{sampled_relative_error, KernelMatrix, KernelType, PointCloud, SpdMatrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1392,8 +1362,8 @@ mod tests {
     fn evaluator_apply_performs_zero_kernel_evaluations() {
         // With off-diagonal near pairs, every construction evaluates exactly
         // the owner-layout near panels and the far skeleton panels (never a
-        // mirror block: 126 650 entries here, against 154 298 for the full
-        // layout), and applies touch the kernel zero times.
+        // mirror block: 126 650 entries here, against 154 298 for both
+        // blocks of every pair), and applies touch the kernel zero times.
         let n = 512;
         let k = test_matrix(n);
         let mut rng = StdRng::seed_from_u64(33);
@@ -1403,7 +1373,7 @@ mod tests {
         let len = |h: usize| tree.node(h).len as u64;
         let rank = |h: usize| comp.bases[h].as_ref().map_or(0, |b| b.rank()) as u64;
         let near = |entries: &[usize]| entries.iter().map(|&a| len(a)).sum::<u64>();
-        let owner_map = NearMap::new(tree, lists, NearLayout::Owner);
+        let owner_map = NearMap::new(tree, lists);
         let owner_near: u64 = tree
             .leaf_range()
             .map(|h| len(h) * near(owner_map.entries(h)))
@@ -1615,7 +1585,8 @@ mod tests {
     /// Narrow applies have the owners compute the mirror blocks, wide ones
     /// have each leaf read its owners' blocks in place; every column of a
     /// wide apply carries the bits of the same column applied alone, with
-    /// leaves within one GEMM accumulation block and past it.
+    /// leaves within one GEMM accumulation block and past it, on dense
+    /// owner panels and on the low-rank pairs a tune leaves.
     #[test]
     fn both_mirror_paths_give_the_same_bits() {
         for (n, leaf) in [(512, 32), (1100, KC + 44)] {
@@ -1624,7 +1595,7 @@ mod tests {
             let comp = compress::<f64, _>(&k, &cfg);
             let rows = comp.tree.leaf_range().map(|h| comp.tree.node(h).len);
             assert_eq!(rows.max().unwrap() > KC, leaf > KC);
-            let ev = Evaluator::new(&k, &comp);
+            let mut ev = Evaluator::new(&k, &comp);
             let mirrors = comp
                 .tree
                 .leaf_range()
@@ -1636,20 +1607,64 @@ mod tests {
             let r = OWNER_MIRROR_MAX_COLS + 2;
             let mut rng = StdRng::seed_from_u64(43);
             let w = DenseMatrix::<f64>::random_gaussian(n, r, &mut rng);
-            let (wide, _) = ev.apply(&w).unwrap();
-            for c in 0..r {
-                let (one, _) = ev.apply(&w.block(0, n, c, c + 1)).unwrap();
-                assert_eq!(one.col(0), wide.col(c), "leaf {leaf}: column {c}");
+            for tuned in [false, true] {
+                if tuned {
+                    let stats = ev.tune(&AccuracyBudget::new(1e-3)).unwrap();
+                    assert!(stats.accepted_any(), "leaf {leaf}: 1e-3 must be attainable");
+                    let low_rank_owner = comp.tree.leaf_range().any(|h| {
+                        let low_rank = match &ev.near[h] {
+                            Panel::Owned(values) => {
+                                matches!(values.view(), Shape::LowRank { .. })
+                            }
+                            _ => false,
+                        };
+                        low_rank && !ev.near_map.mirror_entries(h).is_empty()
+                    });
+                    assert!(
+                        low_rank_owner,
+                        "leaf {leaf}: no low-rank panel with mirrors"
+                    );
+                }
+                let (wide, _) = ev.apply(&w).unwrap();
+                for c in 0..r {
+                    let (one, _) = ev.apply(&w.block(0, n, c, c + 1)).unwrap();
+                    assert_eq!(
+                        one.col(0),
+                        wide.col(c),
+                        "leaf {leaf} tuned {tuned}: column {c}"
+                    );
+                }
             }
         }
     }
 
-    /// The owner layout serves the operator of the full layout: owned in
-    /// memory (native and `MixedF32`), spilled and attached at a thrashing
-    /// budget, and persisted then reopened, the owner-layout apply agrees
-    /// with the full-layout apply of the same compression to 1e-12.
+    /// Replace the off-diagonal columns of every near panel by zeros, so only
+    /// the diagonal blocks `K_ββ` remain: the direct and mirror products of
+    /// every owned pair vanish.
+    fn zero_off_diagonal_near_blocks(ev: &mut Evaluator<'_, f64>) {
+        fn zero<S: Scalar>(m: &mut DenseMatrix<S>) {
+            for c in m.rows()..m.cols() {
+                m.col_mut(c).fill(S::zero());
+            }
+        }
+        for panel in &mut ev.near {
+            match panel {
+                Panel::Owned(Values::Native(Shape::Dense(m))) => zero(m),
+                Panel::Owned(Values::Reduced(Shape::Dense(m))) => zero(m),
+                Panel::Empty => {}
+                _ => unreachable!("untuned in-memory near panels are dense"),
+            }
+        }
+    }
+
+    /// The owner layout serves every off-diagonal near block, both
+    /// orientations, from one stored copy: the apply minus that of a copy
+    /// whose near panels keep only their diagonal blocks equals the dense
+    /// `Σ_{α ∈ Near(β), α ≠ β} K_{βα} w_α` gathered from the matrix to
+    /// 1e-12, owned in memory (native and `MixedF32`), spilled and attached
+    /// at a thrashing budget, and persisted then reopened.
     #[test]
-    fn owner_layout_matches_full_layout_in_every_residence() {
+    fn owner_layout_serves_both_blocks_of_every_pair_in_every_residence() {
         use gofmm_store::{FilePanelStore, StoreWriter};
         let n = 512;
         let k = test_matrix(n);
@@ -1661,27 +1676,42 @@ mod tests {
         for precision in [PanelPrecision::Native, PanelPrecision::MixedF32] {
             let cfg = config().with_budget(0.3).with_panel_precision(precision);
             let comp = compress::<f64, _>(&k, &cfg);
-            let mut full = Evaluator::new(&k, &comp);
-            assert!(full.unfold_near_mirrors().is_some());
-            assert_eq!(full.near_map.layout(), NearLayout::Full);
-            let (u_full, _) = full.apply(&w).unwrap();
-            let mut owner = Evaluator::new(&k, &comp);
-            assert_eq!(owner.near_map.layout(), NearLayout::Owner);
-            let mirrors: usize = comp
-                .tree
-                .leaf_range()
-                .map(|h| owner.near_map.mirror_entries(h).len())
-                .sum();
+            let tree = &comp.tree;
+            // The off-diagonal near field, from the matrix, with each block
+            // rounded to the panel precision the way the panels store it.
+            let mut off_near = DenseMatrix::<f64>::zeros(n, 3);
+            let mut pairs = 0;
+            for beta in tree.leaf_range() {
+                let rows = tree.indices(beta);
+                for &alpha in comp.lists.near[beta].iter().filter(|&&a| a != beta) {
+                    let mut block = SpdMatrix::<f64>::submatrix(&k, rows, tree.indices(alpha));
+                    if precision == PanelPrecision::MixedF32 {
+                        block = block.cast::<f32>().cast();
+                    }
+                    let u = gofmm_linalg::matmul(&block, &w.select_rows(tree.indices(alpha)));
+                    for (i, &row) in rows.iter().enumerate() {
+                        for c in 0..3 {
+                            off_near.set(row, c, off_near.get(row, c) + u.get(i, c));
+                        }
+                    }
+                    pairs += 1;
+                }
+            }
             assert!(
-                mirrors > 0,
+                pairs > 0,
                 "{precision:?}: the lists must have off-diagonal near pairs"
             );
-            assert!(owner.cached_bytes() < full.cached_bytes());
+
+            let mut owner = Evaluator::new(&k, &comp);
+            let mut diagonal = Evaluator::new(&k, &comp);
+            zero_off_diagonal_near_blocks(&mut diagonal);
+            let (u_diag, _) = diagonal.apply(&w).unwrap();
             let agree = |u: &DenseMatrix<f64>, residence: &str| {
-                let rel = u.sub(&u_full).norm_fro() / u_full.norm_fro();
+                let got = u.sub(&u_diag);
+                let rel = got.sub(&off_near).norm_fro() / off_near.norm_fro();
                 assert!(
                     rel <= 1e-12,
-                    "{precision:?} {residence}: owner vs full {rel:e}"
+                    "{precision:?} {residence}: off-diagonal near field {rel:e}"
                 );
             };
             let (u_owned, _) = owner.apply(&w).unwrap();
@@ -1692,7 +1722,6 @@ mod tests {
             owner.write_to(&mut writer).unwrap();
             writer.finish().unwrap();
             let (_, reopened) = Evaluator::<f64>::open_from(&path, thrashing).unwrap();
-            assert_eq!(reopened.near_map.layout(), NearLayout::Owner);
             let (u, _) = reopened.apply(&w).unwrap();
             agree(&u, "reopened");
             assert_eq!(u.data(), u_owned.data(), "{precision:?}: reopened bits");

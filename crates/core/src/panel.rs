@@ -17,8 +17,9 @@
 //! Residence is resolved *before* any arithmetic: a stored panel is faulted
 //! in to the same [`View`] an in-memory panel exposes, and [`Panel::apply`]
 //! runs one GEMM sequence on that view. [`MatRef::gemm_into`] is the only
-//! place that picks `gemm` versus `gemm_mixed`; [`Shape::apply`] is the only
-//! place that runs the two-GEMM low-rank product.
+//! place that picks `gemm` versus `gemm_mixed`; [`Shape::apply`] and its
+//! transposed twin `apply_t_cols` (the mirror product) are the only places
+//! that run the two-GEMM low-rank products.
 
 use crate::config::PanelPrecision;
 use crate::error::Error;
@@ -167,13 +168,15 @@ impl<T: Scalar> View<'_, T> {
         }
     }
 
-    /// The mirror product of an owner-layout near panel `[K_ββ  K_{β,off}]`:
+    /// The mirror product of a near panel `[K_ββ  K_{β,off}]`:
     /// `y = K_{β,off}^T w_β`, where `w_β` is the first `rows` rows of the
     /// stacked right-hand side `v` (the diagonal block's columns). Reads the
     /// off-diagonal columns in place, never the diagonal block; returns the
     /// flops spent.
     fn apply_mirror(&self, v: &DenseMatrix<T>, y: &mut DenseMatrix<T>) -> u64 {
-        let rows = self.dense().dims().0;
+        let rows = match self {
+            Shape::Dense(m) | Shape::LowRank { left: m, .. } => m.dims().0,
+        };
         let fill =
             |buf: &mut Vec<T>| (0..v.cols()).for_each(|c| buf.extend_from_slice(&v.col(c)[..rows]));
         with_temp(rows, v.cols(), fill, |w| {
@@ -181,8 +184,9 @@ impl<T: Scalar> View<'_, T> {
         })
     }
 
-    /// `y = self[:, cols]^T w + beta * y` over a dense panel; returns the
-    /// flops spent.
+    /// `y = self[:, cols]^T w + beta * y`; returns the flops spent. A
+    /// low-rank pair forms `tmp = left^T w` first, then
+    /// `y = right[:, cols]^T tmp + beta * y`.
     fn apply_t_cols(
         &self,
         cols: Range<usize>,
@@ -190,15 +194,21 @@ impl<T: Scalar> View<'_, T> {
         beta: T,
         y: &mut DenseMatrix<T>,
     ) -> u64 {
-        let flops = gemm_flops(cols.len(), w.cols(), w.rows());
-        self.dense().gemm_t_cols_into(cols, w, beta, y);
-        flops
-    }
-
-    fn dense(&self) -> MatRef<'_, T> {
+        let (n, r) = (cols.len(), w.cols());
         match *self {
-            Shape::Dense(m) => m,
-            Shape::LowRank { .. } => unreachable!("owner-layout near panels are dense"),
+            Shape::Dense(m) => {
+                m.gemm_t_cols_into(cols, w, beta, y);
+                gemm_flops(n, r, w.rows())
+            }
+            Shape::LowRank { left, right } => {
+                let (rows, rank) = left.dims();
+                let zeros = |buf: &mut Vec<T>| buf.resize(rank * r, T::zero());
+                with_temp(rank, r, zeros, |tmp| {
+                    left.gemm_t_cols_into(0..rank, w, T::zero(), tmp);
+                    right.gemm_t_cols_into(cols, tmp, beta, y);
+                });
+                gemm_flops(rank, r, rows) + gemm_flops(n, r, rank)
+            }
         }
     }
 
@@ -422,8 +432,8 @@ impl<T: Scalar> Panel<T> {
         }
     }
 
-    /// `y = panel[:, cols]^T w + beta * y` for an in-memory owner-layout
-    /// near panel, read in place; returns the flops spent. How a leaf reads
+    /// `y = panel[:, cols]^T w + beta * y` for an in-memory near panel, dense
+    /// or low-rank, read in place; returns the flops spent. How a leaf reads
     /// a block its owner stores, `K_{αβ} = K_{βα}^T`.
     pub(crate) fn apply_t_cols(
         &self,
@@ -546,6 +556,7 @@ impl<T: Scalar> Evaluator<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gofmm_linalg::matmul_tn;
 
     const ROWS: usize = 24;
     const RANK: usize = 5;
@@ -697,9 +708,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// An owner-layout near panel `[K_ββ  K_{β,off}]`, in memory and spilled:
-    /// one call runs the direct product and the mirror product
-    /// `K_{β,off}^T w_β` over the same values, faulting a stored panel once.
+    /// A near panel `[K_ββ  K_{β,off}]`, dense or a low-rank pair, in memory
+    /// and spilled: one call runs the direct product and the mirror product
+    /// `K_{β,off}^T w_β` over the same values, faulting each stored matrix
+    /// once. Both match their explicit GEMM sequences bit for bit.
     #[test]
     fn mirror_product_reads_the_off_diagonal_columns_of_the_same_view() {
         const OFF: usize = 20;
@@ -708,33 +720,52 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let v = mat(cols, R, 4);
         let w_own = v.block(0, ROWS, 0, R);
-        for (node, precision) in [PanelPrecision::Native, PanelPrecision::MixedF32]
-            .into_iter()
-            .enumerate()
-        {
-            let values = || Values::dense(mat(ROWS, cols, 6), precision);
-            let stored = match values().view() {
-                Shape::Dense(MatRef::Native(m)) => m.clone(),
-                Shape::Dense(MatRef::Reduced(m)) => m.cast(),
-                Shape::LowRank { .. } => unreachable!(),
+        let shapes = [
+            Shape::Dense(mat(ROWS, cols, 6)),
+            Shape::LowRank {
+                left: mat(ROWS, RANK, 7),
+                right: mat(RANK, cols, 8),
+            },
+        ];
+        let precisions = [PanelPrecision::Native, PanelPrecision::MixedF32];
+        let cases = shapes.iter().flat_map(|s| precisions.map(|p| (s, p)));
+        for (node, (shape, precision)) in cases.enumerate() {
+            let values = || match precision {
+                PanelPrecision::Native => Values::Native(shape.as_ref().map(|m| m.clone())),
+                PanelPrecision::MixedF32 => Values::Reduced(shape.as_ref().map(|m| m.cast())),
             };
+            // The stored values, exactly, in `f64`.
+            let stored = values().view().map(|m| match m {
+                MatRef::Native(m) => m.clone(),
+                MatRef::Reduced(m) => m.cast(),
+            });
             let mut want = mat(ROWS, R, 9);
-            native(&stored, &v, 1.0, &mut want);
-            let off_diag = stored.block(0, ROWS, ROWS, cols);
-            let mut want_y = DenseMatrix::zeros(OFF, R);
-            gemm(
-                1.0,
-                &off_diag,
-                Transpose::Yes,
-                &w_own,
-                Transpose::No,
-                0.0,
-                &mut want_y,
+            let (want_y, flops) = match &stored {
+                Shape::Dense(m) => {
+                    native(m, &v, 1.0, &mut want);
+                    let y = matmul_tn(&m.block(0, ROWS, ROWS, cols), &w_own);
+                    (y, gemm_flops(ROWS, R, cols) + gemm_flops(OFF, R, ROWS))
+                }
+                Shape::LowRank { left, right } => {
+                    let mut tmp = DenseMatrix::zeros(RANK, R);
+                    native(right, &v, 0.0, &mut tmp);
+                    native(left, &tmp, 1.0, &mut want);
+                    let y = matmul_tn(&right.block(0, RANK, ROWS, cols), &matmul_tn(left, &w_own));
+                    let direct = gemm_flops(RANK, R, cols) + gemm_flops(ROWS, R, RANK);
+                    (
+                        y,
+                        direct + gemm_flops(RANK, R, ROWS) + gemm_flops(OFF, R, RANK),
+                    )
+                }
+            };
+            let label = format!(
+                "{precision:?} low-rank={}",
+                matches!(shape, Shape::LowRank { .. })
             );
             let check = |panel: &Panel<f64>| {
                 let mut out = mat(ROWS, R, 9);
                 let mut y = DenseMatrix::from_fn(OFF, R, |_, _| f64::NAN);
-                let flops = panel.apply(
+                let got = panel.apply(
                     |c, mul| {
                         assert_eq!(c, cols);
                         mul(&v)
@@ -742,10 +773,9 @@ mod tests {
                     &mut out,
                     Some(&mut y),
                 );
-                assert_eq!(bits(&out), bits(&want), "{precision:?}: direct product");
-                assert_eq!(bits(&y), bits(&want_y), "{precision:?}: mirror product");
-                let mirror_flops = gemm_flops(OFF, R, ROWS);
-                assert_eq!(flops, gemm_flops(ROWS, R, cols) + mirror_flops);
+                assert_eq!(bits(&out), bits(&want), "{label}: direct product");
+                assert_eq!(bits(&y), bits(&want_y), "{label}: mirror product");
+                assert_eq!(got, flops, "{label}: flops");
             };
             let mut panel = Panel::Owned(values());
             check(&panel);
@@ -758,12 +788,16 @@ mod tests {
             let store = Arc::new(FilePanelStore::open(&path, 1).unwrap());
             panel.attach(&store, classes::L2L, node);
             assert!(matches!(panel, Panel::Stored(_)));
+            let matrices = match shape {
+                Shape::Dense(_) => 1,
+                Shape::LowRank { .. } => 2,
+            };
             for apply in 1..=2 {
                 check(&panel);
                 assert_eq!(
                     store.stats().faults,
-                    apply,
-                    "{precision:?}: one fault per apply"
+                    apply * matrices,
+                    "{label}: one fault per stored matrix per apply"
                 );
             }
         }

@@ -11,7 +11,7 @@ use crate::compress::{CompRef, Compressed, CompressionStats};
 use crate::config::{GofmmConfig, PanelPrecision, TraversalPolicy};
 use crate::distance::DistanceMetric;
 use crate::error::Error;
-use crate::evaluate::{Evaluator, NearLayout, NearMap};
+use crate::evaluate::{Evaluator, NearMap};
 use crate::lists::InteractionLists;
 use crate::panel::Panel;
 use crate::skel::NodeBasis;
@@ -45,7 +45,7 @@ impl<T: Scalar> Evaluator<'_, T> {
             writer.put_raw(class, 0, &buf)
         };
         put(classes::CONFIG, &|buf| {
-            encode_header::<T>(buf, &comp.config, self.near_map.layout())
+            encode_header::<T>(buf, &comp.config)
         })?;
         put(classes::TREE, &|buf| encode_tree(buf, &comp.tree))?;
         put(classes::LISTS, &|buf| encode_lists(buf, &comp.lists))?;
@@ -82,7 +82,7 @@ impl<T: Scalar> Evaluator<'static, T> {
     ) -> Result<(Arc<Compressed<T>>, Self), Error> {
         let t0 = Stopwatch::start();
         let store = Arc::new(FilePanelStore::open(path, resident_budget)?);
-        let (config, layout) = decode_header::<T>(&store.read_raw(classes::CONFIG, 0)?)?;
+        let config = decode_header::<T>(&store.read_raw(classes::CONFIG, 0)?)?;
         let tree = decode_tree(&store.read_raw(classes::TREE, 0)?)?;
         let lists = decode_lists(&store.read_raw(classes::LISTS, 0)?)?;
         let bases = decode_bases::<T>(&store.read_raw(classes::BASES, 0)?)?;
@@ -106,7 +106,7 @@ impl<T: Scalar> Evaluator<'static, T> {
                 message: format!("near list entry {bad} is not a leaf of the tree"),
             });
         }
-        let near_map = NearMap::new(&tree, &lists, layout);
+        let near_map = NearMap::new(&tree, &lists);
         let comp = Compressed {
             tree,
             lists,
@@ -219,29 +219,9 @@ fn precision_from_tag(tag: u8) -> Result<PanelPrecision, StoreError> {
     })
 }
 
-fn layout_tag(layout: NearLayout) -> u8 {
-    match layout {
-        NearLayout::Full => 0,
-        NearLayout::Owner => 1,
-    }
-}
-
-fn layout_from_tag(tag: u8) -> Result<NearLayout, StoreError> {
-    Ok(match tag {
-        0 => NearLayout::Full,
-        1 => NearLayout::Owner,
-        other => {
-            return Err(StoreError::Corrupt(format!(
-                "unknown near-layout tag {other}"
-            )))
-        }
-    })
-}
-
-/// CONFIG blob: operator scalar width, every [`GofmmConfig`] field (the
-/// panel precision among them) and the evaluator's near-panel layout (owner
-/// for untuned evaluators, full for tuned ones).
-fn encode_header<T: Scalar>(out: &mut Vec<u8>, config: &GofmmConfig, layout: NearLayout) {
+/// CONFIG blob: operator scalar width and every [`GofmmConfig`] field (the
+/// panel precision among them).
+fn encode_header<T: Scalar>(out: &mut Vec<u8>, config: &GofmmConfig) {
     let mut w = ByteWriter::new(out);
     w.u8(std::mem::size_of::<T>() as u8);
     w.usize(config.leaf_size);
@@ -257,10 +237,9 @@ fn encode_header<T: Scalar>(out: &mut Vec<u8>, config: &GofmmConfig, layout: Nea
     w.u64(config.seed);
     w.u8(config.strict_rank_budget as u8);
     w.u8(precision_tag(config.panel_precision));
-    w.u8(layout_tag(layout));
 }
 
-fn decode_header<T: Scalar>(bytes: &[u8]) -> Result<(GofmmConfig, NearLayout), StoreError> {
+fn decode_header<T: Scalar>(bytes: &[u8]) -> Result<GofmmConfig, StoreError> {
     let mut r = ByteReader::new(bytes);
     check_scalar_width::<T>(r.u8()?)?;
     let config = GofmmConfig {
@@ -278,9 +257,8 @@ fn decode_header<T: Scalar>(bytes: &[u8]) -> Result<(GofmmConfig, NearLayout), S
         strict_rank_budget: r.u8()? != 0,
         panel_precision: precision_from_tag(r.u8()?)?,
     };
-    let layout = layout_from_tag(r.u8()?)?;
     r.finish()?;
-    Ok((config, layout))
+    Ok(config)
 }
 
 /// TREE blob: `(n, depth, perm)` — everything [`PartitionTree::from_perm`]
@@ -493,10 +471,11 @@ mod tests {
         write(&Evaluator::new(&k, &comp), &path);
         assert!(Evaluator::<f64>::open_from(&path, 1 << 20).is_ok());
         let current = std::fs::read(&path).unwrap();
-        // Files from before the near-layout tag (version 2) and from before
-        // the CONFIG blob lost its block-cache flag and second precision tag
-        // (version 3).
-        for version in [2u32, 3] {
+        // Files from before the near-layout tag (version 2), from before the
+        // CONFIG blob lost its block-cache flag and second precision tag
+        // (version 3), and from before it lost the near-layout tag
+        // (version 4).
+        for version in [2u32, 3, 4] {
             let mut file = current.clone();
             file[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &file).unwrap();
@@ -511,24 +490,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// An untuned evaluator persists the owner layout, a tuned one the full
-    /// layout; each reopens under its own tag and applies bit-identically.
+    /// Untuned and tuned evaluators (dense and low-rank owner panels) each
+    /// persist, reopen and apply bit-identically.
     #[test]
-    fn owner_and_full_layouts_round_trip_bit_identically() {
+    fn tuned_and_untuned_evaluators_round_trip_bit_identically() {
         let (k, comp) = operator();
-        let dir = scratch("layouts");
+        let dir = scratch("tuned");
         let w = DenseMatrix::from_fn(comp.n(), 3, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0);
         let mut ev = Evaluator::new(&k, &comp);
-        for (tuned, layout) in [(false, NearLayout::Owner), (true, NearLayout::Full)] {
+        for tuned in [false, true] {
             if tuned {
                 let stats = ev.tune(&AccuracyBudget::new(1e-3)).unwrap();
                 assert!(stats.accepted_any(), "1e-3 must be attainable");
+                assert!(stats.panels_truncated > 0, "the tune must truncate panels");
             }
-            assert_eq!(ev.near_map.layout(), layout);
             let path = dir.join(format!("tuned-{tuned}.gfmm"));
             write(&ev, &path);
             let (_, reopened) = Evaluator::<f64>::open_from(&path, 1 << 16).unwrap();
-            assert_eq!(reopened.near_map.layout(), layout);
+            assert_eq!(reopened.tune_stats(), ev.tune_stats(), "tuned = {tuned}");
             let (want, _) = ev.apply(&w).unwrap();
             let (got, _) = reopened.apply(&w).unwrap();
             assert_eq!(got.data(), want.data(), "tuned = {tuned}");

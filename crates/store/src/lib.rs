@@ -49,8 +49,9 @@ const INDEX_MAGIC: &[u8; 8] = b"GFMMIDX1";
 /// Version 2: ULV node blobs hold blocked compact-WY rotations. Version 3:
 /// the operator header records the near-panel layout. Version 4: the
 /// operator header drops the block-cache flag and the second panel-precision
-/// tag.
-const FORMAT_VERSION: u32 = 4;
+/// tag. Version 5: the operator header drops the near-panel layout (tuned
+/// operators store each symmetric near block once too).
+const FORMAT_VERSION: u32 = 5;
 
 /// Well-known blob classes used by the GOFMM crates. The store itself does
 /// not interpret these; they only namespace the `(class, node)` key space so
