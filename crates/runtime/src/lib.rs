@@ -21,7 +21,7 @@
 //!   per-worker queues and stealing, a plain FIFO pool (the
 //!   `omp task depend` stand-in), level-by-level barrier groups, and a
 //!   sequential baseline,
-//! * [`parallel`] — dynamically scheduled `parallel_for` helpers used by the
+//! * [`parallel`] — the dynamically scheduled `parallel_for` used by the
 //!   level-by-level schedule and by "any order" loops,
 //! * [`pool`] — shared-state serving support: [`pool::WorkspacePool`] leases
 //!   per-call buffer bundles (keyed by right-hand-side width) so persistent
@@ -42,7 +42,7 @@ pub mod pool;
 
 pub use cancel::{CancelToken, Cancelled};
 pub use executor::{ExecStats, TraversalPolicy};
-pub use parallel::{available_threads, parallel_for, parallel_map, parallel_ranges, split_ranges};
+pub use parallel::{available_threads, parallel_for};
 pub use plan::{
     heap_level, DisjointCells, Family, PhasePlan, PlanTopology, ReusablePlan, SharedCells,
 };

@@ -1,10 +1,10 @@
-//! Data-parallel helpers: a dynamically scheduled `parallel_for` over index
-//! ranges, built directly on scoped threads.
+//! Data-parallel helper: a dynamically scheduled `parallel_for` over an index
+//! range, built directly on scoped threads.
 //!
-//! These replace the paper's `omp parallel for schedule(dynamic)` loops (used
+//! It replaces the paper's `omp parallel for schedule(dynamic)` loops (used
 //! for the "any order" tasks and the level-by-level traversals). We do not use
-//! rayon: the point of the reproduction is GOFMM's own runtime, and these
-//! helpers are intentionally the simplest possible dynamic scheduler so the
+//! rayon: the point of the reproduction is GOFMM's own runtime, and this
+//! helper is intentionally the simplest possible dynamic scheduler so the
 //! comparison against the DAG runtime stays meaningful.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,63 +57,6 @@ where
     });
 }
 
-/// Parallel map over `0..n` collecting results in index order.
-pub fn parallel_map<T, F>(n: usize, num_threads: usize, f: F) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = vec![T::default(); n];
-    {
-        let slots: Vec<parking_lot::Mutex<&mut T>> =
-            out.iter_mut().map(parking_lot::Mutex::new).collect();
-        parallel_for(n, num_threads, |i| {
-            let mut slot = slots[i].lock();
-            **slot = f(i);
-        });
-    }
-    out
-}
-
-/// Split `0..n` into `pieces` nearly equal contiguous ranges.
-pub fn split_ranges(n: usize, pieces: usize) -> Vec<std::ops::Range<usize>> {
-    let pieces = pieces.max(1);
-    let base = n / pieces;
-    let extra = n % pieces;
-    let mut out = Vec::with_capacity(pieces);
-    let mut start = 0;
-    for p in 0..pieces {
-        let len = base + usize::from(p < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// Statically scheduled parallel loop over contiguous ranges (one range per
-/// thread), for kernels that prefer large contiguous chunks (e.g. packing
-/// panels of a matrix).
-pub fn parallel_ranges<F>(n: usize, num_threads: usize, f: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    let num_threads = num_threads.max(1).min(n.max(1));
-    if n == 0 {
-        return;
-    }
-    if num_threads == 1 {
-        f(0..n);
-        return;
-    }
-    let ranges = split_ranges(n, num_threads);
-    std::thread::scope(|scope| {
-        for r in ranges {
-            let f = &f;
-            scope.spawn(move || f(r));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,44 +80,6 @@ mod tests {
         });
         assert_eq!(sum.load(Ordering::Relaxed), 4950);
         parallel_for(0, 4, |_| panic!("must not be called"));
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(1000, 6, |i| i * i);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * i);
-        }
-    }
-
-    #[test]
-    fn split_ranges_covers_everything() {
-        for n in [0usize, 1, 7, 24, 100] {
-            for p in [1usize, 2, 3, 8, 13] {
-                let ranges = split_ranges(n, p);
-                assert_eq!(ranges.len(), p);
-                let total: usize = ranges.iter().map(|r| r.len()).sum();
-                assert_eq!(total, n);
-                // Contiguity.
-                let mut expect = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expect);
-                    expect = r.end;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_ranges_cover_all_indices() {
-        let n = 977;
-        let flags: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_ranges(n, 5, |r| {
-            for i in r {
-                flags[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(flags.iter().all(|f| f.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

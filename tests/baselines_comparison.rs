@@ -1,6 +1,7 @@
 //! Integration tests comparing GOFMM against the re-implemented baselines
 //! (HODLR, STRUMPACK-style HSS, ASKIT-style treecode) — the qualitative claims
-//! behind Tables 3 and 4 of the paper.
+//! behind Tables 3 and 4 of the paper, and the ordering ablation of its
+//! Figure 7.
 
 use gofmm_suite::baselines::{AskitConfig, AskitMatrix, Hodlr, HodlrConfig, HssConfig, HssMatrix};
 use gofmm_suite::core::{compress, DistanceMetric, GofmmConfig, TraversalPolicy};
@@ -98,15 +99,18 @@ fn gofmm_beats_unpermuted_baselines_on_scrambled_kernel() {
     );
     let w = rhs(n, 8);
     let rank = 32;
+    let gofmm_eps = |metric: DistanceMetric, budget: f64| {
+        let cfg = gofmm_config()
+            .with_max_rank(rank)
+            .with_tolerance(0.0)
+            .with_metric(metric)
+            .with_budget(budget);
+        let comp = compress::<f64, _>(&k, &cfg);
+        let (u, _) = comp.into_evaluator(&k).apply(&w).unwrap();
+        sampled_relative_error(&k, &w, &u, 100, 0)
+    };
 
-    let cfg = gofmm_config()
-        .with_max_rank(rank)
-        .with_tolerance(0.0)
-        .with_metric(DistanceMetric::Kernel)
-        .with_budget(0.10);
-    let comp = compress::<f64, _>(&k, &cfg);
-    let (u_gofmm, _) = comp.into_evaluator(&k).apply(&w).unwrap();
-    let e_gofmm = sampled_relative_error(&k, &w, &u_gofmm, 100, 0);
+    let e_gofmm = gofmm_eps(DistanceMetric::Kernel, 0.10);
 
     let hodlr = Hodlr::<f64>::compress(
         &k,
@@ -134,6 +138,24 @@ fn gofmm_beats_unpermuted_baselines_on_scrambled_kernel() {
         e_gofmm < e_hodlr && e_gofmm < e_hss,
         "GOFMM ({e_gofmm}) should beat HODLR ({e_hodlr}) and lexicographic HSS ({e_hss})"
     );
+
+    // Figure 7: the same scrambled grid compressed as HSS (budget 0) under
+    // each ordering. The matrix-defined Gram distances (kernel, angle)
+    // recover the grid's hierarchy from the matrix alone; the lexicographic
+    // and random orderings, which never look at the matrix, cannot.
+    let [e_kernel, e_angle, e_lex, e_random] = [
+        DistanceMetric::Kernel,
+        DistanceMetric::Angle,
+        DistanceMetric::Lexicographic,
+        DistanceMetric::Random,
+    ]
+    .map(|metric| gofmm_eps(metric, 0.0));
+    for (name, e) in [("kernel", e_kernel), ("angle", e_angle)] {
+        assert!(
+            e < e_lex && e < e_random,
+            "{name} ordering ({e}) should beat lexicographic ({e_lex}) and random ({e_random})"
+        );
+    }
 }
 
 #[test]
