@@ -9,7 +9,7 @@ use crate::lists::{build_interaction_lists, InteractionLists};
 use crate::skel::{skeletonize_node, NodeBasis, SkelParams};
 use gofmm_linalg::Scalar;
 use gofmm_matrices::SpdMatrix;
-use gofmm_runtime::{DisjointCells, ExecStats, PhasePlan};
+use gofmm_runtime::{DisjointCells, ExecStats, ReusablePlan};
 use gofmm_tree::{
     ann_search, AnnConfig, DistanceOracle, NeighborList, PartitionTree, SplitRule, TreeOptions,
 };
@@ -372,9 +372,7 @@ fn skeletonize_all<T: Scalar, M: SpdMatrix<T> + ?Sized>(
 
     let m = config.leaf_size as f64;
     let s = config.max_rank as f64;
-    let skel_ref = &skel_one;
-    let bases_ref = &bases;
-    let mut plan = PhasePlan::new();
+    let mut plan = ReusablePlan::new();
     plan.add_bottom_up(
         "SKEL",
         tree,
@@ -386,14 +384,10 @@ fn skeletonize_all<T: Scalar, M: SpdMatrix<T> + ?Sized>(
                 2.0 * s * s * s
             }
         },
-        |heap| {
-            move || {
-                let b = skel_ref(heap);
-                bases_ref.set(heap, Some(b));
-            }
-        },
     );
-    let exec = plan.run(config.policy, config.num_threads);
+    let exec = plan.run(config.policy, config.num_threads, |_, heap| {
+        bases.set(heap, Some(skel_one(heap)))
+    });
 
     stats.flops += flops.load(Ordering::Relaxed);
     (bases.into_inner(), Some(exec))

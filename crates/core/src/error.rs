@@ -109,8 +109,16 @@ pub enum Error {
 
 impl From<gofmm_store::StoreError> for Error {
     fn from(e: gofmm_store::StoreError) -> Self {
-        Error::Storage {
-            message: e.to_string(),
+        match e {
+            // Spilling a panel or node that already lives in a store is a
+            // caller error, not a storage failure.
+            gofmm_store::StoreError::AlreadyStored { .. } => Error::InvalidConfig {
+                what: "storage",
+                constraint: "requires in-memory panels and nodes (not already file-backed ones)",
+            },
+            e => Error::Storage {
+                message: e.to_string(),
+            },
         }
     }
 }

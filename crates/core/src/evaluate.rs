@@ -702,7 +702,7 @@ fn pack_node<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     near_map: &NearMap,
     heap: usize,
 ) -> (Panel<T>, Panel<T>) {
-    let owned = |mat| Panel::Owned(Values::dense(mat, comp.config.panel_precision));
+    let owned = |mat| Panel::owned(Values::dense(mat, comp.config.panel_precision));
     let mut near = Panel::Empty;
     let entries = near_map.entries(heap);
     if !entries.is_empty() {
@@ -1074,6 +1074,7 @@ mod tests {
     use crate::panel::Shape;
     use crate::tune::AccuracyBudget;
     use gofmm_matrices::{sampled_relative_error, KernelMatrix, KernelType, PointCloud, SpdMatrix};
+    use gofmm_store::Residence;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -1613,7 +1614,7 @@ mod tests {
                     assert!(stats.accepted_any(), "leaf {leaf}: 1e-3 must be attainable");
                     let low_rank_owner = comp.tree.leaf_range().any(|h| {
                         let low_rank = match &ev.near[h] {
-                            Panel::Owned(values) => {
+                            Panel::Packed(Residence::Memory(values)) => {
                                 matches!(values.view(), Shape::LowRank { .. })
                             }
                             _ => false,
@@ -1649,8 +1650,8 @@ mod tests {
         }
         for panel in &mut ev.near {
             match panel {
-                Panel::Owned(Values::Native(Shape::Dense(m))) => zero(m),
-                Panel::Owned(Values::Reduced(Shape::Dense(m))) => zero(m),
+                Panel::Packed(Residence::Memory(Values::Native(Shape::Dense(m)))) => zero(m),
+                Panel::Packed(Residence::Memory(Values::Reduced(Shape::Dense(m)))) => zero(m),
                 Panel::Empty => {}
                 _ => unreachable!("untuned in-memory near panels are dense"),
             }

@@ -11,11 +11,15 @@
 //! * **storage scalar** ([`Values`] / [`MatRef`]) — the operator precision
 //!   `T`, or the reduced [`Scalar::PanelScalar`] of
 //!   [`PanelPrecision::MixedF32`];
-//! * **residence** ([`Panel`]) — owned in memory, or a locator into a
-//!   [`FilePanelStore`].
+//! * **residence** ([`Panel`]) — a store [`Residence`]: owned in memory, or
+//!   a `(store, class, node)` locator into a [`FilePanelStore`], the same
+//!   type the ULV factor keeps its nodes in.
 //!
-//! Residence is resolved *before* any arithmetic: a stored panel is faulted
-//! in to the same [`View`] an in-memory panel exposes, and [`Panel::apply`]
+//! A panel spills as one blob whatever its axes: a tag byte for precision ×
+//! shape, then its one or two matrices as nested blobs (the [`Blob`] impl of
+//! [`Values`]). Residence is resolved *before* any arithmetic: a stored
+//! panel is faulted in — one fault per apply — to the same [`View`] an
+//! in-memory panel exposes, and [`Panel::apply`]
 //! runs one GEMM sequence on that view. [`MatRef::gemm_into`] is the only
 //! place that picks `gemm` versus `gemm_mixed`; [`Shape::apply`] and its
 //! transposed twin `apply_t_cols` (the mirror product) are the only places
@@ -25,11 +29,10 @@ use crate::config::PanelPrecision;
 use crate::error::Error;
 use crate::evaluate::Evaluator;
 use gofmm_linalg::blas::gemm_flops;
-use gofmm_linalg::{
-    gemm, gemm_cols, gemm_mixed, gemm_mixed_cols, DenseMatrix, Scalar, Transpose,
-    MATRIX_BLOB_HEADER,
+use gofmm_linalg::{gemm, gemm_cols, gemm_mixed, gemm_mixed_cols, DenseMatrix, Scalar, Transpose};
+use gofmm_store::{
+    classes, Blob, ByteReader, ByteWriter, FilePanelStore, Residence, StoreError, StoreWriter,
 };
-use gofmm_store::{classes, FilePanelStore, StoreWriter};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -109,14 +112,6 @@ impl<T: Scalar> MatRef<'_, T> {
             MatRef::Native(m) => gemm_cols(one, m, cols, yes, v, beta, out),
             MatRef::Reduced(m) => gemm_mixed_cols(one, m, cols, yes, v, beta, out),
         }
-    }
-
-    fn put(self, writer: &mut StoreWriter, class: u16, node: u32) -> Result<(), Error> {
-        match self {
-            MatRef::Native(m) => writer.put(class, node, m),
-            MatRef::Reduced(m) => writer.put(class, node, m),
-        }
-        .map_err(Error::from)
     }
 }
 
@@ -211,19 +206,6 @@ impl<T: Scalar> View<'_, T> {
             }
         }
     }
-
-    /// Write the panel under `class` (dense) or its left/right companion
-    /// classes (low-rank), so a reopened store can tell the shapes apart.
-    fn spill(&self, writer: &mut StoreWriter, class: u16, node: u32) -> Result<(), Error> {
-        match *self {
-            Shape::Dense(m) => m.put(writer, class, node),
-            Shape::LowRank { left, right } => {
-                let (left_class, right_class) = pair_classes(class);
-                left.put(writer, left_class, node)?;
-                right.put(writer, right_class, node)
-            }
-        }
-    }
 }
 
 /// Scalar axis, owned: a panel's values in one storage precision (so both
@@ -251,148 +233,138 @@ impl<T: Scalar> Values<T> {
     }
 }
 
+/// Tag bit of a [`Values`] blob: the matrices hold [`Scalar::PanelScalar`]s.
+const TAG_REDUCED: u8 = 1;
+/// Tag bit of a [`Values`] blob: the panel is a `left · right` pair.
+const TAG_LOW_RANK: u8 = 2;
+
+impl<S: Scalar> Shape<DenseMatrix<S>> {
+    fn encode(&self, precision: u8, out: &mut Vec<u8>) {
+        let mut w = ByteWriter::new(out);
+        match self {
+            Shape::Dense(m) => {
+                w.u8(precision);
+                w.nested(m);
+            }
+            Shape::LowRank { left, right } => {
+                w.u8(precision | TAG_LOW_RANK);
+                w.nested(left);
+                w.nested(right);
+            }
+        }
+    }
+
+    fn decode(tag: u8, r: &mut ByteReader<'_>) -> Result<Self, StoreError> {
+        if tag & TAG_LOW_RANK == 0 {
+            return Ok(Shape::Dense(r.nested()?));
+        }
+        let (left, right): (DenseMatrix<S>, DenseMatrix<S>) = (r.nested()?, r.nested()?);
+        if left.cols() != right.rows() {
+            return Err(StoreError::Corrupt(format!(
+                "low-rank panel factors {} x {} and {} x {} do not chain",
+                left.rows(),
+                left.cols(),
+                right.rows(),
+                right.cols()
+            )));
+        }
+        Ok(Shape::LowRank { left, right })
+    }
+}
+
+/// One blob per panel: a tag byte for precision × shape, then the dense
+/// matrix, or `left` then `right`, as nested matrix blobs (each with its own
+/// scalar width, checked on decode).
+impl<T: Scalar> Blob for Values<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Values::Native(shape) => shape.encode(0, out),
+            Values::Reduced(shape) => shape.encode(TAG_REDUCED, out),
+        }
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
+        let mut r = ByteReader::new(bytes);
+        let tag = r.u8()?;
+        if tag & !(TAG_REDUCED | TAG_LOW_RANK) != 0 {
+            return Err(StoreError::Corrupt(format!("unknown panel tag {tag}")));
+        }
+        let values = if tag & TAG_REDUCED == 0 {
+            Values::Native(Shape::decode(tag, &mut r)?)
+        } else {
+            Values::Reduced(Shape::decode(tag, &mut r)?)
+        };
+        r.finish()?;
+        Ok(values)
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.view().bytes()
+    }
+}
+
 /// Residence axis: one node's interaction blocks, packed side by side so
 /// S2S / L2L are one GEMM each, wherever they live.
 pub(crate) enum Panel<T: Scalar> {
     /// No interaction blocks for this node.
     Empty,
-    /// Packed values held in memory.
-    Owned(Values<T>),
-    /// The packed values live in a [`FilePanelStore`] and are faulted in per
-    /// apply behind the store's LRU resident set (the out-of-core path).
-    Stored(StoredPanel),
-}
-
-/// Locator of a panel spilled to a [`FilePanelStore`].
-pub(crate) struct StoredPanel {
-    store: Arc<FilePanelStore>,
-    class: u16,
-    node: u32,
-    /// True when the spilled values are [`Scalar::PanelScalar`]s; decides the
-    /// decoded matrix type at fault time.
-    reduced: bool,
-    /// True when the spilled panel is a low-rank pair: the values live under
-    /// the companion left/right classes instead of `class` itself.
-    lowrank: bool,
-    /// Decoded panel bytes (the panel is on disk and does not count toward
-    /// the evaluator's resident bytes).
-    bytes: usize,
-}
-
-/// The store classes holding the `(left, right)` factors of a low-rank panel
-/// spilled from the dense panel class `class` (far or near).
-fn pair_classes(class: u16) -> (u16, u16) {
-    match class {
-        classes::S2S => (classes::S2S_LEFT, classes::S2S_RIGHT),
-        classes::L2L => (classes::L2L_LEFT, classes::L2L_RIGHT),
-        other => unreachable!("no low-rank companions for panel class {other}"),
-    }
-}
-
-impl StoredPanel {
-    /// Fault the panel's matrices in (or hit the store's resident set).
-    fn fault<S: Scalar>(&self) -> Shape<Arc<DenseMatrix<S>>> {
-        if self.lowrank {
-            let (left, right) = pair_classes(self.class);
-            Shape::LowRank {
-                left: self.fault_class(left),
-                right: self.fault_class(right),
-            }
-        } else {
-            Shape::Dense(self.fault_class(self.class))
-        }
-    }
-
-    /// # Panics
-    /// On a storage failure. Apply tasks run on DAG worker threads with no
-    /// error channel; a read error on a store file that was validated at
-    /// open time is an environment failure (file deleted / device gone),
-    /// reported like any other internal invariant violation.
-    fn fault_class<S: Scalar>(&self, class: u16) -> Arc<DenseMatrix<S>> {
-        match self.store.get::<DenseMatrix<S>>(class, self.node) {
-            Ok(panel) => panel,
-            Err(e) => panic!(
-                "out-of-core panel fault failed mid-apply (class {class}, node {}): {e}",
-                self.node
-            ),
-        }
-    }
+    /// Packed values, held in memory or spilled to a [`FilePanelStore`] as
+    /// one blob and faulted in per apply behind the store's LRU resident set
+    /// (the out-of-core path).
+    Packed(Residence<Values<T>>),
 }
 
 impl<T: Scalar> Panel<T> {
-    /// A locator for `(class, heap)` if `store` holds it — as a dense blob
-    /// or as a low-rank pair under the companion classes — and
+    /// An in-memory panel.
+    pub(crate) fn owned(values: Values<T>) -> Self {
+        Panel::Packed(Residence::Memory(values))
+    }
+
+    /// A locator for `(class, heap)` if `store` holds it, and
     /// [`Panel::Empty`] otherwise (nodes without interactions spill nothing).
-    pub(crate) fn stored(
-        store: &Arc<FilePanelStore>,
-        class: u16,
-        heap: usize,
-        reduced: bool,
-    ) -> Self {
+    pub(crate) fn stored(store: &Arc<FilePanelStore>, class: u16, heap: usize) -> Self {
         let node = heap as u32;
-        // The decoded panel footprint is the blob length minus its header.
-        let values = |class: u16| {
-            Some((store.blob_len(class, node)? as usize).saturating_sub(MATRIX_BLOB_HEADER))
-        };
-        let pair = || {
-            let (left, right) = pair_classes(class);
-            Some(values(left)? + values(right)?)
-        };
-        let (lowrank, bytes) = if let Some(bytes) = values(class) {
-            (false, bytes)
-        } else if let Some(bytes) = pair() {
-            (true, bytes)
-        } else {
+        if !store.contains(class, node) {
             return Panel::Empty;
-        };
-        Panel::Stored(StoredPanel {
+        }
+        Panel::Packed(Residence::Stored {
             store: Arc::clone(store),
             class,
             node,
-            reduced,
-            lowrank,
-            bytes,
         })
+    }
+
+    /// The in-memory values, if any.
+    fn owned_values(&self) -> Option<&Values<T>> {
+        match self {
+            Panel::Packed(Residence::Memory(values)) => Some(values),
+            _ => None,
+        }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
         match self {
             Panel::Empty => true,
-            Panel::Owned(values) => values.view().is_empty(),
             // Only non-empty panels are ever spilled.
-            Panel::Stored(_) => false,
-        }
-    }
-
-    /// Bytes of block values read through this panel on every apply,
-    /// wherever they live (resident or on disk).
-    pub(crate) fn bytes(&self) -> usize {
-        match self {
-            Panel::Empty => 0,
-            Panel::Owned(values) => values.view().bytes(),
-            Panel::Stored(sp) => sp.bytes,
+            Panel::Packed(Residence::Stored { .. }) => false,
+            Panel::Packed(Residence::Memory(values)) => values.view().is_empty(),
         }
     }
 
     /// Bytes this panel holds *resident in memory* — what
-    /// [`Evaluator::cached_bytes`] accounts. Identical to [`Panel::bytes`]
-    /// except for [`Panel::Stored`], whose values live on disk.
+    /// [`Evaluator::cached_bytes`] accounts; 0 for a stored panel, whose
+    /// values live on disk.
     pub(crate) fn resident_bytes(&self) -> usize {
-        match self {
-            Panel::Stored(_) => 0,
-            other => other.bytes(),
-        }
+        self.owned_values()
+            .map_or(0, |values| values.view().bytes())
     }
 
     /// The stored matrix of an in-memory dense panel — the only kind
     /// [`Evaluator::tune`] edits.
     pub(crate) fn dense(&self) -> Option<MatRef<'_, T>> {
-        match self {
-            Panel::Owned(values) => match values.view() {
-                Shape::Dense(m) => Some(m),
-                Shape::LowRank { .. } => None,
-            },
-            _ => None,
+        match self.owned_values()?.view() {
+            Shape::Dense(m) => Some(m),
+            Shape::LowRank { .. } => None,
         }
     }
 
@@ -406,30 +378,33 @@ impl<T: Scalar> Panel<T> {
     /// call also runs its mirror product ([`View::apply_mirror`]) into
     /// `mirror`, on the values the direct product just read: a stored panel
     /// is faulted in once for both.
+    ///
+    /// # Panics
+    /// On a storage failure. Apply tasks run on DAG worker threads with no
+    /// error channel; a read error on a store file that was validated at
+    /// open time is an environment failure (file deleted / device gone),
+    /// reported like any other internal invariant violation.
     pub(crate) fn apply(
         &self,
         stacked: impl FnOnce(usize, &mut dyn FnMut(&DenseMatrix<T>)),
         out: &mut DenseMatrix<T>,
         mut mirror: Option<&mut DenseMatrix<T>>,
     ) -> u64 {
-        let packed = |view: View<'_, T>| {
-            let mut flops = 0;
-            stacked(view.cols(), &mut |v| {
-                flops += view.apply(v, out);
-                if let Some(y) = mirror.as_deref_mut() {
-                    flops += view.apply_mirror(v, y);
-                }
-            });
-            flops
+        let Panel::Packed(residence) = self else {
+            return 0;
         };
-        match self {
-            Panel::Empty => 0,
-            Panel::Owned(values) => packed(values.view()),
-            Panel::Stored(sp) if sp.reduced => {
-                packed(sp.fault().as_ref().map(|m| MatRef::Reduced(m)))
+        let values = residence
+            .get()
+            .unwrap_or_else(|e| panic!("out-of-core panel fault failed mid-apply: {e}"));
+        let view = values.view();
+        let mut flops = 0;
+        stacked(view.cols(), &mut |v| {
+            flops += view.apply(v, out);
+            if let Some(y) = mirror.as_deref_mut() {
+                flops += view.apply_mirror(v, y);
             }
-            Panel::Stored(sp) => packed(sp.fault().as_ref().map(|m| MatRef::Native(m))),
-        }
+        });
+        flops
     }
 
     /// `y = panel[:, cols]^T w + beta * y` for an in-memory near panel, dense
@@ -442,50 +417,28 @@ impl<T: Scalar> Panel<T> {
         beta: T,
         y: &mut DenseMatrix<T>,
     ) -> u64 {
-        let Panel::Owned(values) = self else {
-            unreachable!("only in-memory owner panels are read by other leaves")
-        };
+        let values = self
+            .owned_values()
+            .expect("only in-memory owner panels are read by other leaves");
         values.view().apply_t_cols(cols, w, beta, y)
     }
 
     pub(crate) fn is_stored(&self) -> bool {
-        matches!(self, Panel::Stored(_))
+        matches!(self, Panel::Packed(Residence::Stored { .. }))
     }
 
     /// Spill one owned packed panel (see [`Evaluator::spill_panels`]).
     fn spill(&self, writer: &mut StoreWriter, class: u16, heap: usize) -> Result<(), Error> {
         match self {
             Panel::Empty => Ok(()),
-            Panel::Owned(values) => values.view().spill(writer, class, heap as u32),
-            Panel::Stored(_) => Err(Error::InvalidConfig {
-                what: "storage",
-                constraint: "requires in-memory panels (not an already file-backed one)",
-            }),
+            Panel::Packed(residence) => Ok(residence.spill(writer, class, heap as u32)?),
         }
     }
 
     /// Swap an owned panel for its file-backed locator if `store` holds it.
     fn attach(&mut self, store: &Arc<FilePanelStore>, class: u16, heap: usize) {
-        let Panel::Owned(values) = &*self else {
-            return;
-        };
-        let node = heap as u32;
-        let lowrank = matches!(values.view(), Shape::LowRank { .. });
-        let present = if lowrank {
-            let (left, right) = pair_classes(class);
-            store.contains(left, node) && store.contains(right, node)
-        } else {
-            store.contains(class, node)
-        };
-        if present {
-            *self = Panel::Stored(StoredPanel {
-                store: Arc::clone(store),
-                class,
-                node,
-                reduced: matches!(values, Values::Reduced(_)),
-                lowrank,
-                bytes: self.bytes(),
-            });
+        if let Panel::Packed(residence) = self {
+            residence.attach(store, class, heap as u32);
         }
     }
 }
@@ -669,10 +622,9 @@ mod tests {
             let want = bits(&want);
 
             // Residence 1: owned in memory.
-            let mut panel = Panel::Owned((case.values)());
+            let mut panel = Panel::owned((case.values)());
             assert!(!panel.is_empty(), "{}", case.name);
             assert_eq!(run(&panel, &v), (want.clone(), case.flops), "{}", case.name);
-            assert_eq!(panel.bytes(), case.bytes, "{}", case.name);
             assert_eq!(panel.resident_bytes(), case.bytes, "{}", case.name);
 
             // Residence 2: spilled, then attached in place of the owned copy.
@@ -682,36 +634,34 @@ mod tests {
             writer.finish().unwrap();
             let store = Arc::new(FilePanelStore::open(&path, 1 << 20).unwrap());
             panel.attach(&store, classes::L2L, node);
-            assert!(matches!(panel, Panel::Owned(_)), "no L2L key to attach to");
+            assert!(!panel.is_stored(), "no L2L key to attach to");
             panel.attach(&store, classes::S2S, node);
-            assert!(matches!(panel, Panel::Stored(_)), "{}", case.name);
+            assert!(panel.is_stored(), "{}", case.name);
             assert!(!panel.is_empty());
             assert_eq!(run(&panel, &v), (want.clone(), case.flops), "{}", case.name);
-            assert_eq!(panel.bytes(), case.bytes, "{}", case.name);
             assert_eq!(panel.resident_bytes(), 0, "{}", case.name);
             assert!(
-                panel
-                    .spill(&mut StoreWriter::create(dir.join("x")).unwrap(), 1, 0)
-                    .is_err(),
+                matches!(
+                    panel.spill(&mut StoreWriter::create(dir.join("x")).unwrap(), 1, 0),
+                    Err(Error::InvalidConfig { .. })
+                ),
                 "file-backed panels cannot be spilled again"
             );
 
             // Residence 2 again, located from the store alone (`open_from`):
-            // bytes come from the blob lengths minus their headers.
-            let reduced = matches!((case.values)(), Values::Reduced(_));
-            let reopened = Panel::<f64>::stored(&store, classes::S2S, node, reduced);
+            // the blob's tag byte says precision and shape.
+            let reopened = Panel::<f64>::stored(&store, classes::S2S, node);
             assert_eq!(run(&reopened, &v), (want, case.flops), "{}", case.name);
-            assert_eq!(reopened.bytes(), case.bytes, "{}", case.name);
             assert_eq!(reopened.resident_bytes(), 0, "{}", case.name);
-            assert!(Panel::<f64>::stored(&store, classes::L2L, node, reduced).is_empty());
+            assert!(Panel::<f64>::stored(&store, classes::L2L, node).is_empty());
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A near panel `[K_ββ  K_{β,off}]`, dense or a low-rank pair, in memory
     /// and spilled: one call runs the direct product and the mirror product
-    /// `K_{β,off}^T w_β` over the same values, faulting each stored matrix
-    /// once. Both match their explicit GEMM sequences bit for bit.
+    /// `K_{β,off}^T w_β` over the same values, faulting the stored panel —
+    /// one blob, dense or a pair — once. Both match their explicit GEMM sequences bit for bit.
     #[test]
     fn mirror_product_reads_the_off_diagonal_columns_of_the_same_view() {
         const OFF: usize = 20;
@@ -777,7 +727,7 @@ mod tests {
                 assert_eq!(bits(&y), bits(&want_y), "{label}: mirror product");
                 assert_eq!(got, flops, "{label}: flops");
             };
-            let mut panel = Panel::Owned(values());
+            let mut panel = Panel::owned(values());
             check(&panel);
 
             let path = dir.join(format!("mirror-{node}.gfmm"));
@@ -787,30 +737,82 @@ mod tests {
             // A one-byte budget keeps nothing resident: every get faults.
             let store = Arc::new(FilePanelStore::open(&path, 1).unwrap());
             panel.attach(&store, classes::L2L, node);
-            assert!(matches!(panel, Panel::Stored(_)));
-            let matrices = match shape {
-                Shape::Dense(_) => 1,
-                Shape::LowRank { .. } => 2,
-            };
+            assert!(panel.is_stored());
             for apply in 1..=2 {
                 check(&panel);
                 assert_eq!(
                     store.stats().faults,
-                    apply * matrices,
-                    "{label}: one fault per stored matrix per apply"
+                    apply,
+                    "{label}: one fault per stored panel per apply"
                 );
             }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn corrupt<T: Scalar>(bytes: &[u8]) -> bool {
+        matches!(Values::<T>::decode(bytes), Err(StoreError::Corrupt(_)))
+    }
+
+    /// The panel blob of every (shape, precision) round-trips, and its
+    /// decoder rejects, as `Corrupt`, every truncation, an unknown tag, a
+    /// trailing byte, a pair whose factors do not chain and scalars of the
+    /// wrong width.
+    #[test]
+    fn values_decode_rejects_truncated_unknown_unchained_and_mistyped_blobs() {
+        let encode = |values: &Values<f64>| {
+            let mut bytes = Vec::new();
+            values.encode(&mut bytes);
+            bytes
+        };
+        for case in cases() {
+            let values = (case.values)();
+            let bytes = encode(&values);
+            let back = Values::<f64>::decode(&bytes).unwrap();
+            assert_eq!(encode(&back), bytes, "{}: decode . encode", case.name);
+            assert_eq!(back.resident_bytes(), case.bytes, "{}", case.name);
+            for len in 0..bytes.len() {
+                assert!(corrupt::<f64>(&bytes[..len]), "{}: {len} bytes", case.name);
+            }
+            for tag in 4..=u8::MAX {
+                let mut b = bytes.clone();
+                b[0] = tag;
+                assert!(corrupt::<f64>(&b), "{}: tag {tag}", case.name);
+            }
+            let mut long = bytes.clone();
+            long.push(0);
+            assert!(corrupt::<f64>(&long), "{}: trailing byte", case.name);
+            // The precision bit flipped: 8-byte scalars read as 4-byte ones
+            // or the reverse; an `f32` operator reads `f64` scalars.
+            let mut flipped = bytes.clone();
+            flipped[0] ^= TAG_REDUCED;
+            assert!(corrupt::<f64>(&flipped), "{}: precision bit", case.name);
+            if matches!(values, Values::Native(_)) {
+                assert!(corrupt::<f32>(&bytes), "{}: as f32", case.name);
+            }
+        }
+        let unchained = [
+            Values::Native(Shape::LowRank {
+                left: mat(ROWS, RANK, 2),
+                right: mat(RANK + 1, COLS, 3),
+            }),
+            Values::Reduced(Shape::LowRank {
+                left: mat(ROWS, RANK + 1, 2).cast(),
+                right: mat(RANK, COLS, 3).cast(),
+            }),
+        ];
+        for values in &unchained {
+            assert!(corrupt::<f64>(&encode(values)), "factors that do not chain");
+        }
+    }
+
     #[test]
     fn reduced_storage_of_an_f32_operator_is_the_native_footprint() {
         let m = DenseMatrix::<f32>::from_fn(6, 4, |i, j| (i + 2 * j) as f32);
-        let native = Panel::Owned(Values::dense(m.clone(), PanelPrecision::Native));
-        let reduced = Panel::Owned(Values::dense(m, PanelPrecision::MixedF32));
-        assert_eq!(native.bytes(), 6 * 4 * 4);
-        assert_eq!(reduced.bytes(), native.bytes());
+        let native = Panel::owned(Values::dense(m.clone(), PanelPrecision::Native));
+        let reduced = Panel::owned(Values::dense(m, PanelPrecision::MixedF32));
+        assert_eq!(native.resident_bytes(), 6 * 4 * 4);
+        assert_eq!(reduced.resident_bytes(), native.resident_bytes());
         assert!(matches!(reduced.dense(), Some(MatRef::Reduced(_))));
     }
 }

@@ -115,12 +115,11 @@ impl<T: Scalar> Evaluator<'static, T> {
             config,
             stats: CompressionStats::default(),
         };
-        let reduced = comp.config.panel_precision == PanelPrecision::MixedF32;
         let mut far = Vec::with_capacity(node_count);
         let mut near = Vec::with_capacity(node_count);
         for heap in 0..node_count {
-            far.push(Panel::stored(&store, classes::S2S, heap, reduced));
-            near.push(Panel::stored(&store, classes::L2L, heap, reduced));
+            far.push(Panel::stored(&store, classes::S2S, heap));
+            near.push(Panel::stored(&store, classes::L2L, heap));
         }
         let (policy, threads) = (comp.config.policy, comp.config.num_threads);
         let comp = Arc::new(comp);
@@ -473,9 +472,9 @@ mod tests {
         let current = std::fs::read(&path).unwrap();
         // Files from before the near-layout tag (version 2), from before the
         // CONFIG blob lost its block-cache flag and second precision tag
-        // (version 3), and from before it lost the near-layout tag
-        // (version 4).
-        for version in [2u32, 3, 4] {
+        // (version 3), from before it lost the near-layout tag (version 4),
+        // and from before a panel was one tagged blob (version 5).
+        for version in [2u32, 3, 4, 5] {
             let mut file = current.clone();
             file[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &file).unwrap();

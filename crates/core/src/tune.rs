@@ -487,10 +487,10 @@ fn far_edit<T: Scalar, S: Scalar>(
     }
     match try_truncate::<T, S>(&sel, tau) {
         Trunc::Zero => Some(all_dropped()),
-        Trunc::Shrunk(pair) => Some(edit(Panel::Owned(wrap(pair)), new_list, dropped, true)),
+        Trunc::Shrunk(pair) => Some(edit(Panel::owned(wrap(pair)), new_list, dropped, true)),
         Trunc::Keep if dropped == 0 => None,
         Trunc::Keep => Some(edit(
-            Panel::Owned(wrap(Shape::Dense(sel))),
+            Panel::owned(wrap(Shape::Dense(sel))),
             new_list,
             dropped,
             false,
@@ -507,7 +507,7 @@ fn near_edit<T: Scalar, S: Scalar>(
     wrap: impl Fn(Shape<DenseMatrix<S>>) -> Values<T>,
 ) -> Option<Panel<T>> {
     match try_truncate::<T, S>(m, tau) {
-        Trunc::Shrunk(pair) => Some(Panel::Owned(wrap(pair))),
+        Trunc::Shrunk(pair) => Some(Panel::owned(wrap(pair))),
         // A near panel starts with the SPD diagonal block `K_ββ`, so it is
         // never numerically zero; an emptied one would serve no mirror.
         Trunc::Zero | Trunc::Keep => None,

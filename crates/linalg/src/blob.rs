@@ -76,11 +76,6 @@ pub fn check_scalar_width<T: Scalar>(width: u8) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Bytes of a [`DenseMatrix`] blob ahead of its values: the scalar width
-/// (one byte) and the two dimensions (a `u64` each). An encoded `m × n`
-/// matrix is this header plus `m·n` scalars.
-pub const MATRIX_BLOB_HEADER: usize = 1 + 2 * std::mem::size_of::<u64>();
-
 impl<T: Scalar> Blob for DenseMatrix<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         {
@@ -201,8 +196,11 @@ mod tests {
         roundtrip(&DenseMatrix::<f64>::zeros(0, 3));
     }
 
+    /// An encoded `m × n` matrix is its header — the scalar width (one
+    /// byte) and the two dimensions (a `u64` each) — plus `m·n` scalars.
     #[test]
     fn matrix_blob_is_its_header_plus_the_values() {
+        const MATRIX_BLOB_HEADER: usize = 1 + 2 * 8;
         fn check<T: Scalar>(rows: usize, cols: usize) {
             let mut bytes = Vec::new();
             DenseMatrix::<T>::zeros(rows, cols).encode(&mut bytes);

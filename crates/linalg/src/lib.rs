@@ -12,7 +12,7 @@
 //! * [`simd`] — the runtime-dispatched AVX2/FMA micro-kernels behind them,
 //!   and the vectorised `exp` behind kernel-matrix blocks, with a portable
 //!   scalar fallback (`GOFMM_FORCE_SCALAR=1` pins it),
-//! * [`qr`] — Householder QR/QL and column-pivoted (rank-revealing) QR,
+//! * [`qr`] — Householder QR and column-pivoted (rank-revealing) QR,
 //! * [`trsm`] — triangular solves,
 //! * [`ulv`] — ULV building blocks: two-sided orthogonal block reduction and
 //!   trailing Schur elimination for backward-stable hierarchical solves,
@@ -40,15 +40,12 @@ pub use blas::{
     axpy, dot, gemm, gemm_cols, gemm_mixed, gemm_mixed_cols, gemv, matmul, matmul_nt, matmul_tn,
     norm2_est, nrm2, Transpose,
 };
-pub use blob::{check_scalar_width, decode_scalar_vec, encode_scalar_slice, MATRIX_BLOB_HEADER};
+pub use blob::{check_scalar_width, decode_scalar_vec, encode_scalar_slice};
 pub use cholesky::{is_spd, Cholesky, NotPositiveDefinite};
 pub use id::{id_reconstruct, interpolative_decomposition, Id};
 pub use lu::{LuFactor, SingularMatrix};
 pub use matrix::DenseMatrix;
-pub use qr::{
-    householder_ql, householder_qr, pivoted_qr, truncate_low_rank, LowRankFactors, QlFactors,
-    QrFactors, QrOptions,
-};
+pub use qr::{householder_qr, pivoted_qr, truncate_low_rank, LowRankFactors, QrFactors, QrOptions};
 pub use scalar::Scalar;
 pub use simd::{simd_level, SimdLevel};
 pub use trsm::{tri_inverse, trsm_left, trsm_left_blocked, trsv, Triangle};

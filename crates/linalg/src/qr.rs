@@ -169,7 +169,7 @@ impl<T: Scalar> QrFactors<T> {
     /// through the dispatched dot/axpy kernels. Its callers: the two-pass
     /// form of [`crate::ulv::rotate_symmetric`] (blocks below
     /// `ROTATE_WY_MIN_ORDER`), [`QrFactors::q_thin`] (and with it
-    /// [`truncate_low_rank`] and the ID), and [`QlFactors`]. The ULV solves
+    /// [`truncate_low_rank`] and the ID). The ULV solves
     /// apply [`crate::ulv::WyRotation`] instead, which runs these same steps
     /// on its stored blocks below `SOLVE_WY_MIN_ORDER`.
     fn apply_reflections(&self, b: &mut DenseMatrix<T>, transpose: bool) {
@@ -356,7 +356,7 @@ pub fn pivoted_qr<T: Scalar>(a: &DenseMatrix<T>, opts: QrOptions) -> QrFactors<T
 /// Unpivoted Householder QR (full factorization, rank = min(m, n)).
 ///
 /// The ULV factorization compresses every rotated node's outgoing basis
-/// with it, and [`householder_ql`] is built on it.
+/// with it.
 pub fn householder_qr<T: Scalar>(a: &DenseMatrix<T>) -> QrFactors<T> {
     pivoted_qr_nopivot(a)
 }
@@ -404,91 +404,6 @@ fn pivoted_qr_nopivot<T: Scalar>(a: &DenseMatrix<T>) -> QrFactors<T> {
         rank: kmax,
         next_norm: 0.0,
         rank_capped: false,
-    }
-}
-
-/// Result of a Householder QL factorization `A = Q L`, where `L` is
-/// lower-trapezoidal occupying the *bottom* `min(m, n)` rows: `Q^T A` has
-/// zeros in the leading `m - n` rows. This is the classical shape of the ULV
-/// basis compression (`Q^T U = [0; L~]`), dual to the QR shape `[R~; 0]`.
-///
-/// Implemented as a QR factorization of the row- and column-reversed matrix;
-/// the reversal is folded into [`QlFactors::apply_q`]/[`QlFactors::apply_qt`],
-/// so applying the rotation costs the same as the QR form.
-#[derive(Clone, Debug)]
-pub struct QlFactors<T: Scalar> {
-    /// QR factors of `J_m A J_n` (`J` = index reversal).
-    flipped: QrFactors<T>,
-    cols: usize,
-}
-
-/// Reverse the row order of `b` in place.
-fn flip_rows<T: Scalar>(b: &mut DenseMatrix<T>) {
-    for j in 0..b.cols() {
-        b.col_mut(j).reverse();
-    }
-}
-
-impl<T: Scalar> QlFactors<T> {
-    /// Number of rows of the factored matrix.
-    pub fn rows(&self) -> usize {
-        self.flipped.rows()
-    }
-
-    /// Number of columns of the factored matrix.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The lower-trapezoidal factor `L` (`rows x cols`, nonzeros confined to
-    /// the bottom `min(rows, cols)` rows with `L[i, j] = 0` for
-    /// `j > i - (rows - cols)`).
-    pub fn l(&self) -> DenseMatrix<T> {
-        // L = J_m R' J_n where R' is the upper-trapezoidal factor of the
-        // flipped matrix (padded back to full height).
-        let m = self.rows();
-        let n = self.cols;
-        let r = self.flipped.r();
-        let k = r.rows();
-        DenseMatrix::from_fn(m, n, |i, j| {
-            let fi = m - 1 - i;
-            let fj = n - 1 - j;
-            if fi < k {
-                r.get(fi, fj)
-            } else {
-                T::zero()
-            }
-        })
-    }
-
-    /// Apply `Q^T` in place (`B <- Q^T B`).
-    pub fn apply_qt(&self, b: &mut DenseMatrix<T>) {
-        flip_rows(b);
-        self.flipped.apply_qt(b);
-        flip_rows(b);
-    }
-
-    /// Apply `Q` in place (`B <- Q B`).
-    pub fn apply_q(&self, b: &mut DenseMatrix<T>) {
-        flip_rows(b);
-        self.flipped.apply_q(b);
-        flip_rows(b);
-    }
-}
-
-/// Unpivoted Householder QL factorization `A = Q L` (see [`QlFactors`]).
-///
-/// Together with [`householder_qr`] this gives both elimination orders for
-/// ULV-style basis compression: QR zeroes the trailing rows of the rotated
-/// basis (eliminate the *trailing* block), QL zeroes the leading rows
-/// (eliminate the *leading* block).
-pub fn householder_ql<T: Scalar>(a: &DenseMatrix<T>) -> QlFactors<T> {
-    let m = a.rows();
-    let n = a.cols();
-    let flipped_in = DenseMatrix::from_fn(m, n, |i, j| a.get(m - 1 - i, n - 1 - j));
-    QlFactors {
-        flipped: householder_qr(&flipped_in),
-        cols: n,
     }
 }
 
@@ -684,41 +599,6 @@ mod tests {
         qr_full.set_block(0, 0, &qr.r());
         qr.apply_q(&mut qr_full);
         assert!(qr_full.sub(&a.select_cols(qr.pivots())).norm_max() < 1e-10);
-    }
-
-    #[test]
-    fn ql_zeroes_leading_rows_and_reconstructs() {
-        let mut rng = StdRng::seed_from_u64(62);
-        for (m, n) in [(18, 6), (10, 10), (9, 0)] {
-            let a = DenseMatrix::<f64>::random_uniform(m, n, &mut rng);
-            let ql = householder_ql(&a);
-            assert_eq!((ql.rows(), ql.cols()), (m, n));
-            let l = ql.l();
-            // Q^T A = L: leading m - n rows of the rotated matrix vanish and
-            // the bottom block is lower triangular.
-            let mut rotated = a.clone();
-            ql.apply_qt(&mut rotated);
-            assert!(rotated.sub(&l).norm_max() < 1e-10);
-            // Zero strictly above the bottom-aligned trapezoid
-            // (nonzeros only where j <= i - (m - n)).
-            for i in 0..m {
-                for j in 0..n {
-                    if i + n < m + j {
-                        assert_eq!(l.get(i, j), 0.0, "L[{i},{j}] above the trapezoid");
-                    }
-                }
-            }
-            // Q L reconstructs A.
-            let mut recon = l.clone();
-            ql.apply_q(&mut recon);
-            assert!(recon.sub(&a).norm_max() < 1e-10);
-            // The rotation is orthogonal: Q^T Q b = b.
-            let b = DenseMatrix::<f64>::random_uniform(m, 2, &mut rng);
-            let mut rt = b.clone();
-            ql.apply_q(&mut rt);
-            ql.apply_qt(&mut rt);
-            assert!(rt.sub(&b).norm_max() < 1e-12);
-        }
     }
 
     #[test]

@@ -450,8 +450,7 @@ fn run_dag_heft(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PhasePlan;
-    use std::sync::Arc;
+    use crate::plan::ReusablePlan;
 
     const POLICIES: [TraversalPolicy; 4] = [
         TraversalPolicy::Sequential,
@@ -460,20 +459,18 @@ mod tests {
         TraversalPolicy::DagHeft,
     ];
 
-    /// Build a diamond DAG that records execution order.
-    fn diamond(order: Arc<Mutex<Vec<&'static str>>>) -> PhasePlan<'static> {
-        let mut g = PhasePlan::new();
-        let o = order.clone();
-        g.add("a", 0, 1.0, &[], move || o.lock().push("a"));
-        let o = order.clone();
-        g.add("b", 0, 1.0, &[("a", 0)], move || o.lock().push("b"));
-        let o = order.clone();
-        g.add("c", 0, 1.0, &[("a", 0)], move || o.lock().push("c"));
-        let o = order.clone();
-        g.add("d", 0, 1.0, &[("b", 0), ("c", 0)], move || {
-            o.lock().push("d")
-        });
-        g
+    /// Run a diamond DAG, recording its execution order into `order`.
+    fn diamond(
+        order: &Mutex<Vec<&'static str>>,
+        policy: TraversalPolicy,
+        workers: usize,
+    ) -> ExecStats {
+        let mut g = ReusablePlan::new();
+        g.add("a", 0, 1.0, &[]);
+        g.add("b", 0, 1.0, &[("a", 0)]);
+        g.add("c", 0, 1.0, &[("a", 0)]);
+        g.add("d", 0, 1.0, &[("b", 0), ("c", 0)]);
+        g.run(policy, workers, |family, _| order.lock().push(family))
     }
 
     fn check_diamond_order(order: &[&str]) {
@@ -486,8 +483,8 @@ mod tests {
 
     #[test]
     fn sequential_respects_dependencies() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let stats = diamond(order.clone()).run(TraversalPolicy::Sequential, 1);
+        let order = Mutex::new(Vec::new());
+        let stats = diamond(&order, TraversalPolicy::Sequential, 1);
         check_diamond_order(&order.lock());
         assert_eq!(stats.tasks_executed, 4);
         assert_eq!(stats.workers, 1);
@@ -495,16 +492,16 @@ mod tests {
 
     #[test]
     fn fifo_respects_dependencies() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let stats = diamond(order.clone()).run(TraversalPolicy::DagFifo, 4);
+        let order = Mutex::new(Vec::new());
+        let stats = diamond(&order, TraversalPolicy::DagFifo, 4);
         check_diamond_order(&order.lock());
         assert_eq!(stats.tasks_executed, 4);
     }
 
     #[test]
     fn heft_respects_dependencies() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let stats = diamond(order.clone()).run(TraversalPolicy::DagHeft, 4);
+        let order = Mutex::new(Vec::new());
+        let stats = diamond(&order, TraversalPolicy::DagHeft, 4);
         check_diamond_order(&order.lock());
         assert_eq!(stats.tasks_executed, 4);
         assert_eq!(stats.workers, 4);
@@ -513,23 +510,22 @@ mod tests {
     #[test]
     fn all_policies_run_every_task_once() {
         for policy in POLICIES {
-            let counter = Arc::new(AtomicUsize::new(0));
-            let mut g = PhasePlan::new();
+            let counter = AtomicUsize::new(0);
+            let mut g = ReusablePlan::new();
             let mut prev_level: Vec<(&'static str, usize)> = Vec::new();
             // Three levels of 20 tasks with full bipartite dependencies.
             for level in 0..3 {
                 let mut this_level = Vec::new();
                 for i in 0..20 {
-                    let c = counter.clone();
                     let node = level * 20 + i;
-                    g.add("t", node, 1.0 + i as f64, &prev_level, move || {
-                        c.fetch_add(1, Ordering::SeqCst);
-                    });
+                    g.add("t", node, 1.0 + i as f64, &prev_level);
                     this_level.push(("t", node));
                 }
                 prev_level = this_level;
             }
-            let stats = g.run(policy, 6);
+            let stats = g.run(policy, 6, |_, _| {
+                counter.fetch_add(1, Ordering::SeqCst);
+            });
             assert_eq!(counter.load(Ordering::SeqCst), 60, "policy {policy}");
             assert_eq!(stats.tasks_executed, 60, "policy {policy}");
         }
@@ -538,7 +534,7 @@ mod tests {
     #[test]
     fn empty_graph_is_fine() {
         for policy in POLICIES {
-            let stats = PhasePlan::new().run(policy, 3);
+            let stats = ReusablePlan::new().run(policy, 3, |_, _| {});
             assert_eq!(stats.tasks_executed, 0);
         }
     }
@@ -547,20 +543,20 @@ mod tests {
     fn heft_balances_independent_tasks() {
         // 64 independent tasks of equal cost on 4 workers: every worker should
         // get some share of work (dispatch is round-robin-ish through EFT).
-        let mut g = PhasePlan::new();
+        let mut g = ReusablePlan::new();
         for i in 0..64 {
-            g.add("t", i, 1.0, &[], move || {
-                // Simulate real work so busy times are measurable; black_box
-                // the loop variable so the sum cannot be constant-folded in
-                // optimized test builds.
-                let mut acc = 0u64;
-                for k in 0..200_000u64 {
-                    acc = acc.wrapping_add(std::hint::black_box(k).wrapping_mul(2654435761));
-                }
-                std::hint::black_box(acc);
-            });
+            g.add("t", i, 1.0, &[]);
         }
-        let stats = g.run(TraversalPolicy::DagHeft, 4);
+        let stats = g.run(TraversalPolicy::DagHeft, 4, |_, _| {
+            // Simulate real work so busy times are measurable; black_box
+            // the loop variable so the sum cannot be constant-folded in
+            // optimized test builds.
+            let mut acc = 0u64;
+            for k in 0..200_000u64 {
+                acc = acc.wrapping_add(std::hint::black_box(k).wrapping_mul(2654435761));
+            }
+            std::hint::black_box(acc);
+        });
         assert_eq!(stats.tasks_executed, 64);
         let active_workers = stats.worker_busy.iter().filter(|&&b| b > 0.0).count();
         assert!(active_workers >= 2, "only {active_workers} workers active");
@@ -569,13 +565,13 @@ mod tests {
 
     #[test]
     fn stats_efficiency_bounds() {
-        let mut g = PhasePlan::new();
+        let mut g = ReusablePlan::new();
         for i in 0..8 {
-            g.add("t", i, 1.0, &[], || {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            });
+            g.add("t", i, 1.0, &[]);
         }
-        let stats = g.run(TraversalPolicy::DagHeft, 4);
+        let stats = g.run(TraversalPolicy::DagHeft, 4, |_, _| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        });
         assert!(
             stats.efficiency() <= 1.05,
             "efficiency {}",

@@ -13,10 +13,10 @@
 //!   synchronization, and uniform dispatch across the four schedules. Every
 //!   GOFMM phase (SKEL compression, N2S/S2S/S2N/L2L evaluation, the solver
 //!   factorizations and their SUP/SDOWN solves) builds its DAG through this
-//!   layer. One-shot phases use [`plan::PhasePlan`]; phases that run
-//!   repeatedly (the evaluation DAG behind a persistent evaluator) use
-//!   [`plan::ReusablePlan`], which freezes the DAG once and re-executes it
-//!   any number of times — including from several threads at once,
+//!   layer: a [`plan::ReusablePlan`], which freezes the DAG once and runs
+//!   it with one dispatch callback per run — once for the one-shot phases,
+//!   any number of times (including from several threads at once) for the
+//!   evaluation DAG behind a persistent evaluator and the solve sweeps,
 //! * [`executor`] — the four schedules of [`TraversalPolicy`]: HEFT with
 //!   per-worker queues and stealing, a plain FIFO pool (the
 //!   `omp task depend` stand-in), level-by-level barrier groups, and a
@@ -43,7 +43,5 @@ pub mod pool;
 pub use cancel::{CancelToken, Cancelled};
 pub use executor::{ExecStats, TraversalPolicy};
 pub use parallel::{available_threads, parallel_for};
-pub use plan::{
-    heap_level, DisjointCells, Family, PhasePlan, PlanTopology, ReusablePlan, SharedCells,
-};
+pub use plan::{heap_level, DisjointCells, Family, PlanTopology, ReusablePlan, SharedCells};
 pub use pool::{Lease, RunDefaults, WorkspacePool};

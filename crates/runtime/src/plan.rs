@@ -9,13 +9,12 @@
 //! * [`ReusablePlan`] — the structural core: a frozen `(family, node)`-keyed
 //!   DAG (costs, dependency edges, successor lists, barrier groups) with no
 //!   closures attached, executable any number of times via
-//!   [`ReusablePlan::run`] with a task-dispatch callback. Long-lived
+//!   [`ReusablePlan::run`] with a task-dispatch callback, under any of the
+//!   four schedules of [`TraversalPolicy`]. Dependencies are declared
+//!   symbolically ("N2S of my left child") and resolved once. Long-lived
 //!   evaluators build their DAG once at setup and re-run it for every
-//!   matvec,
-//! * [`PhasePlan`] — a one-shot plan: a [`ReusablePlan`] plus one closure per
-//!   task, so dependencies are declared symbolically ("N2S of my left child")
-//!   and resolved once, with [`PhasePlan::run`] dispatching uniformly to the
-//!   four schedules of [`TraversalPolicy`],
+//!   matvec; one-shot phases (SKEL, the factorizations) build one and run it
+//!   once,
 //! * [`PlanTopology`] — the minimal binary-tree interface plans need to wire
 //!   postorder (bottom-up) and preorder (top-down) task families,
 //! * [`DisjointCells`] — per-node storage whose synchronization is delegated
@@ -39,7 +38,6 @@
 use crate::cancel::{CancelToken, Cancelled};
 use crate::executor::{run_dag_with_cancel, BarrierHook, DagShape, ExecStats, TraversalPolicy};
 use gofmm_telemetry::{SpanKind, TraceSink};
-use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -56,7 +54,7 @@ pub fn heap_level(node: usize) -> usize {
     (node + 1).ilog2() as usize
 }
 
-/// The minimal binary-tree shape information a [`PhasePlan`] needs to wire
+/// The minimal binary-tree shape information a [`ReusablePlan`] needs to wire
 /// structural (parent/child) dependencies. Implemented by
 /// `gofmm_tree::PartitionTree`; tests implement it on plain vectors.
 pub trait PlanTopology {
@@ -72,9 +70,9 @@ pub trait PlanTopology {
 
 /// A frozen, re-runnable task DAG keyed by `(family, node)`.
 ///
-/// This is the structural half of a [`PhasePlan`]: task keys, cost estimates
-/// and dependency edges, but no closures. Because nothing in it is consumed
-/// by execution, one `ReusablePlan` can drive any number of
+/// Task keys, cost estimates and dependency edges, but no closures: the
+/// work arrives as one dispatch callback per run. Because nothing in it is
+/// consumed by execution, one `ReusablePlan` can drive any number of
 /// [`ReusablePlan::run`] calls — the GOFMM evaluation phase builds its
 /// N2S/S2S/S2N/L2L DAG once per compressed matrix and re-runs it for every
 /// matvec, paying symbolic-traversal cost once instead of per call.
@@ -293,10 +291,10 @@ impl ReusablePlan {
     /// Execute the plan, running task `idx` as `task(family, node)` where
     /// `(family, node) == self.key(idx)`.
     ///
-    /// Unlike [`PhasePlan::run`] this borrows the plan immutably, so the same
-    /// plan can be executed arbitrarily often — with any mix of policies and
-    /// worker counts — and every run observes the identical DAG, which keeps
-    /// outputs bit-identical across policies for deterministic tasks.
+    /// This borrows the plan immutably, so the same plan can be executed
+    /// arbitrarily often — with any mix of policies and worker counts — and
+    /// every run observes the identical DAG, which keeps outputs
+    /// bit-identical across policies for deterministic tasks.
     ///
     /// Runs are also safe to issue **concurrently** from several threads:
     /// every piece of mutable scheduling state (remaining-dependency
@@ -311,10 +309,11 @@ impl ReusablePlan {
         workers: usize,
         task: impl Fn(Family, usize) + Sync,
     ) -> ExecStats {
-        self.run_indexed(policy, workers, |idx| {
+        let run = |idx: usize| {
             let (family, node) = self.keys[idx];
             task(family, node);
-        })
+        };
+        self.execute(policy, workers, None, run, &|_, body| body())
     }
 
     /// [`ReusablePlan::run`] plus optional cooperative cancellation *and*
@@ -385,18 +384,6 @@ impl ReusablePlan {
         }
     }
 
-    /// Execute the plan, dispatching tasks by raw index. Used by
-    /// [`PhasePlan`] (whose payload is one closure per index) and by callers
-    /// that keep their own per-task state.
-    pub fn run_indexed(
-        &self,
-        policy: TraversalPolicy,
-        workers: usize,
-        run: impl Fn(usize) + Sync,
-    ) -> ExecStats {
-        self.execute(policy, workers, None, run, &|_, body| body())
-    }
-
     fn execute(
         &self,
         policy: TraversalPolicy,
@@ -419,143 +406,6 @@ impl ReusablePlan {
             run,
             barrier,
         )
-    }
-}
-
-/// A task closure slot, emptied by whichever worker runs the task.
-type TaskSlot<'a> = Mutex<Option<Box<dyn FnOnce() + Send + 'a>>>;
-
-/// A [`ReusablePlan`] paired with one closure per task: the one-shot plan
-/// used when a phase runs exactly once (compression).
-///
-/// See [`ReusablePlan`] for the key/dependency semantics; `PhasePlan` simply
-/// forwards construction and attaches the work.
-#[derive(Default)]
-pub struct PhasePlan<'a> {
-    shape: ReusablePlan,
-    funcs: Vec<Option<Box<dyn FnOnce() + Send + 'a>>>,
-}
-
-impl<'a> PhasePlan<'a> {
-    /// Empty plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of tasks added so far.
-    pub fn task_count(&self) -> usize {
-        self.shape.task_count()
-    }
-
-    /// True when no tasks were added.
-    pub fn is_empty(&self) -> bool {
-        self.shape.is_empty()
-    }
-
-    /// The task index registered for `(family, node)`, if any.
-    pub fn id(&self, family: Family, node: usize) -> Option<usize> {
-        self.shape.id(family, node)
-    }
-
-    /// Sum of all task cost estimates.
-    pub fn total_cost(&self) -> f64 {
-        self.shape.total_cost()
-    }
-
-    /// Longest dependency chain of costs (the runtime's lower bound on
-    /// parallel wall-clock time).
-    pub fn critical_path_cost(&self) -> f64 {
-        self.shape.critical_path_cost()
-    }
-
-    /// Add the task `(family, node)` with symbolic dependencies.
-    ///
-    /// # Panics
-    /// Panics if the key is already taken, or if the key was previously
-    /// declared as a dependency of an earlier task — i.e. the producer is
-    /// being registered after its consumer, which would otherwise drop the
-    /// edge silently (insertion order is the topological order).
-    pub fn add(
-        &mut self,
-        family: Family,
-        node: usize,
-        cost: f64,
-        deps: &[(Family, usize)],
-        func: impl FnOnce() + Send + 'a,
-    ) -> usize {
-        let id = self.shape.add(family, node, cost, deps);
-        self.funcs.push(Some(Box::new(func)));
-        id
-    }
-
-    /// Add one task per non-skipped node in bottom-up (postorder) sweep
-    /// order: children before parents, each task depending on its children's
-    /// tasks of the same family. This is the shape of SKEL (compression) and
-    /// N2S (evaluation).
-    pub fn add_bottom_up<F>(
-        &mut self,
-        family: Family,
-        topo: &impl PlanTopology,
-        skip: impl Fn(usize) -> bool,
-        cost: impl Fn(usize) -> f64,
-        make_task: impl Fn(usize) -> F,
-    ) where
-        F: FnOnce() + Send + 'a,
-    {
-        let before = self.shape.task_count();
-        self.shape.add_bottom_up(family, topo, skip, cost);
-        self.attach_sweep_tasks(before, make_task);
-    }
-
-    /// Add one task per non-skipped node in top-down (preorder) sweep order:
-    /// parents before children, each task depending on its parent's task of
-    /// the same family plus any `extra_deps`. This is the shape of S2N
-    /// (evaluation).
-    pub fn add_top_down<F>(
-        &mut self,
-        family: Family,
-        topo: &impl PlanTopology,
-        skip: impl Fn(usize) -> bool,
-        cost: impl Fn(usize) -> f64,
-        extra_deps: impl Fn(usize, &mut Vec<(Family, usize)>),
-        make_task: impl Fn(usize) -> F,
-    ) where
-        F: FnOnce() + Send + 'a,
-    {
-        let before = self.shape.task_count();
-        self.shape
-            .add_top_down(family, topo, skip, cost, extra_deps);
-        self.attach_sweep_tasks(before, make_task);
-    }
-
-    /// Attach closures for the tasks a sweep helper just registered on the
-    /// shape (indices `before..`), in the same insertion order.
-    fn attach_sweep_tasks<F>(&mut self, before: usize, make_task: impl Fn(usize) -> F)
-    where
-        F: FnOnce() + Send + 'a,
-    {
-        for idx in before..self.shape.task_count() {
-            let (_, node) = self.shape.key(idx);
-            self.funcs.push(Some(Box::new(make_task(node))));
-        }
-    }
-
-    /// Execute the plan with the given policy and worker count.
-    ///
-    /// All four policies run the identical task closures; only the schedule
-    /// differs. Because insertion order is a topological order and every
-    /// cross-task data access is covered by a dependency edge, outputs are
-    /// identical (bit-for-bit for deterministic tasks) across policies.
-    pub fn run(self, policy: TraversalPolicy, workers: usize) -> ExecStats {
-        let PhasePlan { shape, funcs } = self;
-        let slots: Vec<TaskSlot<'a>> = funcs.into_iter().map(Mutex::new).collect();
-        shape.run_indexed(policy, workers, |idx| {
-            let f = slots[idx]
-                .lock()
-                .take()
-                .expect("task executed twice or missing");
-            f();
-        })
     }
 }
 
@@ -784,17 +634,10 @@ mod tests {
         let n = topo.node_count();
         let order = SharedCells::from_fn(1, |_| Vec::new());
         for policy in POLICIES {
-            let mut plan = PhasePlan::new();
-            let order = &order;
-            plan.add_bottom_up(
-                "UP",
-                &topo,
-                |_| false,
-                |_| 1.0,
-                |node| move || order.lock(0).push(node),
-            );
+            let mut plan = ReusablePlan::new();
+            plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
             assert_eq!(plan.task_count(), n);
-            plan.run(policy, 4);
+            plan.run(policy, 4, |_, node| order.lock(0).push(node));
             let seen = std::mem::take(&mut *order.lock(0));
             assert_eq!(seen.len(), n);
             let pos = |x: usize| seen.iter().position(|&v| v == x).unwrap();
@@ -818,19 +661,11 @@ mod tests {
         let topo = HeapTree { levels: 4 };
         let n = topo.node_count();
         let order = SharedCells::from_fn(1, |_| Vec::new());
-        let mut plan = PhasePlan::new();
-        {
-            let order = &order;
-            plan.add_top_down(
-                "DOWN",
-                &topo,
-                |_| false,
-                |_| 1.0,
-                |_, _| {},
-                |node| move || order.lock(0).push(node),
-            );
-        }
-        plan.run(TraversalPolicy::DagHeft, 4);
+        let mut plan = ReusablePlan::new();
+        plan.add_top_down("DOWN", &topo, |_| false, |_| 1.0, |_, _| {});
+        plan.run(TraversalPolicy::DagHeft, 4, |_, node| {
+            order.lock(0).push(node)
+        });
         let seen = order.into_inner().pop().unwrap();
         let pos = |x: usize| seen.iter().position(|&v| v == x).unwrap();
         for node in 1..n {
@@ -934,33 +769,33 @@ mod tests {
     #[test]
     fn missing_dependencies_are_skipped() {
         let counter = AtomicUsize::new(0);
-        let mut plan = PhasePlan::new();
+        let mut plan = ReusablePlan::new();
         // Depend on a key that no task ever registers.
-        plan.add("A", 0, 1.0, &[("GHOST", 3)], || {
-            counter.fetch_add(1, Ordering::SeqCst);
-        });
+        plan.add("A", 0, 1.0, &[("GHOST", 3)]);
         assert!(plan.id("GHOST", 3).is_none());
         assert!(plan.id("A", 0).is_some());
-        plan.run(TraversalPolicy::Sequential, 1);
+        plan.run(TraversalPolicy::Sequential, 1, |_, _| {
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
         assert_eq!(counter.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     #[should_panic(expected = "duplicate task")]
     fn duplicate_key_panics() {
-        let mut plan = PhasePlan::new();
-        plan.add("A", 0, 1.0, &[], || {});
-        plan.add("A", 0, 1.0, &[], || {});
+        let mut plan = ReusablePlan::new();
+        plan.add("A", 0, 1.0, &[]);
+        plan.add("A", 0, 1.0, &[]);
     }
 
     #[test]
     #[should_panic(expected = "add producers before consumers")]
     fn producer_after_consumer_panics() {
-        let mut plan = PhasePlan::new();
+        let mut plan = ReusablePlan::new();
         // "B(1)" is consumed before it is produced: the dropped edge must be
         // detected at construction time, not surface as a runtime race.
-        plan.add("A", 0, 1.0, &[("B", 1)], || {});
-        plan.add("B", 1, 1.0, &[], || {});
+        plan.add("A", 0, 1.0, &[("B", 1)]);
+        plan.add("B", 1, 1.0, &[]);
     }
 
     #[test]
@@ -1197,13 +1032,13 @@ mod tests {
 
     #[test]
     fn plan_cost_accessors() {
-        let mut plan = PhasePlan::new();
-        plan.add("A", 0, 2.0, &[], || {});
-        plan.add("B", 0, 3.0, &[("A", 0)], || {});
+        let mut plan = ReusablePlan::new();
+        plan.add("A", 0, 2.0, &[]);
+        plan.add("B", 0, 3.0, &[("A", 0)]);
         assert_eq!(plan.total_cost(), 5.0);
         assert_eq!(plan.critical_path_cost(), 5.0);
         assert_eq!(plan.task_count(), 2);
         assert!(!plan.is_empty());
-        assert!(PhasePlan::new().is_empty());
+        assert!(ReusablePlan::new().is_empty());
     }
 }

@@ -9,7 +9,7 @@
 //! non-associativity included, because the DAG fixes every accumulation
 //! order.
 
-use gofmm_runtime::{DisjointCells, PhasePlan, PlanTopology, TraversalPolicy};
+use gofmm_runtime::{DisjointCells, PlanTopology, ReusablePlan, TraversalPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,23 +40,21 @@ fn random_dag_outputs(policy: TraversalPolicy, workers: usize, seed: u64) -> Vec
         .collect();
 
     let cells: DisjointCells<f64> = DisjointCells::from_fn(n, |_| 0.0);
-    let mut plan = PhasePlan::new();
+    let mut plan = ReusablePlan::new();
     for (i, deps) in dep_sets.iter().enumerate() {
         let dep_keys: Vec<(&'static str, usize)> = deps.iter().map(|&j| ("t", j)).collect();
-        let deps = deps.clone();
-        let cells_ref = &cells;
-        plan.add("t", i, 1.0 + (i % 7) as f64, &dep_keys, move || {
-            // Order-sensitive floating-point chain over the dependency
-            // values; the dep list order is fixed at build time, so the
-            // result is schedule-independent iff the DAG is respected.
-            let mut acc = 1.0 + i as f64 * 1e-3;
-            for &j in &deps {
-                acc = acc * 1.000_000_1 + (*cells_ref.read(j)).sin() * 0.5;
-            }
-            *cells_ref.write(i) = acc;
-        });
+        plan.add("t", i, 1.0 + (i % 7) as f64, &dep_keys);
     }
-    let stats = plan.run(policy, workers);
+    let stats = plan.run(policy, workers, |_, i| {
+        // Order-sensitive floating-point chain over the dependency values;
+        // the dep list order is fixed at build time, so the result is
+        // schedule-independent iff the DAG is respected.
+        let mut acc = 1.0 + i as f64 * 1e-3;
+        for &j in &dep_sets[i] {
+            acc = acc * 1.000_000_1 + (*cells.read(j)).sin() * 0.5;
+        }
+        *cells.write(i) = acc;
+    });
     assert_eq!(stats.tasks_executed, n, "{policy}: not every task ran");
     cells.into_inner()
 }
@@ -104,7 +102,7 @@ impl PlanTopology for HeapTree {
     }
 }
 
-/// A miniature of the GOFMM evaluation phase built through [`PhasePlan`]:
+/// A miniature of the GOFMM evaluation phase built through [`ReusablePlan`]:
 /// an upward sweep (N2S shape), a cross-node combination over "far" nodes
 /// (S2S shape), a downward sweep accumulating into children (S2N shape, with
 /// the child-S2S ordering edges), and independent leaf tasks (L2L shape).
@@ -123,71 +121,54 @@ fn phase_plan_outputs(policy: TraversalPolicy, workers: usize) -> (Vec<f64>, Vec
 
     let up: DisjointCells<f64> = DisjointCells::from_fn(n, |i| i as f64 * 0.01);
     let down: DisjointCells<f64> = DisjointCells::from_fn(n, |_| 0.0);
-    let mut plan = PhasePlan::new();
-    {
-        let up = &up;
-        let down = &down;
-        let topo_ref = &topo;
-
-        plan.add_bottom_up(
-            "UP",
-            topo_ref,
-            |_| false,
-            |_| 1.0,
-            |node| {
-                move || {
-                    let v = match topo_ref.plan_children(node) {
-                        Some((l, r)) => (*up.read(l)).mul_add(1.001, *up.read(r) * 0.999),
-                        None => (node as f64).sin(),
-                    };
-                    *up.write(node) += v;
-                }
-            },
-        );
-
-        for node in 0..n {
-            let sources = far(node);
-            let deps: Vec<(&'static str, usize)> = sources.iter().map(|&s| ("UP", s)).collect();
-            plan.add("CROSS", node, 2.0, &deps, move || {
-                let mut acc = 0.0;
-                for &s in &sources {
-                    acc = acc * 1.000_001 + (*up.read(s)).cos();
-                }
-                *down.write(node) += acc;
-            });
-        }
-
-        plan.add_top_down(
-            "DOWN",
-            topo_ref,
-            |_| false,
-            |_| 1.0,
-            |node, deps| {
-                deps.push(("CROSS", node));
-                if let Some((l, r)) = topo_ref.plan_children(node) {
-                    deps.push(("CROSS", l));
-                    deps.push(("CROSS", r));
-                }
-            },
-            |node| {
-                move || {
-                    let v = *down.read(node);
-                    if let Some((l, r)) = topo_ref.plan_children(node) {
-                        *down.write(l) += v * 0.25;
-                        *down.write(r) += v * 0.75;
-                    }
-                }
-            },
-        );
-
-        for leaf in topo_ref.leaf_start()..n {
-            plan.add("LEAF", leaf, 1.0, &[("DOWN", leaf)], move || {
-                *down.write(leaf) *= 1.5;
-            });
-        }
+    let mut plan = ReusablePlan::new();
+    plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+    for node in 0..n {
+        let deps: Vec<(&'static str, usize)> = far(node).iter().map(|&s| ("UP", s)).collect();
+        plan.add("CROSS", node, 2.0, &deps);
+    }
+    plan.add_top_down(
+        "DOWN",
+        &topo,
+        |_| false,
+        |_| 1.0,
+        |node, deps| {
+            deps.push(("CROSS", node));
+            if let Some((l, r)) = topo.plan_children(node) {
+                deps.push(("CROSS", l));
+                deps.push(("CROSS", r));
+            }
+        },
+    );
+    for leaf in topo.leaf_start()..n {
+        plan.add("LEAF", leaf, 1.0, &[("DOWN", leaf)]);
     }
 
-    let stats = plan.run(policy, workers);
+    let stats = plan.run(policy, workers, |family, node| match family {
+        "UP" => {
+            let v = match topo.plan_children(node) {
+                Some((l, r)) => (*up.read(l)).mul_add(1.001, *up.read(r) * 0.999),
+                None => (node as f64).sin(),
+            };
+            *up.write(node) += v;
+        }
+        "CROSS" => {
+            let mut acc = 0.0;
+            for &s in &far(node) {
+                acc = acc * 1.000_001 + (*up.read(s)).cos();
+            }
+            *down.write(node) += acc;
+        }
+        "DOWN" => {
+            let v = *down.read(node);
+            if let Some((l, r)) = topo.plan_children(node) {
+                *down.write(l) += v * 0.25;
+                *down.write(r) += v * 0.75;
+            }
+        }
+        "LEAF" => *down.write(node) *= 1.5,
+        other => panic!("unexpected family {other}"),
+    });
     assert!(stats.tasks_executed > 0);
     (up.into_inner(), down.into_inner())
 }

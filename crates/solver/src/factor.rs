@@ -82,7 +82,7 @@ use gofmm_core::{ApplyOptions, CompRef, Compressed, Error, TraversalPolicy};
 use gofmm_linalg::{gemm, matmul, matmul_tn, Cholesky, DenseMatrix, LuFactor, Scalar, Transpose};
 use gofmm_matrices::SpdMatrix;
 use gofmm_runtime::{
-    CancelToken, DisjointCells, ExecStats, PhasePlan, ReusablePlan, RunDefaults, WorkspacePool,
+    CancelToken, DisjointCells, ExecStats, ReusablePlan, RunDefaults, WorkspacePool,
 };
 use gofmm_telemetry::SpanKind;
 use std::sync::Arc;
@@ -344,8 +344,7 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
 
         let m = comp.config.leaf_size as f64;
         let s = comp.config.max_rank as f64;
-        let factor_ref = &factor_one;
-        let mut plan = PhasePlan::new();
+        let mut plan = ReusablePlan::new();
         plan.add_bottom_up(
             "FACTOR",
             tree,
@@ -357,9 +356,8 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
                     8.0 * s * s * s
                 }
             },
-            |heap| move || factor_ref(heap),
         );
-        let exec = plan.run(policy, num_threads);
+        let exec = plan.run(policy, num_threads, |_, heap| factor_one(heap));
 
         let mut slots = slots.into_inner();
         // Surface the deepest-level failure first; ancestors of a failed

@@ -33,12 +33,13 @@
 //! available for comparison via `FactorBackend::Smw`.
 //!
 //! The runtime shape mirrors the SMW backend exactly: the factorization runs
-//! bottom-up as a `FACTOR` task family on a [`PhasePlan`], solves are a
-//! cached [`ReusablePlan`] `SUP`/`SDOWN` double sweep over DAG-ordered
-//! [`DisjointCells`] (one writer per cell per solve, hence bit-identical
-//! solutions across all four traversal policies and worker counts), and
-//! [`UlvFactor::solve`] takes `&self` with per-call workspaces leased from a
-//! [`WorkspacePool`], so one factorization serves parallel request streams.
+//! bottom-up as a `FACTOR` task family on a [`ReusablePlan`] run once,
+//! solves are a cached [`ReusablePlan`] `SUP`/`SDOWN` double sweep over
+//! DAG-ordered [`DisjointCells`] (one writer per cell per solve, hence
+//! bit-identical solutions across all four traversal policies and worker
+//! counts), and [`UlvFactor::solve`] takes `&self` with per-call workspaces
+//! leased from a [`WorkspacePool`], so one factorization serves parallel
+//! request streams.
 
 use gofmm_core::{
     policy_from_tag, policy_tag, ApplyOptions, CompRef, Compressed, Error, TraversalPolicy,
@@ -49,9 +50,11 @@ use gofmm_linalg::{
 };
 use gofmm_matrices::SpdMatrix;
 use gofmm_runtime::{
-    heap_level, CancelToken, DisjointCells, PhasePlan, ReusablePlan, RunDefaults, WorkspacePool,
+    heap_level, CancelToken, DisjointCells, ReusablePlan, RunDefaults, WorkspacePool,
 };
-use gofmm_store::{classes, Blob, ByteReader, ByteWriter, FilePanelStore, StoreError, StoreWriter};
+use gofmm_store::{
+    classes, Blob, ByteReader, ByteWriter, FilePanelStore, Residence, StoreError, StoreWriter,
+};
 use gofmm_telemetry::{SpanKind, SweepProgress};
 use std::path::Path;
 use std::sync::Arc;
@@ -100,31 +103,23 @@ impl<T: Scalar> UlvNode<T> {
     }
 }
 
-/// Append a nested blob with a length prefix, so the outer decoder can hand
-/// the inner decoder exactly its own bytes (inner decoders reject trailers).
-fn encode_nested(out: &mut Vec<u8>, inner: &impl Blob) {
-    let mut scratch = Vec::new();
-    inner.encode(&mut scratch);
-    ByteWriter::new(out).bytes(&scratch);
-}
-
 impl<T: Scalar> Blob for UlvNode<T> {
     /// Everything the solve sweeps read: the blocked WY rotation, the
     /// trailing Cholesky, the coupling panel `X^T`, and the dimension
     /// triple. The Schur complement is *not* encoded — it is stripped after
     /// the factor pass and decodes back as the same empty placeholder.
     fn encode(&self, out: &mut Vec<u8>) {
-        ByteWriter::new(out).u8(std::mem::size_of::<T>() as u8);
-        ByteWriter::new(out).u8(self.rotation.is_some() as u8);
-        if let Some(rotation) = &self.rotation {
-            encode_nested(out, rotation);
-        }
-        ByteWriter::new(out).u8(self.elim.chol.is_some() as u8);
-        if let Some(chol) = &self.elim.chol {
-            encode_nested(out, chol.l());
-        }
-        encode_nested(out, &self.elim.xt);
         let mut w = ByteWriter::new(out);
+        w.u8(std::mem::size_of::<T>() as u8);
+        w.u8(self.rotation.is_some() as u8);
+        if let Some(rotation) = &self.rotation {
+            w.nested(rotation);
+        }
+        w.u8(self.elim.chol.is_some() as u8);
+        if let Some(chol) = &self.elim.chol {
+            w.nested(chol.l());
+        }
+        w.nested(&self.elim.xt);
         w.usize(self.reduced);
         w.usize(self.eliminated);
         w.usize(self.split);
@@ -136,17 +131,17 @@ impl<T: Scalar> Blob for UlvNode<T> {
     fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
         let mut r = ByteReader::new(bytes);
         check_scalar_width::<T>(r.u8()?)?;
-        let rotation = if r.u8()? != 0 {
-            Some(WyRotation::<T>::decode(r.bytes()?)?)
+        let rotation: Option<WyRotation<T>> = if r.u8()? != 0 {
+            Some(r.nested()?)
         } else {
             None
         };
-        let l = if r.u8()? != 0 {
-            Some(DenseMatrix::<T>::decode(r.bytes()?)?)
+        let l: Option<DenseMatrix<T>> = if r.u8()? != 0 {
+            Some(r.nested()?)
         } else {
             None
         };
-        let xt = DenseMatrix::<T>::decode(r.bytes()?)?;
+        let xt: DenseMatrix<T> = r.nested()?;
         let reduced = r.usize()?;
         let eliminated = r.usize()?;
         let split = r.usize()?;
@@ -184,34 +179,6 @@ impl<T: Scalar> Blob for UlvNode<T> {
 
     fn resident_bytes(&self) -> usize {
         self.bytes()
-    }
-}
-
-/// Where one node's factor blocks live: in memory (the normal path) or in a
-/// [`FilePanelStore`], faulted in per solve task behind the store's LRU
-/// resident set (the out-of-core path).
-enum NodeSlot<T: Scalar> {
-    Mem(Box<UlvNode<T>>),
-    Stored {
-        store: Arc<FilePanelStore>,
-        key: u32,
-    },
-}
-
-/// A borrowed or store-cached view of one node's factor blocks; derefs to
-/// [`UlvNode`] so the sweep tasks are storage-agnostic.
-enum NodeRef<'a, T: Scalar> {
-    Mem(&'a UlvNode<T>),
-    Stored(Arc<UlvNode<T>>),
-}
-
-impl<T: Scalar> std::ops::Deref for NodeRef<'_, T> {
-    type Target = UlvNode<T>;
-    fn deref(&self) -> &UlvNode<T> {
-        match self {
-            NodeRef::Mem(n) => n,
-            NodeRef::Stored(n) => n,
-        }
     }
 }
 
@@ -333,7 +300,10 @@ impl<T: Scalar> UlvWorkspace<T> {
 /// ```
 pub struct UlvFactor<'a, T: Scalar> {
     comp: CompRef<'a, T>,
-    slots: Vec<NodeSlot<T>>,
+    /// Per-node factor blocks: in memory (the normal path) or in a
+    /// [`FilePanelStore`], faulted in per solve task behind the store's LRU
+    /// resident set (the out-of-core path).
+    slots: Vec<Residence<UlvNode<T>>>,
     /// Per-node `(reduced, eliminated)` sweep dimensions, kept separately
     /// from the slots so workspace allocation never faults a store-backed
     /// node in.
@@ -439,8 +409,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
         };
 
         let rank = |heap: usize| comp.basis(heap).map_or(0, |b| b.rank());
-        let factor_ref = &factor_one;
-        let mut plan = PhasePlan::new();
+        let mut plan = ReusablePlan::new();
         plan.add_bottom_up(
             "FACTOR",
             tree,
@@ -454,9 +423,8 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
                 };
                 factor_cost(m, rank(heap))
             },
-            |heap| move || factor_ref(heap),
         );
-        let exec = plan.run(policy, num_threads);
+        let exec = plan.run(policy, num_threads, |_, heap| factor_one(heap));
 
         let mut slots = slots.into_inner();
         // Surface the deepest-level failure first; ancestors of a failed
@@ -488,10 +456,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
         let dims = nodes.iter().map(|n| (n.reduced, n.eliminated)).collect();
         Ok(UlvFactor {
             comp,
-            slots: nodes
-                .into_iter()
-                .map(|n| NodeSlot::Mem(Box::new(n)))
-                .collect(),
+            slots: nodes.into_iter().map(Residence::Memory).collect(),
             dims,
             plan,
             defaults: RunDefaults::new(policy, num_threads),
@@ -507,18 +472,10 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     /// On a storage failure for a spilled node (solve tasks run on DAG
     /// worker threads with no error channel; a read error on a store that
     /// validated at open time is an environment failure).
-    fn node(&self, heap: usize) -> NodeRef<'_, T> {
-        match &self.slots[heap] {
-            NodeSlot::Mem(n) => NodeRef::Mem(n),
-            NodeSlot::Stored { store, key } => {
-                match store.get::<UlvNode<T>>(classes::ULV_NODE, *key) {
-                    Ok(n) => NodeRef::Stored(n),
-                    Err(e) => {
-                        panic!("out-of-core ULV node fault failed mid-solve (node {key}): {e}")
-                    }
-                }
-            }
-        }
+    fn node(&self, heap: usize) -> impl std::ops::Deref<Target = UlvNode<T>> + '_ {
+        self.slots[heap]
+            .get()
+            .unwrap_or_else(|e| panic!("out-of-core ULV node fault failed mid-solve: {e}"))
     }
 
     /// Matrix dimension `N`.
@@ -654,18 +611,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     /// [`Error::Storage`] on a write failure.
     pub fn spill_nodes(&self, writer: &mut StoreWriter) -> Result<(), Error> {
         for (heap, slot) in self.slots.iter().enumerate() {
-            match slot {
-                NodeSlot::Mem(n) => writer
-                    .put(classes::ULV_NODE, heap as u32, n.as_ref())
-                    .map_err(Error::from)?,
-                NodeSlot::Stored { .. } => {
-                    return Err(Error::InvalidConfig {
-                        what: "storage",
-                        constraint: "requires a factor with in-memory nodes \
-                                     (not an already file-backed one)",
-                    })
-                }
-            }
+            slot.spill(writer, classes::ULV_NODE, heap as u32)?;
         }
         Ok(())
     }
@@ -678,12 +624,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     /// the store are left untouched.
     pub fn attach_store(&mut self, store: &Arc<FilePanelStore>) {
         for (heap, slot) in self.slots.iter_mut().enumerate() {
-            if matches!(slot, NodeSlot::Mem(_)) && store.contains(classes::ULV_NODE, heap as u32) {
-                *slot = NodeSlot::Stored {
-                    store: Arc::clone(store),
-                    key: heap as u32,
-                };
-            }
+            slot.attach(store, classes::ULV_NODE, heap as u32);
         }
     }
 
@@ -778,9 +719,10 @@ impl<T: Scalar> UlvFactor<'static, T> {
                     message: format!("factor store is missing node {heap}"),
                 });
             }
-            slots.push(NodeSlot::Stored {
+            slots.push(Residence::Stored {
                 store: Arc::clone(&store),
-                key: heap as u32,
+                class: classes::ULV_NODE,
+                node: heap as u32,
             });
         }
 
@@ -1425,16 +1367,20 @@ mod tests {
         factor.write_to(&mut writer).unwrap();
         writer.finish().unwrap();
         assert!(UlvFactor::open_from(&path, Arc::clone(&comp), 1 << 20).is_ok());
-        // A file from before blocked WY rotations: header version 1.
-        let mut file = std::fs::read(&path).unwrap();
-        file[8..12].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &file).unwrap();
-        match UlvFactor::open_from(&path, Arc::clone(&comp), 1 << 20) {
-            Err(Error::Storage { message }) => {
-                assert!(message.contains("version 1"), "{message}")
+        // Files from before blocked WY rotations (header version 1) and from
+        // before a panel was one tagged blob (version 5).
+        let current = std::fs::read(&path).unwrap();
+        for version in [1u32, 5] {
+            let mut file = current.clone();
+            file[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &file).unwrap();
+            match UlvFactor::open_from(&path, Arc::clone(&comp), 1 << 20) {
+                Err(Error::Storage { message }) => {
+                    assert!(message.contains(&format!("version {version}")), "{message}")
+                }
+                Err(other) => panic!("expected Error::Storage, got {other}"),
+                Ok(_) => panic!("a version-{version} store file must be refused"),
             }
-            Err(other) => panic!("expected Error::Storage, got {other}"),
-            Ok(_) => panic!("a version-1 store file must be refused"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

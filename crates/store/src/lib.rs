@@ -11,7 +11,10 @@
 //! GOFMM-agnostic at the I/O layer: consumers describe their blocks via the
 //! [`Blob`] trait (encode/decode to little-endian bytes) and address them by
 //! a `(class, node)` key, where `class` names a block family (see
-//! [`classes`]) and `node` is the heap index of the owning tree node.
+//! [`classes`]) and `node` is the heap index of the owning tree node. Every
+//! spillable block — an evaluator panel, dense or a low-rank pair, and a ULV
+//! node — is one blob, and lives in one [`Residence`]: in memory, or as a
+//! `(store, class, node)` locator faulted in on [`Residence::get`].
 //!
 //! # File layout
 //!
@@ -50,28 +53,23 @@ const INDEX_MAGIC: &[u8; 8] = b"GFMMIDX1";
 /// the operator header records the near-panel layout. Version 4: the
 /// operator header drops the block-cache flag and the second panel-precision
 /// tag. Version 5: the operator header drops the near-panel layout (tuned
-/// operators store each symmetric near block once too).
-const FORMAT_VERSION: u32 = 5;
+/// operators store each symmetric near block once too). Version 6: a panel
+/// is one blob whose tag byte records its precision and shape, so a tuned
+/// low-rank pair is one blob under its panel class, not two under companion
+/// classes.
+const FORMAT_VERSION: u32 = 6;
 
 /// Well-known blob classes used by the GOFMM crates. The store itself does
 /// not interpret these; they only namespace the `(class, node)` key space so
 /// the evaluator and the factorization can share one file.
 pub mod classes {
-    /// Packed far-field (S2S) interaction panel of a tree node.
+    /// Far-field (S2S) interaction panel of a tree node: one dense matrix,
+    /// or the `left * right` pair `Evaluator::tune` left, in one blob.
     pub const S2S: u16 = 1;
-    /// Packed near-field (L2L) interaction panel of a leaf.
+    /// Near-field (L2L) interaction panel of a leaf, dense or a pair.
     pub const L2L: u16 = 2;
     /// ULV factor block (rotation + trailing elimination) of a tree node.
     pub const ULV_NODE: u16 = 3;
-    /// Left factor of a rank-truncated (tuned) far panel: `left * right`
-    /// replaces the dense [`S2S`] panel after `Evaluator::tune`.
-    pub const S2S_LEFT: u16 = 4;
-    /// Right factor of a rank-truncated (tuned) far panel.
-    pub const S2S_RIGHT: u16 = 5;
-    /// Left factor of a rank-truncated (tuned) near panel (see [`S2S_LEFT`]).
-    pub const L2L_LEFT: u16 = 6;
-    /// Right factor of a rank-truncated (tuned) near panel.
-    pub const L2L_RIGHT: u16 = 7;
     /// Serialized compression configuration (persistence header).
     pub const CONFIG: u16 = 10;
     /// Serialized partition tree (persistence header).
@@ -107,6 +105,14 @@ pub enum StoreError {
         /// Node index of the missed lookup.
         node: u32,
     },
+    /// [`Residence::spill`] was asked to write a value that already lives
+    /// in a store under `(class, node)`.
+    AlreadyStored {
+        /// Blob class of the stored value.
+        class: u16,
+        /// Node index of the stored value.
+        node: u32,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -116,6 +122,9 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt(msg) => write!(f, "corrupt store file: {msg}"),
             StoreError::Missing { class, node } => {
                 write!(f, "store has no blob for class {class} node {node}")
+            }
+            StoreError::AlreadyStored { class, node } => {
+                write!(f, "class {class} node {node} is already stored")
             }
         }
     }
@@ -195,6 +204,18 @@ impl<'a> ByteWriter<'a> {
             self.usize(x);
         }
     }
+
+    /// Write `inner`'s blob with a length prefix, so the outer decoder can
+    /// hand [`ByteReader::nested`] exactly its bytes (decoders reject
+    /// trailing bytes). The same bytes as [`ByteWriter::bytes`] of the
+    /// encoded blob, encoded in place.
+    pub fn nested(&mut self, inner: &impl Blob) {
+        let at = self.out.len();
+        self.u64(0);
+        inner.encode(self.out);
+        let len = (self.out.len() - at - 8) as u64;
+        self.out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    }
 }
 
 /// Cursor-based little-endian decoder used by [`Blob::decode`] impls. Every
@@ -255,6 +276,11 @@ impl<'a> ByteReader<'a> {
     pub fn bytes(&mut self) -> Result<&'a [u8], StoreError> {
         let n = self.usize()?;
         self.take(n)
+    }
+
+    /// Decode a blob written by [`ByteWriter::nested`].
+    pub fn nested<V: Blob>(&mut self) -> Result<V, StoreError> {
+        V::decode(self.bytes()?)
     }
 
     /// Read a length-prefixed `usize` slice.
@@ -622,12 +648,6 @@ impl FilePanelStore {
         self.index.values().map(|&(_, len)| len).sum()
     }
 
-    /// Encoded length in bytes of the blob under `(class, node)`, without
-    /// reading it; `None` if the key was never written.
-    pub fn blob_len(&self, class: u16, node: u32) -> Option<u64> {
-        self.index.get(&(class, node)).map(|&(_, len)| len)
-    }
-
     /// Current fault/eviction counters.
     pub fn stats(&self) -> StoreStatsSnapshot {
         StoreStatsSnapshot {
@@ -759,6 +779,87 @@ impl FilePanelStore {
         self.stats
             .resident
             .fetch_sub(freed as u64, Ordering::Relaxed);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Residence: one value, in memory or in a store.
+// ---------------------------------------------------------------------------
+
+/// Where one spillable value lives: in memory, or in a [`FilePanelStore`]
+/// under a `(class, node)` key. The evaluator's panels and the ULV factor's
+/// nodes both live in one, so the out-of-core path is written once.
+pub enum Residence<V> {
+    /// The value, held in memory.
+    Memory(V),
+    /// The value lives in `store` under `(class, node)` and is faulted in
+    /// through the store's LRU resident set on every [`Residence::get`].
+    Stored {
+        /// The store holding the value.
+        store: Arc<FilePanelStore>,
+        /// Blob class of the value's key.
+        class: u16,
+        /// Node index of the value's key.
+        node: u32,
+    },
+}
+
+/// What [`Residence::get`] hands out: the in-memory value borrowed, or the
+/// faulted one kept alive by its `Arc` even if the LRU evicts it.
+enum Held<'a, V> {
+    Borrowed(&'a V),
+    Faulted(Arc<V>),
+}
+
+impl<V> std::ops::Deref for Held<'_, V> {
+    type Target = V;
+    fn deref(&self) -> &V {
+        match self {
+            Held::Borrowed(v) => v,
+            Held::Faulted(v) => v,
+        }
+    }
+}
+
+impl<V: Blob> Residence<V> {
+    /// Borrow the value, or fault it in from its store (a hit if the
+    /// store's resident set still holds it).
+    ///
+    /// # Errors
+    /// What [`FilePanelStore::get`] reports for a stored value.
+    pub fn get(&self) -> Result<impl std::ops::Deref<Target = V> + '_, StoreError> {
+        Ok(match self {
+            Residence::Memory(v) => Held::Borrowed(v),
+            Residence::Stored { store, class, node } => Held::Faulted(store.get(*class, *node)?),
+        })
+    }
+
+    /// Write an in-memory value into `writer` under `(class, node)`.
+    ///
+    /// # Errors
+    /// [`StoreError::AlreadyStored`] when the value already lives in a
+    /// store; [`StoreError::Io`] on a write failure.
+    pub fn spill(&self, writer: &mut StoreWriter, class: u16, node: u32) -> Result<(), StoreError> {
+        match self {
+            Residence::Memory(v) => writer.put(class, node, v),
+            Residence::Stored { class, node, .. } => Err(StoreError::AlreadyStored {
+                class: *class,
+                node: *node,
+            }),
+        }
+    }
+
+    /// Swap an in-memory value for its locator when `store` holds
+    /// `(class, node)`, freeing the in-memory copy. A value already stored,
+    /// or a key the store lacks, is left as it is.
+    pub fn attach(&mut self, store: &Arc<FilePanelStore>, class: u16, node: u32) {
+        if matches!(self, Residence::Memory(_)) && store.contains(class, node) {
+            *self = Residence::Stored {
+                store: Arc::clone(store),
+                class,
+                node,
+            };
+        }
     }
 }
 
@@ -1007,6 +1108,7 @@ mod tests {
         w.f64(-2.5);
         w.bytes(b"panel");
         w.usize_slice(&[3, 1, 4, 1, 5]);
+        w.nested(&sample(9, 5));
         let mut r = ByteReader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
@@ -1015,7 +1117,51 @@ mod tests {
         assert_eq!(r.f64().unwrap(), -2.5);
         assert_eq!(r.bytes().unwrap(), b"panel");
         assert_eq!(r.usize_slice().unwrap(), vec![3, 1, 4, 1, 5]);
+        assert_eq!(r.nested::<VecBlob>().unwrap(), sample(9, 5));
         r.finish().unwrap();
+    }
+
+    /// A residence spills its in-memory value, attaches to the store that
+    /// holds it, then faults it in on every `get`; a stored value refuses a
+    /// second spill.
+    #[test]
+    fn residence_spills_attaches_and_faults() {
+        let path = tmp_path("residence");
+        let mut held = Residence::Memory(sample(3, 40));
+        let mut absent = Residence::Memory(sample(4, 40));
+        let mut w = StoreWriter::create(&path).unwrap();
+        held.spill(&mut w, classes::L2L, 7).unwrap();
+        w.finish().unwrap();
+        let store = Arc::new(FilePanelStore::open(&path, 1).unwrap());
+        held.attach(&store, classes::S2S, 7);
+        absent.attach(&store, classes::L2L, 8);
+        assert!(
+            matches!(held, Residence::Memory(_)),
+            "no S2S key to attach to"
+        );
+        assert!(matches!(absent, Residence::Memory(_)), "no key for node 8");
+        held.attach(&store, classes::L2L, 7);
+        assert!(matches!(held, Residence::Stored { node: 7, .. }));
+        for faults in 1..=2 {
+            assert_eq!(*held.get().unwrap(), sample(3, 40));
+            assert_eq!(
+                store.stats().faults,
+                faults,
+                "a one-byte budget caches nothing"
+            );
+        }
+        assert_eq!(*absent.get().unwrap(), sample(4, 40));
+        assert_eq!(store.stats().faults, 2, "an in-memory get reads nothing");
+        let mut again = StoreWriter::create(tmp_path("residence-again")).unwrap();
+        assert_eq!(
+            held.spill(&mut again, classes::L2L, 7),
+            Err(StoreError::AlreadyStored {
+                class: classes::L2L,
+                node: 7
+            })
+        );
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(tmp_path("residence-again")).unwrap();
     }
 
     #[test]

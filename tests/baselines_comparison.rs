@@ -99,18 +99,26 @@ fn gofmm_beats_unpermuted_baselines_on_scrambled_kernel() {
     );
     let w = rhs(n, 8);
     let rank = 32;
-    let gofmm_eps = |metric: DistanceMetric, budget: f64| {
+    // ε₂ of a GOFMM compression, and its longest near list.
+    let gofmm = |metric: DistanceMetric, budget: f64| {
         let cfg = gofmm_config()
             .with_max_rank(rank)
             .with_tolerance(0.0)
             .with_metric(metric)
             .with_budget(budget);
         let comp = compress::<f64, _>(&k, &cfg);
+        let longest_near = comp.lists.near.iter().map(Vec::len).max().unwrap_or(0);
         let (u, _) = comp.into_evaluator(&k).apply(&w).unwrap();
-        sampled_relative_error(&k, &w, &u, 100, 0)
+        (sampled_relative_error(&k, &w, &u, 100, 0), longest_near)
     };
 
-    let e_gofmm = gofmm_eps(DistanceMetric::Kernel, 0.10);
+    // Budget 0.125 over 16 leaves lets a leaf keep floor(0.125 x 16) = 2
+    // near leaves (the symmetrisation may add more): an FMM, not HSS.
+    let (e_gofmm, longest_near) = gofmm(DistanceMetric::Kernel, 0.125);
+    assert!(
+        longest_near > 1,
+        "budget 0.125 must give some leaf a near list beyond itself (longest {longest_near})"
+    );
 
     let hodlr = Hodlr::<f64>::compress(
         &k,
@@ -149,13 +157,19 @@ fn gofmm_beats_unpermuted_baselines_on_scrambled_kernel() {
         DistanceMetric::Lexicographic,
         DistanceMetric::Random,
     ]
-    .map(|metric| gofmm_eps(metric, 0.0));
+    .map(|metric| gofmm(metric, 0.0).0);
     for (name, e) in [("kernel", e_kernel), ("angle", e_angle)] {
         assert!(
             e < e_lex && e < e_random,
             "{name} ordering ({e}) should beat lexicographic ({e_lex}) and random ({e_random})"
         );
     }
+    // Figure 6: at the same rank and ordering, the FMM's near blocks buy the
+    // accuracy the HSS skeletons alone cannot.
+    assert!(
+        e_gofmm < e_kernel,
+        "FMM ({e_gofmm}) should beat kernel-ordered HSS ({e_kernel})"
+    );
 }
 
 #[test]

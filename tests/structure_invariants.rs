@@ -173,43 +173,47 @@ fn dag_runtime_handles_large_random_graphs() {
     // Stress the HEFT, FIFO and level-by-level executors with a randomized
     // layered DAG and verify that every task runs exactly once and in
     // dependency order.
-    use gofmm_suite::runtime::{PhasePlan, TraversalPolicy};
+    use gofmm_suite::runtime::{ReusablePlan, TraversalPolicy};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
     let layers = 12;
     let width = 40;
-    let finished: Arc<Vec<AtomicUsize>> =
-        Arc::new((0..layers * width).map(|_| AtomicUsize::new(0)).collect());
+    let finished: Vec<AtomicUsize> = (0..layers * width).map(|_| AtomicUsize::new(0)).collect();
     for policy in [
         TraversalPolicy::DagHeft,
         TraversalPolicy::DagFifo,
         TraversalPolicy::LevelByLevel,
     ] {
-        let mut plan = PhasePlan::new();
+        // Each task depends on up to three pseudo-random tasks of the
+        // previous layer.
+        let dep_idxs = |idx: usize| -> Vec<usize> {
+            let (layer, w) = (idx / width, idx % width);
+            if layer == 0 {
+                Vec::new()
+            } else {
+                (0..3)
+                    .map(|d| (layer - 1) * width + (w * 7 + d * 13 + layer) % width)
+                    .collect()
+            }
+        };
+        let mut plan = ReusablePlan::new();
         for layer in 0..layers {
             for w in 0..width {
                 let idx = layer * width + w;
-                let fin = finished.clone();
-                // Each task depends on up to three pseudo-random tasks of the
-                // previous layer.
-                let dep_idxs: Vec<usize> = if layer == 0 {
-                    Vec::new()
-                } else {
-                    (0..3)
-                        .map(|d| (layer - 1) * width + (w * 7 + d * 13 + layer) % width)
-                        .collect()
-                };
-                let deps: Vec<(&'static str, usize)> = dep_idxs.iter().map(|&d| ("t", d)).collect();
-                plan.add("t", idx, (w % 5) as f64 + 1.0, &deps, move || {
-                    // All dependencies must have completed already.
-                    for &d in &dep_idxs {
-                        assert!(fin[d].load(Ordering::SeqCst) > 0, "dependency {d} not done");
-                    }
-                    fin[idx].fetch_add(1, Ordering::SeqCst);
-                });
+                let deps: Vec<(&'static str, usize)> =
+                    dep_idxs(idx).iter().map(|&d| ("t", d)).collect();
+                plan.add("t", idx, (w % 5) as f64 + 1.0, &deps);
             }
         }
-        let stats = plan.run(policy, 8);
+        let stats = plan.run(policy, 8, |_, idx| {
+            // All dependencies must have completed already.
+            for d in dep_idxs(idx) {
+                assert!(
+                    finished[d].load(Ordering::SeqCst) > 0,
+                    "dependency {d} not done"
+                );
+            }
+            finished[idx].fetch_add(1, Ordering::SeqCst);
+        });
         assert_eq!(stats.tasks_executed, layers * width);
         for f in finished.iter() {
             assert_eq!(f.swap(0, Ordering::SeqCst), 1);
