@@ -107,6 +107,12 @@ pub enum Error {
     },
 }
 
+impl From<gofmm_runtime::Cancelled> for Error {
+    fn from(_: gofmm_runtime::Cancelled) -> Self {
+        Error::Cancelled
+    }
+}
+
 impl From<gofmm_store::StoreError> for Error {
     fn from(e: gofmm_store::StoreError) -> Self {
         match e {

@@ -15,8 +15,9 @@
 //! compression stores none — builds the evaluation task DAG once (a
 //! [`ReusablePlan`]), and then serves unlimited [`Evaluator::apply`] calls
 //! that touch the matrix zero times. `apply` takes `&self`: every call
-//! leases its per-node value buffers from an internal [`WorkspacePool`], so
-//! one evaluator can serve many request threads concurrently.
+//! leases its per-node value buffers from an internal
+//! [`WorkspacePool`](gofmm_runtime::WorkspacePool), so one evaluator can
+//! serve many request threads concurrently.
 //!
 //! How a panel is stored and multiplied lives in `panel.rs`; the persisted
 //! operator format ([`Evaluator::write_to`] / [`Evaluator::open_from`]) in
@@ -33,15 +34,13 @@ use crate::config::{ApplyOptions, PanelPrecision, TraversalPolicy};
 use crate::error::Error;
 use crate::lists::InteractionLists;
 use crate::panel::{with_temp, Panel, Values};
+use crate::sweep::{SweepDriver, SweepWorkspace};
 use crate::tune::TuneStats;
 use gofmm_linalg::blas::{gemm_flops, KC};
 use gofmm_linalg::{gemm, DenseMatrix, Scalar, Transpose};
 use gofmm_matrices::SpdMatrix;
-use gofmm_runtime::{
-    parallel_for, CancelToken, DisjointCells, ExecStats, Family, ReusablePlan, RunDefaults,
-    WorkspacePool,
-};
-use gofmm_telemetry::{PhaseTimes, SpanKind, Stopwatch, SweepProgress};
+use gofmm_runtime::{parallel_for, DisjointCells, ExecStats, Family, ReusablePlan};
+use gofmm_telemetry::{PhaseTimes, Stopwatch};
 use gofmm_tree::PartitionTree;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -109,10 +108,11 @@ impl EvaluationStats {
 /// * the evaluation [`ReusablePlan`] (N2S postorder, S2S, S2N preorder, L2L;
 ///   Figure 3 of the paper) is built once and re-run for every apply;
 /// * the per-node value buffers (`w~`, `u~`, far/near leaf outputs) live in
-///   a [`WorkspacePool`] keyed by the right-hand-side count: each apply
-///   leases a workspace (allocating only on a pool miss), which makes
-///   [`Evaluator::apply`] a `&self` operation that any number of threads may
-///   call on one shared evaluator simultaneously.
+///   a [`WorkspacePool`](gofmm_runtime::WorkspacePool) keyed by the
+///   right-hand-side count: each apply leases a workspace (allocating only
+///   on a pool miss), which makes [`Evaluator::apply`] a `&self` operation
+///   that any number of threads may call on one shared evaluator
+///   simultaneously.
 ///
 /// After construction, [`Evaluator::apply`] never evaluates a kernel entry —
 /// the source matrix is not even reachable from it.
@@ -156,9 +156,6 @@ impl EvaluationStats {
 /// ```
 pub struct Evaluator<'a, T: Scalar> {
     comp: CompRef<'a, T>,
-    /// Default traversal policy / worker count, overridable per call through
-    /// [`ApplyOptions`].
-    defaults: RunDefaults,
     /// Per-node far blocks `K_{skel(beta), skel(alpha)}`, packed into one
     /// panel (in memory or file-backed); [`Panel::Empty`] when the node has
     /// none.
@@ -176,13 +173,12 @@ pub struct Evaluator<'a, T: Scalar> {
     /// Outcome of the last accepted [`Evaluator::tune`] run, reported
     /// through every subsequent [`EvaluationStats::tune`].
     pub(crate) tune_stats: Option<TuneStats>,
-    /// The evaluation task DAG, built once and re-run per apply (safe to run
-    /// from many threads at once).
-    plan: ReusablePlan,
+    /// The evaluation task DAG with its default policy / worker count
+    /// (overridable per call through [`ApplyOptions`]) and the per-apply
+    /// value buffers, leased per call and recycled across calls.
+    sweep: SweepDriver<ApplyWorkspace<T>>,
     setup_time: f64,
     pub(crate) cached_bytes: usize,
-    /// Per-apply value buffers, leased per call and recycled across calls.
-    pool: WorkspacePool<ApplyWorkspace<T>>,
 }
 
 /// One apply's per-node value buffers, pooled by right-hand-side count.
@@ -236,16 +232,6 @@ impl<T: Scalar> ApplyWorkspace<T> {
         }
     }
 
-    /// Zero the accumulator families of a recycled workspace. `staged`,
-    /// `wtilde` and `mirror` need no reset: the first is refilled before
-    /// every sweep, and every `wtilde` / `mirror` cell that is ever read is
-    /// fully overwritten by its node's N2S / L2L task.
-    fn reset(&mut self) {
-        self.utilde.for_each_mut(|_, m| m.fill(T::zero()));
-        self.u_far.for_each_mut(|_, m| m.fill(T::zero()));
-        self.u_near.for_each_mut(|_, m| m.fill(T::zero()));
-    }
-
     /// The output in original index order: each leaf's `u_far + u_near`,
     /// scattered through the tree permutation one output column at a time,
     /// so the random-row writes of a column stay within that column. First,
@@ -285,6 +271,22 @@ impl<T: Scalar> ApplyWorkspace<T> {
             }
         }
         out
+    }
+}
+
+impl<T: Scalar> SweepWorkspace<T> for ApplyWorkspace<T> {
+    fn staged(&mut self) -> &mut DenseMatrix<T> {
+        &mut self.staged
+    }
+
+    /// Zero the accumulator families of a recycled workspace. `staged`,
+    /// `wtilde` and `mirror` need no reset: the first is refilled before
+    /// every sweep, and every `wtilde` / `mirror` cell that is ever read is
+    /// fully overwritten by its node's N2S / L2L task.
+    fn reset(&mut self) {
+        self.utilde.for_each_mut(|_, m| m.fill(T::zero()));
+        self.u_far.for_each_mut(|_, m| m.fill(T::zero()));
+        self.u_near.for_each_mut(|_, m| m.fill(T::zero()));
     }
 }
 
@@ -464,16 +466,14 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
 
         let mut evaluator = Evaluator {
             comp,
-            defaults: RunDefaults::new(policy, num_threads),
             far,
             near,
             near_map,
             tuned_far: None,
             tune_stats: None,
-            plan,
+            sweep: SweepDriver::new("APPLY", "input rows", plan, policy, num_threads),
             setup_time: t0.seconds(),
             cached_bytes: 0,
-            pool: WorkspacePool::new(),
         };
         evaluator.recompute_cached_bytes();
         evaluator
@@ -537,7 +537,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     /// versus reused a shelved one. A steady-state serving loop should see
     /// `recycled` grow and `created` stay flat.
     pub fn pool_lease_stats(&self) -> (usize, usize) {
-        (self.pool.created(), self.pool.recycled())
+        self.sweep.pool_lease_stats()
     }
 
     /// Storage precision of the packed panels, taken from
@@ -549,13 +549,13 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     /// The default traversal policy of [`Evaluator::apply`] (override per
     /// call with [`Evaluator::apply_with`]).
     pub fn policy(&self) -> TraversalPolicy {
-        self.defaults.policy()
+        self.sweep.policy()
     }
 
     /// The default worker-thread count of [`Evaluator::apply`] (override per
     /// call with [`Evaluator::apply_with`]).
     pub fn threads(&self) -> usize {
-        self.defaults.threads()
+        self.sweep.threads()
     }
 
     /// Evaluate `u ≈ K w` from cached state, using the evaluator's default
@@ -567,7 +567,8 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     /// interaction block was packed at construction.
     ///
     /// # Errors
-    /// [`Error::DimensionMismatch`] when `w.rows() != n`.
+    /// [`Error::DimensionMismatch`] when `w.rows() != n`;
+    /// [`Error::Storage`] when a file-backed panel fails to fault in.
     pub fn apply(&self, w: &DenseMatrix<T>) -> Result<(DenseMatrix<T>, EvaluationStats), Error> {
         self.apply_with(w, &ApplyOptions::default())
     }
@@ -580,102 +581,46 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
     /// # Errors
     /// [`Error::DimensionMismatch`] when `w.rows() != n`;
     /// [`Error::Cancelled`] when `opts.cancel` fires before the sweep
-    /// completes (checked once per task under every policy).
-    /// A cancelled call leaves the evaluator fully reusable: its leased
-    /// workspace is returned to the pool and reset on the next checkout.
+    /// completes (checked once per task under every policy);
+    /// [`Error::Storage`] when a file-backed panel fails to fault in (the
+    /// first failed fault stops the sweep).
+    /// A cancelled or failed call leaves the evaluator fully reusable: its
+    /// leased workspace is returned to the pool and reset on the next
+    /// checkout.
     pub fn apply_with(
         &self,
         w: &DenseMatrix<T>,
         opts: &ApplyOptions,
     ) -> Result<(DenseMatrix<T>, EvaluationStats), Error> {
-        if w.rows() != self.comp.n() {
-            return Err(Error::DimensionMismatch {
-                what: "input rows",
-                expected: self.comp.n(),
-                got: w.rows(),
-            });
-        }
-        let cancel = opts.cancel.as_ref();
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(Error::Cancelled);
-        }
-        let (policy, num_threads) = self.defaults.resolve(opts.policy, opts.threads);
-        let sink = opts.trace.as_ref();
-        let phase_start = sink.map(|s| s.now());
         let sw = Stopwatch::start();
-        let mut ws = self
-            .pool
-            .lease(w.cols(), || ApplyWorkspace::allocate(&self.comp, w.cols()));
-        if ws.recycled() {
-            ws.reset();
-        }
-        let tree = &self.comp.tree;
-        w.gather_rows_into(tree.perm(), &mut ws.staged);
         let flops = AtomicU64::new(0);
-
-        let sweep = opts
-            .progress
-            .as_ref()
-            .map(|handle| SweepProgress::new(handle.clone(), &self.sweep_stages()));
         let owner_mirrors = self.near_map.owner_mirrors(w.cols(), &self.near);
-        let pass = ApplyPass {
-            ev: self,
-            ws: &ws,
-            flops: &flops,
-            owner_mirrors,
-        };
-        let exec_stats = self
-            .plan
-            .run_with(policy, num_threads, cancel, sink, |family, node| {
-                pass.dispatch(family, node);
-                if let Some(sp) = sweep.as_ref() {
-                    let level = match family {
-                        "N2S" | "S2N" => gofmm_runtime::heap_level(node),
-                        _ => 0,
-                    };
-                    sp.task_done(family, level);
-                }
-            })
-            .map_err(|_| Error::Cancelled)?;
-
-        let out = ws.assemble(&self.comp, &self.near_map, owner_mirrors);
-        if let (Some(s), Some(t0)) = (sink, phase_start) {
-            s.record(SpanKind::Phase, "APPLY", 0, 0, t0, s.now());
-        }
+        let (out, exec) = self.sweep.run(
+            &self.comp.tree,
+            w,
+            opts,
+            || ApplyWorkspace::allocate(&self.comp, w.cols()),
+            |ws, family, node| {
+                let pass = ApplyPass {
+                    ev: self,
+                    ws,
+                    flops: &flops,
+                    owner_mirrors,
+                };
+                pass.dispatch(family, node)
+            },
+            |ws, exec| (ws.assemble(&self.comp, &self.near_map, owner_mirrors), exec),
+        )?;
         let stats = EvaluationStats {
             time: sw.seconds(),
             setup_time: self.setup_time,
             cached_bytes: self.cached_bytes,
             panel_precision: self.panel_precision(),
             flops: flops.load(Ordering::Relaxed),
-            exec: Some(exec_stats),
+            exec: Some(exec),
             tune: self.tune_stats.clone(),
         };
         Ok((out, stats))
-    }
-
-    /// The apply sweep's `(family, level, task_count)` stages, mirroring the
-    /// tasks [`evaluation_plan`] registers (plus the always-run L2L leaves) —
-    /// what a per-call [`SweepProgress`] tracker is seeded with.
-    fn sweep_stages(&self) -> Vec<(&'static str, usize, usize)> {
-        let comp = self.compressed();
-        let tree = &comp.tree;
-        let skip = |h: usize| h == 0 || comp.bases[h].is_none();
-        let mut stages = Vec::with_capacity(2 * tree.depth() as usize + 2);
-        for level in 1..=tree.depth() {
-            let count = tree.level_range(level).filter(|&h| !skip(h)).count();
-            stages.push(("N2S", level as usize, count));
-        }
-        let s2s = (1..tree.node_count())
-            .filter(|&h| !skip(h) && !comp.lists.far[h].is_empty())
-            .count();
-        stages.push(("S2S", 0, s2s));
-        for level in 1..=tree.depth() {
-            let count = tree.level_range(level).filter(|&h| !skip(h)).count();
-            stages.push(("S2N", level as usize, count));
-        }
-        stages.push(("L2L", 0, tree.leaf_range().len()));
-        stages
     }
 }
 
@@ -859,15 +804,17 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
         wstack
     }
 
-    /// Route a `(family, node)` key from the cached plan to its task.
-    fn dispatch(&self, family: Family, node: usize) {
+    /// Route a `(family, node)` key from the cached plan to its task. Only
+    /// the panel-reading families fault panels in, so only they can fail.
+    fn dispatch(&self, family: Family, node: usize) -> Result<(), Error> {
         match family {
             "N2S" => self.task_n2s(node),
-            "S2S" => self.task_s2s(node),
+            "S2S" => return self.task_s2s(node),
             "S2N" => self.task_s2n(node),
-            "L2L" => self.task_l2l(node),
+            "L2L" => return self.task_l2l(node),
             other => unreachable!("unknown evaluation task family {other}"),
         }
+        Ok(())
     }
 
     /// N2S: skeleton weights `w~_alpha = P w_alpha` (leaf) or
@@ -900,17 +847,18 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
 
     /// S2S: skeleton potentials `u~_beta += K_{skel(beta), Far-skels} w~_Far`
     /// — the far panel times the far nodes' stacked skeleton weights.
-    fn task_s2s(&self, heap: usize) {
+    fn task_s2s(&self, heap: usize) -> Result<(), Error> {
         let panel = &self.ev.far[heap];
         if panel.is_empty() {
-            return;
+            return Ok(());
         }
         let mut ut = self.ws.utilde.write(heap);
         self.count_flops(panel.apply(
             |cols, mul| mul(&self.far_weight_stack(heap, cols, self.r())),
             &mut ut,
             None,
-        ));
+        )?);
+        Ok(())
     }
 
     /// S2N: interpolate skeleton potentials back down the tree.
@@ -962,10 +910,10 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
     /// task, on the same warm panel, also forms the mirror product
     /// `Y_β = K_{β,off}^T w_β` that [`ApplyWorkspace::assemble`] adds into
     /// the other leaves' outputs.
-    fn task_l2l(&self, heap: usize) {
+    fn task_l2l(&self, heap: usize) -> Result<(), Error> {
         let panel = &self.ev.near[heap];
         if panel.is_empty() {
-            return;
+            return Ok(());
         }
         let map = &self.ev.near_map;
         let entries = map.entries(heap);
@@ -983,10 +931,11 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
             |cols, mul| self.near_stack(entries, cols, mul),
             &mut out,
             mirror.as_deref_mut(),
-        ));
+        )?);
         if !self.owner_mirrors {
             self.count_flops(self.read_mirrors(heap, &mut out));
         }
+        Ok(())
     }
 }
 

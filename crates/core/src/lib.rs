@@ -65,6 +65,7 @@ pub mod lists;
 mod panel;
 mod persist;
 pub mod skel;
+pub mod sweep;
 pub mod tune;
 
 pub use accuracy::{accuracy_report, AccuracyReport};
@@ -77,6 +78,7 @@ pub use lists::{build_interaction_lists, check_coverage, InteractionLists};
 #[doc(hidden)]
 pub use persist::{policy_from_tag, policy_tag};
 pub use skel::{skeletonize_node, NodeBasis, SkelParams};
+pub use sweep::{SweepDriver, SweepWorkspace};
 pub use tune::{AccuracyBudget, TuneStats};
 
 /// Storage-tier types accepted by the spill/attach/persistence surface

@@ -379,23 +379,19 @@ impl<T: Scalar> Panel<T> {
     /// `mirror`, on the values the direct product just read: a stored panel
     /// is faulted in once for both.
     ///
-    /// # Panics
-    /// On a storage failure. Apply tasks run on DAG worker threads with no
-    /// error channel; a read error on a store file that was validated at
-    /// open time is an environment failure (file deleted / device gone),
-    /// reported like any other internal invariant violation.
+    /// # Errors
+    /// The [`StoreError`] of a failed fault (the file was truncated or
+    /// removed, the device is gone); `out` and `mirror` are then untouched.
     pub(crate) fn apply(
         &self,
         stacked: impl FnOnce(usize, &mut dyn FnMut(&DenseMatrix<T>)),
         out: &mut DenseMatrix<T>,
         mut mirror: Option<&mut DenseMatrix<T>>,
-    ) -> u64 {
+    ) -> Result<u64, StoreError> {
         let Panel::Packed(residence) = self else {
-            return 0;
+            return Ok(0);
         };
-        let values = residence
-            .get()
-            .unwrap_or_else(|e| panic!("out-of-core panel fault failed mid-apply: {e}"));
+        let values = residence.get()?;
         let view = values.view();
         let mut flops = 0;
         stacked(view.cols(), &mut |v| {
@@ -404,7 +400,7 @@ impl<T: Scalar> Panel<T> {
                 flops += view.apply_mirror(v, y);
             }
         });
-        flops
+        Ok(flops)
     }
 
     /// `y = panel[:, cols]^T w + beta * y` for an in-memory near panel, dense
@@ -598,14 +594,16 @@ mod tests {
     /// accumulator, returning the output bits and the flops reported.
     fn run(panel: &Panel<f64>, v: &DenseMatrix<f64>) -> (Vec<u64>, u64) {
         let mut out = mat(ROWS, R, 9);
-        let flops = panel.apply(
-            |cols, mul| {
-                assert_eq!(cols, COLS, "apply must ask for the panel's column count");
-                mul(v)
-            },
-            &mut out,
-            None,
-        );
+        let flops = panel
+            .apply(
+                |cols, mul| {
+                    assert_eq!(cols, COLS, "apply must ask for the panel's column count");
+                    mul(v)
+                },
+                &mut out,
+                None,
+            )
+            .unwrap();
         (bits(&out), flops)
     }
 
@@ -715,14 +713,16 @@ mod tests {
             let check = |panel: &Panel<f64>| {
                 let mut out = mat(ROWS, R, 9);
                 let mut y = DenseMatrix::from_fn(OFF, R, |_, _| f64::NAN);
-                let got = panel.apply(
-                    |c, mul| {
-                        assert_eq!(c, cols);
-                        mul(&v)
-                    },
-                    &mut out,
-                    Some(&mut y),
-                );
+                let got = panel
+                    .apply(
+                        |c, mul| {
+                            assert_eq!(c, cols);
+                            mul(&v)
+                        },
+                        &mut out,
+                        Some(&mut y),
+                    )
+                    .unwrap();
                 assert_eq!(bits(&out), bits(&want), "{label}: direct product");
                 assert_eq!(bits(&y), bits(&want_y), "{label}: mirror product");
                 assert_eq!(got, flops, "{label}: flops");

@@ -16,14 +16,15 @@
 //! * [`TraversalPolicy::Sequential`] — topological-order execution on the
 //!   calling thread, used as the single-core baseline and in tests.
 //!
-//! Every runner checks the cancellation token once per task.
+//! Every runner checks once per task whether the run was stopped — by the
+//! cancellation token or by a task that reported failure.
 
 use crate::cancel::CancelToken;
 use crate::parallel::parallel_for;
 use crossbeam::deque::{Injector, Steal};
 use parking_lot::Mutex;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// How tree traversals are executed (paper §2.3).
@@ -79,9 +80,10 @@ pub struct ExecStats {
     pub steals: usize,
     /// Number of workers used.
     pub workers: usize,
-    /// True when a cancellation token fired mid-run: the remaining tasks
-    /// were drained (dependencies released, bodies skipped) instead of
-    /// executed, so the run's outputs are incomplete.
+    /// True when the run stopped early — a cancellation token fired or a
+    /// task failed — and the remaining tasks were drained (dependencies
+    /// released, bodies skipped) instead of executed, so the run's outputs
+    /// are incomplete.
     pub cancelled: bool,
 }
 
@@ -129,39 +131,47 @@ pub(crate) type BarrierHook<'h> = dyn Fn(Range<usize>, &dyn Fn()) + 'h;
 /// `barrier(group, body)` wraps each barrier group's run (`body`); the other
 /// policies never call it.
 ///
-/// Takes an optional cooperative cancellation token, polled once
-/// per task. Once the token fires, the remaining tasks are *drained*:
-/// popped, counted as complete and their successors released — but their
-/// bodies are skipped. Draining (rather than stopping) keeps the workers'
-/// termination detection intact, so a cancelled run winds down promptly
-/// with no thread left spinning on an abandoned queue. The returned stats
-/// have `cancelled` set when any task body was skipped.
+/// The run stops when the optional cooperative cancellation token fires or
+/// when `run` returns `false` (the task failed); both are polled once per
+/// task. Once stopped, the remaining tasks are *drained*: popped, counted
+/// as complete and their successors released — but their bodies are
+/// skipped. Draining (rather than abandoning) keeps the workers'
+/// termination detection intact, so a stopped run winds down promptly with
+/// no thread left spinning on an abandoned queue. The returned stats have
+/// `cancelled` set when any task body was skipped.
 pub(crate) fn run_dag_with_cancel(
     shape: DagShape<'_>,
     policy: TraversalPolicy,
     workers: usize,
     cancel: Option<&CancelToken>,
-    run: impl Fn(usize) + Sync,
+    run: impl Fn(usize) -> bool + Sync,
     barrier: &BarrierHook<'_>,
 ) -> ExecStats {
     match policy {
         TraversalPolicy::Sequential => run_dag_sequential(shape.len(), cancel, run),
         TraversalPolicy::LevelByLevel => run_dag_barriers(shape, workers, cancel, run, barrier),
-        TraversalPolicy::DagFifo => run_dag_fifo(shape, workers, cancel, run),
-        TraversalPolicy::DagHeft => run_dag_heft(shape, workers, cancel, run),
+        TraversalPolicy::DagFifo => run_dag_queues(shape, workers, cancel, run, false),
+        TraversalPolicy::DagHeft => run_dag_queues(shape, workers, cancel, run, true),
     }
 }
 
-/// Run every task on the calling thread in index (topological) order.
-fn run_dag_sequential(n: usize, cancel: Option<&CancelToken>, run: impl Fn(usize)) -> ExecStats {
+/// Run every task on the calling thread in index (topological) order, up to
+/// the first failed one.
+fn run_dag_sequential(
+    n: usize,
+    cancel: Option<&CancelToken>,
+    run: impl Fn(usize) -> bool,
+) -> ExecStats {
     let start = Instant::now();
     let mut executed = 0usize;
     for i in 0..n {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             break;
         }
-        run(i);
         executed += 1;
+        if !run(i) {
+            break;
+        }
     }
     // One worker and no queue: the tasks tile the run, so the run's clock is
     // the task time and no task pays for two clock reads of its own.
@@ -186,6 +196,8 @@ struct RunState<'s> {
     completed: AtomicUsize,
     total: usize,
     cancel: Option<&'s CancelToken>,
+    /// Set by the first failed task: every later body is skipped.
+    failed: AtomicBool,
 }
 
 impl<'s> RunState<'s> {
@@ -200,27 +212,30 @@ impl<'s> RunState<'s> {
             total: shape.len(),
             shape,
             cancel,
+            failed: AtomicBool::new(false),
         }
     }
 
-    /// Run (or, when the cancellation token has fired, drain) task `idx`.
-    /// Returns the task's wall time when the body ran, `None` when it was
-    /// drained. Either way the task counts as completed for termination
-    /// detection, and the caller must still release its successors.
-    fn run_task(&self, idx: usize, run: &(impl Fn(usize) + Sync)) -> Option<f64> {
-        let dt = if self.is_cancelled() {
+    /// Run (or, when the run was stopped, drain) task `idx`. Returns the
+    /// task's wall time when the body ran, `None` when it was drained.
+    /// Either way the task counts as completed for termination detection,
+    /// and the caller must still release its successors.
+    fn run_task(&self, idx: usize, run: &(impl Fn(usize) -> bool + Sync)) -> Option<f64> {
+        let dt = if self.is_stopped() {
             None
         } else {
             let t0 = Instant::now();
-            run(idx);
+            if !run(idx) {
+                self.failed.store(true, Ordering::Relaxed);
+            }
             Some(t0.elapsed().as_secs_f64())
         };
         self.completed.fetch_add(1, Ordering::Release);
         dt
     }
 
-    fn is_cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
+    fn is_stopped(&self) -> bool {
+        self.failed.load(Ordering::Relaxed) || self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
     fn done(&self) -> bool {
@@ -236,7 +251,7 @@ fn run_dag_barriers(
     shape: DagShape<'_>,
     workers: usize,
     cancel: Option<&CancelToken>,
-    run: impl Fn(usize) + Sync,
+    run: impl Fn(usize) -> bool + Sync,
     barrier: &BarrierHook<'_>,
 ) -> ExecStats {
     let workers = workers.max(1);
@@ -247,6 +262,7 @@ fn run_dag_barriers(
         total: shape.len(),
         shape,
         cancel,
+        failed: AtomicBool::new(false),
     };
     let busy_ns = AtomicU64::new(0);
     let executed = AtomicUsize::new(0);
@@ -273,85 +289,20 @@ fn run_dag_barriers(
     }
 }
 
-/// Run a DAG with one shared FIFO ready queue (no cost model, no affinity).
-fn run_dag_fifo(
-    shape: DagShape<'_>,
-    workers: usize,
-    cancel: Option<&CancelToken>,
-    run: impl Fn(usize) + Sync,
-) -> ExecStats {
-    let workers = workers.max(1);
-    let state = RunState::new(shape, cancel);
-    if state.total == 0 {
-        return ExecStats {
-            workers,
-            ..Default::default()
-        };
-    }
-    let queue = Injector::<usize>::new();
-    for (i, r) in state.remaining.iter().enumerate() {
-        if r.load(Ordering::Relaxed) == 0 {
-            queue.push(i);
-        }
-    }
-    let start = Instant::now();
-    let busy: Vec<Mutex<f64>> = (0..workers).map(|_| Mutex::new(0.0)).collect();
-    let executed = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let state = &state;
-            let queue = &queue;
-            let busy = &busy[w];
-            let executed = &executed;
-            let run = &run;
-            scope.spawn(move || loop {
-                if state.done() {
-                    break;
-                }
-                match queue.steal() {
-                    Steal::Success(idx) => {
-                        if let Some(dt) = state.run_task(idx, run) {
-                            *busy.lock() += dt;
-                            executed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        for &s in &state.shape.successors[idx] {
-                            if state.remaining[s].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                queue.push(s);
-                            }
-                        }
-                    }
-                    Steal::Empty | Steal::Retry => {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    let worker_busy: Vec<f64> = busy.iter().map(|b| *b.lock()).collect();
-    let tasks_executed = executed.load(Ordering::Relaxed);
-    ExecStats {
-        elapsed,
-        tasks_executed,
-        total_task_time: worker_busy.iter().sum(),
-        worker_busy,
-        steals: 0,
-        workers,
-        cancelled: tasks_executed < state.total,
-    }
-}
-
-/// Run a DAG with the GOFMM-style runtime: HEFT dispatch plus job stealing.
+/// Run a DAG from ready queues on `workers` threads.
 ///
-/// Every ready task is pushed to the queue of the worker whose estimated
-/// finish time (sum of costs of tasks already queued there) is smallest. Idle
-/// workers steal from the longest queue, which covers cost-model inaccuracy
-/// exactly like the paper's job-stealing fallback.
-fn run_dag_heft(
+/// With `heft`, the GOFMM-style runtime: every ready task is pushed to the
+/// queue of the worker whose estimated finish time (sum of costs of tasks
+/// already queued there) is smallest, and idle workers steal round-robin,
+/// which covers cost-model inaccuracy exactly like the paper's job-stealing
+/// fallback. Without, one shared FIFO ready queue (no cost model, no
+/// affinity).
+fn run_dag_queues(
     shape: DagShape<'_>,
     workers: usize,
     cancel: Option<&CancelToken>,
-    run: impl Fn(usize) + Sync,
+    run: impl Fn(usize) -> bool + Sync,
+    heft: bool,
 ) -> ExecStats {
     let workers = workers.max(1);
     let state = RunState::new(shape, cancel);
@@ -361,12 +312,16 @@ fn run_dag_heft(
             ..Default::default()
         };
     }
-    let queues: Vec<Injector<usize>> = (0..workers).map(|_| Injector::new()).collect();
-    // Estimated finish time per worker, protected by a single small mutex:
+    let queue_count = if heft { workers } else { 1 };
+    let queues: Vec<Injector<usize>> = (0..queue_count).map(|_| Injector::new()).collect();
+    // Estimated finish time per queue, protected by a single small mutex:
     // dispatch is O(workers) and happens once per task, so contention is low.
-    let eft = Mutex::new(vec![0.0f64; workers]);
+    let eft = Mutex::new(vec![0.0f64; queue_count]);
 
     let dispatch = |idx: usize| {
+        if !heft {
+            return queues[0].push(idx);
+        }
         let mut eft = eft.lock();
         let (wmin, _) = eft
             .iter()
@@ -397,17 +352,18 @@ fn run_dag_heft(
             let dispatch = &dispatch;
             let run = &run;
             scope.spawn(move || {
+                let own = w % queues.len();
                 loop {
                     if state.done() {
                         break;
                     }
                     // Own queue first, then steal round-robin.
                     let mut task = None;
-                    if let Steal::Success(idx) = queues[w].steal() {
+                    if let Steal::Success(idx) = queues[own].steal() {
                         task = Some(idx);
                     } else {
                         for off in 1..queues.len() {
-                            let victim = (w + off) % queues.len();
+                            let victim = (own + off) % queues.len();
                             if let Steal::Success(idx) = queues[victim].steal() {
                                 steals.fetch_add(1, Ordering::Relaxed);
                                 task = Some(idx);

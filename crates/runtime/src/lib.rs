@@ -25,9 +25,7 @@
 //!   level-by-level schedule and by "any order" loops,
 //! * [`pool`] — shared-state serving support: [`pool::WorkspacePool`] leases
 //!   per-call buffer bundles (keyed by right-hand-side width) so persistent
-//!   engines can serve `&self` applies/solves concurrently, and
-//!   [`pool::RunDefaults`] holds an engine's default policy/worker count
-//!   with per-call override resolution.
+//!   engines can serve `&self` applies/solves concurrently.
 //!
 //! See `ARCHITECTURE.md` at the repository root for how these pieces fit the
 //! paper's phases.
@@ -43,5 +41,5 @@ pub mod pool;
 pub use cancel::{CancelToken, Cancelled};
 pub use executor::{ExecStats, TraversalPolicy};
 pub use parallel::{available_threads, parallel_for};
-pub use plan::{heap_level, DisjointCells, Family, PlanTopology, ReusablePlan, SharedCells};
-pub use pool::{Lease, RunDefaults, WorkspacePool};
+pub use plan::{heap_level, DisjointCells, Family, PlanTopology, ReusablePlan};
+pub use pool::{Lease, WorkspacePool};

@@ -22,9 +22,7 @@
 //!   edges), so cells need no blocking locks. Access is checked by a per-cell
 //!   atomic borrow flag that panics on a conflicting concurrent access, which
 //!   turns a scheduling bug into a loud failure instead of a silent data
-//!   race,
-//! * [`SharedCells`] — mutex-backed cells for values that genuinely are
-//!   accumulated by concurrently schedulable tasks.
+//!   race.
 //!
 //! Level-by-level traversal is a schedule of the same DAG, not a separate
 //! loop: freezing a plan splits its insertion order into *barrier groups*.
@@ -33,15 +31,17 @@
 //! family gets one group per tree level and a flat family (S2S, L2L) one
 //! group. [`TraversalPolicy::LevelByLevel`] runs the groups one after
 //! another with a barrier between them and, under a trace sink, records one
-//! [`SpanKind::Marker`] span per group.
+//! [`SpanKind::Marker`] span per group. The same groups are the stages a
+//! [`ReusablePlan::run_with`] progress listener hears about.
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::executor::{run_dag_with_cancel, BarrierHook, DagShape, ExecStats, TraversalPolicy};
-use gofmm_telemetry::{SpanKind, TraceSink};
+use gofmm_telemetry::{ProgressHandle, ProgressReport, SpanKind, TraceSink};
+use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// A task family inside a phase, e.g. `"SKEL"` or `"N2S"`. Families plus the
@@ -312,20 +312,24 @@ impl ReusablePlan {
         let run = |idx: usize| {
             let (family, node) = self.keys[idx];
             task(family, node);
+            true
         };
         self.execute(policy, workers, None, run, &|_, body| body())
     }
 
-    /// [`ReusablePlan::run`] plus optional cooperative cancellation *and*
-    /// optional span tracing in one call.
+    /// [`ReusablePlan::run`] with fallible tasks, plus optional cooperative
+    /// cancellation, span tracing and progress reports in one call.
     ///
-    /// When `cancel` fires mid-run, the remaining tasks are drained
-    /// (dependencies released, bodies skipped) so the runner winds down
-    /// promptly, and `Err(Cancelled)` is returned — the run's outputs are
-    /// incomplete and must be discarded. A token that only fires after the
-    /// last task body ran returns `Ok`: the results are complete and
-    /// usable. Pass `cancel: None` for an uncancellable run (the `Err` case
-    /// is then unreachable).
+    /// The first task that returns `Err` stops the run: every task body not
+    /// yet started is skipped, the remaining tasks drain (dependencies
+    /// released) so the runner winds down promptly, and that error is
+    /// returned. When `cancel` fires mid-run the tasks drain the same way
+    /// and `Err(Cancelled.into())` is returned. Either way the run's
+    /// outputs are incomplete and must be discarded. A token that only
+    /// fires after the last task body ran returns `Ok`: the results are
+    /// complete and usable. A run in which no task fails executes exactly
+    /// the bodies [`ReusablePlan::run`] would, so its outputs keep their
+    /// bits.
     ///
     /// When `trace` is `Some`, every task body is wrapped in a
     /// [`SpanKind::Task`] span recorded into the sink — keyed by the
@@ -333,30 +337,54 @@ impl ReusablePlan {
     /// every barrier group in a [`SpanKind::Marker`] span labelled with its
     /// family and its first task's heap level. Neither has any effect on
     /// the task's outputs (the hard observability contract: traced and
-    /// untraced runs are bit-identical). When `trace` is `None` the only
-    /// extra cost over [`ReusablePlan::run`] is one branch per task.
-    pub fn run_with(
+    /// untraced runs are bit-identical).
+    ///
+    /// When `progress` is `Some`, each barrier group is one stage: as the
+    /// last task of a group succeeds, the listener gets a
+    /// [`ProgressReport::SweepLevel`] report with a monotone count of
+    /// completed groups out of the plan's group count — so a sweep's stages
+    /// are one per family × tree level, as the plan holds them.
+    ///
+    /// With `trace` and `progress` both `None`, the extra cost over
+    /// [`ReusablePlan::run`] is two branches per task.
+    pub fn run_with<E: From<Cancelled> + Send>(
         &self,
         policy: TraversalPolicy,
         workers: usize,
         cancel: Option<&CancelToken>,
         trace: Option<&TraceSink>,
-        task: impl Fn(Family, usize) + Sync,
-    ) -> Result<ExecStats, Cancelled> {
+        progress: Option<&ProgressHandle>,
+        task: impl Fn(Family, usize) -> Result<(), E> + Sync,
+    ) -> Result<ExecStats, E> {
         if let (Some(sink), TraversalPolicy::Sequential) = (trace, policy) {
             // The tasks run on this thread: set its lane up before the first
             // span opens, not between the first span and the second.
             sink.register_thread();
         }
+        let stages = progress.map(|handle| Stages::new(handle, &self.freeze().groups));
+        let failure: Mutex<Option<E>> = Mutex::new(None);
         let run = |idx: usize| {
             let (family, node) = self.keys[idx];
-            match trace {
+            let result = match trace {
                 None => task(family, node),
                 Some(sink) => {
                     let t0 = sink.now();
-                    task(family, node);
+                    let result = task(family, node);
                     let t1 = sink.now();
                     sink.record(SpanKind::Task, family, node, heap_level(node), t0, t1);
+                    result
+                }
+            };
+            match result {
+                Ok(()) => {
+                    if let Some(stages) = &stages {
+                        stages.task_done(family, idx);
+                    }
+                    true
+                }
+                Err(err) => {
+                    failure.lock().get_or_insert(err);
+                    false
                 }
             }
         };
@@ -377,10 +405,10 @@ impl ReusablePlan {
             }
         };
         let stats = self.execute(policy, workers, cancel, run, &barrier);
-        if stats.cancelled {
-            Err(Cancelled)
-        } else {
-            Ok(stats)
+        match failure.into_inner() {
+            Some(err) => Err(err),
+            None if stats.cancelled => Err(Cancelled.into()),
+            None => Ok(stats),
         }
     }
 
@@ -389,7 +417,7 @@ impl ReusablePlan {
         policy: TraversalPolicy,
         workers: usize,
         cancel: Option<&CancelToken>,
-        run: impl Fn(usize) + Sync,
+        run: impl Fn(usize) -> bool + Sync,
         barrier: &BarrierHook<'_>,
     ) -> ExecStats {
         let frozen = self.freeze();
@@ -406,6 +434,42 @@ impl ReusablePlan {
             run,
             barrier,
         )
+    }
+}
+
+/// The progress of one run, with the plan's barrier groups as its stages:
+/// when the last task of a group succeeds, the listener gets one
+/// [`ProgressReport::SweepLevel`] report with the monotone count of
+/// completed groups.
+struct Stages<'r> {
+    handle: &'r ProgressHandle,
+    groups: &'r [Range<usize>],
+    /// Per group, its tasks still to succeed.
+    remaining: Vec<AtomicUsize>,
+    completed: AtomicUsize,
+}
+
+impl<'r> Stages<'r> {
+    fn new(handle: &'r ProgressHandle, groups: &'r [Range<usize>]) -> Self {
+        Self {
+            handle,
+            groups,
+            remaining: groups.iter().map(|g| AtomicUsize::new(g.len())).collect(),
+            completed: AtomicUsize::new(0),
+        }
+    }
+
+    /// Record the success of task `idx` of `family`.
+    fn task_done(&self, family: Family, idx: usize) {
+        let group = self.groups.partition_point(|g| g.end <= idx);
+        if self.remaining[group].fetch_sub(1, Ordering::AcqRel) == 1 {
+            let completed = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
+            self.handle.report(&ProgressReport::SweepLevel {
+                family,
+                completed,
+                total: self.groups.len(),
+            });
+        }
     }
 }
 
@@ -561,42 +625,6 @@ impl<T> Drop for CellWrite<'_, T> {
     }
 }
 
-/// Mutex-backed per-node cells, for values accumulated by tasks that the DAG
-/// deliberately allows to run concurrently. Prefer [`DisjointCells`] whenever
-/// dependency edges already serialize all access.
-pub struct SharedCells<T> {
-    cells: Vec<parking_lot::Mutex<T>>,
-}
-
-impl<T> SharedCells<T> {
-    /// `n` cells initialised by `init(i)`.
-    pub fn from_fn(n: usize, mut init: impl FnMut(usize) -> T) -> Self {
-        Self {
-            cells: (0..n).map(|i| parking_lot::Mutex::new(init(i))).collect(),
-        }
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when there are no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Lock cell `i`.
-    pub fn lock(&self, i: usize) -> parking_lot::MutexGuard<'_, T> {
-        self.cells[i].lock()
-    }
-
-    /// Unwrap into the plain values.
-    pub fn into_inner(self) -> Vec<T> {
-        self.cells.into_iter().map(|m| m.into_inner()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,13 +660,13 @@ mod tests {
     fn bottom_up_runs_children_first() {
         let topo = HeapTree { levels: 4 };
         let n = topo.node_count();
-        let order = SharedCells::from_fn(1, |_| Vec::new());
+        let order = Mutex::new(Vec::new());
         for policy in POLICIES {
             let mut plan = ReusablePlan::new();
             plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
             assert_eq!(plan.task_count(), n);
-            plan.run(policy, 4, |_, node| order.lock(0).push(node));
-            let seen = std::mem::take(&mut *order.lock(0));
+            plan.run(policy, 4, |_, node| order.lock().push(node));
+            let seen = std::mem::take(&mut *order.lock());
             assert_eq!(seen.len(), n);
             let pos = |x: usize| seen.iter().position(|&v| v == x).unwrap();
             for node in 0..n {
@@ -660,13 +688,13 @@ mod tests {
     fn top_down_runs_parents_first() {
         let topo = HeapTree { levels: 4 };
         let n = topo.node_count();
-        let order = SharedCells::from_fn(1, |_| Vec::new());
+        let order = Mutex::new(Vec::new());
         let mut plan = ReusablePlan::new();
         plan.add_top_down("DOWN", &topo, |_| false, |_| 1.0, |_, _| {});
         plan.run(TraversalPolicy::DagHeft, 4, |_, node| {
-            order.lock(0).push(node)
+            order.lock().push(node)
         });
-        let seen = order.into_inner().pop().unwrap();
+        let seen = order.into_inner();
         let pos = |x: usize| seen.iter().position(|&v| v == x).unwrap();
         for node in 1..n {
             let parent = topo.plan_parent(node).unwrap();
@@ -684,8 +712,9 @@ mod tests {
         let hits = AtomicUsize::new(0);
         for policy in POLICIES {
             shape
-                .run_with(policy, 3, None, Some(&sink), |_, _| {
+                .run_with::<Cancelled>(policy, 3, None, Some(&sink), None, |_, _| {
                     hits.fetch_add(1, Ordering::SeqCst);
+                    Ok(())
                 })
                 .unwrap();
         }
@@ -949,8 +978,9 @@ mod tests {
             let token = CancelToken::new();
             let counter = AtomicUsize::new(0);
             let stats = plan
-                .run_with(policy, 3, Some(&token), None, |_, _| {
+                .run_with::<Cancelled>(policy, 3, Some(&token), None, None, |_, _| {
                     counter.fetch_add(1, Ordering::SeqCst);
+                    Ok(())
                 })
                 .expect("un-cancelled run must complete");
             assert_eq!(stats.tasks_executed, n, "{policy}");
@@ -968,8 +998,9 @@ mod tests {
             let token = CancelToken::new();
             token.cancel();
             let counter = AtomicUsize::new(0);
-            let err = plan.run_with(policy, 3, Some(&token), None, |_, _| {
+            let err = plan.run_with(policy, 3, Some(&token), None, None, |_, _| {
                 counter.fetch_add(1, Ordering::SeqCst);
+                Ok(())
             });
             assert!(matches!(err, Err(Cancelled)), "{policy}");
             assert_eq!(counter.load(Ordering::SeqCst), 0, "{policy}: body ran");
@@ -988,10 +1019,11 @@ mod tests {
         for policy in POLICIES {
             let token = CancelToken::new();
             let ran = AtomicUsize::new(0);
-            let err = plan.run_with(policy, 4, Some(&token), None, |_, _| {
+            let err = plan.run_with(policy, 4, Some(&token), None, None, |_, _| {
                 if ran.fetch_add(1, Ordering::SeqCst) == 2 {
                     token.cancel();
                 }
+                Ok(())
             });
             assert!(matches!(err, Err(Cancelled)), "{policy}");
             assert!(
@@ -1001,12 +1033,98 @@ mod tests {
             // The plan itself is untouched by a cancelled run.
             let counter = AtomicUsize::new(0);
             let stats = plan
-                .run_with(policy, 4, Some(&CancelToken::new()), None, |_, _| {
+                .run_with::<Cancelled>(policy, 4, Some(&CancelToken::new()), None, None, |_, _| {
                     counter.fetch_add(1, Ordering::SeqCst);
+                    Ok(())
                 })
                 .expect("fresh token must complete");
             assert_eq!(stats.tasks_executed, n, "{policy}");
             assert_eq!(counter.load(Ordering::SeqCst), n, "{policy}");
+        }
+    }
+
+    /// A task error of the run's own type: a failed task or a cancellation.
+    #[derive(Debug, PartialEq)]
+    enum Failure {
+        Task(usize),
+        Cancelled,
+    }
+
+    impl From<Cancelled> for Failure {
+        fn from(_: Cancelled) -> Self {
+            Failure::Cancelled
+        }
+    }
+
+    #[test]
+    fn first_failed_task_stops_the_run_and_returns_its_error() {
+        // A failing task skips every body not yet started, drains the rest
+        // like a cancellation, and hands its error back; the plan then
+        // serves a complete run again.
+        let topo = HeapTree { levels: 6 };
+        let n = topo.node_count();
+        let mut plan = ReusablePlan::new();
+        plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+        for policy in POLICIES {
+            for workers in [1, 3] {
+                let ran = AtomicUsize::new(0);
+                let err = plan.run_with(policy, workers, None, None, None, |_, node| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    match node {
+                        40 => Err(Failure::Task(node)),
+                        _ => Ok(()),
+                    }
+                });
+                assert_eq!(err.unwrap_err(), Failure::Task(40), "{policy}/{workers}");
+                assert!(
+                    ran.load(Ordering::SeqCst) < n,
+                    "{policy}/{workers}: every body ran"
+                );
+                let stats = plan
+                    .run_with::<Failure>(policy, workers, None, None, None, |_, _| Ok(()))
+                    .expect("a run without failures completes");
+                assert_eq!(stats.tasks_executed, n, "{policy}/{workers}");
+                assert!(!stats.cancelled, "{policy}/{workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn progress_reports_one_stage_per_barrier_group() {
+        let topo = HeapTree { levels: 5 };
+        let mut plan = ReusablePlan::new();
+        plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+        plan.add_top_down("DOWN", &topo, |_| false, |_| 1.0, |_, _| {});
+        let groups = plan.freeze().groups.len();
+        assert_eq!(groups, 2 * topo.levels as usize);
+        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let sink = std::sync::Arc::clone(&seen);
+        let handle = ProgressHandle::new(move |r: &ProgressReport<'_>| {
+            if let ProgressReport::SweepLevel {
+                family,
+                completed,
+                total,
+            } = *r
+            {
+                sink.lock().push((family, completed, total));
+            }
+        });
+        for policy in POLICIES {
+            plan.run_with::<Cancelled>(policy, 3, None, None, Some(&handle), |_, _| Ok(()))
+                .unwrap();
+            let mut reports = std::mem::take(&mut *seen.lock());
+            assert_eq!(reports.len(), groups, "{policy}: one report per group");
+            let ups = reports.iter().filter(|r| r.0 == "UP").count();
+            assert_eq!(
+                ups, topo.levels as usize,
+                "{policy}: one UP stage per level"
+            );
+            // Two workers may deliver their reports out of order; the
+            // counts they carry are still each stage's own.
+            reports.sort_by_key(|r| r.1);
+            for (i, &(_, completed, total)) in reports.iter().enumerate() {
+                assert_eq!((completed, total), (i + 1, groups), "{policy}");
+            }
         }
     }
 

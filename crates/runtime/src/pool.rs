@@ -1,21 +1,15 @@
-//! Shared-state serving support: recyclable per-call workspaces and
-//! engine run defaults.
+//! Shared-state serving support: recyclable per-call workspaces.
 //!
 //! The persistent GOFMM engines (`gofmm_core::Evaluator`,
 //! `gofmm_solver::HierarchicalFactor`) historically took `&mut self` per
 //! apply/solve because they recycled one set of per-node scratch buffers
 //! in place. That made a compressed operator unusable as a shared handle:
-//! one buffer set means one in-flight request. This module provides the two
-//! pieces that turn those engines into `&self` services:
-//!
-//! * [`WorkspacePool`] — a pool of per-call buffer bundles keyed by
-//!   right-hand-side width. A call checks a workspace out (or allocates one
-//!   on a pool miss), runs on it exclusively, and the RAII [`Lease`] returns
-//!   it on drop. Concurrent callers never share a workspace; sequential
-//!   callers reuse one, preserving the old recycling behavior.
-//! * [`RunDefaults`] — the engine-level default traversal policy and worker
-//!   count, with per-call override resolution: the single shared
-//!   implementation of thread-count clamping for both engines.
+//! one buffer set means one in-flight request. [`WorkspacePool`] turns those
+//! engines into `&self` services: a pool of per-call buffer bundles keyed by
+//! right-hand-side width. A call checks a workspace out (or allocates one on
+//! a pool miss), runs on it exclusively, and the RAII [`Lease`] returns it
+//! on drop. Concurrent callers never share a workspace; sequential callers
+//! reuse one, preserving the old recycling behavior.
 //!
 //! Checkout and return traffic runs on one `crossbeam` injector per width;
 //! the shelf map's mutex is taken only briefly at the start of each lease to
@@ -23,7 +17,6 @@
 //! lease's own shelf handle). The lookup is a hash probe plus an `Arc`
 //! clone — negligible next to the tree sweep a lease exists to serve.
 
-use crate::executor::TraversalPolicy;
 use crossbeam::deque::{Injector, Steal};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -228,46 +221,6 @@ impl<W> Drop for Lease<W> {
     }
 }
 
-/// Default traversal policy and worker count of a persistent engine, with
-/// per-call override resolution.
-#[derive(Clone, Copy, Debug)]
-pub struct RunDefaults {
-    policy: TraversalPolicy,
-    threads: usize,
-}
-
-impl RunDefaults {
-    /// Defaults with the thread count clamped to at least one worker.
-    pub fn new(policy: TraversalPolicy, threads: usize) -> Self {
-        Self {
-            policy,
-            threads: threads.max(1),
-        }
-    }
-
-    /// The default traversal policy.
-    pub fn policy(&self) -> TraversalPolicy {
-        self.policy
-    }
-
-    /// The default worker-thread count (always >= 1).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Resolve per-call overrides against the defaults.
-    pub fn resolve(
-        &self,
-        policy: Option<TraversalPolicy>,
-        threads: Option<usize>,
-    ) -> (TraversalPolicy, usize) {
-        (
-            policy.unwrap_or(self.policy),
-            threads.map(|t| t.max(1)).unwrap_or(self.threads),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,19 +312,5 @@ mod tests {
         let lease_old = pool.lease(0, || vec![7u8; 1]);
         assert!(!lease_old.recycled());
         assert_eq!(*lease_old, vec![7u8; 1]);
-    }
-
-    #[test]
-    fn run_defaults_resolution() {
-        use TraversalPolicy::{DagFifo, DagHeft, Sequential};
-        assert_eq!(
-            RunDefaults::new(DagHeft, 0).threads(),
-            1,
-            "thread count clamps to 1"
-        );
-        let d = RunDefaults::new(Sequential, 4);
-        assert_eq!((d.policy(), d.threads()), (Sequential, 4));
-        assert_eq!(d.resolve(None, None), (Sequential, 4));
-        assert_eq!(d.resolve(Some(DagFifo), Some(0)), (DagFifo, 1));
     }
 }

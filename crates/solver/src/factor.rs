@@ -43,10 +43,10 @@
 //! writing task per run, solves are bit-identical across policies.
 //!
 //! [`HierarchicalFactor::solve`] takes `&self`: the per-solve sweep buffers
-//! live in a [`WorkspacePool`] keyed by the right-hand-side count, so one
-//! factorization can serve parallel request streams exactly like the
-//! evaluator (concurrent solves lease disjoint workspaces; sequential solves
-//! recycle one).
+//! live in a [`WorkspacePool`](gofmm_runtime::WorkspacePool) keyed by the
+//! right-hand-side count, so one factorization can serve parallel request
+//! streams exactly like the evaluator (concurrent solves lease disjoint
+//! workspaces; sequential solves recycle one).
 //!
 //! The factorization covers the *hierarchical* (HSS) part of the compressed
 //! operator plus the regularization; off-diagonal near blocks beyond the
@@ -78,13 +78,12 @@
 //! the CI-gated `tests/stability_envelope.rs` suite, so a regression in
 //! either backend fails loudly.
 
-use gofmm_core::{ApplyOptions, CompRef, Compressed, Error, TraversalPolicy};
+use gofmm_core::{
+    ApplyOptions, CompRef, Compressed, Error, SweepDriver, SweepWorkspace, TraversalPolicy,
+};
 use gofmm_linalg::{gemm, matmul, matmul_tn, Cholesky, DenseMatrix, LuFactor, Scalar, Transpose};
 use gofmm_matrices::SpdMatrix;
-use gofmm_runtime::{
-    CancelToken, DisjointCells, ExecStats, ReusablePlan, RunDefaults, WorkspacePool,
-};
-use gofmm_telemetry::SpanKind;
+use gofmm_runtime::{DisjointCells, ExecStats, ReusablePlan};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -170,6 +169,9 @@ enum Slot<T: Scalar> {
 /// overwritten earlier in the same solve (the sweeps have no `+=`
 /// accumulators into pooled storage).
 struct SolveWorkspace<T: Scalar> {
+    /// The right-hand side in tree order, so every leaf's rows are one
+    /// contiguous range.
+    staged: DenseMatrix<T>,
     /// Leaf Cholesky solutions `y = H_leaf^{-1} b`.
     y: DisjointCells<DenseMatrix<T>>,
     /// Per-leaf output blocks.
@@ -194,12 +196,19 @@ impl<T: Scalar> SolveWorkspace<T> {
             }
         };
         Self {
+            staged: DenseMatrix::zeros(comp.n(), r),
             y: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(leaf_rows(h), r)),
             x: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(leaf_rows(h), r)),
             v: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), r)),
             z: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(nodes[h].w.rows(), r)),
             delta: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), r)),
         }
+    }
+}
+
+impl<T: Scalar> SweepWorkspace<T> for SolveWorkspace<T> {
+    fn staged(&mut self) -> &mut DenseMatrix<T> {
+        &mut self.staged
     }
 }
 
@@ -246,15 +255,11 @@ impl<T: Scalar> SolveWorkspace<T> {
 pub struct HierarchicalFactor<'a, T: Scalar> {
     comp: CompRef<'a, T>,
     nodes: Vec<NodeFactor<T>>,
-    /// The SUP/SDOWN solve DAG, built once and re-run per solve (safe to run
-    /// from many threads at once).
-    plan: ReusablePlan,
-    /// Default traversal policy / worker count, overridable per call through
-    /// [`ApplyOptions`].
-    defaults: RunDefaults,
+    /// The SUP/SDOWN solve DAG with its default policy / worker count
+    /// (overridable per call through [`ApplyOptions`]) and the per-solve
+    /// sweep buffers, leased per call and recycled across calls.
+    sweep: SweepDriver<SolveWorkspace<T>>,
     stats: FactorStats,
-    /// Per-solve sweep buffers, leased per call and recycled across calls.
-    pool: WorkspacePool<SolveWorkspace<T>>,
 }
 
 impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
@@ -385,14 +390,11 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
             lambda: opts.lambda,
             exec: Some(exec),
         };
-        let plan = solve_plan(&comp);
         Ok(HierarchicalFactor {
-            comp,
             nodes,
-            plan,
-            defaults: RunDefaults::new(policy, num_threads),
+            sweep: solve_driver(&comp, policy, num_threads),
+            comp,
             stats,
-            pool: WorkspacePool::new(),
         })
     }
 
@@ -409,7 +411,7 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
     /// Lifetime lease traffic of the internal solve-workspace pool, as
     /// `(created, recycled)` checkouts.
     pub fn pool_lease_stats(&self) -> (usize, usize) {
-        (self.pool.created(), self.pool.recycled())
+        self.sweep.pool_lease_stats()
     }
 
     /// Factorization statistics (setup time, storage, scheduler stats).
@@ -420,13 +422,13 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
     /// The default traversal policy of [`HierarchicalFactor::solve`]
     /// (override per call with [`HierarchicalFactor::solve_with`]).
     pub fn policy(&self) -> TraversalPolicy {
-        self.defaults.policy()
+        self.sweep.policy()
     }
 
     /// The default worker-thread count of [`HierarchicalFactor::solve`]
     /// (override per call with [`HierarchicalFactor::solve_with`]).
     pub fn threads(&self) -> usize {
-        self.defaults.threads()
+        self.sweep.threads()
     }
 
     /// Solve `(K_hss + lambda I) x = b` from the factored state: one upward
@@ -451,52 +453,30 @@ impl<'a, T: Scalar> HierarchicalFactor<'a, T> {
     /// [`Error::Cancelled`] when `opts.cancel` fires before the sweeps
     /// complete. A cancelled solve leaves the factor fully reusable: the
     /// sweep workspace is overwritten from scratch on every run, so no
-    /// partial state can leak into a later solve.
+    /// partial state can leak into a later solve. Never [`Error::Storage`]:
+    /// this factor holds every block in memory, so no store fault can fail
+    /// its tasks.
     pub fn solve_with(
         &self,
         b: &DenseMatrix<T>,
         opts: &ApplyOptions,
     ) -> Result<DenseMatrix<T>, Error> {
-        if b.rows() != self.comp.n() {
-            return Err(Error::DimensionMismatch {
-                what: "right-hand-side rows",
-                expected: self.comp.n(),
-                got: b.rows(),
-            });
-        }
-        let cancel = opts.cancel.as_ref();
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(Error::Cancelled);
-        }
-        let (policy, num_threads) = self.defaults.resolve(opts.policy, opts.threads);
-        let sink = opts.trace.as_ref();
-        let phase_start = sink.map(|s| s.now());
-        let ws = self.pool.lease(b.cols(), || {
-            SolveWorkspace::allocate(&self.comp, &self.nodes, b.cols())
-        });
-        let pass = SolvePass {
-            factor: self,
-            ws: &ws,
+        self.sweep.run(
+            &self.comp.tree,
             b,
-        };
-        self.plan
-            .run_with(
-                policy,
-                num_threads,
-                cancel,
-                sink,
-                |family, node| match family {
+            opts,
+            || SolveWorkspace::allocate(&self.comp, &self.nodes, b.cols()),
+            |ws, family, node| {
+                let pass = SolvePass { factor: self, ws };
+                match family {
                     "SUP" => pass.task_up(node),
                     "SDOWN" => pass.task_down(node),
                     other => unreachable!("unknown solve task family {other}"),
-                },
-            )
-            .map_err(|_| Error::Cancelled)?;
-        let out = pass.assemble();
-        if let (Some(s), Some(t0)) = (sink, phase_start) {
-            s.record(SpanKind::Phase, "SOLVE", 0, 0, t0, s.now());
-        }
-        Ok(out)
+                }
+                Ok(())
+            },
+            |ws, _| scatter_leaves(&self.comp, &mut ws.x, b.cols()),
+        )
     }
 }
 
@@ -617,13 +597,38 @@ fn factor_interior<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     }))
 }
 
-/// Build the two-sweep solve DAG: `SUP` postorder, `SDOWN` preorder with an
-/// explicit `SUP(node) -> SDOWN(node)` edge (the downward task reads the
-/// coefficients its upward task wrote). Like the evaluation plan, it depends
-/// only on the compressed structure, so one plan serves every solve — and
-/// both solver backends (`HierarchicalFactor` and `crate::UlvFactor`) share
-/// this builder, since their sweeps have identical task-family shapes.
-pub(crate) fn solve_plan<T: Scalar>(comp: &Compressed<T>) -> ReusablePlan {
+/// The `r`-column solution in original index order: each leaf's block of
+/// `x` scattered through the tree permutation one output column at a time.
+pub(crate) fn scatter_leaves<T: Scalar>(
+    comp: &Compressed<T>,
+    x: &mut DisjointCells<DenseMatrix<T>>,
+    r: usize,
+) -> DenseMatrix<T> {
+    let mut out = DenseMatrix::zeros(comp.n(), r);
+    for c in 0..r {
+        let dst = out.col_mut(c);
+        for leaf in comp.tree.leaf_range() {
+            let x = x.get_mut(leaf).col(c);
+            for (&orig, &v) in comp.tree.indices(leaf).iter().zip(x) {
+                dst[orig] = v;
+            }
+        }
+    }
+    out
+}
+
+/// The solve sweeps' driver over the two-sweep solve DAG: `SUP` postorder,
+/// `SDOWN` preorder with an explicit `SUP(node) -> SDOWN(node)` edge (the
+/// downward task reads the coefficients its upward task wrote). Like the
+/// evaluation plan, it depends only on the compressed structure, so one plan
+/// serves every solve — and both solver backends (`HierarchicalFactor` and
+/// `crate::UlvFactor`) share this builder, since their sweeps have identical
+/// task-family shapes.
+pub(crate) fn solve_driver<T: Scalar, W>(
+    comp: &Compressed<T>,
+    policy: TraversalPolicy,
+    threads: usize,
+) -> SweepDriver<W> {
     let tree = &comp.tree;
     let m = comp.config.leaf_size as f64;
     let s = comp.config.max_rank as f64;
@@ -645,11 +650,11 @@ pub(crate) fn solve_plan<T: Scalar>(comp: &Compressed<T>) -> ReusablePlan {
             deps.push(("SUP", heap));
         },
     );
-    plan
+    SweepDriver::new("SOLVE", "right-hand-side rows", plan, policy, threads)
 }
 
-/// One in-flight solve: the factor's cached state, the leased workspace, and
-/// the right-hand side.
+/// One in-flight solve: the factor's cached state and the leased workspace,
+/// which holds the right-hand side in tree order.
 ///
 /// Every buffer cell has exactly one writing task per solve, and every
 /// cross-task read/write pair is ordered by a plan edge (or level barrier),
@@ -659,7 +664,6 @@ pub(crate) fn solve_plan<T: Scalar>(comp: &Compressed<T>) -> ReusablePlan {
 struct SolvePass<'p, 'a, T: Scalar> {
     factor: &'p HierarchicalFactor<'a, T>,
     ws: &'p SolveWorkspace<T>,
-    b: &'p DenseMatrix<T>,
 }
 
 impl<T: Scalar> SolvePass<'_, '_, T> {
@@ -669,7 +673,11 @@ impl<T: Scalar> SolvePass<'_, '_, T> {
         let nf = &self.factor.nodes[heap];
         if comp.tree.is_leaf(heap) {
             let mut y = self.ws.y.write(heap);
-            *y = self.b.select_rows(comp.tree.indices(heap));
+            let node = comp.tree.node(heap);
+            for c in 0..y.cols() {
+                let rows = &self.ws.staged.col(c)[node.start..node.start + node.len];
+                y.col_mut(c).copy_from_slice(rows);
+            }
             nf.chol
                 .as_ref()
                 .expect("leaf factor missing")
@@ -774,22 +782,5 @@ impl<T: Scalar> SolvePass<'_, '_, T> {
                 .delta
                 .set(r, gamma.block(nf.split, gamma.rows(), 0, cols));
         }
-    }
-
-    /// Scatter the per-leaf solutions back into original index order.
-    fn assemble(&self) -> DenseMatrix<T> {
-        let comp = &*self.factor.comp;
-        let n = comp.n();
-        let r = self.b.cols();
-        let mut out = DenseMatrix::zeros(n, r);
-        for leaf in comp.tree.leaf_range() {
-            let x = self.ws.x.read(leaf);
-            for (local, &orig) in comp.tree.indices(leaf).iter().enumerate() {
-                for c in 0..r {
-                    out.set(orig, c, x.get(local, c));
-                }
-            }
-        }
-        out
     }
 }

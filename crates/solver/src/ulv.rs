@@ -38,29 +38,27 @@
 //! DAG-ordered [`DisjointCells`] (one writer per cell per solve, hence
 //! bit-identical solutions across all four traversal policies and worker
 //! counts), and [`UlvFactor::solve`] takes `&self` with per-call workspaces
-//! leased from a [`WorkspacePool`], so one factorization serves parallel
-//! request streams.
+//! leased from a [`WorkspacePool`](gofmm_runtime::WorkspacePool), so one
+//! factorization serves parallel request streams.
 
 use gofmm_core::{
-    policy_from_tag, policy_tag, ApplyOptions, CompRef, Compressed, Error, TraversalPolicy,
+    policy_from_tag, policy_tag, ApplyOptions, CompRef, Compressed, Error, SweepDriver,
+    SweepWorkspace, TraversalPolicy,
 };
 use gofmm_linalg::{
     check_scalar_width, eliminate_trailing, gemm, householder_qr, matmul, rotate_symmetric,
     Cholesky, DenseMatrix, NotPositiveDefinite, Scalar, TrailingElimination, Transpose, WyRotation,
 };
 use gofmm_matrices::SpdMatrix;
-use gofmm_runtime::{
-    heap_level, CancelToken, DisjointCells, ReusablePlan, RunDefaults, WorkspacePool,
-};
+use gofmm_runtime::{DisjointCells, ReusablePlan};
 use gofmm_store::{
     classes, Blob, ByteReader, ByteWriter, FilePanelStore, Residence, StoreError, StoreWriter,
 };
-use gofmm_telemetry::{SpanKind, SweepProgress};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::factor::{solve_plan, FactorOptions, FactorStats};
+use crate::factor::{scatter_leaves, solve_driver, FactorOptions, FactorStats};
 
 /// Relative threshold separating "numerically singular" from "indefinite"
 /// when a Cholesky pivot fails: a non-positive pivot within this fraction of
@@ -237,22 +235,11 @@ impl<T: Scalar> UlvWorkspace<T> {
             x: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(leaf_rows(h), r)),
         }
     }
+}
 
-    /// The solution in original index order: each leaf's block scattered
-    /// through the tree permutation one output column at a time.
-    fn assemble(&mut self, comp: &Compressed<T>) -> DenseMatrix<T> {
-        let r = self.staged.cols();
-        let mut out = DenseMatrix::zeros(comp.n(), r);
-        for c in 0..r {
-            let dst = out.col_mut(c);
-            for leaf in comp.tree.leaf_range() {
-                let x = self.x.get_mut(leaf).col(c);
-                for (&orig, &v) in comp.tree.indices(leaf).iter().zip(x) {
-                    dst[orig] = v;
-                }
-            }
-        }
-        out
+impl<T: Scalar> SweepWorkspace<T> for UlvWorkspace<T> {
+    fn staged(&mut self) -> &mut DenseMatrix<T> {
+        &mut self.staged
     }
 }
 
@@ -308,13 +295,10 @@ pub struct UlvFactor<'a, T: Scalar> {
     /// from the slots so workspace allocation never faults a store-backed
     /// node in.
     dims: Vec<(usize, usize)>,
-    /// The SUP/SDOWN solve DAG (same shape as the SMW backend's), built once
-    /// and re-run per solve.
-    plan: ReusablePlan,
-    defaults: RunDefaults,
+    /// The SUP/SDOWN solve DAG (same shape as the SMW backend's), re-run per
+    /// solve on sweep buffers leased per call and recycled across calls.
+    sweep: SweepDriver<UlvWorkspace<T>>,
     stats: FactorStats,
-    /// Per-solve sweep buffers, leased per call and recycled across calls.
-    pool: WorkspacePool<UlvWorkspace<T>>,
 }
 
 impl<'a, T: Scalar> UlvFactor<'a, T> {
@@ -452,30 +436,24 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
             lambda: opts.lambda,
             exec: Some(exec),
         };
-        let plan = solve_plan(&comp);
         let dims = nodes.iter().map(|n| (n.reduced, n.eliminated)).collect();
         Ok(UlvFactor {
-            comp,
             slots: nodes.into_iter().map(Residence::Memory).collect(),
             dims,
-            plan,
-            defaults: RunDefaults::new(policy, num_threads),
+            sweep: solve_driver(&comp, policy, num_threads),
+            comp,
             stats,
-            pool: WorkspacePool::new(),
         })
     }
 
     /// One node's factor blocks — borrowed when resident, faulted in through
     /// the store's LRU resident set when spilled.
     ///
-    /// # Panics
-    /// On a storage failure for a spilled node (solve tasks run on DAG
-    /// worker threads with no error channel; a read error on a store that
-    /// validated at open time is an environment failure).
-    fn node(&self, heap: usize) -> impl std::ops::Deref<Target = UlvNode<T>> + '_ {
-        self.slots[heap]
-            .get()
-            .unwrap_or_else(|e| panic!("out-of-core ULV node fault failed mid-solve: {e}"))
+    /// # Errors
+    /// [`Error::Storage`] when a spilled node fails to fault in (the store
+    /// file was truncated or removed, the device is gone).
+    fn node(&self, heap: usize) -> Result<impl std::ops::Deref<Target = UlvNode<T>> + '_, Error> {
+        Ok(self.slots[heap].get()?)
     }
 
     /// Matrix dimension `N`.
@@ -491,7 +469,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     /// Lifetime lease traffic of the internal solve-workspace pool, as
     /// `(created, recycled)` checkouts.
     pub fn pool_lease_stats(&self) -> (usize, usize) {
-        (self.pool.created(), self.pool.recycled())
+        self.sweep.pool_lease_stats()
     }
 
     /// Factorization statistics (setup time, storage, scheduler stats).
@@ -502,13 +480,13 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     /// The default traversal policy of [`UlvFactor::solve`] (override per
     /// call with [`UlvFactor::solve_with`]).
     pub fn policy(&self) -> TraversalPolicy {
-        self.defaults.policy()
+        self.sweep.policy()
     }
 
     /// The default worker-thread count of [`UlvFactor::solve`] (override per
     /// call with [`UlvFactor::solve_with`]).
     pub fn threads(&self) -> usize {
-        self.defaults.threads()
+        self.sweep.threads()
     }
 
     /// Solve `(K_hss + lambda I) x = b` from the factored state: one upward
@@ -520,7 +498,8 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     /// solutions.
     ///
     /// # Errors
-    /// [`Error::DimensionMismatch`] when `b.rows() != n`.
+    /// [`Error::DimensionMismatch`] when `b.rows() != n`;
+    /// [`Error::Storage`] when a file-backed node fails to fault in.
     pub fn solve(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>, Error> {
         self.solve_with(b, &ApplyOptions::default())
     }
@@ -531,74 +510,31 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     /// # Errors
     /// [`Error::DimensionMismatch`] when `b.rows() != n`;
     /// [`Error::Cancelled`] when `opts.cancel` fires before the sweeps
-    /// complete. A cancelled solve leaves the factor fully reusable: the
-    /// sweep workspace is overwritten from scratch on every run, so no
-    /// partial state can leak into a later solve.
+    /// complete; [`Error::Storage`] when a file-backed node fails to fault
+    /// in (the first failed fault stops the sweeps). A cancelled or failed
+    /// solve leaves the factor fully reusable: the sweep workspace is
+    /// overwritten from scratch on every run, so no partial state can leak
+    /// into a later solve.
     pub fn solve_with(
         &self,
         b: &DenseMatrix<T>,
         opts: &ApplyOptions,
     ) -> Result<DenseMatrix<T>, Error> {
-        if b.rows() != self.comp.n() {
-            return Err(Error::DimensionMismatch {
-                what: "right-hand-side rows",
-                expected: self.comp.n(),
-                got: b.rows(),
-            });
-        }
-        let cancel = opts.cancel.as_ref();
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(Error::Cancelled);
-        }
-        let (policy, num_threads) = self.defaults.resolve(opts.policy, opts.threads);
-        let mut ws = self.pool.lease(b.cols(), || {
-            UlvWorkspace::allocate(&self.comp, &self.dims, b.cols())
-        });
-        let tree = &self.comp.tree;
-        b.gather_rows_into(tree.perm(), &mut ws.staged);
-        let sweep = opts
-            .progress
-            .as_ref()
-            .map(|handle| SweepProgress::new(handle.clone(), &self.sweep_stages()));
-        let pass = UlvSolvePass {
-            factor: self,
-            ws: &ws,
-        };
-        let sink = opts.trace.as_ref();
-        let phase_start = sink.map(|s| s.now());
-        self.plan
-            .run_with(policy, num_threads, cancel, sink, |family, node| {
+        self.sweep.run(
+            &self.comp.tree,
+            b,
+            opts,
+            || UlvWorkspace::allocate(&self.comp, &self.dims, b.cols()),
+            |ws, family, node| {
+                let pass = UlvSolvePass { factor: self, ws };
                 match family {
                     "SUP" => pass.task_up(node),
                     "SDOWN" => pass.task_down(node),
                     other => unreachable!("unknown solve task family {other}"),
                 }
-                if let Some(sp) = sweep.as_ref() {
-                    sp.task_done(family, heap_level(node));
-                }
-            })
-            .map_err(|_| Error::Cancelled)?;
-        let out = ws.assemble(&self.comp);
-        if let (Some(s), Some(t0)) = (sink, phase_start) {
-            s.record(SpanKind::Phase, "SOLVE", 0, 0, t0, s.now());
-        }
-        Ok(out)
-    }
-
-    /// The solve sweep's `(family, level, task_count)` stages — what a
-    /// per-call [`SweepProgress`] tracker is seeded with. Every node runs
-    /// one `SUP` and one `SDOWN` task, so each level's count is its node
-    /// count; stage order is sweep order (SUP bottom-up, SDOWN top-down).
-    fn sweep_stages(&self) -> Vec<(&'static str, usize, usize)> {
-        let tree = &self.comp.tree;
-        let mut stages = Vec::with_capacity(2 * tree.depth() as usize + 2);
-        for level in (0..=tree.depth()).rev() {
-            stages.push(("SUP", level as usize, tree.level_range(level).count()));
-        }
-        for level in 0..=tree.depth() {
-            stages.push(("SDOWN", level as usize, tree.level_range(level).count()));
-        }
-        stages
+            },
+            |ws, _| scatter_leaves(&self.comp, &mut ws.x, b.cols()),
+        )
     }
 
     /// Spill this factor's per-node blocks into `writer` under
@@ -656,8 +592,8 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
             let mut w = ByteWriter::new(&mut buf);
             w.u8(std::mem::size_of::<T>() as u8);
             w.f64(self.stats.lambda);
-            w.u8(policy_tag(self.defaults.policy()));
-            w.usize(self.defaults.threads());
+            w.u8(policy_tag(self.policy()));
+            w.usize(self.threads());
             w.usize(self.stats.bytes);
         }
         writer
@@ -727,20 +663,17 @@ impl<T: Scalar> UlvFactor<'static, T> {
         }
 
         let comp = CompRef::Shared(comp);
-        let plan = solve_plan(&comp);
         Ok(UlvFactor {
-            comp,
             slots,
             dims,
-            plan,
-            defaults: RunDefaults::new(policy, threads),
+            sweep: solve_driver(&comp, policy, threads),
+            comp,
             stats: FactorStats {
                 setup_time: 0.0,
                 bytes,
                 lambda,
                 exec: None,
             },
-            pool: WorkspacePool::new(),
         })
     }
 }
@@ -986,9 +919,9 @@ impl<T: Scalar> UlvSolvePass<'_, '_, T> {
     /// `SUP`: rotate the node's right-hand side (a leaf's contiguous staged
     /// rows, or the children's reduced ones), forward-eliminate the trailing
     /// variables, push the reduced right-hand side upward.
-    fn task_up(&self, heap: usize) {
+    fn task_up(&self, heap: usize) -> Result<(), Error> {
         let comp = &*self.factor.comp;
-        let nf = self.factor.node(heap);
+        let nf = self.factor.node(heap)?;
         let (s, t) = (nf.reduced, nf.eliminated);
         let r = self.ws.staged.cols();
         // b^ is assembled in a factorization-scratch buffer, column by column.
@@ -1036,13 +969,14 @@ impl<T: Scalar> UlvSolvePass<'_, '_, T> {
             );
         }
         give_scratch(bh);
+        Ok(())
     }
 
     /// `SDOWN`: back-substitute the eliminated variables, rotate back to the
     /// incoming coordinates, split to the children (or emit the leaf block).
-    fn task_down(&self, heap: usize) {
+    fn task_down(&self, heap: usize) -> Result<(), Error> {
         let comp = &*self.factor.comp;
-        let nf = self.factor.node(heap);
+        let nf = self.factor.node(heap)?;
         let (s, t) = (nf.reduced, nf.eliminated);
         let r = self.ws.staged.cols();
         let x1 = self.ws.xred.read(heap);
@@ -1092,6 +1026,7 @@ impl<T: Scalar> UlvSolvePass<'_, '_, T> {
             }
         }
         give_scratch(u);
+        Ok(())
     }
 }
 
@@ -1199,7 +1134,7 @@ mod tests {
             "every leaf basis must be square in this configuration"
         );
         for &h in &square {
-            let node = factor.node(h);
+            let node = factor.node(h).unwrap();
             assert!(node.rotation.is_none(), "node {h}: square basis rotated");
             assert_eq!((node.eliminated, node.bytes()), (0, 0), "node {h}");
         }
@@ -1279,7 +1214,10 @@ mod tests {
         let reopened = UlvFactor::open_from(&path, Arc::clone(&comp), 1 << 16).unwrap();
         assert_eq!(reopened.stats().bytes, factor.stats().bytes);
         for &h in &square {
-            assert!(reopened.node(h).rotation.is_none(), "node {h} reopened");
+            assert!(
+                reopened.node(h).unwrap().rotation.is_none(),
+                "node {h} reopened"
+            );
         }
         assert_eq!(reopened.solve(&b).unwrap().data(), x.data());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1296,7 +1234,7 @@ mod tests {
         let comp = compress::<f64, _>(&k, &hss_config());
         let factor = UlvFactor::new(&k, &comp, 1e-2).unwrap();
         let rotated = (0..comp.tree.node_count())
-            .map(|h| factor.node(h))
+            .map(|h| factor.node(h).unwrap())
             .find(|node| node.rotation.is_some() && node.reduced > 1)
             .expect("a rotated node");
         let mut bytes = Vec::new();

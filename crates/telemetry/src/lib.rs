@@ -47,7 +47,7 @@ pub mod trace;
 
 pub use json::validate_chrome_trace;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use progress::{ProgressHandle, ProgressListener, ProgressReport, SweepProgress};
+pub use progress::{ProgressHandle, ProgressListener, ProgressReport};
 pub use sink::{SpanEvent, SpanGuard, SpanKind, TraceSink};
 pub use stats::{LatencySummary, PhaseTimes, Stopwatch};
 pub use trace::{Trace, TraceSummary};

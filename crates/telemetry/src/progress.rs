@@ -129,75 +129,6 @@ impl PartialEq for ProgressHandle {
 
 impl Eq for ProgressHandle {}
 
-/// Per-sweep progress tracker behind the [`ProgressReport::SweepLevel`]
-/// reports: the apply/solve sweeps register their stages (one per task
-/// family per tree level) up front, then tick tasks off as they finish.
-/// When a stage's last task completes, one `SweepLevel` report is emitted
-/// with the monotone completed-stage count.
-///
-/// Stages registered with zero tasks are dropped, so `total` counts only
-/// stages that actually run and `completed` always reaches `total`.
-/// Thread-safe: DAG workers tick concurrently.
-pub struct SweepProgress {
-    handle: ProgressHandle,
-    index: std::collections::HashMap<(&'static str, usize), usize>,
-    families: Vec<&'static str>,
-    remaining: Vec<std::sync::atomic::AtomicUsize>,
-    completed: std::sync::atomic::AtomicUsize,
-}
-
-impl SweepProgress {
-    /// Register the sweep's stages as `(family, level, task_count)` triples;
-    /// zero-count stages are dropped.
-    pub fn new(handle: ProgressHandle, stages: &[(&'static str, usize, usize)]) -> Self {
-        let mut index = std::collections::HashMap::new();
-        let mut families = Vec::new();
-        let mut remaining = Vec::new();
-        for &(family, level, count) in stages {
-            if count == 0 {
-                continue;
-            }
-            index.insert((family, level), remaining.len());
-            families.push(family);
-            remaining.push(std::sync::atomic::AtomicUsize::new(count));
-        }
-        SweepProgress {
-            handle,
-            index,
-            families,
-            remaining,
-            completed: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of (non-empty) stages in the sweep.
-    pub fn total(&self) -> usize {
-        self.remaining.len()
-    }
-
-    fn finish_stage(&self, idx: usize) {
-        use std::sync::atomic::Ordering;
-        let completed = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
-        self.handle.report(&ProgressReport::SweepLevel {
-            family: self.families[idx],
-            completed,
-            total: self.total(),
-        });
-    }
-
-    /// Record one finished task of `(family, level)`; emits a report when it
-    /// was the stage's last. Unknown stages are ignored.
-    pub fn task_done(&self, family: &'static str, level: usize) {
-        use std::sync::atomic::Ordering;
-        let Some(&idx) = self.index.get(&(family, level)) else {
-            return;
-        };
-        if self.remaining[idx].fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.finish_stage(idx);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,31 +155,6 @@ mod tests {
         handle.report(&ProgressReport::PhaseStarted { phase: "CG" });
         assert_eq!(count.load(Ordering::Relaxed), 1);
         assert_eq!(report.columns_frozen(), Some(1));
-    }
-
-    #[test]
-    fn sweep_progress_counts_stages_not_tasks() {
-        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let s = Arc::clone(&seen);
-        let handle = ProgressHandle::new(move |r: &ProgressReport<'_>| {
-            if let ProgressReport::SweepLevel {
-                completed, total, ..
-            } = r
-            {
-                s.lock().unwrap().push((*completed, *total));
-            }
-        });
-        // One empty stage (dropped), two real ones.
-        let sweep = SweepProgress::new(handle, &[("N2S", 2, 3), ("N2S", 1, 0), ("L2L", 0, 2)]);
-        assert_eq!(sweep.total(), 2);
-        sweep.task_done("N2S", 2);
-        sweep.task_done("N2S", 2);
-        assert!(seen.lock().unwrap().is_empty());
-        sweep.task_done("N2S", 2);
-        sweep.task_done("N2S", 1); // unknown stage: ignored
-        sweep.task_done("L2L", 0);
-        sweep.task_done("L2L", 0);
-        assert_eq!(*seen.lock().unwrap(), vec![(1, 2), (2, 2)]);
     }
 
     #[test]
