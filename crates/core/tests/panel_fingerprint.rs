@@ -8,7 +8,10 @@
 //! attached at a thrashing budget, persisted and reopened} — compared
 //! against constants recorded before the seven-variant `Panel` enum was
 //! collapsed. The resident-byte gauge is
-//! pinned alongside, so the panel byte accounting cannot drift either.
+//! pinned alongside, so the panel byte accounting cannot drift either. A
+//! second table pins a tuned operator whose accepted rung drops far blocks
+//! after rejecting several rungs, recorded before the tuner kept one
+//! factorization per panel across rungs.
 //!
 //! The matrix is an inverse-multiquadric kernel (`+ − × ÷ sqrt` only, all
 //! correctly rounded by IEEE 754), the right-hand side an integer hash, so
@@ -105,10 +108,87 @@ fn level() -> usize {
     }
 }
 
+/// A tuned operator whose accepted rung also drops far blocks, as
+/// `(precision, [scalar, avx2], cached_bytes())`: the points of [`kernel`]
+/// dealt into three unit cubes at `x` offsets 0, 200 and 2000, so far blocks
+/// between cubes are small at three different scales, tuned at a budget the
+/// search reaches only after eight rejected rungs. The early rungs drop more
+/// blocks than the accepted one, so the kept far lists change between
+/// rungs and the tuner's per-panel factorizations restart on new column
+/// sets.
+#[rustfmt::skip]
+const GOLDEN_DROPPING: [(PanelPrecision, [u64; 2], usize); 2] = [
+    (PanelPrecision::Native,   [0x8238_e6b4_181a_7ed0, 0xc2f6_0283_6c58_79c5], 553_600),
+    (PanelPrecision::MixedF32, [0xe677_6c21_5231_9800, 0xf5c3_ee0b_0a40_9725], 276_800),
+];
+
+/// Budget of the [`GOLDEN_DROPPING`] rows.
+const DROPPING_BUDGET: f64 = 1e-3;
+
+fn three_cluster_kernel() -> KernelMatrix {
+    const OFFSETS: [f64; 3] = [0.0, 200.0, 2000.0];
+    let cube = PointCloud::uniform(N, 3, 20170);
+    let data = cube
+        .data()
+        .chunks(3)
+        .enumerate()
+        .flat_map(|(i, p)| [p[0] + OFFSETS[i % 3], p[1], p[2]])
+        .collect();
+    KernelMatrix::new(
+        PointCloud::from_vec(3, data),
+        KernelType::InverseMultiquadric { c: 0.5 },
+        1e-6,
+        "panel-fingerprint-three-clusters",
+    )
+}
+
+/// Apply `ev` resident, persisted and reopened out of core, and spilled and
+/// attached at a thrashing budget: every apply must hash to `want`, and the
+/// resident panels must hold `resident_bytes`.
+fn check_every_residence(
+    ev: &mut Evaluator<'_, f64>,
+    label: &str,
+    want: u64,
+    resident_bytes: usize,
+) {
+    let w = rhs();
+
+    // Resident.
+    let (u, _) = ev.apply(&w).unwrap();
+    assert_eq!(fnv1a(&u), want, "{label}: resident apply");
+    assert_eq!(ev.cached_bytes(), resident_bytes, "{label}");
+
+    // Persisted, then reopened out of core.
+    let dir = tmp_dir(label);
+    let operator_path = dir.join("operator.gfmm");
+    let mut writer = StoreWriter::create(&operator_path).unwrap();
+    ev.write_to(&mut writer).unwrap();
+    writer.finish().unwrap();
+    let (_, reopened) = Evaluator::<f64>::open_from(&operator_path, THRASHING_BUDGET).unwrap();
+    let (u, _) = reopened.apply(&w).unwrap();
+    assert_eq!(fnv1a(&u), want, "{label}: reopened apply");
+    assert_eq!(reopened.cached_bytes(), SPILLED_BYTES, "{label}");
+
+    // Spilled and attached at a thrashing budget.
+    let panels_path = dir.join("panels.gfmm");
+    let mut writer = StoreWriter::create(&panels_path).unwrap();
+    ev.spill_panels(&mut writer).unwrap();
+    writer.finish().unwrap();
+    let store = Arc::new(FilePanelStore::open(&panels_path, THRASHING_BUDGET).unwrap());
+    ev.attach_store(&store);
+    let (u, _) = ev.apply(&w).unwrap();
+    assert_eq!(fnv1a(&u), want, "{label}: attached apply");
+    assert_eq!(ev.cached_bytes(), SPILLED_BYTES, "{label}");
+    assert!(
+        store.stats().evictions > 0,
+        "{label}: the budget must thrash"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn apply_bits_match_the_recorded_fingerprints() {
     let k = kernel();
-    let w = rhs();
     for (precision, tuned, apply, resident_bytes) in GOLDEN {
         let label = format!("{precision:?} tuned={tuned}");
         let comp = compress::<f64, _>(&k, &config(precision));
@@ -121,38 +201,32 @@ fn apply_bits_match_the_recorded_fingerprints() {
                 "{label}: the tune must produce low-rank panels"
             );
         }
+        check_every_residence(&mut ev, &label, apply[level()], resident_bytes);
+    }
+}
 
-        // Resident.
-        let (u, _) = ev.apply(&w).unwrap();
-        let want = apply[level()];
-        assert_eq!(fnv1a(&u), want, "{label}: resident apply");
-        assert_eq!(ev.cached_bytes(), resident_bytes, "{label}");
-
-        // Persisted, then reopened out of core.
-        let dir = tmp_dir(&format!("{precision:?}-tuned-{tuned}"));
-        let operator_path = dir.join("operator.gfmm");
-        let mut writer = StoreWriter::create(&operator_path).unwrap();
-        ev.write_to(&mut writer).unwrap();
-        writer.finish().unwrap();
-        let (_, reopened) = Evaluator::<f64>::open_from(&operator_path, THRASHING_BUDGET).unwrap();
-        let (u, _) = reopened.apply(&w).unwrap();
-        assert_eq!(fnv1a(&u), want, "{label}: reopened apply");
-        assert_eq!(reopened.cached_bytes(), SPILLED_BYTES, "{label}");
-
-        // Spilled and attached at a thrashing budget.
-        let panels_path = dir.join("panels.gfmm");
-        let mut writer = StoreWriter::create(&panels_path).unwrap();
-        ev.spill_panels(&mut writer).unwrap();
-        writer.finish().unwrap();
-        let store = Arc::new(FilePanelStore::open(&panels_path, THRASHING_BUDGET).unwrap());
-        ev.attach_store(&store);
-        let (u, _) = ev.apply(&w).unwrap();
-        assert_eq!(fnv1a(&u), want, "{label}: attached apply");
-        assert_eq!(ev.cached_bytes(), SPILLED_BYTES, "{label}");
+#[test]
+fn tuned_apply_that_drops_far_blocks_matches_its_fingerprint() {
+    let k = three_cluster_kernel();
+    for (precision, apply, resident_bytes) in GOLDEN_DROPPING {
+        let label = format!("{precision:?} dropping");
+        let comp = compress::<f64, _>(&k, &config(precision));
+        let mut ev = Evaluator::new(&k, &comp);
+        let stats = ev.tune(&AccuracyBudget::new(DROPPING_BUDGET)).unwrap();
         assert!(
-            store.stats().evictions > 0,
-            "{label}: the budget must thrash"
+            stats.accepted_any(),
+            "{label}: the budget must be attainable"
         );
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            stats.rejected >= 3,
+            "{label}: {} rejected rungs",
+            stats.rejected
+        );
+        assert!(
+            stats.blocks_dropped > 0,
+            "{label}: the accepted rung must drop far blocks"
+        );
+        assert!(stats.panels_truncated > 0, "{label}: and truncate panels");
+        check_every_residence(&mut ev, &label, apply[level()], resident_bytes);
     }
 }
