@@ -21,6 +21,14 @@
 //! a looser budget accepts at the same rung or an earlier (more
 //! aggressive) one, never a later one.
 //!
+//! Each dense panel is factored once per call: the steps of a pivoted QR do
+//! not depend on where it stops, so one [`PivotedQr`] per panel is advanced
+//! down the ladder and every rung reads its truncation from it, with the
+//! same bits a fresh factorization at that rung's `τ` gives. A far panel's
+//! factorization covers the blocks the rung keeps and restarts only when
+//! that set changes; a rejected rung's undo hands each candidate back, and
+//! the next rung reuses it when the panel's rank did not move.
+//!
 //! The tuner edits the owner-layout panels as they are: each symmetric
 //! pair of off-diagonal near blocks is stored once, in the lower heap
 //! index's panel `[K_ββ | K_{β,owned}]`, so a near truncation replaces the
@@ -32,7 +40,7 @@ use crate::config::ApplyOptions;
 use crate::error::Error;
 use crate::evaluate::Evaluator;
 use crate::panel::{MatRef, Panel, Shape, Values};
-use gofmm_linalg::{truncate_low_rank, DenseMatrix, LowRankFactors, QrOptions, Scalar};
+use gofmm_linalg::{DenseMatrix, PivotedQr, QrOptions, Scalar};
 use gofmm_telemetry::Stopwatch;
 
 /// The contract [`Evaluator::tune`] must finish under: a sampled-ε₂ ceiling
@@ -177,6 +185,14 @@ impl<T: Scalar> Evaluator<'_, T> {
     /// left bit-identical to its pre-tune state and the returned stats
     /// show `accepted == 0`.
     ///
+    /// The search factors each dense panel once and advances that
+    /// factorization rung by rung (see the [module docs](crate::tune)), so
+    /// for the duration of the call it holds one copy of every dense panel
+    /// in the operator scalar `T` — twice the panel bytes for `f32` panels
+    /// under an `f64` operator (≈ 11.8 MB against 5.9 MB on the
+    /// `variants3d-n8k-ooc` benchmark operator) — plus the candidate panels
+    /// of the last rejected rung. All of it is freed before `tune` returns.
+    ///
     /// Tuned evaluators keep every serving guarantee: applies remain
     /// bit-identical across all four traversal policies and any thread
     /// count, and tuned panels spill/reopen through
@@ -241,10 +257,12 @@ impl<T: Scalar> Evaluator<'_, T> {
             self.tuned_far = Some(lists);
         }
 
+        let mut search = self.start_search();
         let mut tau = TAU0;
         let mut committed = false;
         for _ in 0..budget.max_attempts {
-            let edits = self.build_candidate(tau, global_scale, total_blocks);
+            let thr = tau * global_scale / (total_blocks.max(1) as f64).sqrt();
+            let edits = self.build_candidate(&mut search, tau, thr);
             if edits.is_empty() {
                 // No move fires at this aggressiveness; shrinking τ only
                 // selects fewer moves. Give up cleanly.
@@ -269,7 +287,7 @@ impl<T: Scalar> Evaluator<'_, T> {
                 break;
             }
             stats.rejected += 1;
-            self.apply_edits(undo);
+            search.hand_back(self.apply_edits(undo));
             tau *= budget.decay;
         }
 
@@ -303,43 +321,51 @@ impl<T: Scalar> Evaluator<'_, T> {
         (sum2.sqrt(), blocks)
     }
 
-    /// Generate the candidate moves at aggressiveness `tau` against the
-    /// current committed state: far-block drops below the norm threshold,
-    /// then a rank truncation of every (possibly column-reduced) dense
-    /// panel that actually shrinks its byte footprint. Panels already
-    /// replaced by a low-rank pair in an earlier tune are left alone.
-    fn build_candidate(
-        &self,
-        tau: f64,
-        global_scale: f64,
-        total_blocks: usize,
-    ) -> Vec<PanelEdit<T>> {
-        let thr = tau * global_scale / (total_blocks.max(1) as f64).sqrt();
+    /// The per-panel state of one tune call: the norm of every far block of
+    /// each dense far panel (taken once from the committed panels, which
+    /// rejected rungs leave untouched), and no factorization yet.
+    fn start_search(&self) -> Search<T> {
         let comp = self.compressed();
-        let rank_of = |alpha: usize| {
-            comp.bases[alpha]
-                .as_ref()
-                .map(|b| b.rank())
-                .unwrap_or_default()
-        };
+        let far = (0..self.far.len())
+            .map(|heap| {
+                let widths = self.far_list(heap).iter().map(|&alpha| {
+                    comp.bases[alpha]
+                        .as_ref()
+                        .map(|b| b.rank())
+                        .unwrap_or_default()
+                });
+                let blocks = match self.far[heap].dense() {
+                    Some(MatRef::Native(m)) => block_norms(m, widths),
+                    Some(MatRef::Reduced(m)) => block_norms(m, widths),
+                    None => Vec::new(),
+                };
+                FarSearch { blocks, qr: None }
+            })
+            .collect();
+        let near = self.near.iter().map(|_| None).collect();
+        Search { far, near }
+    }
+
+    /// Generate the candidate moves at aggressiveness `tau` against the
+    /// current committed state: far-block drops at or below the norm
+    /// threshold `thr`, then a rank truncation of every (possibly
+    /// column-reduced) dense panel that actually shrinks its byte
+    /// footprint. Panels already replaced by a low-rank pair in an earlier
+    /// tune are left alone.
+    fn build_candidate(&self, search: &mut Search<T>, tau: f64, thr: f64) -> Vec<PanelEdit<T>> {
         let mut edits = Vec::new();
-        for heap in 0..self.far.len() {
+        for (heap, far) in search.far.iter_mut().enumerate() {
             let list = self.far_list(heap);
-            let widths: Vec<usize> = list.iter().map(|&a| rank_of(a)).collect();
             edits.extend(match self.far[heap].dense() {
-                Some(MatRef::Native(m)) => {
-                    far_edit(heap, m, list, &widths, thr, tau, Values::Native)
-                }
-                Some(MatRef::Reduced(m)) => {
-                    far_edit(heap, m, list, &widths, thr, tau, Values::Reduced)
-                }
+                Some(MatRef::Native(m)) => far_edit(heap, m, list, far, thr, tau, Values::Native),
+                Some(MatRef::Reduced(m)) => far_edit(heap, m, list, far, thr, tau, Values::Reduced),
                 None => None,
             });
         }
-        for heap in 0..self.near.len() {
+        for (heap, qr) in search.near.iter_mut().enumerate() {
             let panel = match self.near[heap].dense() {
-                Some(MatRef::Native(m)) => near_edit(m, tau, Values::Native),
-                Some(MatRef::Reduced(m)) => near_edit(m, tau, Values::Reduced),
+                Some(MatRef::Native(m)) => near_edit(m, qr, tau, Values::Native),
+                Some(MatRef::Reduced(m)) => near_edit(m, qr, tau, Values::Reduced),
                 None => None,
             };
             edits.extend(panel.map(|panel| PanelEdit {
@@ -390,70 +416,113 @@ fn fro2<S: Scalar>(m: &DenseMatrix<S>) -> f64 {
     m.data().iter().map(|v| v.to_f64() * v.to_f64()).sum()
 }
 
-/// Column indices and surviving far-list entries after dropping every block
-/// whose Frobenius norm is at or below `thr`; `None` when nothing drops.
-fn drop_blocks<S: Scalar>(
+/// `(width, Frobenius norm)` of each block of columns of a far panel.
+fn block_norms<S: Scalar>(
     m: &DenseMatrix<S>,
-    list: &[usize],
-    widths: &[usize],
-    thr: f64,
-) -> Option<(DenseMatrix<S>, Vec<usize>, usize)> {
-    let mut keep_cols = Vec::new();
-    let mut new_list = Vec::new();
+    widths: impl Iterator<Item = usize>,
+) -> Vec<(usize, f64)> {
     let mut off = 0usize;
-    let mut dropped = 0usize;
-    for (i, &w) in widths.iter().enumerate() {
-        let norm2: f64 = (off..off + w).map(|j| col_fro2(m, j)).sum();
-        if norm2.sqrt() > thr {
-            keep_cols.extend(off..off + w);
-            new_list.push(list[i]);
-        } else {
-            dropped += 1;
-        }
-        off += w;
-    }
+    let blocks = widths
+        .map(|w| {
+            let norm2: f64 = (off..off + w).map(|j| col_fro2(m, j)).sum();
+            off += w;
+            (w, norm2.sqrt())
+        })
+        .collect();
     debug_assert_eq!(off, m.cols(), "far panel/list width mismatch");
-    if dropped == 0 {
-        None
-    } else {
-        Some((m.select_cols(&keep_cols), new_list, dropped))
-    }
+    blocks
 }
 
 fn col_fro2<S: Scalar>(m: &DenseMatrix<S>, j: usize) -> f64 {
     m.col(j).iter().map(|v| v.to_f64() * v.to_f64()).sum()
 }
 
-/// What the rank truncation decided for one dense panel.
-enum Trunc<S: Scalar> {
-    /// Numerically zero at this tolerance: replace with nothing.
-    Zero,
-    /// A low-rank pair strictly smaller than the dense panel.
-    Shrunk(Shape<DenseMatrix<S>>),
-    /// Truncation would not shrink storage; keep the dense panel.
-    Keep,
+/// The per-panel state [`Evaluator::tune`] keeps across its rungs.
+struct Search<T: Scalar> {
+    far: Vec<FarSearch<T>>,
+    /// The factorization of each dense near panel, from its first rung on.
+    near: Vec<Option<PanelQr<T>>>,
 }
 
-/// Rank-truncate a dense panel stored as `S`. The truncation runs in the
-/// operator precision `T` and casts its factors back to the storage scalar
-/// (the identity for native panels), so the measured ε₂ sees the exact panels
-/// an accepted state would serve.
-fn try_truncate<T: Scalar, S: Scalar>(m: &DenseMatrix<S>, tau: f64) -> Trunc<S> {
-    let (rows, cols) = (m.rows(), m.cols());
-    if rows == 0 || cols == 0 {
-        return Trunc::Zero;
+impl<T: Scalar> Search<T> {
+    /// Take back the candidate panels a rejected rung's undo displaced:
+    /// each becomes its panel's spare.
+    fn hand_back(&mut self, candidates: Vec<PanelEdit<T>>) {
+        for c in candidates {
+            let slot = if c.far {
+                &mut self.far[c.heap].qr
+            } else {
+                &mut self.near[c.heap]
+            };
+            if let Some(qr) = slot {
+                qr.spare = Some(c.panel);
+            }
+        }
     }
-    let lr: LowRankFactors<T> =
-        truncate_low_rank(&m.cast(), QrOptions::adaptive(rows.min(cols), tau));
-    if lr.rank() == 0 {
-        Trunc::Zero
-    } else if lr.stored_values() < rows * cols {
-        Trunc::Shrunk(Shape::LowRank {
-            left: lr.left.cast(),
-            right: lr.right.cast(),
-        })
-    } else {
-        Trunc::Keep
+}
+
+/// A dense far panel's state: its blocks, and the factorization of the
+/// blocks the last rung kept (`None` before the first rung and after a rung
+/// that dropped them all).
+struct FarSearch<T: Scalar> {
+    /// `(width, Frobenius norm)` of each block, in far-list order.
+    blocks: Vec<(usize, f64)>,
+    qr: Option<PanelQr<T>>,
+}
+
+/// One dense panel's pivoted QR in the operator precision `T`, advanced
+/// rung by rung.
+struct PanelQr<T: Scalar> {
+    /// The far-list entries whose columns `qr` factors (empty for a near
+    /// panel, which keeps all its columns).
+    kept: Vec<usize>,
+    qr: PivotedQr<T>,
+    /// The smallest rank whose `left · right` pair stores at least as many
+    /// values as the dense panel: truncations stop here, since no rank at
+    /// or past it shrinks the panel.
+    cap: usize,
+    /// Rank of the candidate this panel last produced, and that candidate
+    /// once a rejected rung handed it back.
+    built: usize,
+    spare: Option<Panel<T>>,
+}
+
+impl<T: Scalar> PanelQr<T> {
+    fn new(kept: Vec<usize>, a: DenseMatrix<T>) -> Self {
+        let (rows, cols) = (a.rows(), a.cols());
+        Self {
+            kept,
+            qr: PivotedQr::new(a),
+            cap: (rows * cols).div_ceil((rows + cols).max(1)),
+            built: 0,
+            spare: None,
+        }
+    }
+
+    /// The rank a fresh truncation at relative tolerance `tau` keeps, or
+    /// [`PanelQr::cap`] when that rank would not shrink the panel.
+    fn rank(&mut self, tau: f64) -> usize {
+        self.qr.advance(QrOptions::adaptive(self.cap, tau))
+    }
+
+    /// The candidate panel at rank `k`: the spare when it was built at `k`
+    /// (the same factorization stopped at the same rank gives the same
+    /// panel), `build` otherwise.
+    fn candidate(&mut self, k: usize, build: impl FnOnce(&PivotedQr<T>) -> Panel<T>) -> Panel<T> {
+        let spare = self.spare.take().filter(|_| self.built == k);
+        self.built = k;
+        spare.unwrap_or_else(|| build(&self.qr))
+    }
+}
+
+/// The rank-`k` truncation of `qr`, cast back to the storage scalar (the
+/// identity for native panels), so the measured ε₂ sees the exact panels an
+/// accepted state would serve.
+fn low_rank<T: Scalar, S: Scalar>(qr: &PivotedQr<T>, k: usize) -> Shape<DenseMatrix<S>> {
+    let lr = qr.truncation(k);
+    Shape::LowRank {
+        left: lr.left.cast(),
+        right: lr.right.cast(),
     }
 }
 
@@ -464,15 +533,22 @@ fn far_edit<T: Scalar, S: Scalar>(
     heap: usize,
     m: &DenseMatrix<S>,
     list: &[usize],
-    widths: &[usize],
+    far: &mut FarSearch<T>,
     thr: f64,
     tau: f64,
     wrap: impl Fn(Shape<DenseMatrix<S>>) -> Values<T>,
 ) -> Option<PanelEdit<T>> {
-    let (sel, new_list, dropped) = match drop_blocks(m, list, widths, thr) {
-        Some(d) => d,
-        None => (m.clone(), list.to_vec(), 0),
-    };
+    let mut kept = Vec::new();
+    let mut keep_cols = Vec::new();
+    let mut off = 0usize;
+    for (&alpha, &(width, norm)) in list.iter().zip(&far.blocks) {
+        if norm > thr {
+            kept.push(alpha);
+            keep_cols.extend(off..off + width);
+        }
+        off += width;
+    }
+    let dropped = list.len() - kept.len();
     let edit = |panel, list, dropped, truncated| PanelEdit {
         far: true,
         heap,
@@ -481,21 +557,35 @@ fn far_edit<T: Scalar, S: Scalar>(
         dropped,
         truncated,
     };
-    let all_dropped = || edit(Panel::Empty, Vec::new(), list.len(), false);
-    if sel.cols() == 0 {
-        return Some(all_dropped());
+    if kept.is_empty() {
+        far.qr = None;
+        return Some(edit(Panel::Empty, Vec::new(), list.len(), false));
     }
-    match try_truncate::<T, S>(&sel, tau) {
-        Trunc::Zero => Some(all_dropped()),
-        Trunc::Shrunk(pair) => Some(edit(Panel::owned(wrap(pair)), new_list, dropped, true)),
-        Trunc::Keep if dropped == 0 => None,
-        Trunc::Keep => Some(edit(
-            Panel::owned(wrap(Shape::Dense(sel))),
-            new_list,
-            dropped,
-            false,
-        )),
+    if far.qr.as_ref().map_or(true, |qr| qr.kept != kept) {
+        let sel = DenseMatrix::from_fn(m.rows(), keep_cols.len(), |i, j| {
+            T::from_f64(m.get(i, keep_cols[j]).to_f64())
+        });
+        far.qr = Some(PanelQr::new(kept, sel));
     }
+    let qr = far.qr.as_mut().expect("factorization of the kept blocks");
+    let k = qr.rank(tau);
+    if k == 0 {
+        // Numerically zero at this tolerance: replace with nothing.
+        let panel = qr.candidate(0, |_| Panel::Empty);
+        return Some(edit(panel, Vec::new(), list.len(), false));
+    }
+    let truncated = k < qr.cap;
+    if !truncated && dropped == 0 {
+        return None;
+    }
+    let panel = qr.candidate(k, |f| {
+        Panel::owned(wrap(if truncated {
+            low_rank(f, k)
+        } else {
+            Shape::Dense(m.select_cols(&keep_cols))
+        }))
+    });
+    Some(edit(panel, qr.kept.clone(), dropped, truncated))
 }
 
 /// Candidate panel for a near (L2L) panel stored as `S`: rank truncation
@@ -503,15 +593,18 @@ fn far_edit<T: Scalar, S: Scalar>(
 /// with the leaf's stacked near rows and its mirror rows.
 fn near_edit<T: Scalar, S: Scalar>(
     m: &DenseMatrix<S>,
+    qr: &mut Option<PanelQr<T>>,
     tau: f64,
     wrap: impl Fn(Shape<DenseMatrix<S>>) -> Values<T>,
 ) -> Option<Panel<T>> {
-    match try_truncate::<T, S>(m, tau) {
-        Trunc::Shrunk(pair) => Some(Panel::owned(wrap(pair))),
-        // A near panel starts with the SPD diagonal block `K_ββ`, so it is
-        // never numerically zero; an emptied one would serve no mirror.
-        Trunc::Zero | Trunc::Keep => None,
+    let qr = qr.get_or_insert_with(|| PanelQr::new(Vec::new(), m.cast()));
+    let k = qr.rank(tau);
+    // A near panel starts with the SPD diagonal block `K_ββ`, so it is
+    // never numerically zero; an emptied one would serve no mirror.
+    if k == 0 || k == qr.cap {
+        return None;
     }
+    Some(qr.candidate(k, |f| Panel::owned(wrap(low_rank(f, k)))))
 }
 
 /// Deterministic probe matrix with entries in `[-1, 1)`: a pure function of

@@ -45,7 +45,7 @@ pub use cholesky::{is_spd, Cholesky, NotPositiveDefinite};
 pub use id::{id_reconstruct, interpolative_decomposition, Id};
 pub use lu::{LuFactor, SingularMatrix};
 pub use matrix::DenseMatrix;
-pub use qr::{householder_qr, pivoted_qr, truncate_low_rank, LowRankFactors, QrFactors, QrOptions};
+pub use qr::{householder_qr, pivoted_qr, LowRankFactors, PivotedQr, QrFactors, QrOptions};
 pub use scalar::Scalar;
 pub use simd::{simd_level, SimdLevel};
 pub use trsm::{tri_inverse, trsm_left, trsm_left_blocked, trsv, Triangle};

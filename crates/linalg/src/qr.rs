@@ -3,7 +3,9 @@
 //! The pivoted factorization is the Rust stand-in for LAPACK's `GEQP3`, which
 //! GOFMM uses inside skeletonization: the first `s` pivot columns become the
 //! skeleton, and the interpolation coefficients come from a triangular solve
-//! with the leading `s x s` block of `R` (see `crate::id`).
+//! with the leading `s x s` block of `R` (see `crate::id`). Its engine,
+//! [`PivotedQr`], can be continued where it stopped, so a search over a
+//! descending ladder of tolerances factors a matrix once.
 
 use crate::blas::{gemm, Transpose};
 use crate::matrix::DenseMatrix;
@@ -161,36 +163,14 @@ impl<T: Scalar> QrFactors<T> {
         q
     }
 
-    /// Apply the stored Householder reflections to `b` in place: steps
-    /// `0..rank` in order for `Q^T` (`forward`), in reverse for `Q`. The one
-    /// place the compact-representation conventions (implicit `v[step] = 1`,
-    /// `tau == 0` skip) live. Both the reflector and the updated column are
-    /// contiguous column slices, so the reduction and the rank-1 update run
-    /// through the dispatched dot/axpy kernels. Its callers: the two-pass
-    /// form of [`crate::ulv::rotate_symmetric`] (blocks below
-    /// `ROTATE_WY_MIN_ORDER`), [`QrFactors::q_thin`] (and with it
-    /// [`truncate_low_rank`] and the ID). The ULV solves
-    /// apply [`crate::ulv::WyRotation`] instead, which runs these same steps
-    /// on its stored blocks below `SOLVE_WY_MIN_ORDER`.
+    /// Apply the stored Householder reflections to `b` in place: `Q^T` for
+    /// `transpose`, `Q` otherwise (see [`apply_reflectors`]). Its callers:
+    /// the two-pass form of [`crate::ulv::rotate_symmetric`] (blocks below
+    /// `ROTATE_WY_MIN_ORDER`) and [`QrFactors::q_thin`] (and with it the ID).
+    /// The ULV solves apply [`crate::ulv::WyRotation`] instead, which runs
+    /// these same steps on its stored blocks below `SOLVE_WY_MIN_ORDER`.
     fn apply_reflections(&self, b: &mut DenseMatrix<T>, transpose: bool) {
-        assert_eq!(b.rows(), self.rows());
-        let m = self.rows();
-        for idx in 0..self.rank {
-            let step = if transpose { idx } else { self.rank - 1 - idx };
-            let tau = self.tau[step];
-            if tau == T::zero() {
-                continue;
-            }
-            // v = [1, factors[step+1.., step]]
-            let v = &self.factors.col(step)[step + 1..m];
-            for j in 0..b.cols() {
-                let bj = b.col_mut(j);
-                let dotv = bj[step] + T::dot_kernel(v, &bj[step + 1..m]);
-                let s = tau * dotv;
-                bj[step] -= s;
-                T::axpy_kernel(-s, v, &mut bj[step + 1..m]);
-            }
-        }
+        apply_reflectors(&self.factors, &self.tau, b, transpose);
     }
 
     /// Apply `Q^T` to a matrix `B` in place (`B <- Q^T B`), using the compact
@@ -227,52 +207,154 @@ impl<T: Scalar> QrFactors<T> {
     }
 }
 
-/// Column-pivoted Householder QR with optional early termination.
-///
-/// Mirrors `xGEQP3` behaviour: at every step the remaining column with the
-/// largest partial norm is swapped to the front. Early termination happens
-/// when either `opts.max_rank` pivots have been produced or the largest
-/// remaining column norm drops below the requested tolerance — this is exactly
-/// the adaptive-rank criterion GOFMM uses (`sigma_{s+1} < tau`).
-pub fn pivoted_qr<T: Scalar>(a: &DenseMatrix<T>, opts: QrOptions) -> QrFactors<T> {
-    let m = a.rows();
-    let n = a.cols();
-    let mut f = a.clone();
-    let kmax = m.min(n).min(opts.max_rank);
-    let mut tau = Vec::with_capacity(kmax);
-    let mut pivots: Vec<usize> = (0..n).collect();
-
-    // Partial column norms, updated (downdated) after every reflection.
-    let mut colnorm: Vec<T> = (0..n).map(|j| crate::blas::nrm2(f.col(j))).collect();
-    let mut colnorm_ref = colnorm.clone();
-    let norm0 = colnorm
-        .iter()
-        .fold(T::zero(), |acc, v| acc.max(*v))
-        .to_f64();
-
-    let mut rank = 0usize;
-    for k in 0..kmax {
-        // Pivot: column with largest remaining norm.
-        let (jmax, &vmax) = colnorm[k..]
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(idx, v)| (idx + k, v))
-            .unwrap();
-        let vmax_f = vmax.to_f64();
-        if (opts.rel_tol > 0.0 && vmax_f <= opts.rel_tol * norm0)
-            || (opts.abs_tol > 0.0 && vmax_f <= opts.abs_tol)
-            || vmax_f == 0.0
-        {
-            break;
+/// Apply the first `tau.len()` Householder reflections stored below the
+/// diagonal of `factors` to `b` in place: steps in order for `Q^T`
+/// (`transpose`), in reverse for `Q`. The one place the
+/// compact-representation conventions (implicit `v[step] = 1`, `tau == 0`
+/// skip) live. Both the reflector and the updated column are contiguous
+/// column slices, so the reduction and the rank-1 update run through the
+/// dispatched dot/axpy kernels.
+fn apply_reflectors<T: Scalar>(
+    factors: &DenseMatrix<T>,
+    tau: &[T],
+    b: &mut DenseMatrix<T>,
+    transpose: bool,
+) {
+    let m = factors.rows();
+    assert_eq!(b.rows(), m);
+    let k = tau.len();
+    for idx in 0..k {
+        let step = if transpose { idx } else { k - 1 - idx };
+        let tau = tau[step];
+        if tau == T::zero() {
+            continue;
         }
+        // v = [1, factors[step+1.., step]]
+        let v = &factors.col(step)[step + 1..m];
+        for j in 0..b.cols() {
+            let bj = b.col_mut(j);
+            let dotv = bj[step] + T::dot_kernel(v, &bj[step + 1..m]);
+            let s = tau * dotv;
+            bj[step] -= s;
+            T::axpy_kernel(-s, v, &mut bj[step + 1..m]);
+        }
+    }
+}
+
+/// A column-pivoted Householder QR that can be continued where it stopped.
+///
+/// Mirrors `xGEQP3`: at every step the remaining column with the largest
+/// partial norm is swapped to the front, and the factorization stops once
+/// `max_rank` pivots exist or that norm falls below the tolerance — the
+/// adaptive-rank criterion GOFMM uses (`sigma_{s+1} < tau`). The steps do not
+/// depend on where the run stops, so the factorization keeps its working
+/// matrix, partial column norms, pivots and the norm each step tested:
+/// [`PivotedQr::advance`] continues from the last step and stops exactly
+/// where a fresh run with the same options would. [`pivoted_qr`] is one
+/// `new` + `advance`; `Evaluator::tune` in `gofmm-core` advances one
+/// factorization per panel down its ladder of tolerances.
+///
+/// [`PivotedQr::truncation`] reads the rank-`k` approximation of any
+/// `k ≤ steps()`: later pivot swaps move whole columns at positions `≥ k`
+/// and later reflectors touch only rows `≥ k`, so the first `k` reflectors
+/// and the rows `< k` of `R` hold the bits of a fresh run stopped at `k`.
+#[derive(Clone, Debug)]
+pub struct PivotedQr<T: Scalar> {
+    /// Householder vectors below the diagonal, `R` on and above it (in the
+    /// columns factored so far), the partially reduced trailing block.
+    factors: DenseMatrix<T>,
+    /// One Householder scalar per step taken.
+    tau: Vec<T>,
+    /// `pivots[k]` is the original column index now in position `k`.
+    pivots: Vec<usize>,
+    /// Partial (downdated) column norms, and the norms they were last
+    /// recomputed from (LAPACK's safeguard).
+    colnorm: Vec<T>,
+    colnorm_ref: Vec<T>,
+    /// Largest initial column norm: the scale of `rel_tol`.
+    norm0: f64,
+    /// `tested[k]`: the pivot norm step `k` tested and passed.
+    tested: Vec<f64>,
+}
+
+impl<T: Scalar> PivotedQr<T> {
+    /// Start factoring `a` (no step taken yet).
+    pub fn new(a: DenseMatrix<T>) -> Self {
+        let colnorm: Vec<T> = (0..a.cols()).map(|j| crate::blas::nrm2(a.col(j))).collect();
+        let norm0 = colnorm
+            .iter()
+            .fold(T::zero(), |acc, v| acc.max(*v))
+            .to_f64();
+        Self {
+            pivots: (0..a.cols()).collect(),
+            colnorm_ref: colnorm.clone(),
+            colnorm,
+            norm0,
+            factors: a,
+            tau: Vec::new(),
+            tested: Vec::new(),
+        }
+    }
+
+    /// Householder steps taken so far.
+    pub fn steps(&self) -> usize {
+        self.tau.len()
+    }
+
+    /// Column pivot permutation: position `k` holds original column
+    /// `pivots[k]`. Positions `< steps()` are final.
+    pub fn pivots(&self) -> &[usize] {
+        &self.pivots
+    }
+
+    /// Run the steps a fresh factorization under `opts` would take, starting
+    /// after the last step taken, and return the rank that run stops at.
+    /// When earlier calls already went past it, no step is taken: the rank
+    /// is read from the recorded pivot norms.
+    pub fn advance(&mut self, opts: QrOptions) -> usize {
+        let (m, n) = (self.factors.rows(), self.factors.cols());
+        let kmax = m.min(n).min(opts.max_rank);
+        let norm0 = self.norm0;
+        let stops = |v: f64| {
+            (opts.rel_tol > 0.0 && v <= opts.rel_tol * norm0)
+                || (opts.abs_tol > 0.0 && v <= opts.abs_tol)
+                || v == 0.0
+        };
+        if let Some(k) = self.tested[..kmax.min(self.steps())]
+            .iter()
+            .position(|&v| stops(v))
+        {
+            return k;
+        }
+        for k in self.steps()..kmax {
+            // Pivot: column with largest remaining norm.
+            let (jmax, &vmax) = self.colnorm[k..]
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .map(|(idx, v)| (idx + k, v))
+                .unwrap();
+            let vmax = vmax.to_f64();
+            if stops(vmax) {
+                return k;
+            }
+            self.tested.push(vmax);
+            self.step(k, jmax);
+        }
+        kmax
+    }
+
+    /// Householder step `k` with pivot column `jmax`.
+    fn step(&mut self, k: usize, jmax: usize) {
+        let (m, n) = (self.factors.rows(), self.factors.cols());
+        let f = &mut self.factors;
         if jmax != k {
             // Swap columns k and jmax (jmax > k) plus bookkeeping.
             let (lo, hi) = f.data_mut().split_at_mut(jmax * m);
             lo[k * m..(k + 1) * m].swap_with_slice(&mut hi[..m]);
-            colnorm.swap(k, jmax);
-            colnorm_ref.swap(k, jmax);
-            pivots.swap(k, jmax);
+            self.colnorm.swap(k, jmax);
+            self.colnorm_ref.swap(k, jmax);
+            self.pivots.swap(k, jmax);
         }
 
         // Householder reflector for column k, rows k..m.
@@ -282,9 +364,8 @@ pub fn pivoted_qr<T: Scalar>(a: &DenseMatrix<T>, opts: QrOptions) -> QrFactors<T
             T::dot_kernel(x, x).sqrt()
         };
         if normx == T::zero() {
-            tau.push(T::zero());
-            rank = k + 1;
-            continue;
+            self.tau.push(T::zero());
+            return;
         }
         let beta = if alpha.to_f64() >= 0.0 { -normx } else { normx };
         let tau_k = (beta - alpha) / beta;
@@ -294,7 +375,7 @@ pub fn pivoted_qr<T: Scalar>(a: &DenseMatrix<T>, opts: QrOptions) -> QrFactors<T
             *v *= scale;
         }
         f.set(k, k, beta);
-        tau.push(tau_k);
+        self.tau.push(tau_k);
 
         // Apply reflector to trailing columns: A_j -= tau * v (v^T A_j),
         // one dispatched dot + axpy per column via a split borrow.
@@ -308,6 +389,7 @@ pub fn pivoted_qr<T: Scalar>(a: &DenseMatrix<T>, opts: QrOptions) -> QrFactors<T
         }
 
         // Downdate partial column norms (LAPACK's safeguarded update).
+        let (colnorm, colnorm_ref) = (&mut self.colnorm, &mut self.colnorm_ref);
         for j in (k + 1)..n {
             if colnorm[j] == T::zero() {
                 continue;
@@ -325,8 +407,45 @@ pub fn pivoted_qr<T: Scalar>(a: &DenseMatrix<T>, opts: QrOptions) -> QrFactors<T
                 colnorm[j] *= temp.sqrt();
             }
         }
-        rank = k + 1;
     }
+
+    /// The rank-`k` truncation `A ≈ left * right` (`k ≤ steps()`): `left` is
+    /// the thin `Q` of the first `k` reflectors, `right` the first `k` rows of
+    /// `R` carried back to the original column order
+    /// (`right[:, pivots[j]] = R[:, j]`). Bit for bit what a fresh run
+    /// stopped at `k` gives.
+    pub fn truncation(&self, k: usize) -> LowRankFactors<T> {
+        assert!(k <= self.steps(), "truncation past the steps taken");
+        let (m, n) = (self.factors.rows(), self.factors.cols());
+        let mut left = DenseMatrix::zeros(m, k);
+        for j in 0..k {
+            left.set(j, j, T::one());
+        }
+        apply_reflectors(&self.factors, &self.tau[..k], &mut left, false);
+        let mut right = DenseMatrix::zeros(k, n);
+        for (j, &dst) in self.pivots.iter().enumerate() {
+            for i in 0..k.min(j + 1) {
+                right.set(i, dst, self.factors.get(i, j));
+            }
+        }
+        LowRankFactors { left, right }
+    }
+}
+
+/// Column-pivoted Householder QR with optional early termination: a fresh
+/// [`PivotedQr`] advanced once under `opts`.
+pub fn pivoted_qr<T: Scalar>(a: &DenseMatrix<T>, opts: QrOptions) -> QrFactors<T> {
+    let mut qr = PivotedQr::new(a.clone());
+    let rank = qr.advance(opts);
+    let PivotedQr {
+        factors,
+        tau,
+        pivots,
+        colnorm,
+        norm0,
+        ..
+    } = qr;
+    let (m, n) = (factors.rows(), factors.cols());
 
     // Estimate of the first rejected pivot: the largest downdated norm among
     // the columns pivoting never consumed.
@@ -344,7 +463,7 @@ pub fn pivoted_qr<T: Scalar>(a: &DenseMatrix<T>, opts: QrOptions) -> QrFactors<T
     let rank_capped = rank == opts.max_rank && rank < m.min(n) && next_norm > threshold;
 
     QrFactors {
-        factors: f,
+        factors,
         tau,
         pivots,
         rank,
@@ -409,7 +528,7 @@ fn pivoted_qr_nopivot<T: Scalar>(a: &DenseMatrix<T>) -> QrFactors<T> {
 
 /// A rank-`k` two-factor approximation `A ≈ left * right` with `left` of
 /// shape `m × k` and `right` of shape `k × n`, produced by
-/// [`truncate_low_rank`]. Unlike [`QrFactors`], the `right` factor is stored
+/// [`PivotedQr::truncation`]. Unlike [`QrFactors`], the `right` factor is stored
 /// in the *original* column order (the pivot permutation is already undone),
 /// so `left * right` approximates `A` directly.
 #[derive(Clone, Debug)]
@@ -448,31 +567,6 @@ impl<T: Scalar> LowRankFactors<T> {
     }
 }
 
-/// Rank-truncate `a` with a column-pivoted QR: `A ≈ left * right` where
-/// `left` is the thin orthonormal Q and `right` is R carried back to the
-/// original column order (`right[:, pivots[j]] = R[:, j]`). The rank is
-/// chosen by [`pivoted_qr`]'s adaptive criterion under `opts` — columns stop
-/// being pivoted once the largest remaining partial norm drops below
-/// `rel_tol * max_initial_column_norm` (or `abs_tol`), so the truncation
-/// error is on the order of [`QrFactors::next_pivot_norm`].
-///
-/// A rank of zero (every column below the tolerance) yields empty factors;
-/// callers typically replace the block with nothing at all in that case.
-pub fn truncate_low_rank<T: Scalar>(a: &DenseMatrix<T>, opts: QrOptions) -> LowRankFactors<T> {
-    let qr = pivoted_qr(a, opts);
-    let k = qr.rank();
-    let left = qr.q_thin();
-    let r = qr.r();
-    let mut right = DenseMatrix::zeros(k, a.cols());
-    for j in 0..a.cols() {
-        let dst = qr.pivots()[j];
-        for i in 0..k {
-            right.set(i, dst, r.get(i, j));
-        }
-    }
-    LowRankFactors { left, right }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,6 +576,13 @@ mod tests {
 
     fn permute_cols(a: &DenseMatrix<f64>, pivots: &[usize]) -> DenseMatrix<f64> {
         a.select_cols(pivots)
+    }
+
+    /// The truncation of a fresh factorization advanced once under `opts`.
+    fn truncate(a: &DenseMatrix<f64>, opts: QrOptions) -> LowRankFactors<f64> {
+        let mut qr = PivotedQr::new(a.clone());
+        let k = qr.advance(opts);
+        qr.truncation(k)
     }
 
     #[test]
@@ -634,7 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn truncate_low_rank_recovers_exact_low_rank_matrix() {
+    fn truncation_recovers_exact_low_rank_matrix() {
         // A = u * v^T has rank 2; the truncation must reconstruct it to
         // roundoff with exactly rank 2 and undo the pivot permutation.
         let mut rng = StdRng::seed_from_u64(91);
@@ -642,14 +743,14 @@ mod tests {
         let v = DenseMatrix::<f64>::random_gaussian(17, 2, &mut rng);
         let mut a = DenseMatrix::zeros(24, 17);
         gemm(1.0, &u, Transpose::No, &v, Transpose::Yes, 0.0, &mut a);
-        let lr = truncate_low_rank(&a, QrOptions::adaptive(usize::MAX, 1e-12));
+        let lr = truncate(&a, QrOptions::adaptive(usize::MAX, 1e-12));
         assert_eq!(lr.rank(), 2);
         assert_eq!(lr.stored_values(), 2 * (24 + 17));
         assert!(lr.reconstruct().sub(&a).norm_max() < 1e-10);
     }
 
     #[test]
-    fn truncate_low_rank_error_tracks_tolerance() {
+    fn truncation_error_tracks_tolerance() {
         // Geometric singular-value decay: the truncation error at rel_tol
         // tau must be O(tau) relative to the matrix norm.
         let n = 32;
@@ -675,7 +776,7 @@ mod tests {
             &mut a,
         );
         for tau in [1e-2, 1e-5, 1e-8] {
-            let lr = truncate_low_rank(&a, QrOptions::adaptive(usize::MAX, tau));
+            let lr = truncate(&a, QrOptions::adaptive(usize::MAX, tau));
             let rel = lr.reconstruct().sub(&a).norm_fro() / a.norm_fro();
             assert!(rel < 40.0 * tau, "tau {tau}: rel error {rel}");
             assert!(lr.rank() < n, "tau {tau}: rank not truncated");
@@ -683,9 +784,9 @@ mod tests {
     }
 
     #[test]
-    fn truncate_low_rank_zero_matrix_is_rank_zero() {
+    fn truncation_of_zero_matrix_is_rank_zero() {
         let a = DenseMatrix::<f64>::zeros(8, 5);
-        let lr = truncate_low_rank(&a, QrOptions::adaptive(usize::MAX, 1e-8));
+        let lr = truncate(&a, QrOptions::adaptive(usize::MAX, 1e-8));
         assert_eq!(lr.rank(), 0);
         assert_eq!(lr.left.rows(), 8);
         assert_eq!(lr.right.cols(), 5);

@@ -2,9 +2,11 @@
 
 use gofmm_linalg::{
     id_reconstruct, interpolative_decomposition, matmul, matmul_nt, matmul_tn, pivoted_qr,
-    trsm_left, Cholesky, DenseMatrix, QrOptions, Triangle,
+    trsm_left, Cholesky, DenseMatrix, PivotedQr, QrFactors, QrOptions, Triangle,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a random matrix with dimensions in [1, 24] and entries in [-1, 1].
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = DenseMatrix<f64>> {
@@ -27,6 +29,97 @@ fn arb_spd(max_dim: usize) -> impl Strategy<Value = DenseMatrix<f64>> {
             a
         })
     })
+}
+
+/// Strategy: a panel of the kind the tuner and the ID factor — tall or wide
+/// (each side in [1, 40]), a sum of `terms` random rank-one terms with
+/// geometrically decaying weights (rank-deficient whenever `terms` is below
+/// the smaller side, so a tolerance ladder crosses many ranks), with up to
+/// three columns zeroed and up to three copied over others (pivot ties), and
+/// for half the seeds rounded through `f32` as a mixed-precision panel is.
+fn arb_panel() -> impl Strategy<Value = DenseMatrix<f64>> {
+    (
+        (1usize..=40, 1usize..=40),
+        (0usize..=14, 0.05f64..0.9),
+        0u64..u64::MAX,
+    )
+        .prop_map(|((rows, cols), (terms, decay), seed)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut u = DenseMatrix::<f64>::random_gaussian(rows, terms, &mut rng);
+            for t in 0..terms {
+                let w = decay.powi(t as i32);
+                u.col_mut(t).iter_mut().for_each(|x| *x *= w);
+            }
+            let v = DenseMatrix::<f64>::random_gaussian(cols, terms, &mut rng);
+            let mut a = if terms == 0 {
+                DenseMatrix::zeros(rows, cols)
+            } else {
+                matmul_nt(&u, &v)
+            };
+            for _ in 0..rng.gen_range(0usize..4) {
+                let j = rng.gen_range(0..cols);
+                a.col_mut(j).fill(0.0);
+            }
+            for _ in 0..rng.gen_range(0usize..4) {
+                let (from, to) = (rng.gen_range(0..cols), rng.gen_range(0..cols));
+                let col = a.col(from).to_vec();
+                a.col_mut(to).copy_from_slice(&col);
+            }
+            if rng.gen::<bool>() {
+                a = a.cast::<f32>().cast();
+            }
+            a
+        })
+}
+
+fn bits(m: &DenseMatrix<f64>) -> Vec<u64> {
+    m.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `R` of a fresh factorization in the original column order.
+fn unpivoted_r(qr: &QrFactors<f64>) -> DenseMatrix<f64> {
+    let r = qr.r();
+    let mut out = DenseMatrix::zeros(r.rows(), r.cols());
+    for (j, &dst) in qr.pivots().iter().enumerate() {
+        for i in 0..r.rows() {
+            out.set(i, dst, r.get(i, j));
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One factorization advanced down the tuner's tolerance ladder
+    /// `0.25 * 0.5^k`, ending at `rel_tol = 0`, with a random rank cap and
+    /// absolute tolerance on some rungs (the ID's stops; a cap below the
+    /// steps already taken reads the rank back without a step): at every
+    /// rung the rank, the leading pivots and the truncation equal those of
+    /// a fresh `pivoted_qr` under the same options, bit for bit.
+    #[test]
+    fn resumed_pivoted_qr_matches_a_fresh_run_at_every_rung(
+        a in arb_panel(),
+        caps in prop::collection::vec(0usize..64, 26),
+        abs in prop::collection::vec(0usize..12, 26),
+    ) {
+        let mut resumed = PivotedQr::new(a.clone());
+        for (rung, (&cap, &abs)) in caps.iter().zip(&abs).enumerate() {
+            let rel_tol = if rung + 1 == caps.len() { 0.0 } else { 0.25 * 0.5f64.powi(rung as i32) };
+            let opts = QrOptions {
+                max_rank: if cap < 40 { cap } else { usize::MAX },
+                rel_tol,
+                abs_tol: [1e-1, 1e-3, 1e-6].get(abs).copied().unwrap_or(0.0),
+            };
+            let fresh = pivoted_qr(&a, opts);
+            let k = resumed.advance(opts);
+            prop_assert_eq!(k, fresh.rank(), "rung {}: {:?}", rung, opts);
+            prop_assert_eq!(&resumed.pivots()[..k], &fresh.pivots()[..k], "rung {}", rung);
+            let lr = resumed.truncation(k);
+            prop_assert_eq!(bits(&lr.left), bits(&fresh.q_thin()), "rung {}: left", rung);
+            prop_assert_eq!(bits(&lr.right), bits(&unpivoted_r(&fresh)), "rung {}: right", rung);
+        }
+    }
 }
 
 proptest! {

@@ -372,8 +372,9 @@ impl<T: Scalar> GofmmOperator<T> {
     /// - `gofmm_tune_bytes_before` / `gofmm_tune_bytes_after` /
     ///   `gofmm_tune_blocks_dropped` / `gofmm_tune_panels_truncated` /
     ///   `gofmm_tune_measured_eps2` / `gofmm_tune_accepted` /
-    ///   `gofmm_tune_rejected` — the committed [`TuneStats`], when the
-    ///   operator was tuned under an [`AccuracyBudget`].
+    ///   `gofmm_tune_rejected` / `gofmm_tune_seconds` — the committed
+    ///   [`TuneStats`], when the operator was tuned under an
+    ///   [`AccuracyBudget`].
     ///
     /// Call it after a serving interval (or on a scrape) to refresh the
     /// gauges; the batched server's own counters update live instead via
@@ -469,6 +470,12 @@ impl<T: Scalar> GofmmOperator<T> {
                     "Candidate states measured and rejected by the tuning search",
                 )
                 .set(ts.rejected as f64);
+            registry
+                .gauge(
+                    "gofmm_tune_seconds",
+                    "Wall-clock seconds of the tuning search that committed",
+                )
+                .set(ts.time);
         }
         if let Some(store) = &self.store {
             let s = store.stats();
@@ -659,6 +666,48 @@ mod tests {
             .with_budget(0.0)
             .with_threads(2)
             .with_policy(TraversalPolicy::Sequential)
+    }
+
+    #[test]
+    fn tune_gauges_export_the_committed_tune_stats() {
+        let k = test_matrix(256);
+        let op = GofmmOperator::<f64>::builder(&k)
+            .config(config())
+            .tune(AccuracyBudget::new(1e-3))
+            .build()
+            .unwrap();
+        let ts = op.tune_stats().expect("1e-3 is attainable").clone();
+        let registry = gofmm_telemetry::MetricsRegistry::new();
+        op.export_metrics(&registry);
+        let want = [
+            ("gofmm_tune_bytes_before", ts.bytes_before as f64),
+            ("gofmm_tune_bytes_after", ts.bytes_after as f64),
+            ("gofmm_tune_blocks_dropped", ts.blocks_dropped as f64),
+            ("gofmm_tune_panels_truncated", ts.panels_truncated as f64),
+            ("gofmm_tune_measured_eps2", ts.measured_eps2),
+            ("gofmm_tune_accepted", ts.accepted as f64),
+            ("gofmm_tune_rejected", ts.rejected as f64),
+            ("gofmm_tune_seconds", ts.time),
+        ];
+        let text = registry.prometheus_text();
+        let exported: Vec<(&str, f64)> = text
+            .lines()
+            .filter(|line| line.starts_with("gofmm_tune_"))
+            .map(|line| {
+                let (name, value) = line.split_once(' ').unwrap();
+                (name, value.parse().unwrap())
+            })
+            .collect();
+        assert_eq!(exported.len(), want.len(), "{text}");
+        for (name, value) in exported {
+            let expect = want.iter().find(|(n, _)| *n == name);
+            assert_eq!(
+                expect.map(|(_, v)| v.to_bits()),
+                Some(value.to_bits()),
+                "{name}"
+            );
+        }
+        assert!(ts.time > 0.0);
     }
 
     #[test]

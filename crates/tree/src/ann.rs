@@ -25,7 +25,7 @@ impl NeighborList {
     pub fn new(n: usize, k: usize) -> Self {
         Self {
             k,
-            lists: vec![Vec::with_capacity(k + 1); n],
+            lists: (0..n).map(|_| Vec::with_capacity(k + 1)).collect(),
         }
     }
 
@@ -255,6 +255,12 @@ mod tests {
     use crate::oracle::PointOracle;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn neighbor_list_reserves_every_list() {
+        let nl = NeighborList::new(5, 3);
+        assert!(nl.lists.iter().all(|list| list.capacity() >= 4));
+    }
 
     #[test]
     fn neighbor_list_keeps_k_smallest() {
