@@ -163,20 +163,10 @@ impl<T: Scalar> QrFactors<T> {
         q
     }
 
-    /// Apply the stored Householder reflections to `b` in place: `Q^T` for
-    /// `transpose`, `Q` otherwise (see [`apply_reflectors`]). Its callers:
-    /// the two-pass form of [`crate::ulv::rotate_symmetric`] (blocks below
-    /// `ROTATE_WY_MIN_ORDER`) and [`QrFactors::q_thin`] (and with it the ID).
-    /// The ULV solves apply [`crate::ulv::WyRotation`] instead, which runs
-    /// these same steps on its stored blocks below `SOLVE_WY_MIN_ORDER`.
-    fn apply_reflections(&self, b: &mut DenseMatrix<T>, transpose: bool) {
-        apply_reflectors(&self.factors, &self.tau, b, transpose);
-    }
-
     /// Apply `Q^T` to a matrix `B` in place (`B <- Q^T B`), using the compact
     /// Householder representation. `B` must have `rows()` rows.
     pub fn apply_qt(&self, b: &mut DenseMatrix<T>) {
-        self.apply_reflections(b, true);
+        apply_reflectors(&self.factors, &self.tau, b, true);
     }
 
     /// Apply `Q` to a matrix `B` in place (`B <- Q B`), using the compact
@@ -185,7 +175,7 @@ impl<T: Scalar> QrFactors<T> {
     /// half of a ULV solve maps rotated local solutions back to original
     /// coordinates with it.
     pub fn apply_q(&self, b: &mut DenseMatrix<T>) {
-        self.apply_reflections(b, false);
+        apply_reflectors(&self.factors, &self.tau, b, false);
     }
 
     /// Reconstruct (an approximation of) the original matrix `A * P` where `P`
@@ -213,7 +203,12 @@ impl<T: Scalar> QrFactors<T> {
 /// compact-representation conventions (implicit `v[step] = 1`, `tau == 0`
 /// skip) live. Both the reflector and the updated column are contiguous
 /// column slices, so the reduction and the rank-1 update run through the
-/// dispatched dot/axpy kernels.
+/// dispatched dot/axpy kernels. Its callers: [`QrFactors::apply_qt`] /
+/// [`QrFactors::apply_q`] (the two-pass form of
+/// [`crate::ulv::rotate_symmetric`] below `ROTATE_WY_MIN_ORDER`, and
+/// [`QrFactors::q_thin`] with it the ID) and [`PivotedQr::truncation`]. The
+/// ULV solves apply [`crate::ulv::WyRotation`] instead, which runs these
+/// same steps on its stored blocks below `SOLVE_WY_MIN_ORDER`.
 fn apply_reflectors<T: Scalar>(
     factors: &DenseMatrix<T>,
     tau: &[T],
@@ -254,8 +249,8 @@ fn apply_reflectors<T: Scalar>(
 /// `new` + `advance`; `Evaluator::tune` in `gofmm-core` advances one
 /// factorization per panel down its ladder of tolerances.
 ///
-/// [`PivotedQr::truncation`] reads the rank-`k` approximation of any
-/// `k ≤ steps()`: later pivot swaps move whole columns at positions `≥ k`
+/// [`PivotedQr::truncation`] reads the rank-`k` approximation of any `k`
+/// up to the steps taken: later pivot swaps move whole columns at positions `≥ k`
 /// and later reflectors touch only rows `≥ k`, so the first `k` reflectors
 /// and the rows `< k` of `R` hold the bits of a fresh run stopped at `k`.
 #[derive(Clone, Debug)]
@@ -297,12 +292,12 @@ impl<T: Scalar> PivotedQr<T> {
     }
 
     /// Householder steps taken so far.
-    pub fn steps(&self) -> usize {
+    fn steps(&self) -> usize {
         self.tau.len()
     }
 
     /// Column pivot permutation: position `k` holds original column
-    /// `pivots[k]`. Positions `< steps()` are final.
+    /// `pivots[k]`. Positions below the steps taken are final.
     pub fn pivots(&self) -> &[usize] {
         &self.pivots
     }
@@ -409,7 +404,8 @@ impl<T: Scalar> PivotedQr<T> {
         }
     }
 
-    /// The rank-`k` truncation `A ≈ left * right` (`k ≤ steps()`): `left` is
+    /// The rank-`k` truncation `A ≈ left * right` (`k` at most the steps
+    /// taken, e.g. a rank [`PivotedQr::advance`] returned): `left` is
     /// the thin `Q` of the first `k` reflectors, `right` the first `k` rows of
     /// `R` carried back to the original column order
     /// (`right[:, pivots[j]] = R[:, j]`). Bit for bit what a fresh run
