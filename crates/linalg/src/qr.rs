@@ -541,12 +541,6 @@ impl<T: Scalar> LowRankFactors<T> {
         self.left.cols()
     }
 
-    /// Stored values of both factors: `k * (m + n)` scalars. Compare against
-    /// the dense `m * n` to decide whether the truncation actually shrinks.
-    pub fn stored_values(&self) -> usize {
-        self.left.rows() * self.left.cols() + self.right.rows() * self.right.cols()
-    }
-
     /// Dense reconstruction `left * right` (tests and diagnostics).
     pub fn reconstruct(&self) -> DenseMatrix<T> {
         let mut out = DenseMatrix::zeros(self.left.rows(), self.right.cols());
@@ -741,7 +735,7 @@ mod tests {
         gemm(1.0, &u, Transpose::No, &v, Transpose::Yes, 0.0, &mut a);
         let lr = truncate(&a, QrOptions::adaptive(usize::MAX, 1e-12));
         assert_eq!(lr.rank(), 2);
-        assert_eq!(lr.stored_values(), 2 * (24 + 17));
+        assert_eq!((lr.left.rows(), lr.right.cols()), (24, 17));
         assert!(lr.reconstruct().sub(&a).norm_max() < 1e-10);
     }
 
