@@ -249,10 +249,11 @@ fn apply_reflectors<T: Scalar>(
 /// `new` + `advance`; `Evaluator::tune` in `gofmm-core` advances one
 /// factorization per panel down its ladder of tolerances.
 ///
-/// [`PivotedQr::truncation`] reads the rank-`k` approximation of any `k`
-/// up to the steps taken: later pivot swaps move whole columns at positions `≥ k`
-/// and later reflectors touch only rows `≥ k`, so the first `k` reflectors
-/// and the rows `< k` of `R` hold the bits of a fresh run stopped at `k`.
+/// [`PivotedQr::truncation`] reads the rank-`k` approximation of any `k` up
+/// to the steps taken: later pivot swaps move whole columns at positions
+/// `≥ k` and later reflectors touch only rows `≥ k`, so the first `k`
+/// reflectors and the rows `< k` of `R` hold the bits of a fresh run stopped
+/// at `k`.
 #[derive(Clone, Debug)]
 pub struct PivotedQr<T: Scalar> {
     /// Householder vectors below the diagonal, `R` on and above it (in the
