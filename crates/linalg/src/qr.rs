@@ -199,11 +199,7 @@ impl<T: Scalar> QrFactors<T> {
 
 /// Apply the first `tau.len()` Householder reflections stored below the
 /// diagonal of `factors` to `b` in place: steps in order for `Q^T`
-/// (`transpose`), in reverse for `Q`. The one place the
-/// compact-representation conventions (implicit `v[step] = 1`, `tau == 0`
-/// skip) live. Both the reflector and the updated column are contiguous
-/// column slices, so the reduction and the rank-1 update run through the
-/// dispatched dot/axpy kernels. Its callers: [`QrFactors::apply_qt`] /
+/// (`transpose`), in reverse for `Q`. Its callers: [`QrFactors::apply_qt`] /
 /// [`QrFactors::apply_q`] (the two-pass form of
 /// [`crate::ulv::rotate_symmetric`] below `ROTATE_WY_MIN_ORDER`, and
 /// [`QrFactors::q_thin`] with it the ID) and [`PivotedQr::truncation`]. The
@@ -220,20 +216,61 @@ fn apply_reflectors<T: Scalar>(
     let k = tau.len();
     for idx in 0..k {
         let step = if transpose { idx } else { k - 1 - idx };
-        let tau = tau[step];
-        if tau == T::zero() {
-            continue;
-        }
-        // v = [1, factors[step+1.., step]]
         let v = &factors.col(step)[step + 1..m];
         for j in 0..b.cols() {
-            let bj = b.col_mut(j);
-            let dotv = bj[step] + T::dot_kernel(v, &bj[step + 1..m]);
-            let s = tau * dotv;
-            bj[step] -= s;
-            T::axpy_kernel(-s, v, &mut bj[step + 1..m]);
+            apply_reflector(tau[step], v, &mut b.col_mut(j)[step..m]);
         }
     }
+}
+
+/// Turn `x` into its Householder reflector, LAPACK's compact convention:
+/// `x[0]` becomes `beta = -sign(x[0]) ||x||`, `x[1..]` the reflector's tail
+/// `v` (its head `v[0] = 1` is implicit), and the return value is `tau`, so
+/// that `(I - tau [1; v] [1; v]^T) x = beta e_1`. A zero `x` is left as it
+/// is and gets `tau = 0` (no reflection).
+fn generate_reflector<T: Scalar>(x: &mut [T]) -> T {
+    let normx = T::dot_kernel(x, x).sqrt();
+    if normx == T::zero() {
+        return T::zero();
+    }
+    let alpha = x[0];
+    let beta = if alpha.to_f64() >= 0.0 { -normx } else { normx };
+    let tau = (beta - alpha) / beta;
+    let scale = T::one() / (alpha - beta);
+    for v in &mut x[1..] {
+        *v *= scale;
+    }
+    x[0] = beta;
+    tau
+}
+
+/// `y <- (I - tau [1; v] [1; v]^T) y` for a reflector stored in compact
+/// form (`y.len() == v.len() + 1`); a zero `tau` leaves `y` untouched. The
+/// one place the reflection arithmetic lives: the QR steps apply it to
+/// their trailing columns, [`QrFactors::apply_qt`] / `apply_q` and
+/// [`crate::ulv::WyRotation`]'s one-reflector path to their operands. `v`
+/// and `y` are contiguous column slices, so the reduction and the rank-1
+/// update run through the dispatched dot/axpy kernels.
+pub(crate) fn apply_reflector<T: Scalar>(tau: T, v: &[T], y: &mut [T]) {
+    if tau == T::zero() {
+        return;
+    }
+    let (head, tail) = y.split_first_mut().expect("a reflector acts on rows");
+    let s = tau * (*head + T::dot_kernel(v, tail));
+    *head -= s;
+    T::axpy_kernel(-s, v, tail);
+}
+
+/// Householder step `k` of a QR of `f`: the reflector of column `k` from
+/// row `k` down (stored there), applied to every column right of it.
+/// Returns its `tau`.
+fn householder_step<T: Scalar>(f: &mut DenseMatrix<T>, k: usize) -> T {
+    let tau = generate_reflector(&mut f.col_mut(k)[k..]);
+    for j in (k + 1)..f.cols() {
+        let (ck, cj) = f.two_cols_mut(k, j);
+        apply_reflector(tau, &ck[k + 1..], &mut cj[k..]);
+    }
+    tau
 }
 
 /// A column-pivoted Householder QR that can be continued where it stopped.
@@ -353,35 +390,10 @@ impl<T: Scalar> PivotedQr<T> {
             self.pivots.swap(k, jmax);
         }
 
-        // Householder reflector for column k, rows k..m.
-        let alpha = f.get(k, k);
-        let normx = {
-            let x = &f.col(k)[k..m];
-            T::dot_kernel(x, x).sqrt()
-        };
-        if normx == T::zero() {
-            self.tau.push(T::zero());
+        let tau = householder_step(f, k);
+        self.tau.push(tau);
+        if tau == T::zero() {
             return;
-        }
-        let beta = if alpha.to_f64() >= 0.0 { -normx } else { normx };
-        let tau_k = (beta - alpha) / beta;
-        let scale = T::one() / (alpha - beta);
-        // v = [1, x_{k+1..m} * scale], stored below the diagonal.
-        for v in &mut f.col_mut(k)[k + 1..m] {
-            *v *= scale;
-        }
-        f.set(k, k, beta);
-        self.tau.push(tau_k);
-
-        // Apply reflector to trailing columns: A_j -= tau * v (v^T A_j),
-        // one dispatched dot + axpy per column via a split borrow.
-        for j in (k + 1)..n {
-            let (ck, cj) = f.two_cols_mut(k, j);
-            let v = &ck[k + 1..m];
-            let dotv = cj[k] + T::dot_kernel(v, &cj[k + 1..m]);
-            let s = tau_k * dotv;
-            cj[k] -= s;
-            T::axpy_kernel(-s, v, &mut cj[k + 1..m]);
         }
 
         // Downdate partial column norms (LAPACK's safeguarded update).
@@ -474,50 +486,16 @@ pub fn pivoted_qr<T: Scalar>(a: &DenseMatrix<T>, opts: QrOptions) -> QrFactors<T
 /// The ULV factorization compresses every rotated node's outgoing basis
 /// with it.
 pub fn householder_qr<T: Scalar>(a: &DenseMatrix<T>) -> QrFactors<T> {
-    pivoted_qr_nopivot(a)
-}
-
-fn pivoted_qr_nopivot<T: Scalar>(a: &DenseMatrix<T>) -> QrFactors<T> {
-    // Same kernel as pivoted_qr but with pivoting disabled so column order is
-    // preserved. Kept separate to avoid branching in the hot loop above.
-    let m = a.rows();
-    let n = a.cols();
-    let mut f = a.clone();
-    let kmax = m.min(n);
-    let mut tau = Vec::with_capacity(kmax);
-    let pivots: Vec<usize> = (0..n).collect();
-    for k in 0..kmax {
-        let normx = {
-            let x = &f.col(k)[k..m];
-            T::dot_kernel(x, x).sqrt()
-        };
-        if normx == T::zero() {
-            tau.push(T::zero());
-            continue;
-        }
-        let alpha = f.get(k, k);
-        let beta = if alpha.to_f64() >= 0.0 { -normx } else { normx };
-        let tau_k = (beta - alpha) / beta;
-        let scale = T::one() / (alpha - beta);
-        for v in &mut f.col_mut(k)[k + 1..m] {
-            *v *= scale;
-        }
-        f.set(k, k, beta);
-        tau.push(tau_k);
-        for j in (k + 1)..n {
-            let (ck, cj) = f.two_cols_mut(k, j);
-            let v = &ck[k + 1..m];
-            let dotv = cj[k] + T::dot_kernel(v, &cj[k + 1..m]);
-            let s = tau_k * dotv;
-            cj[k] -= s;
-            T::axpy_kernel(-s, v, &mut cj[k + 1..m]);
-        }
-    }
+    let (m, n) = (a.rows(), a.cols());
+    let mut factors = a.clone();
+    let tau = (0..m.min(n))
+        .map(|k| householder_step(&mut factors, k))
+        .collect();
     QrFactors {
-        factors: f,
+        factors,
         tau,
-        pivots,
-        rank: kmax,
+        pivots: (0..n).collect(),
+        rank: m.min(n),
         next_norm: 0.0,
         rank_capped: false,
     }

@@ -40,7 +40,7 @@ use crate::blas::gemm;
 use crate::blas::Transpose;
 use crate::cholesky::{Cholesky, NotPositiveDefinite};
 use crate::matrix::{gather_rows, DenseMatrix};
-use crate::qr::QrFactors;
+use crate::qr::{apply_reflector, QrFactors};
 use crate::scalar::Scalar;
 use crate::trsm::{trsm_left_blocked, Triangle};
 
@@ -368,15 +368,9 @@ impl<T: Scalar> WyRotation<T> {
             let step = if transpose { idx } else { self.rank - 1 - idx };
             let (g, c) = (step / self.nb, step % self.nb);
             let tau = self.t_block(g)[c * (c + 3) / 2];
-            if tau == T::zero() {
-                continue;
-            }
             let v = &self.v[g].col(c)[c + 1..];
             for j in 0..b.cols() {
-                let bj = b.col_mut(j);
-                let s = tau * (bj[step] + T::dot_kernel(v, &bj[step + 1..m]));
-                bj[step] -= s;
-                T::axpy_kernel(-s, v, &mut bj[step + 1..m]);
+                apply_reflector(tau, v, &mut b.col_mut(j)[step..m]);
             }
         }
     }
