@@ -769,17 +769,6 @@ impl FilePanelStore {
         self.read_into(offset, &mut buf)?;
         Ok(buf)
     }
-
-    /// Drop every resident blob (counters are preserved). Mainly for tests
-    /// and for releasing memory between serving bursts.
-    pub fn clear_resident(&self) {
-        let mut cache = self.cache.lock().unwrap();
-        let freed: usize = cache.map.values().map(|s| s.bytes).sum();
-        cache.map.clear();
-        self.stats
-            .resident
-            .fetch_sub(freed as u64, Ordering::Relaxed);
-    }
 }
 
 // ---------------------------------------------------------------------------

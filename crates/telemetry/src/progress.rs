@@ -99,11 +99,6 @@ impl ProgressHandle {
         }
     }
 
-    /// Wrap an already-shared listener.
-    pub fn from_arc(listener: Arc<dyn ProgressListener>) -> Self {
-        ProgressHandle { listener }
-    }
-
     /// Forward one report to the listener.
     pub fn report(&self, report: &ProgressReport<'_>) {
         self.listener.report(report);

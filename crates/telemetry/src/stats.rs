@@ -31,11 +31,6 @@ impl Stopwatch {
     pub fn micros(&self) -> u64 {
         self.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
     }
-
-    /// The underlying start instant.
-    pub fn started_at(&self) -> Instant {
-        self.start
-    }
 }
 
 impl Default for Stopwatch {

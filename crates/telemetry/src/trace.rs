@@ -205,14 +205,6 @@ impl TraceSummary {
             (self.critical_path_ns as f64 / self.wall_ns as f64).min(1.0)
         }
     }
-
-    /// Per-worker idle fraction: `1 - busy` for each lane.
-    pub fn worker_idle(&self) -> Vec<f64> {
-        self.worker_busy
-            .iter()
-            .map(|b| (1.0 - b).max(0.0))
-            .collect()
-    }
 }
 
 #[cfg(test)]
