@@ -1,8 +1,8 @@
 //! One way to run a sweep: the call protocol of
-//! [`crate::Evaluator::apply_with`] and of both solver backends'
-//! `solve_with`. Each re-runs one frozen task plan per call (paper §2.3) and
-//! supplies only its workspace, its task bodies and its output assembly;
-//! [`SweepDriver::run`] does the rest.
+//! [`crate::Evaluator::apply_with`] and of the solver's one factor driver's
+//! `solve_with`. Each re-runs one frozen task plan per call (paper §2.3)
+//! and supplies only its workspace, its task bodies and its output
+//! assembly; [`SweepDriver::run`] does the rest.
 //!
 //! Tasks return `Result`: the first task error (a failed store fault, say)
 //! stops the run, the remaining tasks drain as under cancellation, and the

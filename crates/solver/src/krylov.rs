@@ -3,12 +3,12 @@
 //! Both drivers are generic over a [`LinearOperator`] (implemented by the
 //! persistent `gofmm_core::Evaluator`, by the [`Shifted`] regularized
 //! wrapper, and by plain dense matrices for testing) and a
-//! [`Preconditioner`] (implemented by [`crate::HierarchicalFactor`] and the
-//! trivial [`IdentityPreconditioner`]). Both traits take `&self`: the GOFMM
-//! evaluator and factorization lease their scratch from internal workspace
-//! pools, so shared references are all an iteration needs — which is what
-//! lets one `GofmmOperator` handle run Krylov solves from many threads at
-//! once.
+//! [`Preconditioner`] (implemented by both factorizations, [`crate::Factor`],
+//! and by the trivial [`IdentityPreconditioner`]). Both traits take `&self`:
+//! the GOFMM evaluator and factorization lease their scratch from internal
+//! workspace pools, so shared references are all an iteration needs — which
+//! is what lets one `GofmmOperator` handle run Krylov solves from many
+//! threads at once.
 //!
 //! CG runs all right-hand-side columns simultaneously with per-column
 //! scalars, so one evaluator apply serves every column per iteration. GMRES
@@ -18,7 +18,8 @@ use gofmm_core::{CancelToken, Error, Evaluator};
 use gofmm_linalg::{axpy, dot, matmul, nrm2, DenseMatrix, Scalar};
 use gofmm_telemetry::{PhaseTimes, ProgressHandle, ProgressReport, SpanKind, Stopwatch, TraceSink};
 
-use crate::factor::HierarchicalFactor;
+use crate::factor::Factor;
+use crate::kernel::NodeKernel;
 
 /// An abstract `x -> A x` usable by the Krylov drivers.
 pub trait LinearOperator<T: Scalar> {
@@ -123,18 +124,9 @@ pub trait Preconditioner<T: Scalar> {
     }
 }
 
-impl<T: Scalar> Preconditioner<T> for HierarchicalFactor<'_, T> {
+impl<T: Scalar, K: NodeKernel<T>> Preconditioner<T> for Factor<'_, T, K> {
     fn apply_inverse(&self, r: &DenseMatrix<T>) -> DenseMatrix<T> {
         self.solve(r).expect("factor solve inside Krylov")
-    }
-    fn dim(&self) -> Option<usize> {
-        Some(self.n())
-    }
-}
-
-impl<T: Scalar> Preconditioner<T> for crate::ulv::UlvFactor<'_, T> {
-    fn apply_inverse(&self, r: &DenseMatrix<T>) -> DenseMatrix<T> {
-        self.solve(r).expect("ULV factor solve inside Krylov")
     }
     fn dim(&self) -> Option<usize> {
         Some(self.n())

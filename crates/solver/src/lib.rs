@@ -15,11 +15,11 @@
 //!   should start here. [`FactorBackend`] selects the factorization behind
 //!   `solve`/`solve_cg` (backward-stable ULV by default, SMW for
 //!   comparison).
-//! * [`UlvFactor`] / [`HierarchicalFactor`] — bottom-up `FACTOR` sweeps
-//!   over the compression tree. The default [`UlvFactor`] eliminates with
-//!   orthogonal rotations and Cholesky factorizations only, making it
-//!   backward stable across the whole regularization range (enforced by
-//!   `tests/stability_envelope.rs`); [`HierarchicalFactor`] builds the
+//! * [`UlvFactor`] / [`HierarchicalFactor`] — one bottom-up `FACTOR`
+//!   driver, [`Factor`], over two node kernels. The default [`Ulv`]
+//!   eliminates with orthogonal rotations and Cholesky factorizations only,
+//!   making it backward stable across the whole regularization range
+//!   (enforced by `tests/stability_envelope.rs`); [`Smw`] builds the
 //!   classical Sherman–Morrison–Woodbury corrections from the skeleton
 //!   bases and sibling skeleton blocks, accurate for `lambda` within a few
 //!   orders of the operator scale. Both are persistent, serve unlimited
@@ -28,8 +28,8 @@
 //!   run under all four traversal policies with bit-identical results.
 //! * [`cg`] / [`gmres`] — Krylov drivers generic over [`LinearOperator`]
 //!   (implemented by `Evaluator`, [`GofmmOperator`], [`Shifted`],
-//!   [`DenseOperator`]) and [`Preconditioner`] (implemented by
-//!   [`UlvFactor`], [`HierarchicalFactor`] and [`IdentityPreconditioner`]),
+//!   [`DenseOperator`]) and [`Preconditioner`] (implemented by [`Factor`]
+//!   and [`IdentityPreconditioner`]),
 //!   with per-iteration residual history in [`SolveStats`]. Both traits
 //!   take `&self`, so iterations run against shared handles.
 //! * [`BatchedServer`] — the serving traffic layer: an admission queue in
@@ -78,12 +78,14 @@
 #![deny(missing_docs)]
 
 pub mod factor;
+mod kernel;
 pub mod krylov;
 pub mod operator;
 pub mod serve;
+mod smw;
 pub mod ulv;
 
-pub use factor::{FactorOptions, FactorStats, HierarchicalFactor};
+pub use factor::{Factor, FactorOptions, FactorStats};
 pub use gofmm_core::Error;
 pub use gofmm_telemetry::{
     MetricsRegistry, ProgressHandle, ProgressListener, ProgressReport, Trace, TraceSink,
@@ -98,7 +100,8 @@ pub use serve::{
     BatchedServer, FlightProgress, ServeConfig, ServerStats, Ticket, BATCH_WIDTH_BUCKETS,
     BATCH_WIDTH_BUCKET_BOUNDS, BATCH_WIDTH_BUCKET_LABELS,
 };
-pub use ulv::UlvFactor;
+pub use smw::{HierarchicalFactor, Smw};
+pub use ulv::{Ulv, UlvFactor};
 
 /// Storage-tier types accepted by [`GofmmOperatorBuilder::storage`] and the
 /// spill/attach surface; re-exported from `gofmm-core` (which re-exports

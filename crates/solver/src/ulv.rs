@@ -32,33 +32,27 @@
 //! `lambda in 1e-8..1e8` times the operator scale; the SMW backend remains
 //! available for comparison via `FactorBackend::Smw`.
 //!
-//! The runtime shape mirrors the SMW backend exactly: the factorization runs
-//! bottom-up as a `FACTOR` task family on a [`ReusablePlan`] run once,
-//! solves are a cached [`ReusablePlan`] `SUP`/`SDOWN` double sweep over
-//! DAG-ordered [`DisjointCells`] (one writer per cell per solve, hence
-//! bit-identical solutions across all four traversal policies and worker
-//! counts), and [`UlvFactor::solve`] takes `&self` with per-call workspaces
-//! leased from a [`WorkspacePool`](gofmm_runtime::WorkspacePool), so one
-//! factorization serves parallel request streams.
+//! [`Ulv`] is the node kernel of [`Factor`], which runs the `FACTOR` sweep
+//! and the cached `SUP`/`SDOWN` solve sweeps exactly as for the SMW
+//! kernel. What is ULV's own beyond the node arithmetic is the store path:
+//! [`UlvFactor::spill_nodes`], [`UlvFactor::attach_store`],
+//! [`UlvFactor::write_to`] and [`UlvFactor::open_from`] keep each node in a
+//! [`Residence`], in memory or faulted in from a store file per solve task.
 
-use gofmm_core::{
-    policy_from_tag, policy_tag, ApplyOptions, CompRef, Compressed, Error, SweepDriver,
-    SweepWorkspace, TraversalPolicy,
-};
+use gofmm_core::{policy_from_tag, policy_tag, CompRef, Compressed, Error};
 use gofmm_linalg::{
     check_scalar_width, eliminate_trailing, gemm, householder_qr, matmul, rotate_symmetric,
     Cholesky, DenseMatrix, NotPositiveDefinite, Scalar, TrailingElimination, Transpose, WyRotation,
 };
 use gofmm_matrices::SpdMatrix;
-use gofmm_runtime::{DisjointCells, ReusablePlan};
 use gofmm_store::{
     classes, Blob, ByteReader, ByteWriter, FilePanelStore, Residence, StoreError, StoreWriter,
 };
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
-use crate::factor::{scatter_leaves, solve_driver, FactorOptions, FactorStats};
+use crate::factor::{solve_driver, Factor, FactorStats};
+use crate::kernel::{Factored, NodeKernel, SolveWorkspace};
 
 /// Relative threshold separating "numerically singular" from "indefinite"
 /// when a Cholesky pivot fails: a non-positive pivot within this fraction of
@@ -66,8 +60,9 @@ use crate::factor::{scatter_leaves, solve_driver, FactorOptions, FactorStats};
 /// negative reports [`Error::NotPositiveDefinite`].
 const SINGULAR_REL: f64 = 1e-10;
 
-/// Per-node ULV factor storage.
-struct UlvNode<T: Scalar> {
+/// Per-node ULV factor storage: the node type of [`Ulv`], public only as
+/// that and opaque outside this crate.
+pub struct UlvNode<T: Scalar> {
     /// Rotation of the node's outgoing basis in blocked compact-WY form;
     /// `None` at the root (no basis above), where the block is factored
     /// unrotated, and at square-basis nodes (`s == m`), where nothing is
@@ -180,82 +175,23 @@ impl<T: Scalar> Blob for UlvNode<T> {
     }
 }
 
-/// Outcome slot of one node's factor task; `schur`/`utilde` are the
-/// transient `(S, U~)` pair the parent consumes.
-enum Slot<T: Scalar> {
-    Pending,
-    Ready {
-        node: Box<UlvNode<T>>,
-        schur: DenseMatrix<T>,
-        utilde: DenseMatrix<T>,
-    },
-    Failed(Error),
-}
-
-/// One solve's per-node sweep buffers, pooled by right-hand-side count.
-///
-/// Every cell is fully overwritten by its (single) writing task before any
-/// reader runs, and `staged` is refilled before each sweep, so no reset
-/// between solves is needed.
-struct UlvWorkspace<T: Scalar> {
-    /// The right-hand side in tree order (row `pos` holds original row
-    /// `perm[pos]`), so every leaf's rows are one contiguous range.
-    staged: DenseMatrix<T>,
-    /// Reduced right-hand sides passed upward (`s x r`), written by
-    /// `SUP(node)`, read by `SUP(parent)`.
-    bred: DisjointCells<DenseMatrix<T>>,
-    /// Forward-eliminated components `y2 = L^{-1} b^_2` (`t x r`), written
-    /// by `SUP(node)`, read by `SDOWN(node)`.
-    y2: DisjointCells<DenseMatrix<T>>,
-    /// Reduced solutions passed downward (`s x r`), written by
-    /// `SDOWN(parent)`, read by `SDOWN(node)`.
-    xred: DisjointCells<DenseMatrix<T>>,
-    /// Per-leaf output blocks in local coordinates.
-    x: DisjointCells<DenseMatrix<T>>,
-}
-
-impl<T: Scalar> UlvWorkspace<T> {
-    /// Sweep cells for every node, `r` columns wide. `dims[h]` is node `h`'s
-    /// `(reduced, eliminated)` pair — kept on the factor (not read from the
-    /// nodes) so allocation never faults a store-backed node in.
-    fn allocate(comp: &Compressed<T>, dims: &[(usize, usize)], r: usize) -> Self {
-        let node_count = comp.tree.node_count();
-        let leaf_rows = |heap: usize| {
-            if comp.tree.is_leaf(heap) {
-                comp.tree.node(heap).len
-            } else {
-                0
-            }
-        };
-        Self {
-            staged: DenseMatrix::zeros(comp.n(), r),
-            bred: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].0, r)),
-            y2: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].1, r)),
-            xred: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].0, r)),
-            x: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(leaf_rows(h), r)),
-        }
-    }
-}
-
-impl<T: Scalar> SweepWorkspace<T> for UlvWorkspace<T> {
-    fn staged(&mut self) -> &mut DenseMatrix<T> {
-        &mut self.staged
-    }
-}
+/// The orthogonal ULV node kernel: the node arithmetic of [`UlvFactor`].
+#[derive(Debug)]
+pub enum Ulv {}
 
 /// A persistent backward-stable ULV factorization of `K + lambda I` — the
 /// default solve backend behind `GofmmOperator` (the SMW
 /// [`crate::HierarchicalFactor`] remains available via
-/// `FactorBackend::Smw`).
+/// `FactorBackend::Smw`): the [`Factor`] driver over the [`Ulv`] node
+/// kernel.
 ///
-/// Built once per compression (one `FACTOR` bottom-up sweep), it serves
-/// unlimited [`UlvFactor::solve`] calls: each is a cached-plan `SUP`/`SDOWN`
-/// double sweep with **zero kernel-entry evaluations**, bit-identical across
-/// traversal policies, worker counts, and concurrency (`solve` takes
-/// `&self`). Accuracy holds across the full regularization range — `lambda`
-/// from `1e-8` to `1e8` times the operator scale solves to roundoff-level
+/// Accuracy holds across the full regularization range — `lambda` from
+/// `1e-8` to `1e8` times the operator scale solves to roundoff-level
 /// relative residual, where the SMW recursion demonstrably degrades at the
-/// small-`lambda` end.
+/// small-`lambda` end. Its per-node blocks live in memory (the normal path)
+/// or in a [`FilePanelStore`], faulted in per solve task behind the store's
+/// LRU resident set (the out-of-core path); a solve then also returns
+/// [`Error::Storage`] when a node fails to fault in.
 ///
 /// # Example
 ///
@@ -285,167 +221,251 @@ impl<T: Scalar> SweepWorkspace<T> for UlvWorkspace<T> {
 /// let x = factor.solve(&b).unwrap(); // &self: shareable across threads
 /// assert_eq!(x.rows(), n);
 /// ```
-pub struct UlvFactor<'a, T: Scalar> {
-    comp: CompRef<'a, T>,
-    /// Per-node factor blocks: in memory (the normal path) or in a
-    /// [`FilePanelStore`], faulted in per solve task behind the store's LRU
-    /// resident set (the out-of-core path).
-    slots: Vec<Residence<UlvNode<T>>>,
-    /// Per-node `(reduced, eliminated)` sweep dimensions, kept separately
-    /// from the slots so workspace allocation never faults a store-backed
-    /// node in.
-    dims: Vec<(usize, usize)>,
-    /// The SUP/SDOWN solve DAG (same shape as the SMW backend's), re-run per
-    /// solve on sweep buffers leased per call and recycled across calls.
-    sweep: SweepDriver<UlvWorkspace<T>>,
-    stats: FactorStats,
-}
+pub type UlvFactor<'a, T> = Factor<'a, T, Ulv>;
 
-impl<'a, T: Scalar> UlvFactor<'a, T> {
-    /// Factor `K + lambda I` using the compression's configured policy and
-    /// thread count.
-    ///
-    /// The `matrix` supplies each leaf's diagonal block and each interior
-    /// node's sibling skeleton block `K_{skel(l), skel(r)}`; after this
-    /// returns, [`UlvFactor::solve`] never evaluates a kernel entry.
-    pub fn new<M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: &'a Compressed<T>,
-        lambda: f64,
-    ) -> Result<Self, Error> {
-        Self::with_options(
-            matrix,
-            comp,
-            &FactorOptions {
-                lambda,
-                ..FactorOptions::default()
-            },
-        )
-    }
+impl<T: Scalar> NodeKernel<T> for Ulv {
+    type Node = UlvNode<T>;
+    type Held = Residence<UlvNode<T>>;
+    /// The transient `(S, U~)` pair: the node's Schur complement and
+    /// compressed basis, which the parent sees as its child's diagonal
+    /// block and basis.
+    type Up = (DenseMatrix<T>, DenseMatrix<T>);
 
-    /// Factor with explicit policy / thread-count overrides.
-    pub fn with_options<M: SpdMatrix<T> + ?Sized>(
+    /// The regularized diagonal block with the leaf basis `U = P^T`.
+    fn factor_leaf<M: SpdMatrix<T> + ?Sized>(
         matrix: &M,
-        comp: &'a Compressed<T>,
-        opts: &FactorOptions,
-    ) -> Result<Self, Error> {
-        Self::build(matrix, CompRef::Borrowed(comp), opts)
-    }
-
-    /// Factor an `Arc`-shared compression; the result is `'static` and
-    /// `Send + Sync` (how the `GofmmOperator` front door holds it).
-    pub fn from_shared<M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: Arc<Compressed<T>>,
-        opts: &FactorOptions,
-    ) -> Result<UlvFactor<'static, T>, Error> {
-        UlvFactor::build(matrix, CompRef::Shared(comp), opts)
-    }
-
-    /// Shared construction behind every public constructor: the `FACTOR`
-    /// sweep, then the solve plan (which depends only on the compressed
-    /// structure).
-    fn build<'c, M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: CompRef<'c, T>,
-        opts: &FactorOptions,
-    ) -> Result<UlvFactor<'c, T>, Error> {
-        if !opts.lambda.is_finite() {
-            return Err(Error::InvalidConfig {
-                what: "lambda",
-                constraint: "must be finite",
-            });
+        comp: &Compressed<T>,
+        heap: usize,
+        lambda: T,
+    ) -> Result<Factored<Self, T>, Error> {
+        let rows = comp.tree.indices(heap);
+        let mut a = matrix.submatrix(rows, rows);
+        for i in 0..a.rows() {
+            let d = a.get(i, i);
+            a.set(i, i, d + lambda);
         }
-        let policy = opts.policy.unwrap_or(comp.config.policy);
-        let num_threads = opts.num_threads.unwrap_or(comp.config.num_threads).max(1);
-        let lambda = T::from_f64(opts.lambda);
-        let t0 = Instant::now();
+        // A depth-0 tree's root leaf has no outgoing basis: plain dense Cholesky.
+        let u = comp.basis(heap).map(|basis| basis.interp.transpose());
+        finish_node(heap, a, u, 0)
+    }
+
+    /// The merged block assembled from the children's Schur complements and
+    /// the sibling skeleton block, factored with the stacked basis.
+    fn factor_interior<M: SpdMatrix<T> + ?Sized>(
+        matrix: &M,
+        comp: &Compressed<T>,
+        heap: usize,
+        (_, (schur_l, utilde_l)): &Factored<Self, T>,
+        (_, (schur_r, utilde_r)): &Factored<Self, T>,
+    ) -> Result<Factored<Self, T>, Error> {
+        let (l, r) = comp.tree.children(heap);
+        let (sl, sr) = (schur_l.rows(), schur_r.rows());
+        let merged = sl + sr;
+
+        // B = K_{skel(l), skel(r)}, the sibling skeleton block.
+        let skel_l = &comp.basis(l).expect("child skeleton").skeleton;
+        let skel_r = &comp.basis(r).expect("child skeleton").skeleton;
+        let b = matrix.submatrix(skel_l, skel_r);
+        debug_assert_eq!((b.rows(), b.cols()), (sl, sr), "sibling block shape");
+
+        // Merged block in the children's reduced coordinates:
+        // [ S_l              U~_l B U~_r^T ]
+        // [ (U~_l B U~_r^T)^T     S_r      ]
+        let (perm_l, perm_r) = (as_permutation(utilde_l), as_permutation(utilde_r));
+        let mut d = DenseMatrix::zeros(merged, merged);
+        d.set_block(0, 0, schur_l);
+        d.set_block(sl, sl, schur_r);
+        // (U~_l B U~_r^T)^T = U~_r (U~_l B)^T.
+        let left = basis_times(utilde_l, perm_l.as_deref(), &b);
+        let coupling_t = basis_times(utilde_r, perm_r.as_deref(), &left.transpose());
+        d.set_block(0, sl, &coupling_t.transpose());
+        d.set_block(sl, 0, &coupling_t);
+
+        // Stacked outgoing basis diag(U~_l, U~_r) E, E = P^T; the root has none
+        // and Cholesky-factors the whole merged block.
+        let u = comp.basis(heap).map(|basis| {
+            let e = basis.interp.transpose();
+            debug_assert_eq!(e.rows(), merged, "nested basis shape");
+            let cols = e.cols();
+            let mut ue = DenseMatrix::zeros(merged, cols);
+            ue.set_block(
+                0,
+                0,
+                &basis_times(utilde_l, perm_l.as_deref(), &e.block(0, sl, 0, cols)),
+            );
+            ue.set_block(
+                sl,
+                0,
+                &basis_times(utilde_r, perm_r.as_deref(), &e.block(sl, merged, 0, cols)),
+            );
+            ue
+        });
+        finish_node(heap, d, u, sl)
+    }
+
+    /// A node of order `m` (its leaf rows, or its children's ranks) with an
+    /// `m x s` outgoing basis: the basis QR and the two-sided rotation
+    /// (`2 m s^2 + 8 m^2 s`; none for a square basis, which is not rotated),
+    /// then the trailing elimination of `t = m - s` variables (Cholesky,
+    /// triangular solve, Schur update: `t^3 / 3 + t^2 s + 2 t s^2`).
+    fn factor_cost(comp: &Compressed<T>, heap: usize) -> f64 {
         let tree = &comp.tree;
-        let node_count = tree.node_count();
-
-        let slots: DisjointCells<Slot<T>> = DisjointCells::from_fn(node_count, |_| Slot::Pending);
-        let comp_ref = &*comp;
-        let factor_one = |heap: usize| {
-            let slot = if tree.is_leaf(heap) {
-                factor_leaf(matrix, comp_ref, heap, lambda)
-            } else {
-                let (l, r) = tree.children(heap);
-                let gl = slots.read(l);
-                let gr = slots.read(r);
-                match (&*gl, &*gr) {
-                    (
-                        Slot::Ready {
-                            schur: sl,
-                            utilde: ul,
-                            ..
-                        },
-                        Slot::Ready {
-                            schur: sr,
-                            utilde: ur,
-                            ..
-                        },
-                    ) => factor_interior(matrix, comp_ref, heap, sl, ul, sr, ur),
-                    // A failed child already recorded its error; stay silent.
-                    _ => Slot::Pending,
-                }
-            };
-            slots.set(heap, slot);
-        };
-
         let rank = |heap: usize| comp.basis(heap).map_or(0, |b| b.rank());
-        let mut plan = ReusablePlan::new();
-        plan.add_bottom_up(
-            "FACTOR",
-            tree,
-            |_| false,
-            |heap| {
-                let m = if tree.is_leaf(heap) {
-                    tree.node(heap).len
-                } else {
-                    let (l, r) = tree.children(heap);
-                    rank(l) + rank(r)
-                };
-                factor_cost(m, rank(heap))
-            },
-        );
-        let exec = plan.run(policy, num_threads, |_, heap| factor_one(heap));
+        let m = if tree.is_leaf(heap) {
+            tree.node(heap).len
+        } else {
+            let (l, r) = tree.children(heap);
+            rank(l) + rank(r)
+        };
+        let (m, s) = (m as f64, rank(heap) as f64);
+        let t = m - s;
+        let rotate = if t > 0.0 {
+            2.0 * m * s * s + 8.0 * m * m * s
+        } else {
+            0.0
+        };
+        rotate + t * t * t / 3.0 + t * t * s + 2.0 * t * s * s
+    }
 
-        let mut slots = slots.into_inner();
-        // Surface the deepest-level failure first; ancestors of a failed
-        // node deliberately stay pending.
-        if let Some(err) = slots.iter().rev().find_map(|s| match s {
-            Slot::Failed(err) => Some(err.clone()),
-            _ => None,
-        }) {
-            return Err(err);
-        }
-        let mut nodes: Vec<UlvNode<T>> = Vec::with_capacity(node_count);
-        for (heap, slot) in slots.drain(..).enumerate() {
-            match slot {
-                Slot::Ready { node, .. } => nodes.push(*node),
-                _ => unreachable!(
-                    "ULV factor task for node {heap} neither completed nor reported an error"
-                ),
+    fn bytes(node: &UlvNode<T>) -> usize {
+        node.bytes()
+    }
+
+    /// `kept`: the reduced variables `s` (rows of `b~` and `x~`); `local`:
+    /// the eliminated ones `t` (rows of `y2`).
+    fn dims(node: &UlvNode<T>) -> (usize, usize) {
+        (node.reduced, node.eliminated)
+    }
+
+    fn hold(node: UlvNode<T>) -> Residence<UlvNode<T>> {
+        Residence::Memory(node)
+    }
+
+    /// Rotate the node's right-hand side (a leaf's contiguous staged rows,
+    /// or the children's reduced ones), forward-eliminate the trailing
+    /// variables into `local` (`y2`), push the reduced right-hand side `b~`
+    /// upward.
+    fn sweep_up(
+        factor: &Factor<'_, T, Self>,
+        ws: &SolveWorkspace<T>,
+        heap: usize,
+    ) -> Result<(), Error> {
+        let comp = &*factor.comp;
+        let nf = factor.node(heap)?;
+        let (s, t) = (nf.reduced, nf.eliminated);
+        let r = ws.staged.cols();
+        // b^ is assembled in a factorization-scratch buffer, column by column.
+        let mut buf = take_scratch::<T>();
+        if comp.tree.is_leaf(heap) {
+            let node = comp.tree.node(heap);
+            for j in 0..r {
+                buf.extend_from_slice(&ws.staged.col(j)[node.start..node.start + node.len]);
+            }
+        } else {
+            let (l, rr) = comp.tree.children(heap);
+            let bl = ws.up.read(l);
+            let br = ws.up.read(rr);
+            for j in 0..r {
+                buf.extend_from_slice(bl.col(j));
+                buf.extend_from_slice(br.col(j));
             }
         }
-
-        let bytes = nodes.iter().map(UlvNode::bytes).sum();
-        let stats = FactorStats {
-            setup_time: t0.elapsed().as_secs_f64(),
-            bytes,
-            lambda: opts.lambda,
-            exec: Some(exec),
-        };
-        let dims = nodes.iter().map(|n| (n.reduced, n.eliminated)).collect();
-        Ok(UlvFactor {
-            slots: nodes.into_iter().map(Residence::Memory).collect(),
-            dims,
-            sweep: solve_driver(&comp, policy, num_threads),
-            comp,
-            stats,
-        })
+        let mut bh = DenseMatrix::from_vec(s + t, r, buf);
+        if let Some(qr) = &nf.rotation {
+            qr.apply_qt(&mut bh);
+        }
+        // y2 = L^{-1} b^_2 — kept for the downward substitution. Copied into
+        // the pooled buffer (not replaced), so recycled workspaces really do
+        // recycle their allocations.
+        let mut y2 = ws.local.write(heap);
+        for j in 0..r {
+            y2.col_mut(j).copy_from_slice(&bh.col(j)[s..s + t]);
+        }
+        nf.elim.forward_eliminated(&mut y2);
+        // Reduced RHS for the parent: b~ = b^_1 - X y2.
+        let mut bred = ws.up.write(heap);
+        for j in 0..r {
+            bred.col_mut(j).copy_from_slice(&bh.col(j)[..s]);
+        }
+        if s > 0 && t > 0 {
+            gemm(
+                -T::one(),
+                &nf.elim.xt,
+                Transpose::Yes,
+                &y2,
+                Transpose::No,
+                T::one(),
+                &mut bred,
+            );
+        }
+        give_scratch(bh);
+        Ok(())
     }
 
+    /// Back-substitute the eliminated variables, rotate back to the incoming
+    /// coordinates, split to the children's `down` cells (or emit the leaf
+    /// block).
+    fn sweep_down(
+        factor: &Factor<'_, T, Self>,
+        ws: &SolveWorkspace<T>,
+        heap: usize,
+    ) -> Result<(), Error> {
+        let comp = &*factor.comp;
+        let nf = factor.node(heap)?;
+        let (s, t) = (nf.reduced, nf.eliminated);
+        let r = ws.staged.cols();
+        let x1 = ws.down.read(heap);
+        // x2 = L^{-T} (y2 - X^T x1), in a factorization-scratch buffer.
+        let mut x2 = take_scratch::<T>();
+        x2.extend_from_slice(ws.local.read(heap).data());
+        let mut x2 = DenseMatrix::from_vec(t, r, x2);
+        if t > 0 {
+            if s > 0 {
+                gemm(
+                    -T::one(),
+                    &nf.elim.xt,
+                    Transpose::No,
+                    &x1,
+                    Transpose::No,
+                    T::one(),
+                    &mut x2,
+                );
+            }
+            nf.elim.backward_eliminated(&mut x2);
+        }
+        // u = [x1; x2], rotated back.
+        let mut u = take_scratch::<T>();
+        for j in 0..r {
+            u.extend_from_slice(x1.col(j));
+            u.extend_from_slice(x2.col(j));
+        }
+        drop(x1);
+        give_scratch(x2);
+        let mut u = DenseMatrix::from_vec(s + t, r, u);
+        if let Some(qr) = &nf.rotation {
+            qr.apply_q(&mut u);
+        }
+        if comp.tree.is_leaf(heap) {
+            let mut x = ws.x.write(heap);
+            x.data_mut().copy_from_slice(u.data());
+        } else {
+            let (l, rr) = comp.tree.children(heap);
+            let mut xl = ws.down.write(l);
+            for j in 0..r {
+                xl.col_mut(j).copy_from_slice(&u.col(j)[..nf.split]);
+            }
+            drop(xl);
+            let mut xr = ws.down.write(rr);
+            for j in 0..r {
+                xr.col_mut(j).copy_from_slice(&u.col(j)[nf.split..]);
+            }
+        }
+        give_scratch(u);
+        Ok(())
+    }
+}
+
+impl<T: Scalar> UlvFactor<'_, T> {
     /// One node's factor blocks — borrowed when resident, faulted in through
     /// the store's LRU resident set when spilled.
     ///
@@ -453,88 +473,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     /// [`Error::Storage`] when a spilled node fails to fault in (the store
     /// file was truncated or removed, the device is gone).
     fn node(&self, heap: usize) -> Result<impl std::ops::Deref<Target = UlvNode<T>> + '_, Error> {
-        Ok(self.slots[heap].get()?)
-    }
-
-    /// Matrix dimension `N`.
-    pub fn n(&self) -> usize {
-        self.comp.n()
-    }
-
-    /// The regularization this factorization inverts with.
-    pub fn lambda(&self) -> f64 {
-        self.stats.lambda
-    }
-
-    /// Lifetime lease traffic of the internal solve-workspace pool, as
-    /// `(created, recycled)` checkouts.
-    pub fn pool_lease_stats(&self) -> (usize, usize) {
-        self.sweep.pool_lease_stats()
-    }
-
-    /// Factorization statistics (setup time, storage, scheduler stats).
-    pub fn stats(&self) -> &FactorStats {
-        &self.stats
-    }
-
-    /// The default traversal policy of [`UlvFactor::solve`] (override per
-    /// call with [`UlvFactor::solve_with`]).
-    pub fn policy(&self) -> TraversalPolicy {
-        self.sweep.policy()
-    }
-
-    /// The default worker-thread count of [`UlvFactor::solve`] (override per
-    /// call with [`UlvFactor::solve_with`]).
-    pub fn threads(&self) -> usize {
-        self.sweep.threads()
-    }
-
-    /// Solve `(K_hss + lambda I) x = b` from the factored state: one upward
-    /// and one downward tree sweep, zero kernel evaluations, the sweep
-    /// buffers leased from an internal pool.
-    ///
-    /// Takes `&self`: any number of threads may call this simultaneously on
-    /// one shared factorization; all of them produce bit-identical
-    /// solutions.
-    ///
-    /// # Errors
-    /// [`Error::DimensionMismatch`] when `b.rows() != n`;
-    /// [`Error::Storage`] when a file-backed node fails to fault in.
-    pub fn solve(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>, Error> {
-        self.solve_with(b, &ApplyOptions::default())
-    }
-
-    /// Solve with per-call policy / thread-count overrides (bit-identical to
-    /// every other policy/thread combination).
-    ///
-    /// # Errors
-    /// [`Error::DimensionMismatch`] when `b.rows() != n`;
-    /// [`Error::Cancelled`] when `opts.cancel` fires before the sweeps
-    /// complete; [`Error::Storage`] when a file-backed node fails to fault
-    /// in (the first failed fault stops the sweeps). A cancelled or failed
-    /// solve leaves the factor fully reusable: the sweep workspace is
-    /// overwritten from scratch on every run, so no partial state can leak
-    /// into a later solve.
-    pub fn solve_with(
-        &self,
-        b: &DenseMatrix<T>,
-        opts: &ApplyOptions,
-    ) -> Result<DenseMatrix<T>, Error> {
-        self.sweep.run(
-            &self.comp.tree,
-            b,
-            opts,
-            || UlvWorkspace::allocate(&self.comp, &self.dims, b.cols()),
-            |ws, family, node| {
-                let pass = UlvSolvePass { factor: self, ws };
-                match family {
-                    "SUP" => pass.task_up(node),
-                    "SDOWN" => pass.task_down(node),
-                    other => unreachable!("unknown solve task family {other}"),
-                }
-            },
-            |ws, _| scatter_leaves(&self.comp, &mut ws.x, b.cols()),
-        )
+        Ok(self.nodes[heap].get()?)
     }
 
     /// Spill this factor's per-node blocks into `writer` under
@@ -546,7 +485,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     /// [`Error::InvalidConfig`] when a node is already file-backed;
     /// [`Error::Storage`] on a write failure.
     pub fn spill_nodes(&self, writer: &mut StoreWriter) -> Result<(), Error> {
-        for (heap, slot) in self.slots.iter().enumerate() {
+        for (heap, slot) in self.nodes.iter().enumerate() {
             slot.spill(writer, classes::ULV_NODE, heap as u32)?;
         }
         Ok(())
@@ -559,7 +498,7 @@ impl<'a, T: Scalar> UlvFactor<'a, T> {
     /// are bit-identical under every traversal policy. Nodes absent from
     /// the store are left untouched.
     pub fn attach_store(&mut self, store: &Arc<FilePanelStore>) {
-        for (heap, slot) in self.slots.iter_mut().enumerate() {
+        for (heap, slot) in self.nodes.iter_mut().enumerate() {
             slot.attach(store, classes::ULV_NODE, heap as u32);
         }
     }
@@ -648,14 +587,14 @@ impl<T: Scalar> UlvFactor<'static, T> {
         }
         r.finish().map_err(Error::from)?;
 
-        let mut slots = Vec::with_capacity(node_count);
+        let mut nodes = Vec::with_capacity(node_count);
         for heap in 0..node_count {
             if !store.contains(classes::ULV_NODE, heap as u32) {
                 return Err(Error::Storage {
                     message: format!("factor store is missing node {heap}"),
                 });
             }
-            slots.push(Residence::Stored {
+            nodes.push(Residence::Stored {
                 store: Arc::clone(&store),
                 class: classes::ULV_NODE,
                 node: heap as u32,
@@ -663,8 +602,8 @@ impl<T: Scalar> UlvFactor<'static, T> {
         }
 
         let comp = CompRef::Shared(comp);
-        Ok(UlvFactor {
-            slots,
+        Ok(Factor {
+            nodes,
             dims,
             sweep: solve_driver(&comp, policy, threads),
             comp,
@@ -711,22 +650,6 @@ fn classify_breakdown<T: Scalar>(
     }
 }
 
-/// HEFT cost estimate, in flops, of factoring a node of order `m` with an
-/// `m x s` outgoing basis: the basis QR and the two-sided rotation
-/// (`2 m s^2 + 8 m^2 s`; none for a square basis, which is not rotated), then
-/// the trailing elimination of `t = m - s` variables (Cholesky, triangular
-/// solve, Schur update: `t^3 / 3 + t^2 s + 2 t s^2`).
-fn factor_cost(m: usize, s: usize) -> f64 {
-    let (m, s) = (m as f64, s as f64);
-    let t = m - s;
-    let rotate = if t > 0.0 {
-        2.0 * m * s * s + 8.0 * m * m * s
-    } else {
-        0.0
-    };
-    rotate + t * t * t / 3.0 + t * t * s + 2.0 * t * s * s
-}
-
 /// Shared tail of the leaf and interior factor tasks: compress the node's
 /// outgoing basis `u` (`m x s`) and rotate the block with it, eliminate the
 /// trailing variables, and package the persistent node plus the transient
@@ -742,7 +665,7 @@ fn finish_node<T: Scalar>(
     d: DenseMatrix<T>,
     u: Option<DenseMatrix<T>>,
     split: usize,
-) -> Slot<T> {
+) -> Result<Factored<Ulv, T>, Error> {
     let (rotation, utilde, reduced) = match u {
         Some(u) if u.cols() < u.rows() => {
             let qr = householder_qr(&u);
@@ -760,101 +683,20 @@ fn finish_node<T: Scalar>(
         None => d,
     };
     let rotation = rotation.as_ref().map(WyRotation::from_qr);
-    let mut elim = match eliminate_trailing(&dhat, reduced) {
-        Ok(elim) => elim,
-        Err(e) => return Slot::Failed(classify_breakdown(heap, reduced, &dhat, &e)),
-    };
+    let mut elim = eliminate_trailing(&dhat, reduced)
+        .map_err(|e| classify_breakdown(heap, reduced, &dhat, &e))?;
     // The Schur complement travels up through the slot; the persistent node
     // keeps only what the solve sweeps read.
     let schur = std::mem::replace(&mut elim.schur, DenseMatrix::zeros(0, 0));
     let eliminated = dhat.rows() - reduced;
-    Slot::Ready {
-        node: Box::new(UlvNode {
-            rotation,
-            elim,
-            reduced,
-            eliminated,
-            split,
-        }),
-        schur,
-        utilde,
-    }
-}
-
-/// Factor one leaf: its regularized diagonal block with the leaf basis
-/// `U = P^T`.
-fn factor_leaf<T: Scalar, M: SpdMatrix<T> + ?Sized>(
-    matrix: &M,
-    comp: &Compressed<T>,
-    heap: usize,
-    lambda: T,
-) -> Slot<T> {
-    let rows = comp.tree.indices(heap);
-    let mut a = matrix.submatrix(rows, rows);
-    for i in 0..a.rows() {
-        let d = a.get(i, i);
-        a.set(i, i, d + lambda);
-    }
-    // A depth-0 tree's root leaf has no outgoing basis: plain dense Cholesky.
-    let u = comp.basis(heap).map(|basis| basis.interp.transpose());
-    finish_node(heap, a, u, 0)
-}
-
-/// Factor one interior node: assemble the merged block from the children's
-/// Schur complements and the sibling skeleton block, and factor it with the
-/// stacked basis.
-fn factor_interior<T: Scalar, M: SpdMatrix<T> + ?Sized>(
-    matrix: &M,
-    comp: &Compressed<T>,
-    heap: usize,
-    schur_l: &DenseMatrix<T>,
-    utilde_l: &DenseMatrix<T>,
-    schur_r: &DenseMatrix<T>,
-    utilde_r: &DenseMatrix<T>,
-) -> Slot<T> {
-    let (l, r) = comp.tree.children(heap);
-    let (sl, sr) = (schur_l.rows(), schur_r.rows());
-    let merged = sl + sr;
-
-    // B = K_{skel(l), skel(r)}, the sibling skeleton block.
-    let skel_l = &comp.basis(l).expect("child skeleton").skeleton;
-    let skel_r = &comp.basis(r).expect("child skeleton").skeleton;
-    let b = matrix.submatrix(skel_l, skel_r);
-    debug_assert_eq!((b.rows(), b.cols()), (sl, sr), "sibling block shape");
-
-    // Merged block in the children's reduced coordinates:
-    // [ S_l              U~_l B U~_r^T ]
-    // [ (U~_l B U~_r^T)^T     S_r      ]
-    let (perm_l, perm_r) = (as_permutation(utilde_l), as_permutation(utilde_r));
-    let mut d = DenseMatrix::zeros(merged, merged);
-    d.set_block(0, 0, schur_l);
-    d.set_block(sl, sl, schur_r);
-    // (U~_l B U~_r^T)^T = U~_r (U~_l B)^T.
-    let left = basis_times(utilde_l, perm_l.as_deref(), &b);
-    let coupling_t = basis_times(utilde_r, perm_r.as_deref(), &left.transpose());
-    d.set_block(0, sl, &coupling_t.transpose());
-    d.set_block(sl, 0, &coupling_t);
-
-    // Stacked outgoing basis diag(U~_l, U~_r) E, E = P^T; the root has none
-    // and Cholesky-factors the whole merged block.
-    let u = comp.basis(heap).map(|basis| {
-        let e = basis.interp.transpose();
-        debug_assert_eq!(e.rows(), merged, "nested basis shape");
-        let cols = e.cols();
-        let mut ue = DenseMatrix::zeros(merged, cols);
-        ue.set_block(
-            0,
-            0,
-            &basis_times(utilde_l, perm_l.as_deref(), &e.block(0, sl, 0, cols)),
-        );
-        ue.set_block(
-            sl,
-            0,
-            &basis_times(utilde_r, perm_r.as_deref(), &e.block(sl, merged, 0, cols)),
-        );
-        ue
-    });
-    finish_node(heap, d, u, sl)
+    let node = UlvNode {
+        rotation,
+        elim,
+        reduced,
+        eliminated,
+        split,
+    };
+    Ok((node, (schur, utilde)))
 }
 
 /// `Some(perm)` when the child basis `U~` is a permutation matrix, column
@@ -903,133 +745,6 @@ fn basis_times<T: Scalar>(
     }
 }
 
-/// One in-flight ULV solve: the factor's frozen state and the leased
-/// workspace, which holds the right-hand side in tree order.
-///
-/// Every buffer cell has exactly one writing task per solve, and every
-/// cross-task read/write pair is ordered by a plan edge (or level barrier),
-/// so solutions are bit-identical across traversal policies and worker
-/// counts; concurrent solves never share a workspace.
-struct UlvSolvePass<'p, 'a, T: Scalar> {
-    factor: &'p UlvFactor<'a, T>,
-    ws: &'p UlvWorkspace<T>,
-}
-
-impl<T: Scalar> UlvSolvePass<'_, '_, T> {
-    /// `SUP`: rotate the node's right-hand side (a leaf's contiguous staged
-    /// rows, or the children's reduced ones), forward-eliminate the trailing
-    /// variables, push the reduced right-hand side upward.
-    fn task_up(&self, heap: usize) -> Result<(), Error> {
-        let comp = &*self.factor.comp;
-        let nf = self.factor.node(heap)?;
-        let (s, t) = (nf.reduced, nf.eliminated);
-        let r = self.ws.staged.cols();
-        // b^ is assembled in a factorization-scratch buffer, column by column.
-        let mut buf = take_scratch::<T>();
-        if comp.tree.is_leaf(heap) {
-            let node = comp.tree.node(heap);
-            for j in 0..r {
-                buf.extend_from_slice(&self.ws.staged.col(j)[node.start..node.start + node.len]);
-            }
-        } else {
-            let (l, rr) = comp.tree.children(heap);
-            let bl = self.ws.bred.read(l);
-            let br = self.ws.bred.read(rr);
-            for j in 0..r {
-                buf.extend_from_slice(bl.col(j));
-                buf.extend_from_slice(br.col(j));
-            }
-        }
-        let mut bh = DenseMatrix::from_vec(s + t, r, buf);
-        if let Some(qr) = &nf.rotation {
-            qr.apply_qt(&mut bh);
-        }
-        // y2 = L^{-1} b^_2 — kept for the downward substitution. Copied into
-        // the pooled buffer (not replaced), so recycled workspaces really do
-        // recycle their allocations.
-        let mut y2 = self.ws.y2.write(heap);
-        for j in 0..r {
-            y2.col_mut(j).copy_from_slice(&bh.col(j)[s..s + t]);
-        }
-        nf.elim.forward_eliminated(&mut y2);
-        // Reduced RHS for the parent: b~ = b^_1 - X y2.
-        let mut bred = self.ws.bred.write(heap);
-        for j in 0..r {
-            bred.col_mut(j).copy_from_slice(&bh.col(j)[..s]);
-        }
-        if s > 0 && t > 0 {
-            gemm(
-                -T::one(),
-                &nf.elim.xt,
-                Transpose::Yes,
-                &y2,
-                Transpose::No,
-                T::one(),
-                &mut bred,
-            );
-        }
-        give_scratch(bh);
-        Ok(())
-    }
-
-    /// `SDOWN`: back-substitute the eliminated variables, rotate back to the
-    /// incoming coordinates, split to the children (or emit the leaf block).
-    fn task_down(&self, heap: usize) -> Result<(), Error> {
-        let comp = &*self.factor.comp;
-        let nf = self.factor.node(heap)?;
-        let (s, t) = (nf.reduced, nf.eliminated);
-        let r = self.ws.staged.cols();
-        let x1 = self.ws.xred.read(heap);
-        // x2 = L^{-T} (y2 - X^T x1), in a factorization-scratch buffer.
-        let mut x2 = take_scratch::<T>();
-        x2.extend_from_slice(self.ws.y2.read(heap).data());
-        let mut x2 = DenseMatrix::from_vec(t, r, x2);
-        if t > 0 {
-            if s > 0 {
-                gemm(
-                    -T::one(),
-                    &nf.elim.xt,
-                    Transpose::No,
-                    &x1,
-                    Transpose::No,
-                    T::one(),
-                    &mut x2,
-                );
-            }
-            nf.elim.backward_eliminated(&mut x2);
-        }
-        // u = [x1; x2], rotated back.
-        let mut u = take_scratch::<T>();
-        for j in 0..r {
-            u.extend_from_slice(x1.col(j));
-            u.extend_from_slice(x2.col(j));
-        }
-        drop(x1);
-        give_scratch(x2);
-        let mut u = DenseMatrix::from_vec(s + t, r, u);
-        if let Some(qr) = &nf.rotation {
-            qr.apply_q(&mut u);
-        }
-        if comp.tree.is_leaf(heap) {
-            let mut x = self.ws.x.write(heap);
-            x.data_mut().copy_from_slice(u.data());
-        } else {
-            let (l, rr) = comp.tree.children(heap);
-            let mut xl = self.ws.xred.write(l);
-            for j in 0..r {
-                xl.col_mut(j).copy_from_slice(&u.col(j)[..nf.split]);
-            }
-            drop(xl);
-            let mut xr = self.ws.xred.write(rr);
-            for j in 0..r {
-                xr.col_mut(j).copy_from_slice(&u.col(j)[nf.split..]);
-            }
-        }
-        give_scratch(u);
-        Ok(())
-    }
-}
-
 /// An empty buffer from the calling thread's factorization scratch: a solve
 /// task's temporaries reuse the capacity of earlier tasks' on that thread
 /// instead of the allocator's. Return it with [`give_scratch`].
@@ -1043,6 +758,10 @@ fn take_scratch<T: Scalar>() -> Vec<T> {
 fn give_scratch<T: Scalar>(m: DenseMatrix<T>) {
     T::with_factor_scratch(|stash| stash.push(m.into_vec()));
 }
+
+// What the unit tests below name besides this module's own items.
+#[cfg(test)]
+use {crate::factor::FactorOptions, gofmm_core::ApplyOptions, gofmm_core::TraversalPolicy};
 
 #[cfg(test)]
 mod tests {
