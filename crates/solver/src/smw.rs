@@ -72,7 +72,6 @@ use crate::kernel::{Factored, NodeKernel, SolveWorkspace};
 
 /// The Sherman–Morrison–Woodbury node kernel: the node arithmetic of
 /// [`HierarchicalFactor`].
-#[derive(Debug)]
 pub enum Smw {}
 
 /// A persistent hierarchical Sherman–Morrison–Woodbury factorization of

@@ -176,7 +176,6 @@ impl<T: Scalar> Blob for UlvNode<T> {
 }
 
 /// The orthogonal ULV node kernel: the node arithmetic of [`UlvFactor`].
-#[derive(Debug)]
 pub enum Ulv {}
 
 /// A persistent backward-stable ULV factorization of `K + lambda I` — the
