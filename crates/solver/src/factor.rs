@@ -382,3 +382,62 @@ pub(crate) fn solve_driver<T: Scalar>(
     );
     SweepDriver::new("SOLVE", "right-hand-side rows", plan, policy, threads)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::FactorOptions;
+    use crate::{HierarchicalFactor, UlvFactor};
+    use gofmm_core::{compress, Error, GofmmConfig, TraversalPolicy};
+    use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
+
+    /// Every leaf block of `K - 100 I` (Gaussian entries are at most 1) is
+    /// indefinite, so every leaf task fails and every interior task stays
+    /// pending. Both kernels, under every policy and worker count, must
+    /// report the deepest failure: the last leaf in heap order.
+    #[test]
+    fn the_deepest_failure_is_reported_under_every_policy() {
+        let n = 256;
+        let k = KernelMatrix::new(
+            PointCloud::uniform(n, 3, 5),
+            KernelType::Gaussian { bandwidth: 1.0 },
+            1e-6,
+            "deepest-failure",
+        );
+        let config = GofmmConfig::default()
+            .with_leaf_size(32)
+            .with_max_rank(32)
+            .with_tolerance(1e-7)
+            .with_budget(0.0);
+        let comp = compress::<f64, _>(&k, &config);
+        let last_leaf = comp.tree.leaf_range().end - 1;
+        for policy in [
+            TraversalPolicy::Sequential,
+            TraversalPolicy::LevelByLevel,
+            TraversalPolicy::DagHeft,
+            TraversalPolicy::DagFifo,
+        ] {
+            for threads in [1, 2] {
+                let opts = FactorOptions {
+                    lambda: -100.0,
+                    policy: Some(policy),
+                    num_threads: Some(threads),
+                };
+                let errors = [
+                    (
+                        "SMW",
+                        HierarchicalFactor::with_options(&k, &comp, &opts).err(),
+                    ),
+                    ("ULV", UlvFactor::with_options(&k, &comp, &opts).err()),
+                ];
+                for (kernel, err) in errors {
+                    match err {
+                        Some(Error::NotPositiveDefinite { node, .. }) => {
+                            assert_eq!(node, last_leaf, "{kernel} {policy}/{threads}")
+                        }
+                        other => panic!("{kernel} {policy}/{threads}: {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+}
