@@ -35,6 +35,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::kernel::{NodeKernel, SolveWorkspace};
+use crate::smw::Smw;
 
 /// Options of [`Factor::with_options`].
 #[derive(Clone, Debug)]
@@ -103,6 +104,44 @@ pub struct Factor<'a, T: Scalar, K: NodeKernel<T>> {
     pub(crate) sweep: SweepDriver<SolveWorkspace<T>>,
     pub(crate) stats: FactorStats,
 }
+
+/// A persistent hierarchical Sherman–Morrison–Woodbury factorization of
+/// `K + lambda I`: the [`Factor`] driver over the [`Smw`] node kernel.
+///
+/// Leaves hold the Cholesky factor of their regularized diagonal block and
+/// the projected panel `H_leaf^{-1} U`; interior nodes hold the small SMW
+/// matrices. With a pure-HSS compression it is accurate enough to serve as
+/// a direct solver for the compressed operator.
+///
+/// # Example
+///
+/// ```
+/// use gofmm_core::{compress, GofmmConfig, TraversalPolicy};
+/// use gofmm_linalg::DenseMatrix;
+/// use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
+/// use gofmm_solver::HierarchicalFactor;
+///
+/// let n = 256;
+/// let k = KernelMatrix::new(
+///     PointCloud::uniform(n, 3, 7),
+///     KernelType::Gaussian { bandwidth: 1.0 },
+///     1e-6,
+///     "doc",
+/// );
+/// let config = GofmmConfig::default()
+///     .with_leaf_size(32)
+///     .with_max_rank(32)
+///     .with_tolerance(1e-7)
+///     .with_budget(0.0) // pure HSS: the factorization is essentially exact
+///     .with_threads(2)
+///     .with_policy(TraversalPolicy::Sequential);
+/// let comp = compress::<f64, _>(&k, &config);
+/// let factor = HierarchicalFactor::new(&k, &comp, 1e-2).unwrap();
+/// let b = DenseMatrix::<f64>::from_fn(n, 1, |i, _| (i % 7) as f64);
+/// let x = factor.solve(&b).unwrap(); // &self: shareable across threads
+/// assert_eq!(x.rows(), n);
+/// ```
+pub type HierarchicalFactor<'a, T> = Factor<'a, T, Smw>;
 
 impl<'a, T: Scalar, K: NodeKernel<T>> Factor<'a, T, K> {
     /// Factor `K + lambda I` using the compression's configured policy and

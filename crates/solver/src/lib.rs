@@ -85,7 +85,7 @@ pub mod serve;
 mod smw;
 pub mod ulv;
 
-pub use factor::{Factor, FactorOptions, FactorStats};
+pub use factor::{Factor, FactorOptions, FactorStats, HierarchicalFactor};
 pub use gofmm_core::Error;
 pub use gofmm_telemetry::{
     MetricsRegistry, ProgressHandle, ProgressListener, ProgressReport, Trace, TraceSink,
@@ -100,7 +100,7 @@ pub use serve::{
     BatchedServer, FlightProgress, ServeConfig, ServerStats, Ticket, BATCH_WIDTH_BUCKETS,
     BATCH_WIDTH_BUCKET_BOUNDS, BATCH_WIDTH_BUCKET_LABELS,
 };
-pub use smw::{HierarchicalFactor, Smw};
+pub use smw::Smw;
 pub use ulv::{Ulv, UlvFactor};
 
 /// Storage-tier types accepted by [`GofmmOperatorBuilder::storage`] and the

@@ -22,9 +22,8 @@
 //! `Result<_, gofmm_core::Error>` instead of panicking, and results are
 //! bit-identical across traversal policies, worker counts, and concurrency.
 
-use crate::factor::FactorOptions;
+use crate::factor::{FactorOptions, HierarchicalFactor};
 use crate::krylov::{cg, KrylovOptions, LinearOperator, Shifted, SolveStats};
-use crate::smw::HierarchicalFactor;
 use crate::ulv::UlvFactor;
 use gofmm_core::{
     try_compress, AccuracyBudget, ApplyOptions, Compressed, Error, EvaluationStats, Evaluator,

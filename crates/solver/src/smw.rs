@@ -71,46 +71,8 @@ use crate::factor::Factor;
 use crate::kernel::{Factored, NodeKernel, SolveWorkspace};
 
 /// The Sherman–Morrison–Woodbury node kernel: the node arithmetic of
-/// [`HierarchicalFactor`].
+/// [`crate::HierarchicalFactor`].
 pub enum Smw {}
-
-/// A persistent hierarchical Sherman–Morrison–Woodbury factorization of
-/// `K + lambda I`: the [`Factor`] driver over the [`Smw`] node kernel.
-///
-/// Leaves hold the Cholesky factor of their regularized diagonal block and
-/// the projected panel `H_leaf^{-1} U`; interior nodes hold the small SMW
-/// matrices. With a pure-HSS compression it is accurate enough to serve as
-/// a direct solver for the compressed operator.
-///
-/// # Example
-///
-/// ```
-/// use gofmm_core::{compress, GofmmConfig, TraversalPolicy};
-/// use gofmm_linalg::DenseMatrix;
-/// use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
-/// use gofmm_solver::HierarchicalFactor;
-///
-/// let n = 256;
-/// let k = KernelMatrix::new(
-///     PointCloud::uniform(n, 3, 7),
-///     KernelType::Gaussian { bandwidth: 1.0 },
-///     1e-6,
-///     "doc",
-/// );
-/// let config = GofmmConfig::default()
-///     .with_leaf_size(32)
-///     .with_max_rank(32)
-///     .with_tolerance(1e-7)
-///     .with_budget(0.0) // pure HSS: the factorization is essentially exact
-///     .with_threads(2)
-///     .with_policy(TraversalPolicy::Sequential);
-/// let comp = compress::<f64, _>(&k, &config);
-/// let factor = HierarchicalFactor::new(&k, &comp, 1e-2).unwrap();
-/// let b = DenseMatrix::<f64>::from_fn(n, 1, |i, _| (i % 7) as f64);
-/// let x = factor.solve(&b).unwrap(); // &self: shareable across threads
-/// assert_eq!(x.rows(), n);
-/// ```
-pub type HierarchicalFactor<'a, T> = Factor<'a, T, Smw>;
 
 /// Per-node SMW storage. Leaves hold the Cholesky factor and the projected
 /// solve panel; interior nodes hold the small SMW matrices.
