@@ -6,7 +6,7 @@
 //! `FactorError`). Services cannot turn panics into HTTP 400s, so every
 //! public boundary now has a fallible form returning this enum:
 //! [`crate::try_compress`], [`crate::Evaluator::apply`], the solver crate's
-//! `HierarchicalFactor::solve` / `cg` / `gmres`, and the `GofmmOperator`
+//! `HierarchicalFactor::solve` / `cg`, and the `GofmmOperator`
 //! front door. Internal *invariant* violations (task-DAG ordering, skeleton
 //! nesting) still panic — they are bugs, not inputs.
 //!

@@ -89,8 +89,7 @@ enum Slot<N, U> {
 /// one frozen DAG against a workspace leased per call. `solve` takes
 /// `&self`, so one factorization can serve many threads concurrently;
 /// solutions are bit-identical across policies, worker counts, and
-/// concurrency. It is the preconditioner behind [`crate::cg`] and
-/// [`crate::gmres`].
+/// concurrency. It is the preconditioner behind [`crate::cg`].
 pub struct Factor<'a, T: Scalar, K: NodeKernel<T>> {
     pub(crate) comp: CompRef<'a, T>,
     /// Per-node factor blocks, as the kernel keeps them between solves.

@@ -124,3 +124,17 @@ impl<T: Scalar> SweepWorkspace<T> for SolveWorkspace<T> {
         &mut self.staged
     }
 }
+
+/// An empty buffer from the calling thread's factorization scratch: a solve
+/// task's temporaries reuse the capacity of earlier tasks' on that thread
+/// instead of the allocator's. Return it with [`give_scratch`].
+pub(crate) fn take_scratch<T: Scalar>() -> Vec<T> {
+    let mut buf = T::with_factor_scratch(Vec::pop).unwrap_or_default();
+    buf.clear();
+    buf
+}
+
+/// Return a temporary's buffer to the calling thread's factorization scratch.
+pub(crate) fn give_scratch<T: Scalar>(m: DenseMatrix<T>) {
+    T::with_factor_scratch(|stash| stash.push(m.into_vec()));
+}

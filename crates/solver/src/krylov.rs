@@ -1,6 +1,7 @@
-//! Preconditioned Krylov drivers: conjugate gradients and restarted GMRES.
+//! The Krylov driver: preconditioned conjugate gradients for the SPD system
+//! `(K~ + lambda I) x = b`.
 //!
-//! Both drivers are generic over a [`LinearOperator`] (implemented by the
+//! [`cg`] is generic over a [`LinearOperator`] (implemented by the
 //! persistent `gofmm_core::Evaluator`, by the [`Shifted`] regularized
 //! wrapper, and by plain dense matrices for testing) and a
 //! [`Preconditioner`] (implemented by both factorizations, [`crate::Factor`],
@@ -11,8 +12,8 @@
 //! threads at once.
 //!
 //! CG runs all right-hand-side columns simultaneously with per-column
-//! scalars, so one evaluator apply serves every column per iteration. GMRES
-//! builds a separate Arnoldi basis per column.
+//! scalars, so one evaluator apply serves every column per iteration.
+//! Unpreconditioned CG is `cg(op, &IdentityPreconditioner, b, opts)`.
 
 use gofmm_core::{CancelToken, Error, Evaluator};
 use gofmm_linalg::{axpy, dot, matmul, nrm2, DenseMatrix, Scalar};
@@ -21,7 +22,7 @@ use gofmm_telemetry::{PhaseTimes, ProgressHandle, ProgressReport, SpanKind, Stop
 use crate::factor::Factor;
 use crate::kernel::NodeKernel;
 
-/// An abstract `x -> A x` usable by the Krylov drivers.
+/// An abstract `x -> A x` usable by [`cg`].
 pub trait LinearOperator<T: Scalar> {
     /// Operator dimension `N` (square).
     fn dim(&self) -> usize;
@@ -35,7 +36,7 @@ impl<T: Scalar> LinearOperator<T> for Evaluator<'_, T> {
         self.n()
     }
     fn matvec(&self, x: &DenseMatrix<T>) -> DenseMatrix<T> {
-        // The drivers pre-check dimensions, so a failure here is an internal
+        // `cg` pre-checks dimensions, so a failure here is an internal
         // invariant violation, not an input error.
         self.apply(x).expect("evaluator apply inside Krylov").0
     }
@@ -116,7 +117,7 @@ pub trait Preconditioner<T: Scalar> {
 
     /// The dimension this preconditioner requires of its residuals, when it
     /// has one (`None` for dimension-agnostic preconditioners like the
-    /// identity). The drivers check it up front so a mismatched
+    /// identity). [`cg`] checks it up front so a mismatched
     /// preconditioner surfaces as [`Error::DimensionMismatch`] rather than a
     /// panic inside the iteration.
     fn dim(&self) -> Option<usize> {
@@ -142,7 +143,7 @@ impl<T: Scalar, P: Preconditioner<T> + ?Sized> Preconditioner<T> for &P {
     }
 }
 
-/// The do-nothing preconditioner (`M = I`): plain CG / GMRES.
+/// The do-nothing preconditioner (`M = I`): plain CG.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IdentityPreconditioner;
 
@@ -152,24 +153,21 @@ impl<T: Scalar> Preconditioner<T> for IdentityPreconditioner {
     }
 }
 
-/// Options shared by the Krylov drivers.
+/// Options of the [`cg`] driver.
 #[derive(Clone, Debug)]
 pub struct KrylovOptions {
     /// Convergence threshold on the relative residual `||b - A x|| / ||b||`
     /// (per right-hand-side column; the worst column decides).
     pub tol: f64,
-    /// Maximum number of iterations (matvecs for CG; inner iterations for
-    /// GMRES).
+    /// Maximum number of iterations (one matvec each).
     pub max_iters: usize,
-    /// GMRES restart length (ignored by CG).
-    pub restart: usize,
     /// Optional cooperative cancellation token, polled once per iteration.
     /// When it fires the driver returns [`Error::Cancelled`]; the operator
     /// and preconditioner stay fully reusable (their workspaces are pooled
     /// and reset / overwritten on reuse).
     pub cancel: Option<CancelToken>,
-    /// Optional span sink: the driver records a phase span (`"CG"` /
-    /// `"GMRES"`) plus one [`SpanKind::Iteration`] span per iteration.
+    /// Optional span sink: the driver records a `"CG"` phase span plus one
+    /// [`SpanKind::Iteration`] span per iteration.
     /// Tracing never changes the iterates — traced and untraced solves are
     /// bit-identical.
     pub trace: Option<TraceSink>,
@@ -186,7 +184,6 @@ impl Default for KrylovOptions {
         Self {
             tol: 1e-10,
             max_iters: 500,
-            restart: 50,
             cancel: None,
             trace: None,
             progress: None,
@@ -225,8 +222,7 @@ pub struct SolveStats {
     pub setup_time: f64,
     /// Wall-clock seconds of the iteration itself.
     pub solve_time: f64,
-    /// Iterations performed (CG steps, or GMRES inner iterations summed over
-    /// restarts).
+    /// CG iterations performed.
     pub iterations: usize,
     /// Operator applications performed.
     pub matvecs: usize,
@@ -234,15 +230,12 @@ pub struct SolveStats {
     pub converged: bool,
     /// Final worst-column relative residual `||b - A x|| / ||b||`.
     pub relative_residual: f64,
-    /// Per-iteration residual curve (entry 0 is the initial residual, i.e. 1
-    /// for a zero initial guess). For [`cg`] this is the exact worst-column
-    /// relative residual after every iteration. For [`gmres`] it is the
-    /// Givens-recurrence estimate of the *preconditioned* relative residual,
-    /// scaled consistently across restarts, for the column that iterated
-    /// longest; the authoritative final value is `relative_residual`.
+    /// Per-iteration residual curve: the exact worst-column relative
+    /// residual after every iteration (entry 0 is the initial residual, i.e.
+    /// 1 for a zero initial guess).
     pub residual_history: Vec<f64>,
-    /// Iterations each right-hand-side column actually consumed. For [`cg`]
-    /// a column stops iterating — its solution, residual and search
+    /// Iterations each right-hand-side column actually consumed. A column
+    /// stops iterating — its solution, residual and search
     /// direction freeze — the moment it reaches the tolerance, even while
     /// wider columns in the same batch keep going; this is what makes a
     /// column's result bit-identical whether it was solved alone or
@@ -468,211 +461,5 @@ pub fn cg<T: Scalar>(
     stats.column_residuals = col_res;
     stats.solve_time = sw.seconds();
     close_phase(&stats);
-    Ok((x, stats))
-}
-
-/// Unpreconditioned conjugate gradients (`M = I`).
-///
-/// # Errors
-/// [`Error::DimensionMismatch`] when `b.rows() != op.dim()`;
-/// [`Error::NonFiniteInput`] when `b` holds a NaN or infinite entry.
-pub fn cg_unpreconditioned<T: Scalar>(
-    op: &impl LinearOperator<T>,
-    b: &DenseMatrix<T>,
-    opts: &KrylovOptions,
-) -> Result<(DenseMatrix<T>, SolveStats), Error> {
-    cg(op, &IdentityPreconditioner, b, opts)
-}
-
-/// Left-preconditioned restarted GMRES(`restart`).
-///
-/// Works for any (possibly non-symmetric) operator; each right-hand-side
-/// column gets its own Arnoldi process. The residual history tracks the
-/// preconditioned residual estimate from the Givens recurrence; the final
-/// `relative_residual` is the true unpreconditioned `||b - A x|| / ||b||`
-/// (one extra matvec per column).
-///
-/// # Errors
-/// [`Error::DimensionMismatch`] when `b.rows() != op.dim()` or the
-/// preconditioner's dimension does not match the operator's;
-/// [`Error::NonFiniteInput`] when `b` holds a NaN or infinite entry;
-/// [`Error::Cancelled`] when `opts.cancel` fires between restart cycles.
-pub fn gmres<T: Scalar>(
-    op: &impl LinearOperator<T>,
-    pre: &impl Preconditioner<T>,
-    b: &DenseMatrix<T>,
-    opts: &KrylovOptions,
-) -> Result<(DenseMatrix<T>, SolveStats), Error> {
-    check_system(op, pre, b)?;
-    let n = op.dim();
-    let sw = Stopwatch::start();
-    let sink = opts.trace.as_ref();
-    let phase_start = sink.map(|s| s.now());
-    // One Iteration span per inner Arnoldi step; `node` is the global
-    // inner-iteration count, `level` the column being solved.
-    let close_inner = |iter: usize, col: usize, iter_start: Option<u64>| {
-        if let (Some(s), Some(t0)) = (sink, iter_start) {
-            s.record(SpanKind::Iteration, "GMRES_ITER", iter, col, t0, s.now());
-        }
-    };
-    let m = opts.restart.max(1);
-    let bnorm = column_norms(b);
-    let cancel = opts.cancel.as_ref();
-    let mut stats = SolveStats {
-        converged: true,
-        ..SolveStats::default()
-    };
-    let mut x = DenseMatrix::<T>::zeros(n, b.cols());
-    let mut worst_final = 0.0f64;
-    let mut history: Vec<f64> = Vec::new();
-
-    for j in 0..b.cols() {
-        let bj = DenseMatrix::from_vec(n, 1, b.col(j).to_vec());
-        let mut xj = DenseMatrix::<T>::zeros(n, 1);
-        let mut iterations_left = opts.max_iters;
-        let mut converged = false;
-        let mut col_history = vec![1.0f64];
-        let mut beta0: Option<f64> = None;
-
-        'restarts: while iterations_left > 0 {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(Error::Cancelled);
-            }
-            // True residual at the restart, then precondition it.
-            let ax = op.matvec(&xj);
-            stats.matvecs += 1;
-            let mut r = bj.clone();
-            r.axpy(-T::one(), &ax);
-            if nrm2(r.col(0)).to_f64() / bnorm[j] <= opts.tol {
-                converged = true;
-                break 'restarts;
-            }
-            let z = pre.apply_inverse(&r);
-            let beta = nrm2(z.col(0));
-            if beta.to_f64() == 0.0 {
-                converged = true;
-                break 'restarts;
-            }
-            // Preconditioned norm of the initial residual: fixes the scale of
-            // the residual-history estimates across restarts.
-            if beta0.is_none() {
-                beta0 = Some(beta.to_f64());
-            }
-            let beta0_val = beta0.unwrap();
-            // Arnoldi basis (n x (m+1)), Hessenberg (m+1 x m), Givens.
-            let mut v: Vec<DenseMatrix<T>> = Vec::with_capacity(m + 1);
-            let mut first = z;
-            first.scale(T::one() / beta);
-            v.push(first);
-            let mut h = DenseMatrix::<T>::zeros(m + 1, m);
-            let mut cs = vec![T::zero(); m];
-            let mut sn = vec![T::zero(); m];
-            let mut g = vec![T::zero(); m + 1];
-            g[0] = beta;
-            let mut k_used = 0;
-
-            for k in 0..m {
-                if iterations_left == 0 {
-                    break;
-                }
-                iterations_left -= 1;
-                stats.iterations += 1;
-                let iter_start = sink.map(|s| s.now());
-                // w = M^{-1} A v_k, modified Gram-Schmidt.
-                let av = op.matvec(&v[k]);
-                stats.matvecs += 1;
-                let mut w = pre.apply_inverse(&av);
-                for (i, vi) in v.iter().enumerate().take(k + 1) {
-                    let hik = dot(vi.col(0), w.col(0));
-                    h.set(i, k, hik);
-                    axpy(-hik, vi.col(0), w.col_mut(0));
-                }
-                let wnorm = nrm2(w.col(0));
-                h.set(k + 1, k, wnorm);
-                // Apply the accumulated Givens rotations to the new column.
-                for i in 0..k {
-                    let hi = h.get(i, k);
-                    let hi1 = h.get(i + 1, k);
-                    h.set(i, k, cs[i].mul_add(hi, sn[i] * hi1));
-                    h.set(i + 1, k, (-sn[i]).mul_add(hi, cs[i] * hi1));
-                }
-                // New rotation annihilating h[k+1, k].
-                let (hk, hk1) = (h.get(k, k), h.get(k + 1, k));
-                let denom = (hk * hk + hk1 * hk1).sqrt();
-                let (c, s) = if denom == T::zero() {
-                    (T::one(), T::zero())
-                } else {
-                    (hk / denom, hk1 / denom)
-                };
-                cs[k] = c;
-                sn[k] = s;
-                h.set(k, k, denom);
-                h.set(k + 1, k, T::zero());
-                g[k + 1] = -s * g[k];
-                g[k] = c * g[k];
-                if denom == T::zero() {
-                    // Total breakdown: A v_k lies in the current span and the
-                    // projected system is singular. The step is unusable —
-                    // drop it (do not advance k_used) and close the cycle.
-                    close_inner(stats.iterations, j, iter_start);
-                    break;
-                }
-                k_used = k + 1;
-                let est = g[k + 1].abs().to_f64() / beta0_val.max(f64::MIN_POSITIVE);
-                col_history.push(est);
-                let breakdown = wnorm.to_f64() == 0.0;
-                close_inner(stats.iterations, j, iter_start);
-                if est <= opts.tol * 0.1 || breakdown {
-                    break;
-                }
-                let mut next = w;
-                next.scale(T::one() / wnorm);
-                v.push(next);
-            }
-
-            if k_used == 0 {
-                break 'restarts;
-            }
-            // Back-substitute y from the triangularized Hessenberg, update x.
-            let mut y = vec![T::zero(); k_used];
-            for ii in (0..k_used).rev() {
-                let mut acc = g[ii];
-                for kk in (ii + 1)..k_used {
-                    acc -= h.get(ii, kk) * y[kk];
-                }
-                y[ii] = acc / h.get(ii, ii);
-            }
-            for (i, &yi) in y.iter().enumerate() {
-                axpy(yi, v[i].col(0), xj.col_mut(0));
-            }
-        }
-
-        // True final residual for this column.
-        let ax = op.matvec(&xj);
-        stats.matvecs += 1;
-        let mut r = bj;
-        r.axpy(-T::one(), &ax);
-        let rel = nrm2(r.col(0)).to_f64() / bnorm[j];
-        worst_final = worst_final.max(rel);
-        let column_converged = converged || rel <= opts.tol;
-        stats.converged &= column_converged;
-        stats
-            .column_iterations
-            .push(opts.max_iters - iterations_left);
-        stats.column_residuals.push(rel);
-        if col_history.len() > history.len() {
-            history = col_history;
-        }
-        for (dst, src) in x.col_mut(j).iter_mut().zip(xj.col(0)) {
-            *dst = *src;
-        }
-    }
-
-    stats.relative_residual = worst_final;
-    stats.residual_history = history;
-    stats.solve_time = sw.seconds();
-    if let (Some(s), Some(t0)) = (sink, phase_start) {
-        s.record(SpanKind::Phase, "GMRES", stats.iterations, 0, t0, s.now());
-    }
     Ok((x, stats))
 }

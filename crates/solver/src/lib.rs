@@ -12,26 +12,26 @@
 //!   (`GofmmOperator::builder(&k).config(cfg).factorize(lambda).build()?`)
 //!   yields a `Send + Sync` handle with `&self` `apply`, `solve` and
 //!   `solve_cg`, shareable across any number of request threads. New code
-//!   should start here. [`FactorBackend`] selects the factorization behind
-//!   `solve`/`solve_cg` (backward-stable ULV by default, SMW for
-//!   comparison).
+//!   should start here. Its `solve` and `solve_cg` go through the
+//!   backward-stable [`UlvFactor`].
 //! * [`UlvFactor`] / [`HierarchicalFactor`] — one bottom-up `FACTOR`
-//!   driver, [`Factor`], over two node kernels. The default [`Ulv`]
-//!   eliminates with orthogonal rotations and Cholesky factorizations only,
-//!   making it backward stable across the whole regularization range
-//!   (enforced by `tests/stability_envelope.rs`); [`Smw`] builds the
-//!   classical Sherman–Morrison–Woodbury corrections from the skeleton
-//!   bases and sibling skeleton blocks, accurate for `lambda` within a few
-//!   orders of the operator scale. Both are persistent, serve unlimited
+//!   driver, [`Factor`], over two node kernels. [`Ulv`], the one the
+//!   operator uses, eliminates with orthogonal rotations and Cholesky
+//!   factorizations only, making it backward stable across the whole
+//!   regularization range (enforced by `tests/stability_envelope.rs`);
+//!   [`Smw`] builds the classical Sherman–Morrison–Woodbury corrections from
+//!   the skeleton bases and sibling skeleton blocks, accurate for `lambda`
+//!   within a few orders of the operator scale, and is kept as the
+//!   reference the tests compare ULV against. Both are persistent, serve unlimited
 //!   `&self` `solve` calls — each a cached-plan `SUP`/`SDOWN` double sweep
 //!   with zero kernel-entry evaluations, mirroring `Evaluator::apply` — and
 //!   run under all four traversal policies with bit-identical results.
-//! * [`cg`] / [`gmres`] — Krylov drivers generic over [`LinearOperator`]
-//!   (implemented by `Evaluator`, [`GofmmOperator`], [`Shifted`],
-//!   [`DenseOperator`]) and [`Preconditioner`] (implemented by [`Factor`]
-//!   and [`IdentityPreconditioner`]),
-//!   with per-iteration residual history in [`SolveStats`]. Both traits
-//!   take `&self`, so iterations run against shared handles.
+//! * [`cg`] — preconditioned conjugate gradients, generic over
+//!   [`LinearOperator`] (implemented by `Evaluator`, [`GofmmOperator`],
+//!   [`Shifted`], [`DenseOperator`]) and [`Preconditioner`] (implemented by
+//!   [`Factor`] and [`IdentityPreconditioner`]), with per-iteration residual
+//!   history in [`SolveStats`]. Both traits take `&self`, so iterations run
+//!   against shared handles.
 //! * [`BatchedServer`] — the serving traffic layer: an admission queue in
 //!   front of one shared operator that coalesces small concurrent
 //!   `apply`/`solve`/`solve_cg` requests into wide batched calls
@@ -92,10 +92,10 @@ pub use gofmm_telemetry::{
     TraceSummary,
 };
 pub use krylov::{
-    cg, cg_unpreconditioned, gmres, DenseOperator, IdentityPreconditioner, KrylovOptions,
-    LinearOperator, Preconditioner, Shifted, SolveStats,
+    cg, DenseOperator, IdentityPreconditioner, KrylovOptions, LinearOperator, Preconditioner,
+    Shifted, SolveStats,
 };
-pub use operator::{FactorBackend, GofmmOperator, GofmmOperatorBuilder};
+pub use operator::{GofmmOperator, GofmmOperatorBuilder};
 pub use serve::{
     BatchedServer, FlightProgress, ServeConfig, ServerStats, Ticket, BATCH_WIDTH_BUCKETS,
     BATCH_WIDTH_BUCKET_BOUNDS, BATCH_WIDTH_BUCKET_LABELS,
@@ -154,7 +154,7 @@ mod tests {
         let x_true = DenseMatrix::<f64>::random_gaussian(40, 2, &mut rng);
         let b = gofmm_linalg::matmul(&a, &x_true);
         let op = DenseOperator::new(a);
-        let (x, stats) = cg_unpreconditioned(&op, &b, &KrylovOptions::default()).unwrap();
+        let (x, stats) = cg(&op, &IdentityPreconditioner, &b, &KrylovOptions::default()).unwrap();
         assert!(stats.converged);
         assert!(stats.iterations > 0);
         assert!(x.sub(&x_true).norm_max() < 1e-6);
@@ -162,49 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_gmres_matches_cg_on_spd_system() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let g = DenseMatrix::<f64>::random_gaussian(32, 32, &mut rng);
-        let mut a = matmul_nt(&g, &g);
-        for i in 0..32 {
-            a[(i, i)] += 32.0;
-        }
-        a.symmetrize();
-        let b = DenseMatrix::<f64>::random_gaussian(32, 2, &mut rng);
-        let opts = KrylovOptions::default();
-        let (x_cg, s_cg) = cg_unpreconditioned(&DenseOperator::new(a.clone()), &b, &opts).unwrap();
-        let (x_gm, s_gm) =
-            gmres(&DenseOperator::new(a), &IdentityPreconditioner, &b, &opts).unwrap();
-        assert!(s_cg.converged && s_gm.converged);
-        assert!(s_gm.relative_residual <= opts.tol);
-        assert!(x_cg.sub(&x_gm).norm_max() < 1e-6);
-    }
-
-    #[test]
-    fn gmres_handles_nonsymmetric_operators() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut a = DenseMatrix::<f64>::random_gaussian(24, 24, &mut rng);
-        for i in 0..24 {
-            a[(i, i)] += 12.0; // diagonally dominant, far from symmetric
-        }
-        let x_true = DenseMatrix::<f64>::random_gaussian(24, 1, &mut rng);
-        let b = gofmm_linalg::matmul(&a, &x_true);
-        let (x, stats) = gmres(
-            &DenseOperator::new(a),
-            &IdentityPreconditioner,
-            &b,
-            &KrylovOptions::default(),
-        )
-        .unwrap();
-        assert!(stats.converged, "residual {}", stats.relative_residual);
-        assert!(x.sub(&x_true).norm_max() < 1e-6);
-    }
-
-    #[test]
     fn zero_rhs_converges_immediately() {
         let op = DenseOperator::new(DenseMatrix::<f64>::identity(8));
         let b = DenseMatrix::<f64>::zeros(8, 1);
-        let (x, stats) = cg_unpreconditioned(&op, &b, &KrylovOptions::default()).unwrap();
+        let (x, stats) = cg(&op, &IdentityPreconditioner, &b, &KrylovOptions::default()).unwrap();
         assert!(stats.converged);
         assert_eq!(stats.iterations, 0);
         assert_eq!(x.norm_max(), 0.0);
@@ -215,11 +176,7 @@ mod tests {
         let op = DenseOperator::new(DenseMatrix::<f64>::identity(8));
         let b = DenseMatrix::<f64>::zeros(7, 1);
         assert!(matches!(
-            cg_unpreconditioned(&op, &b, &KrylovOptions::default()),
-            Err(Error::DimensionMismatch { .. })
-        ));
-        assert!(matches!(
-            gmres(&op, &IdentityPreconditioner, &b, &KrylovOptions::default()),
+            cg(&op, &IdentityPreconditioner, &b, &KrylovOptions::default()),
             Err(Error::DimensionMismatch { .. })
         ));
     }
@@ -227,7 +184,7 @@ mod tests {
     #[test]
     fn mismatched_preconditioner_is_an_error_not_a_panic() {
         // An operator of one size with a factorization of another: the
-        // drivers must refuse up front with a typed error instead of
+        // driver must refuse up front with a typed error instead of
         // panicking inside the first preconditioner application.
         let k_small = test_matrix(64);
         let comp_small = compress::<f64, _>(&k_small, &hss_config());
@@ -236,10 +193,6 @@ mod tests {
         let b = DenseMatrix::<f64>::zeros(128, 1);
         assert!(matches!(
             cg(&op_big, &factor_small, &b, &KrylovOptions::default()),
-            Err(Error::DimensionMismatch { .. })
-        ));
-        assert!(matches!(
-            gmres(&op_big, &factor_small, &b, &KrylovOptions::default()),
             Err(Error::DimensionMismatch { .. })
         ));
     }

@@ -3,7 +3,7 @@
 //!
 //! Before this type existed, standing up a kernel-matrix service meant
 //! composing the zoo of entry points by hand — `compress` → [`Compressed`] →
-//! `Evaluator::new` / `HierarchicalFactor::new` → `cg` — and none of the
+//! `Evaluator::new` / `UlvFactor::new` → `cg` — and none of the
 //! resulting engines could be shared across request threads. A
 //! [`GofmmOperator`] wraps all of it behind one builder:
 //!
@@ -22,7 +22,7 @@
 //! `Result<_, gofmm_core::Error>` instead of panicking, and results are
 //! bit-identical across traversal policies, worker counts, and concurrency.
 
-use crate::factor::{FactorOptions, HierarchicalFactor};
+use crate::factor::FactorOptions;
 use crate::krylov::{cg, KrylovOptions, LinearOperator, Shifted, SolveStats};
 use crate::ulv::UlvFactor;
 use gofmm_core::{
@@ -34,73 +34,6 @@ use gofmm_linalg::{DenseMatrix, Scalar};
 use gofmm_matrices::SpdMatrix;
 use std::marker::PhantomData;
 use std::sync::Arc;
-
-/// Which hierarchical factorization backs [`GofmmOperator::solve`] and
-/// preconditions [`GofmmOperator::solve_cg`].
-///
-/// | Backend | Algorithm | Stability envelope |
-/// | --- | --- | --- |
-/// | [`FactorBackend::Ulv`] (default) | orthogonal ULV elimination ([`UlvFactor`]) | backward stable for any `lambda > -lambda_min`: roundoff-level residuals across `lambda` from `1e-8` to `1e8` times the operator scale |
-/// | [`FactorBackend::Smw`] | recursive Sherman–Morrison–Woodbury ([`HierarchicalFactor`]) | accurate for `lambda` within a few orders of the operator scale; degrades for extreme small `lambda` (cores condition like the system itself) |
-///
-/// Both run the same `FACTOR`/`SUP`/`SDOWN` task families on the shared
-/// execution-plan layer, serve `&self` solves from pooled workspaces, and
-/// produce bit-identical solutions across all four traversal policies. The
-/// SMW backend is retained for comparison (see the `ulv_vs_smw` columns of
-/// the `solver_convergence` bench and `tests/stability_envelope.rs`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FactorBackend {
-    /// Backward-stable orthogonal ULV factorization (the default).
-    #[default]
-    Ulv,
-    /// Plain recursive Sherman–Morrison–Woodbury factorization.
-    Smw,
-}
-
-/// The factorization engine behind a [`GofmmOperator`], selected by
-/// [`FactorBackend`].
-enum FactorEngine<T: Scalar> {
-    Smw(HierarchicalFactor<'static, T>),
-    Ulv(UlvFactor<'static, T>),
-}
-
-impl<T: Scalar> FactorEngine<T> {
-    fn lambda(&self) -> f64 {
-        match self {
-            FactorEngine::Smw(f) => f.lambda(),
-            FactorEngine::Ulv(f) => f.lambda(),
-        }
-    }
-
-    fn backend(&self) -> FactorBackend {
-        match self {
-            FactorEngine::Smw(_) => FactorBackend::Smw,
-            FactorEngine::Ulv(_) => FactorBackend::Ulv,
-        }
-    }
-
-    fn solve_with(&self, b: &DenseMatrix<T>, opts: &ApplyOptions) -> Result<DenseMatrix<T>, Error> {
-        match self {
-            FactorEngine::Smw(f) => f.solve_with(b, opts),
-            FactorEngine::Ulv(f) => f.solve_with(b, opts),
-        }
-    }
-}
-
-impl<T: Scalar> crate::krylov::Preconditioner<T> for FactorEngine<T> {
-    fn apply_inverse(&self, r: &DenseMatrix<T>) -> DenseMatrix<T> {
-        match self {
-            FactorEngine::Smw(f) => f.apply_inverse(r),
-            FactorEngine::Ulv(f) => f.apply_inverse(r),
-        }
-    }
-    fn dim(&self) -> Option<usize> {
-        match self {
-            FactorEngine::Smw(f) => crate::krylov::Preconditioner::dim(f),
-            FactorEngine::Ulv(f) => crate::krylov::Preconditioner::dim(f),
-        }
-    }
-}
 
 /// A compressed SPD operator as a shareable service handle: kernel-free
 /// matvecs ([`GofmmOperator::apply`]), hierarchical direct solves
@@ -173,7 +106,7 @@ impl<T: Scalar> crate::krylov::Preconditioner<T> for FactorEngine<T> {
 pub struct GofmmOperator<T: Scalar> {
     comp: Arc<Compressed<T>>,
     evaluator: Evaluator<'static, T>,
-    factor: Option<FactorEngine<T>>,
+    factor: Option<UlvFactor<'static, T>>,
     /// The operator-wide panel/factor store, when built with
     /// [`StorageConfig::File`].
     store: Option<Arc<FilePanelStore>>,
@@ -195,7 +128,6 @@ impl<T: Scalar> GofmmOperator<T> {
             matrix,
             config: GofmmConfig::default(),
             lambda: None,
-            backend: FactorBackend::default(),
             storage: StorageConfig::InMemory,
             tune: None,
             _scalar: PhantomData,
@@ -219,32 +151,12 @@ impl<T: Scalar> GofmmOperator<T> {
         &self.evaluator
     }
 
-    /// The SMW factorization serving [`GofmmOperator::solve`], if the
-    /// operator was built with [`GofmmOperatorBuilder::factorize`] **and**
-    /// [`FactorBackend::Smw`]; `None` under the default ULV backend (use
-    /// [`GofmmOperator::ulv_factor`] there).
-    pub fn factor(&self) -> Option<&HierarchicalFactor<'static, T>> {
-        match &self.factor {
-            Some(FactorEngine::Smw(f)) => Some(f),
-            _ => None,
-        }
-    }
-
     /// The backward-stable ULV factorization serving
-    /// [`GofmmOperator::solve`], if the operator was built with
-    /// [`GofmmOperatorBuilder::factorize`] under the default
-    /// [`FactorBackend::Ulv`].
+    /// [`GofmmOperator::solve`] and preconditioning
+    /// [`GofmmOperator::solve_cg`], if the operator was built with
+    /// [`GofmmOperatorBuilder::factorize`].
     pub fn ulv_factor(&self) -> Option<&UlvFactor<'static, T>> {
-        match &self.factor {
-            Some(FactorEngine::Ulv(f)) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// Which factorization backend this operator solves with, if one was
-    /// built.
-    pub fn backend(&self) -> Option<FactorBackend> {
-        self.factor.as_ref().map(FactorEngine::backend)
+        self.factor.as_ref()
     }
 
     /// The out-of-core panel/factor store behind this operator, when it was
@@ -261,12 +173,10 @@ impl<T: Scalar> GofmmOperator<T> {
 
     /// Swap every panel and ULV factor node whose key exists in `store` for
     /// an out-of-core locator (see [`Evaluator::attach_store`] and
-    /// [`UlvFactor::attach_store`]). An SMW factorization, when present,
-    /// stays in memory — only the evaluator's panels and the ULV backend's
-    /// nodes participate in the storage tier.
+    /// [`UlvFactor::attach_store`]).
     fn attach_store(&mut self, store: &Arc<FilePanelStore>) {
         self.evaluator.attach_store(store);
-        if let Some(FactorEngine::Ulv(f)) = &mut self.factor {
+        if let Some(f) = &mut self.factor {
             f.attach_store(store);
         }
     }
@@ -315,7 +225,7 @@ impl<T: Scalar> GofmmOperator<T> {
 
     /// Hierarchical direct solve `x ≈ (K_hss + lambda I)^{-1} b` (exact for
     /// pure-HSS compressions, a strong preconditioner otherwise), through
-    /// whichever [`FactorBackend`] the operator was built with.
+    /// the ULV factorization.
     ///
     /// # Errors
     /// [`Error::NoFactorization`] when the operator was built without
@@ -409,11 +319,8 @@ impl<T: Scalar> GofmmOperator<T> {
                 "Apply-workspace pool checkouts that reused a shelved workspace",
             )
             .set(recycled as f64);
-        if let Some(engine) = &self.factor {
-            let (created, recycled) = match engine {
-                FactorEngine::Smw(f) => f.pool_lease_stats(),
-                FactorEngine::Ulv(f) => f.pool_lease_stats(),
-            };
+        if let Some(f) = &self.factor {
+            let (created, recycled) = f.pool_lease_stats();
             registry
                 .gauge(
                     "gofmm_pool_solve_created",
@@ -522,7 +429,6 @@ pub struct GofmmOperatorBuilder<'m, T: Scalar, M: ?Sized> {
     matrix: &'m M,
     config: GofmmConfig,
     lambda: Option<f64>,
-    backend: FactorBackend,
     storage: StorageConfig,
     tune: Option<AccuracyBudget>,
     _scalar: PhantomData<T>,
@@ -537,19 +443,10 @@ impl<'m, T: Scalar, M: SpdMatrix<T> + ?Sized> GofmmOperatorBuilder<'m, T, M> {
     }
 
     /// Also build the hierarchical factorization of `K + lambda I`, enabling
-    /// [`GofmmOperator::solve`] and [`GofmmOperator::solve_cg`]. The
-    /// backward-stable ULV backend is used unless
-    /// [`GofmmOperatorBuilder::backend`] selects otherwise.
+    /// [`GofmmOperator::solve`] and [`GofmmOperator::solve_cg`] through the
+    /// backward-stable [`UlvFactor`].
     pub fn factorize(mut self, lambda: f64) -> Self {
         self.lambda = Some(lambda);
-        self
-    }
-
-    /// Select the factorization backend (defaults to
-    /// [`FactorBackend::Ulv`]; has no effect without
-    /// [`GofmmOperatorBuilder::factorize`]).
-    pub fn backend(mut self, backend: FactorBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -569,14 +466,13 @@ impl<'m, T: Scalar, M: SpdMatrix<T> + ?Sized> GofmmOperatorBuilder<'m, T, M> {
 
     /// Where the built operator's bulk state lives (defaults to
     /// [`StorageConfig::InMemory`]). With [`StorageConfig::File`] the
-    /// builder persists every packed interaction panel — and, under the ULV
-    /// backend, every per-node factor block — into
+    /// builder persists every packed interaction panel — and every per-node
+    /// factor block — into
     /// `<dir>/operator.gfmm` and serves them *out of core* through an LRU
     /// resident set bounded by `resident_budget` decoded bytes, so an
     /// operator larger than RAM still applies and solves with bounded
     /// resident memory. File-backed applies and solves are bit-identical to
-    /// in-memory ones under every traversal policy. An SMW factorization,
-    /// when selected, stays in memory.
+    /// in-memory ones under every traversal policy.
     pub fn storage(mut self, storage: StorageConfig) -> Self {
         self.storage = storage;
         self
@@ -593,20 +489,20 @@ impl<'m, T: Scalar, M: SpdMatrix<T> + ?Sized> GofmmOperatorBuilder<'m, T, M> {
     pub fn build(self) -> Result<GofmmOperator<T>, Error> {
         let comp = Arc::new(try_compress(self.matrix, &self.config)?);
         let evaluator = Evaluator::from_shared(self.matrix, Arc::clone(&comp));
-        let opts = |lambda| FactorOptions {
-            lambda,
-            ..FactorOptions::default()
+        let factor = match self.lambda {
+            None => None,
+            Some(lambda) => {
+                let opts = FactorOptions {
+                    lambda,
+                    ..FactorOptions::default()
+                };
+                Some(UlvFactor::from_shared(
+                    self.matrix,
+                    Arc::clone(&comp),
+                    &opts,
+                )?)
+            }
         };
-        let factor =
-            match (self.lambda, self.backend) {
-                (None, _) => None,
-                (Some(lambda), FactorBackend::Smw) => Some(FactorEngine::Smw(
-                    HierarchicalFactor::from_shared(self.matrix, Arc::clone(&comp), &opts(lambda))?,
-                )),
-                (Some(lambda), FactorBackend::Ulv) => Some(FactorEngine::Ulv(
-                    UlvFactor::from_shared(self.matrix, Arc::clone(&comp), &opts(lambda))?,
-                )),
-            };
         let mut op = GofmmOperator {
             comp,
             evaluator,
@@ -629,7 +525,7 @@ impl<'m, T: Scalar, M: SpdMatrix<T> + ?Sized> GofmmOperatorBuilder<'m, T, M> {
             let path = dir.join("operator.gfmm");
             let mut writer = StoreWriter::create(&path)?;
             op.evaluator.write_to(&mut writer)?;
-            if let Some(FactorEngine::Ulv(f)) = &op.factor {
+            if let Some(f) = &op.factor {
                 f.write_to(&mut writer)?;
             }
             writer.finish()?;
@@ -644,6 +540,7 @@ impl<'m, T: Scalar, M: SpdMatrix<T> + ?Sized> GofmmOperatorBuilder<'m, T, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factor::HierarchicalFactor;
     use gofmm_core::TraversalPolicy;
     use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
     use rand::rngs::StdRng;
@@ -719,7 +616,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(op.n(), n);
-        assert!(op.factor().is_none());
+        assert!(op.ulv_factor().is_none());
         assert_eq!(op.lambda(), None);
         let mut rng = StdRng::seed_from_u64(50);
         let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
@@ -795,16 +692,13 @@ mod tests {
         let n = 256;
         let k = test_matrix(n);
         let lambda = 1e-2;
-        // Default backend is the backward-stable ULV factorization.
         let op = GofmmOperator::<f64>::builder(&k)
             .config(config())
             .factorize(lambda)
             .build()
             .unwrap();
         assert_eq!(op.lambda(), Some(lambda));
-        assert_eq!(op.backend(), Some(FactorBackend::Ulv));
         assert!(op.ulv_factor().is_some());
-        assert!(op.factor().is_none(), "default backend must be ULV");
         let b = DenseMatrix::<f64>::from_fn(n, 1, |i, _| ((i * 13 % 17) as f64) - 8.0);
         let (x, stats) = op.solve_cg(&b, &KrylovOptions::default()).unwrap();
         assert!(stats.converged, "residual {}", stats.relative_residual);
@@ -819,27 +713,27 @@ mod tests {
     }
 
     #[test]
-    fn smw_backend_still_selectable_and_matches_manual_pipeline() {
+    fn smw_preconditioned_cg_on_the_operator_matches_manual_pipeline() {
+        // The SMW factorization, built on the operator's own compression,
+        // preconditions CG over the operator's evaluator exactly as it does
+        // over a hand-composed pipeline.
         let n = 256;
         let k = test_matrix(n);
         let lambda = 1e-2;
         let op = GofmmOperator::<f64>::builder(&k)
             .config(config())
-            .factorize(lambda)
-            .backend(FactorBackend::Smw)
             .build()
             .unwrap();
-        assert_eq!(op.backend(), Some(FactorBackend::Smw));
-        assert!(op.factor().is_some());
-        assert!(op.ulv_factor().is_none());
+        let smw = HierarchicalFactor::new(&k, op.compressed(), lambda).unwrap();
         let b = DenseMatrix::<f64>::from_fn(n, 1, |i, _| ((i * 13 % 17) as f64) - 8.0);
-        let (x, stats) = op.solve_cg(&b, &KrylovOptions::default()).unwrap();
-        assert!(stats.converged, "residual {}", stats.relative_residual);
-        // Identical to the hand-composed SMW pipeline on the same
-        // compression.
-        let comp = op.compressed();
-        let factor = HierarchicalFactor::new(&k, comp, lambda).unwrap();
         let shifted = Shifted::new(op.evaluator(), lambda);
+        let (x, stats) = cg(&shifted, &smw, &b, &KrylovOptions::default()).unwrap();
+        assert!(stats.converged, "residual {}", stats.relative_residual);
+        // Identical to the hand-composed SMW pipeline on a fresh compression.
+        let comp = gofmm_core::compress::<f64, _>(&k, &config());
+        let ev = Evaluator::new(&k, &comp);
+        let factor = HierarchicalFactor::new(&k, &comp, lambda).unwrap();
+        let shifted = Shifted::new(&ev, lambda);
         let (x_ref, _) = cg(&shifted, &factor, &b, &KrylovOptions::default()).unwrap();
         assert_eq!(x.data(), x_ref.data());
     }
@@ -937,12 +831,7 @@ mod tests {
             .factorize(lambda)
             .build()
             .unwrap();
-        let smw = GofmmOperator::<f64>::builder(&k)
-            .config(config())
-            .factorize(lambda)
-            .backend(FactorBackend::Smw)
-            .build()
-            .unwrap();
+        let smw = HierarchicalFactor::new(&k, ulv.compressed(), lambda).unwrap();
         let b = DenseMatrix::<f64>::from_fn(n, 2, |i, j| (((i + 5 * j) % 13) as f64) - 6.0);
         let x_ulv = ulv.solve(&b).unwrap();
         let x_smw = smw.solve(&b).unwrap();

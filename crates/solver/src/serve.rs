@@ -76,10 +76,6 @@ pub const BATCH_WIDTH_BUCKET_BOUNDS: [usize; BATCH_WIDTH_BUCKETS - 1] = [1, 2, 4
 pub const BATCH_WIDTH_BUCKET_LABELS: [&str; BATCH_WIDTH_BUCKETS] =
     ["1", "2", "3-4", "5-8", "9-16", "17+"];
 
-fn width_bucket(cols: usize) -> usize {
-    BATCH_WIDTH_BUCKET_BOUNDS.partition_point(|&b| b < cols)
-}
-
 /// Configuration of a [`BatchedServer`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -109,10 +105,13 @@ pub struct ServeConfig {
     /// [`ServeConfig::options`]. Tracing never changes results: outputs are
     /// bit-identical with or without a sink.
     pub trace: Option<TraceSink>,
-    /// Metrics registry the server publishes into (default none). At server
-    /// construction the admission counters, the `gofmm_server_queue_depth`
-    /// gauge and the `gofmm_server_batch_width_cols` histogram are
-    /// registered; see [`ServerStats`] for the same numbers as a snapshot.
+    /// Metrics registry the server publishes into (default none: a private
+    /// one). At server construction the admission counters, the
+    /// `gofmm_server_queue_depth` gauge and the batch-width and latency
+    /// histograms are registered; [`BatchedServer::stats`] reads the same
+    /// handles back as a [`ServerStats`] snapshot. Servers given one
+    /// registry share its counters, so each one's snapshot reports their
+    /// sum.
     pub metrics: Option<MetricsRegistry>,
 }
 
@@ -189,9 +188,7 @@ impl RequestKind {
             (RequestKind::Apply, RequestKind::Apply) => true,
             (RequestKind::Solve, RequestKind::Solve) => true,
             (RequestKind::SolveCg(a), RequestKind::SolveCg(b)) => {
-                a.tol.to_bits() == b.tol.to_bits()
-                    && a.max_iters == b.max_iters
-                    && a.restart == b.restart
+                a.tol.to_bits() == b.tol.to_bits() && a.max_iters == b.max_iters
             }
             _ => false,
         }
@@ -408,9 +405,11 @@ impl ServerStats {
     }
 }
 
-/// Handles into the configured [`MetricsRegistry`], registered once at
-/// server construction. Latency is published in microseconds, batch widths
-/// in coalesced columns (histogram bounds = the named
+/// The server's counters: handles into the configured [`MetricsRegistry`]
+/// (or a private one), registered once at server construction, plus the
+/// worst latency, which a histogram does not keep. [`BatchedServer::stats`]
+/// reads them back. Latency is published in microseconds, batch widths in
+/// coalesced columns (histogram bounds = the named
 /// [`BATCH_WIDTH_BUCKET_BOUNDS`]).
 struct ServerMetrics {
     admitted: Counter,
@@ -422,6 +421,7 @@ struct ServerMetrics {
     queue_depth: Gauge,
     batch_width: Histogram,
     latency_us: Histogram,
+    latency_max_us: AtomicU64,
 }
 
 /// Bucket bounds (µs) of `gofmm_server_latency_us`: decades from 100 µs to
@@ -473,81 +473,25 @@ impl ServerMetrics {
                 "Admission-to-completion latency of completed requests in microseconds",
                 &LATENCY_BUCKET_BOUNDS_US,
             ),
+            latency_max_us: AtomicU64::new(0),
         }
     }
-}
 
-#[derive(Default)]
-struct StatsInner {
-    admitted: AtomicUsize,
-    completed: AtomicUsize,
-    deadline_rejected: AtomicUsize,
-    overload_rejected: AtomicUsize,
-    cancelled: AtomicUsize,
-    batches: AtomicUsize,
-    coalesced_columns: AtomicUsize,
-    batch_width_hist: [AtomicUsize; BATCH_WIDTH_BUCKETS],
-    latency_total_us: AtomicU64,
-    latency_max_us: AtomicU64,
-    metrics: Option<ServerMetrics>,
-}
-
-impl StatsInner {
     fn on_admitted(&self, queue_depth: usize) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.admitted.inc();
-            m.queue_depth.set(queue_depth as f64);
-        }
-    }
-
-    fn on_overload_rejected(&self) {
-        self.overload_rejected.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.overload_rejected.inc();
-        }
-    }
-
-    fn on_deadline_rejected(&self) {
-        self.deadline_rejected.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.deadline_rejected.inc();
-        }
-    }
-
-    fn on_cancelled(&self) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.cancelled.inc();
-        }
+        self.admitted.inc();
+        self.queue_depth.set(queue_depth as f64);
     }
 
     fn on_completed(&self, elapsed: Duration) {
         let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latency_total_us.fetch_add(us, Ordering::Relaxed);
+        self.completed.inc();
+        self.latency_us.observe(us as f64);
         self.latency_max_us.fetch_max(us, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.completed.inc();
-            m.latency_us.observe(us as f64);
-        }
     }
 
     fn on_batch(&self, total_cols: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.coalesced_columns
-            .fetch_add(total_cols, Ordering::Relaxed);
-        self.batch_width_hist[width_bucket(total_cols)].fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.batches.inc();
-            m.batch_width.observe(total_cols as f64);
-        }
-    }
-
-    fn set_queue_depth(&self, depth: usize) {
-        if let Some(m) = &self.metrics {
-            m.queue_depth.set(depth as f64);
-        }
+        self.batches.inc();
+        self.batch_width.observe(total_cols as f64);
     }
 }
 
@@ -557,7 +501,7 @@ struct Shared<T: Scalar> {
     queue: Mutex<VecDeque<QueuedRequest<T>>>,
     available: Condvar,
     shutdown: AtomicBool,
-    stats: StatsInner,
+    stats: ServerMetrics,
 }
 
 /// An admission queue plus coalescing worker in front of a shared
@@ -580,10 +524,7 @@ impl<T: Scalar> BatchedServer<T> {
             queue_capacity: cfg.queue_capacity.max(1),
             ..cfg
         };
-        let stats = StatsInner {
-            metrics: cfg.metrics.as_ref().map(ServerMetrics::register),
-            ..StatsInner::default()
-        };
+        let stats = ServerMetrics::register(&cfg.metrics.clone().unwrap_or_default());
         let shared = Arc::new(Shared {
             op,
             cfg,
@@ -640,14 +581,14 @@ impl<T: Scalar> BatchedServer<T> {
         b: &DenseMatrix<T>,
         deadline: Option<Duration>,
     ) -> Result<Ticket<T>, Error> {
-        if self.shared.op.backend().is_none() {
+        if self.shared.op.lambda().is_none() {
             return Err(Error::NoFactorization);
         }
         self.submit(RequestKind::Solve, b, deadline)
     }
 
     /// Submit a preconditioned CG solve. Requests coalesce only with other
-    /// CG requests whose `tol`, `max_iters` and `restart` agree exactly;
+    /// CG requests whose `tol` and `max_iters` agree exactly;
     /// `opts.cancel` is ignored (use [`Ticket::cancel`]). Per-column
     /// iteration freezing in the CG driver makes the coalesced solution of
     /// each column bit-identical to a solo solve. A right-hand side with a
@@ -663,34 +604,34 @@ impl<T: Scalar> BatchedServer<T> {
         opts: &KrylovOptions,
         deadline: Option<Duration>,
     ) -> Result<Ticket<T>, Error> {
-        if self.shared.op.backend().is_none() {
+        if self.shared.op.lambda().is_none() {
             return Err(Error::NoFactorization);
         }
         check_finite_rhs(b)?;
         self.submit(RequestKind::SolveCg(opts.clone()), b, deadline)
     }
 
-    /// Snapshot the server's telemetry counters.
+    /// Snapshot the server's telemetry counters: the queue as it stands,
+    /// the rest read back from the server's metric handles.
     pub fn stats(&self) -> ServerStats {
         let s = &self.shared.stats;
-        let completed = s.completed.load(Ordering::Relaxed);
-        let total_us = s.latency_total_us.load(Ordering::Relaxed);
+        let completed = s.latency_us.count();
         let mut hist = [0usize; BATCH_WIDTH_BUCKETS];
-        for (dst, src) in hist.iter_mut().zip(&s.batch_width_hist) {
-            *dst = src.load(Ordering::Relaxed);
+        for (dst, src) in hist.iter_mut().zip(s.batch_width.bucket_counts()) {
+            *dst = src as usize;
         }
         ServerStats {
             queue_depth: self.shared.queue.lock().expect("queue lock").len(),
-            admitted: s.admitted.load(Ordering::Relaxed),
-            completed,
-            deadline_rejected: s.deadline_rejected.load(Ordering::Relaxed),
-            overload_rejected: s.overload_rejected.load(Ordering::Relaxed),
-            cancelled: s.cancelled.load(Ordering::Relaxed),
-            batches: s.batches.load(Ordering::Relaxed),
-            coalesced_columns: s.coalesced_columns.load(Ordering::Relaxed),
+            admitted: s.admitted.get() as usize,
+            completed: s.completed.get() as usize,
+            deadline_rejected: s.deadline_rejected.get() as usize,
+            overload_rejected: s.overload_rejected.get() as usize,
+            cancelled: s.cancelled.get() as usize,
+            batches: s.batches.get() as usize,
+            coalesced_columns: s.batch_width.sum() as usize,
             batch_width_hist: hist,
             mean_latency_us: if completed > 0 {
-                total_us as f64 / completed as f64
+                s.latency_us.sum() / completed as f64
             } else {
                 0.0
             },
@@ -719,7 +660,7 @@ impl<T: Scalar> BatchedServer<T> {
         let now = Instant::now();
         if let Some(budget) = deadline {
             if budget.is_zero() {
-                self.shared.stats.on_deadline_rejected();
+                self.shared.stats.deadline_rejected.inc();
                 return Err(Error::DeadlineExceeded);
             }
         }
@@ -736,7 +677,7 @@ impl<T: Scalar> BatchedServer<T> {
         let depth = {
             let mut queue = self.shared.queue.lock().expect("queue lock");
             if queue.len() >= self.shared.cfg.queue_capacity {
-                self.shared.stats.on_overload_rejected();
+                self.shared.stats.overload_rejected.inc();
                 return Err(Error::Overloaded {
                     queue_depth: queue.len(),
                     capacity: self.shared.cfg.queue_capacity,
@@ -767,13 +708,13 @@ impl<T: Scalar> Drop for BatchedServer<T> {
 }
 
 /// Reject `req` as expired without it ever consuming a batch slot.
-fn reject_expired<T: Scalar>(stats: &StatsInner, req: &QueuedRequest<T>) {
-    stats.on_deadline_rejected();
+fn reject_expired<T: Scalar>(stats: &ServerMetrics, req: &QueuedRequest<T>) {
+    stats.deadline_rejected.inc();
     let _ = req.reply.send(Err(Error::DeadlineExceeded));
 }
 
-fn reject_cancelled<T: Scalar>(stats: &StatsInner, req: &QueuedRequest<T>) {
-    stats.on_cancelled();
+fn reject_cancelled<T: Scalar>(stats: &ServerMetrics, req: &QueuedRequest<T>) {
+    stats.cancelled.inc();
     let _ = req.reply.send(Err(Error::Cancelled));
 }
 
@@ -781,7 +722,7 @@ fn reject_cancelled<T: Scalar>(stats: &StatsInner, req: &QueuedRequest<T>) {
 /// their tickets.
 fn purge_queue<T: Scalar>(
     queue: &mut VecDeque<QueuedRequest<T>>,
-    stats: &StatsInner,
+    stats: &ServerMetrics,
     now: Instant,
 ) {
     queue.retain(|req| {
@@ -878,7 +819,7 @@ fn worker_loop<T: Scalar>(shared: &Shared<T>) {
                 continue;
             }
             let batch = form_batch(&mut queue, shared.cfg.max_batch_cols);
-            shared.stats.set_queue_depth(queue.len());
+            shared.stats.queue_depth.set(queue.len() as f64);
             batch
         };
         if batch.is_empty() {
@@ -1189,6 +1130,14 @@ mod tests {
         assert_eq!(got.data(), want.data());
     }
 
+    /// The batch-width bucket a batch of `cols` columns lands in.
+    fn width_bucket(cols: usize) -> usize {
+        let metrics = ServerMetrics::register(&MetricsRegistry::new());
+        metrics.on_batch(cols);
+        let counts = metrics.batch_width.bucket_counts();
+        counts.iter().position(|&c| c == 1).expect("one batch")
+    }
+
     #[test]
     fn width_buckets_cover_all_sizes() {
         assert_eq!(width_bucket(1), 0);
@@ -1203,6 +1152,94 @@ mod tests {
             assert_eq!(width_bucket(bound + 1), i + 1);
         }
         assert_eq!(BATCH_WIDTH_BUCKET_LABELS.len(), BATCH_WIDTH_BUCKETS);
+    }
+
+    /// The value of the series `name` in a Prometheus text exposition.
+    fn exported(text: &str, name: &str) -> f64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{name} missing from\n{text}"))
+            .parse()
+            .expect("numeric sample")
+    }
+
+    #[test]
+    fn stats_read_back_the_registry() {
+        let op = test_operator(128, false);
+        let registry = MetricsRegistry::new();
+        // Capacity 2 and a long holdoff: the first two submissions queue,
+        // the third is refused, and the second is cancelled before the
+        // batch forms.
+        let cfg = ServeConfig::default()
+            .with_queue_capacity(2)
+            .with_holdoff(Duration::from_millis(200))
+            .with_metrics(registry.clone());
+        let server = BatchedServer::new(op, cfg);
+        let w = rhs(128, 2, 0);
+        let expired = server.submit_apply(&w, Some(Duration::ZERO));
+        assert!(matches!(expired, Err(Error::DeadlineExceeded)));
+        let done = server.submit_apply(&w, None).expect("admit");
+        let dropped = server.submit_apply(&w, None).expect("admit");
+        let refused = server.submit_apply(&w, None);
+        assert!(matches!(refused, Err(Error::Overloaded { .. })));
+        dropped.cancel();
+        assert!(matches!(dropped.wait(), Err(Error::Cancelled)));
+        done.wait().expect("result");
+
+        let stats = server.stats();
+        assert_eq!(
+            (
+                stats.admitted,
+                stats.completed,
+                stats.deadline_rejected,
+                stats.overload_rejected,
+                stats.cancelled,
+                stats.batches,
+            ),
+            (2, 1, 1, 1, 1, 1)
+        );
+        let text = registry.prometheus_text();
+        let value = |name: &str| exported(&text, name);
+        assert_eq!(value("gofmm_server_admitted_total"), stats.admitted as f64);
+        assert_eq!(
+            value("gofmm_server_completed_total"),
+            stats.completed as f64
+        );
+        assert_eq!(
+            value("gofmm_server_deadline_rejected_total"),
+            stats.deadline_rejected as f64
+        );
+        assert_eq!(
+            value("gofmm_server_overload_rejected_total"),
+            stats.overload_rejected as f64
+        );
+        assert_eq!(
+            value("gofmm_server_cancelled_total"),
+            stats.cancelled as f64
+        );
+        assert_eq!(value("gofmm_server_batches_total"), stats.batches as f64);
+        assert_eq!(value("gofmm_server_queue_depth"), stats.queue_depth as f64);
+        assert_eq!(
+            value("gofmm_server_batch_width_cols_count"),
+            stats.batches as f64
+        );
+        assert_eq!(
+            value("gofmm_server_batch_width_cols_sum"),
+            stats.coalesced_columns as f64
+        );
+        let mut below = 0;
+        for (bound, count) in BATCH_WIDTH_BUCKET_BOUNDS.iter().zip(stats.batch_width_hist) {
+            below += count;
+            let series = format!("gofmm_server_batch_width_cols_bucket{{le=\"{bound}\"}}");
+            assert_eq!(value(&series), below as f64, "{series}");
+        }
+        let completed = value("gofmm_server_latency_us_count");
+        assert_eq!(completed, stats.completed as f64);
+        assert_eq!(
+            value("gofmm_server_latency_us_sum") / completed,
+            stats.mean_latency_us
+        );
+        assert!(stats.max_latency_us as f64 >= stats.mean_latency_us);
     }
 
     #[test]

@@ -55,9 +55,9 @@
 //! symmetrized), but its backward error grows like the condition number.
 //!
 //! The limitation is *removed* by the backward-stable orthogonal
-//! [`crate::UlvFactor`], which is the default solve backend behind
-//! `GofmmOperator` (this SMW recursion is retained behind
-//! `FactorBackend::Smw`). Both envelopes — ULV backward stable across
+//! [`crate::UlvFactor`], which is the factorization behind
+//! `GofmmOperator` (this SMW recursion is kept as the reference the tests
+//! build directly as a [`crate::HierarchicalFactor`]). Both envelopes — ULV backward stable across
 //! `lambda` from `1e-8` to `1e8` times the operator scale, SMW accurate
 //! inside its band and degraded below it — are *enforced* by the CI-gated
 //! `tests/stability_envelope.rs` suite, so a regression in either backend
@@ -68,7 +68,7 @@ use gofmm_linalg::{gemm, matmul, matmul_tn, Cholesky, DenseMatrix, LuFactor, Sca
 use gofmm_matrices::SpdMatrix;
 
 use crate::factor::Factor;
-use crate::kernel::{Factored, NodeKernel, SolveWorkspace};
+use crate::kernel::{give_scratch, take_scratch, Factored, NodeKernel, SolveWorkspace};
 
 /// The Sherman–Morrison–Woodbury node kernel: the node arithmetic of
 /// [`crate::HierarchicalFactor`].
@@ -278,10 +278,17 @@ impl<T: Scalar> NodeKernel<T> for Smw {
                 );
             }
         } else {
+            // [v_l; v_r], stacked in a factorization-scratch buffer.
             let (l, r) = comp.tree.children(heap);
             let vl = ws.up.read(l);
             let vr = ws.up.read(r);
-            let vstack = vl.vstack(&vr);
+            let cols = vl.cols();
+            let mut buf = take_scratch::<T>();
+            for c in 0..cols {
+                buf.extend_from_slice(vl.col(c));
+                buf.extend_from_slice(vr.col(c));
+            }
+            let mut vstack = DenseMatrix::from_vec(vl.rows() + vr.rows(), cols, buf);
             drop((vl, vr));
             let mut z = ws.local.write(heap);
             gemm(
@@ -295,7 +302,6 @@ impl<T: Scalar> NodeKernel<T> for Smw {
             );
             if let Some(basis) = comp.basis(heap) {
                 // v = E^T (vstack - G_hat z).
-                let mut q = vstack;
                 gemm(
                     -T::one(),
                     &nf.gstack,
@@ -303,19 +309,20 @@ impl<T: Scalar> NodeKernel<T> for Smw {
                     &z,
                     Transpose::No,
                     T::one(),
-                    &mut q,
+                    &mut vstack,
                 );
                 let mut v = ws.up.write(heap);
                 gemm(
                     T::one(),
                     &basis.interp,
                     Transpose::No,
-                    &q,
+                    &vstack,
                     Transpose::No,
                     T::zero(),
                     &mut v,
                 );
             }
+            give_scratch(vstack);
         }
         Ok(())
     }
@@ -348,9 +355,12 @@ impl<T: Scalar> NodeKernel<T> for Smw {
                 );
             }
         } else {
-            // gamma = z + (E - W G_hat E) delta, split between the children.
+            // gamma = z + (E - W G_hat E) delta in a factorization-scratch
+            // buffer, split between the children.
             let z = ws.local.read(heap);
-            let mut gamma = z.clone();
+            let mut buf = take_scratch::<T>();
+            buf.extend_from_slice(z.data());
+            let mut gamma = DenseMatrix::from_vec(z.rows(), z.cols(), buf);
             drop(z);
             if !is_root {
                 let delta = ws.down.read(heap);
@@ -364,10 +374,20 @@ impl<T: Scalar> NodeKernel<T> for Smw {
                     &mut gamma,
                 );
             }
+            // Copied into the pooled `down` cells, so a recycled workspace
+            // keeps their allocations.
             let (l, r) = comp.tree.children(heap);
-            let cols = gamma.cols();
-            ws.down.set(l, gamma.block(0, nf.split, 0, cols));
-            ws.down.set(r, gamma.block(nf.split, gamma.rows(), 0, cols));
+            let mut dl = ws.down.write(l);
+            for c in 0..gamma.cols() {
+                dl.col_mut(c).copy_from_slice(&gamma.col(c)[..nf.split]);
+            }
+            drop(dl);
+            let mut dr = ws.down.write(r);
+            for c in 0..gamma.cols() {
+                dr.col_mut(c).copy_from_slice(&gamma.col(c)[nf.split..]);
+            }
+            drop(dr);
+            give_scratch(gamma);
         }
         Ok(())
     }

@@ -29,8 +29,8 @@
 //! there is no `(I + C G)^{-1}` core whose conditioning tracks the
 //! condition number of the system itself. The solver stack's stability
 //! envelope test (`tests/stability_envelope.rs`) pins this down across
-//! `lambda in 1e-8..1e8` times the operator scale; the SMW backend remains
-//! available for comparison via `FactorBackend::Smw`.
+//! `lambda in 1e-8..1e8` times the operator scale; the SMW factorization
+//! remains available for comparison as [`crate::HierarchicalFactor`].
 //!
 //! [`Ulv`] is the node kernel of [`Factor`], which runs the `FACTOR` sweep
 //! and the cached `SUP`/`SDOWN` solve sweeps exactly as for the SMW
@@ -52,7 +52,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::factor::{solve_driver, Factor, FactorStats};
-use crate::kernel::{Factored, NodeKernel, SolveWorkspace};
+use crate::kernel::{give_scratch, take_scratch, Factored, NodeKernel, SolveWorkspace};
 
 /// Relative threshold separating "numerically singular" from "indefinite"
 /// when a Cholesky pivot fails: a non-positive pivot within this fraction of
@@ -179,10 +179,9 @@ impl<T: Scalar> Blob for UlvNode<T> {
 pub enum Ulv {}
 
 /// A persistent backward-stable ULV factorization of `K + lambda I` — the
-/// default solve backend behind `GofmmOperator` (the SMW
-/// [`crate::HierarchicalFactor`] remains available via
-/// `FactorBackend::Smw`): the [`Factor`] driver over the [`Ulv`] node
-/// kernel.
+/// factorization behind `GofmmOperator` (the SMW
+/// [`crate::HierarchicalFactor`] remains as the tests' reference): the
+/// [`Factor`] driver over the [`Ulv`] node kernel.
 ///
 /// Accuracy holds across the full regularization range — `lambda` from
 /// `1e-8` to `1e8` times the operator scale solves to roundoff-level
@@ -742,20 +741,6 @@ fn basis_times<T: Scalar>(
         }
         None => matmul(u, x),
     }
-}
-
-/// An empty buffer from the calling thread's factorization scratch: a solve
-/// task's temporaries reuse the capacity of earlier tasks' on that thread
-/// instead of the allocator's. Return it with [`give_scratch`].
-fn take_scratch<T: Scalar>() -> Vec<T> {
-    let mut buf = T::with_factor_scratch(Vec::pop).unwrap_or_default();
-    buf.clear();
-    buf
-}
-
-/// Return a temporary's buffer to the calling thread's factorization scratch.
-fn give_scratch<T: Scalar>(m: DenseMatrix<T>) {
-    T::with_factor_scratch(|stash| stash.push(m.into_vec()));
 }
 
 // What the unit tests below name besides this module's own items.

@@ -1,14 +1,15 @@
-//! Allocation budget of a steady-state ULV solve — the solver-side twin of
-//! `crates/core/tests/alloc_budget.rs`.
+//! Allocation budget of a steady-state ULV or SMW solve — the solver-side
+//! twin of `crates/core/tests/alloc_budget.rs`.
 //!
 //! `SUP`/`SDOWN` multiply through the same GEMM as the apply, whose pack
 //! buffers used to be `vec!`-ed on every call (1.25 MiB per task). With the
 //! buffers owned by the calling thread, and every per-task temporary (the
 //! node's stacked right-hand side, the back-substituted block, the WY
-//! rotation's staged rows, the blocked TRSM's operands) taken from the
-//! thread's factorization scratch, one warmed-up single-thread
-//! `UlvFactor::solve` requests the solution block and nothing else: 65 544 B
-//! at both leaf sizes here, against 65 536 B of solution.
+//! rotation's staged rows, the blocked TRSM's operands, SMW's stacked
+//! children and correction block) taken from the thread's factorization
+//! scratch, one warmed-up single-thread `UlvFactor::solve` or
+//! `HierarchicalFactor::solve` requests the solution block and nothing
+//! else: 65 544 B at both leaf sizes here, against 65 536 B of solution.
 //! (With more than one worker the scratch is regrown per run; see the test.)
 //! A spilled factor's solve also requests the values its faults decode —
 //! about the bytes they read — but not the read bytes themselves, which
@@ -19,7 +20,7 @@
 use gofmm_core::{compress, GofmmConfig, TraversalPolicy};
 use gofmm_linalg::DenseMatrix;
 use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
-use gofmm_solver::{FilePanelStore, StoreWriter, UlvFactor};
+use gofmm_solver::{FilePanelStore, HierarchicalFactor, StoreWriter, UlvFactor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -116,14 +117,22 @@ fn steady_state_solve_stays_inside_its_allocation_budget() {
                 .with_policy(policy);
             let comp = compress::<f64, _>(&k, &cfg);
             let ulv = UlvFactor::new(&k, &comp, 1.0).unwrap();
-            // First solve: leases the workspace, grows this thread's scratch.
-            let first = ulv.solve(&b).unwrap();
-            let (second, bytes) = requested_bytes(|| ulv.solve(&b).unwrap());
-            assert_eq!(first.data(), second.data());
-            assert!(
-                bytes < budget,
-                "leaf {leaf}, {threads} x {policy:?}: a steady-state solve requested {bytes} B, budget {budget} B"
-            );
+            let smw = HierarchicalFactor::new(&k, &comp, 1.0).unwrap();
+            let solves: [(&str, &dyn Fn() -> DenseMatrix<f64>); 2] = [
+                ("ULV", &|| ulv.solve(&b).unwrap()),
+                ("SMW", &|| smw.solve(&b).unwrap()),
+            ];
+            for (name, solve) in solves {
+                // First solve: leases the workspace, grows this thread's
+                // scratch.
+                let first = solve();
+                let (second, bytes) = requested_bytes(solve);
+                assert_eq!(first.data(), second.data());
+                assert!(
+                    bytes < budget,
+                    "{name}, leaf {leaf}, {threads} x {policy:?}: a steady-state solve requested {bytes} B, budget {budget} B"
+                );
+            }
         }
     }
 

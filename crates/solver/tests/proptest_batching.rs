@@ -93,7 +93,6 @@ fn cg_opts() -> KrylovOptions {
     KrylovOptions {
         tol: 1e-8,
         max_iters: 200,
-        restart: 50,
         ..KrylovOptions::default()
     }
 }

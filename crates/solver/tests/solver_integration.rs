@@ -8,7 +8,7 @@ use gofmm_linalg::DenseMatrix;
 use gofmm_matrices::{
     build_matrix, KernelMatrix, KernelType, PointCloud, SpdMatrix, TestMatrixId, ZooOptions,
 };
-use gofmm_solver::{cg, cg_unpreconditioned, gmres, HierarchicalFactor, KrylovOptions, Shifted};
+use gofmm_solver::{cg, HierarchicalFactor, IdentityPreconditioner, KrylovOptions, Shifted};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -129,11 +129,10 @@ fn preconditioned_cg_beats_unpreconditioned_on_ill_conditioned_kernel() {
     let opts = KrylovOptions {
         tol: 1e-10,
         max_iters: 600,
-        restart: 60,
         ..KrylovOptions::default()
     };
     let op = Shifted::new(&ev, lambda);
-    let (x_un, s_un) = cg_unpreconditioned(&op, &b, &opts).unwrap();
+    let (x_un, s_un) = cg(&op, &IdentityPreconditioner, &b, &opts).unwrap();
     let (x_pre, s_pre) = cg(&op, &factor, &b, &opts).unwrap();
     assert_eq!(
         counter.count(),
@@ -216,38 +215,6 @@ fn solve_is_bit_identical_across_all_four_traversal_policies() {
 }
 
 #[test]
-fn gmres_with_hierarchical_preconditioner_converges_fast() {
-    let n = 512;
-    let k = KernelMatrix::new(
-        PointCloud::uniform(n, 3, 13),
-        KernelType::Gaussian { bandwidth: 1.0 },
-        1e-6,
-        "gmres",
-    );
-    let lambda = 1e-2;
-    let comp = compress::<f64, _>(&k, &hss_config(64, 64));
-    let ev = Evaluator::new(&k, &comp);
-    let factor = HierarchicalFactor::new(&k, &comp, lambda).unwrap();
-    let b = DenseMatrix::<f64>::from_fn(n, 1, |i, _| ((i % 13) as f64) - 6.0);
-    let opts = KrylovOptions {
-        tol: 1e-10,
-        max_iters: 200,
-        restart: 30,
-        ..KrylovOptions::default()
-    };
-    let op = Shifted::new(&ev, lambda);
-    let (x, stats) = gmres(&op, &factor, &b, &opts).unwrap();
-    assert!(stats.converged, "residual {:.3e}", stats.relative_residual);
-    assert!(
-        stats.iterations <= 20,
-        "preconditioned GMRES took {} iterations",
-        stats.iterations
-    );
-    let resid = system_residual(&k, &comp, lambda, &x, &b);
-    assert!(resid <= 1e-9, "true residual {resid:.3e}");
-}
-
-#[test]
 fn fmm_mode_compression_still_preconditions() {
     // Budget > 0: the compression has off-diagonal near blocks the
     // factorization does not cover, and sibling skeleton blocks may be
@@ -280,11 +247,10 @@ fn fmm_mode_compression_still_preconditions() {
     let opts = KrylovOptions {
         tol: 1e-10,
         max_iters: 400,
-        restart: 50,
         ..KrylovOptions::default()
     };
     let op = Shifted::new(&ev, lambda);
-    let (_, s_un) = cg_unpreconditioned(&op, &b, &opts).unwrap();
+    let (_, s_un) = cg(&op, &IdentityPreconditioner, &b, &opts).unwrap();
     let (x, s_pre) = cg(&op, &factor, &b, &opts).unwrap();
     assert!(s_pre.converged, "residual {:.3e}", s_pre.relative_residual);
     assert!(
@@ -336,7 +302,7 @@ proptest! {
             ((i as u64).wrapping_mul(seed.wrapping_add(3)) % 17) as f64 / 8.0 - 1.0
         });
         let ev = Evaluator::new(&m, &comp);
-        let opts = KrylovOptions { tol: 1e-10, max_iters: 300, restart: 40,
+        let opts = KrylovOptions { tol: 1e-10, max_iters: 300,
         ..KrylovOptions::default() };
         let op = Shifted::new(&ev, lambda);
         let (x, stats) = cg(&op, &factor, &b, &opts).unwrap();

@@ -38,14 +38,14 @@ pub enum SpanKind {
     /// SUP/SDOWN, ...). Task spans are the unit of the per-family/per-level
     /// aggregates and the critical path.
     Task,
-    /// A whole algorithmic phase (`APPLY`, `SOLVE`, `CG`, `GMRES`);
+    /// A whole algorithmic phase (`APPLY`, `SOLVE`, `CG`);
     /// encloses the task and iteration spans it drives.
     Phase,
     /// A barrier marker: one per barrier group of a level-by-level plan
     /// run, recorded by the runtime and labelled with the group's family
     /// and its first task's level. Task spans of the group nest inside it.
     Marker,
-    /// One Krylov iteration (`CG_ITER`, `GMRES_ITER`); `node` carries the
+    /// One Krylov iteration (`CG_ITER`); `node` carries the
     /// iteration index.
     Iteration,
 }

@@ -7,7 +7,7 @@
 use gofmm_suite::core::{compress, Evaluator, GofmmConfig, TraversalPolicy};
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{KernelMatrix, KernelType, PointCloud};
-use gofmm_suite::solver::{cg, cg_unpreconditioned, HierarchicalFactor, KrylovOptions, Shifted};
+use gofmm_suite::solver::{cg, HierarchicalFactor, IdentityPreconditioner, KrylovOptions, Shifted};
 
 fn main() {
     // 1. An ill-conditioned SPD system: Gaussian kernel over 4096 points,
@@ -51,12 +51,11 @@ fn main() {
     let opts = KrylovOptions {
         tol: 1e-10,
         max_iters: 600,
-        restart: 60,
         ..KrylovOptions::default()
     };
     let op = Shifted::new(&evaluator, lambda);
 
-    let (_, plain) = cg_unpreconditioned(&op, &b, &opts).expect("well-formed system");
+    let (_, plain) = cg(&op, &IdentityPreconditioner, &b, &opts).expect("well-formed system");
     println!(
         "unpreconditioned CG : {:>4} iterations, {:.2}s, residual {:.2e}",
         plain.iterations, plain.solve_time, plain.relative_residual

@@ -26,7 +26,7 @@ pub use gofmm_tree as tree;
 
 pub use gofmm_core::{AccuracyBudget, ApplyOptions, CancelToken, Error, PanelPrecision, TuneStats};
 pub use gofmm_solver::{
-    BatchedServer, FactorBackend, FlightProgress, GofmmOperator, GofmmOperatorBuilder,
-    KrylovOptions, ServeConfig, ServerStats, StorageConfig, StoreStatsSnapshot, Ticket,
+    BatchedServer, FlightProgress, GofmmOperator, GofmmOperatorBuilder, KrylovOptions, ServeConfig,
+    ServerStats, StorageConfig, StoreStatsSnapshot, Ticket,
 };
 pub use gofmm_telemetry::{MetricsRegistry, ProgressHandle, ProgressReport, Trace, TraceSink};

@@ -6,7 +6,8 @@
 use gofmm_suite::core::{GofmmConfig, TraversalPolicy};
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{KernelMatrix, KernelType, PointCloud};
-use gofmm_suite::{ApplyOptions, FactorBackend, GofmmOperator, KrylovOptions};
+use gofmm_suite::solver::{cg, HierarchicalFactor, Shifted};
+use gofmm_suite::{ApplyOptions, GofmmOperator, KrylovOptions};
 use std::sync::Arc;
 
 const ALL_POLICIES: [TraversalPolicy; 4] = [
@@ -16,13 +17,17 @@ const ALL_POLICIES: [TraversalPolicy; 4] = [
     TraversalPolicy::DagFifo,
 ];
 
-fn build_operator_with(n: usize, lambda: f64, backend: FactorBackend) -> GofmmOperator<f64> {
-    let k = KernelMatrix::new(
+fn kernel(n: usize) -> KernelMatrix {
+    KernelMatrix::new(
         PointCloud::uniform(n, 3, 23),
         KernelType::Gaussian { bandwidth: 1.0 },
         1e-6,
         "concurrent-serving",
-    );
+    )
+}
+
+/// The operator over [`kernel`], factored by ULV at `lambda`.
+fn build_operator_over(k: &KernelMatrix, lambda: f64) -> GofmmOperator<f64> {
     let cfg = GofmmConfig::default()
         .with_leaf_size(48)
         .with_max_rank(48)
@@ -30,17 +35,15 @@ fn build_operator_with(n: usize, lambda: f64, backend: FactorBackend) -> GofmmOp
         .with_budget(0.0)
         .with_threads(2)
         .with_policy(TraversalPolicy::Sequential);
-    GofmmOperator::builder(&k)
+    GofmmOperator::builder(k)
         .config(cfg)
         .factorize(lambda)
-        .backend(backend)
         .build()
         .expect("operator must build")
 }
 
-/// The default (ULV-backed) operator.
 fn build_operator(n: usize, lambda: f64) -> GofmmOperator<f64> {
-    build_operator_with(n, lambda, FactorBackend::default())
+    build_operator_over(&kernel(n), lambda)
 }
 
 fn rhs(n: usize, cols: usize, seed: usize) -> DenseMatrix<f64> {
@@ -52,10 +55,7 @@ fn rhs(n: usize, cols: usize, seed: usize) -> DenseMatrix<f64> {
 #[test]
 fn shared_operator_serves_mixed_concurrent_traffic_bit_identically() {
     let n = 512;
-    // The default operator is ULV-backed: the serving contract below covers
-    // the new backend.
     let op = Arc::new(build_operator(n, 1e-2));
-    assert_eq!(op.backend(), Some(FactorBackend::Ulv));
 
     // Sequential baselines for every (request kind, width) this test issues.
     let w1 = rhs(n, 1, 0);
@@ -111,13 +111,21 @@ fn shared_operator_serves_mixed_concurrent_traffic_bit_identically() {
 fn concurrent_evaluator_and_factor_handles_match_one_shot_pipeline() {
     // The operator's engines are also reachable directly; concurrent use of
     // the evaluator and the factorization through their &self entry points
-    // must agree with the operator's own results — for both backends.
+    // must agree with one-shot results — for the operator's ULV factor and
+    // for an SMW factor of its compression.
     let n = 384;
-    for backend in [FactorBackend::Ulv, FactorBackend::Smw] {
-        let op = Arc::new(build_operator_with(n, 5e-2, backend));
-        let w = rhs(n, 2, 3);
-        let u_ref = op.apply(&w).unwrap();
-        let x_ref = op.solve(&w).unwrap();
+    let k = kernel(n);
+    let op = Arc::new(build_operator_over(&k, 5e-2));
+    let smw = HierarchicalFactor::new(&k, op.compressed(), 5e-2).expect("SMW factor");
+    let w = rhs(n, 2, 3);
+    let u_ref = op.apply(&w).unwrap();
+    let ulv = op.ulv_factor().expect("ULV-backed handle");
+    type Solve<'f> = &'f (dyn Fn(&DenseMatrix<f64>) -> DenseMatrix<f64> + Sync);
+    let engines: [(&str, DenseMatrix<f64>, Solve); 2] = [
+        ("ULV", op.solve(&w).unwrap(), &|w| ulv.solve(w).unwrap()),
+        ("SMW", smw.solve(&w).unwrap(), &|w| smw.solve(w).unwrap()),
+    ];
+    for (backend, x_ref, solve) in engines {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let op = Arc::clone(&op);
@@ -125,16 +133,7 @@ fn concurrent_evaluator_and_factor_handles_match_one_shot_pipeline() {
                 let (u_ref, x_ref) = (&u_ref, &x_ref);
                 scope.spawn(move || {
                     let (u, _) = op.evaluator().apply(w).unwrap();
-                    let x = match backend {
-                        FactorBackend::Ulv => op
-                            .ulv_factor()
-                            .expect("ULV-backed handle")
-                            .solve(w)
-                            .unwrap(),
-                        FactorBackend::Smw => {
-                            op.factor().expect("SMW-backed handle").solve(w).unwrap()
-                        }
-                    };
+                    let x = solve(w);
                     assert_eq!(u.data(), u_ref.data());
                     assert_eq!(x.data(), x_ref.data(), "{backend:?} engine drifted");
                 });
@@ -145,28 +144,30 @@ fn concurrent_evaluator_and_factor_handles_match_one_shot_pipeline() {
 
 #[test]
 fn smw_backed_operator_still_serves_concurrent_traffic_bit_identically() {
-    // The comparison backend keeps the same serving contract: shared handle,
-    // mixed policies, bit-identical to its own sequential baseline.
+    // The SMW factorization of the operator's compression keeps the same
+    // serving contract next to the shared handle: mixed policies,
+    // bit-identical to its own sequential baseline.
     let n = 384;
-    let op = Arc::new(build_operator_with(n, 1e-2, FactorBackend::Smw));
-    assert_eq!(op.backend(), Some(FactorBackend::Smw));
+    let lambda = 1e-2;
+    let k = kernel(n);
+    let op = Arc::new(build_operator_over(&k, lambda));
+    let smw = HierarchicalFactor::new(&k, op.compressed(), lambda).expect("SMW factor");
+    let shifted = Shifted::new(op.evaluator(), lambda);
     let w = rhs(n, 2, 5);
-    let x_ref = op.solve(&w).expect("baseline solve");
-    let (xcg_ref, _) = op
-        .solve_cg(&w, &KrylovOptions::default())
-        .expect("baseline CG");
+    let x_ref = smw.solve(&w).expect("baseline solve");
+    let (xcg_ref, _) = cg(&shifted, &smw, &w, &KrylovOptions::default()).expect("baseline CG");
     std::thread::scope(|scope| {
         for t in 0..4 {
-            let op = Arc::clone(&op);
+            let (smw, shifted) = (&smw, &shifted);
             let w = &w;
             let (x_ref, xcg_ref) = (&x_ref, &xcg_ref);
             let policy = ALL_POLICIES[t % ALL_POLICIES.len()];
             scope.spawn(move || {
                 let opts = ApplyOptions::new().with_policy(policy).with_threads(2);
                 for _ in 0..3 {
-                    let x = op.solve_with(w, &opts).unwrap();
+                    let x = smw.solve_with(w, &opts).unwrap();
                     assert_eq!(x.data(), x_ref.data(), "{policy}: SMW solve drifted");
-                    let (xcg, _) = op.solve_cg(w, &KrylovOptions::default()).unwrap();
+                    let (xcg, _) = cg(shifted, smw, w, &KrylovOptions::default()).unwrap();
                     assert_eq!(xcg.data(), xcg_ref.data(), "{policy}: SMW CG drifted");
                 }
             });

@@ -168,7 +168,6 @@ fn cancelled_flight_leaves_server_reusable() {
     let tight = KrylovOptions {
         tol: 1e-14,
         max_iters: 500,
-        restart: 50,
         ..KrylovOptions::default()
     };
     let b1 = rhs(n, 2, 4);

@@ -1,5 +1,6 @@
-//! Solver error paths through the `GofmmOperator` front door, exercised
-//! against **both** factorization backends: a deliberately singular
+//! Solver error paths through the `GofmmOperator` front door and its ULV
+//! factorization, each checked against the SMW `HierarchicalFactor` built
+//! on the operator's own compression as well: a deliberately singular
 //! regularized block surfaces as a typed error (never a panic),
 //! solve-before-factorize reports `NoFactorization`, a wrong-length
 //! right-hand side reports `DimensionMismatch`, and a non-finite Krylov
@@ -10,8 +11,8 @@
 use gofmm_suite::core::DistanceMetric;
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{KernelMatrix, KernelType, PointCloud, SpdMatrix};
-use gofmm_suite::solver::{cg, gmres, IdentityPreconditioner};
-use gofmm_suite::{BatchedServer, Error, FactorBackend, GofmmOperator, KrylovOptions, ServeConfig};
+use gofmm_suite::solver::{cg, HierarchicalFactor, IdentityPreconditioner, Shifted};
+use gofmm_suite::{BatchedServer, Error, GofmmOperator, KrylovOptions, ServeConfig};
 use std::sync::Arc;
 
 /// A diagonal SPD-except-for-one-entry matrix: entry `n/2` of the diagonal
@@ -56,18 +57,28 @@ fn config() -> gofmm_suite::core::GofmmConfig {
         .with_threads(2)
 }
 
-const BOTH_BACKENDS: [FactorBackend; 2] = [FactorBackend::Ulv, FactorBackend::Smw];
+/// The ULV factorization of `K + lambda I` through the operator builder and
+/// the SMW one built on the same compression: `Err` where either refuses.
+fn factor_both<M: SpdMatrix<f64>>(m: &M, lambda: f64) -> [(&'static str, Result<(), Error>); 2] {
+    let ulv = GofmmOperator::<f64>::builder(m)
+        .config(config())
+        .factorize(lambda)
+        .build()
+        .map(drop);
+    let op = GofmmOperator::<f64>::builder(m)
+        .config(config())
+        .build()
+        .expect("operator without factorization must build");
+    let smw = HierarchicalFactor::new(m, op.compressed(), lambda).map(drop);
+    [("ULV", ulv), ("SMW", smw)]
+}
 
 #[test]
 fn singular_regularized_block_is_a_typed_error_in_both_backends() {
     let m = DiagonalWithZero { n: 128 };
-    for backend in BOTH_BACKENDS {
-        let err = match GofmmOperator::<f64>::builder(&m)
-            .config(config())
-            .factorize(0.0) // keeps the zero diagonal entry exactly singular
-            .backend(backend)
-            .build()
-        {
+    // lambda = 0 keeps the zero diagonal entry exactly singular.
+    for (backend, result) in factor_both(&m, 0.0) {
+        let err = match result {
             Err(e) => e,
             Ok(_) => panic!("{backend:?}: a singular block must not factor"),
         };
@@ -75,8 +86,8 @@ fn singular_regularized_block_is_a_typed_error_in_both_backends() {
         // reports the failed leaf Cholesky as not positive definite. Both
         // are typed errors with an actionable message.
         match (backend, &err) {
-            (FactorBackend::Ulv, Error::SingularCore { .. }) => {}
-            (FactorBackend::Smw, Error::NotPositiveDefinite { .. }) => {}
+            ("ULV", Error::SingularCore { .. }) => {}
+            ("SMW", Error::NotPositiveDefinite { .. }) => {}
             other => panic!("unexpected classification {other:?}"),
         }
         assert!(err.to_string().contains("lambda"), "message: {err}");
@@ -88,12 +99,7 @@ fn indefinite_regularization_is_not_positive_definite_in_both_backends() {
     // A strongly negative shift is indefinite, not singular: both backends
     // must say so (and not confuse it with the roundoff-singular case).
     let k = well_posed_kernel(128);
-    for backend in BOTH_BACKENDS {
-        let result = GofmmOperator::<f64>::builder(&k)
-            .config(config())
-            .factorize(-50.0)
-            .backend(backend)
-            .build();
+    for (backend, result) in factor_both(&k, -50.0) {
         assert!(
             matches!(result, Err(Error::NotPositiveDefinite { .. })),
             "{backend:?}: expected NotPositiveDefinite"
@@ -104,44 +110,61 @@ fn indefinite_regularization_is_not_positive_definite_in_both_backends() {
 #[test]
 fn solve_before_factorize_reports_no_factorization() {
     let k = well_posed_kernel(96);
-    // `backend` without `factorize` is inert: still no factorization.
-    for backend in BOTH_BACKENDS {
-        let op = GofmmOperator::<f64>::builder(&k)
-            .config(config())
-            .backend(backend)
-            .build()
-            .expect("operator without factorization must build");
-        assert_eq!(op.backend(), None);
-        assert_eq!(op.lambda(), None);
-        let b = DenseMatrix::<f64>::zeros(96, 1);
-        assert_eq!(op.solve(&b), Err(Error::NoFactorization));
-        assert!(matches!(
-            op.solve_cg(&b, &KrylovOptions::default()),
-            Err(Error::NoFactorization)
-        ));
-        // Matvecs still work: the evaluator does not need a factorization.
-        assert!(op.apply(&b).is_ok());
-    }
+    let op = GofmmOperator::<f64>::builder(&k)
+        .config(config())
+        .build()
+        .expect("operator without factorization must build");
+    assert_eq!(op.lambda(), None);
+    let b = DenseMatrix::<f64>::zeros(96, 1);
+    assert_eq!(op.solve(&b), Err(Error::NoFactorization));
+    assert!(matches!(
+        op.solve_cg(&b, &KrylovOptions::default()),
+        Err(Error::NoFactorization)
+    ));
+    // Matvecs still work: the evaluator does not need a factorization.
+    assert!(op.apply(&b).is_ok());
 }
 
 #[test]
 fn wrong_length_rhs_reports_dimension_mismatch_in_both_backends() {
     let n = 96;
+    let lambda = 1e-2;
     let k = well_posed_kernel(n);
-    for backend in BOTH_BACKENDS {
-        let op = GofmmOperator::<f64>::builder(&k)
-            .config(config())
-            .factorize(1e-2)
-            .backend(backend)
-            .build()
-            .expect("well-posed operator must build");
-        assert_eq!(op.backend(), Some(backend));
-        let bad = DenseMatrix::<f64>::zeros(n - 3, 2);
-        for err in [
-            op.solve(&bad).unwrap_err(),
-            op.apply(&bad).unwrap_err(),
-            op.solve_cg(&bad, &KrylovOptions::default()).unwrap_err(),
-        ] {
+    let op = GofmmOperator::<f64>::builder(&k)
+        .config(config())
+        .factorize(lambda)
+        .build()
+        .expect("well-posed operator must build");
+    let smw = HierarchicalFactor::new(&k, op.compressed(), lambda)
+        .expect("well-posed system must factor");
+    let shifted = Shifted::new(op.evaluator(), lambda);
+    let opts = KrylovOptions::default();
+    let bad = DenseMatrix::<f64>::zeros(n - 3, 2);
+    let b = DenseMatrix::<f64>::from_fn(n, 1, |i, _| ((i % 5) as f64) - 2.0);
+    // The ULV factor behind the operator's `solve` / `solve_cg`, and the SMW
+    // factor of the same compression through `cg` over the same evaluator.
+    let cases = [
+        (
+            "ULV",
+            [
+                op.solve(&bad).unwrap_err(),
+                op.apply(&bad).unwrap_err(),
+                op.solve_cg(&bad, &opts).unwrap_err(),
+            ],
+            op.solve_cg(&b, &opts),
+        ),
+        (
+            "SMW",
+            [
+                smw.solve(&bad).unwrap_err(),
+                op.apply(&bad).unwrap_err(),
+                cg(&shifted, &smw, &bad, &opts).unwrap_err(),
+            ],
+            cg(&shifted, &smw, &b, &opts),
+        ),
+    ];
+    for (backend, errors, solved) in cases {
+        for err in errors {
             match err {
                 Error::DimensionMismatch { expected, got, .. } => {
                     assert_eq!((expected, got), (n, n - 3));
@@ -150,8 +173,7 @@ fn wrong_length_rhs_reports_dimension_mismatch_in_both_backends() {
             }
         }
         // And the well-formed path still solves.
-        let b = DenseMatrix::<f64>::from_fn(n, 1, |i, _| ((i % 5) as f64) - 2.0);
-        let (_, stats) = op.solve_cg(&b, &KrylovOptions::default()).unwrap();
+        let (_, stats) = solved.unwrap();
         assert!(stats.converged);
     }
 }
@@ -254,7 +276,6 @@ fn non_finite_rhs_is_refused_by_every_krylov_entry_point() {
         let b = poisoned_rhs(n, n / 3, bad);
         for err in [
             cg(&op, &IdentityPreconditioner, &b, &opts).unwrap_err(),
-            gmres(&op, &IdentityPreconditioner, &b, &opts).unwrap_err(),
             op.solve_cg(&b, &opts).unwrap_err(),
         ] {
             assert!(

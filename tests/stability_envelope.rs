@@ -208,7 +208,6 @@ fn ulv_preconditioned_cg_converges_in_few_iterations_at_the_extremes() {
     let opts = KrylovOptions {
         tol: 1e-10,
         max_iters: 50,
-        restart: 50,
         ..KrylovOptions::default()
     };
     for k in kernel_zoo(n) {
@@ -291,7 +290,6 @@ fn mixed_precision_panels_stay_inside_the_serving_envelope() {
         let opts = KrylovOptions {
             tol: 1e-6,
             max_iters: 50,
-            restart: 50,
             ..KrylovOptions::default()
         };
         let (_, stats) = cg(&op, &ulv, &b, &opts).expect("well-formed system");
