@@ -489,20 +489,16 @@ impl<'m, T: Scalar, M: SpdMatrix<T> + ?Sized> GofmmOperatorBuilder<'m, T, M> {
     pub fn build(self) -> Result<GofmmOperator<T>, Error> {
         let comp = Arc::new(try_compress(self.matrix, &self.config)?);
         let evaluator = Evaluator::from_shared(self.matrix, Arc::clone(&comp));
-        let factor = match self.lambda {
-            None => None,
-            Some(lambda) => {
+        let factor = self
+            .lambda
+            .map(|lambda| {
                 let opts = FactorOptions {
                     lambda,
                     ..FactorOptions::default()
                 };
-                Some(UlvFactor::from_shared(
-                    self.matrix,
-                    Arc::clone(&comp),
-                    &opts,
-                )?)
-            }
-        };
+                UlvFactor::from_shared(self.matrix, Arc::clone(&comp), &opts)
+            })
+            .transpose()?;
         let mut op = GofmmOperator {
             comp,
             evaluator,
