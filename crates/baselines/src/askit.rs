@@ -56,7 +56,6 @@ pub struct AskitMatrix<T: Scalar> {
     inner: Compressed<T>,
     /// Compression wall-clock seconds.
     pub compress_time: f64,
-    threads: usize,
 }
 
 impl<T: Scalar> AskitMatrix<T> {
@@ -92,7 +91,6 @@ impl<T: Scalar> AskitMatrix<T> {
         Self {
             inner,
             compress_time: t0.elapsed().as_secs_f64(),
-            threads: config.num_threads,
         }
     }
 
@@ -110,13 +108,7 @@ impl<T: Scalar> AskitMatrix<T> {
     pub fn matvec_single<M: SpdMatrix<T> + ?Sized>(&self, matrix: &M, w: &[T]) -> Vec<T> {
         assert_eq!(w.len(), self.n());
         let w_mat = DenseMatrix::from_vec(w.len(), 1, w.to_vec());
-        let evaluator = Evaluator::with_options(
-            matrix,
-            &self.inner,
-            TraversalPolicy::LevelByLevel,
-            self.threads,
-        );
-        let (u, _) = evaluator
+        let (u, _) = Evaluator::new(matrix, &self.inner)
             .apply(&w_mat)
             .expect("the length was checked above");
         u.col(0).to_vec()

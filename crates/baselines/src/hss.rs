@@ -106,10 +106,7 @@ impl<T: Scalar> HssMatrix<T> {
         matrix: &M,
         w: &DenseMatrix<T>,
     ) -> DenseMatrix<T> {
-        let threads = self.inner.config.num_threads;
-        let evaluator =
-            Evaluator::with_options(matrix, &self.inner, TraversalPolicy::LevelByLevel, threads);
-        match evaluator.apply(w) {
+        match Evaluator::new(matrix, &self.inner).apply(w) {
             Ok((u, _)) => u,
             Err(err) => panic!("HSS matvec: {err}"),
         }
@@ -201,7 +198,7 @@ mod tests {
         let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
         let exact = k.matvec_exact(&w);
         let e_hss = hss.matvec(&k, &w).sub(&exact).norm_fro() / exact.norm_fro();
-        let (u_gofmm, _) = comp.into_evaluator(&k).apply(&w).unwrap();
+        let (u_gofmm, _) = Evaluator::new(&k, comp).apply(&w).unwrap();
         let e_gofmm = u_gofmm.sub(&exact).norm_fro() / exact.norm_fro();
         assert!(
             e_gofmm < e_hss,

@@ -1,16 +1,13 @@
 //! The evaluation phase (paper Algorithm 2.7): approximate `u = K w` using the
 //! compressed representation via the four task families N2S, S2S, S2N and L2L.
 //!
-//! One engine, [`Evaluator`], built three ways that differ only in who owns
-//! the compression it serves:
+//! One engine, [`Evaluator`], built by [`Evaluator::new`] over a compression
+//! that it borrows (`&comp`), owns (`comp`; a one-shot matvec is
+//! `Evaluator::new(&k, comp).apply(&w)`) or shares behind an `Arc` (the
+//! construction behind the `GofmmOperator` front door), or reopened from a
+//! store file by [`Evaluator::open_from`].
 //!
-//! * [`Evaluator::new`] / [`Evaluator::with_options`] borrow it;
-//! * [`Evaluator::from_shared`] shares it behind an `Arc` (the construction
-//!   behind the `GofmmOperator` front door);
-//! * [`Compressed::into_evaluator`] takes it by value (a one-shot matvec is
-//!   `comp.into_evaluator(&k).apply(&w)`).
-//!
-//! Each evaluates every near/far interaction block from the matrix straight
+//! It evaluates every near/far interaction block from the matrix straight
 //! into contiguous per-node panels — the only copy of the block values;
 //! compression stores none — builds the evaluation task DAG once (a
 //! [`ReusablePlan`]), and then serves unlimited [`Evaluator::apply`] calls
@@ -21,12 +18,12 @@
 //!
 //! How a panel is stored and multiplied lives in `panel.rs`; the persisted
 //! operator format ([`Evaluator::write_to`] / [`Evaluator::open_from`]) in
-//! `persist.rs`. This file owns the engine: constructors, the apply sweep and
-//! its task bodies, and the plan.
+//! `persist.rs`. This file owns the engine: the constructor, the apply sweep
+//! and its task bodies, and the plan.
 //!
-//! Every construction packs the same panels, so all three give the same
-//! bits, and each produces bit-identical outputs for every traversal policy:
-//! all four schedules run the same plan, whose dependency edges fix every
+//! All three forms of the compression pack the same panels, hence give the
+//! same bits, and every traversal policy gives bit-identical outputs: all
+//! four schedules run the same plan, whose dependency edges fix every
 //! cross-task accumulation order, so the schedule cannot change a bit.
 
 use crate::compress::{CompRef, Compressed};
@@ -377,48 +374,16 @@ impl NearMap {
 }
 
 impl<'a, T: Scalar> Evaluator<'a, T> {
-    /// Build an evaluator using the policy and thread count stored in the
-    /// compression configuration.
+    /// Build an evaluator over a borrowed (`&comp`), owned (`comp`) or
+    /// `Arc`-shared compression. The traversal policy and thread count in
+    /// its configuration become the apply defaults (override them per call
+    /// with [`Evaluator::apply_with`]).
     ///
     /// The `matrix` is consulted only here, to evaluate the panels; every
     /// subsequent [`Evaluator::apply`] runs without kernel access.
-    pub fn new<M: SpdMatrix<T> + ?Sized>(matrix: &M, comp: &'a Compressed<T>) -> Self {
-        Self::with_options(matrix, comp, comp.config.policy, comp.config.num_threads)
-    }
-
-    /// Build an evaluator with an explicit traversal policy and thread count
-    /// (used by the scheduling experiments).
-    pub fn with_options<M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: &'a Compressed<T>,
-        policy: TraversalPolicy,
-        num_threads: usize,
-    ) -> Self {
-        Self::packed(matrix, CompRef::Borrowed(comp), policy, num_threads)
-    }
-
-    /// Build an evaluator over an `Arc`-shared compression, packing blocks
-    /// like [`Evaluator::new`]. The result is `'static` and `Send + Sync`,
-    /// so it can live inside a shared service handle alongside other engines
-    /// (e.g. a hierarchical factorization) serving the same compression.
-    pub fn from_shared<M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: std::sync::Arc<Compressed<T>>,
-    ) -> Evaluator<'static, T> {
-        let (policy, threads) = (comp.config.policy, comp.config.num_threads);
-        Evaluator::packed(matrix, CompRef::Shared(comp), policy, threads)
-    }
-
-    /// Shared packing constructor behind [`Evaluator::new`],
-    /// [`Evaluator::with_options`], [`Evaluator::from_shared`] and
-    /// [`Compressed::into_evaluator`].
-    fn packed<'c, M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: CompRef<'c, T>,
-        policy: TraversalPolicy,
-        num_threads: usize,
-    ) -> Evaluator<'c, T> {
+    pub fn new<M: SpdMatrix<T> + ?Sized>(matrix: &M, comp: impl Into<CompRef<'a, T>>) -> Self {
         let t0 = Stopwatch::start();
+        let comp = comp.into();
         let node_count = comp.tree.node_count();
 
         // --- Pack interaction blocks into contiguous per-node storage ------
@@ -432,7 +397,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         let near_map = NearMap::new(&comp.tree, &comp.lists);
         {
             let comp = &*comp;
-            parallel_for(node_count, num_threads.max(1), |heap| {
+            parallel_for(node_count, comp.config.num_threads.max(1), |heap| {
                 let (near, far) = pack_node(matrix, comp, &near_map, heap);
                 near_cells.set(heap, near);
                 far_cells.set(heap, far);
@@ -441,8 +406,6 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
 
         Evaluator::assemble_evaluator(
             comp,
-            policy,
-            num_threads,
             far_cells.into_inner(),
             near_cells.into_inner(),
             near_map,
@@ -450,19 +413,19 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
         )
     }
 
-    /// Shared tail of every constructor: DAG construction, cache accounting
-    /// and pool setup.
-    pub(crate) fn assemble_evaluator<'c>(
-        comp: CompRef<'c, T>,
-        policy: TraversalPolicy,
-        num_threads: usize,
+    /// Shared tail of [`Evaluator::new`] and [`Evaluator::open_from`]: DAG
+    /// construction with the configuration's policy and thread count, cache
+    /// accounting and pool setup.
+    pub(crate) fn assemble_evaluator(
+        comp: CompRef<'a, T>,
         far: Vec<Panel<T>>,
         near: Vec<Panel<T>>,
         near_map: NearMap,
         t0: Stopwatch,
-    ) -> Evaluator<'c, T> {
+    ) -> Self {
         // --- Build the evaluation DAG once ---------------------------------
         let plan = evaluation_plan(&comp, &near_map);
+        let (policy, num_threads) = (comp.config.policy, comp.config.num_threads);
 
         let mut evaluator = Evaluator {
             comp,
@@ -939,16 +902,6 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
     }
 }
 
-impl<T: Scalar> Compressed<T> {
-    /// Convert this compression into a persistent [`Evaluator`] that owns
-    /// it: the same panels as [`Evaluator::new`], hence the same bits, for a
-    /// caller that does not need the `Compressed` again.
-    pub fn into_evaluator<M: SpdMatrix<T> + ?Sized>(self, matrix: &M) -> Evaluator<'static, T> {
-        let (policy, threads) = (self.config.policy, self.config.num_threads);
-        Evaluator::packed(matrix, CompRef::from(self), policy, threads)
-    }
-}
-
 /// Build the evaluation phase plan (N2S postorder, S2S any order after its
 /// inputs, S2N preorder, L2L independent) — Figure 3 of the paper — through
 /// the shared execution-plan layer. The plan depends only on the compressed
@@ -1047,6 +1000,12 @@ mod tests {
             .with_policy(TraversalPolicy::Sequential)
     }
 
+    fn opts(policy: TraversalPolicy, threads: usize) -> ApplyOptions {
+        ApplyOptions::new()
+            .with_policy(policy)
+            .with_threads(threads)
+    }
+
     /// An SPD matrix wrapper that counts kernel-entry evaluations, used to
     /// prove that `Evaluator::apply` never touches the kernel.
     struct CountingMatrix<'m, M> {
@@ -1115,10 +1074,8 @@ mod tests {
         let comp = compress::<f64, _>(&k, &config());
         let mut rng = StdRng::seed_from_u64(11);
         let w = DenseMatrix::<f64>::random_gaussian(n, 3, &mut rng);
-        let apply = |policy, threads| {
-            let ev = Evaluator::with_options(&k, &comp, policy, threads);
-            ev.apply(&w).unwrap()
-        };
+        let ev = Evaluator::new(&k, &comp);
+        let apply = |policy, threads| ev.apply_with(&w, &opts(policy, threads)).unwrap();
         let (u_seq, _) = apply(TraversalPolicy::Sequential, 1);
         for policy in [
             TraversalPolicy::LevelByLevel,
@@ -1143,10 +1100,8 @@ mod tests {
         let comp = compress::<f64, _>(&k, &config());
         let mut rng = StdRng::seed_from_u64(21);
         let w = DenseMatrix::<f64>::random_gaussian(n, 3, &mut rng);
-        let apply = |policy, threads| {
-            let ev = Evaluator::with_options(&k, &comp, policy, threads);
-            ev.apply(&w).unwrap().0
-        };
+        let ev = Evaluator::new(&k, &comp);
+        let apply = |policy, threads| ev.apply_with(&w, &opts(policy, threads)).unwrap().0;
         let u_lvl = apply(TraversalPolicy::LevelByLevel, 4);
         for policy in [
             TraversalPolicy::Sequential,
@@ -1177,8 +1132,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let w = DenseMatrix::<f64>::random_gaussian(n, 3, &mut rng);
         // Reference: sequential, single-threaded.
-        let (packed_ref, _) = Evaluator::with_options(&k, &comp, TraversalPolicy::Sequential, 1)
-            .apply(&w)
+        let (packed_ref, _) = Evaluator::new(&k, &comp)
+            .apply_with(&w, &opts(TraversalPolicy::Sequential, 1))
             .unwrap();
         for policy in [
             TraversalPolicy::Sequential,
@@ -1189,9 +1144,9 @@ mod tests {
             // Bit-identical across policies and across consecutive applies
             // (the second runs entirely on recycled buffers and must not see
             // leaked state).
-            let evaluator = Evaluator::with_options(&k, &comp, policy, 4);
-            let (u1, s1) = evaluator.apply(&w).unwrap();
-            let (u2, s2) = evaluator.apply(&w).unwrap();
+            let evaluator = Evaluator::new(&k, &comp);
+            let (u1, s1) = evaluator.apply_with(&w, &opts(policy, 4)).unwrap();
+            let (u2, s2) = evaluator.apply_with(&w, &opts(policy, 4)).unwrap();
             for (idx, (a, b)) in packed_ref.data().iter().zip(u1.data()).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{policy}: apply #1 entry {idx}");
             }
@@ -1252,19 +1207,16 @@ mod tests {
     }
 
     #[test]
-    fn into_evaluator_matches_borrowing_evaluator() {
+    fn owned_evaluator_matches_borrowing_evaluator() {
         let n = 300;
         let k = test_matrix(n);
         let comp = compress::<f64, _>(&k, &config());
         let mut rng = StdRng::seed_from_u64(37);
         let w = DenseMatrix::<f64>::random_gaussian(n, 3, &mut rng);
-        let (u_ref, _) =
-            Evaluator::with_options(&k, &comp, comp.config.policy, comp.config.num_threads)
-                .apply(&w)
-                .unwrap();
-        // The owning constructor packs the identical panels, so its applies
-        // are bit-identical to the borrowing one's.
-        let owned = compress::<f64, _>(&k, &config()).into_evaluator(&k);
+        let (u_ref, _) = Evaluator::new(&k, &comp).apply(&w).unwrap();
+        // The owning form packs the identical panels, so its applies are
+        // bit-identical to the borrowing one's.
+        let owned = Evaluator::new(&k, compress::<f64, _>(&k, &config()));
         let (u, _) = owned.apply(&w).unwrap();
         for (idx, (a, b)) in u_ref.data().iter().zip(u.data()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "owned evaluator entry {idx}");
@@ -1279,13 +1231,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(38);
         let w = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
         let (u_ref, _) = Evaluator::new(&k, &comp).apply(&w).unwrap();
-        let shared = std::sync::Arc::new(comp);
-        let ev = Evaluator::from_shared(&k, std::sync::Arc::clone(&shared));
+        let shared = Arc::new(comp);
+        let ev = Evaluator::new(&k, Arc::clone(&shared));
         let (u, _) = ev.apply(&w).unwrap();
         assert_eq!(u_ref.data(), u.data());
         // The Arc is genuinely shared: the caller's handle and the
         // evaluator's both see the same compression.
-        assert_eq!(std::sync::Arc::strong_count(&shared), 2);
+        assert_eq!(Arc::strong_count(&shared), 2);
         assert_eq!(ev.compressed().n(), n);
     }
 
@@ -1355,14 +1307,14 @@ mod tests {
             };
         let counter = CountingMatrix::new(&k);
         let u = check("new", &counter, Evaluator::new(&counter, &comp));
-        let shared = std::sync::Arc::new(compress::<f64, _>(&k, &config().with_budget(0.3)));
+        let shared = Arc::new(compress::<f64, _>(&k, &config().with_budget(0.3)));
         let counter = CountingMatrix::new(&k);
-        let ev = Evaluator::from_shared(&counter, shared);
-        assert_eq!(check("from_shared", &counter, ev).data(), u.data());
+        let ev = Evaluator::new(&counter, shared);
+        assert_eq!(check("shared", &counter, ev).data(), u.data());
         let owned = compress::<f64, _>(&k, &config().with_budget(0.3));
         let counter = CountingMatrix::new(&k);
-        let ev = owned.into_evaluator(&counter);
-        assert_eq!(check("into_evaluator", &counter, ev).data(), u.data());
+        let ev = Evaluator::new(&counter, owned);
+        assert_eq!(check("owned", &counter, ev).data(), u.data());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use gofmm_core::{compress, GofmmConfig, TraversalPolicy, DistanceMetric};
+//! use gofmm_core::{compress, Evaluator, GofmmConfig, TraversalPolicy, DistanceMetric};
 //! use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
 //! use gofmm_linalg::DenseMatrix;
 //!
@@ -35,7 +35,7 @@
 //! let w = DenseMatrix::<f64>::from_fn(n, 2, |i, j| ((i + j) % 5) as f64);
 //! // One matvec, and the compression is not needed again: the evaluator
 //! // takes it by value.
-//! let evaluator = compressed.into_evaluator(&k);
+//! let evaluator = Evaluator::new(&k, compressed);
 //! let (u, _stats) = evaluator.apply(&w).unwrap();
 //! assert_eq!(u.rows(), n);
 //! ```
@@ -44,8 +44,8 @@
 //! long-running services — keep that [`Evaluator`] and call
 //! [`Evaluator::apply`] per matvec: the interaction blocks, the task DAG and
 //! the per-node buffers are then reused instead of rebuilt per call.
-//! [`Evaluator::new`] builds one that borrows the compression instead, for
-//! callers that still need it (a factorization, say).
+//! Passing `&compressed` to [`Evaluator::new`] borrows the compression
+//! instead, for callers that still need it (a factorization, say).
 //!
 //! ## Crate map
 //!

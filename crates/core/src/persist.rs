@@ -121,12 +121,9 @@ impl<T: Scalar> Evaluator<'static, T> {
             far.push(Panel::stored(&store, classes::S2S, heap));
             near.push(Panel::stored(&store, classes::L2L, heap));
         }
-        let (policy, threads) = (comp.config.policy, comp.config.num_threads);
         let comp = Arc::new(comp);
         let mut evaluator = Evaluator::assemble_evaluator(
             CompRef::Shared(Arc::clone(&comp)),
-            policy,
-            threads,
             far,
             near,
             near_map,

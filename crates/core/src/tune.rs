@@ -11,7 +11,7 @@
 //!
 //! The search is an accept/reject tightening loop with shrink-decay
 //! backoff (the `compression_phase` shape): candidates are generated at a
-//! fixed, budget-independent aggressiveness ladder `τ_k = τ₀ · decay^k`,
+//! fixed, budget-independent aggressiveness ladder `τ_k = τ₀ · 2^-k`,
 //! most aggressive first. The first rung whose measured ε₂ fits the budget
 //! is committed; every miss shrinks τ and tries again; the loop ends when
 //! a rung produces no candidate moves at all (further shrinking can only
@@ -43,12 +43,13 @@ use crate::panel::{MatRef, Panel, Shape, Values};
 use gofmm_linalg::{DenseMatrix, PivotedQr, QrOptions, Scalar};
 use gofmm_telemetry::Stopwatch;
 
-/// The contract [`Evaluator::tune`] must finish under: a sampled-ε₂ ceiling
-/// plus the knobs of the accept/reject search.
+/// The contract [`Evaluator::tune`] must finish under: a sampled-ε₂
+/// ceiling. The search itself is fixed: 8 deterministic probe vectors, at
+/// most 48 measured candidates, `τ` halved after every miss.
 ///
 /// ```
 /// use gofmm_core::AccuracyBudget;
-/// let budget = AccuracyBudget::new(1e-6).with_probes(16);
+/// let budget = AccuracyBudget::new(1e-6);
 /// assert_eq!(budget.eps2, 1e-6);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
@@ -57,57 +58,30 @@ pub struct AccuracyBudget {
     /// `‖u_tuned − u_ref‖_F / ‖u_ref‖_F` of the tuned apply against the
     /// pre-tune panels. Every *accepted* state measures at or below this.
     pub eps2: f64,
-    /// Number of random probe right-hand sides in the ε₂ sample.
-    pub probes: usize,
-    /// Seed of the deterministic probe generator — same seed, same probes,
-    /// same tuning decisions.
-    pub seed: u64,
-    /// Cap on measured candidates before the search gives up (rejecting
-    /// cleanly). Budget-independent, so it never breaks byte monotonicity
-    /// across budgets tuned with the same knobs.
-    pub max_attempts: usize,
-    /// Multiplicative shrink applied to the aggressiveness `τ` after every
-    /// rejected candidate, in `(0, 1)`.
-    pub decay: f64,
 }
 
 impl AccuracyBudget {
-    /// A budget at the given ε₂ ceiling with default search knobs
-    /// (8 probes, 48 attempts, decay 0.5).
+    /// A budget at the given ε₂ ceiling.
     pub fn new(eps2: f64) -> Self {
-        Self {
-            eps2,
-            probes: 8,
-            seed: 0x5EED_7E57,
-            max_attempts: 48,
-            decay: 0.5,
-        }
-    }
-
-    /// Override the probe count.
-    pub fn with_probes(mut self, probes: usize) -> Self {
-        self.probes = probes;
-        self
-    }
-
-    /// Override the probe-generator seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Override the attempt cap.
-    pub fn with_max_attempts(mut self, max_attempts: usize) -> Self {
-        self.max_attempts = max_attempts;
-        self
-    }
-
-    /// Override the shrink-decay factor.
-    pub fn with_decay(mut self, decay: f64) -> Self {
-        self.decay = decay;
-        self
+        Self { eps2 }
     }
 }
+
+/// Number of random probe right-hand sides in the ε₂ sample.
+const PROBES: usize = 8;
+
+/// Seed of the deterministic probe generator: the same budget always
+/// measures the same probes, hence makes the same tuning decisions.
+const PROBE_SEED: u64 = 0x5EED_7E57;
+
+/// Cap on measured candidates before the search gives up (rejecting
+/// cleanly). Budget-independent, so it never breaks byte monotonicity
+/// across budgets.
+const MAX_ATTEMPTS: usize = 48;
+
+/// Multiplicative shrink applied to the aggressiveness `τ` after every
+/// rejected candidate.
+const DECAY: f64 = 0.5;
 
 /// Outcome of one [`Evaluator::tune`] run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -200,27 +174,14 @@ impl<T: Scalar> Evaluator<'_, T> {
     /// [`Evaluator::open_from`] bit-identically.
     ///
     /// # Errors
-    /// [`Error::InvalidConfig`] when the budget is malformed (`eps2` not
-    /// positive and finite, zero probes, decay outside `(0, 1)`), or when
-    /// a panel is already spilled (file-backed): tune *before* attaching a
-    /// store.
+    /// [`Error::InvalidConfig`] when `eps2` is not positive and finite, or
+    /// when a panel is already spilled (file-backed): tune *before*
+    /// attaching a store.
     pub fn tune(&mut self, budget: &AccuracyBudget) -> Result<TuneStats, Error> {
         if !(budget.eps2.is_finite() && budget.eps2 > 0.0) {
             return Err(Error::InvalidConfig {
                 what: "tune",
                 constraint: "accuracy budget eps2 must be positive and finite",
-            });
-        }
-        if budget.probes == 0 {
-            return Err(Error::InvalidConfig {
-                what: "tune",
-                constraint: "accuracy budget needs at least one probe vector",
-            });
-        }
-        if !(budget.decay > 0.0 && budget.decay < 1.0) {
-            return Err(Error::InvalidConfig {
-                what: "tune",
-                constraint: "accuracy budget decay must lie in (0, 1)",
             });
         }
         if self.far.iter().chain(&self.near).any(Panel::is_stored) {
@@ -240,7 +201,7 @@ impl<T: Scalar> Evaluator<'_, T> {
         // Reference apply from the untouched panels: tuning error is
         // measured against *this* state, not against the exact kernel, so
         // the budget bounds exactly the error tuning introduces.
-        let probes = probe_matrix::<T>(self.n(), budget.probes, budget.seed);
+        let probes = probe_matrix::<T>(self.n(), PROBES, PROBE_SEED);
         let opts = ApplyOptions::default();
         let (u_ref, _) = self.apply_with(&probes, &opts)?;
         let ref_norm = u_ref.norm_fro().to_f64();
@@ -260,7 +221,7 @@ impl<T: Scalar> Evaluator<'_, T> {
         let mut search = self.start_search();
         let mut tau = TAU0;
         let mut committed = false;
-        for _ in 0..budget.max_attempts {
+        for _ in 0..MAX_ATTEMPTS {
             let thr = tau * global_scale / (total_blocks.max(1) as f64).sqrt();
             let edits = self.build_candidate(&mut search, tau, thr);
             if edits.is_empty() {
@@ -288,7 +249,7 @@ impl<T: Scalar> Evaluator<'_, T> {
             }
             stats.rejected += 1;
             search.hand_back(self.apply_edits(undo));
-            tau *= budget.decay;
+            tau *= DECAY;
         }
 
         if committed {
@@ -647,13 +608,6 @@ mod tests {
     #[test]
     fn budget_validation() {
         assert!(AccuracyBudget::new(1e-3).eps2 > 0.0);
-        let b = AccuracyBudget::new(1e-4)
-            .with_probes(3)
-            .with_seed(9)
-            .with_max_attempts(5)
-            .with_decay(0.7);
-        assert_eq!((b.probes, b.seed, b.max_attempts), (3, 9, 5));
-        assert!((b.decay - 0.7).abs() < 1e-15);
     }
 
     #[test]

@@ -192,9 +192,6 @@ fn tune_validates_budget_and_panel_ownership() {
         AccuracyBudget::new(0.0),
         AccuracyBudget::new(-1e-3),
         AccuracyBudget::new(f64::NAN),
-        AccuracyBudget::new(1e-3).with_probes(0),
-        AccuracyBudget::new(1e-3).with_decay(0.0),
-        AccuracyBudget::new(1e-3).with_decay(1.0),
     ] {
         assert!(
             matches!(ev.tune(&bad), Err(Error::InvalidConfig { .. })),

@@ -31,33 +31,10 @@ use gofmm_core::{ApplyOptions, CompRef, Compressed, Error, SweepDriver, Traversa
 use gofmm_linalg::{DenseMatrix, Scalar};
 use gofmm_matrices::SpdMatrix;
 use gofmm_runtime::{DisjointCells, ExecStats, ReusablePlan};
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::kernel::{NodeKernel, SolveWorkspace};
 use crate::smw::Smw;
-
-/// Options of [`Factor::with_options`].
-#[derive(Clone, Debug)]
-pub struct FactorOptions {
-    /// Regularization `lambda` added to the diagonal.
-    pub lambda: f64,
-    /// Traversal policy for the factor and solve sweeps; defaults to the
-    /// compression's configured policy.
-    pub policy: Option<TraversalPolicy>,
-    /// Worker threads; defaults to the compression's configured count.
-    pub num_threads: Option<usize>,
-}
-
-impl Default for FactorOptions {
-    fn default() -> Self {
-        Self {
-            lambda: 1e-4,
-            policy: None,
-            num_threads: None,
-        }
-    }
-}
 
 /// Timing and size statistics of a factorization.
 #[derive(Clone, Debug, Default)]
@@ -143,8 +120,11 @@ pub struct Factor<'a, T: Scalar, K: NodeKernel<T>> {
 pub type HierarchicalFactor<'a, T> = Factor<'a, T, Smw>;
 
 impl<'a, T: Scalar, K: NodeKernel<T>> Factor<'a, T, K> {
-    /// Factor `K + lambda I` using the compression's configured policy and
-    /// thread count.
+    /// Factor `K + lambda I` over a borrowed (`&comp`), owned (`comp`) or
+    /// `Arc`-shared compression. The `FACTOR` sweep runs under the
+    /// configuration's traversal policy and thread count, which also become
+    /// the solve defaults (override them per call with
+    /// [`Factor::solve_with`]).
     ///
     /// The `matrix` supplies each leaf's diagonal block and each interior
     /// node's sibling skeleton block `K_{skel(l), skel(r)}`; after this
@@ -157,63 +137,19 @@ impl<'a, T: Scalar, K: NodeKernel<T>> Factor<'a, T, K> {
     /// node that failed.
     pub fn new<M: SpdMatrix<T> + ?Sized>(
         matrix: &M,
-        comp: &'a Compressed<T>,
+        comp: impl Into<CompRef<'a, T>>,
         lambda: f64,
     ) -> Result<Self, Error> {
-        Self::with_options(
-            matrix,
-            comp,
-            &FactorOptions {
-                lambda,
-                ..FactorOptions::default()
-            },
-        )
-    }
-
-    /// Factor with explicit policy / thread-count overrides.
-    ///
-    /// # Errors
-    /// As [`Factor::new`].
-    pub fn with_options<M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: &'a Compressed<T>,
-        opts: &FactorOptions,
-    ) -> Result<Self, Error> {
-        Self::build(matrix, CompRef::Borrowed(comp), opts)
-    }
-
-    /// Factor an `Arc`-shared compression. The result is `'static` and
-    /// `Send + Sync`, so it can live inside a shared service handle next to
-    /// an evaluator serving the same compression (the `GofmmOperator` front
-    /// door is built this way).
-    ///
-    /// # Errors
-    /// As [`Factor::new`].
-    pub fn from_shared<M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: Arc<Compressed<T>>,
-        opts: &FactorOptions,
-    ) -> Result<Factor<'static, T, K>, Error> {
-        Factor::build(matrix, CompRef::Shared(comp), opts)
-    }
-
-    /// Shared construction behind every public constructor: the `FACTOR`
-    /// sweep, then the solve plan (which depends only on the compressed
-    /// structure).
-    fn build<'c, M: SpdMatrix<T> + ?Sized>(
-        matrix: &M,
-        comp: CompRef<'c, T>,
-        opts: &FactorOptions,
-    ) -> Result<Factor<'c, T, K>, Error> {
-        if !opts.lambda.is_finite() {
+        if !lambda.is_finite() {
             return Err(Error::InvalidConfig {
                 what: "lambda",
                 constraint: "must be finite",
             });
         }
-        let policy = opts.policy.unwrap_or(comp.config.policy);
-        let num_threads = opts.num_threads.unwrap_or(comp.config.num_threads).max(1);
-        let lambda = T::from_f64(opts.lambda);
+        let comp = comp.into();
+        let policy = comp.config.policy;
+        let num_threads = comp.config.num_threads.max(1);
+        let shift = T::from_f64(lambda);
         let t0 = Instant::now();
         let tree = &comp.tree;
         let node_count = tree.node_count();
@@ -223,7 +159,7 @@ impl<'a, T: Scalar, K: NodeKernel<T>> Factor<'a, T, K> {
         let comp_ref = &*comp;
         let factor_one = |heap: usize| {
             let factored = if tree.is_leaf(heap) {
-                K::factor_leaf(matrix, comp_ref, heap, lambda)
+                K::factor_leaf(matrix, comp_ref, heap, shift)
             } else {
                 let (l, r) = tree.children(heap);
                 let (gl, gr) = (slots.read(l), slots.read(r));
@@ -276,7 +212,7 @@ impl<'a, T: Scalar, K: NodeKernel<T>> Factor<'a, T, K> {
         let stats = FactorStats {
             setup_time: t0.elapsed().as_secs_f64(),
             bytes: nodes.iter().map(K::bytes).sum(),
-            lambda: opts.lambda,
+            lambda,
             exec: Some(exec),
         };
         Ok(Factor {
@@ -423,10 +359,50 @@ pub(crate) fn solve_driver<T: Scalar>(
 
 #[cfg(test)]
 mod tests {
-    use super::FactorOptions;
     use crate::{HierarchicalFactor, UlvFactor};
     use gofmm_core::{compress, Error, GofmmConfig, TraversalPolicy};
+    use gofmm_linalg::DenseMatrix;
     use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
+    use std::sync::Arc;
+
+    /// Both kernels factor a borrowed, an owned and an `Arc`-shared
+    /// compression into the same factor: their solves agree bit for bit.
+    #[test]
+    fn every_compression_form_factors_to_the_same_solves() {
+        let n = 256;
+        let k = KernelMatrix::new(
+            PointCloud::uniform(n, 3, 9),
+            KernelType::Gaussian { bandwidth: 1.0 },
+            1e-6,
+            "compression-forms",
+        );
+        let config = GofmmConfig::default()
+            .with_leaf_size(32)
+            .with_max_rank(32)
+            .with_tolerance(1e-7)
+            .with_budget(0.0);
+        let comp = compress::<f64, _>(&k, &config);
+        let shared = Arc::new(compress::<f64, _>(&k, &config));
+        let b = DenseMatrix::<f64>::from_fn(n, 2, |i, j| ((i * 5 + j * 3) % 11) as f64 - 5.0);
+        let lambda = 1e-2;
+        let bits = |x: DenseMatrix<f64>| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let smw = |f: HierarchicalFactor<'_, f64>| bits(f.solve(&b).unwrap());
+        let want = smw(HierarchicalFactor::new(&k, &comp, lambda).unwrap());
+        let owned = compress::<f64, _>(&k, &config);
+        let owning = HierarchicalFactor::new(&k, owned, lambda).unwrap();
+        assert_eq!(smw(owning), want, "SMW over an owned compression");
+        let from_arc = HierarchicalFactor::new(&k, Arc::clone(&shared), lambda).unwrap();
+        assert_eq!(smw(from_arc), want, "SMW over a shared compression");
+
+        let ulv = |f: UlvFactor<'_, f64>| bits(f.solve(&b).unwrap());
+        let want = ulv(UlvFactor::new(&k, &comp, lambda).unwrap());
+        let owned = compress::<f64, _>(&k, &config);
+        let owning = UlvFactor::new(&k, owned, lambda).unwrap();
+        assert_eq!(ulv(owning), want, "ULV over an owned compression");
+        let from_arc = UlvFactor::new(&k, Arc::clone(&shared), lambda).unwrap();
+        assert_eq!(ulv(from_arc), want, "ULV over a shared compression");
+    }
 
     /// Every leaf block of `K - 100 I` (Gaussian entries are at most 1) is
     /// indefinite, so every leaf task fails and every interior task stays
@@ -446,7 +422,7 @@ mod tests {
             .with_max_rank(32)
             .with_tolerance(1e-7)
             .with_budget(0.0);
-        let comp = compress::<f64, _>(&k, &config);
+        let mut comp = compress::<f64, _>(&k, &config);
         let last_leaf = comp.tree.leaf_range().end - 1;
         for policy in [
             TraversalPolicy::Sequential,
@@ -455,17 +431,11 @@ mod tests {
             TraversalPolicy::DagFifo,
         ] {
             for threads in [1, 2] {
-                let opts = FactorOptions {
-                    lambda: -100.0,
-                    policy: Some(policy),
-                    num_threads: Some(threads),
-                };
+                comp.config.policy = policy;
+                comp.config.num_threads = threads;
                 let errors = [
-                    (
-                        "SMW",
-                        HierarchicalFactor::with_options(&k, &comp, &opts).err(),
-                    ),
-                    ("ULV", UlvFactor::with_options(&k, &comp, &opts).err()),
+                    ("SMW", HierarchicalFactor::new(&k, &comp, -100.0).err()),
+                    ("ULV", UlvFactor::new(&k, &comp, -100.0).err()),
                 ];
                 for (kernel, err) in errors {
                     match err {

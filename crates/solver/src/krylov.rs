@@ -28,17 +28,19 @@ pub trait LinearOperator<T: Scalar> {
     fn dim(&self) -> usize;
 
     /// Apply the operator to a block of vectors (`N x r`).
-    fn matvec(&self, x: &DenseMatrix<T>) -> DenseMatrix<T>;
+    ///
+    /// # Errors
+    /// Whatever the operator's apply reports, e.g. [`Error::Storage`] when
+    /// a file-backed panel fails to fault in.
+    fn matvec(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, Error>;
 }
 
 impl<T: Scalar> LinearOperator<T> for Evaluator<'_, T> {
     fn dim(&self) -> usize {
         self.n()
     }
-    fn matvec(&self, x: &DenseMatrix<T>) -> DenseMatrix<T> {
-        // `cg` pre-checks dimensions, so a failure here is an internal
-        // invariant violation, not an input error.
-        self.apply(x).expect("evaluator apply inside Krylov").0
+    fn matvec(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, Error> {
+        Ok(self.apply(x)?.0)
     }
 }
 
@@ -46,7 +48,7 @@ impl<T: Scalar, Op: LinearOperator<T> + ?Sized> LinearOperator<T> for &Op {
     fn dim(&self) -> usize {
         (**self).dim()
     }
-    fn matvec(&self, x: &DenseMatrix<T>) -> DenseMatrix<T> {
+    fn matvec(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, Error> {
         (**self).matvec(x)
     }
 }
@@ -79,10 +81,10 @@ impl<T: Scalar, Op: LinearOperator<T>> LinearOperator<T> for Shifted<Op> {
     fn dim(&self) -> usize {
         self.op.dim()
     }
-    fn matvec(&self, x: &DenseMatrix<T>) -> DenseMatrix<T> {
-        let mut y = self.op.matvec(x);
+    fn matvec(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, Error> {
+        let mut y = self.op.matvec(x)?;
         y.axpy(T::from_f64(self.shift), x);
-        y
+        Ok(y)
     }
 }
 
@@ -104,8 +106,8 @@ impl<T: Scalar> LinearOperator<T> for DenseOperator<T> {
     fn dim(&self) -> usize {
         self.a.rows()
     }
-    fn matvec(&self, x: &DenseMatrix<T>) -> DenseMatrix<T> {
-        matmul(&self.a, x)
+    fn matvec(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, Error> {
+        Ok(matmul(&self.a, x))
     }
 }
 
@@ -113,7 +115,11 @@ impl<T: Scalar> LinearOperator<T> for DenseOperator<T> {
 /// Krylov iterations.
 pub trait Preconditioner<T: Scalar> {
     /// Apply the approximate inverse to a block of residuals.
-    fn apply_inverse(&self, r: &DenseMatrix<T>) -> DenseMatrix<T>;
+    ///
+    /// # Errors
+    /// Whatever the preconditioner's solve reports, e.g.
+    /// [`Error::Storage`] when a file-backed factor node fails to fault in.
+    fn apply_inverse(&self, r: &DenseMatrix<T>) -> Result<DenseMatrix<T>, Error>;
 
     /// The dimension this preconditioner requires of its residuals, when it
     /// has one (`None` for dimension-agnostic preconditioners like the
@@ -126,8 +132,8 @@ pub trait Preconditioner<T: Scalar> {
 }
 
 impl<T: Scalar, K: NodeKernel<T>> Preconditioner<T> for Factor<'_, T, K> {
-    fn apply_inverse(&self, r: &DenseMatrix<T>) -> DenseMatrix<T> {
-        self.solve(r).expect("factor solve inside Krylov")
+    fn apply_inverse(&self, r: &DenseMatrix<T>) -> Result<DenseMatrix<T>, Error> {
+        self.solve(r)
     }
     fn dim(&self) -> Option<usize> {
         Some(self.n())
@@ -135,7 +141,7 @@ impl<T: Scalar, K: NodeKernel<T>> Preconditioner<T> for Factor<'_, T, K> {
 }
 
 impl<T: Scalar, P: Preconditioner<T> + ?Sized> Preconditioner<T> for &P {
-    fn apply_inverse(&self, r: &DenseMatrix<T>) -> DenseMatrix<T> {
+    fn apply_inverse(&self, r: &DenseMatrix<T>) -> Result<DenseMatrix<T>, Error> {
         (**self).apply_inverse(r)
     }
     fn dim(&self) -> Option<usize> {
@@ -148,8 +154,8 @@ impl<T: Scalar, P: Preconditioner<T> + ?Sized> Preconditioner<T> for &P {
 pub struct IdentityPreconditioner;
 
 impl<T: Scalar> Preconditioner<T> for IdentityPreconditioner {
-    fn apply_inverse(&self, r: &DenseMatrix<T>) -> DenseMatrix<T> {
-        r.clone()
+    fn apply_inverse(&self, r: &DenseMatrix<T>) -> Result<DenseMatrix<T>, Error> {
+        Ok(r.clone())
     }
 }
 
@@ -332,7 +338,9 @@ pub(crate) fn check_finite_rhs<T: Scalar>(b: &DenseMatrix<T>) -> Result<(), Erro
 /// [`Error::DimensionMismatch`] when `b.rows() != op.dim()` or the
 /// preconditioner's dimension does not match the operator's;
 /// [`Error::NonFiniteInput`] when `b` holds a NaN or infinite entry;
-/// [`Error::Cancelled`] when `opts.cancel` fires between iterations.
+/// [`Error::Cancelled`] when `opts.cancel` fires between iterations; the
+/// first error of an operator or preconditioner apply (e.g.
+/// [`Error::Storage`] from a file-backed panel or factor node).
 pub fn cg<T: Scalar>(
     op: &impl LinearOperator<T>,
     pre: &impl Preconditioner<T>,
@@ -375,7 +383,7 @@ pub fn cg<T: Scalar>(
         return Ok((x, stats));
     }
 
-    let mut z = pre.apply_inverse(&r);
+    let mut z = pre.apply_inverse(&r)?;
     let mut p = z.clone();
     let mut rz: Vec<T> = (0..cols).map(|j| dot(r.col(j), z.col(j))).collect();
     let mut active: Vec<bool> = col_res.iter().map(|&res| res > opts.tol).collect();
@@ -390,7 +398,7 @@ pub fn cg<T: Scalar>(
             return Err(Error::Cancelled);
         }
         let iter_start = sink.map(|s| s.now());
-        let q = op.matvec(&p);
+        let q = op.matvec(&p)?;
         stats.matvecs += 1;
         stats.iterations += 1;
         for j in 0..cols {
@@ -434,7 +442,7 @@ pub fn cg<T: Scalar>(
             close_iter(it, iter_start);
             break;
         }
-        z = pre.apply_inverse(&r);
+        z = pre.apply_inverse(&r)?;
         for j in 0..cols {
             if !active[j] {
                 continue;

@@ -85,7 +85,7 @@ pub mod serve;
 mod smw;
 pub mod ulv;
 
-pub use factor::{Factor, FactorOptions, FactorStats, HierarchicalFactor};
+pub use factor::{Factor, FactorStats, HierarchicalFactor};
 pub use gofmm_core::Error;
 pub use gofmm_telemetry::{
     MetricsRegistry, ProgressHandle, ProgressListener, ProgressReport, Trace, TraceSink,
@@ -204,7 +204,7 @@ mod tests {
         assert_eq!(op.shift(), 2.5);
         assert_eq!(LinearOperator::<f64>::dim(&op), 6);
         let x = DenseMatrix::<f64>::from_fn(6, 1, |i, _| i as f64);
-        let y = op.matvec(&x);
+        let y = op.matvec(&x).unwrap();
         for i in 0..6 {
             assert!((y[(i, 0)] - 3.5 * i as f64).abs() < 1e-14);
         }
@@ -227,9 +227,9 @@ mod tests {
         // b = (K~ + lambda I) x_true through the evaluator.
         let ev = gofmm_core::Evaluator::new(&k, &comp);
         let op = Shifted::new(&ev, lambda);
-        let b = op.matvec(&x_true);
+        let b = op.matvec(&x_true).unwrap();
         let x = factor.solve(&b).unwrap();
-        let resid = op.matvec(&x).sub(&b).norm_fro() / b.norm_fro();
+        let resid = op.matvec(&x).unwrap().sub(&b).norm_fro() / b.norm_fro();
         assert!(resid < 1e-8, "HSS factor residual {resid}");
     }
 

@@ -22,7 +22,6 @@
 //! `Result<_, gofmm_core::Error>` instead of panicking, and results are
 //! bit-identical across traversal policies, worker counts, and concurrency.
 
-use crate::factor::FactorOptions;
 use crate::krylov::{cg, KrylovOptions, LinearOperator, Shifted, SolveStats};
 use crate::ulv::UlvFactor;
 use gofmm_core::{
@@ -418,9 +417,8 @@ impl<T: Scalar> LinearOperator<T> for GofmmOperator<T> {
     fn dim(&self) -> usize {
         self.n()
     }
-    fn matvec(&self, x: &DenseMatrix<T>) -> DenseMatrix<T> {
-        // Krylov drivers pre-check dimensions; see the Evaluator impl.
-        self.apply(x).expect("operator apply inside Krylov")
+    fn matvec(&self, x: &DenseMatrix<T>) -> Result<DenseMatrix<T>, Error> {
+        self.apply(x)
     }
 }
 
@@ -488,16 +486,10 @@ impl<'m, T: Scalar, M: SpdMatrix<T> + ?Sized> GofmmOperatorBuilder<'m, T, M> {
     /// errors ([`Error::NotPositiveDefinite`], [`Error::SingularCore`]).
     pub fn build(self) -> Result<GofmmOperator<T>, Error> {
         let comp = Arc::new(try_compress(self.matrix, &self.config)?);
-        let evaluator = Evaluator::from_shared(self.matrix, Arc::clone(&comp));
+        let evaluator = Evaluator::new(self.matrix, Arc::clone(&comp));
         let factor = self
             .lambda
-            .map(|lambda| {
-                let opts = FactorOptions {
-                    lambda,
-                    ..FactorOptions::default()
-                };
-                UlvFactor::from_shared(self.matrix, Arc::clone(&comp), &opts)
-            })
+            .map(|l| UlvFactor::new(self.matrix, Arc::clone(&comp), l))
             .transpose()?;
         let mut op = GofmmOperator {
             comp,
@@ -840,14 +832,14 @@ mod tests {
         let mut v = DenseMatrix::<f64>::from_fn(n, 1, |i, _| ((i % 3) as f64) - 1.0);
         let mut opnorm = 0.0f64;
         for _ in 0..3 {
-            let av = shifted.matvec(&v);
+            let av = shifted.matvec(&v).unwrap();
             opnorm = av.norm_fro() / v.norm_fro();
             let scale = 1.0 / av.norm_fro();
             v = av;
             v.scale(scale);
         }
         for (name, x, tol) in [("ulv", &x_ulv, 1e-12), ("smw", &x_smw, 1e-9)] {
-            let resid = shifted.matvec(x).sub(&b).norm_fro();
+            let resid = shifted.matvec(x).unwrap().sub(&b).norm_fro();
             let eta = resid / (opnorm * x.norm_fro() + b.norm_fro());
             assert!(eta < tol, "{name} backward error {eta}");
         }

@@ -745,7 +745,7 @@ fn basis_times<T: Scalar>(
 
 // What the unit tests below name besides this module's own items.
 #[cfg(test)]
-use {crate::factor::FactorOptions, gofmm_core::ApplyOptions, gofmm_core::TraversalPolicy};
+use {gofmm_core::ApplyOptions, gofmm_core::TraversalPolicy};
 
 #[cfg(test)]
 mod tests {
@@ -793,9 +793,9 @@ mod tests {
         // b = (K~ + lambda I) x_true through the evaluator.
         let ev = gofmm_core::Evaluator::new(&k, &comp);
         let op = Shifted::new(&ev, lambda);
-        let b = op.matvec(&x_true);
+        let b = op.matvec(&x_true).unwrap();
         let x = factor.solve(&b).unwrap();
-        let resid = op.matvec(&x).sub(&b).norm_fro() / b.norm_fro();
+        let resid = op.matvec(&x).unwrap().sub(&b).norm_fro() / b.norm_fro();
         assert!(resid < 1e-10, "ULV factor residual {resid}");
     }
 
@@ -815,11 +815,7 @@ mod tests {
         // The rank cap leaves a large compression error in 6-D: at small
         // lambda the HSS part is not positive definite.
         let lambda = 1.0;
-        let opts = FactorOptions {
-            lambda,
-            ..FactorOptions::default()
-        };
-        let factor = UlvFactor::from_shared(&k, Arc::clone(&comp), &opts).unwrap();
+        let factor = UlvFactor::new(&k, Arc::clone(&comp), lambda).unwrap();
         let tree = &comp.tree;
         let order = |h: usize| {
             if tree.is_leaf(h) {
@@ -873,14 +869,15 @@ mod tests {
         // The solve still inverts the (budget 0) HSS operator.
         let mut rng = StdRng::seed_from_u64(28);
         let x_true = DenseMatrix::<f64>::random_gaussian(n, 2, &mut rng);
-        let ev = gofmm_core::Evaluator::new(&k, &comp);
+        let ev = gofmm_core::Evaluator::new(&k, &*comp);
         let op = Shifted::new(&ev, lambda);
-        let b = op.matvec(&x_true);
+        let b = op.matvec(&x_true).unwrap();
         let x = factor.solve(&b).unwrap();
-        let resid = op.matvec(&x).sub(&b).norm_fro() / b.norm_fro();
+        let resid = op.matvec(&x).unwrap().sub(&b).norm_fro() / b.norm_fro();
         assert!(resid < 1e-10, "ULV factor residual {resid}");
 
         // Every factor and solve policy x {1, 2} threads: the same bits.
+        let mut swept = compress::<f64, _>(&k, &cfg);
         for policy in [
             TraversalPolicy::Sequential,
             TraversalPolicy::LevelByLevel,
@@ -888,12 +885,9 @@ mod tests {
             TraversalPolicy::DagFifo,
         ] {
             for threads in [1, 2] {
-                let factor_opts = FactorOptions {
-                    lambda,
-                    policy: Some(policy),
-                    num_threads: Some(threads),
-                };
-                let refactored = UlvFactor::with_options(&k, &comp, &factor_opts).unwrap();
+                swept.config.policy = policy;
+                swept.config.num_threads = threads;
+                let refactored = UlvFactor::new(&k, &swept, lambda).unwrap();
                 assert!(refactored.stats().exec.is_some(), "{policy}: no exec stats");
                 let opts = ApplyOptions::new()
                     .with_policy(policy)
@@ -995,11 +989,7 @@ mod tests {
         let n = 128;
         let k = test_matrix(n);
         let comp = Arc::new(compress::<f64, _>(&k, &hss_config()));
-        let opts = FactorOptions {
-            lambda: 1e-2,
-            ..FactorOptions::default()
-        };
-        let factor = UlvFactor::from_shared(&k, Arc::clone(&comp), &opts).unwrap();
+        let factor = UlvFactor::new(&k, Arc::clone(&comp), 1e-2).unwrap();
         let dir = std::env::temp_dir().join(format!("gofmm-ulv-v1-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1174,13 +1164,13 @@ mod tests {
             let mut v = DenseMatrix::<f64>::random_gaussian(n, 1, &mut rng);
             let mut opnorm = 0.0f64;
             for _ in 0..3 {
-                let av = op.matvec(&v);
+                let av = op.matvec(&v).unwrap();
                 opnorm = av.norm_fro() / v.norm_fro();
                 let scale = 1.0 / av.norm_fro();
                 v = av;
                 v.scale(scale);
             }
-            let resid = op.matvec(&x).sub(&b).norm_fro();
+            let resid = op.matvec(&x).unwrap().sub(&b).norm_fro();
             let eta = resid / (opnorm * x.norm_fro() + b.norm_fro());
             assert!(eta < 1e-12, "lambda {lambda}: backward error {eta}");
         }

@@ -21,7 +21,7 @@
 use gofmm_core::{compress, Compressed, GofmmConfig, StoreWriter, TraversalPolicy};
 use gofmm_linalg::{simd_level, DenseMatrix, SimdLevel};
 use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
-use gofmm_solver::{FactorOptions, HierarchicalFactor, UlvFactor};
+use gofmm_solver::{HierarchicalFactor, UlvFactor};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -117,11 +117,7 @@ const GOLDEN: [Golden; 2] = [
 ];
 
 fn check_ulv(k: &KernelMatrix, comp: &Arc<Compressed<f64>>, label: &str, golden: &Golden) {
-    let opts = FactorOptions {
-        lambda: LAMBDA,
-        ..FactorOptions::default()
-    };
-    let ulv = UlvFactor::from_shared(k, Arc::clone(comp), &opts).unwrap();
+    let ulv = UlvFactor::new(k, Arc::clone(comp), LAMBDA).unwrap();
     let x = ulv.solve(&rhs()).unwrap();
     assert_eq!(fnv1a(&x), golden.ulv_solve[level()], "{label}: ULV solve");
     assert_eq!(ulv.stats().bytes, golden.ulv_bytes, "{label}: ULV bytes");

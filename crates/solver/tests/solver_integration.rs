@@ -86,7 +86,7 @@ fn system_residual(
     let ev = Evaluator::new(&matrix, comp);
     let op = Shifted::new(&ev, lambda);
     use gofmm_solver::LinearOperator;
-    let ax = op.matvec(x);
+    let ax = op.matvec(x).unwrap();
     ax.sub(b).norm_fro() / b.norm_fro()
 }
 
@@ -173,23 +173,16 @@ fn solve_is_bit_identical_across_all_four_traversal_policies() {
         1e-6,
         "policies",
     );
-    let comp = compress::<f64, _>(&k, &hss_config(48, 48));
+    let mut comp = compress::<f64, _>(&k, &hss_config(48, 48));
     let b = DenseMatrix::<f64>::from_fn(n, 2, |i, j| ((i * 31 + j * 7) % 23) as f64 / 11.0 - 1.0);
     let lambda = 1e-2;
     let mut reference: Option<DenseMatrix<f64>> = None;
     for policy in ALL_POLICIES {
         // Factor under the policy, then solve twice (the second solve runs
         // on recycled buffers) under 1 and 4 workers.
-        let factor = HierarchicalFactor::with_options(
-            &k,
-            &comp,
-            &gofmm_solver::FactorOptions {
-                lambda,
-                policy: Some(policy),
-                num_threads: Some(4),
-            },
-        )
-        .unwrap();
+        comp.config.policy = policy;
+        comp.config.num_threads = 4;
+        let factor = HierarchicalFactor::new(&k, &comp, lambda).unwrap();
         assert_eq!(factor.policy(), policy);
         assert!(factor.stats().exec.is_some(), "{policy}: no exec stats");
         let x1 = factor.solve(&b).unwrap();

@@ -1,14 +1,18 @@
 //! Store faults surface as typed errors. An out-of-core operator whose store
-//! file is truncated under it returns `Error::Storage` from every apply and
-//! every solve, under all four traversal policies, without a panic on a DAG
-//! worker and without poisoning the engine: the leased workspace goes back
-//! to its pool, a second call fails the same way, and once the file is whole
-//! again the same engine serves the same bits as before the fault.
+//! file is truncated under it returns `Error::Storage` from every apply,
+//! every solve and every CG solve, under all four traversal policies,
+//! without a panic on a DAG worker or the serving worker and without
+//! poisoning the engine: the leased workspace goes back to its pool, a
+//! second call fails the same way, and once the file is whole again the
+//! same engine serves the same bits as before the fault.
 
 use gofmm_core::{ApplyOptions, Evaluator, GofmmConfig, StorageConfig, TraversalPolicy};
 use gofmm_linalg::DenseMatrix;
 use gofmm_matrices::{KernelMatrix, KernelType, PointCloud};
-use gofmm_solver::{BatchedServer, Error, GofmmOperator, ServeConfig, StoreWriter, UlvFactor};
+use gofmm_solver::{
+    cg, BatchedServer, Error, GofmmOperator, KrylovOptions, ServeConfig, Shifted, StoreWriter,
+    UlvFactor,
+};
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -118,6 +122,15 @@ fn truncated_store_fails_apply_and_solve_with_storage_errors() {
         "apply workspaces created"
     );
     assert_eq!(factor.pool_lease_stats().0, 1, "solve workspaces created");
+    // CG over the same engines. Its two-column applies lease a workspace of
+    // their own width, so its reference is the in-memory operator's CG:
+    // reopened engines give its bits.
+    let shifted = Shifted::new(&evaluator, factor.lambda());
+    let cg_opts = KrylovOptions::default();
+    let (want_cg, _) = op.solve_cg(&b, &cg_opts).unwrap();
+    let first = storage_message(cg(&shifted, &factor, &b, &cg_opts), "CG");
+    let again = storage_message(cg(&shifted, &factor, &b, &cg_opts), "CG");
+    assert_eq!(first, again, "a second CG solve fails differently");
 
     std::fs::write(&path, whole).unwrap();
     for policy in ALL_POLICIES {
@@ -127,6 +140,8 @@ fn truncated_store_fails_apply_and_solve_with_storage_errors() {
         let x = factor.solve_with(&b, &opts).expect("solve after repair");
         assert_eq!(x.data(), want_x.data(), "{policy}: solve after repair");
     }
+    let (x, _) = cg(&shifted, &factor, &b, &cg_opts).expect("CG after repair");
+    assert_eq!(x.data(), want_cg.data(), "CG after repair");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -147,12 +162,16 @@ fn served_flights_over_a_truncated_store_resolve_to_storage_errors() {
     let b = rhs(n, 2, 29);
     let want_u = op.apply(&w).unwrap();
     let want_x = op.solve(&b).unwrap();
+    let cg_opts = KrylovOptions::default();
+    let (want_cg, _) = op.solve_cg(&b, &cg_opts).unwrap();
 
     let whole = truncate(&path);
     let mut tickets = Vec::new();
     for _ in 0..3 {
         tickets.push(server.submit_apply(&w, None).expect("admit apply"));
         tickets.push(server.submit_solve(&b, None).expect("admit solve"));
+        let cg_ticket = server.submit_solve_cg(&b, &cg_opts, None);
+        tickets.push(cg_ticket.expect("admit CG solve"));
     }
     for (i, ticket) in tickets.into_iter().enumerate() {
         storage_message(ticket.wait(), &format!("ticket {i}"));
@@ -164,6 +183,8 @@ fn served_flights_over_a_truncated_store_resolve_to_storage_errors() {
     assert_eq!(u.expect("apply after repair").data(), want_u.data());
     let x = server.submit_solve(&b, None).unwrap().wait();
     assert_eq!(x.expect("solve after repair").data(), want_x.data());
+    let x = server.submit_solve_cg(&b, &cg_opts, None).unwrap().wait();
+    assert_eq!(x.expect("CG solve after repair").data(), want_cg.data());
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example inverse_operator`
 
-use gofmm_suite::core::{compress, DistanceMetric, GofmmConfig};
+use gofmm_suite::core::{compress, DistanceMetric, Evaluator, GofmmConfig};
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{sampled_relative_error, SpdMatrix};
 use rand::rngs::StdRng;
@@ -38,7 +38,7 @@ fn main() {
     );
 
     // One evaluator serves every product below.
-    let evaluator = comp.into_evaluator(&k);
+    let evaluator = Evaluator::new(&k, comp);
 
     // Hutchinson trace estimator: trace(K) ~ mean_z z^T K z with Rademacher z.
     let samples = 64;

@@ -86,7 +86,7 @@ fn main() {
         comp.average_rank()
     );
 
-    let evaluator = comp.into_evaluator(&kernel);
+    let evaluator = Evaluator::new(&kernel, comp);
     let coeffs = cg_solve(&evaluator, &y, ridge, 50);
 
     // Residual of the ridge system (K + ridge I) c = y on a sample of rows,

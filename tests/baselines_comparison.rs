@@ -4,7 +4,7 @@
 //! Figure 7.
 
 use gofmm_suite::baselines::{AskitConfig, AskitMatrix, Hodlr, HodlrConfig, HssConfig, HssMatrix};
-use gofmm_suite::core::{compress, DistanceMetric, GofmmConfig, TraversalPolicy};
+use gofmm_suite::core::{compress, DistanceMetric, Evaluator, GofmmConfig, TraversalPolicy};
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{
     build_matrix, sampled_relative_error, SpdMatrix, TestMatrixId, ZooOptions,
@@ -41,7 +41,7 @@ fn all_methods_are_accurate_on_well_ordered_operator() {
     let w = rhs(n, 8);
 
     let comp = compress::<f64, _>(&k, &gofmm_config());
-    let (u_gofmm, _) = comp.into_evaluator(&k).apply(&w).unwrap();
+    let (u_gofmm, _) = Evaluator::new(&k, comp).apply(&w).unwrap();
     let e_gofmm = sampled_relative_error(&k, &w, &u_gofmm, 100, 0);
 
     let hodlr = Hodlr::<f64>::compress(
@@ -108,7 +108,7 @@ fn gofmm_beats_unpermuted_baselines_on_scrambled_kernel() {
             .with_budget(budget);
         let comp = compress::<f64, _>(&k, &cfg);
         let longest_near = comp.lists.near.iter().map(Vec::len).max().unwrap_or(0);
-        let (u, _) = comp.into_evaluator(&k).apply(&w).unwrap();
+        let (u, _) = Evaluator::new(&k, comp).apply(&w).unwrap();
         (sampled_relative_error(&k, &w, &u, 100, 0), longest_near)
     };
 
@@ -203,7 +203,7 @@ fn askit_and_gofmm_agree_when_points_exist() {
     let cfg = gofmm_config().with_metric(DistanceMetric::Geometric);
     let comp = compress::<f64, _>(&k, &cfg);
     let w_mat = DenseMatrix::from_vec(n, 1, w_vec.clone());
-    let (u_gofmm, _) = comp.into_evaluator(&k).apply(&w_mat).unwrap();
+    let (u_gofmm, _) = Evaluator::new(&k, comp).apply(&w_mat).unwrap();
 
     let u_askit_mat = DenseMatrix::from_vec(n, 1, u_askit);
     let e_askit = sampled_relative_error(&k, &w_mat, &u_askit_mat, 100, 0);
@@ -226,7 +226,7 @@ fn gofmm_handles_coordinate_free_matrices_baselines_with_points_cannot() {
     // GOFMM works.
     let comp = compress::<f64, _>(&k, &gofmm_config());
     let w = rhs(k.n(), 4);
-    let (u, _) = comp.into_evaluator(&k).apply(&w).unwrap();
+    let (u, _) = Evaluator::new(&k, comp).apply(&w).unwrap();
     let eps = sampled_relative_error(&k, &w, &u, 100, 0);
     assert!(eps < 5e-2, "G04 eps {eps}");
     // ASKIT cannot even start (panics); verified in the baselines unit tests.

@@ -34,7 +34,7 @@ fn run_pipeline(id: TestMatrixId, n: usize, cfg: &GofmmConfig) -> f64 {
     );
     let w = rhs(k.n(), 8);
     let comp = compress::<f64, _>(&k, cfg);
-    let (u, _) = comp.into_evaluator(&k).apply(&w).unwrap();
+    let (u, _) = Evaluator::new(&k, comp).apply(&w).unwrap();
     sampled_relative_error(&k, &w, &u, 100, 0)
 }
 
@@ -102,7 +102,7 @@ fn ml_kernel_matrix_compresses() {
     );
     let w = rhs(k.n(), 8);
     let comp = compress::<f64, _>(&k, &config(64, 96, 1e-7, 0.25));
-    let (u, _) = comp.into_evaluator(&k).apply(&w).unwrap();
+    let (u, _) = Evaluator::new(&k, comp).apply(&w).unwrap();
     let eps = sampled_relative_error(&k, &w, &u, 100, 0);
     assert!(eps < 2e-2, "COVTYPE-like: eps2 = {eps}");
 }
@@ -139,8 +139,8 @@ fn fmm_budget_beats_hss_on_hard_matrix() {
     let fmm_cfg = config(64, 32, 0.0, 0.25);
     let comp_hss = compress::<f64, _>(&k, &hss_cfg);
     let comp_fmm = compress::<f64, _>(&k, &fmm_cfg);
-    let (u_hss, _) = comp_hss.into_evaluator(&k).apply(&w).unwrap();
-    let (u_fmm, _) = comp_fmm.into_evaluator(&k).apply(&w).unwrap();
+    let (u_hss, _) = Evaluator::new(&k, comp_hss).apply(&w).unwrap();
+    let (u_fmm, _) = Evaluator::new(&k, comp_fmm).apply(&w).unwrap();
     let e_hss = sampled_relative_error(&k, &w, &u_hss, 128, 0);
     let e_fmm = sampled_relative_error(&k, &w, &u_fmm, 128, 0);
     assert!(
@@ -162,11 +162,11 @@ fn f32_and_f64_compressions_agree_to_single_precision() {
     let cfg = config(64, 64, 1e-6, 0.05);
     let w64 = rhs(k.n(), 4);
     let comp64 = compress::<f64, _>(&k, &cfg);
-    let (u64, _) = comp64.into_evaluator(&k).apply(&w64).unwrap();
+    let (u64, _) = Evaluator::new(&k, comp64).apply(&w64).unwrap();
     let k32 = gofmm_suite::matrices::CastedSpd::new(&k);
     let comp32 = compress::<f32, _>(&k32, &cfg);
     let w32: DenseMatrix<f32> = w64.cast();
-    let (u32, _) = comp32.into_evaluator(&k32).apply(&w32).unwrap();
+    let (u32, _) = Evaluator::new(&k32, comp32).apply(&w32).unwrap();
     let u32_as64: DenseMatrix<f64> = u32.cast();
     let rel = u32_as64.sub(&u64).norm_fro() / u64.norm_fro();
     assert!(rel < 1e-2, "precisions disagree: {rel}");
@@ -186,8 +186,8 @@ fn compression_is_deterministic_for_fixed_seed() {
     let w = rhs(k.n(), 4);
     let c1 = compress::<f64, _>(&k, &cfg);
     let c2 = compress::<f64, _>(&k, &cfg);
-    let (u1, _) = c1.into_evaluator(&k).apply(&w).unwrap();
-    let (u2, _) = c2.into_evaluator(&k).apply(&w).unwrap();
+    let (u1, _) = Evaluator::new(&k, c1).apply(&w).unwrap();
+    let (u2, _) = Evaluator::new(&k, c2).apply(&w).unwrap();
     assert!(u1.sub(&u2).norm_max() < 1e-12);
 }
 

@@ -44,7 +44,7 @@ fn kernel_regression_pipeline_solves_covtype_like_system() {
 
     // Verify against the operator that was actually solved.
     let shifted = Shifted::new(op.evaluator(), lambda);
-    let resid = shifted.matvec(&w).sub(&y).norm_fro() / y.norm_fro();
+    let resid = shifted.matvec(&w).unwrap().sub(&y).norm_fro() / y.norm_fro();
     assert!(resid <= 1e-9, "true residual {resid:.3e}");
 }
 

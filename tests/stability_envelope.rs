@@ -93,7 +93,7 @@ fn operator_scale(ev: &Evaluator<'_, f64>, n: usize) -> f64 {
     let mut v = DenseMatrix::<f64>::from_fn(n, 1, |i, _| ((i % 7) as f64) - 3.0);
     let mut scale = 1.0f64;
     for _ in 0..5 {
-        let av = ev.matvec(&v);
+        let av = ev.matvec(&v).unwrap();
         scale = av.norm_fro() / v.norm_fro();
         let inv = 1.0 / av.norm_fro();
         v = av;
@@ -109,7 +109,7 @@ fn backward_error(
     x: &DenseMatrix<f64>,
     b: &DenseMatrix<f64>,
 ) -> f64 {
-    let resid = op.matvec(x).sub(b).norm_fro();
+    let resid = op.matvec(x).unwrap().sub(b).norm_fro();
     resid / (opnorm * x.norm_fro() + b.norm_fro())
 }
 
@@ -271,8 +271,8 @@ fn mixed_precision_panels_stay_inside_the_serving_envelope() {
 
         let w =
             DenseMatrix::<f64>::from_fn(n, 2, |i, j| (((i * 17 + j * 5) % 13) as f64) / 6.0 - 1.0);
-        let u = ev.matvec(&w);
-        let u_mixed = ev_mixed.matvec(&w);
+        let u = ev.matvec(&w).unwrap();
+        let u_mixed = ev_mixed.matvec(&w).unwrap();
         let rel = u_mixed.sub(&u).norm_fro() / u.norm_fro();
         assert!(
             rel <= 1e-5,

@@ -154,7 +154,7 @@ fn compressed_operator_is_symmetric() {
     for (c, &i) in cols.iter().enumerate() {
         basis[(i, c)] = 1.0;
     }
-    let (ktilde_cols, _) = comp.into_evaluator(&k).apply(&basis).unwrap();
+    let (ktilde_cols, _) = Evaluator::new(&k, comp).apply(&basis).unwrap();
     let scale = ktilde_cols.norm_max();
     for (a, &i) in cols.iter().enumerate() {
         for (b, &j) in cols.iter().enumerate() {
