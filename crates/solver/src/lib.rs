@@ -22,8 +22,10 @@
 //!   [`Smw`] builds the classical Sherman–Morrison–Woodbury corrections from
 //!   the skeleton bases and sibling skeleton blocks, accurate for `lambda`
 //!   within a few orders of the operator scale, and is kept as the
-//!   reference the tests compare ULV against. Both are persistent, serve unlimited
-//!   `&self` `solve` calls — each a cached-plan `SUP`/`SDOWN` double sweep
+//!   reference the tests compare ULV against. Both are built by
+//!   [`Factor::new`] over a borrowed, owned or `Arc`-shared compression,
+//!   with the config's policy and thread count as defaults, are persistent,
+//!   and serve unlimited `&self` `solve` calls — each a cached-plan `SUP`/`SDOWN` double sweep
 //!   with zero kernel-entry evaluations, mirroring `Evaluator::apply` — and
 //!   run under all four traversal policies with bit-identical results.
 //! * [`cg`] — preconditioned conjugate gradients, generic over
@@ -31,7 +33,9 @@
 //!   [`Shifted`], [`DenseOperator`]) and [`Preconditioner`] (implemented by
 //!   [`Factor`] and [`IdentityPreconditioner`]), with per-iteration residual
 //!   history in [`SolveStats`]. Both traits take `&self`, so iterations run
-//!   against shared handles.
+//!   against shared handles, and return `Result`, so a store fault inside
+//!   an iteration ends the solve with [`Error::Storage`] instead of a
+//!   panic.
 //! * [`BatchedServer`] — the serving traffic layer: an admission queue in
 //!   front of one shared operator that coalesces small concurrent
 //!   `apply`/`solve`/`solve_cg` requests into wide batched calls
