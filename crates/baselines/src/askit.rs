@@ -83,7 +83,6 @@ impl<T: Scalar> AskitMatrix<T> {
             sample_size: 0,
             ann_iters: 10,
             seed: config.seed,
-            strict_rank_budget: false,
             panel_precision: PanelPrecision::Native,
         };
         let t0 = Instant::now();

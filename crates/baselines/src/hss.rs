@@ -78,7 +78,6 @@ impl<T: Scalar> HssMatrix<T> {
             sample_size: sample,
             ann_iters: 0,
             seed: 1,
-            strict_rank_budget: false,
             panel_precision: PanelPrecision::Native,
         };
         let t0 = Instant::now();

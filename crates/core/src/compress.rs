@@ -176,8 +176,8 @@ impl DistanceOracle for TrivialOracle {
 /// Compress an SPD matrix into the hierarchical low-rank plus sparse form.
 ///
 /// Convenience wrapper over [`try_compress`] that panics on invalid input
-/// (empty matrix, out-of-range configuration, or — in strict mode — an
-/// exhausted rank budget). Services that must not panic call
+/// (empty matrix, out-of-range configuration, non-finite diagonal).
+/// Services that must not panic call
 /// [`try_compress`] and map the [`crate::Error`] themselves.
 pub fn compress<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     matrix: &M,
@@ -193,11 +193,8 @@ pub fn compress<T: Scalar, M: SpdMatrix<T> + ?Sized>(
 ///
 /// Validates the input ([`crate::Error::EmptyInput`]) and the configuration
 /// ([`GofmmConfig::validate`] → [`crate::Error::InvalidConfig`]) before doing
-/// any work, refuses a matrix with a NaN or infinite diagonal entry
-/// ([`crate::Error::NonFiniteInput`]), and — when
-/// [`GofmmConfig::strict_rank_budget`] is set — reports
-/// [`crate::Error::BudgetExhausted`] if any node's adaptive skeletonization
-/// was cut off by the rank cap rather than the accuracy tolerance.
+/// any work, and refuses a matrix with a NaN or infinite diagonal entry
+/// ([`crate::Error::NonFiniteInput`]).
 pub fn try_compress<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     matrix: &M,
     config: &GofmmConfig,
@@ -276,25 +273,6 @@ pub fn try_compress<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     let (bases, exec) = skeletonize_all(matrix, &tree, neighbors.as_ref(), config, &mut stats);
     stats.skel_time = t3.elapsed().as_secs_f64();
     stats.exec = exec;
-
-    if config.strict_rank_budget {
-        // A node whose adaptive ID stopped at the rank cap with the next
-        // candidate still above the tolerance threshold was decided by the
-        // budget, not the accuracy target — strict mode refuses to certify
-        // it. Nodes whose tolerance was met at exactly `max_rank` do not
-        // trip this: the ID records which criterion terminated pivoting.
-        for (heap, basis) in bases.iter().enumerate() {
-            if let Some(b) = basis {
-                if b.budget_limited {
-                    return Err(crate::Error::BudgetExhausted {
-                        node: heap,
-                        max_rank: config.max_rank,
-                        residual: b.residual,
-                    });
-                }
-            }
-        }
-    }
 
     let ranks: Vec<usize> = bases
         .iter()
@@ -449,35 +427,6 @@ mod tests {
     #[should_panic(expected = "matrix is empty")]
     fn compress_wrapper_panics_with_the_error_message() {
         let _ = compress::<f64, _>(&EmptyMatrix, &base_config());
-    }
-
-    #[test]
-    fn strict_rank_budget_reports_exhaustion() {
-        let k = small_kernel_matrix(256);
-        // A hostile rank cap with an unreachable tolerance: some node must
-        // hit the cap with rejected candidates left over.
-        let strict = base_config()
-            .with_max_rank(2)
-            .with_tolerance(1e-14)
-            .with_strict_rank_budget(true);
-        match try_compress::<f64, _>(&k, &strict) {
-            Err(crate::Error::BudgetExhausted {
-                max_rank, residual, ..
-            }) => {
-                assert_eq!(max_rank, 2);
-                assert!(residual > 0.0);
-            }
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-        // The same configuration without strict mode compresses as before
-        // (rank-capped, which is the paper's normal operating mode)...
-        assert!(try_compress::<f64, _>(&k, &strict.clone().with_strict_rank_budget(false)).is_ok());
-        // ...and a generous rank budget passes even in strict mode.
-        let roomy = base_config()
-            .with_max_rank(64)
-            .with_tolerance(1e-4)
-            .with_strict_rank_budget(true);
-        assert!(try_compress::<f64, _>(&k, &roomy).is_ok());
     }
 
     fn base_config() -> GofmmConfig {

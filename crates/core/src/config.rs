@@ -74,12 +74,6 @@ pub struct GofmmConfig {
     pub ann_iters: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Treat a node whose adaptive skeletonization hits `max_rank` with
-    /// candidates still above the tolerance as an error
-    /// ([`crate::Error::BudgetExhausted`], reported by [`crate::try_compress`])
-    /// instead of silently accepting the rank-capped basis. Off by default:
-    /// the paper's experiments intentionally run rank-capped.
-    pub strict_rank_budget: bool,
     /// Storage precision of the evaluator's packed interaction panels (see
     /// [`PanelPrecision`]).
     pub panel_precision: PanelPrecision,
@@ -99,7 +93,6 @@ impl Default for GofmmConfig {
             sample_size: 0,
             ann_iters: 10,
             seed: 0,
-            strict_rank_budget: false,
             panel_precision: PanelPrecision::Native,
         }
     }
@@ -172,13 +165,6 @@ impl GofmmConfig {
     /// Builder-style setter for the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style setter for the strict rank-budget check (see
-    /// [`GofmmConfig::strict_rank_budget`]).
-    pub fn with_strict_rank_budget(mut self, strict: bool) -> Self {
-        self.strict_rank_budget = strict;
         self
     }
 

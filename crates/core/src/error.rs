@@ -48,19 +48,6 @@ pub enum Error {
         /// Human-readable description of the violated constraint.
         constraint: &'static str,
     },
-    /// The adaptive skeletonization hit the rank cap `max_rank` with
-    /// candidate columns still above the tolerance: the rank budget, not the
-    /// accuracy target, decided a skeleton. Only reported when the
-    /// compression was asked to be strict about it
-    /// (`GofmmConfig::with_strict_rank_budget`).
-    BudgetExhausted {
-        /// Heap index of the first offending node.
-        node: usize,
-        /// The rank cap that was hit.
-        max_rank: usize,
-        /// Estimated first rejected singular value at that node.
-        residual: f64,
-    },
     /// A regularized block was not positive definite during hierarchical
     /// factorization: a leaf's diagonal block (SMW backend), or a rotated
     /// diagonal / eliminated trailing block (ULV backend).
@@ -144,15 +131,6 @@ impl std::fmt::Display for Error {
             Error::InvalidConfig { what, constraint } => {
                 write!(f, "invalid configuration: {what} {constraint}")
             }
-            Error::BudgetExhausted {
-                node,
-                max_rank,
-                residual,
-            } => write!(
-                f,
-                "node {node}: rank budget exhausted (rank cap {max_rank} hit with estimated \
-                 residual {residual:.3e} above tolerance); raise max_rank or loosen the tolerance"
-            ),
             Error::NotPositiveDefinite { node, pivot } => write!(
                 f,
                 "node {node}: regularized block not positive definite (pivot {pivot}); \
@@ -219,14 +197,6 @@ mod tests {
                     constraint: "must be positive",
                 },
                 "leaf_size",
-            ),
-            (
-                Error::BudgetExhausted {
-                    node: 3,
-                    max_rank: 16,
-                    residual: 1e-3,
-                },
-                "rank budget exhausted",
             ),
             (
                 Error::NotPositiveDefinite { node: 5, pivot: 2 },

@@ -13,8 +13,9 @@
 //! [`ReusablePlan`]), and then serves unlimited [`Evaluator::apply`] calls
 //! that touch the matrix zero times. `apply` takes `&self`: every call
 //! leases its per-node value buffers from an internal
-//! [`WorkspacePool`](gofmm_runtime::WorkspacePool), so one evaluator can
-//! serve many request threads concurrently.
+//! [`WorkspacePool`](gofmm_runtime::WorkspacePool) and resizes them to its
+//! width in place, so one evaluator can serve many request threads
+//! concurrently.
 //!
 //! How a panel is stored and multiplied lives in `panel.rs`; the persisted
 //! operator format ([`Evaluator::write_to`] / [`Evaluator::open_from`]) in
@@ -105,11 +106,11 @@ impl EvaluationStats {
 /// * the evaluation [`ReusablePlan`] (N2S postorder, S2S, S2N preorder, L2L;
 ///   Figure 3 of the paper) is built once and re-run for every apply;
 /// * the per-node value buffers (`w~`, `u~`, far/near leaf outputs) live in
-///   a [`WorkspacePool`](gofmm_runtime::WorkspacePool) keyed by the
-///   right-hand-side count: each apply leases a workspace (allocating only
-///   on a pool miss), which makes [`Evaluator::apply`] a `&self` operation
-///   that any number of threads may call on one shared evaluator
-///   simultaneously.
+///   a [`WorkspacePool`](gofmm_runtime::WorkspacePool): each apply leases
+///   any idle workspace (allocating only on a pool miss) and gives its
+///   cells the call's right-hand-side count in place, which makes
+///   [`Evaluator::apply`] a `&self` operation that any number of threads
+///   may call on one shared evaluator simultaneously.
 ///
 /// After construction, [`Evaluator::apply`] never evaluates a kernel entry —
 /// the source matrix is not even reachable from it.
@@ -178,7 +179,8 @@ pub struct Evaluator<'a, T: Scalar> {
     pub(crate) cached_bytes: usize,
 }
 
-/// One apply's per-node value buffers, pooled by right-hand-side count.
+/// One apply's per-node value buffers, pooled whatever their width:
+/// [`SweepWorkspace::reset`] gives every cell the call's column count.
 ///
 /// Every cell is written by exactly one task per apply, ordered by the plan's
 /// dependency edges; concurrent applies run on *different* workspaces, so the
@@ -199,30 +201,31 @@ struct ApplyWorkspace<T: Scalar> {
     u_near: DisjointCells<DenseMatrix<T>>,
     /// Mirror products `Y_β = K_{β,off}^T w_β` per owning leaf: the
     /// contributions of β's owned off-diagonal blocks to the other leaves'
-    /// outputs, stacked in [`NearMap::mirror_entries`] order. Sized by β's
-    /// L2L task the first time it computes them, and overwritten by it on
-    /// every apply that does ([`NearMap::owner_mirrors`]); empty otherwise.
+    /// outputs, stacked in [`NearMap::mirror_entries`] order. Resized in
+    /// place and overwritten by β's L2L task on every apply that computes
+    /// them ([`NearMap::owner_mirrors`]); stale or empty otherwise.
     mirror: DisjointCells<DenseMatrix<T>>,
 }
 
 impl<T: Scalar> ApplyWorkspace<T> {
-    /// Allocate buffers shaped for `r` right-hand sides: the staged input
-    /// `n x r`, `w~`/`u~` by skeleton rank per node, the output accumulators
-    /// per leaf (zero-sized elsewhere).
-    fn allocate(comp: &Compressed<T>, r: usize) -> Self {
+    /// Column-less buffers with their row counts: the staged input `n`,
+    /// `w~`/`u~` the skeleton rank per node, the output accumulators the
+    /// leaf size (zero elsewhere). [`SweepWorkspace::reset`] sizes them.
+    fn allocate(comp: &Compressed<T>) -> Self {
         let node_count = comp.tree.node_count();
         let rank_of = |heap: usize| comp.bases[heap].as_ref().map(|b| b.rank()).unwrap_or(0);
         let leaf = |h: usize| {
-            if comp.tree.is_leaf(h) {
-                DenseMatrix::zeros(comp.tree.node(h).len, r)
+            let rows = if comp.tree.is_leaf(h) {
+                comp.tree.node(h).len
             } else {
-                DenseMatrix::zeros(0, 0)
-            }
+                0
+            };
+            DenseMatrix::zeros(rows, 0)
         };
         Self {
-            staged: DenseMatrix::zeros(comp.n(), r),
-            wtilde: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), r)),
-            utilde: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), r)),
+            staged: DenseMatrix::zeros(comp.n(), 0),
+            wtilde: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), 0)),
+            utilde: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(rank_of(h), 0)),
             u_far: DisjointCells::from_fn(node_count, leaf),
             u_near: DisjointCells::from_fn(node_count, leaf),
             mirror: DisjointCells::from_fn(node_count, |_| DenseMatrix::zeros(0, 0)),
@@ -276,14 +279,21 @@ impl<T: Scalar> SweepWorkspace<T> for ApplyWorkspace<T> {
         &mut self.staged
     }
 
-    /// Zero the accumulator families of a recycled workspace. `staged`,
-    /// `wtilde` and `mirror` need no reset: the first is refilled before
-    /// every sweep, and every `wtilde` / `mirror` cell that is ever read is
-    /// fully overwritten by its node's N2S / L2L task.
-    fn reset(&mut self) {
-        self.utilde.for_each_mut(|_, m| m.fill(T::zero()));
-        self.u_far.for_each_mut(|_, m| m.fill(T::zero()));
-        self.u_near.for_each_mut(|_, m| m.fill(T::zero()));
+    /// Resize `staged` and `wtilde` to `r` columns, and the accumulator
+    /// families to `r` zeroed columns. `staged` is refilled before every
+    /// sweep, and every `wtilde` cell that is ever read is fully
+    /// overwritten by its node's N2S task. The `mirror` cells are left to
+    /// the L2L tasks that compute them.
+    fn reset(&mut self, r: usize) {
+        self.staged.resize(self.staged.rows(), r);
+        self.wtilde.for_each_mut(|_, m| m.resize(m.rows(), r));
+        let zeroed = |_, m: &mut DenseMatrix<T>| {
+            m.resize(m.rows(), 0);
+            m.resize(m.rows(), r);
+        };
+        self.utilde.for_each_mut(zeroed);
+        self.u_far.for_each_mut(zeroed);
+        self.u_near.for_each_mut(zeroed);
     }
 }
 
@@ -562,7 +572,7 @@ impl<'a, T: Scalar> Evaluator<'a, T> {
             &self.comp.tree,
             w,
             opts,
-            || ApplyWorkspace::allocate(&self.comp, w.cols()),
+            || ApplyWorkspace::allocate(&self.comp),
             |ws, family, node| {
                 let pass = ApplyPass {
                     ev: self,
@@ -884,10 +894,7 @@ impl<T: Scalar> ApplyPass<'_, '_, T> {
         let by_owner = self.owner_mirrors && !map.mirror_entries(heap).is_empty();
         let mut mirror = by_owner.then(|| {
             let mut y = self.ws.mirror.write(heap);
-            let rows = map.mirror_rows(&self.ev.compressed().tree, heap);
-            if (y.rows(), y.cols()) != (rows, self.r()) {
-                *y = DenseMatrix::zeros(rows, self.r());
-            }
+            y.resize(map.mirror_rows(&self.ev.compressed().tree, heap), self.r());
             y
         });
         self.count_flops(panel.apply(
@@ -1251,8 +1258,8 @@ mod tests {
         let w5 = DenseMatrix::<f64>::random_gaussian(n, 5, &mut rng);
         let evaluator = Evaluator::new(&k, &comp);
         let (u2a, _) = evaluator.apply(&w2).unwrap();
-        let (u5, _) = evaluator.apply(&w5).unwrap(); // different width, new workspace
-        let (u2b, _) = evaluator.apply(&w2).unwrap(); // recycles the width-2 workspace
+        let (u5, _) = evaluator.apply(&w5).unwrap(); // the same workspace, grown to 5 columns
+        let (u2b, _) = evaluator.apply(&w2).unwrap(); // and shrunk back to 2 in place
         let (u2_ref, _) = Evaluator::new(&k, &comp).apply(&w2).unwrap();
         let (u5_ref, _) = Evaluator::new(&k, &comp).apply(&w5).unwrap();
         assert!(u2a.sub(&u2_ref).norm_max() == 0.0);

@@ -231,7 +231,6 @@ fn encode_header<T: Scalar>(out: &mut Vec<u8>, config: &GofmmConfig) {
     w.usize(config.sample_size);
     w.usize(config.ann_iters);
     w.u64(config.seed);
-    w.u8(config.strict_rank_budget as u8);
     w.u8(precision_tag(config.panel_precision));
 }
 
@@ -250,7 +249,6 @@ fn decode_header<T: Scalar>(bytes: &[u8]) -> Result<GofmmConfig, StoreError> {
         sample_size: r.usize()?,
         ann_iters: r.usize()?,
         seed: r.u64()?,
-        strict_rank_budget: r.u8()? != 0,
         panel_precision: precision_from_tag(r.u8()?)?,
     };
     r.finish()?;
@@ -344,7 +342,6 @@ fn encode_bases<T: Scalar>(out: &mut Vec<u8>, bases: &[Option<NodeBasis<T>>]) {
                 encode_scalar_slice(out, b.interp.data());
                 let mut w = ByteWriter::new(out);
                 w.f64(b.residual);
-                w.u8(b.budget_limited as u8);
             }
         }
     }
@@ -365,12 +362,10 @@ fn decode_bases<T: Scalar>(bytes: &[u8]) -> Result<Vec<Option<NodeBasis<T>>>, St
         let cols = r.usize()?;
         let data = decode_scalar_vec::<T>(&mut r, rows * cols)?;
         let residual = r.f64()?;
-        let budget_limited = r.u8()? != 0;
         bases.push(Some(NodeBasis {
             skeleton,
             interp: DenseMatrix::from_vec(rows, cols, data),
             residual,
-            budget_limited,
         }));
     }
     r.finish()?;
@@ -470,8 +465,10 @@ mod tests {
         // Files from before the near-layout tag (version 2), from before the
         // CONFIG blob lost its block-cache flag and second precision tag
         // (version 3), from before it lost the near-layout tag (version 4),
-        // and from before a panel was one tagged blob (version 5).
-        for version in [2u32, 3, 4, 5] {
+        // from before a panel was one tagged blob (version 5), and from
+        // before the strict rank-budget and budget-limited flags went
+        // (version 6).
+        for version in [2u32, 3, 4, 5, 6] {
             let mut file = current.clone();
             file[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(&path, &file).unwrap();

@@ -27,10 +27,6 @@ pub struct NodeBasis<T: Scalar> {
     /// Estimate of the first rejected singular value (adaptive-rank
     /// diagnostic).
     pub residual: f64,
-    /// True when the rank cap, not the adaptive tolerance, decided this
-    /// node's rank (see `gofmm_linalg::Id::budget_limited`); what
-    /// `GofmmConfig::strict_rank_budget` keys off.
-    pub budget_limited: bool,
 }
 
 impl<T: Scalar> NodeBasis<T> {
@@ -81,7 +77,6 @@ pub fn skeletonize_node<T: Scalar, M: SpdMatrix<T> + ?Sized>(
             skeleton: columns[..rank].to_vec(),
             interp,
             residual: 0.0,
-            budget_limited: false,
         };
     }
 
@@ -92,7 +87,6 @@ pub fn skeletonize_node<T: Scalar, M: SpdMatrix<T> + ?Sized>(
         skeleton,
         interp: id.interp,
         residual: id.residual_estimate,
-        budget_limited: id.budget_limited,
     }
 }
 

@@ -7,8 +7,9 @@
 //! Tasks return `Result`: the first task error (a failed store fault, say)
 //! stops the run, the remaining tasks drain as under cancellation, and the
 //! error is the call's. The lease hands its workspace back to the pool
-//! either way, and [`SweepWorkspace::reset`] readies a recycled one, so a
-//! failed or cancelled call leaves the engine reusable.
+//! either way, and [`SweepWorkspace::reset`] readies whichever workspace the
+//! next call leases, so a failed or cancelled call leaves the engine
+//! reusable.
 
 use crate::config::{ApplyOptions, TraversalPolicy};
 use crate::error::Error;
@@ -17,15 +18,16 @@ use gofmm_runtime::{CancelToken, ExecStats, Family, ReusablePlan, WorkspacePool}
 use gofmm_telemetry::SpanKind;
 use gofmm_tree::PartitionTree;
 
-/// The per-call buffers of one sweep, pooled by right-hand-side width.
+/// The per-call buffers of one sweep, pooled whatever their width.
 pub trait SweepWorkspace<T: Scalar>: Sync {
     /// The `n x r` input in tree order (row `pos` holds original row
     /// `perm[pos]`), filled in full before every sweep.
     fn staged(&mut self) -> &mut DenseMatrix<T>;
 
-    /// Ready a recycled workspace for its next sweep. The default does
-    /// nothing, which suits a sweep that overwrites every cell it reads.
-    fn reset(&mut self) {}
+    /// Ready a fresh or recycled workspace for an `r`-column sweep: give
+    /// every cell `r` columns in place ([`DenseMatrix::resize`], reusing its
+    /// capacity) and zero the cells the sweep accumulates into.
+    fn reset(&mut self, r: usize);
 }
 
 /// What a persistent engine re-runs per call: a frozen task plan, its
@@ -86,11 +88,12 @@ impl<W> SweepDriver<W> {
     }
 
     /// Run one sweep over `input` (`n x r`, original row order): check the
-    /// rows and the cancel token, lease a width-`r` workspace (`allocate`
-    /// makes one on a pool miss), stage the input through `tree`'s
-    /// permutation, run every task as `task(workspace, family, node)` with
-    /// the call's cancel token, trace sink and progress listener, then
-    /// `assemble(workspace, stats)` and record the call's `Phase` span.
+    /// rows and the cancel token, lease a workspace (`allocate` makes one on
+    /// a pool miss) and reset it to `r` columns, stage the input through
+    /// `tree`'s permutation, run every task as `task(workspace, family,
+    /// node)` with the call's cancel token, trace sink and progress
+    /// listener, then `assemble(workspace, stats)` and record the call's
+    /// `Phase` span.
     ///
     /// # Errors
     /// [`Error::DimensionMismatch`] when `input.rows() != n`;
@@ -122,10 +125,8 @@ impl<W> SweepDriver<W> {
         let (policy, threads) = self.resolve(opts);
         let sink = opts.trace.as_ref();
         let phase_start = sink.map(|s| s.now());
-        let mut ws = self.pool.lease(input.cols(), allocate);
-        if ws.recycled() {
-            ws.reset();
-        }
+        let mut ws = self.pool.lease(allocate);
+        ws.reset(input.cols());
         input.gather_rows_into(tree.perm(), ws.staged());
         let staged = &*ws;
         let progress = opts.progress.as_ref();

@@ -255,11 +255,15 @@ impl<T: Scalar> DenseMatrix<T> {
         out
     }
 
-    /// Set every entry to `v` (used to recycle buffers across evaluations).
-    pub fn fill(&mut self, v: T) {
-        for x in &mut self.data {
-            *x = v;
-        }
+    /// Make this a `rows x cols` matrix in place, keeping the buffer's
+    /// capacity: it reallocates only to grow past it. Entries kept from
+    /// before land at unspecified positions and added ones are zero, so a
+    /// caller that reads before writing zeroes first (`resize(rows, 0)`,
+    /// then the target shape, writes each entry once).
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, T::zero());
+        self.rows = rows;
+        self.cols = cols;
     }
 
     /// Scale every entry in place.

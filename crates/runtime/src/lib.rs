@@ -24,8 +24,9 @@
 //! * [`parallel`] — the dynamically scheduled `parallel_for` used by the
 //!   level-by-level schedule and by "any order" loops,
 //! * [`pool`] — shared-state serving support: [`pool::WorkspacePool`] leases
-//!   per-call buffer bundles (keyed by right-hand-side width) so persistent
-//!   engines can serve `&self` applies/solves concurrently.
+//!   per-call buffer bundles from one shelf (the caller resizes a leased
+//!   bundle to its right-hand-side width) so persistent engines can serve
+//!   `&self` applies/solves concurrently.
 //!
 //! See `ARCHITECTURE.md` at the repository root for how these pieces fit the
 //! paper's phases.

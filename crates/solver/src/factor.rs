@@ -292,7 +292,7 @@ impl<'a, T: Scalar, K: NodeKernel<T>> Factor<'a, T, K> {
             &self.comp.tree,
             b,
             opts,
-            || SolveWorkspace::allocate(&self.comp, &self.dims, b.cols()),
+            || SolveWorkspace::allocate(&self.comp, &self.dims),
             |ws, family, heap| match family {
                 "SUP" => K::sweep_up(self, ws, heap),
                 "SDOWN" => K::sweep_down(self, ws, heap),

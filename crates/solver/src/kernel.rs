@@ -77,11 +77,11 @@ pub trait NodeKernel<T: Scalar>: Sized {
     ) -> Result<(), Error>;
 }
 
-/// One solve's per-node sweep buffers, pooled by right-hand-side count.
+/// One solve's per-node sweep buffers, pooled whatever their width.
 ///
 /// Every cell is fully overwritten by its single writing task before any
-/// reader runs, and `staged` is refilled before each sweep, so no reset
-/// between solves is needed.
+/// reader runs, and `staged` is refilled before each sweep, so
+/// [`SweepWorkspace::reset`] only gives every cell the call's column count.
 pub struct SolveWorkspace<T: Scalar> {
     /// The right-hand side in tree order (row `pos` holds original row
     /// `perm[pos]`), so every leaf's rows are one contiguous range.
@@ -98,9 +98,9 @@ pub struct SolveWorkspace<T: Scalar> {
 }
 
 impl<T: Scalar> SolveWorkspace<T> {
-    /// Sweep cells for every node, `r` columns wide, sized by the nodes'
-    /// `(kept, local)` dimensions.
-    pub fn allocate(comp: &Compressed<T>, dims: &[(usize, usize)], r: usize) -> Self {
+    /// Column-less sweep cells for every node, with the rows of the nodes'
+    /// `(kept, local)` dimensions; [`SweepWorkspace::reset`] sizes them.
+    pub fn allocate(comp: &Compressed<T>, dims: &[(usize, usize)]) -> Self {
         let node_count = comp.tree.node_count();
         let leaf_rows = |heap: usize| {
             if comp.tree.is_leaf(heap) {
@@ -110,11 +110,11 @@ impl<T: Scalar> SolveWorkspace<T> {
             }
         };
         Self {
-            staged: DenseMatrix::zeros(comp.n(), r),
-            up: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].0, r)),
-            local: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].1, r)),
-            down: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].0, r)),
-            x: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(leaf_rows(h), r)),
+            staged: DenseMatrix::zeros(comp.n(), 0),
+            up: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].0, 0)),
+            local: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].1, 0)),
+            down: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(dims[h].0, 0)),
+            x: DisjointCells::from_fn(node_count, |h| DenseMatrix::zeros(leaf_rows(h), 0)),
         }
     }
 }
@@ -122,6 +122,13 @@ impl<T: Scalar> SolveWorkspace<T> {
 impl<T: Scalar> SweepWorkspace<T> for SolveWorkspace<T> {
     fn staged(&mut self) -> &mut DenseMatrix<T> {
         &mut self.staged
+    }
+
+    fn reset(&mut self, r: usize) {
+        self.staged.resize(self.staged.rows(), r);
+        for cells in [&mut self.up, &mut self.local, &mut self.down, &mut self.x] {
+            cells.for_each_mut(|_, m| m.resize(m.rows(), r));
+        }
     }
 }
 

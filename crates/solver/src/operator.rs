@@ -482,7 +482,7 @@ impl<'m, T: Scalar, M: SpdMatrix<T> + ?Sized> GofmmOperatorBuilder<'m, T, M> {
     ///
     /// # Errors
     /// Everything [`try_compress`] reports (empty input, invalid
-    /// configuration, strict-mode budget exhaustion) plus the factorization
+    /// configuration, non-finite diagonal) plus the factorization
     /// errors ([`Error::NotPositiveDefinite`], [`Error::SingularCore`]).
     pub fn build(self) -> Result<GofmmOperator<T>, Error> {
         let comp = Arc::new(try_compress(self.matrix, &self.config)?);

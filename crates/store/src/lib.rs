@@ -56,8 +56,9 @@ const INDEX_MAGIC: &[u8; 8] = b"GFMMIDX1";
 /// operators store each symmetric near block once too). Version 6: a panel
 /// is one blob whose tag byte records its precision and shape, so a tuned
 /// low-rank pair is one blob under its panel class, not two under companion
-/// classes.
-const FORMAT_VERSION: u32 = 6;
+/// classes. Version 7: the CONFIG blob drops the strict rank-budget flag and
+/// each node basis drops its budget-limited flag.
+const FORMAT_VERSION: u32 = 7;
 
 /// Well-known blob classes used by the GOFMM crates. The store itself does
 /// not interpret these; they only namespace the `(class, node)` key space so

@@ -209,11 +209,6 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Whether `self` and `other` share the same underlying metrics.
-    pub fn same_registry(&self, other: &MetricsRegistry) -> bool {
-        Arc::ptr_eq(&self.entries, &other.entries)
-    }
-
     /// Register (or look up) a counter. Panics if `name` is already
     /// registered as a different metric type.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
@@ -481,6 +476,6 @@ mod tests {
         let reg2 = reg.clone();
         reg2.counter("shared_total", "").add(7);
         assert_eq!(c.get(), 7);
-        assert!(reg.same_registry(&reg2));
+        assert!(Arc::ptr_eq(&reg.entries, &reg2.entries));
     }
 }

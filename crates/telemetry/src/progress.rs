@@ -41,30 +41,6 @@ pub enum ProgressReport<'a> {
         /// Total stages in this sweep.
         total: usize,
     },
-    /// A named phase began (setup, factorization, ...).
-    PhaseStarted {
-        /// Phase name (`"APPLY"`, `"SOLVE"`, `"CG"`, ...).
-        phase: &'static str,
-    },
-    /// A named phase finished.
-    PhaseFinished {
-        /// Phase name.
-        phase: &'static str,
-        /// Phase wall time in seconds.
-        seconds: f64,
-    },
-}
-
-impl ProgressReport<'_> {
-    /// For Krylov reports: the number of frozen (converged) columns.
-    pub fn columns_frozen(&self) -> Option<usize> {
-        match self {
-            ProgressReport::KrylovIteration { column_active, .. } => {
-                Some(column_active.iter().filter(|&&a| !a).count())
-            }
-            _ => None,
-        }
-    }
 }
 
 /// A consumer of [`ProgressReport`]s. Implementations must be cheap and
@@ -103,11 +79,6 @@ impl ProgressHandle {
     pub fn report(&self, report: &ProgressReport<'_>) {
         self.listener.report(report);
     }
-
-    /// Whether two handles wrap the same listener object.
-    pub fn same_listener(&self, other: &ProgressHandle) -> bool {
-        Arc::ptr_eq(&self.listener, &other.listener)
-    }
 }
 
 impl fmt::Debug for ProgressHandle {
@@ -118,7 +89,7 @@ impl fmt::Debug for ProgressHandle {
 
 impl PartialEq for ProgressHandle {
     fn eq(&self, other: &Self) -> bool {
-        self.same_listener(other)
+        Arc::ptr_eq(&self.listener, &other.listener)
     }
 }
 
@@ -147,9 +118,12 @@ mod tests {
             column_active: &active,
         };
         handle.report(&report);
-        handle.report(&ProgressReport::PhaseStarted { phase: "CG" });
+        handle.report(&ProgressReport::SweepLevel {
+            family: "N2S",
+            completed: 1,
+            total: 4,
+        });
         assert_eq!(count.load(Ordering::Relaxed), 1);
-        assert_eq!(report.columns_frozen(), Some(1));
     }
 
     #[test]

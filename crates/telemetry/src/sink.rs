@@ -345,11 +345,6 @@ impl TraceSink {
         }
         Trace::from_events(events)
     }
-
-    /// Whether `self` and `other` share the same underlying buffer.
-    pub fn same_sink(&self, other: &TraceSink) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 /// Drop guard returned by [`TraceSink::span`]: records the span, closed at
@@ -451,7 +446,6 @@ mod tests {
         let c = TraceSink::new();
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert!(a.same_sink(&b));
     }
 
     #[test]

@@ -109,21 +109,6 @@ pub struct LatencySummary {
     pub count: u64,
 }
 
-impl LatencySummary {
-    /// Build a summary from a total (µs), a max (µs) and a count.
-    pub fn from_totals(total_us: u64, max_us: u64, count: u64) -> Self {
-        LatencySummary {
-            mean_us: if count == 0 {
-                0.0
-            } else {
-                total_us as f64 / count as f64
-            },
-            max_us,
-            count,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,10 +136,7 @@ mod tests {
 
     #[test]
     fn latency_summary_handles_zero() {
-        let s = LatencySummary::from_totals(0, 0, 0);
-        assert_eq!(s.mean_us, 0.0);
-        let s = LatencySummary::from_totals(300, 200, 3);
-        assert_eq!(s.mean_us, 100.0);
-        assert_eq!(s.max_us, 200);
+        let s = LatencySummary::default();
+        assert_eq!((s.mean_us, s.max_us, s.count), (0.0, 0, 0));
     }
 }

@@ -3,53 +3,23 @@
 //! The motivating application from the paper's introduction: kernel methods in
 //! machine learning need repeated products with a dense N x N Gaussian kernel
 //! matrix. We solve the ridge-regularized normal equations
-//! `(K + lambda I) c = y` with conjugate gradients, using the GOFMM-compressed
-//! operator for every matvec, then check the residual of the fitted system on
-//! sampled rows.
+//! `(K + lambda I) c = y` through the operator front door: compress, factor
+//! `K + lambda I`, then conjugate gradients preconditioned by that factor,
+//! with the compressed operator serving every matvec. The residual of the
+//! fitted system is checked against exact rows of `K` on sampled rows.
+//!
+//! At this configuration the compression is coarser than the ridge, so
+//! `K~ + lambda I` is indefinite and the build stops with
+//! `Error::NotPositiveDefinite` rather than returning a wrong fit.
 //!
 //! Run with: `cargo run --release --example kernel_regression`
 
-use gofmm_suite::core::{compress, DistanceMetric, Evaluator, GofmmConfig};
+use gofmm_suite::core::{DistanceMetric, GofmmConfig};
 use gofmm_suite::linalg::DenseMatrix;
 use gofmm_suite::matrices::{KernelMatrix, KernelType, PointCloud, SpdMatrix};
+use gofmm_suite::{Error, GofmmOperator, KrylovOptions};
 
-/// Conjugate gradients on the compressed operator plus a ridge shift.
-fn cg_solve(evaluator: &Evaluator<'_, f64>, y: &[f64], ridge: f64, iters: usize) -> Vec<f64> {
-    let n = y.len();
-    let matvec = |x: &[f64]| -> Vec<f64> {
-        let xm = DenseMatrix::from_vec(n, 1, x.to_vec());
-        let (u, _) = evaluator.apply(&xm).expect("matching dimensions");
-        (0..n).map(|i| u[(i, 0)] + ridge * x[i]).collect()
-    };
-    let mut x = vec![0.0; n];
-    let mut r: Vec<f64> = y.to_vec();
-    let mut p = r.clone();
-    let mut rs_old: f64 = r.iter().map(|v| v * v).sum();
-    for _ in 0..iters {
-        let ap = matvec(&p);
-        let denom: f64 = p.iter().zip(&ap).map(|(a, b)| a * b).sum();
-        if denom.abs() < 1e-30 {
-            break;
-        }
-        let alpha = rs_old / denom;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rs_new: f64 = r.iter().map(|v| v * v).sum();
-        if rs_new.sqrt() < 1e-10 {
-            break;
-        }
-        let beta = rs_new / rs_old;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-        }
-        rs_old = rs_new;
-    }
-    x
-}
-
-fn main() {
+fn main() -> Result<(), Error> {
     // Synthetic regression data: a clustered 28-D cloud (HIGGS-like) with a
     // smooth target function.
     let n = 2048;
@@ -72,32 +42,40 @@ fn main() {
     );
     let ridge = 1e-3;
 
-    // Compress once, then serve every CG matvec from one evaluator.
+    // Compress and factor `K + ridge I` once, then solve with CG
+    // preconditioned by the factor, every matvec served by the operator.
     let config = GofmmConfig::default()
         .with_leaf_size(128)
         .with_max_rank(128)
         .with_tolerance(1e-6)
         .with_budget(0.05)
         .with_metric(DistanceMetric::Kernel);
-    let comp = compress::<f64, _>(&kernel, &config);
+    let op = GofmmOperator::builder(&kernel)
+        .config(config)
+        .factorize(ridge)
+        .build()?;
+    let comp = op.compressed();
     println!(
         "compressed kernel matrix: {:.2}s, avg rank {:.1}",
         comp.stats.total_time,
         comp.average_rank()
     );
 
-    let evaluator = Evaluator::new(&kernel, comp);
-    let coeffs = cg_solve(&evaluator, &y, ridge, 50);
+    let y_mat = DenseMatrix::from_vec(n, 1, y.clone());
+    let (c_mat, stats) = op.solve_cg(&y_mat, &KrylovOptions::default())?;
+    println!(
+        "preconditioned CG: {} iterations, residual {:.2e}",
+        stats.iterations, stats.relative_residual
+    );
 
     // Residual of the ridge system (K + ridge I) c = y on a sample of rows,
     // using exact rows of K.
-    let c_mat = DenseMatrix::from_vec(n, 1, coeffs.clone());
     let sample: Vec<usize> = (0..n).step_by(37).collect();
     let fitted = kernel.rows_times(&sample, &c_mat);
     let mut err = 0.0;
     let mut norm = 0.0;
     for (row, &i) in sample.iter().enumerate() {
-        let f = fitted[(row, 0)] + ridge * coeffs[i];
+        let f = fitted[(row, 0)] + ridge * c_mat[(i, 0)];
         err += (f - y[i]).powi(2);
         norm += y[i].powi(2);
     }
@@ -105,4 +83,5 @@ fn main() {
     println!("relative residual of the ridge system on sampled rows: {rel:.3e}");
     assert!(rel < 5e-2, "kernel regression example lost accuracy");
     println!("kernel ridge regression with GOFMM-accelerated CG completed");
+    Ok(())
 }
