@@ -353,7 +353,7 @@ fn skeletonize_all<T: Scalar, M: SpdMatrix<T> + ?Sized>(
     let mut plan = ReusablePlan::new();
     plan.add_bottom_up(
         "SKEL",
-        tree,
+        tree.node_count(),
         |heap| heap == 0,
         |heap| {
             if tree.is_leaf(heap) {

@@ -939,7 +939,7 @@ fn evaluation_plan<T: Scalar>(comp: &Compressed<T>, near_map: &NearMap) -> Reusa
     let mut plan = ReusablePlan::new();
 
     // N2S: children before parents.
-    plan.add_bottom_up("N2S", tree, skip, updown_cost);
+    plan.add_bottom_up("N2S", node_count, skip, updown_cost);
 
     // S2S: any order once the far nodes' skeleton weights exist.
     for heap in 1..node_count {
@@ -953,7 +953,7 @@ fn evaluation_plan<T: Scalar>(comp: &Compressed<T>, near_map: &NearMap) -> Reusa
 
     // S2N: parents before children, after the node's own S2S and — for the
     // deterministic utilde write order — after the children's S2S.
-    plan.add_top_down("S2N", tree, skip, updown_cost, |heap, deps| {
+    plan.add_top_down("S2N", node_count, skip, updown_cost, |heap, deps| {
         deps.push(("S2S", heap));
         if !tree.is_leaf(heap) {
             let (l, rgt) = tree.children(heap);

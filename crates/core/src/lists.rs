@@ -8,6 +8,7 @@
 //! pure HSS approximation (budget 0) and a full FMM.
 
 use crate::config::GofmmConfig;
+use gofmm_runtime::heap_is_ancestor_or_self;
 use gofmm_tree::{NeighborList, PartitionTree};
 use std::collections::{HashMap, HashSet};
 
@@ -100,9 +101,8 @@ pub fn build_interaction_lists(
     // --- Far lists (FindFar per leaf, then MergeFar) -----------------------
     let mut far: Vec<Vec<usize>> = vec![Vec::new(); node_count];
     for leaf in tree.leaf_range() {
-        let near_mortons: Vec<_> = near[leaf].iter().map(|&h| tree.node(h).morton).collect();
         let mut out = Vec::new();
-        find_far(tree, 0, &near_mortons, &mut out);
+        find_far(tree, 0, &near[leaf], &mut out);
         far[leaf] = out;
     }
 
@@ -134,23 +134,19 @@ pub fn build_interaction_lists(
 
 /// Recursive FindFar (Algorithm 2.4): walk down from `node`; whenever a
 /// subtree contains no leaf from `Near(beta)`, add it to the Far list,
-/// otherwise recurse.
-fn find_far(
-    tree: &PartitionTree,
-    node: usize,
-    near_mortons: &[gofmm_tree::MortonId],
-    out: &mut Vec<usize>,
-) {
-    let m = tree.node(node).morton;
-    let contains_near = near_mortons.iter().any(|nm| m.is_ancestor_of(*nm));
+/// otherwise recurse. The heap index stands in for the paper's Morton ID.
+fn find_far(tree: &PartitionTree, node: usize, near: &[usize], out: &mut Vec<usize>) {
+    let contains_near = near
+        .iter()
+        .any(|&leaf| heap_is_ancestor_or_self(node, leaf));
     if contains_near {
         if tree.is_leaf(node) {
             // The node itself is a near leaf: handled by direct evaluation.
             return;
         }
         let (l, r) = tree.children(node);
-        find_far(tree, l, near_mortons, out);
-        find_far(tree, r, near_mortons, out);
+        find_far(tree, l, near, out);
+        find_far(tree, r, near, out);
     } else {
         out.push(node);
     }
@@ -347,5 +343,89 @@ mod tests {
             near_pairs > tree.leaf_count() * 2,
             "near pairs {near_pairs}"
         );
+    }
+
+    /// A 16 x 8 grid (rows 1.5 apart) cut into 16 leaves of 8 points, with
+    /// the neighbor lists of a fixed approximate search.
+    fn grid_lists(budget: f64) -> InteractionLists {
+        let pts: Vec<f64> = (0..128)
+            .flat_map(|i| [(i % 16) as f64, (i / 16) as f64 * 1.5])
+            .collect();
+        let oracle = PointOracle::new(&pts, 2);
+        let tree = PartitionTree::build(
+            &oracle,
+            &TreeOptions {
+                leaf_size: 8,
+                ..Default::default()
+            },
+        );
+        let ann = ann_search(
+            &oracle,
+            &AnnConfig {
+                k: 8,
+                leaf_size: 16,
+                max_iters: 4,
+                ..Default::default()
+            },
+        );
+        let cfg = GofmmConfig::default().with_budget(budget).with_leaf_size(8);
+        build_interaction_lists(&tree, Some(&ann.neighbors), &cfg)
+    }
+
+    /// Near lists of `grid_lists(0.0)`, per heap index, one line per level.
+    #[rustfmt::skip]
+    const HSS_NEAR: [&[usize]; 31] = [
+        &[],
+        &[], &[],
+        &[], &[], &[], &[],
+        &[], &[], &[], &[], &[], &[], &[], &[],
+        &[15], &[16], &[17], &[18], &[19], &[20], &[21], &[22], &[23], &[24], &[25], &[26], &[27],
+        &[28], &[29], &[30],
+    ];
+    /// Far lists of `grid_lists(0.0)`.
+    #[rustfmt::skip]
+    const HSS_FAR: [&[usize]; 31] = [
+        &[],
+        &[2], &[1],
+        &[4], &[3], &[6], &[5],
+        &[8], &[7], &[10], &[9], &[12], &[11], &[14], &[13],
+        &[16], &[15], &[18], &[17], &[20], &[19], &[22], &[21], &[24], &[23], &[26], &[25], &[28],
+        &[27], &[30], &[29],
+    ];
+    /// Near lists of `grid_lists(0.3)`.
+    #[rustfmt::skip]
+    const FMM_NEAR: [&[usize]; 31] = [
+        &[],
+        &[], &[],
+        &[], &[], &[], &[],
+        &[], &[], &[], &[], &[], &[], &[], &[],
+        &[15, 18, 16, 20, 19, 25], &[16, 15, 19, 18], &[17, 18, 29, 30], &[18, 17, 15, 25, 16],
+        &[19, 16, 20, 15], &[20, 19, 21, 15, 22], &[21, 22, 26, 20], &[22, 21, 20, 26],
+        &[23, 24, 27, 26], &[24, 25, 23, 28, 26, 27], &[25, 24, 15, 26, 18],
+        &[26, 21, 25, 24, 22, 23], &[27, 23, 28, 24], &[28, 29, 27, 24, 30], &[29, 30, 28, 17],
+        &[30, 29, 17, 28],
+    ];
+    /// Far lists of `grid_lists(0.3)`.
+    #[rustfmt::skip]
+    const FMM_FAR: [&[usize]; 31] = [
+        &[],
+        &[], &[],
+        &[], &[], &[], &[],
+        &[17, 10], &[4], &[8, 2], &[3, 19, 11, 25, 6], &[1, 14], &[6], &[1, 12],
+        &[7, 18, 4, 5, 27],
+        &[11, 26, 6], &[20, 2], &[7, 5, 13], &[11, 26, 6], &[10], &[16], &[], &[], &[25, 28], &[],
+        &[16, 17, 4, 23], &[3, 9], &[14], &[23], &[], &[],
+    ];
+
+    /// The near and far lists of two fixed trees, one HSS (budget 0) and
+    /// one FMM, entry for entry and in order: a change to the node identity
+    /// or to FindFar cannot move a list without failing here.
+    #[test]
+    fn near_and_far_lists_are_pinned() {
+        for (budget, near, far) in [(0.0, HSS_NEAR, HSS_FAR), (0.3, FMM_NEAR, FMM_FAR)] {
+            let lists = grid_lists(budget);
+            assert_eq!(lists.near, near, "budget {budget}");
+            assert_eq!(lists.far, far, "budget {budget}");
+        }
     }
 }

@@ -138,13 +138,6 @@ impl<T: Scalar> Cholesky<T> {
         inv.symmetrize();
         inv
     }
-
-    /// Log-determinant of `A` (sum of `2 ln L_ii`), handy for sanity checks.
-    pub fn log_det(&self) -> f64 {
-        (0..self.n())
-            .map(|i| 2.0 * self.l.get(i, i).to_f64().ln())
-            .sum()
-    }
 }
 
 /// Returns true if `a` is numerically SPD (Cholesky succeeds).
@@ -225,16 +218,6 @@ mod tests {
         a[(2, 2)] = -1.0;
         assert!(Cholesky::factor(&a).is_err());
         assert!(!is_spd(&a));
-    }
-
-    #[test]
-    fn log_det_of_diagonal() {
-        let mut a = DenseMatrix::<f64>::zeros(3, 3);
-        a[(0, 0)] = 2.0;
-        a[(1, 1)] = 3.0;
-        a[(2, 2)] = 4.0;
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!((ch.log_det() - (24.0f64).ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -145,12 +145,6 @@ impl<T: Scalar> QrFactors<T> {
         DenseMatrix::from_fn(k, self.cols() - k, |i, j| self.factors.get(i, k + j))
     }
 
-    /// Diagonal of `R` (absolute values monotonically decreasing for the
-    /// pivoted factorization); `|R[k,k]|` estimates the `k+1`-st singular value.
-    pub fn r_diag(&self) -> Vec<T> {
-        (0..self.rank).map(|i| self.factors.get(i, i)).collect()
-    }
-
     /// Form the thin orthogonal factor `Q` (`rows x rank`) explicitly.
     pub fn q_thin(&self) -> DenseMatrix<T> {
         let m = self.rows();
@@ -612,7 +606,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(25);
         let a = DenseMatrix::<f64>::random_uniform(30, 20, &mut rng);
         let qr = pivoted_qr(&a, QrOptions::default());
-        let d = qr.r_diag();
+        let r = qr.r();
+        let d: Vec<f64> = (0..qr.rank()).map(|i| r.get(i, i)).collect();
         for w in d.windows(2) {
             assert!(
                 w[0].abs() >= w[1].abs() - 1e-12,

@@ -118,23 +118,6 @@ impl TestMatrixId {
             Mnist => "MNIST",
         }
     }
-
-    /// Parse from a display name (case-insensitive).
-    pub fn from_name(s: &str) -> Option<TestMatrixId> {
-        let up = s.to_uppercase();
-        Self::paper_matrices()
-            .into_iter()
-            .chain(Self::ml_matrices())
-            .find(|id| id.name() == up)
-    }
-
-    /// True if building this matrix requires `O(N^2)` dense storage (grid
-    /// operators and graph Laplacian inverses); kernel matrices evaluate
-    /// entries on the fly and scale to much larger `N`.
-    pub fn is_dense_built(&self) -> bool {
-        use TestMatrixId::*;
-        matches!(self, K02 | K03 | K18 | G01 | G02 | G03 | G04 | G05)
-    }
 }
 
 impl std::fmt::Display for TestMatrixId {
@@ -358,11 +341,8 @@ mod tests {
             .into_iter()
             .chain(TestMatrixId::ml_matrices())
         {
-            assert_eq!(TestMatrixId::from_name(id.name()), Some(id));
             assert_eq!(format!("{id}"), id.name());
         }
-        assert_eq!(TestMatrixId::from_name("nope"), None);
-        assert_eq!(TestMatrixId::from_name("k02"), Some(TestMatrixId::K02));
     }
 
     #[test]
@@ -418,14 +398,6 @@ mod tests {
             let m = build_matrix(id, &ZooOptions::with_n(90));
             assert!(m.coords().is_none(), "{id} should be coordinate-free");
         }
-    }
-
-    #[test]
-    fn dense_built_classification() {
-        assert!(TestMatrixId::K02.is_dense_built());
-        assert!(TestMatrixId::G03.is_dense_built());
-        assert!(!TestMatrixId::K04.is_dense_built());
-        assert!(!TestMatrixId::K15.is_dense_built());
     }
 
     #[test]

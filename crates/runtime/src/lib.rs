@@ -42,5 +42,8 @@ pub mod pool;
 pub use cancel::{CancelToken, Cancelled};
 pub use executor::{ExecStats, TraversalPolicy};
 pub use parallel::{available_threads, parallel_for};
-pub use plan::{heap_level, DisjointCells, Family, PlanTopology, ReusablePlan};
+pub use plan::{
+    heap_children, heap_is_ancestor_or_self, heap_level, heap_parent, DisjointCells, Family,
+    ReusablePlan,
+};
 pub use pool::{Lease, WorkspacePool};

@@ -15,8 +15,11 @@
 //!   evaluators build their DAG once at setup and re-run it for every
 //!   matvec; one-shot phases (SKEL, the factorizations) build one and run it
 //!   once,
-//! * [`PlanTopology`] — the minimal binary-tree interface plans need to wire
-//!   postorder (bottom-up) and preorder (top-down) task families,
+//! * the complete-heap arithmetic ([`heap_level`], [`heap_parent`],
+//!   [`heap_children`], [`heap_is_ancestor_or_self`]) — the one home of the
+//!   tree shape: node `k` has children `2k+1` and `2k+2`, so a node count is
+//!   all a plan needs to wire postorder (bottom-up) and preorder (top-down)
+//!   task families,
 //! * [`DisjointCells`] — per-node storage whose synchronization is delegated
 //!   to the DAG: tasks access disjoint cells (or ordered by dependency
 //!   edges), so cells need no blocking locks. Access is checked by a per-cell
@@ -54,18 +57,26 @@ pub fn heap_level(node: usize) -> usize {
     (node + 1).ilog2() as usize
 }
 
-/// The minimal binary-tree shape information a [`ReusablePlan`] needs to wire
-/// structural (parent/child) dependencies. Implemented by
-/// `gofmm_tree::PartitionTree`; tests implement it on plain vectors.
-pub trait PlanTopology {
-    /// Number of nodes (heap indexing: 0 is the root).
-    fn node_count(&self) -> usize;
+/// Heap index of the parent of `node`; `None` for the root.
+pub fn heap_parent(node: usize) -> Option<usize> {
+    (node > 0).then(|| (node - 1) / 2)
+}
 
-    /// The two children of `node`, or `None` for leaves.
-    fn plan_children(&self, node: usize) -> Option<(usize, usize)>;
+/// The two children of `node` in a complete heap of `node_count` nodes;
+/// `None` for a leaf.
+pub fn heap_children(node: usize, node_count: usize) -> Option<(usize, usize)> {
+    let left = 2 * node + 1;
+    (left + 1 < node_count).then_some((left, left + 1))
+}
 
-    /// The parent of `node`, or `None` for the root.
-    fn plan_parent(&self, node: usize) -> Option<usize>;
+/// True when `ancestor` is `node` itself or one of its ancestors. This is
+/// the prefix test of the paper's Morton IDs: in one-based heap numbering a
+/// node's path from the root is the bit string after its leading one, so
+/// `ancestor` qualifies exactly when its number is a leading-bit prefix of
+/// `node`'s.
+pub fn heap_is_ancestor_or_self(ancestor: usize, node: usize) -> bool {
+    let (la, lb) = (heap_level(ancestor), heap_level(node));
+    la <= lb && (node + 1) >> (lb - la) == ancestor + 1
 }
 
 /// A frozen, re-runnable task DAG keyed by `(family, node)`.
@@ -197,23 +208,24 @@ impl ReusablePlan {
         id
     }
 
-    /// Register one task per non-skipped node in bottom-up (postorder) sweep
-    /// order: children before parents, each task depending on its children's
-    /// tasks of the same family (the shape of SKEL and N2S).
+    /// Register one task per non-skipped node of a complete heap of
+    /// `node_count` nodes in bottom-up (postorder) sweep order: children
+    /// before parents, each task depending on its children's tasks of the
+    /// same family (the shape of SKEL and N2S).
     pub fn add_bottom_up(
         &mut self,
         family: Family,
-        topo: &impl PlanTopology,
+        node_count: usize,
         skip: impl Fn(usize) -> bool,
         cost: impl Fn(usize) -> f64,
     ) {
         // Children have larger heap indices than their parent, so descending
         // index order is a valid postorder insertion order.
-        for node in (0..topo.node_count()).rev() {
+        for node in (0..node_count).rev() {
             if skip(node) {
                 continue;
             }
-            let deps: Vec<(Family, usize)> = match topo.plan_children(node) {
+            let deps: Vec<(Family, usize)> = match heap_children(node, node_count) {
                 Some((l, r)) => vec![(family, l), (family, r)],
                 None => Vec::new(),
             };
@@ -221,23 +233,24 @@ impl ReusablePlan {
         }
     }
 
-    /// Register one task per non-skipped node in top-down (preorder) sweep
-    /// order: parents before children, each task depending on its parent's
-    /// task of the same family plus any `extra_deps` (the shape of S2N).
+    /// Register one task per non-skipped node of a complete heap of
+    /// `node_count` nodes in top-down (preorder) sweep order: parents before
+    /// children, each task depending on its parent's task of the same family
+    /// plus any `extra_deps` (the shape of S2N).
     pub fn add_top_down(
         &mut self,
         family: Family,
-        topo: &impl PlanTopology,
+        node_count: usize,
         skip: impl Fn(usize) -> bool,
         cost: impl Fn(usize) -> f64,
         extra_deps: impl Fn(usize, &mut Vec<(Family, usize)>),
     ) {
-        for node in 0..topo.node_count() {
+        for node in 0..node_count {
             if skip(node) {
                 continue;
             }
             let mut deps: Vec<(Family, usize)> = Vec::new();
-            if let Some(parent) = topo.plan_parent(node) {
+            if let Some(parent) = heap_parent(node) {
                 deps.push((family, parent));
             }
             extra_deps(node, &mut deps);
@@ -638,39 +651,25 @@ mod tests {
         TraversalPolicy::DagHeft,
     ];
 
-    /// A perfect binary tree with `levels` levels in heap order.
-    struct HeapTree {
-        levels: u32,
-    }
-
-    impl PlanTopology for HeapTree {
-        fn node_count(&self) -> usize {
-            (1usize << self.levels) - 1
-        }
-        fn plan_children(&self, node: usize) -> Option<(usize, usize)> {
-            let (l, r) = (2 * node + 1, 2 * node + 2);
-            (r < self.node_count()).then_some((l, r))
-        }
-        fn plan_parent(&self, node: usize) -> Option<usize> {
-            (node > 0).then(|| (node - 1) / 2)
-        }
+    /// Node count of a perfect binary tree with `levels` levels.
+    fn heap_nodes(levels: u32) -> usize {
+        (1usize << levels) - 1
     }
 
     #[test]
     fn bottom_up_runs_children_first() {
-        let topo = HeapTree { levels: 4 };
-        let n = topo.node_count();
+        let n = heap_nodes(4);
         let order = Mutex::new(Vec::new());
         for policy in POLICIES {
             let mut plan = ReusablePlan::new();
-            plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+            plan.add_bottom_up("UP", n, |_| false, |_| 1.0);
             assert_eq!(plan.task_count(), n);
             plan.run(policy, 4, |_, node| order.lock().push(node));
             let seen = std::mem::take(&mut *order.lock());
             assert_eq!(seen.len(), n);
             let pos = |x: usize| seen.iter().position(|&v| v == x).unwrap();
             for node in 0..n {
-                if let Some((l, r)) = topo.plan_children(node) {
+                if let Some((l, r)) = heap_children(node, n) {
                     assert!(
                         pos(l) < pos(node),
                         "{policy}: child {l} after parent {node}"
@@ -686,28 +685,27 @@ mod tests {
 
     #[test]
     fn top_down_runs_parents_first() {
-        let topo = HeapTree { levels: 4 };
-        let n = topo.node_count();
+        let n = heap_nodes(4);
         let order = Mutex::new(Vec::new());
         let mut plan = ReusablePlan::new();
-        plan.add_top_down("DOWN", &topo, |_| false, |_| 1.0, |_, _| {});
+        plan.add_top_down("DOWN", n, |_| false, |_| 1.0, |_, _| {});
         plan.run(TraversalPolicy::DagHeft, 4, |_, node| {
             order.lock().push(node)
         });
         let seen = order.into_inner();
         let pos = |x: usize| seen.iter().position(|&v| v == x).unwrap();
         for node in 1..n {
-            let parent = topo.plan_parent(node).unwrap();
+            let parent = heap_parent(node).unwrap();
             assert!(pos(parent) < pos(node), "parent {parent} after node {node}");
         }
     }
 
     #[test]
     fn traced_runs_record_one_span_per_task() {
-        let topo = HeapTree { levels: 4 };
-        let n = topo.node_count();
+        let levels = 4;
+        let n = heap_nodes(levels);
         let mut shape = ReusablePlan::new();
-        shape.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+        shape.add_bottom_up("UP", n, |_| false, |_| 1.0);
         let sink = TraceSink::new();
         let hits = AtomicUsize::new(0);
         for policy in POLICIES {
@@ -726,7 +724,7 @@ mod tests {
             .partition(|ev| ev.kind == SpanKind::Task);
         assert_eq!(tasks.len(), 4 * n, "one span per executed task");
         // Level-by-level adds one marker per barrier group: one per level.
-        assert_eq!(markers.len(), topo.levels as usize);
+        assert_eq!(markers.len(), levels as usize);
         for ev in &tasks {
             assert_eq!(ev.family, "UP");
             assert_eq!(ev.level, heap_level(ev.node), "span level matches node");
@@ -746,22 +744,22 @@ mod tests {
     /// both ends of a dependency edge.
     #[test]
     fn barrier_groups_follow_levels_and_families() {
-        let topo = HeapTree { levels: 5 };
-        let n = topo.node_count();
+        let levels = 5;
+        let n = heap_nodes(levels);
         let mut plan = ReusablePlan::new();
-        plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+        plan.add_bottom_up("UP", n, |_| false, |_| 1.0);
         for node in 0..n {
             plan.add("FLAT", node, 1.0, &[("UP", node)]);
         }
         plan.add_top_down(
             "DOWN",
-            &topo,
+            n,
             |_| false,
             |_| 1.0,
             |node, deps| deps.push(("FLAT", node)),
         );
         let groups = &plan.freeze().groups;
-        let levels = topo.levels as usize;
+        let levels = levels as usize;
         assert_eq!(groups.len(), 2 * levels + 1);
         assert_eq!(groups.iter().map(Range::len).sum::<usize>(), 3 * n);
         for (g, group) in groups.iter().enumerate() {
@@ -793,6 +791,35 @@ mod tests {
         assert_eq!(heap_level(3), 2);
         assert_eq!(heap_level(6), 2);
         assert_eq!(heap_level(7), 3);
+    }
+
+    #[test]
+    fn children_and_parent_roundtrip() {
+        let n = heap_nodes(4);
+        assert_eq!(heap_children(0, n), Some((1, 2)));
+        assert_eq!(heap_children(4, n), Some((9, 10)));
+        assert_eq!(heap_children(7, n), None, "a leaf has no children");
+        assert_eq!(heap_children(0, 1), None, "a single node is a leaf");
+        assert_eq!(heap_parent(0), None);
+        for node in 0..n {
+            if let Some((l, r)) = heap_children(node, n) {
+                assert_eq!((heap_parent(l), heap_parent(r)), (Some(node), Some(node)));
+                assert_eq!(heap_level(l), heap_level(node) + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn ancestor_relation() {
+        // Node 11 is level 3, path right-left-right: 0 -> 2 -> 5 -> 11.
+        let node = 11;
+        assert!(heap_is_ancestor_or_self(0, node));
+        assert!(heap_is_ancestor_or_self(node, node));
+        assert!(heap_is_ancestor_or_self(2, node));
+        assert!(!heap_is_ancestor_or_self(1, node));
+        assert!(!heap_is_ancestor_or_self(node, 0));
+        assert!(heap_is_ancestor_or_self(5, node));
+        assert!(!heap_is_ancestor_or_self(6, node));
     }
 
     #[test]
@@ -871,15 +898,14 @@ mod tests {
 
     #[test]
     fn reusable_plan_runs_many_times() {
-        let topo = HeapTree { levels: 5 };
-        let n = topo.node_count();
+        let n = heap_nodes(5);
         let mut plan = ReusablePlan::new();
-        plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+        plan.add_bottom_up("UP", n, |_| false, |_| 1.0);
         for node in 0..n {
             // TOP(node) rewrites the cell that UP(parent) reads, so it must
             // wait for the parent's sweep step as well as its own.
             let mut deps = vec![("UP", node)];
-            if let Some(parent) = topo.plan_parent(node) {
+            if let Some(parent) = heap_parent(node) {
                 deps.push(("UP", parent));
             }
             plan.add("TOP", node, 1.0, &deps);
@@ -897,7 +923,7 @@ mod tests {
                 let cells: DisjointCells<f64> = DisjointCells::from_fn(n, |i| i as f64 * 0.5);
                 let stats = plan.run(policy, 4, |family, node| match family {
                     "UP" => {
-                        let v = match topo.plan_children(node) {
+                        let v = match heap_children(node, n) {
                             Some((l, r)) => (*cells.read(l)).mul_add(1.01, *cells.read(r)),
                             None => (node as f64).cos(),
                         };
@@ -926,12 +952,11 @@ mod tests {
         // The serving contract: one frozen plan, many simultaneous runs, each
         // with its own cell storage, all producing the identical result. This
         // is what lets a shared evaluator serve parallel request streams.
-        let topo = HeapTree { levels: 6 };
-        let n = topo.node_count();
+        let n = heap_nodes(6);
         let mut plan = ReusablePlan::new();
-        plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+        plan.add_bottom_up("UP", n, |_| false, |_| 1.0);
         let task = |cells: &DisjointCells<f64>, node: usize| {
-            let v = match topo.plan_children(node) {
+            let v = match heap_children(node, n) {
                 Some((l, r)) => (*cells.read(l)).mul_add(1.01, *cells.read(r)),
                 None => (node as f64).cos(),
             };
@@ -970,10 +995,9 @@ mod tests {
 
     #[test]
     fn cancellable_run_with_quiet_token_matches_plain_run() {
-        let topo = HeapTree { levels: 4 };
-        let n = topo.node_count();
+        let n = heap_nodes(4);
         let mut plan = ReusablePlan::new();
-        plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+        plan.add_bottom_up("UP", n, |_| false, |_| 1.0);
         for policy in POLICIES {
             let token = CancelToken::new();
             let counter = AtomicUsize::new(0);
@@ -991,9 +1015,9 @@ mod tests {
 
     #[test]
     fn pre_cancelled_token_drains_without_running_bodies() {
-        let topo = HeapTree { levels: 5 };
+        let n = heap_nodes(5);
         let mut plan = ReusablePlan::new();
-        plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+        plan.add_bottom_up("UP", n, |_| false, |_| 1.0);
         for policy in POLICIES {
             let token = CancelToken::new();
             token.cancel();
@@ -1012,10 +1036,9 @@ mod tests {
         // Cancel from inside an early task: the runner must drain the rest
         // (no hang on termination detection) and report Err, and the same
         // plan must serve a fresh complete run afterwards.
-        let topo = HeapTree { levels: 6 };
-        let n = topo.node_count();
+        let n = heap_nodes(6);
         let mut plan = ReusablePlan::new();
-        plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+        plan.add_bottom_up("UP", n, |_| false, |_| 1.0);
         for policy in POLICIES {
             let token = CancelToken::new();
             let ran = AtomicUsize::new(0);
@@ -1061,10 +1084,9 @@ mod tests {
         // A failing task skips every body not yet started, drains the rest
         // like a cancellation, and hands its error back; the plan then
         // serves a complete run again.
-        let topo = HeapTree { levels: 6 };
-        let n = topo.node_count();
+        let n = heap_nodes(6);
         let mut plan = ReusablePlan::new();
-        plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+        plan.add_bottom_up("UP", n, |_| false, |_| 1.0);
         for policy in POLICIES {
             for workers in [1, 3] {
                 let ran = AtomicUsize::new(0);
@@ -1091,12 +1113,13 @@ mod tests {
 
     #[test]
     fn progress_reports_one_stage_per_barrier_group() {
-        let topo = HeapTree { levels: 5 };
+        let levels = 5;
+        let n = heap_nodes(levels);
         let mut plan = ReusablePlan::new();
-        plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
-        plan.add_top_down("DOWN", &topo, |_| false, |_| 1.0, |_, _| {});
+        plan.add_bottom_up("UP", n, |_| false, |_| 1.0);
+        plan.add_top_down("DOWN", n, |_| false, |_| 1.0, |_, _| {});
         let groups = plan.freeze().groups.len();
-        assert_eq!(groups, 2 * topo.levels as usize);
+        assert_eq!(groups, 2 * levels as usize);
         let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
         let sink = std::sync::Arc::clone(&seen);
         let handle = ProgressHandle::new(move |r: &ProgressReport<'_>| {
@@ -1115,10 +1138,7 @@ mod tests {
             let mut reports = std::mem::take(&mut *seen.lock());
             assert_eq!(reports.len(), groups, "{policy}: one report per group");
             let ups = reports.iter().filter(|r| r.0 == "UP").count();
-            assert_eq!(
-                ups, topo.levels as usize,
-                "{policy}: one UP stage per level"
-            );
+            assert_eq!(ups, levels as usize, "{policy}: one UP stage per level");
             // Two workers may deliver their reports out of order; the
             // counts they carry are still each stage's own.
             reports.sort_by_key(|r| r.1);

@@ -9,7 +9,7 @@
 //! non-associativity included, because the DAG fixes every accumulation
 //! order.
 
-use gofmm_runtime::{DisjointCells, PlanTopology, ReusablePlan, TraversalPolicy};
+use gofmm_runtime::{heap_children, DisjointCells, ReusablePlan, TraversalPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,37 +78,18 @@ fn policies_bit_identical_on_random_dags() {
     }
 }
 
-/// A perfect binary tree in heap order, standing in for the partition tree.
-struct HeapTree {
-    levels: u32,
-}
-
-impl HeapTree {
-    fn leaf_start(&self) -> usize {
-        (1usize << (self.levels - 1)) - 1
-    }
-}
-
-impl PlanTopology for HeapTree {
-    fn node_count(&self) -> usize {
-        (1usize << self.levels) - 1
-    }
-    fn plan_children(&self, node: usize) -> Option<(usize, usize)> {
-        let (l, r) = (2 * node + 1, 2 * node + 2);
-        (r < self.node_count()).then_some((l, r))
-    }
-    fn plan_parent(&self, node: usize) -> Option<usize> {
-        (node > 0).then(|| (node - 1) / 2)
-    }
-}
+/// Levels of the perfect binary heap standing in for the partition tree.
+const LEVELS: u32 = 6;
+/// Its node count and the heap index of its first leaf.
+const NODES: usize = (1 << LEVELS) - 1;
+const LEAF_START: usize = (1 << (LEVELS - 1)) - 1;
 
 /// A miniature of the GOFMM evaluation phase built through [`ReusablePlan`]:
 /// an upward sweep (N2S shape), a cross-node combination over "far" nodes
 /// (S2S shape), a downward sweep accumulating into children (S2N shape, with
 /// the child-S2S ordering edges), and independent leaf tasks (L2L shape).
 fn phase_plan_outputs(policy: TraversalPolicy, workers: usize) -> (Vec<f64>, Vec<f64>) {
-    let topo = HeapTree { levels: 6 };
-    let n = topo.node_count();
+    let n = NODES;
     // "Far list": nodes at the same level, cyclic neighbors.
     let far = |node: usize| -> Vec<usize> {
         let level = (node + 1).ilog2();
@@ -122,31 +103,31 @@ fn phase_plan_outputs(policy: TraversalPolicy, workers: usize) -> (Vec<f64>, Vec
     let up: DisjointCells<f64> = DisjointCells::from_fn(n, |i| i as f64 * 0.01);
     let down: DisjointCells<f64> = DisjointCells::from_fn(n, |_| 0.0);
     let mut plan = ReusablePlan::new();
-    plan.add_bottom_up("UP", &topo, |_| false, |_| 1.0);
+    plan.add_bottom_up("UP", n, |_| false, |_| 1.0);
     for node in 0..n {
         let deps: Vec<(&'static str, usize)> = far(node).iter().map(|&s| ("UP", s)).collect();
         plan.add("CROSS", node, 2.0, &deps);
     }
     plan.add_top_down(
         "DOWN",
-        &topo,
+        n,
         |_| false,
         |_| 1.0,
         |node, deps| {
             deps.push(("CROSS", node));
-            if let Some((l, r)) = topo.plan_children(node) {
+            if let Some((l, r)) = heap_children(node, n) {
                 deps.push(("CROSS", l));
                 deps.push(("CROSS", r));
             }
         },
     );
-    for leaf in topo.leaf_start()..n {
+    for leaf in LEAF_START..n {
         plan.add("LEAF", leaf, 1.0, &[("DOWN", leaf)]);
     }
 
     let stats = plan.run(policy, workers, |family, node| match family {
         "UP" => {
-            let v = match topo.plan_children(node) {
+            let v = match heap_children(node, n) {
                 Some((l, r)) => (*up.read(l)).mul_add(1.001, *up.read(r) * 0.999),
                 None => (node as f64).sin(),
             };
@@ -161,7 +142,7 @@ fn phase_plan_outputs(policy: TraversalPolicy, workers: usize) -> (Vec<f64>, Vec
         }
         "DOWN" => {
             let v = *down.read(node);
-            if let Some((l, r)) = topo.plan_children(node) {
+            if let Some((l, r)) = heap_children(node, n) {
                 *down.write(l) += v * 0.25;
                 *down.write(r) += v * 0.75;
             }
@@ -198,13 +179,12 @@ fn phase_plan_bit_identical_across_policies() {
 /// the matching upward task (it reads the coefficients the up-sweep wrote)
 /// and on its parent's downward task (which wrote its incoming coefficient).
 fn solve_sweep_outputs(policy: TraversalPolicy, workers: usize) -> Vec<f64> {
-    let topo = HeapTree { levels: 6 };
-    let n = topo.node_count();
+    let n = NODES;
     let mut plan = gofmm_runtime::ReusablePlan::new();
-    plan.add_bottom_up("SUP", &topo, |_| false, |_| 1.0);
+    plan.add_bottom_up("SUP", n, |_| false, |_| 1.0);
     plan.add_top_down(
         "SDOWN",
-        &topo,
+        n,
         |_| false,
         |_| 1.0,
         |node, deps| deps.push(("SUP", node)),
@@ -214,7 +194,7 @@ fn solve_sweep_outputs(policy: TraversalPolicy, workers: usize) -> Vec<f64> {
     let delta: DisjointCells<f64> = DisjointCells::from_fn(n, |_| 0.0);
     let stats = plan.run(policy, workers, |family, node| match family {
         "SUP" => {
-            let v = match topo.plan_children(node) {
+            let v = match heap_children(node, n) {
                 Some((l, r)) => (*up.read(l)).mul_add(0.75, *up.read(r) * 1.25),
                 None => (node as f64 * 0.37).cos(),
             };
@@ -223,7 +203,7 @@ fn solve_sweep_outputs(policy: TraversalPolicy, workers: usize) -> Vec<f64> {
         "SDOWN" => {
             let incoming = *delta.read(node);
             let own = *up.read(node);
-            if let Some((l, r)) = topo.plan_children(node) {
+            if let Some((l, r)) = heap_children(node, n) {
                 *delta.write(l) = incoming * 0.5 + own * 0.125;
                 *delta.write(r) = incoming * 0.5 - own * 0.125;
             } else {

@@ -183,7 +183,7 @@ impl<'a, T: Scalar, K: NodeKernel<T>> Factor<'a, T, K> {
         let mut plan = ReusablePlan::new();
         plan.add_bottom_up(
             "FACTOR",
-            tree,
+            tree.node_count(),
             |_| false,
             |heap| K::factor_cost(comp_ref, heap),
         );
@@ -344,10 +344,10 @@ pub(crate) fn solve_driver<T: Scalar>(
             8.0 * s * s
         }
     };
-    plan.add_bottom_up("SUP", tree, |_| false, cost);
+    plan.add_bottom_up("SUP", tree.node_count(), |_| false, cost);
     plan.add_top_down(
         "SDOWN",
-        tree,
+        tree.node_count(),
         |_| false,
         cost,
         |heap, deps| {

@@ -51,7 +51,6 @@ use gofmm_core::{ApplyOptions, CancelToken, Error};
 use gofmm_linalg::{DenseMatrix, Scalar};
 use gofmm_telemetry::{
     Counter, Gauge, Histogram, LatencySummary, MetricsRegistry, ProgressHandle, ProgressReport,
-    TraceSink,
 };
 
 use crate::krylov::{check_finite_rhs, KrylovOptions};
@@ -95,16 +94,14 @@ pub struct ServeConfig {
     /// queued (default 1024).
     pub queue_capacity: usize,
     /// Scheduling options for the coalesced apply/solve sweeps. The `cancel`
-    /// field is ignored — the server installs its own per-flight token.
-    /// (CG batches drive the evaluator and factor through their configured
-    /// defaults; results are policy-invariant either way.)
+    /// field is ignored — the server installs its own per-flight token. The
+    /// `trace` sink, when set, records every flight: apply/solve sweeps and
+    /// CG iterations, where it takes the place of a request's own
+    /// [`KrylovOptions::trace`]. Tracing never changes results: outputs are
+    /// bit-identical with or without a sink. (CG batches take only that sink
+    /// from here; they drive the evaluator and factor through their
+    /// configured defaults, and results are policy-invariant either way.)
     pub options: ApplyOptions,
-    /// Span sink for the coalesced flights (default none). When set it is
-    /// installed on every batch execution — apply/solve sweeps and CG
-    /// iterations — and overrides any sink already set on
-    /// [`ServeConfig::options`]. Tracing never changes results: outputs are
-    /// bit-identical with or without a sink.
-    pub trace: Option<TraceSink>,
     /// Metrics registry the server publishes into (default none: a private
     /// one). At server construction the admission counters, the
     /// `gofmm_server_queue_depth` gauge and the batch-width and latency
@@ -122,7 +119,6 @@ impl Default for ServeConfig {
             holdoff: Duration::from_micros(200),
             queue_capacity: 1024,
             options: ApplyOptions::default(),
-            trace: None,
             metrics: None,
         }
     }
@@ -150,12 +146,6 @@ impl ServeConfig {
     /// Set the scheduling [`ServeConfig::options`] for batch execution.
     pub fn with_options(mut self, options: ApplyOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Install a [`TraceSink`] recording spans from every coalesced flight.
-    pub fn with_trace(mut self, trace: TraceSink) -> Self {
-        self.trace = Some(trace);
         self
     }
 
@@ -917,24 +907,23 @@ fn execute_batch<T: Scalar>(shared: &Shared<T>, batch: Vec<QueuedRequest<T>>) {
     let result = match &batch[0].kind {
         RequestKind::Apply => {
             let mut opts = shared.cfg.options.clone().with_cancel(flight_token.clone());
-            if let Some(sink) = shared.cfg.trace.clone() {
-                opts.trace = Some(sink);
-            }
             opts.progress = Some(sweep_progress_listener(&batch));
             shared.op.apply_with(&wide, &opts).map(|(u, _)| u)
         }
         RequestKind::Solve => {
             let mut opts = shared.cfg.options.clone().with_cancel(flight_token.clone());
-            if let Some(sink) = shared.cfg.trace.clone() {
-                opts.trace = Some(sink);
-            }
             opts.progress = Some(sweep_progress_listener(&batch));
             shared.op.solve_with(&wide, &opts)
         }
         RequestKind::SolveCg(krylov) => {
             let opts = KrylovOptions {
                 cancel: Some(flight_token.clone()),
-                trace: shared.cfg.trace.clone().or_else(|| krylov.trace.clone()),
+                trace: shared
+                    .cfg
+                    .options
+                    .trace
+                    .clone()
+                    .or_else(|| krylov.trace.clone()),
                 progress: Some(flight_progress_listener(&batch, &offsets)),
                 ..krylov.clone()
             };
@@ -1320,7 +1309,7 @@ mod tests {
         use gofmm_telemetry::TraceSink;
         let op = test_operator(256, false);
         let sink = TraceSink::new();
-        let cfg = ServeConfig::default().with_trace(sink.clone());
+        let cfg = ServeConfig::default().with_options(ApplyOptions::new().with_trace(sink.clone()));
         let server = BatchedServer::new(Arc::clone(&op), cfg);
         let w = rhs(256, 2, 7);
         let got = server

@@ -54,11 +54,6 @@ impl NeighborList {
     pub fn neighbors(&self, i: usize) -> &[(f64, usize)] {
         &self.lists[i]
     }
-
-    /// Neighbor indices only.
-    pub fn neighbor_indices(&self, i: usize) -> Vec<usize> {
-        self.lists[i].iter().map(|&(_, j)| j).collect()
-    }
 }
 
 fn insert_into(list: &mut Vec<(f64, usize)>, k: usize, j: usize, d: f64, me: usize) {
@@ -256,6 +251,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The neighbor indices of `i`, nearest first.
+    fn ids(nl: &NeighborList, i: usize) -> Vec<usize> {
+        nl.neighbors(i).iter().map(|&(_, j)| j).collect()
+    }
+
     #[test]
     fn neighbor_list_reserves_every_list() {
         let nl = NeighborList::new(5, 3);
@@ -270,13 +270,13 @@ mod tests {
         nl.insert(0, 3, 3.0);
         nl.insert(0, 1, 5.0); // duplicate ignored
         nl.insert(0, 0, 0.0); // self ignored
-        assert_eq!(nl.neighbor_indices(0), vec![2, 3, 1]);
+        assert_eq!(ids(&nl, 0), vec![2, 3, 1]);
         // Inserting a closer one evicts the farthest.
         let mut nl2 = NeighborList::new(4, 2);
         nl2.insert(0, 1, 5.0);
         nl2.insert(0, 2, 1.0);
         nl2.insert(0, 3, 0.5);
-        assert_eq!(nl2.neighbor_indices(0), vec![3, 2]);
+        assert_eq!(ids(&nl2, 0), vec![3, 2]);
         assert_eq!(nl2.k(), 2);
         assert!(!nl2.is_empty());
     }
@@ -330,7 +330,7 @@ mod tests {
         for i in (0..o.len()).step_by(13) {
             let exact: std::collections::HashSet<usize> =
                 exact_knn(&o, i, 8).into_iter().map(|(_, j)| j).collect();
-            let found = res.neighbors.neighbor_indices(i);
+            let found = ids(&res.neighbors, i);
             hits += found.iter().filter(|j| exact.contains(j)).count();
             total += 8;
         }
@@ -354,7 +354,7 @@ mod tests {
         assert!((res.estimated_recall - 1.0).abs() < 1e-12);
         for i in 0..12 {
             let exact: Vec<usize> = exact_knn(&o, i, 3).into_iter().map(|(_, j)| j).collect();
-            let got = res.neighbors.neighbor_indices(i);
+            let got = ids(&res.neighbors, i);
             assert_eq!(
                 got.iter().collect::<std::collections::HashSet<_>>(),
                 exact.iter().collect::<std::collections::HashSet<_>>()
@@ -377,10 +377,10 @@ mod tests {
             },
         );
         for i in 0..o.len() {
-            let ids = res.neighbors.neighbor_indices(i);
-            assert!(!ids.contains(&i));
-            let set: std::collections::HashSet<_> = ids.iter().collect();
-            assert_eq!(set.len(), ids.len());
+            let found = ids(&res.neighbors, i);
+            assert!(!found.contains(&i));
+            let set: std::collections::HashSet<_> = found.iter().collect();
+            assert_eq!(set.len(), found.len());
             // Distances sorted ascending.
             let ds: Vec<f64> = res.neighbors.neighbors(i).iter().map(|&(d, _)| d).collect();
             for w in ds.windows(2) {

@@ -7,18 +7,16 @@
 //! with random `p`, `q` gives the randomized projection trees used by the
 //! neighbor search.
 
-use crate::morton::MortonId;
 use crate::oracle::DistanceOracle;
+use gofmm_runtime::{heap_children, heap_parent};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// One node of a [`PartitionTree`], owning a contiguous range of the permuted
 /// index order.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TreeNode {
-    /// Path code / level-offset identifier.
-    pub morton: MortonId,
     /// Start of this node's index range within [`PartitionTree::perm`].
     pub start: usize,
     /// Number of indices owned by this node.
@@ -66,16 +64,19 @@ impl Default for TreeOptions {
 /// A complete balanced binary partition tree over matrix indices `0..n`.
 ///
 /// Nodes are stored in heap (level) order: the root is `nodes[0]` and node `k`
-/// has children `2k+1` and `2k+2`. Every node owns a contiguous slice of the
-/// permutation vector `perm`, so the leaf ranges concatenate to the full
-/// permuted index order used to reorder the matrix.
+/// has children `2k+1` and `2k+2` (the arithmetic lives in
+/// [`gofmm_runtime::heap_children`] and [`gofmm_runtime::heap_parent`]). The
+/// heap index is the only node identity: it carries what the paper's Morton
+/// IDs carry, and [`gofmm_runtime::heap_is_ancestor_or_self`] is their
+/// ancestor test. Every node owns a contiguous slice of the permutation
+/// vector `perm`, so the leaf ranges concatenate to the full permuted index
+/// order used to reorder the matrix.
 #[derive(Clone, Debug)]
 pub struct PartitionTree {
     n: usize,
     depth: u32,
     nodes: Vec<TreeNode>,
     perm: Vec<usize>,
-    inv_perm: Vec<usize>,
     leaf_of: Vec<usize>,
 }
 
@@ -95,123 +96,36 @@ impl PartitionTree {
         if opts.split == SplitRule::RandomShuffle {
             perm.shuffle(&mut rng);
         }
-
-        let node_count = (1usize << (depth + 1)) - 1;
-        let mut nodes = vec![
-            TreeNode {
-                morton: MortonId::root(),
-                start: 0,
-                len: 0,
-            };
-            node_count
-        ];
-        nodes[0] = TreeNode {
-            morton: MortonId::root(),
-            start: 0,
-            len: n,
-        };
-
-        // Level-by-level construction; every interior node splits its range
-        // evenly between its two children.
-        for level in 0..depth {
-            let first = (1usize << level) - 1;
-            let last = (1usize << (level + 1)) - 1;
-            for heap in first..last {
-                let node = nodes[heap];
-                let (start, len) = (node.start, node.len);
-                let seed = rng.gen::<u64>();
-                split_range(oracle, &mut perm[start..start + len], opts, seed);
-                let left_len = len.div_ceil(2);
-                let m = nodes[heap].morton;
-                nodes[2 * heap + 1] = TreeNode {
-                    morton: m.left(),
-                    start,
-                    len: left_len,
-                };
-                nodes[2 * heap + 2] = TreeNode {
-                    morton: m.right(),
-                    start: start + left_len,
-                    len: len - left_len,
-                };
-            }
+        // Split every interior node's range, parents before children (heap
+        // order is level order), so each child's range holds its half.
+        let nodes = node_ranges(n, depth);
+        for node in &nodes[..(1usize << depth) - 1] {
+            let seed = rng.gen::<u64>();
+            split_range(
+                oracle,
+                &mut perm[node.start..node.start + node.len],
+                opts,
+                seed,
+            );
         }
-
-        let mut inv_perm = vec![0usize; n];
-        for (pos, &orig) in perm.iter().enumerate() {
-            inv_perm[orig] = pos;
-        }
-        let mut leaf_of = vec![0usize; n];
-        let leaf_first = (1usize << depth) - 1;
-        for heap in leaf_first..node_count {
-            let node = nodes[heap];
-            for pos in node.start..node.start + node.len {
-                leaf_of[perm[pos]] = heap;
-            }
-        }
-
-        Self {
-            n,
-            depth,
-            nodes,
-            perm,
-            inv_perm,
-            leaf_of,
-        }
+        Self::from_perm(n, depth, perm)
     }
 
-    /// Rebuild a tree from its persisted parts: the index count, depth, and
-    /// final permutation. Everything else a [`PartitionTree`] holds (node
-    /// ranges, Morton IDs, inverse permutation, leaf ownership) is a
-    /// deterministic function of `(n, depth, perm)` — ranges always split
-    /// evenly (`left_len = len.div_ceil(2)`) — so the storage tier persists
-    /// only those three and replays the rest here bit-identically.
+    /// Assemble a tree from the index count, depth and final permutation.
+    /// [`PartitionTree::build`] ends here, and a reopened store rebuilds its
+    /// tree here: everything else a [`PartitionTree`] holds (node ranges,
+    /// leaf ownership) is a deterministic function of `(n, depth, perm)`,
+    /// because ranges always split evenly (`left_len = len.div_ceil(2)`). The
+    /// storage tier therefore persists only those three.
     pub fn from_perm(n: usize, depth: u32, perm: Vec<usize>) -> Self {
-        assert!(n > 0, "cannot rebuild a tree over an empty index set");
+        assert!(n > 0, "cannot build a tree over an empty index set");
         assert_eq!(perm.len(), n, "permutation length must equal n");
-        let node_count = (1usize << (depth + 1)) - 1;
-        let mut nodes = vec![
-            TreeNode {
-                morton: MortonId::root(),
-                start: 0,
-                len: 0,
-            };
-            node_count
-        ];
-        nodes[0] = TreeNode {
-            morton: MortonId::root(),
-            start: 0,
-            len: n,
-        };
-        for level in 0..depth {
-            let first = (1usize << level) - 1;
-            let last = (1usize << (level + 1)) - 1;
-            for heap in first..last {
-                let node = nodes[heap];
-                let (start, len) = (node.start, node.len);
-                let left_len = len.div_ceil(2);
-                let m = node.morton;
-                nodes[2 * heap + 1] = TreeNode {
-                    morton: m.left(),
-                    start,
-                    len: left_len,
-                };
-                nodes[2 * heap + 2] = TreeNode {
-                    morton: m.right(),
-                    start: start + left_len,
-                    len: len - left_len,
-                };
-            }
-        }
-        let mut inv_perm = vec![0usize; n];
-        for (pos, &orig) in perm.iter().enumerate() {
-            inv_perm[orig] = pos;
-        }
+        let nodes = node_ranges(n, depth);
         let mut leaf_of = vec![0usize; n];
         let leaf_first = (1usize << depth) - 1;
-        for heap in leaf_first..node_count {
-            let node = nodes[heap];
-            for pos in node.start..node.start + node.len {
-                leaf_of[perm[pos]] = heap;
+        for (heap, node) in nodes.iter().enumerate().skip(leaf_first) {
+            for &orig in &perm[node.start..node.start + node.len] {
+                leaf_of[orig] = heap;
             }
         }
         Self {
@@ -219,7 +133,6 @@ impl PartitionTree {
             depth,
             nodes,
             perm,
-            inv_perm,
             leaf_of,
         }
     }
@@ -261,22 +174,20 @@ impl PartitionTree {
 
     /// True if `heap` is a leaf.
     pub fn is_leaf(&self, heap: usize) -> bool {
-        heap >= (1usize << self.depth) - 1
+        heap_children(heap, self.nodes.len()).is_none()
     }
 
     /// Heap indices of the children of an interior node.
+    ///
+    /// # Panics
+    /// Panics if `heap` is a leaf.
     pub fn children(&self, heap: usize) -> (usize, usize) {
-        debug_assert!(!self.is_leaf(heap));
-        (2 * heap + 1, 2 * heap + 2)
+        heap_children(heap, self.nodes.len()).expect("a leaf has no children")
     }
 
     /// Heap index of the parent; `None` for the root.
     pub fn parent(&self, heap: usize) -> Option<usize> {
-        if heap == 0 {
-            None
-        } else {
-            Some((heap - 1) / 2)
-        }
+        heap_parent(heap)
     }
 
     /// Original matrix indices owned by a node, in permuted order.
@@ -291,51 +202,33 @@ impl PartitionTree {
         &self.perm
     }
 
-    /// Inverse permutation: `inv_perm[original]` is the permuted position.
-    pub fn inv_perm(&self) -> &[usize] {
-        &self.inv_perm
-    }
-
     /// Heap index of the leaf that owns original index `i`.
     pub fn leaf_containing(&self, i: usize) -> usize {
         self.leaf_of[i]
     }
-
-    /// Morton ID of the leaf that owns original index `i` (the paper's
-    /// `MortonID(i)`).
-    pub fn morton_of_index(&self, i: usize) -> MortonId {
-        self.nodes[self.leaf_of[i]].morton
-    }
-
-    /// Heap index of a node given its Morton ID.
-    pub fn heap_of_morton(&self, m: MortonId) -> usize {
-        m.heap_index()
-    }
-
-    /// Maximum leaf size actually realized.
-    pub fn max_leaf_len(&self) -> usize {
-        self.leaf_range()
-            .map(|h| self.nodes[h].len)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
-/// Partition trees drive the shared execution-plan layer directly: phase
-/// plans (SKEL during compression, N2S/S2S/S2N/L2L during evaluation) wire
-/// their structural dependencies from this topology view.
-impl gofmm_runtime::PlanTopology for PartitionTree {
-    fn node_count(&self) -> usize {
-        self.node_count()
+/// Node ranges of a depth-`depth` tree over `n` indices, in heap order: the
+/// root owns `0..n` and every interior node gives its left child the first
+/// `len.div_ceil(2)` of its indices.
+fn node_ranges(n: usize, depth: u32) -> Vec<TreeNode> {
+    let node_count = (1usize << (depth + 1)) - 1;
+    let mut nodes = vec![TreeNode::default(); node_count];
+    nodes[0].len = n;
+    for heap in 0..(1usize << depth) - 1 {
+        let TreeNode { start, len } = nodes[heap];
+        let (l, r) = heap_children(heap, node_count).expect("interior node");
+        let left_len = len.div_ceil(2);
+        nodes[l] = TreeNode {
+            start,
+            len: left_len,
+        };
+        nodes[r] = TreeNode {
+            start: start + left_len,
+            len: len - left_len,
+        };
     }
-
-    fn plan_children(&self, node: usize) -> Option<(usize, usize)> {
-        (!self.is_leaf(node)).then(|| self.children(node))
-    }
-
-    fn plan_parent(&self, node: usize) -> Option<usize> {
-        self.parent(node)
-    }
+    nodes
 }
 
 /// Split (reorder in place) the indices of one node so that the first half is
@@ -408,6 +301,7 @@ fn argmax(v: &[f64]) -> usize {
 mod tests {
     use super::*;
     use crate::oracle::PointOracle;
+    use gofmm_runtime::heap_is_ancestor_or_self;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -434,7 +328,7 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-        assert!(tree.max_leaf_len() <= 8);
+        assert!(tree.leaf_range().all(|h| tree.node(h).len <= 8));
         assert_eq!(tree.leaf_count(), 16);
     }
 
@@ -455,28 +349,11 @@ mod tests {
         assert_eq!(replay.node_count(), tree.node_count());
         for h in 0..tree.node_count() {
             let (a, b) = (tree.node(h), replay.node(h));
-            assert_eq!((a.morton, a.start, a.len), (b.morton, b.start, b.len));
+            assert_eq!((a.start, a.len), (b.start, b.len));
         }
         assert_eq!(replay.perm(), tree.perm());
-        assert_eq!(replay.inv_perm(), tree.inv_perm());
         for i in 0..tree.n() {
             assert_eq!(replay.leaf_containing(i), tree.leaf_containing(i));
-        }
-    }
-
-    #[test]
-    fn perm_and_inv_perm_are_inverses() {
-        let pts = grid_points_1d(77);
-        let oracle = PointOracle::new(&pts, 1);
-        let tree = PartitionTree::build(
-            &oracle,
-            &TreeOptions {
-                leaf_size: 10,
-                ..Default::default()
-            },
-        );
-        for pos in 0..77 {
-            assert_eq!(tree.inv_perm()[tree.perm()[pos]], pos);
         }
     }
 
@@ -538,6 +415,9 @@ mod tests {
         );
     }
 
+    /// The heap index is the paper's Morton ID: the leaf that owns an index
+    /// holds it, and a node is an ancestor-or-self of that leaf exactly when
+    /// it owns the index.
     #[test]
     fn morton_ids_match_tree_structure() {
         let pts = grid_points_1d(40);
@@ -551,15 +431,14 @@ mod tests {
         );
         for i in 0..40 {
             let leaf = tree.leaf_containing(i);
+            assert!(tree.is_leaf(leaf));
             assert!(tree.indices(leaf).contains(&i));
-            assert_eq!(tree.morton_of_index(i), tree.node(leaf).morton);
-            assert_eq!(tree.heap_of_morton(tree.node(leaf).morton), leaf);
-        }
-        // Every node's Morton ID is an ancestor of its leaves' Morton IDs.
-        for heap in 0..tree.node_count() {
-            let m = tree.node(heap).morton;
-            for &i in tree.indices(heap) {
-                assert!(m.is_ancestor_of(tree.morton_of_index(i)));
+            for heap in 0..tree.node_count() {
+                assert_eq!(
+                    heap_is_ancestor_or_self(heap, leaf),
+                    tree.indices(heap).contains(&i),
+                    "node {heap}, index {i}"
+                );
             }
         }
     }

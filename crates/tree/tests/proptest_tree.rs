@@ -1,8 +1,9 @@
-//! Property-based tests for the partition tree, Morton IDs and the neighbor
-//! search.
+//! Property-based tests for the partition tree, its heap-index ancestry and
+//! the neighbor search.
 
+use gofmm_runtime::{heap_is_ancestor_or_self, heap_parent};
 use gofmm_tree::{
-    ann_search, exact_knn, AnnConfig, MortonId, PartitionTree, PointOracle, SplitRule, TreeOptions,
+    ann_search, exact_knn, AnnConfig, PartitionTree, PointOracle, SplitRule, TreeOptions,
 };
 use proptest::prelude::*;
 
@@ -14,8 +15,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every index appears exactly once across the leaves, leaves respect the
-    /// size bound, and perm/inv_perm are inverse permutations — for any point
-    /// set, leaf size and split rule.
+    /// size bound, and perm is a permutation of `0..n` — for any point set,
+    /// leaf size and split rule.
     #[test]
     fn tree_partition_invariants(
         pts in arb_points(300, 2),
@@ -45,14 +46,14 @@ proptest! {
             }
         }
         prop_assert!(seen.into_iter().all(|s| s));
-        for pos in 0..n {
-            prop_assert_eq!(tree.inv_perm()[tree.perm()[pos]], pos);
-        }
+        let mut sorted = tree.perm().to_vec();
+        sorted.sort_unstable();
+        prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
     }
 
     /// A node's index range is always the concatenation of its children's
-    /// ranges, and the Morton ID of every node is an ancestor of the Morton
-    /// IDs of all indices it owns.
+    /// ranges, and every node is an ancestor-or-self (by heap index, the
+    /// paper's Morton ID) of the leaves of all indices it owns.
     #[test]
     fn tree_hierarchy_invariants(
         pts in arb_points(200, 3),
@@ -72,28 +73,10 @@ proptest! {
                 prop_assert_eq!(tree.node(r).start, tree.node(heap).start + tree.node(l).len);
                 prop_assert_eq!(tree.parent(l), Some(heap));
             }
-            let m = tree.node(heap).morton;
             for &i in tree.indices(heap) {
-                prop_assert!(m.is_ancestor_of(tree.morton_of_index(i)));
+                prop_assert!(heap_is_ancestor_or_self(heap, tree.leaf_containing(i)));
             }
         }
-    }
-
-    /// Morton heap indexing is a bijection and the ancestor relation is
-    /// consistent with taking parents repeatedly.
-    #[test]
-    fn morton_properties(level in 0u32..8, offset_seed in 0u64..10_000) {
-        let offset = if level == 0 { 0 } else { offset_seed % (1u64 << level) };
-        let m = MortonId::new(level, offset);
-        prop_assert_eq!(MortonId::from_heap_index(m.heap_index()), m);
-        // Walking up parents always stays an ancestor.
-        let mut a = m;
-        while let Some(p) = a.parent() {
-            prop_assert!(p.is_ancestor_of(m));
-            prop_assert!(!m.is_ancestor_of(p) || p == m);
-            a = p;
-        }
-        prop_assert_eq!(a, MortonId::root());
     }
 
     /// The approximate neighbor lists never contain the query index itself,
@@ -142,4 +125,26 @@ fn oracle_dist(pts: &[f64], dim: usize, i: usize, j: usize) -> f64 {
         acc += t * t;
     }
     acc.sqrt()
+}
+
+/// The heap index's ancestor test (the paper's Morton-ID prefix test): a node
+/// is an ancestor-or-self of another exactly when walking up parents from the
+/// other reaches it — for every pair of nodes in a heap of depth 8.
+#[test]
+fn morton_properties() {
+    let node_count = (1usize << 9) - 1;
+    for node in 0..node_count {
+        let mut path = vec![node];
+        while let Some(p) = heap_parent(*path.last().unwrap()) {
+            path.push(p);
+        }
+        assert_eq!(path.last(), Some(&0), "every walk ends at the root");
+        for ancestor in 0..node_count {
+            assert_eq!(
+                heap_is_ancestor_or_self(ancestor, node),
+                path.contains(&ancestor),
+                "({ancestor}, {node})"
+            );
+        }
+    }
 }

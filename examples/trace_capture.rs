@@ -46,8 +46,7 @@ fn main() {
     let sink = TraceSink::new();
     let registry = MetricsRegistry::new();
     let cfg = ServeConfig::default()
-        .with_options(ApplyOptions::default())
-        .with_trace(sink.clone())
+        .with_options(ApplyOptions::new().with_trace(sink.clone()))
         .with_metrics(registry.clone());
     let server = BatchedServer::new(Arc::clone(&op), cfg);
 
